@@ -1,18 +1,32 @@
 """Bessel functions needed by the closed-form Green's functions.
 
 Self-contained double-precision implementations for the arguments the library
-actually meets:
+actually meets.  Every function takes a number or an array of arguments and
+evaluates the whole array at once; a number in gives a number out, an array
+in gives an array of the same shape:
 
 * ``k0`` -- modified Bessel function K0.  Real arguments use an ascending
   series on (0, 2] and a frozen Chebyshev table for the scaled tail
   sqrt(z)*exp(z)*K0(z) on [2, inf).  Complex arguments with Re z > 0 use the
   same series for |z| <= 2; larger strictly complex arguments are delegated
-  to :func:`scipy.special.kv` (the only external special-function call).
+  to the exponentially scaled :func:`scipy.special.kve` times exp(-z) (the
+  only external special-function call, imported only when such an argument
+  occurs).
 * ``j0``, ``y0`` -- ordinary Bessel functions of order zero for real
   arguments: ascending series on (0, 5], Chebyshev phase/amplitude tables
   beyond.  They supply the outgoing-wave (Hankel) combination
   ``hankel1_0 = j0 + i*y0`` used by the retarded two-dimensional Green's
   function, so the retarded path never leaves this module.
+
+Each series is summed to a fixed number of terms, enough for every argument
+of its interval, and the Chebyshev tables are converted once, at import, to
+monomial coefficients.  A series or a table is then one matrix of powers of
+its variable (each pass doubles the powers known, ``BLOCK`` arguments at a
+time so memory stays bounded) times one coefficient matrix: a handful of
+numpy operations per call whatever the number of arguments.  The matrix
+product may add the terms in another order for a long array than for one
+argument, so a value can differ in its last bit with the other arguments of
+the call.
 
 The Chebyshev tables were generated offline by projecting the scaled
 functions onto Chebyshev polynomials at 50-digit precision and truncating at
@@ -28,14 +42,20 @@ never uses.
 
 from __future__ import annotations
 
-import cmath
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
+#: Arguments evaluated per block: bounds the (arguments x terms) matrix of
+#: powers behind every series and table evaluation.
+BLOCK = 2048
+
 _SQRT_HALF = math.sqrt(0.5)
+_TWO_OVER_PI = 2.0 / math.pi
 
 # Chebyshev coefficients of sqrt(z)*exp(z)*K0(z) in u = 4/z - 1, z in [2, inf).
 _K0_TAIL = (
@@ -121,112 +141,181 @@ _Q0_TAIL = (
 )
 
 
-def _clenshaw(u: float, coeffs) -> float:
-    b0 = b1 = 0.0
-    for a in reversed(coeffs[1:]):
-        b0, b1 = 2.0 * u * b0 - b1 + a, b0
-    return u * b0 - b1 + 0.5 * coeffs[0]
-
-
-def _k0_series(z: complex) -> complex:
-    # K0(z) = -(log(z/2) + gamma) I0(z) + sum_{m>=1} H_m (z^2/4)^m / (m!)^2
-    t = 0.25 * z * z
-    term = 1.0 + 0.0j
-    i0 = 1.0 + 0.0j
-    s = 0.0 + 0.0j
+def _series_table(terms: int, sign: float) -> np.ndarray:
+    """Rows: sum_m (sign t)^m / (m!)^2 and sum_m H_m (sign t)^m / (m!)^2."""
+    out = np.empty((2, terms))
+    term = 1.0
     hm = 0.0
-    m = 0
-    while m < 60:
-        m += 1
-        term *= t / (m * m)
-        hm += 1.0 / m
-        i0 += term
-        s += term * hm
-        if abs(term) < 1e-18 * abs(i0):
-            break
-    return -(cmath.log(0.5 * z) + EULER_GAMMA) * i0 + s
-
-
-def _k0_real(x: float) -> float:
-    if x <= 2.0:
-        return _k0_series(complex(x)).real
-    # scaled tail; exp(-x) underflows gracefully for x beyond ~745
-    return _clenshaw(4.0 / x - 1.0, _K0_TAIL) * math.exp(-x) / math.sqrt(x)
-
-
-def k0(z: complex | float) -> complex:
-    """Modified Bessel function of the second kind, order zero, Re z > 0."""
-    z = complex(z)
-    if not (z.real > 0.0):
-        raise DomainError("k0 requires Re z > 0", z=repr(z))
-    if z.imag == 0.0:
-        return complex(_k0_real(z.real))
-    if abs(z) <= 2.0:
-        return _k0_series(z)
-    from scipy.special import kv
-
-    return complex(kv(0, z))
-
-
-def j0(x: float) -> float:
-    """Bessel function J0 for real argument."""
-    x = abs(float(x))
-    if x <= 5.0:
-        t = 0.25 * x * x
-        term = 1.0
-        s = 1.0
-        m = 0
-        while m < 40:
-            m += 1
-            term *= -t / (m * m)
-            s += term
-            if abs(term) < 1e-18:
-                break
-        return s
-    return _j0y0_large(x)[0]
-
-
-def y0(x: float) -> float:
-    """Bessel function Y0 for real argument x > 0."""
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError("y0 requires x > 0", x=x)
-    if x <= 5.0:
-        t = 0.25 * x * x
-        term = 1.0
-        s = 0.0
-        hm = 0.0
-        m = 0
-        while m < 40:
-            m += 1
-            term *= -t / (m * m)
+    for m in range(terms):
+        if m:
+            term *= sign / (m * m)
             hm += 1.0 / m
-            s -= term * hm
-            if abs(term) < 1e-18:
-                break
-        return (2.0 / math.pi) * ((math.log(0.5 * x) + EULER_GAMMA) * j0(x) + s)
-    return _j0y0_large(x)[1]
+        out[:, m] = term, term * hm
+    return out
 
 
-def _j0y0_large(x: float) -> tuple[float, float]:
-    u = 50.0 / (x * x) - 1.0
-    p = _clenshaw(u, _P0_TAIL)
-    q = _clenshaw(u, _Q0_TAIL) / x
-    # cos/sin of (x - pi/4) without forming the shifted argument, so the
-    # phase error stays at the ulp of sin/cos themselves
-    c = math.cos(x)
-    s = math.sin(x)
-    cth = (c + s) * _SQRT_HALF
-    sth = (s - c) * _SQRT_HALF
-    amp = math.sqrt(2.0 / (math.pi * x))
-    return amp * (p * cth - q * sth), amp * (p * sth + q * cth)
+def _chebyshev_basis(n: int) -> np.ndarray:
+    """Row k: the monomial coefficients of T_k, from T_k = 2u T_{k-1} - T_{k-2}."""
+    basis = np.zeros((n, n))
+    basis[0, 0] = 1.0
+    basis[1, 1] = 1.0
+    for k in range(2, n):
+        basis[k, 1:] = 2.0 * basis[k - 1, :-1]
+        basis[k] -= basis[k - 2]
+    return basis
 
 
-def hankel1_0(x: float) -> complex:
+def _monomial_table(*tables) -> np.ndarray:
+    """Chebyshev tables (Clenshaw convention, c0 halved) as monomial rows."""
+    out = np.zeros((len(tables), max(len(t) for t in tables)))
+    for row, table in enumerate(tables):
+        cheb = np.array(table)
+        cheb[0] *= 0.5
+        out[row, : len(table)] = cheb @ _chebyshev_basis(len(table))
+    return out
+
+
+# 16 terms reach (t^15 / 15!^2) < 1e-24 for |t| = |z|^2/4 <= 1; 21 terms
+# reach 1e-21 for t = x^2/4 <= 6.25
+_K0_SERIES = _series_table(16, 1.0)
+_J0Y0_SERIES = _series_table(21, -1.0)
+_K0_TAIL_POLY = _monomial_table(_K0_TAIL)
+_PQ_TAIL_POLY = _monomial_table(_P0_TAIL, _Q0_TAIL)
+
+
+def _polyval(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Each row of ``coeffs`` as a polynomial in t, at each t: (rows, t.size)."""
+    if t.size > BLOCK:
+        return np.concatenate(
+            [_polyval(t[i : i + BLOCK], coeffs) for i in range(0, t.size, BLOCK)], axis=1
+        )
+    terms = coeffs.shape[1]
+    powers = np.empty((terms, t.size), dtype=t.dtype)
+    powers[0] = 1.0
+    powers[1] = t
+    k = 2
+    while k < terms:  # t^k .. t^(k+j-1) from t^0 .. t^(j-1), doubling each pass
+        j = min(k, terms - k)
+        np.multiply(powers[:j], powers[k - 1] * t, out=powers[k : k + j])
+        k += j
+    return coeffs @ powers
+
+
+def _split(x: np.ndarray, low: np.ndarray, below, above) -> np.ndarray:
+    """below(x[low]) and above(x[~low]), merged back in argument order.
+
+    ``below`` and ``above`` return either one value per argument or a matrix
+    with one column per argument.
+    """
+    if low.all():
+        return below(x)
+    if not low.any():
+        return above(x)
+    lo = below(x[low])
+    hi = above(x[~low])
+    out = np.empty(lo.shape[:-1] + (x.size,), dtype=np.result_type(lo, hi))
+    out[..., low] = lo
+    out[..., ~low] = hi
+    return out
+
+
+def _result(values: np.ndarray, arg: np.ndarray):
+    """Shape the flat result like the argument; a number for a 0-d argument."""
+    return values.reshape(arg.shape) if arg.ndim else values[0].item()
+
+
+def _k0_series(z: np.ndarray) -> np.ndarray:
+    # K0(z) = -(log(z/2) + gamma) I0(z) + sum_{m>=1} H_m (z^2/4)^m / (m!)^2
+    i0, s = _polyval(0.25 * z * z, _K0_SERIES)
+    return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s
+
+
+def _k0_tail(x: np.ndarray) -> np.ndarray:
+    # scaled tail; exp(-x) underflows gracefully for x beyond ~745
+    return _polyval(4.0 / x - 1.0, _K0_TAIL_POLY)[0] * np.exp(-x) / np.sqrt(x)
+
+
+def _k0_real(x: np.ndarray) -> np.ndarray:
+    return _split(x, x <= 2.0, _k0_series, _k0_tail)
+
+
+def _k0_complex(z: np.ndarray) -> np.ndarray:
+    def large(w):
+        # the scaled kve does not underflow before exp(-z) does (kv returns
+        # 0 from |z| ~ 700, where K0 ~ 1e-306 is still representable)
+        from scipy.special import kve
+
+        return kve(0, w) * np.exp(-w)
+
+    return _split(z, np.abs(z) <= 2.0, _k0_series, large)
+
+
+def k0(z):
+    """Modified Bessel function of the second kind, order zero, Re z > 0.
+
+    Elementwise over an array; complex results.
+    """
+    arg = np.asarray(z)
+    flat = arg.ravel()
+    bad = ~(flat.real > 0.0)
+    if bad.any():
+        raise DomainError("k0 requires Re z > 0", z=repr(complex(flat[bad][0])))
+    if np.isrealobj(flat):
+        out = _k0_real(flat)
+    else:
+        out = _split(flat, flat.imag == 0.0, lambda w: _k0_real(w.real), _k0_complex)
+    return _result(out.astype(complex, copy=False), arg)
+
+
+def _j0y0(x: np.ndarray, with_y: bool) -> np.ndarray:
+    """Rows J0(x) and, with_y, Y0(x) for x >= 0 (x > 0 when with_y)."""
+
+    def series(s):
+        c = _polyval(0.25 * s * s, _J0Y0_SERIES)
+        if with_y:
+            c[1] = _TWO_OVER_PI * ((np.log(0.5 * s) + EULER_GAMMA) * c[0] - c[1])
+        return c
+
+    def tail(s):
+        p, q = _polyval(50.0 / (s * s) - 1.0, _PQ_TAIL_POLY)
+        q /= s
+        # cos/sin of (x - pi/4) without forming the shifted argument, so the
+        # phase error stays at the ulp of sin/cos themselves
+        cos = np.cos(s)
+        sin = np.sin(s)
+        cth = (cos + sin) * _SQRT_HALF
+        sth = (sin - cos) * _SQRT_HALF
+        amp = np.sqrt(2.0 / (math.pi * s))
+        return amp * np.stack([p * cth - q * sth, p * sth + q * cth])
+
+    return _split(x, x <= 5.0, series, tail)
+
+
+def _positive(x, name: str) -> tuple[np.ndarray, np.ndarray]:
+    arg = np.asarray(x, dtype=float)
+    flat = arg.ravel()
+    bad = ~(flat > 0.0)
+    if bad.any():
+        raise DomainError(f"{name} requires x > 0", x=float(flat[bad][0]))
+    return arg, flat
+
+
+def j0(x):
+    """Bessel function J0 for real argument, elementwise over an array."""
+    arg = np.asarray(x, dtype=float)
+    return _result(_j0y0(np.abs(arg.ravel()), False)[0], arg)
+
+
+def y0(x):
+    """Bessel function Y0 for real argument x > 0, elementwise over an array."""
+    arg, flat = _positive(x, "y0")
+    return _result(_j0y0(flat, True)[1], arg)
+
+
+def hankel1_0(x):
     """Outgoing Hankel function H0^(1)(x) = J0(x) + i Y0(x) for real x > 0."""
-    if x <= 0.0:
-        raise DomainError("hankel1_0 requires x > 0", x=x)
-    if x <= 5.0:
-        return complex(j0(x), y0(x))
-    jj, yy = _j0y0_large(x)
-    return complex(jj, yy)
+    arg, flat = _positive(x, "hankel1_0")
+    j, y = _j0y0(flat, True)
+    out = j.astype(complex)
+    out.imag = y
+    return _result(out, arg)

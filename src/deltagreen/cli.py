@@ -125,16 +125,33 @@ def _output_options(fn):
     return fn
 
 
+def _finite(text, flag: str | None = None) -> float:
+    """A finite float, or exit 2: NaN and +-inf are invalid input everywhere."""
+    where = f"{flag}: " if flag else ""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise click.BadParameter(f"{where}{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{where}{text!r} is not a finite number")
+    return value
+
+
+class _FiniteFloat(click.ParamType):
+    """click's float type without NaN and +-inf; click's message names the option."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        return _finite(value)
+
+
+FINITE = _FiniteFloat()
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise click.BadParameter(f"{flag}: {part!r} is not a number")
+    parts = [part.strip() for part in text.split(",")]
+    out = [_finite(part, flag) for part in parts if part]
     if not out:
         raise click.BadParameter(f"{flag}: empty list")
     return out
@@ -144,8 +161,8 @@ def _parse_grid(text: str, flag: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise click.BadParameter(f"{flag}: expected start:stop:count")
+    start, stop = _finite(parts[0], flag), _finite(parts[1], flag)
     try:
-        start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
         raise click.BadParameter(f"{flag}: expected start:stop:count with numeric fields")
@@ -180,10 +197,7 @@ def _parse_center(dim: int, text: str) -> DeltaCenter:
         key = key.strip()
         if key in keys:
             raise click.BadParameter(f"--center: duplicate key {key!r}")
-        try:
-            keys[key] = float(value)
-        except ValueError:
-            raise click.BadParameter(f"--center: {value!r} is not a number")
+        keys[key] = _finite(value, "--center")
     names = frozenset(keys)
     if names == {"lambda"}:
         spec = bare_1d(keys["lambda"])
@@ -222,14 +236,14 @@ def cli():
 
 @cli.command(name="g0")
 @click.option("--dim", type=click.IntRange(1, 3), required=True, help="Spatial dimension.")
-@click.option("--energy", type=float, required=True, help="Real energy (1/L^2).")
+@click.option("--energy", type=FINITE, required=True, help="Real energy (1/L^2).")
 @click.option(
     "--retarded",
     is_flag=True,
     default=False,
     help="Evaluate on the E+i0 side of the cut (required for energy >= 0).",
 )
-@click.option("--r", "rs", type=float, multiple=True, help="Separation |x-y|; repeatable.")
+@click.option("--r", "rs", type=FINITE, multiple=True, help="Separation |x-y|; repeatable.")
 @click.option("--r-grid", "r_grid", default=None, help="Separation grid start:stop:count.")
 @_output_options
 def cmd_g0(dim, energy, retarded, rs, r_grid, fmt, output):
@@ -261,7 +275,7 @@ def cmd_g0(dim, energy, retarded, rs, r_grid, fmt, output):
 
 @cli.command(name="green")
 @click.option("--dim", type=click.IntRange(1, 3), required=True, help="Spatial dimension.")
-@click.option("--energy", type=float, required=True, help="Real energy (1/L^2).")
+@click.option("--energy", type=FINITE, required=True, help="Real energy (1/L^2).")
 @click.option(
     "--retarded", is_flag=True, default=False, help="Evaluate on the E+i0 side of the cut."
 )
@@ -314,9 +328,9 @@ def cmd_green(dim, energy, retarded, center_texts, x_texts, y_text, fmt, output)
     required=True,
     help="Delta center spec; repeatable.",
 )
-@click.option("--emin", type=float, default=None, help="Lower edge of the energy search window.")
-@click.option("--emax", type=float, default=None, help="Upper edge (must stay below 0).")
-@click.option("--tol", type=float, default=1e-12, show_default=True, help="Energy tolerance.")
+@click.option("--emin", type=FINITE, default=None, help="Lower edge of the energy search window.")
+@click.option("--emax", type=FINITE, default=None, help="Upper edge (must stay below 0).")
+@click.option("--tol", type=FINITE, default=1e-12, show_default=True, help="Energy tolerance.")
 @click.option(
     "--method",
     type=click.Choice(["auto", "scan"]),
@@ -359,10 +373,10 @@ def cmd_bound(dim, center_texts, emin, emax, tol, method, grid_points, fmt, outp
 
 @cli.command(name="scatter")
 @click.option("--dim", type=click.IntRange(1, 3), required=True, help="1 or 3.")
-@click.option("--eb", type=float, default=None, help="Bound-state energy fixing the 3D coupling.")
-@click.option("--lambda-r", "lambda_r", type=float, default=None, help="3D renormalized coupling.")
-@click.option("--lam", "lam", type=float, default=None, help="1D bare coupling strength.")
-@click.option("--k", "ks", type=float, multiple=True, help="Momentum; repeatable.")
+@click.option("--eb", type=FINITE, default=None, help="Bound-state energy fixing the 3D coupling.")
+@click.option("--lambda-r", "lambda_r", type=FINITE, default=None, help="3D renormalized coupling.")
+@click.option("--lam", "lam", type=FINITE, default=None, help="1D bare coupling strength.")
+@click.option("--k", "ks", type=FINITE, multiple=True, help="Momentum; repeatable.")
 @click.option("--k-grid", "k_grid", default=None, help="Momentum grid start:stop:count.")
 @click.option(
     "--policy",
@@ -444,9 +458,9 @@ def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy, fmt, output):
 
 @cli.command(name="rgflow")
 @click.option("--dim", type=click.IntRange(2, 3), required=True, help="2 or 3.")
-@click.option("--lambda-r", "lambda_r", type=float, default=None, help="Renormalized coupling.")
-@click.option("--mu", type=float, default=None, help="Subtraction scale (2D only).")
-@click.option("--eb", type=float, default=None, help="Bound-state energy (3D alternative).")
+@click.option("--lambda-r", "lambda_r", type=FINITE, default=None, help="Renormalized coupling.")
+@click.option("--mu", type=FINITE, default=None, help="Subtraction scale (2D only).")
+@click.option("--eb", type=FINITE, default=None, help="Bound-state energy (3D alternative).")
 @click.option(
     "--cutoffs",
     default=DEFAULT_FLOW_CUTOFFS,
@@ -504,7 +518,7 @@ def cmd_rgflow(dim, lambda_r, mu, eb, cutoffs, fmt, output):
 
 
 @cli.command(name="friedman")
-@click.option("--k", "kk", type=float, required=True, help="Momentum scale sqrt(-E) (1/L).")
+@click.option("--k", "kk", type=FINITE, required=True, help="Momentum scale sqrt(-E) (1/L).")
 @click.option(
     "--cutoffs",
     default=DEFAULT_FRIEDMAN_CUTOFFS,
@@ -540,9 +554,9 @@ def cmd_friedman(kk, cutoffs, fmt, output):
 
 @cli.command(name="trivial")
 @click.option("--dim", type=click.IntRange(2, 3), required=True, help="2 or 3.")
-@click.option("--lam", "lam", type=float, required=True, help="Fixed bare coupling, > 0.")
-@click.option("--energy", type=float, required=True, help="Real probe energy, < 0.")
-@click.option("--r", type=float, default=1.0, show_default=True, help="Probe separation.")
+@click.option("--lam", "lam", type=FINITE, required=True, help="Fixed bare coupling, > 0.")
+@click.option("--energy", type=FINITE, required=True, help="Real probe energy, < 0.")
+@click.option("--r", type=FINITE, default=1.0, show_default=True, help="Probe separation.")
 @click.option(
     "--cutoffs",
     default=DEFAULT_FLOW_CUTOFFS,
@@ -729,8 +743,20 @@ def cmd_verify(fast, fmt, output):
         raise _VerifyFailed()
 
 
+def _strict(value):
+    """Payload values as strict JSON: non-finite floats become their repr."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit_error(payload: dict, code: int) -> int:
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+    text = json.dumps(_strict(payload), sort_keys=True, allow_nan=False)
+    sys.stderr.write(text + "\n")
     return code
 
 

@@ -20,6 +20,10 @@ exponentials into outgoing waves exp(i k r).
 Coincident points with D >= 2 are a typed error (:class:`CoincidentPointsError`),
 never an infinity: that divergence is exactly what the renormalization
 machinery in :mod:`deltagreen.renorm` exists to absorb.
+
+:func:`g0_kernel` evaluates these closed forms over a whole array of
+separations at once; :func:`g0` is the checked point-to-point entry that
+calls it with one separation.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bessel
 from .errors import (
@@ -147,23 +153,75 @@ class GreenValue:
             raise DeltaGreenError("non-finite Green's function value", dim=self.dim)
 
 
-def _check_geometry(dim: int, x: SpatialPoint, y: SpatialPoint) -> float:
+def _check_dim(dim: int) -> None:
     if dim not in (1, 2, 3):
         raise UnsupportedDimError(
             "position-space Green's functions exist here for D in {1,2,3}", dim=dim
         )
+
+
+def _check_geometry(dim: int, x: SpatialPoint, y: SpatialPoint) -> float:
+    _check_dim(dim)
     if x.dim != dim or y.dim != dim:
         raise IllegalSpecError(
             "point dimension does not match dim", dim=dim, xdim=x.dim, ydim=y.dim
         )
-    r = distance(x, y)
-    if dim >= 2 and r < COINCIDENT_TOL:
+    return distance(x, y)
+
+
+def g0_kernel(dim: int, energy, r) -> np.ndarray:
+    """Free Green's function G0(E; r) at every separation of the array ``r``.
+
+    Parameters
+    ----------
+    dim : int
+        Spatial dimension, 1, 2 or 3.
+    energy : ComplexEnergy or number
+        Energy off the positive real axis, or retarded (E + i0+).
+    r : array_like
+        Separations |x - y| >= 0; for dim >= 2 each must reach
+        ``COINCIDENT_TOL``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Complex values, one per separation, in the shape of ``r``.
+    """
+    _check_dim(dim)
+    e = ComplexEnergy.of(energy)
+    r = np.asarray(r, dtype=float)
+    if dim >= 2 and r.size and r.min() < COINCIDENT_TOL:
         raise CoincidentPointsError(
             "free Green's function diverges at coincident points for D >= 2",
             dim=dim,
-            r=r,
+            r=float(r.min()),
         )
-    return r
+    if dim == 2 and e.retarded and e.value.real > 0.0:
+        # K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the retarded path on
+        # the self-contained real-argument j0/y0 implementations
+        return -0.25j * np.asarray(bessel.hankel1_0(math.sqrt(e.value.real) * r))
+    kap = e.kappa
+    if dim == 1 and kap == 0.0:
+        raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
+    # a real kappa keeps the exponentials and K0 on real arithmetic
+    return np.asarray(g0_of_kappa(dim, kap.real if kap.imag == 0.0 else kap, r), dtype=complex)
+
+
+def g0_of_kappa(dim: int, kappa, r):
+    """The closed forms at E = -kappa**2, elementwise over kappa and r broadcast.
+
+    ``kappa`` is sqrt(-E) with Re kappa > 0, or -i k (k > 0) in D = 1, 3 for
+    the retarded kernel.  Nothing is checked: :func:`g0_kernel` is the
+    checked entry point.
+    """
+    if dim == 2:
+        # dividing by the negated constant negates the quotient exactly and
+        # saves a complex temporary the size of r
+        return np.asarray(bessel.k0(kappa * r)) / -_TWO_PI
+    wave = np.exp(-kappa * r)
+    if dim == 1:
+        return -wave / (2.0 * kappa)
+    return -wave / (_FOUR_PI * r)
 
 
 def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
@@ -185,20 +243,7 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
         infinity; outgoing-wave form for retarded energies.
     """
     e = ComplexEnergy.of(energy)
-    r = _check_geometry(dim, x, y)
-    kap = e.kappa
-    if dim == 1:
-        val = -cmath.exp(-kap * r) / (2.0 * kap)
-    elif dim == 2:
-        if e.retarded and e.value.real > 0.0:
-            # K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the retarded path on
-            # the self-contained real-argument j0/y0 implementations
-            k = math.sqrt(e.value.real)
-            val = -0.25j * bessel.hankel1_0(k * r)
-        else:
-            val = -bessel.k0(kap * r) / _TWO_PI
-    else:
-        val = -cmath.exp(-kap * r) / (_FOUR_PI * r)
+    val = complex(g0_kernel(dim, e, _check_geometry(dim, x, y)))
     note = "retarded_limit" if e.retarded else "principal"
     return GreenValue(value=val, dim=dim, retarded=e.retarded, branch_note=note)
 
@@ -213,8 +258,3 @@ def g0_retarded(dim: int, k: float, x: SpatialPoint, y: SpatialPoint) -> GreenVa
     if not (k > 0.0) or not math.isfinite(k):
         raise DomainError("retarded evaluation needs k > 0", k=k)
     return g0(dim, ComplexEnergy(k * k, retarded=True), x, y)
-
-
-def bessel_k0(z) -> complex:
-    """Modified Bessel function K0(z) for Re z > 0 (see :mod:`deltagreen.bessel`)."""
-    return bessel.k0(z)

@@ -44,7 +44,7 @@ from .errors import (
     IllegalSpecError,
     NonConvergenceError,
 )
-from .greenfn import ComplexEnergy, GreenValue, SpatialPoint, distance, g0
+from .greenfn import ComplexEnergy, GreenValue, SpatialPoint, g0, g0_kernel, g0_of_kappa
 from .renorm import (
     BARE_1D,
     CouplingSpec,
@@ -57,6 +57,9 @@ DET_POLE_TOL = 1e-12
 
 #: Centers closer than this are rejected as coincident.
 CENTER_DISTINCT_TOL = 1e-10
+
+#: Matrix entries assembled per batch of scan energies.
+SCAN_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,8 @@ class BoundState:
         return math.sqrt(-self.energy)
 
 
-def _validate_centers(dim: int, centers) -> tuple[DeltaCenter, ...]:
+def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.ndarray]:
+    """The centers as a tuple, and their positions as an (N, dim) array."""
     cs = tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
@@ -121,29 +125,56 @@ def _validate_centers(dim: int, centers) -> tuple[DeltaCenter, ...]:
                 "center dimension mismatch", dim=dim, center_dim=c.position.dim
             )
         c.coupling.require_dim(dim)
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if distance(cs[i].position, cs[j].position) < CENTER_DISTINCT_TOL:
-                raise IllegalSpecError(
-                    "coincident centers (closer than 1e-10) are one center",
-                    i=i,
-                    j=j,
-                )
-    return cs
+    return cs, _positions(cs)
+
+
+def _positions(cs) -> np.ndarray:
+    return np.array([c.position.coords for c in cs], dtype=float)
+
+
+def _pair_distances(pos: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Index pairs i < j (row-major) and |a_i - a_j| for each."""
+    pairs = np.triu_indices(len(pos), 1)
+    r = np.sqrt(sum((c[pairs[0]] - c[pairs[1]]) ** 2 for c in pos.T))
+    close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
+    if close.size:
+        raise IllegalSpecError(
+            "coincident centers (closer than 1e-10) are one center",
+            i=int(pairs[0][close[0]]),
+            j=int(pairs[1][close[0]]),
+        )
+    return pairs, r
+
+
+def _matrices(off: np.ndarray, diag: np.ndarray, pairs) -> np.ndarray:
+    """Symmetric M: -off at each pair (i, j) and (j, i), diag on the diagonal.
+
+    Leading axes of ``off`` (..., pairs) and ``diag`` (..., N) batch matrices.
+    """
+    n = diag.shape[-1]
+    m = np.empty(diag.shape + (n,), dtype=np.result_type(off, diag))
+    neg = -off
+    m[..., pairs[0], pairs[1]] = neg
+    m[..., pairs[1], pairs[0]] = neg
+    idx = np.arange(n)
+    m[..., idx, idx] = diag
+    return m
+
+
+def _denominators(dim: int, e: ComplexEnergy, cs) -> list[complex]:
+    return [renormalized_denominator(dim, e, c.coupling).value for c in cs]
+
+
+def _assemble(dim: int, e: ComplexEnergy, cs, pairs, r: np.ndarray) -> np.ndarray:
+    """M(E) from the pair distances: one kernel call fills the off-diagonal."""
+    return _matrices(g0_kernel(dim, e, r), np.array(_denominators(dim, e, cs)), pairs)
 
 
 def m_matrix(dim: int, energy, centers) -> MMatrix:
     """Assemble M(E): renormalized denominators on the diagonal, -G0 off it."""
     e = ComplexEnergy.of(energy)
-    cs = _validate_centers(dim, centers)
-    n = len(cs)
-    m = np.zeros((n, n), dtype=complex)
-    for i, ci in enumerate(cs):
-        m[i, i] = renormalized_denominator(dim, e, ci.coupling).value
-        for j in range(i + 1, n):
-            val = -g0(dim, e, ci.position, cs[j].position).value
-            m[i, j] = val
-            m[j, i] = val
+    cs, pos = _validate_centers(dim, centers)
+    m = _assemble(dim, e, cs, *_pair_distances(pos))
     m.setflags(write=False)
     return MMatrix(entries=m, dim=dim, energy=e)
 
@@ -174,8 +205,9 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
             scale=scale,
         )
     e = mm.energy
-    gx = np.array([g0(dim, e, x, c.position).value for c in cs])
-    gy = np.array([g0(dim, e, c.position, y).value for c in cs])
+    pos = _positions(cs)
+    gx = g0_kernel(dim, e, _distances_to(x, pos))
+    gy = g0_kernel(dim, e, _distances_to(y, pos))
     base = g0(dim, e, x, y)
     corr = complex(gx @ np.linalg.solve(mm.entries, gy))
     return GreenValue(
@@ -186,22 +218,29 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     )
 
 
+def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
+    """|x - a_i| for every center position a_i (rows of ``pos``)."""
+    if x.dim != pos.shape[1]:
+        raise IllegalSpecError(
+            "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
+        )
+    return np.sqrt(sum((c - xc) ** 2 for c, xc in zip(pos.T, x.coords)))
+
+
 def _closed_form_energies(dim: int, cs: tuple[DeltaCenter, ...]) -> list[float]:
     e_b = cs[0].coupling.bound_state_energy(dim)
     return [e_b] if e_b is not None else []
 
 
-def _m_prime(dim: int, e_b: float, cs) -> np.ndarray:
+def _m_prime(e_b: float, m_at) -> np.ndarray:
     """dM/dE at real E_B by a complex step; exact to machine precision."""
     h = 1e-20 * max(1.0, abs(e_b))
-    m_shift = m_matrix(dim, complex(e_b, h), cs).entries
-    return np.imag(m_shift) / h
+    return np.imag(m_at(complex(e_b, h))) / h
 
 
-def _sign_probes(dim: int, cs) -> list[SpatialPoint]:
-    pts = np.array([c.position.coords for c in cs], dtype=float)
-    centroid = pts.mean(axis=0)
-    span = max(1.0, float(np.max(np.abs(pts - centroid))))
+def _sign_probes(pos: np.ndarray) -> list[SpatialPoint]:
+    centroid = pos.mean(axis=0)
+    span = max(1.0, float(np.max(np.abs(pos - centroid))))
     probes = [centroid]
     for step in (0.37, 0.79, 1.31):
         shifted = centroid.copy()
@@ -210,11 +249,11 @@ def _sign_probes(dim: int, cs) -> list[SpatialPoint]:
     return [SpatialPoint(tuple(p)) for p in probes]
 
 
-def _residue_vector(dim: int, e_b: float, cs) -> np.ndarray:
-    m = m_matrix(dim, e_b, cs).entries.real
+def _residue_vector(dim: int, e_b: float, pos: np.ndarray, m_at) -> np.ndarray:
+    m = m_at(e_b).real
     w, v = np.linalg.eigh(m)
     null = v[:, int(np.argmin(np.abs(w)))]
-    mp = _m_prime(dim, e_b, cs)
+    mp = _m_prime(e_b, m_at)
     slope = float(null @ mp @ null)
     if slope <= 0.0:
         raise NonConvergenceError(
@@ -225,9 +264,9 @@ def _residue_vector(dim: int, e_b: float, cs) -> np.ndarray:
     # fix the overall sign: psi > 0 at the centroid, falling back to probes
     # along the first axis for odd states or unevaluable centroids
     best = 0.0
-    for p in _sign_probes(dim, cs):
+    for p in _sign_probes(pos):
         try:
-            val = _psi_raw(dim, e_b, cs, c, p)
+            val = _psi_raw(dim, e_b, pos, c, p)
         except DeltaGreenError:
             continue
         if abs(val) > abs(best):
@@ -239,12 +278,9 @@ def _residue_vector(dim: int, e_b: float, cs) -> np.ndarray:
     return out
 
 
-def _psi_raw(dim: int, e_b: float, cs, coeff, x: SpatialPoint) -> float:
+def _psi_raw(dim: int, e_b: float, pos: np.ndarray, coeff, x: SpatialPoint) -> float:
     # psi evaluation shared by the sign fix and the public accessor
-    total = 0.0
-    for ci, c in zip(cs, coeff):
-        total += float(c) * g0(dim, e_b, x, ci.position).value.real
-    return total
+    return float(g0_kernel(dim, e_b, _distances_to(x, pos)).real @ coeff)
 
 
 def bound_states(
@@ -275,12 +311,14 @@ def bound_states(
     Notes
     -----
     The scan walks det M on a log-spaced grid of kappa = sqrt(-E) (poles
-    crowd toward E = 0- for weak coupling), brackets sign changes, bisects
-    and secant-polishes each to |dE| <= tol.  An empty result is not an
+    crowd toward E = 0- for weak coupling), evaluating the whole grid in
+    batched kernel calls, brackets sign changes, bisects and
+    secant-polishes each to |dE| <= tol.  An empty result is not an
     error.  For a single center the closed forms take precedence so the
     textbook formulas are testable verbatim.
     """
-    cs = _validate_centers(dim, centers)
+    cs, pos = _validate_centers(dim, centers)
+    pairs, r = _pair_distances(pos)
     if not (tol > 0.0):
         raise DomainError("tol must be positive", tol=tol)
     if method not in ("auto", "scan"):
@@ -288,12 +326,16 @@ def bound_states(
 
     window = _search_window(dim, cs, search)
 
+    def m_at(energy) -> np.ndarray:
+        # M(E) on these centers; their distances do not depend on E
+        return _assemble(dim, ComplexEnergy.of(energy), cs, pairs, r)
+
     if method == "auto" and len(cs) == 1:
         energies = [
             e for e in _closed_form_energies(dim, cs) if window[0] <= e <= window[1]
         ]
     else:
-        energies = _scan_energies(dim, cs, window, tol, grid_points)
+        energies = _scan_energies(dim, cs, pairs, r, window, tol, grid_points)
 
     states = []
     for e_b in sorted(float(e) for e in energies):
@@ -302,7 +344,7 @@ def bound_states(
                 energy=e_b,
                 dim=dim,
                 centers=cs,
-                residue_vector=_residue_vector(dim, e_b, cs),
+                residue_vector=_residue_vector(dim, e_b, pos, m_at),
             )
         )
     return states
@@ -328,17 +370,39 @@ def _search_window(dim, cs, search):
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
-def _scan_energies(dim, cs, window, tol, grid_points):
+def _scan_dets(dim: int, cs, pairs, r: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+    """det M(-kappa^2) of the real matrices, for many kappa > 0 at once.
+
+    One kernel call covers a whole batch of energies; batches hold at most
+    SCAN_BATCH matrix entries, so memory stays bounded for many centers.
+    """
+    step = max(1, SCAN_BATCH // (len(cs) * len(cs)))
+    dets = []
+    for i in range(0, len(kappas), step):
+        energies = [ComplexEnergy(complex(-k * k)) for k in kappas[i : i + step].tolist()]
+        kap = np.array([e.kappa.real for e in energies])
+        diag = np.array([_denominators(dim, e, cs) for e in energies]).real
+        off = g0_of_kappa(dim, kap[:, None], r).real
+        dets.append(np.linalg.det(_matrices(off, diag, pairs)))
+    return np.concatenate(dets)
+
+
+def _scan_energies(dim, cs, pairs, r, window, tol, grid_points):
     e_min, e_max = window
     kap_lo = math.sqrt(-e_max)
     kap_hi = math.sqrt(-e_min)
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
 
-    def f(kap: float) -> float:
-        return float(np.linalg.det(m_matrix(dim, -kap * kap, cs).entries.real))
-
     grid = np.geomspace(kap_lo, kap_hi, grid_points)
+    # the grid is evaluated in one batch; bisection points one at a time
+    on_grid = dict(zip(grid.tolist(), _scan_dets(dim, cs, pairs, r, grid).tolist()))
+
+    def f(kap: float) -> float:
+        if kap in on_grid:
+            return on_grid[kap]
+        return float(_scan_dets(dim, cs, pairs, r, np.array([kap]))[0])
+
     roots = []
     for a, b in bracket_sign_changes(f, grid):
         kap = refine_root(f, a, b, xtol=tol / (2.0 * b))
@@ -362,4 +426,6 @@ def residue_wavefunction(state: BoundState, x) -> float:
         x = SpatialPoint.of(float(x))
     elif not isinstance(x, SpatialPoint):
         x = SpatialPoint(tuple(x))
-    return _psi_raw(state.dim, state.energy, state.centers, state.residue_vector, x)
+    return _psi_raw(
+        state.dim, state.energy, _positions(state.centers), state.residue_vector, x
+    )

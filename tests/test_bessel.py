@@ -126,3 +126,38 @@ def test_continuation_identity_k0_to_hankel():
 
 def test_np_float_inputs_accepted():
     assert bessel.k0(np.float64(1.0)) == bessel.k0(1.0)
+
+
+def test_array_arguments_match_one_at_a_time():
+    # more arguments than one block, on both sides of every branch point
+    x = np.geomspace(1e-6, 700.0, 2 * bessel.BLOCK + 7)
+    k = bessel.k0(x)
+    j, y, h = bessel.j0(x), bessel.y0(x), bessel.hankel1_0(x)
+    assert k.shape == x.shape and k.dtype == complex
+    assert h.dtype == complex and np.array_equal(h, j + 1j * y)
+    # the terms of a sum may be added in another order inside a long array,
+    # so values agree to rounding, on the scales the accuracy tests use
+    for i in range(0, x.size, 61):
+        xi = float(x[i])
+        assert abs(k[i] - bessel.k0(xi)) <= 4e-15 * abs(k[i])
+        assert abs(j[i] - bessel.j0(xi)) <= 4e-15 * max(1.0, abs(j[i]))
+        assert abs(y[i] - bessel.y0(xi)) <= 4e-15 * max(1.0, abs(y[i]))
+
+
+def test_array_shape_and_mixed_real_complex_arguments():
+    z = np.array([[0.5, 3.0 + 0.0j], [1.2 - 0.4j, 6.0 + 2.0j]])
+    got = bessel.k0(z)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(z.shape):
+        assert abs(got[idx] - bessel.k0(complex(z[idx]))) <= 4e-15 * abs(got[idx])
+    assert bessel.k0(np.empty(0)).shape == (0,)
+
+
+def test_array_domain_errors_name_the_first_bad_argument():
+    with pytest.raises(DomainError) as info:
+        bessel.k0(np.array([1.0, -2.0, -3.0]))
+    assert info.value.details == {"z": repr(complex(-2.0))}
+    with pytest.raises(DomainError):
+        bessel.y0(np.array([1.0, np.nan]))
+    with pytest.raises(DomainError):
+        bessel.hankel1_0(np.array([[1.0], [0.0]]))

@@ -228,6 +228,42 @@ def test_exit_3_on_computational_failure(capsys):
     assert json.loads(err)["error"] == "AtPole"
 
 
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# every subcommand that takes a float, each with one non-finite value
+NON_FINITE_ARGVS = [
+    ("trivial", "--dim", "3", "--lam", "inf", "--energy", "-1"),
+    ("g0", "--dim", "3", "--energy", "nan", "--r", "1"),
+    ("green", "--dim", "3", "--energy", "-1", "--center", "0,0,0:eb=-1",
+     "--x", "inf,0,0", "--y", "1,0,0"),
+    ("bound", "--dim", "1", "--center", "0:lambda=-2", "--tol", "nan"),
+    ("scatter", "--dim", "3", "--eb", "-1", "--k", "-inf"),
+    ("rgflow", "--dim", "2", "--lambda-r", "-1", "--mu", "1", "--cutoffs", "1e2,nan"),
+    ("friedman", "--k", "1", "--cutoffs", "1e2,inf"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=lambda argv: argv[0])
+def test_non_finite_numbers_are_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert _strict_json(err)["error"] == "InvalidInput"
+
+
+def test_error_payload_is_strict_json(capsys):
+    # a finite coupling so weak that E_B = -(4 pi / lambda_R)^2 overflows
+    code, _, err = run_cli(capsys, "scatter", "--dim", "3", "--lambda-r", "1e-320", "--k", "1")
+    assert code == 3
+    assert _strict_json(err)["details"] == {"e_b": "-inf"}
+
+
 def test_exit_4_when_a_check_fails(capsys, monkeypatch):
     monkeypatch.setattr(
         cli_mod, "_verify_checks", lambda fast: [("rigged", 1.0, 1e-6)]

@@ -189,3 +189,21 @@ def test_dimension_validation():
 def test_positive_energy_needs_retarded_flag():
     with pytest.raises(BranchCutError):
         g0(3, ComplexEnergy.of(2.0), _axis_point(3, 1.0), ORIGIN[3])
+
+
+def test_kernel_over_an_array_of_separations():
+    from deltagreen.greenfn import g0_kernel
+
+    r = np.array([[0.3, 1.0], [2.5, 7.0]])
+    for dim in (1, 2, 3):
+        for energy in (-1.7, ComplexEnergy(2.0, retarded=True), complex(-1.0, 0.4)):
+            got = g0_kernel(dim, energy, r)
+            assert got.shape == r.shape and got.dtype == complex
+            for idx in np.ndindex(r.shape):
+                one = g0(dim, energy, _axis_point(dim, r[idx]), ORIGIN[dim]).value
+                assert abs(got[idx] - one) <= 1e-14 * abs(one)
+    with pytest.raises(CoincidentPointsError):
+        g0_kernel(2, -1.0, np.array([1.0, 0.0]))
+    # the one-dimensional kernel diverges at the threshold E = 0 + i0
+    with pytest.raises(DomainError):
+        g0_kernel(1, ComplexEnergy(0.0, retarded=True), np.array([1.0]))

@@ -1,7 +1,9 @@
 """Multi-center resolvent, bound-state search, residue factorization."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,8 +22,9 @@ from deltagreen import (
     renormalized_denominator,
     residue_wavefunction,
 )
+from deltagreen import greenfn, pointgreen
 from deltagreen.errors import AtPoleError, DomainError, IllegalSpecError
-from deltagreen.greenfn import SpatialPoint
+from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent
 
 # two attractive centers at -1 and +1, lambda = -2 each: energies frozen from
@@ -71,6 +74,91 @@ def test_m_matrix_symmetry():
     cs = [center(tuple(p), from_bound_state(-float(i + 1))) for i, p in enumerate(pts)]
     mm = m_matrix(3, complex(-2.0, 0.3), cs)
     assert np.array_equal(mm.entries, mm.entries.T)
+
+
+# Separations on one axis: dyadic positions subtract exactly, and at
+# kappa = 0.5, 1, 2 the products kappa*r run from ~1e-6 to 700 exactly too,
+# so the reference sees the same r and kappa*r as the kernel.
+AXIS_POSITIONS = (0.0, 2.0**-19, 2.0**-10, 0.25, 1.0, 3.0, 17.0, 101.0, 350.0)
+
+
+def _g0_reference(dim: int, e: ComplexEnergy, r: float) -> complex:
+    """Closed forms at 40 digits: exp in D = 1, 3, mpmath Bessel functions in D = 2."""
+    with mp.workdps(40):
+        r = mp.mpf(r)
+        if e.retarded and e.value.real > 0.0:
+            k = mp.sqrt(mp.mpf(e.value.real))
+            kap = -1j * k
+        else:
+            kap = mp.sqrt(-mp.mpc(e.value.real, e.value.imag))
+        if dim == 1:
+            return complex(-mp.exp(-kap * r) / (2 * kap))
+        if dim == 3:
+            return complex(-mp.exp(-kap * r) / (4 * mp.pi * r))
+        if e.retarded and e.value.real > 0.0:
+            return complex(-0.25j * mp.hankel1(0, k * r))
+        return complex(-mp.besselk(0, kap * r) / (2 * mp.pi))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("branch", ["real", "complex_step", "retarded"])
+def test_m_matrix_entries_match_independent_closed_forms(dim, branch):
+    cs = [center((p,) + (0.0,) * (dim - 1), from_bound_state(-1.0)) for p in AXIS_POSITIONS]
+    for kap in (0.5, 1.0, 2.0):
+        e = {
+            "real": ComplexEnergy(-kap * kap),
+            # the energies _m_prime steps to
+            "complex_step": ComplexEnergy(complex(-kap * kap, 1e-20 * kap * kap)),
+            "retarded": ComplexEnergy(kap * kap, retarded=True),
+        }[branch]
+        m = m_matrix(dim, e, cs).entries
+        for c, row in zip(cs, m.diagonal()):
+            assert row == renormalized_denominator(dim, e, c.coupling).value
+        for i, j in itertools.combinations(range(len(cs)), 2):
+            want = -_g0_reference(dim, e, AXIS_POSITIONS[j] - AXIS_POSITIONS[i])
+            assert m[i, j] == m[j, i]
+            assert abs(m[i, j] - want) <= 1e-13 * abs(want), (kap, i, j)
+            if branch == "complex_step" and abs(want.imag) > 1e-280:
+                # the part dM/dE is read from, wherever it is not subnormal
+                assert abs(m[i, j].imag - want.imag) <= 1e-13 * abs(want.imag), (kap, i, j)
+
+
+def test_m_matrix_makes_no_scalar_g0_call(monkeypatch):
+    calls = []
+    scalar_g0 = greenfn.g0
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scalar_g0(*args, **kwargs)
+
+    monkeypatch.setattr(pointgreen, "g0", counting)
+    monkeypatch.setattr(greenfn, "g0", counting)
+    rng = np.random.default_rng(64)
+    cs = [center(tuple(p), from_bound_state(-1.0)) for p in rng.uniform(0, 10, (64, 3))]
+    m_matrix(3, -1.7, cs)
+    assert calls == []
+    green(3, -1.7, _pt(0.1, 0.2, 0.3), _pt(5.0, 5.0, 5.0), cs)
+    assert len(calls) == 1  # G0(x, y) itself; the source vectors are one kernel call each
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_green_reciprocity_many_centers(dim):
+    rng = np.random.default_rng(256 + dim)
+    side = math.ceil(256 ** (1.0 / dim))
+    grid = np.meshgrid(*[np.arange(side)] * dim, indexing="ij")
+    sites = np.stack(grid, -1).reshape(-1, dim)[:256]
+    pts = 1.5 * sites + rng.uniform(-0.3, 0.3, sites.shape)
+    coupling = bare_1d(-0.5) if dim == 1 else renormalized_3d(1.0)
+    cs = [center(tuple(p), coupling) for p in pts]
+    assert len(cs) == 256
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    for energy in (-1.3, ComplexEnergy(0.8, retarded=True)):
+        for _ in range(3):
+            x, y = _pt(*rng.uniform(lo, hi)), _pt(*rng.uniform(lo, hi))
+            gxy = green(dim, energy, x, y, cs).value
+            gyx = green(dim, energy, y, x, cs).value
+            scale = max(abs(gxy), abs(g0(dim, energy, x, y).value))
+            assert abs(gxy - gyx) <= 1e-12 * scale
 
 
 # ------------------------------------------------------------------- green
@@ -314,6 +402,11 @@ def test_residue_satisfies_jump_condition():
 def test_rejects_coincident_centers():
     with pytest.raises(IllegalSpecError):
         m_matrix(1, -1.0, [center(0.0, bare_1d(-2.0)), center(5e-11, bare_1d(-2.0))])
+    # the first coincident pair in row-major order is named
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (1.0, 5e-11), (0.0, 2.0)]
+    with pytest.raises(IllegalSpecError) as info:
+        bound_states(2, [center(p, from_bound_state(-1.0)) for p in pts])
+    assert info.value.details == {"i": 1, "j": 3}
 
 
 def test_rejects_wrong_dimension_coupling():
