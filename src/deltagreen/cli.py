@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
 from . import __version__, oracles
-from .errors import DeltaGreenError, IllegalSpecError, SpecValidationError
+from .errors import DeltaGreenError, DomainError, IllegalSpecError, SpecValidationError
 from .greenfn import ComplexEnergy, SpatialPoint, g0
 from .pointgreen import DeltaCenter, bound_states, center, green, residue_wavefunction
 from .renorm import (
@@ -61,6 +61,12 @@ class ResultTable:
     columns: list
     rows: list
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for row in self.rows:
+            for (name, _), value in zip(self.columns, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DomainError("result is not a finite number", column=name, value=value)
 
     def to_json(self) -> str:
         payload = {
@@ -637,7 +643,8 @@ def _verify_checks(fast: bool):
     kappas = oracles.shooting1d(pair, (0.05, 3.0))
     shoot = sorted(-k * k for k in kappas)
     if len(shoot) != len(det_states):
-        checks.append(("shooting_two_delta", float("inf"), 1e-6))
+        # a missed or spurious state: the count difference is >= 1, far above tol
+        checks.append(("shooting_two_delta", float(abs(len(shoot) - len(det_states))), 1e-6))
     else:
         worst = max(
             abs(st.energy - e_ref) for st, e_ref in zip(det_states, shoot)

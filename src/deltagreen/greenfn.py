@@ -214,11 +214,13 @@ def g0_of_kappa(dim: int, kappa, r):
     the retarded kernel.  Nothing is checked: :func:`g0_kernel` is the
     checked entry point.
     """
-    if dim == 2:
-        # dividing by the negated constant negates the quotient exactly and
-        # saves a complex temporary the size of r
-        return np.asarray(bessel.k0(kappa * r)) / -_TWO_PI
-    wave = np.exp(-kappa * r)
+    # kappa * r overflowing to inf is the kernel underflowing to 0
+    with np.errstate(over="ignore"):
+        if dim == 2:
+            # dividing by the negated constant negates the quotient exactly
+            # and saves a complex temporary the size of r
+            return np.asarray(bessel.k0(kappa * r)) / -_TWO_PI
+        wave = np.exp(-kappa * r)
     if dim == 1:
         return -wave / (2.0 * kappa)
     return -wave / (_FOUR_PI * r)

@@ -47,8 +47,11 @@ from .errors import (
 from .greenfn import ComplexEnergy, GreenValue, SpatialPoint, g0, g0_kernel, g0_of_kappa
 from .renorm import (
     BARE_1D,
+    CouplingConstants,
     CouplingSpec,
-    renormalized_denominator,
+    coupling_constants,
+    renormalized_denominator,  # noqa: F401  kept bound: perfbench's tracer wraps this name
+    renormalized_denominators,
 )
 from .rootfind import bracket_sign_changes, refine_root
 
@@ -161,20 +164,24 @@ def _matrices(off: np.ndarray, diag: np.ndarray, pairs) -> np.ndarray:
     return m
 
 
-def _denominators(dim: int, e: ComplexEnergy, cs) -> list[complex]:
-    return [renormalized_denominator(dim, e, c.coupling).value for c in cs]
+def _couplings(dim: int, cs) -> CouplingConstants:
+    return coupling_constants(dim, [c.coupling for c in cs])
 
 
-def _assemble(dim: int, e: ComplexEnergy, cs, pairs, r: np.ndarray) -> np.ndarray:
-    """M(E) from the pair distances: one kernel call fills the off-diagonal."""
-    return _matrices(g0_kernel(dim, e, r), np.array(_denominators(dim, e, cs)), pairs)
+def _assemble(
+    dim: int, e: ComplexEnergy, consts: CouplingConstants, pairs, r: np.ndarray
+) -> np.ndarray:
+    """M(E) from the pair distances and coupling constants: one kernel call
+    fills the off-diagonal, one denominator call the diagonal."""
+    return _matrices(g0_kernel(dim, e, r), renormalized_denominators(e.kappa, consts), pairs)
 
 
 def m_matrix(dim: int, energy, centers) -> MMatrix:
     """Assemble M(E): renormalized denominators on the diagonal, -G0 off it."""
     e = ComplexEnergy.of(energy)
     cs, pos = _validate_centers(dim, centers)
-    m = _assemble(dim, e, cs, *_pair_distances(pos))
+    pairs, r = _pair_distances(pos)
+    m = _assemble(dim, e, _couplings(dim, cs), pairs, r)
     m.setflags(write=False)
     return MMatrix(entries=m, dim=dim, energy=e)
 
@@ -325,17 +332,18 @@ def bound_states(
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
     window = _search_window(dim, cs, search)
+    consts = _couplings(dim, cs)
 
     def m_at(energy) -> np.ndarray:
-        # M(E) on these centers; their distances do not depend on E
-        return _assemble(dim, ComplexEnergy.of(energy), cs, pairs, r)
+        # M(E) on these centers; their distances and couplings do not depend on E
+        return _assemble(dim, ComplexEnergy.of(energy), consts, pairs, r)
 
     if method == "auto" and len(cs) == 1:
         energies = [
             e for e in _closed_form_energies(dim, cs) if window[0] <= e <= window[1]
         ]
     else:
-        energies = _scan_energies(dim, cs, pairs, r, window, tol, grid_points)
+        energies = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
 
     states = []
     for e_b in sorted(float(e) for e in energies):
@@ -370,24 +378,38 @@ def _search_window(dim, cs, search):
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
-def _scan_dets(dim: int, cs, pairs, r: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+def _scan_kappa(kappas: np.ndarray) -> np.ndarray:
+    """sqrt(-E) at the scan energies E = -kappa^2, each checked as
+    :class:`ComplexEnergy` checks it (finite, off the branch cut)."""
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        e = -kappas * kappas
+    ok = np.isfinite(e) & (e < 0.0)
+    if not ok.all():
+        ComplexEnergy(complex(e[~ok][0]))  # raises the typed error
+    return np.sqrt(-e)
+
+
+def _scan_dets(
+    dim: int, consts: CouplingConstants, pairs, r: np.ndarray, kappas: np.ndarray
+) -> np.ndarray:
     """det M(-kappa^2) of the real matrices, for many kappa > 0 at once.
 
-    One kernel call covers a whole batch of energies; batches hold at most
-    SCAN_BATCH matrix entries, so memory stays bounded for many centers.
+    One kernel call and one denominator call cover a whole batch of
+    energies; batches hold at most SCAN_BATCH matrix entries, so memory
+    stays bounded for many centers.
     """
-    step = max(1, SCAN_BATCH // (len(cs) * len(cs)))
+    n = len(consts.value)
+    step = max(1, SCAN_BATCH // (n * n))
     dets = []
     for i in range(0, len(kappas), step):
-        energies = [ComplexEnergy(complex(-k * k)) for k in kappas[i : i + step].tolist()]
-        kap = np.array([e.kappa.real for e in energies])
-        diag = np.array([_denominators(dim, e, cs) for e in energies]).real
+        kap = _scan_kappa(kappas[i : i + step])
+        diag = renormalized_denominators(kap, consts)
         off = g0_of_kappa(dim, kap[:, None], r).real
         dets.append(np.linalg.det(_matrices(off, diag, pairs)))
     return np.concatenate(dets)
 
 
-def _scan_energies(dim, cs, pairs, r, window, tol, grid_points):
+def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
     e_min, e_max = window
     kap_lo = math.sqrt(-e_max)
     kap_hi = math.sqrt(-e_min)
@@ -396,12 +418,12 @@ def _scan_energies(dim, cs, pairs, r, window, tol, grid_points):
 
     grid = np.geomspace(kap_lo, kap_hi, grid_points)
     # the grid is evaluated in one batch; bisection points one at a time
-    on_grid = dict(zip(grid.tolist(), _scan_dets(dim, cs, pairs, r, grid).tolist()))
+    on_grid = dict(zip(grid.tolist(), _scan_dets(dim, consts, pairs, r, grid).tolist()))
 
     def f(kap: float) -> float:
         if kap in on_grid:
             return on_grid[kap]
-        return float(_scan_dets(dim, cs, pairs, r, np.array([kap]))[0])
+        return float(_scan_dets(dim, consts, pairs, r, np.array([kap]))[0])
 
     roots = []
     for a, b in bracket_sign_changes(f, grid):

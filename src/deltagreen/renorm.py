@@ -35,14 +35,32 @@ renormalized couplings are therefore canonicalized to E_B internally.  In
 D=4 the K-dependent part of the bubble grows without bound and cannot be
 absorbed into any redefinition of lambda; :func:`friedman_report` tabulates
 that obstruction.
+
+The renormalized denominators of a whole center list are evaluated as one
+array: :func:`coupling_constants` reads each coupling once into one constant
+per center,
+
+    D=1:  1/lambda (bare) or 1/(2 kappa_B) (from E_B)
+    D=2:  kappa_B (transmuted from lambda_R, or given as E_B)
+    D=3:  1/lambda_R (renormalized) or kappa_B (from E_B),
+
+and :func:`renormalized_denominators` evaluates D_i(-kappa^2) for every
+center at an array of kappa in one numpy expression, shape kappa.shape + (N,).
+Each variant keeps its own operation order (1/lambda + 1/(2 kappa),
+1/(2 kappa) - 1/(2 kappa_B), 1/lambda_R - kappa/(4 pi), (kappa_B - kappa)/(4 pi)),
+so a zero of D at E = E_B stays an exact 0.0.  :func:`renormalized_denominator`
+is the checked one-energy, one-coupling entry point and calls the array form.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     CouplingBlowupError,
@@ -161,6 +179,16 @@ def from_bound_state(e_b: float) -> CouplingSpec:
     return CouplingSpec(variant=FROM_BOUND_STATE, e_b=e_b)
 
 
+@contextmanager
+def _double_range(message: str, **details):
+    """Raise :class:`DomainError` where a float result leaves double precision:
+    an overflow, or the log of a square that underflowed to 0."""
+    try:
+        yield
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(message, **details) from exc
+
+
 @dataclass(frozen=True)
 class Cutoff:
     """Sharp momentum cutoff Lambda, units 1/length."""
@@ -203,11 +231,12 @@ def bubble_regularized(dim: int, K: float, cutoff: Cutoff | None) -> float:
     lam_cap = cutoff.lambda_cap
     if dim == 1:
         return math.atan(lam_cap / K) / (math.pi * K)
-    if dim == 2:
-        return math.log1p((lam_cap / K) ** 2) / _FOUR_PI
     if dim == 3:
         return (lam_cap - K * math.atan(lam_cap / K)) / _TWO_PI_SQ
-    return (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2)
+    with _double_range("bubble overflows double precision", dim=dim, K=K, lambda_cap=lam_cap):
+        if dim == 2:
+            return math.log1p((lam_cap / K) ** 2) / _FOUR_PI
+        return (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2)
 
 
 def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> float:
@@ -222,11 +251,14 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
     spec.require_dim(dim)
     lam_cap = cutoff.lambda_cap
     if dim == 2:
-        if spec.variant == REN_2D:
-            inv = 1.0 / spec.lambda_r - math.log((lam_cap / spec.mu) ** 2) / _FOUR_PI
-        else:  # FROM_BOUND_STATE; mu drops out entirely
-            kb2 = -spec.e_b
-            inv = -math.log(lam_cap**2 / kb2) / _FOUR_PI
+        with _double_range(
+            "cutoff log leaves double precision", dim=dim, lambda_cap=lam_cap
+        ):
+            if spec.variant == REN_2D:
+                inv = 1.0 / spec.lambda_r - math.log((lam_cap / spec.mu) ** 2) / _FOUR_PI
+            else:  # FROM_BOUND_STATE; mu drops out entirely
+                kb2 = -spec.e_b
+                inv = -math.log(lam_cap**2 / kb2) / _FOUR_PI
     else:
         if spec.variant == REN_3D:
             inv = 1.0 / spec.lambda_r - lam_cap / _TWO_PI_SQ
@@ -242,6 +274,91 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
     return 1.0 / inv
 
 
+class CouplingConstants(NamedTuple):
+    """The per-center constants :func:`renormalized_denominators` reads.
+
+    ``value[i]`` is 1/lambda or 1/(2 kappa_B) in D=1, kappa_B in D=2, and
+    1/lambda_R or kappa_B in D=3; ``from_e_b[i]`` marks the centers given by
+    their bound-state energy, which use the second form in D=1 and D=3.
+    """
+
+    dim: int
+    value: np.ndarray
+    from_e_b: np.ndarray
+
+
+def coupling_constants(dim: int, specs) -> CouplingConstants:
+    """Read each coupling of a center list once for :func:`renormalized_denominators`.
+
+    Raises what the denominator itself raises: :class:`UnsupportedDimError`
+    outside D in {1,2,3}, :class:`IllegalSpecError` for a coupling illegal in
+    ``dim``, and :class:`DomainError` where a 2D transmutation energy
+    overflows.
+    """
+    if dim not in (1, 2, 3):
+        raise UnsupportedDimError("denominator defined for D in {1,2,3}", dim=dim)
+    value = []
+    from_e_b = []
+    for spec in specs:
+        spec.require_dim(dim)
+        by_e_b = spec.variant == FROM_BOUND_STATE
+        if dim == 1:
+            value.append(0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
+        elif dim == 2:
+            e_b = spec.e_b if by_e_b else transmutation_energy(spec)
+            value.append(math.sqrt(-e_b))
+        else:
+            value.append(math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lambda_r)
+        from_e_b.append(by_e_b)
+    return CouplingConstants(dim, np.array(value, dtype=float), np.array(from_e_b, dtype=bool))
+
+
+# cmath.log elementwise, for the complex kappa that _kappa_operand leaves as
+# Python numbers
+_CLOG = np.frompyfunc(cmath.log, 1, 1)
+
+
+def _kappa_operand(kappa) -> np.ndarray:
+    """kappa as the denominator formulas' operand.
+
+    Real kappa (E on the negative real axis, the whole bound-state scan) is
+    float64.  Complex kappa becomes an object array of Python complex
+    numbers, so each entry takes Python's complex division: numpy's multiplies
+    by a reciprocal and rounds differently in the last bit.
+    """
+    kap = np.asarray(kappa)
+    if np.iscomplexobj(kap):
+        if kap.imag.any():
+            return kap.astype(object)
+        kap = kap.real
+    return kap.astype(float, copy=False)
+
+
+def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray:
+    """D_i(-kappa^2) for every center of ``constants``, at every kappa.
+
+    ``kappa`` is sqrt(-E) (Re kappa >= 0, or -i k for a retarded E = k^2),
+    a number or an array.  The result has shape ``kappa.shape + (N,)``; it
+    is real for real kappa and complex otherwise.  Apart from kappa = 0 in
+    D = 1, 2 (:class:`DomainError`, D diverges there), the energies are not
+    checked here: :func:`renormalized_denominator` is the checked entry.
+    """
+    dim, value, from_e_b = constants
+    kap = _kappa_operand(kappa)[..., None]
+    if dim < 3 and not kap.all():
+        raise DomainError("the renormalized denominator diverges at E = 0", dim=dim)
+    if dim == 1:
+        half = 0.5 / kap
+        out = np.where(from_e_b, half - value, value + half)
+    elif dim == 2:
+        # -(1/4pi) ln(E/E_B) continued off the negative axis via kappa
+        ratio = kap / value
+        out = -(_CLOG(ratio) if ratio.dtype == object else np.log(ratio)) / (2.0 * math.pi)
+    else:
+        out = np.where(from_e_b, (value - kap) / _FOUR_PI, value - kap / _FOUR_PI)
+    return out.astype(complex) if out.dtype == object else out
+
+
 def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> DenominatorValue:
     """Finite denominator D(E) = 1/lambda - G0(E; 0, 0) after renormalization.
 
@@ -250,29 +367,7 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> Denominato
     so only one physical parameter enters.
     """
     e = ComplexEnergy.of(energy)
-    kap = e.kappa
-    if dim == 1:
-        spec.require_dim(1)
-        if spec.variant == BARE_1D:
-            val = 1.0 / spec.lam + 0.5 / kap
-        else:
-            kb = math.sqrt(-spec.e_b)
-            val = 0.5 / kap - 0.5 / kb
-    elif dim == 2:
-        spec.require_dim(2)
-        e_b = spec.e_b if spec.variant == FROM_BOUND_STATE else transmutation_energy(spec)
-        kb = math.sqrt(-e_b)
-        # -(1/4pi) ln(E/E_B) continued off the negative axis via kappa
-        val = -cmath.log(kap / kb) / (2.0 * math.pi)
-    elif dim == 3:
-        spec.require_dim(3)
-        if spec.variant == REN_3D:
-            val = 1.0 / spec.lambda_r - kap / _FOUR_PI
-        else:
-            kb = math.sqrt(-spec.e_b)
-            val = (kb - kap) / _FOUR_PI
-    else:
-        raise UnsupportedDimError("denominator defined for D in {1,2,3}", dim=dim)
+    val = renormalized_denominators(e.kappa, coupling_constants(dim, (spec,)))[0]
     return DenominatorValue(value=complex(val), dim=dim)
 
 
@@ -287,14 +382,12 @@ def transmutation_energy(spec: CouplingSpec) -> float:
         )
     if spec.lambda_r == 0.0:
         raise ZeroCouplingError("lambda_R = 0 has no transmutation scale")
-    try:
+    with _double_range(
+        "transmutation energy overflows double precision",
+        lambda_r=spec.lambda_r,
+        mu=spec.mu,
+    ):
         return -spec.mu * spec.mu * math.exp(_FOUR_PI / spec.lambda_r)
-    except OverflowError as exc:
-        raise DomainError(
-            "transmutation energy overflows double precision",
-            lambda_r=spec.lambda_r,
-            mu=spec.mu,
-        ) from exc
 
 
 def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:
@@ -349,8 +442,9 @@ def friedman_report(K: float, cutoffs) -> list[FriedmanRow]:
     rows = []
     for c in caps:
         lam_cap = c.lambda_cap
-        quad = lam_cap**2 / sixteen_pi2
-        nonrem = (K**2 / sixteen_pi2) * math.log1p((lam_cap / K) ** 2)
+        with _double_range("bubble overflows double precision", K=K, lambda_cap=lam_cap):
+            quad = lam_cap**2 / sixteen_pi2
+            nonrem = (K**2 / sixteen_pi2) * math.log1p((lam_cap / K) ** 2)
         rows.append(
             FriedmanRow(
                 lambda_cap=lam_cap,

@@ -18,6 +18,7 @@ import pytest
 
 from deltagreen import cli as cli_mod
 from deltagreen.cli import ResultTable, main
+from deltagreen.errors import DomainError
 
 FOUR_PI = 4.0 * math.pi
 
@@ -257,6 +258,30 @@ def test_non_finite_numbers_are_invalid_input(capsys, argv):
     assert _strict_json(err)["error"] == "InvalidInput"
 
 
+# finite inputs whose results leave double precision
+EXTREME_ARGVS = [
+    ("friedman", "--k", "1e-300", "--cutoffs", "1,2"),
+    ("trivial", "--dim", "2", "--lam", "1", "--energy", "-1e-320"),
+    ("trivial", "--dim", "3", "--lam", "1e-320", "--energy", "-1"),
+    ("rgflow", "--dim", "3", "--lambda-r", "1e-300"),
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_ARGVS, ids=lambda argv: " ".join(argv[:3]))
+def test_extreme_finite_inputs_are_computational_failures(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert _strict_json(err)["error"] == "DomainError"
+
+
+def test_result_table_refuses_non_finite_cells():
+    with pytest.raises(DomainError) as info:
+        ResultTable(columns=[("a", "1"), ("eb", "1/L^2")], rows=[[1.0, -math.inf]])
+    assert info.value.details["column"] == "eb"
+
+
 def test_error_payload_is_strict_json(capsys):
     # a finite coupling so weak that E_B = -(4 pi / lambda_R)^2 overflows
     code, _, err = run_cli(capsys, "scatter", "--dim", "3", "--lambda-r", "1e-320", "--k", "1")
@@ -272,6 +297,19 @@ def test_exit_4_when_a_check_fails(capsys, monkeypatch):
     assert code == 4
     doc = json.loads(out)  # the table is still emitted before exiting
     assert doc["rows"] == [[1, 0, 1.0, 1e-06]]
+
+
+def test_verify_reports_a_state_count_mismatch(capsys, monkeypatch):
+    shooting = cli_mod.oracles.shooting1d
+    monkeypatch.setattr(
+        cli_mod.oracles, "shooting1d", lambda *args, **kwargs: shooting(*args, **kwargs)[1:]
+    )
+    code, out, _ = run_cli(capsys, "verify", "--fast")
+    assert code == 4
+    doc = _strict_json(out)
+    row = doc["rows"][doc["metadata"]["check_names"].index("shooting_two_delta")]
+    assert row[1] == 0
+    assert row[2] == 1.0  # one state missing
 
 
 def test_help_and_version(capsys):

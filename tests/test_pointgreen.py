@@ -22,8 +22,8 @@ from deltagreen import (
     renormalized_denominator,
     residue_wavefunction,
 )
-from deltagreen import greenfn, pointgreen
-from deltagreen.errors import AtPoleError, DomainError, IllegalSpecError
+from deltagreen import greenfn, pointgreen, renorm
+from deltagreen.errors import AtPoleError, BranchCutError, DomainError, IllegalSpecError
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent
 
@@ -141,6 +141,37 @@ def test_m_matrix_makes_no_scalar_g0_call(monkeypatch):
     assert len(calls) == 1  # G0(x, y) itself; the source vectors are one kernel call each
 
 
+def test_m_matrix_and_scan_make_no_scalar_denominator_call(monkeypatch):
+    calls = []
+    scalar = renorm.renormalized_denominator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(renorm, "renormalized_denominator", counting)
+    monkeypatch.setattr(pointgreen, "renormalized_denominator", counting)
+    rng = np.random.default_rng(65)
+    cs = [
+        center(tuple(p), from_bound_state(-1.0) if i % 2 else renormalized_3d(3.0))
+        for i, p in enumerate(rng.uniform(0, 10, (64, 3)))
+    ]
+    m_matrix(3, -1.7, cs)
+    m_matrix(3, complex(-1.7, 0.4), cs)
+    green(3, -1.7, _pt(0.1, 0.2, 0.3), _pt(5.0, 5.0, 5.0), cs)
+    line = [center(2.0 * i, bare_1d(-1.0) if i % 2 else from_bound_state(-0.5)) for i in range(8)]
+    assert bound_states(1, line, method="scan")
+    assert calls == []
+
+
+def test_scan_energies_are_checked_like_complex_energies():
+    assert np.array_equal(pointgreen._scan_kappa(np.array([0.5, 2.0])), [0.5, 2.0])
+    with pytest.raises(DomainError):  # -kappa^2 overflows to -inf
+        pointgreen._scan_kappa(np.array([1.0, 1e200]))
+    with pytest.raises(BranchCutError):  # -kappa^2 underflows to -0.0
+        pointgreen._scan_kappa(np.array([1e-170]))
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_green_reciprocity_many_centers(dim):
     rng = np.random.default_rng(256 + dim)
@@ -220,6 +251,14 @@ def test_green_raises_at_pole():
         green(1, -1.0, _pt(0.3), _pt(0.4), [center(0.0, bare_1d(-2.0))])
     with pytest.raises(AtPoleError):
         green(1, PAIR_ENERGIES[0], _pt(0.3), _pt(0.4), PAIR)
+
+
+def test_green_2d_single_center_at_threshold_is_a_domain_error():
+    # D(E) = -ln(kappa/kappa_B)/(2 pi) diverges at E = 0; no center pair's
+    # kernel call raises first when there is only one center
+    with pytest.raises(DomainError):
+        green(2, ComplexEnergy(0.0, retarded=True), _pt(1.0, 0.0), _pt(0.5, 0.0),
+              [center((0.0, 0.0), from_bound_state(-1.0))])
 
 
 def test_green_pole_flips_sign_of_det():

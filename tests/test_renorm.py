@@ -1,5 +1,6 @@
 """Regularized bubbles, coupling maps, transmutation, the 4D no-go table."""
 
+import cmath
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from deltagreen.errors import (
     UnsupportedDimError,
     ZeroCouplingError,
 )
+from deltagreen.greenfn import ComplexEnergy
+from deltagreen.renorm import coupling_constants, renormalized_denominators
 
 # surface of the unit sphere over (2 pi)^D, D = 1..4
 _ANGULAR = {
@@ -289,3 +292,138 @@ def test_friedman_input_validation():
         friedman_report(1.0, [100.0, 10.0])
     with pytest.raises(DomainError):
         friedman_report(-1.0, [10.0])
+
+
+# ------------------------------------------------------ array denominators
+
+
+def _mixed_specs(dim, rng, n):
+    """n couplings legal in dim, alternating the dimension's two variants."""
+    out = []
+    for i in range(n):
+        if i % 2:
+            out.append(from_bound_state(-float(rng.uniform(0.1, 5.0))))
+        elif dim == 1:
+            out.append(bare_1d(float(rng.uniform(-3.0, 3.0))))
+        elif dim == 2:
+            out.append(renormalized_2d(-float(rng.uniform(2.0, 30.0)), float(rng.uniform(0.5, 2.0))))
+        else:
+            out.append(renormalized_3d(float(rng.uniform(-20.0, 20.0))))
+    return out
+
+
+def _energies(branch, rng, k):
+    mags = 10.0 ** rng.uniform(-3.0, 2.0, k)
+    if branch == "real":
+        return [ComplexEnergy(-m) for m in mags]
+    if branch == "complex_step":
+        return [ComplexEnergy(complex(-m, 1e-20 * m)) for m in mags]
+    if branch == "complex":
+        return [ComplexEnergy(complex(*rng.uniform(-5.0, 5.0, 2))) for _ in mags]
+    return [ComplexEnergy(m, retarded=True) for m in mags]
+
+
+def _scalar_reference(dim, e, spec):
+    """The denominators in Python scalar arithmetic, one formula per variant."""
+    kap = e.kappa
+    if dim == 1:
+        if spec.variant == "bare_1d":
+            return 1.0 / spec.lam + 0.5 / kap
+        return 0.5 / kap - 0.5 / math.sqrt(-spec.e_b)
+    if dim == 2:
+        return -cmath.log(kap / math.sqrt(-spec.bound_state_energy(2))) / (2.0 * math.pi)
+    if spec.variant == "ren_3d":
+        return 1.0 / spec.lambda_r - kap / (4.0 * math.pi)
+    return (math.sqrt(-spec.e_b) - kap) / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("branch", ["real", "complex_step", "complex", "retarded"])
+def test_array_denominators_match_the_scalar_entry(dim, branch):
+    rng = np.random.default_rng(100 * dim + len(branch))
+    specs = _mixed_specs(dim, rng, 6)
+    energies = _energies(branch, rng, 40)
+    kappa = np.array([e.kappa for e in energies])
+    out = renormalized_denominators(kappa, coupling_constants(dim, specs))
+    assert out.shape == (40, 6)
+    for row, e in zip(out, energies):
+        for val, spec in zip(row, specs):
+            assert val == renormalized_denominator(dim, e, spec).value
+            ref = _scalar_reference(dim, e, spec)
+            if dim == 2 and branch == "real":
+                # real kappa takes numpy's log, which may differ from
+                # cmath.log in the last bit
+                assert abs(val - ref) <= 4e-16 * abs(ref)
+            else:
+                assert val == ref
+
+
+def test_array_denominators_shape_follows_kappa():
+    consts = coupling_constants(3, [renormalized_3d(2.0), from_bound_state(-1.0)])
+    assert renormalized_denominators(1.5, consts).shape == (2,)
+    assert renormalized_denominators(np.ones((4, 3)), consts).shape == (4, 3, 2)
+    assert renormalized_denominators(np.ones(5), consts).dtype == float
+    assert renormalized_denominators(np.full(5, 1.0 + 0.5j), consts).dtype == complex
+
+
+@pytest.mark.parametrize(
+    "dim,make",
+    [
+        (1, lambda rng: bare_1d(-float(10.0 ** rng.uniform(-3, 3)))),
+        (1, lambda rng: from_bound_state(-float(10.0 ** rng.uniform(-6, 6)))),
+        (2, lambda rng: renormalized_2d(-float(rng.uniform(1.0, 60.0)), float(10.0 ** rng.uniform(-2, 2)))),
+        (2, lambda rng: from_bound_state(-float(10.0 ** rng.uniform(-6, 6)))),
+        (3, lambda rng: from_bound_state(-float(10.0 ** rng.uniform(-6, 6)))),
+    ],
+)
+def test_denominator_vanishes_exactly_at_the_bound_state(dim, make):
+    rng = np.random.default_rng(dim)
+    specs = [make(rng) for _ in range(200)]
+    kappa = np.array([ComplexEnergy(s.bound_state_energy(dim)).kappa for s in specs])
+    out = renormalized_denominators(kappa, coupling_constants(dim, specs))
+    assert np.all(np.diagonal(out) == 0.0)
+
+
+def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
+    rng = np.random.default_rng(3)
+    specs = [renormalized_3d(float(10.0 ** rng.uniform(-3, 3))) for _ in range(1000)]
+    kappa = np.array([ComplexEnergy(s.bound_state_energy(3)).kappa for s in specs])
+    out = np.diagonal(renormalized_denominators(kappa, coupling_constants(3, specs)))
+    inv = np.array([1.0 / s.lambda_r for s in specs])
+    assert np.all(np.abs(out) <= 4.0 * np.spacing(inv))
+
+
+def test_coupling_constants_raise_the_denominator_errors():
+    with pytest.raises(UnsupportedDimError):
+        coupling_constants(4, [from_bound_state(-1.0)])
+    with pytest.raises(IllegalSpecError):
+        coupling_constants(2, [from_bound_state(-1.0), renormalized_3d(1.0)])
+    with pytest.raises(DomainError):
+        coupling_constants(2, [renormalized_2d(1e-3, 1.0)])  # E_B overflows
+    with pytest.raises(UnsupportedDimError):
+        renormalized_denominator(4, -1.0, from_bound_state(-1.0))
+    with pytest.raises(DomainError):
+        renormalized_denominator(2, -1.0, renormalized_2d(1e-3, 1.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_denominator_at_zero_energy_is_a_domain_error(dim):
+    # D = 1/lambda + 1/(2 kappa) and -ln(kappa/kappa_B)/(2 pi) diverge as kappa -> 0
+    with pytest.raises(DomainError):
+        renormalized_denominator(dim, ComplexEnergy(0.0, retarded=True), from_bound_state(-1.0))
+    assert renormalized_denominator(
+        3, ComplexEnergy(0.0, retarded=True), from_bound_state(-1.0)
+    ).value == 1.0 / (4.0 * math.pi)
+
+
+def test_finite_range_overflows_are_domain_errors():
+    with pytest.raises(DomainError):
+        bubble_regularized(2, 1e-160, Cutoff(1e2))
+    with pytest.raises(DomainError):
+        bubble_regularized(4, 1e-300, Cutoff(1.0))
+    with pytest.raises(DomainError):
+        friedman_report(1e-300, [1.0, 2.0])
+    with pytest.raises(DomainError):  # (cutoff / mu)^2 underflows to 0
+        bare_from_renormalized(2, renormalized_2d(-1.0, 1e200), Cutoff(1e-200))
+    with pytest.raises(DomainError):  # (cutoff / mu)^2 overflows
+        bare_from_renormalized(2, renormalized_2d(-1.0, 1e-100), Cutoff(1e200))
