@@ -10,6 +10,7 @@ disagreement.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -91,27 +92,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(table: ResultTable, fmt: str, path: str | None) -> None:
-    text = table.to_json() if fmt == "json" else table.to_csv()
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write {path}: {exc}") from exc
-
-
-def _metadata(command: str, params: dict, policy: str | None = None) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "version": __version__,
-        "branch_policy": resolve_policy(policy),
-    }
-
-
 def _output_options(fn):
     fn = click.option(
         "--format",
@@ -129,6 +109,50 @@ def _output_options(fn):
         help="Write the table to this file instead of standard output.",
     )(fn)
     return fn
+
+
+def _print_table(fmt, path, columns, rows, params, **metadata) -> None:
+    """Write the running command's table as ``fmt`` to ``path`` (None: stdout).
+
+    The metadata records the command, ``params``, the package version, the
+    branch policy and any further ``metadata`` entries.
+    """
+    table = ResultTable(
+        columns,
+        rows,
+        {
+            "command": click.get_current_context().command.name,
+            "params": params,
+            "version": __version__,
+            "branch_policy": resolve_policy(params.get("policy")),
+            **metadata,
+        },
+    )
+    text = table.to_json() if fmt == "json" else table.to_csv()
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc}") from exc
+
+
+def _table(body):
+    """Make ``body`` a subcommand that prints its table, with --format/--output.
+
+    ``body`` takes click's parsed parameters and returns ``(columns, rows)``,
+    or ``(columns, rows, params)`` when the parameters to record differ from
+    the parsed ones.
+    """
+
+    @functools.wraps(body)
+    def command(fmt, output, **params):
+        columns, rows, *recorded = body(**params)
+        _print_table(fmt, output, columns, rows, recorded[0] if recorded else params)
+
+    return _output_options(command)
 
 
 def _finite(text, flag: str | None = None) -> float:
@@ -251,8 +275,8 @@ def cli():
 )
 @click.option("--r", "rs", type=FINITE, multiple=True, help="Separation |x-y|; repeatable.")
 @click.option("--r-grid", "r_grid", default=None, help="Separation grid start:stop:count.")
-@_output_options
-def cmd_g0(dim, energy, retarded, rs, r_grid, fmt, output):
+@_table
+def cmd_g0(dim, energy, retarded, rs, r_grid):
     """Free-space Green's function G0(E; r) on a grid of separations."""
     radii = _one_of_k(rs, r_grid, "--r", "--r-grid")
     e = ComplexEnergy(complex(energy, 0.0), retarded=retarded)
@@ -263,20 +287,8 @@ def cmd_g0(dim, energy, retarded, rs, r_grid, fmt, output):
         val = g0(dim, e, x, origin).value
         rows.append((float(r), float(val.real), float(val.imag)))
     unit = _G0_UNIT[dim]
-    table = ResultTable(
-        columns=[("r", "L"), ("re_g0", unit), ("im_g0", unit)],
-        rows=rows,
-        metadata=_metadata(
-            "g0",
-            {
-                "dim": dim,
-                "energy": energy,
-                "retarded": retarded,
-                "r": [float(v) for v in radii],
-            },
-        ),
-    )
-    _emit(table, fmt, output)
+    params = {"dim": dim, "energy": energy, "retarded": retarded, "r": radii}
+    return [("r", "L"), ("re_g0", unit), ("im_g0", unit)], rows, params
 
 
 @cli.command(name="green")
@@ -287,53 +299,31 @@ def cmd_g0(dim, energy, retarded, rs, r_grid, fmt, output):
 )
 @click.option(
     "--center",
-    "center_texts",
     multiple=True,
     required=True,
     help="Delta center as pos:lambda=.. | pos:lambdaR=..[,mu=..] | pos:eb=..; repeatable.",
 )
-@click.option("--x", "x_texts", multiple=True, required=True, help="Evaluation point; repeatable.")
-@click.option("--y", "y_text", required=True, help="Fixed second argument of G(E; x, y).")
-@_output_options
-def cmd_green(dim, energy, retarded, center_texts, x_texts, y_text, fmt, output):
+@click.option("--x", multiple=True, required=True, help="Evaluation point; repeatable.")
+@click.option("--y", required=True, help="Fixed second argument of G(E; x, y).")
+@_table
+def cmd_green(dim, energy, retarded, center, x, y):
     """Full interacting Green's function G(E; x, y) for a set of centers."""
-    centers = [_parse_center(dim, t) for t in center_texts]
-    y = _parse_point(dim, y_text, "--y")
-    xs = [_parse_point(dim, t, "--x") for t in x_texts]
+    centers = [_parse_center(dim, t) for t in center]
+    y_point = _parse_point(dim, y, "--y")
+    points = [_parse_point(dim, t, "--x") for t in x]
     e = ComplexEnergy(complex(energy, 0.0), retarded=retarded)
     rows = []
-    for x in xs:
-        val = green(dim, e, x, y, centers).value
-        rows.append(tuple(float(c) for c in x.coords) + (float(val.real), float(val.imag)))
+    for point in points:
+        val = green(dim, e, point, y_point, centers).value
+        rows.append(tuple(float(c) for c in point.coords) + (float(val.real), float(val.imag)))
     unit = _G0_UNIT[dim]
     coord_cols = [(f"x{i + 1}", "L") for i in range(dim)]
-    table = ResultTable(
-        columns=coord_cols + [("re_g", unit), ("im_g", unit)],
-        rows=rows,
-        metadata=_metadata(
-            "green",
-            {
-                "dim": dim,
-                "energy": energy,
-                "retarded": retarded,
-                "center": list(center_texts),
-                "x": list(x_texts),
-                "y": y_text,
-            },
-        ),
-    )
-    _emit(table, fmt, output)
+    return coord_cols + [("re_g", unit), ("im_g", unit)], rows
 
 
 @cli.command(name="bound")
 @click.option("--dim", type=click.IntRange(1, 3), required=True, help="Spatial dimension.")
-@click.option(
-    "--center",
-    "center_texts",
-    multiple=True,
-    required=True,
-    help="Delta center spec; repeatable.",
-)
+@click.option("--center", multiple=True, required=True, help="Delta center spec; repeatable.")
 @click.option("--emin", type=FINITE, default=None, help="Lower edge of the energy search window.")
 @click.option("--emax", type=FINITE, default=None, help="Upper edge (must stay below 0).")
 @click.option("--tol", type=FINITE, default=1e-12, show_default=True, help="Energy tolerance.")
@@ -345,36 +335,18 @@ def cmd_green(dim, energy, retarded, center_texts, x_texts, y_text, fmt, output)
     help="auto uses closed forms for a single center; scan always roots det M.",
 )
 @click.option("--grid-points", type=int, default=400, show_default=True, help="Scan grid size.")
-@_output_options
-def cmd_bound(dim, center_texts, emin, emax, tol, method, grid_points, fmt, output):
+@_table
+def cmd_bound(dim, center, emin, emax, tol, method, grid_points):
     """Bound-state energies: real poles of the interacting Green's function."""
-    centers = [_parse_center(dim, t) for t in center_texts]
+    centers = [_parse_center(dim, t) for t in center]
     if (emin is None) != (emax is None):
         raise click.BadParameter("--emin and --emax must be given together")
     search = None if emin is None else (emin, emax)
     states = bound_states(
         dim, centers, search=search, tol=tol, method=method, grid_points=grid_points
     )
-    rows = [
-        (idx, float(st.energy), float(st.kappa)) for idx, st in enumerate(states)
-    ]
-    table = ResultTable(
-        columns=[("index", "1"), ("energy", "1/L^2"), ("kappa", "1/L")],
-        rows=rows,
-        metadata=_metadata(
-            "bound",
-            {
-                "dim": dim,
-                "center": list(center_texts),
-                "emin": emin,
-                "emax": emax,
-                "tol": tol,
-                "method": method,
-                "grid_points": grid_points,
-            },
-        ),
-    )
-    _emit(table, fmt, output)
+    rows = [(idx, float(st.energy), float(st.kappa)) for idx, st in enumerate(states)]
+    return [("index", "1"), ("energy", "1/L^2"), ("kappa", "1/L")], rows
 
 
 @cli.command(name="scatter")
@@ -388,10 +360,10 @@ def cmd_bound(dim, center_texts, emin, emax, tol, method, grid_points, fmt, outp
     "--policy",
     type=click.Choice(list(POLICIES)),
     default=None,
-    help="Branch policy for the amplitude sign (default: env or unitary).",
+    help="Branch policy for the amplitude sign (default: unitary).",
 )
-@_output_options
-def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy, fmt, output):
+@_table
+def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy):
     """Scattering observables: 3D amplitude/cross-section or 1D T and R."""
     momenta = _one_of_k(ks, k_grid, "--k", "--k-grid")
     params = {
@@ -399,7 +371,7 @@ def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy, fmt, output):
         "eb": eb,
         "lambda_r": lambda_r,
         "lam": lam,
-        "k": [float(v) for v in momenta],
+        "k": momenta,
         "policy": policy,
     }
     if dim == 1:
@@ -409,13 +381,7 @@ def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy, fmt, output):
         for k in momenta:
             t, r = transmission1d(k, lam)
             rows.append((float(k), float(t), float(r)))
-        table = ResultTable(
-            columns=[("k", "1/L"), ("transmission", "1"), ("reflection", "1")],
-            rows=rows,
-            metadata=_metadata("scatter", params, policy),
-        )
-        _emit(table, fmt, output)
-        return
+        return [("k", "1/L"), ("transmission", "1"), ("reflection", "1")], rows, params
     if dim == 2:
         raise IllegalSpecError(
             "scattering observables are implemented for dim 1 and 3 only", dim=dim
@@ -434,32 +400,25 @@ def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy, fmt, output):
         e_b = eb
     rows = []
     for k in momenta:
-        amp = amplitude3d(k, e_b, policy)
+        f = amplitude3d(k, e_b, policy)
+        try:
+            f_sq = abs(f) ** 2
+        except OverflowError:  # beyond double precision: the table refuses it
+            f_sq = math.inf
         sigma = cross_section_total(k, e_b)
         resid = optical_theorem_residual(k, e_b, policy)
         rows.append(
-            (
-                float(k),
-                float(amp.f.real),
-                float(amp.f.imag),
-                float(abs(amp.f) ** 2),
-                float(sigma),
-                float(resid),
-            )
+            (float(k), float(f.real), float(f.imag), float(f_sq), float(sigma), float(resid))
         )
-    table = ResultTable(
-        columns=[
-            ("k", "1/L"),
-            ("re_f", "L"),
-            ("im_f", "L"),
-            ("abs_f_sq", "L^2"),
-            ("sigma", "L^2"),
-            ("optical_residual", "L"),
-        ],
-        rows=rows,
-        metadata=_metadata("scatter", params, policy),
-    )
-    _emit(table, fmt, output)
+    columns = [
+        ("k", "1/L"),
+        ("re_f", "L"),
+        ("im_f", "L"),
+        ("abs_f_sq", "L^2"),
+        ("sigma", "L^2"),
+        ("optical_residual", "L"),
+    ]
+    return columns, rows, params
 
 
 @cli.command(name="rgflow")
@@ -473,15 +432,14 @@ def cmd_scatter(dim, eb, lambda_r, lam, ks, k_grid, policy, fmt, output):
     show_default=True,
     help="Comma-separated cutoff ladder.",
 )
-@_output_options
-def cmd_rgflow(dim, lambda_r, mu, eb, cutoffs, fmt, output):
+@_table
+def cmd_rgflow(dim, lambda_r, mu, eb, cutoffs):
     """Running of the bare coupling with the cutoff, at fixed physics.
 
     In 2D each row also re-expresses the coupling at a shifted subtraction
     scale and recomputes the bound state, demonstrating scheme invariance.
     """
     lam_caps = _parse_floats(cutoffs, "--cutoffs")
-    params = {"dim": dim, "lambda_r": lambda_r, "mu": mu, "eb": eb, "cutoffs": cutoffs}
     rows = []
     if dim == 2:
         if lambda_r is None or mu is None or eb is not None:
@@ -519,43 +477,28 @@ def cmd_rgflow(dim, lambda_r, mu, eb, cutoffs, fmt, output):
             ("bare_times_cutoff", "1"),
             ("eb", "1/L^2"),
         ]
-    table = ResultTable(columns=columns, rows=rows, metadata=_metadata("rgflow", params))
-    _emit(table, fmt, output)
+    return columns, rows
 
 
 @cli.command(name="friedman")
-@click.option("--k", "kk", type=FINITE, required=True, help="Momentum scale sqrt(-E) (1/L).")
+@click.option("--k", type=FINITE, required=True, help="Momentum scale sqrt(-E) (1/L).")
 @click.option(
     "--cutoffs",
     default=DEFAULT_FRIEDMAN_CUTOFFS,
     show_default=True,
     help="Comma-separated ascending cutoff ladder.",
 )
-@_output_options
-def cmd_friedman(kk, cutoffs, fmt, output):
+@_table
+def cmd_friedman(k, cutoffs):
     """4D bubble decomposition: the nonremovable log that forbids D >= 4."""
-    lam_caps = _parse_floats(cutoffs, "--cutoffs")
-    report = friedman_report(kk, lam_caps)
-    rows = [
-        (
-            float(row.lambda_cap),
-            float(row.total_bubble),
-            float(row.quadratic_part),
-            float(row.nonremovable_part),
-        )
-        for row in report
+    report = friedman_report(k, _parse_floats(cutoffs, "--cutoffs"))
+    columns = [
+        ("lambda_cap", "1/L"),
+        ("total_bubble", "1/L^2"),
+        ("quadratic_part", "1/L^2"),
+        ("nonremovable_part", "1/L^2"),
     ]
-    table = ResultTable(
-        columns=[
-            ("lambda_cap", "1/L"),
-            ("total_bubble", "1/L^2"),
-            ("quadratic_part", "1/L^2"),
-            ("nonremovable_part", "1/L^2"),
-        ],
-        rows=rows,
-        metadata=_metadata("friedman", {"k": kk, "cutoffs": cutoffs}),
-    )
-    _emit(table, fmt, output)
+    return columns, [tuple(float(v) for v in row) for row in report]
 
 
 @cli.command(name="trivial")
@@ -569,8 +512,8 @@ def cmd_friedman(kk, cutoffs, fmt, output):
     show_default=True,
     help="Comma-separated cutoff ladder.",
 )
-@_output_options
-def cmd_trivial(dim, lam, energy, r, cutoffs, fmt, output):
+@_table
+def cmd_trivial(dim, lam, energy, r, cutoffs):
     """Fixed repulsive coupling: the interaction term dies with the cutoff.
 
     Each row evaluates the regularized denominator 1/lam + B(K, cutoff) and
@@ -593,21 +536,8 @@ def cmd_trivial(dim, lam, energy, r, cutoffs, fmt, output):
         den = 1.0 / lam + bubble_regularized(dim, kk, Cutoff(cap))
         correction = abs(g0x) ** 2 / abs(den)
         rows.append((float(cap), float(den), float(correction)))
-    den_unit = "1" if dim == 2 else "1/L"
-    corr_unit = "1" if dim == 2 else "1/L"
-    table = ResultTable(
-        columns=[
-            ("lambda_cap", "1/L"),
-            ("denominator", den_unit),
-            ("correction_abs", corr_unit),
-        ],
-        rows=rows,
-        metadata=_metadata(
-            "trivial",
-            {"dim": dim, "lam": lam, "energy": energy, "r": r, "cutoffs": cutoffs},
-        ),
-    )
-    _emit(table, fmt, output)
+    unit = "1" if dim == 2 else "1/L"
+    return [("lambda_cap", "1/L"), ("denominator", unit), ("correction_abs", unit)], rows
 
 
 def _verify_checks(fast: bool):
@@ -676,7 +606,7 @@ def _verify_checks(fast: bool):
     spec3 = renormalized_3d(4.0 * math.pi)
 
     def det3(kap: float) -> float:
-        return renormalized_denominator(3, -kap * kap, spec3).value.real
+        return renormalized_denominator(3, -kap * kap, spec3).real
 
     kap_root = refine_root(det3, 0.25, 3.0, xtol=1e-14)
     checks.append(("root_finder_3d", abs(kap_root * kap_root - 1.0), 1e-12))
@@ -730,23 +660,19 @@ def _verify_checks(fast: bool):
 def cmd_verify(fast, fmt, output):
     """Run every oracle cross-check; exit 4 if any comparison fails."""
     checks = _verify_checks(fast)
-    rows = []
-    names = []
-    any_failed = False
-    for idx, (name, error, tol) in enumerate(checks, start=1):
-        passed = int(error <= tol)
-        any_failed = any_failed or not passed
-        names.append(name)
-        rows.append((idx, passed, float(error), float(tol)))
-    metadata = _metadata("verify", {"fast": fast})
-    metadata["check_names"] = names
-    table = ResultTable(
-        columns=[("check_id", "1"), ("passed", "1"), ("error", "1"), ("tol", "1")],
-        rows=rows,
-        metadata=metadata,
+    rows = [
+        (idx, int(error <= tol), float(error), float(tol))
+        for idx, (_, error, tol) in enumerate(checks, start=1)
+    ]
+    _print_table(
+        fmt,
+        output,
+        [("check_id", "1"), ("passed", "1"), ("error", "1"), ("tol", "1")],
+        rows,
+        {"fast": fast},
+        check_names=[name for name, _, _ in checks],
     )
-    _emit(table, fmt, output)
-    if any_failed:
+    if not all(passed for _, passed, _, _ in rows):
         raise _VerifyFailed()
 
 

@@ -141,12 +141,11 @@ def distance(x: SpatialPoint, y: SpatialPoint) -> float:
 
 @dataclass(frozen=True)
 class GreenValue:
-    """A Green's-function value plus the branch bookkeeping it was computed with."""
+    """A finite Green's-function value and the branch it was computed on."""
 
     value: complex
     dim: int
     retarded: bool
-    branch_note: str  # "principal" or "retarded_limit"
 
     def __post_init__(self):
         if not cmath.isfinite(self.value):
@@ -198,8 +197,10 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
         )
     if dim == 2 and e.retarded and e.value.real > 0.0:
         # K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the retarded path on
-        # the self-contained real-argument j0/y0 implementations
-        return -0.25j * np.asarray(bessel.hankel1_0(math.sqrt(e.value.real) * r))
+        # the self-contained real-argument j0/y0 implementations; k r past
+        # double precision gives a NaN that GreenValue refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -0.25j * np.asarray(bessel.hankel1_0(math.sqrt(e.value.real) * r))
     kap = e.kappa
     if dim == 1 and kap == 0.0:
         raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
@@ -214,8 +215,10 @@ def g0_of_kappa(dim: int, kappa, r):
     the retarded kernel.  Nothing is checked: :func:`g0_kernel` is the
     checked entry point.
     """
-    # kappa * r overflowing to inf is the kernel underflowing to 0
-    with np.errstate(over="ignore"):
+    # kappa * r overflowing to inf is the kernel underflowing to 0, or (for
+    # imaginary kappa) a phase k r past double precision: a NaN that the
+    # finite check of GreenValue refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         if dim == 2:
             # dividing by the negated constant negates the quotient exactly
             # and saves a complex temporary the size of r
@@ -246,8 +249,7 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
     """
     e = ComplexEnergy.of(energy)
     val = complex(g0_kernel(dim, e, _check_geometry(dim, x, y)))
-    note = "retarded_limit" if e.retarded else "principal"
-    return GreenValue(value=val, dim=dim, retarded=e.retarded, branch_note=note)
+    return GreenValue(value=val, dim=dim, retarded=e.retarded)
 
 
 def g0_retarded(dim: int, k: float, x: SpatialPoint, y: SpatialPoint) -> GreenValue:

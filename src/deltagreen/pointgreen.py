@@ -99,9 +99,6 @@ class MMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.entries))
-
 
 @dataclass(frozen=True, eq=False)
 class BoundState:
@@ -203,7 +200,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     if not cs:
         return g0(dim, energy, x, y)
     mm = m_matrix(dim, energy, cs)
-    det = mm.det()
+    det = complex(np.linalg.det(mm.entries))
     scale = _det_scale(mm.entries)
     if scale == 0.0 or abs(det) <= DET_POLE_TOL * scale:
         raise AtPoleError(
@@ -217,12 +214,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     gy = g0_kernel(dim, e, _distances_to(y, pos))
     base = g0(dim, e, x, y)
     corr = complex(gx @ np.linalg.solve(mm.entries, gy))
-    return GreenValue(
-        value=base.value + corr,
-        dim=dim,
-        retarded=base.retarded,
-        branch_note=base.branch_note,
-    )
+    return GreenValue(value=base.value + corr, dim=dim, retarded=base.retarded)
 
 
 def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:

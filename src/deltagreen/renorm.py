@@ -49,7 +49,8 @@ center at an array of kappa in one numpy expression, shape kappa.shape + (N,).
 Each variant keeps its own operation order (1/lambda + 1/(2 kappa),
 1/(2 kappa) - 1/(2 kappa_B), 1/lambda_R - kappa/(4 pi), (kappa_B - kappa)/(4 pi)),
 so a zero of D at E = E_B stays an exact 0.0.  :func:`renormalized_denominator`
-is the checked one-energy, one-coupling entry point and calls the array form.
+is the checked one-energy, one-coupling entry point: it calls the array form
+and returns D(E) as a plain complex number.
 """
 
 from __future__ import annotations
@@ -108,11 +109,8 @@ class CouplingSpec:
     mu: float | None = None  # subtraction scale (D=2), units 1/length
     e_b: float | None = None  # bound-state energy, units 1/length**2
 
-    def legal_for(self, dim: int) -> bool:
-        return dim in _VARIANT_DIMS.get(self.variant, ())
-
     def require_dim(self, dim: int) -> None:
-        if not self.legal_for(dim):
+        if dim not in _VARIANT_DIMS.get(self.variant, ()):
             raise IllegalSpecError(
                 "coupling variant illegal for this dimension",
                 variant=self.variant,
@@ -132,14 +130,6 @@ class CouplingSpec:
                 return -kb * kb
             return None
         return self.e_b
-
-    def describe(self) -> dict:
-        out = {"variant": self.variant}
-        for key in ("lam", "lambda_r", "mu", "e_b"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = v
-        return out
 
 
 def bare_1d(lam: float) -> CouplingSpec:
@@ -200,15 +190,6 @@ class Cutoff:
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError("cutoff must be positive and finite", lambda_cap=v)
         object.__setattr__(self, "lambda_cap", v)
-
-
-@dataclass(frozen=True)
-class DenominatorValue:
-    """Finite renormalized denominator 1/lambda - G0(E; 0, 0)."""
-
-    value: complex
-    dim: int
-    finite: bool = True
 
 
 def bubble_regularized(dim: int, K: float, cutoff: Cutoff | None) -> float:
@@ -359,16 +340,16 @@ def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray
     return out.astype(complex) if out.dtype == object else out
 
 
-def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> DenominatorValue:
-    """Finite denominator D(E) = 1/lambda - G0(E; 0, 0) after renormalization.
+def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
+    """Finite denominator D(E) = 1/lambda - G0(E; 0, 0) after renormalization,
+    as a complex number (real-valued on the negative real axis).
 
     Its unique zero on the negative real axis, when one exists, is the
     bound-state energy.  Renormalized couplings are converted to E_B first,
     so only one physical parameter enters.
     """
     e = ComplexEnergy.of(energy)
-    val = renormalized_denominators(e.kappa, coupling_constants(dim, (spec,)))[0]
-    return DenominatorValue(value=complex(val), dim=dim)
+    return complex(renormalized_denominators(e.kappa, coupling_constants(dim, (spec,)))[0])
 
 
 def transmutation_energy(spec: CouplingSpec) -> float:

@@ -18,37 +18,37 @@ Branch policy.  The retarded prescription sqrt(-E - i0) = -ik forces the
 "+ik" sign above, and only that sign satisfies the optical theorem
 Im f = k sigma / (4 pi).  The opposite convention f = -1/(kappa_B - ik)
 circulates as well; it has the same modulus (so the cross section is
-unaffected) but violates unitarity as written.  The ``policy`` argument (or
-the DELTAGREEN_BRANCH_POLICY environment variable) selects "unitary"
-(default) or "paper" for side-by-side comparison;
+unaffected) but violates unitarity as written.  The ``policy`` argument
+selects "unitary" (default) or "paper" for side-by-side comparison;
 :func:`optical_theorem_residual` is the arbiter between them.
 
 One dimension: the same construction with G0_ret = exp(ik|x|)/(2ik) gives
 the transmission probability T = k^2/(k^2 + lambda^2/4) and R = 1 - T;
 only lambda^2 enters, so attraction and repulsion transmit identically.
+
+Every observable is a plain number: :func:`amplitude3d` returns the complex
+f(k), :func:`scattered_wave` the complex psi(x), :func:`transmission1d` the
+pair (T, R).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from dataclasses import dataclass
-from typing import Callable
+import sys
 
-from .errors import DomainError, IllegalSpecError, UnsupportedDimError
+from .errors import DomainError, IllegalSpecError
 from .greenfn import ComplexEnergy, SpatialPoint, g0_retarded
 from .renorm import FROM_BOUND_STATE, REN_3D, CouplingSpec, renormalized_denominator
 
-BRANCH_POLICY_ENV = "DELTAGREEN_BRANCH_POLICY"
 POLICIES = ("unitary", "paper")
 
 _FOUR_PI = 4.0 * math.pi
 
 
 def resolve_policy(policy: str | None = None) -> str:
-    """Explicit argument beats the environment; default is "unitary"."""
-    p = policy if policy is not None else os.environ.get(BRANCH_POLICY_ENV, "unitary")
+    """The branch policy to use: ``policy`` itself, or "unitary" for None."""
+    p = "unitary" if policy is None else policy
     if p not in POLICIES:
         raise IllegalSpecError(
             "branch policy must be 'unitary' or 'paper'", policy=str(p)
@@ -56,25 +56,11 @@ def resolve_policy(policy: str | None = None) -> str:
     return p
 
 
-@dataclass(frozen=True)
-class ScatteringAmplitude:
-    """Isotropic s-wave amplitude f(k), units of length."""
-
-    f: complex
-    k: float
-    isotropic: bool = True
-
-
-@dataclass(frozen=True, eq=False)
-class WaveField:
-    """Evaluable scattering wavefunction psi(x) at fixed momentum."""
-
-    k: float
-    dim: int
-    evaluator: Callable[[SpatialPoint], complex]
-
-    def __call__(self, x: SpatialPoint) -> complex:
-        return self.evaluator(x)
+def _momentum(k: float) -> float:
+    k = float(k)
+    if not (k > 0.0) or not math.isfinite(k):
+        raise DomainError("momentum must be positive", k=k)
+    return k
 
 
 def _kappa_b(e_b: float) -> float:
@@ -96,19 +82,15 @@ def amplitude_denominator(k: complex, e_b: float, policy: str | None = None) -> 
     return kb + sign * 1j * complex(k)
 
 
-def amplitude3d(k: float, e_b: float, policy: str | None = None) -> ScatteringAmplitude:
-    """Scattering amplitude of a 3D contact potential with bound state E_B."""
-    k = float(k)
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("momentum must be positive", k=k)
-    return ScatteringAmplitude(f=-1.0 / amplitude_denominator(k, e_b, policy), k=k)
+def amplitude3d(k: float, e_b: float, policy: str | None = None) -> complex:
+    """Isotropic s-wave amplitude f(k) (units of length) of a 3D contact
+    potential with bound state E_B."""
+    return -1.0 / amplitude_denominator(_momentum(k), e_b, policy)
 
 
 def cross_section_total(k: float, e_b: float) -> float:
     """sigma = 4 pi |f|^2 = 4 pi / (kappa_B^2 + k^2); branch-independent."""
-    k = float(k)
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("momentum must be positive", k=k)
+    k = _momentum(k)
     kb = _kappa_b(e_b)
     return _FOUR_PI / (kb * kb + k * k)
 
@@ -119,61 +101,36 @@ def optical_theorem_residual(k: float, e_b: float, policy: str | None = None) ->
     Closed form: 0 under the unitary policy, -2k/(kappa_B^2 + k^2) under the
     "paper" sign.
     """
-    f = amplitude3d(k, e_b, policy).f
+    f = amplitude3d(k, e_b, policy)
     return f.imag - k * cross_section_total(k, e_b) / _FOUR_PI
 
 
-def _check_scatter_spec(spec: CouplingSpec) -> None:
-    if spec.variant not in (REN_3D, FROM_BOUND_STATE):
-        raise IllegalSpecError(
-            "3D scattering needs a renormalized 3D coupling or a bound-state spec",
-            variant=spec.variant,
-        )
-
-
 def scattered_wave(
-    k: float,
-    spec: CouplingSpec,
-    x: SpatialPoint,
-    policy: str | None = None,
-    dim: int = 3,
+    k: float, spec: CouplingSpec, x: SpatialPoint, policy: str | None = None
 ) -> complex:
-    """Exact scattering wavefunction psi(x) = exp(ikz) + G0_ret(x, 0)/D.
+    """Exact scattering wavefunction psi(x) = exp(ikz) + G0_ret(x, 0)/D at a
+    point x of R^3.
 
     The incident wave travels along +z (the last coordinate).  Under the
     "paper" policy the denominator is conjugated, reproducing that sign of
     the amplitude at every radius.
     """
-    if dim != 3:
-        raise UnsupportedDimError("scattered_wave is implemented for D=3", dim=dim)
-    k = float(k)
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("momentum must be positive", k=k)
-    _check_scatter_spec(spec)
+    k = _momentum(k)
+    if spec.variant not in (REN_3D, FROM_BOUND_STATE):
+        raise IllegalSpecError(
+            "3D scattering needs a renormalized 3D coupling or a bound-state spec",
+            variant=spec.variant,
+        )
     if not isinstance(x, SpatialPoint):
         x = SpatialPoint(tuple(x))
-    d = renormalized_denominator(3, ComplexEnergy(k * k, retarded=True), spec).value
+    if x.dim != 3:
+        raise IllegalSpecError("scattered_wave takes a point of R^3", xdim=x.dim)
+    d = renormalized_denominator(3, ComplexEnergy(k * k, retarded=True), spec)
     if resolve_policy(policy) == "paper":
         d = d.conjugate()
     origin = SpatialPoint.of(0.0, 0.0, 0.0)
     z = x.coords[2]
     return cmath.exp(1j * k * z) + g0_retarded(3, k, x, origin).value / d
-
-
-def wave_field(
-    k: float, spec: CouplingSpec, policy: str | None = None
-) -> WaveField:
-    """Package :func:`scattered_wave` as an immutable evaluator."""
-    k = float(k)
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("momentum must be positive", k=k)
-    _check_scatter_spec(spec)
-    pol = resolve_policy(policy)
-
-    def evaluate(x: SpatialPoint) -> complex:
-        return scattered_wave(k, spec, x, policy=pol)
-
-    return WaveField(k=k, dim=3, evaluator=evaluate)
 
 
 def transmission1d(k: float, lam: float) -> tuple[float, float]:
@@ -182,11 +139,15 @@ def transmission1d(k: float, lam: float) -> tuple[float, float]:
     T = k^2 / (k^2 + lambda^2/4) and R = 1 - T (unitarity holds exactly, and
     T depends on lambda only through lambda^2).  lambda = 0 transmits fully.
     """
-    k = float(k)
+    k = _momentum(k)
     lam = float(lam)
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("momentum must be positive", k=k)
     if not math.isfinite(lam):
         raise DomainError("coupling must be finite", lam=lam)
-    t = k * k / (k * k + 0.25 * lam * lam)
+    kk = k * k
+    den = kk + 0.25 * lam * lam
+    if kk >= sys.float_info.min and den < math.inf:
+        t = kk / den
+    else:  # k^2 or the sum left the normal doubles: the same T, divided through by k^2
+        q = 0.5 * lam / k
+        t = 1.0 / (1.0 + q * q)
     return t, 1.0 - t

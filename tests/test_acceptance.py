@@ -84,7 +84,7 @@ def test_criterion_03_regularized_denominator_reaches_renormalized_limit():
     e_b = transmutation_energy(spec)
     energy = math.e * e_b  # one e-fold below the bound state
     kk = math.sqrt(-energy)
-    target = renormalized_denominator(2, energy, spec).value.real
+    target = renormalized_denominator(2, energy, spec).real
     assert target == pytest.approx(-1.0 / FOUR_PI, rel=1e-14)
 
     caps = [1e2, 1e3, 1e4, 1e5, 1e6]
@@ -107,7 +107,7 @@ def test_criterion_04_bound_state_3d_closed_form_and_root_finder():
         assert states[0].energy == pytest.approx(want, rel=1e-14)
 
         def denominator(kap: float) -> float:
-            return renormalized_denominator(3, -kap * kap, spec).value.real
+            return renormalized_denominator(3, -kap * kap, spec).real
 
         kap = refine_root(denominator, 0.05, 9.0, xtol=1e-14)
         assert -kap * kap == pytest.approx(want, rel=1e-12)
@@ -117,8 +117,7 @@ def test_criterion_04_bound_state_3d_closed_form_and_root_finder():
 
 
 def test_criterion_05_scattering_amplitude_cross_section_optical_theorem():
-    amp = amplitude3d(1.0, -1.0)
-    assert abs(amp.f) ** 2 == pytest.approx(0.5, rel=1e-12)
+    assert abs(amplitude3d(1.0, -1.0)) ** 2 == pytest.approx(0.5, rel=1e-12)
     assert cross_section_total(1.0, -1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     rng = np.random.default_rng(5150)
@@ -129,7 +128,7 @@ def test_criterion_05_scattering_amplitude_cross_section_optical_theorem():
 
     # far field: peel the plane wave off psi and fit f from the 1/r tail
     k, e_b = 0.7, -1.0
-    f = amplitude3d(k, e_b).f
+    f = amplitude3d(k, e_b)
     for r in (200.0, 500.0):
         for theta in (0.0, 0.5, 1.2, 2.4, math.pi):
             x = SpatialPoint.of(r * math.sin(theta), 0.0, r * math.cos(theta))

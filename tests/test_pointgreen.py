@@ -46,7 +46,7 @@ def test_m_matrix_single_center_is_the_denominator():
     assert mm.entries[0, 0] == 0.0  # exactly at the pole
     for energy in (-0.5, -2.0, -9.0):
         mm = m_matrix(3, energy, [center((0.0, 0.0, 0.0), renormalized_3d(4 * math.pi))])
-        den = renormalized_denominator(3, energy, renormalized_3d(4 * math.pi)).value
+        den = renormalized_denominator(3, energy, renormalized_3d(4 * math.pi))
         assert mm.entries[0, 0] == den
 
 
@@ -58,12 +58,12 @@ def test_m_matrix_pair_at_threshold_energy():
     # off-diagonal: -G0(-1; -1, +1) = e^{-2}/2
     off = 0.5 * math.exp(-2.0)
     assert mm.entries[0, 1].real == pytest.approx(off, rel=1e-15)
-    assert mm.det().real == pytest.approx(-(off**2), rel=1e-14)
+    assert np.linalg.det(mm.entries).real == pytest.approx(-(off**2), rel=1e-14)
 
 
 def test_m_matrix_wide_separation_factorizes():
     far = (center(-25.0, bare_1d(-3.0)), center(25.0, bare_1d(-3.0)))
-    det = m_matrix(1, -1.0, far).det().real
+    det = np.linalg.det(m_matrix(1, -1.0, far).entries).real
     diag = 1.0 / -3.0 + 0.5  # = 1/6
     assert det == pytest.approx(diag * diag, rel=1e-20)
 
@@ -113,7 +113,7 @@ def test_m_matrix_entries_match_independent_closed_forms(dim, branch):
         }[branch]
         m = m_matrix(dim, e, cs).entries
         for c, row in zip(cs, m.diagonal()):
-            assert row == renormalized_denominator(dim, e, c.coupling).value
+            assert row == renormalized_denominator(dim, e, c.coupling)
         for i, j in itertools.combinations(range(len(cs)), 2):
             want = -_g0_reference(dim, e, AXIS_POSITIONS[j] - AXIS_POSITIONS[i])
             assert m[i, j] == m[j, i]
@@ -262,8 +262,8 @@ def test_green_2d_single_center_at_threshold_is_a_domain_error():
 
 
 def test_green_pole_flips_sign_of_det():
-    det_lo = m_matrix(1, -1.0 - 1e-3, [center(0.0, bare_1d(-2.0))]).det().real
-    det_hi = m_matrix(1, -1.0 + 1e-3, [center(0.0, bare_1d(-2.0))]).det().real
+    det_lo = np.linalg.det(m_matrix(1, -1.0 - 1e-3, [center(0.0, bare_1d(-2.0))]).entries).real
+    det_hi = np.linalg.det(m_matrix(1, -1.0 + 1e-3, [center(0.0, bare_1d(-2.0))]).entries).real
     assert det_lo * det_hi < 0.0
 
 

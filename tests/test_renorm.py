@@ -164,11 +164,11 @@ def test_bare_from_renormalized_validation():
 
 
 def test_denominator_values():
-    assert renormalized_denominator(3, -1.0, from_bound_state(-1.0)).value == 0.0
-    d2 = renormalized_denominator(2, -math.e, from_bound_state(-1.0)).value
+    assert renormalized_denominator(3, -1.0, from_bound_state(-1.0)) == 0.0
+    d2 = renormalized_denominator(2, -math.e, from_bound_state(-1.0))
     assert d2.real == pytest.approx(-1.0 / (4.0 * math.pi), rel=1e-14)
     assert d2.imag == 0.0
-    d1 = renormalized_denominator(1, -4.0, bare_1d(-2.0)).value
+    d1 = renormalized_denominator(1, -4.0, bare_1d(-2.0))
     assert d1 == pytest.approx(-0.25, rel=1e-15)
 
 
@@ -188,7 +188,7 @@ def test_denominator_limit_equivalence():
     for dim, spec, energy in cases:
         lam = bare_from_renormalized(dim, spec, cap)
         reg = 1.0 / lam + bubble_regularized(dim, math.sqrt(-energy), cap)
-        ren = renormalized_denominator(dim, energy, spec).value.real
+        ren = renormalized_denominator(dim, energy, spec).real
         assert reg == pytest.approx(ren, abs=1e-6)
 
 
@@ -348,7 +348,7 @@ def test_array_denominators_match_the_scalar_entry(dim, branch):
     assert out.shape == (40, 6)
     for row, e in zip(out, energies):
         for val, spec in zip(row, specs):
-            assert val == renormalized_denominator(dim, e, spec).value
+            assert val == renormalized_denominator(dim, e, spec)
             ref = _scalar_reference(dim, e, spec)
             if dim == 2 and branch == "real":
                 # real kappa takes numpy's log, which may differ from
@@ -413,7 +413,7 @@ def test_denominator_at_zero_energy_is_a_domain_error(dim):
         renormalized_denominator(dim, ComplexEnergy(0.0, retarded=True), from_bound_state(-1.0))
     assert renormalized_denominator(
         3, ComplexEnergy(0.0, retarded=True), from_bound_state(-1.0)
-    ).value == 1.0 / (4.0 * math.pi)
+    ) == 1.0 / (4.0 * math.pi)
 
 
 def test_finite_range_overflows_are_domain_errors():

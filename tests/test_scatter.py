@@ -1,4 +1,4 @@
-"""Amplitude, cross section, optical theorem, wavefields, 1D transmission."""
+"""Amplitude, cross section, optical theorem, scattered wave, 1D transmission."""
 
 import cmath
 import math
@@ -13,28 +13,25 @@ from deltagreen import (
     cross_section_total,
     from_bound_state,
     optical_theorem_residual,
-    renormalized_3d,
     scattered_wave,
     transmission1d,
-    wave_field,
 )
-from deltagreen.errors import DomainError, IllegalSpecError, UnsupportedDimError
+from deltagreen.errors import DomainError, IllegalSpecError
 from deltagreen.greenfn import SpatialPoint
 from deltagreen.oracles import shrinking_well_depth
 from deltagreen.scatter import resolve_policy
 
 
 def test_amplitude_reference_point():
-    amp = amplitude3d(1.0, -1.0)
-    assert amp.f == pytest.approx(complex(-0.5, 0.5), rel=1e-15)
-    assert abs(amp.f) ** 2 == pytest.approx(0.5, rel=1e-15)
-    assert amp.isotropic
+    f = amplitude3d(1.0, -1.0)
+    assert f == pytest.approx(complex(-0.5, 0.5), rel=1e-15)
+    assert abs(f) ** 2 == pytest.approx(0.5, rel=1e-15)
 
 
 def test_amplitude_low_k_is_scattering_length():
     # f(k -> 0) -> -1/kappa_B
     for kb in (0.5, 1.0, 3.0):
-        f = amplitude3d(1e-8, -kb * kb).f
+        f = amplitude3d(1e-8, -kb * kb)
         assert f.real == pytest.approx(-1.0 / kb, rel=1e-8)
         assert abs(f.imag) < 1e-7
 
@@ -52,7 +49,7 @@ def test_amplitude_against_finite_well_phase_shift():
     q = math.sqrt(v0 + k * k)
     delta0 = math.atan(k * math.tan(q * r0) / q) - k * r0
     f_well = abs(math.sin(delta0)) / k
-    assert f_well == pytest.approx(abs(amplitude3d(k, e_b).f), rel=1e-2)
+    assert f_well == pytest.approx(abs(amplitude3d(k, e_b)), rel=1e-2)
 
 
 def test_cross_section_values():
@@ -91,21 +88,16 @@ def test_optical_theorem_fails_under_paper_policy():
 
 
 def test_cross_section_is_policy_blind():
-    f_u = amplitude3d(0.7, -2.0, policy="unitary").f
-    f_p = amplitude3d(0.7, -2.0, policy="paper").f
+    f_u = amplitude3d(0.7, -2.0, policy="unitary")
+    f_p = amplitude3d(0.7, -2.0, policy="paper")
     assert abs(f_u) == pytest.approx(abs(f_p), rel=1e-15)
     assert f_u == f_p.conjugate()
 
 
-def test_policy_resolution(monkeypatch):
-    monkeypatch.delenv("DELTAGREEN_BRANCH_POLICY", raising=False)
+def test_policy_resolution():
     assert resolve_policy(None) == "unitary"
-    monkeypatch.setenv("DELTAGREEN_BRANCH_POLICY", "paper")
-    assert resolve_policy(None) == "paper"
-    assert resolve_policy("unitary") == "unitary"  # argument wins
-    monkeypatch.setenv("DELTAGREEN_BRANCH_POLICY", "bogus")
-    with pytest.raises(IllegalSpecError):
-        resolve_policy(None)
+    assert resolve_policy("paper") == "paper"
+    assert resolve_policy("unitary") == "unitary"
     with pytest.raises(IllegalSpecError):
         resolve_policy("nonsense")
 
@@ -122,7 +114,7 @@ def test_amplitude_pole_sits_at_the_bound_state():
 
 def test_far_field_reproduces_the_amplitude():
     k, e_b = 0.7, -1.0
-    f = amplitude3d(k, e_b).f
+    f = amplitude3d(k, e_b)
     for r in (200.0, 500.0):
         for theta in (0.0, 0.4, 1.1, 2.0, math.pi):
             x = SpatialPoint.of(r * math.sin(theta), 0.0, r * math.cos(theta))
@@ -146,15 +138,6 @@ def test_forward_axis_shadow(policy):
     assert abs(psi) ** 2 < 1.0
 
 
-def test_wave_field_wraps_scattered_wave():
-    spec = renormalized_3d(4.0 * math.pi)
-    field = wave_field(0.9, spec)
-    x = SpatialPoint.of(1.0, -2.0, 0.5)
-    assert field(x) == scattered_wave(0.9, spec, x)
-    assert field.k == 0.9
-    assert field.dim == 3
-
-
 def test_scattering_input_validation():
     with pytest.raises(DomainError):
         amplitude3d(-1.0, -1.0)
@@ -164,12 +147,13 @@ def test_scattering_input_validation():
         amplitude3d(1.0, 0.5)
     with pytest.raises(DomainError):
         cross_section_total(math.nan, -1.0)
-    with pytest.raises(UnsupportedDimError):
-        scattered_wave(1.0, from_bound_state(-1.0), SpatialPoint.of(0.0), dim=1)
+    for x in (SpatialPoint.of(0.0), SpatialPoint.of(0.0, 1.0)):  # points of R^3 only
+        with pytest.raises(IllegalSpecError):
+            scattered_wave(1.0, from_bound_state(-1.0), x)
     with pytest.raises(IllegalSpecError):
         scattered_wave(1.0, bare_1d(-2.0), SpatialPoint.of(0, 0, 1.0))
     with pytest.raises(DomainError):
-        wave_field(0.0, from_bound_state(-1.0))
+        scattered_wave(0.0, from_bound_state(-1.0), SpatialPoint.of(0, 0, 1.0))
 
 
 def test_transmission_reference_points():
@@ -188,6 +172,14 @@ def test_transmission_limits_and_unitarity():
         assert t + r == 1.0
     # attraction and repulsion transmit identically (lambda enters squared)
     assert transmission1d(0.9, 2.0) == transmission1d(0.9, -2.0)
+
+
+def test_transmission_survives_underflowing_squares():
+    # k^2 + lambda^2/4 underflows to 0 here; T = 1/(1 + (lambda/2k)^2) does not
+    assert transmission1d(1e-300, -1e-300) == (0.8, 1.0 - 0.8)
+    assert transmission1d(1e-300, 0.0) == (1.0, 0.0)
+    assert transmission1d(1e-200, 1.0) == (0.0, 1.0)
+    assert transmission1d(1e150, 1e300)[0] == pytest.approx(4e-300, rel=1e-15)
 
 
 def test_transmission_validation():
