@@ -2,10 +2,12 @@
 
 Nothing in this module shares a formula with the production code it checks:
 
-* :func:`g0_by_quadrature` integrates the momentum-space representation
-  int d^Dk/(2pi)^D exp(ik.(x-y))/(E - k^2) reduced to a radial integral
-  (cosine / Bessel-J0 / spherical-sinc weight) with arbitrary-precision
-  oscillatory quadrature, while production uses evaluated closed forms.
+* :func:`g0_by_quadrature` integrates the Schwinger proper-time (heat-kernel)
+  representation G0(E; r) = -int_0^inf (4 pi t)^(-D/2) exp(-r^2/(4t) + E t) dt,
+  a Laplace transform of the free Gaussian propagator, with arbitrary-precision
+  tanh-sinh quadrature; production evaluates closed forms (exponentials and
+  K0 from its own Bessel series and Chebyshev tables), none of which appears
+  here.
 * :func:`lattice1d_spectrum` diagonalizes the second-difference Hamiltonian
   with the delta as a single-site potential lambda/h, while production finds
   det-M roots.
@@ -18,9 +20,9 @@ Nothing in this module shares a formula with the production code it checks:
   depth a finite spherical well must acquire as its radius shrinks while one
   bound state is held fixed, approaching V0 r0^2 -> (pi/2)^2.
 
-The quadrature oracle is restricted to E < 0, where the integrand decays;
-retarded closed forms are instead checked through the epsilon -> 0+ limit in
-the greenfn tests.
+The quadrature oracle is restricted to E < 0, where the proper-time integral
+converges; retarded closed forms are instead checked through the
+epsilon -> 0+ limit in the greenfn tests.
 """
 
 from __future__ import annotations
@@ -87,10 +89,17 @@ class SquareWell3D:
 
 
 def g0_by_quadrature(dim: int, energy: float, r: float, tol: float = 1e-10) -> float:
-    """Free Green's function from the momentum integral, no closed forms.
+    """Free Green's function from its proper-time integral, no closed forms.
 
-    Valid for real energy < 0.  The result is computed at two working
-    precisions; if they disagree beyond tol/2 a
+    For real E < 0 (units hbar = 2m = 1)
+
+        G0(E; r) = -int_0^inf (4 pi t)^(-D/2) exp(-r^2/(4t) + E t) dt,
+
+    the heat kernel of the free Laplacian weighted by exp(E t).  The
+    integrand is positive and does not oscillate, so plain tanh-sinh
+    quadrature (``mp.quad``) resolves it, split at t = r^2/4, where the
+    Gaussian factor switches on (at t = 1 when r = 0).  The result is
+    computed at two working precisions; if they disagree beyond tol/2 a
     :class:`TailBoundExceededError` is raised instead of returning a value.
     """
     if dim not in (1, 2, 3):
@@ -118,32 +127,15 @@ def g0_by_quadrature(dim: int, energy: float, r: float, tol: float = 1e-10) -> f
 
 
 def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
-    K = math.sqrt(-energy)
     with mp.workdps(dps):
-        kk = mp.mpf(K) ** 2
-        if dim == 1:
-            if r == 0.0:
-                val = mp.quad(lambda t: 1 / (t * t + kk), [0, mp.inf])
-            else:
-                val = mp.quadosc(
-                    lambda t: mp.cos(t * r) / (t * t + kk),
-                    [0, mp.inf],
-                    period=2 * mp.pi / r,
-                )
-            return float(-val / mp.pi)
-        if dim == 2:
-            val = mp.quadosc(
-                lambda t: t * mp.besselj(0, t * r) / (t * t + kk),
-                [0, mp.inf],
-                zeros=lambda n: mp.besseljzero(0, int(n)) / r,
-            )
-            return float(-val / (2 * mp.pi))
-        val = mp.quadosc(
-            lambda t: t * mp.sin(t * r) / (t * t + kk),
-            [0, mp.inf],
-            period=2 * mp.pi / r,
+        e = mp.mpf(energy)
+        q = mp.mpf(r) ** 2 / 4
+        half_dim = mp.mpf(dim) / 2
+        val = mp.quad(
+            lambda t: mp.exp(e * t - q / t) / (4 * mp.pi * t) ** half_dim,
+            [0, q if r > 0.0 else 1, mp.inf],
         )
-        return float(-val / (2 * mp.pi**2 * r))
+        return float(-val)
 
 
 def _require_bare(centers) -> list[tuple[float, float]]:

@@ -64,6 +64,10 @@ CENTER_DISTINCT_TOL = 1e-10
 #: Matrix entries assembled per batch of scan energies.
 SCAN_BATCH = 1 << 16
 
+#: Smallest kappa of the default search window: its square, 2^-1022, is the
+#: smallest normal double, so E = -kappa^2 neither underflows nor loses bits.
+KAPPA_FLOOR = 2.0**-511
+
 
 @dataclass(frozen=True)
 class DeltaCenter:
@@ -135,7 +139,7 @@ def _positions(cs) -> np.ndarray:
 def _pair_distances(pos: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Index pairs i < j (row-major) and |a_i - a_j| for each."""
     pairs = np.triu_indices(len(pos), 1)
-    r = np.sqrt(sum((c[pairs[0]] - c[pairs[1]]) ** 2 for c in pos.T))
+    r = _norms(lambda: (c[pairs[0]] - c[pairs[1]] for c in pos.T))
     close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
     if close.size:
         raise IllegalSpecError(
@@ -223,7 +227,34 @@ def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
         raise IllegalSpecError(
             "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
         )
-    return np.sqrt(sum((c - xc) ** 2 for c, xc in zip(pos.T, x.coords)))
+    return _norms(lambda: (c - xc for c, xc in zip(pos.T, x.coords)))
+
+
+def _norms(diffs) -> np.ndarray:
+    """Euclidean lengths from ``diffs()``, one array of differences per
+    coordinate (a callable, so the common case streams them).
+
+    The squared differences are summed.  If that overflows anywhere, the
+    overflowing entries are recomputed, as ``hypot`` does, from the
+    differences divided by their largest magnitude, so every other entry
+    keeps the bytes of the plain sum.  A length beyond the double range (or
+    an infinite difference) raises :class:`DomainError`.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return np.sqrt(sum(d**2 for d in diffs()))
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = list(diffs())
+        r = np.sqrt(sum(d**2 for d in ds))
+        big = np.isinf(r)
+        parts = [np.abs(d[big]) for d in ds]
+        scale = np.maximum.reduce(parts)
+        r[big] = scale * np.sqrt(sum((p / scale) ** 2 for p in parts))
+    if not np.isfinite(r).all():
+        raise DomainError("distance overflows double precision")
+    return r
 
 
 def _closed_form_energies(dim: int, cs: tuple[DeltaCenter, ...]) -> list[float]:
@@ -331,8 +362,12 @@ def bound_states(
         return _assemble(dim, ComplexEnergy.of(energy), consts, pairs, r)
 
     if method == "auto" and len(cs) == 1:
+        # the default window holds the closed form's E_B, unless -E_B is
+        # below the window's normal-double floor; only a given window filters
         energies = [
-            e for e in _closed_form_energies(dim, cs) if window[0] <= e <= window[1]
+            e
+            for e in _closed_form_energies(dim, cs)
+            if search is None or window[0] <= e <= window[1]
         ]
     else:
         energies = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
@@ -366,7 +401,7 @@ def _search_window(dim, cs, search):
         if e_b is not None:
             scales.append(math.sqrt(-e_b))
     kap_hi = 4.0 * max(scales)
-    kap_lo = min(scales) * 1e-3
+    kap_lo = max(min(scales) * 1e-3, KAPPA_FLOOR)
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
@@ -409,8 +444,6 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
 
     grid = np.geomspace(kap_lo, kap_hi, grid_points)
-    # the grid is evaluated in one batch; bisection points one at a time
-    on_grid = dict(zip(grid.tolist(), _scan_dets(dim, consts, pairs, r, grid).tolist()))
 
     def f(kap: float) -> float:
         if kap in on_grid:
@@ -418,9 +451,14 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
         return float(_scan_dets(dim, consts, pairs, r, np.array([kap]))[0])
 
     roots = []
-    for a, b in bracket_sign_changes(f, grid):
-        kap = refine_root(f, a, b, xtol=tol / (2.0 * b))
-        roots.append(-kap * kap)
+    # a det that overflows (1D, kappa near the window floor) keeps its sign,
+    # which is what the brackets read; one context per scan, not one per det
+    with np.errstate(over="ignore"):
+        # the grid is evaluated in one batch; bisection points one at a time
+        on_grid = dict(zip(grid.tolist(), _scan_dets(dim, consts, pairs, r, grid).tolist()))
+        for a, b in bracket_sign_changes(f, grid):
+            kap = refine_root(f, a, b, xtol=tol / (2.0 * b))
+            roots.append(-kap * kap)
     # collapse duplicates from adjacent brackets
     roots.sort()
     out: list[float] = []

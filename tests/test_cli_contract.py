@@ -145,6 +145,12 @@ EXTREME_ARGVS = [
     (("g0", "--dim", "1", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),  # phase k r
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e10"), 0),
+    # the default search window's kappa_lo = 1e-163 squares to 0
+    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1", "--method", "scan"), 0),
+    # squared center and point distances overflow
+    (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
+    (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
+      "--x", "1e300,0,0", "--y", "0,1,0"), 3),
 ]
 
 
@@ -154,3 +160,5 @@ def test_extreme_argvs_keep_the_cli_contract(argv, want):
     assert code == want
     if argv[:3] == ("scatter", "--dim", "1"):
         assert _strict_json(out)["rows"] == [[1e-300, 0.8, 1.0 - 0.8]]
+    if argv[-1] == "scan":
+        assert _strict_json(out)["rows"] == [[0, -1.0, 1.0]]

@@ -49,8 +49,8 @@ def test_kappa_branch_choices():
         ComplexEnergy(complex(2.0, 1.0), retarded=True)
 
 
-# closed forms at E=-1, r=1; the 2D/3D decimals come from the quadrature
-# oracle, which disagrees with a couple of misprinted spec-sheet digits
+# closed forms at E=-1: -1/2 at r=0; at r=1, -exp(-1)/2, -K0(1)/(2 pi) (from
+# mpmath besselk) and -exp(-1)/(4 pi), each rounded to double
 @pytest.mark.parametrize(
     "dim,r,expected",
     [

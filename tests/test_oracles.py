@@ -6,6 +6,7 @@ that when an oracle certifies production code the certificate means something.
 
 import math
 
+import mpmath as mp
 import pytest
 from scipy.special import k0 as scipy_k0
 
@@ -49,18 +50,27 @@ PAIR_ENERGIES = (-1.2295650725757956, -0.6349095705470416)
 
 
 def test_quadrature_matches_2d_bessel():
-    got = g0_by_quadrature(2, -0.25, 2.0)
-    assert got == pytest.approx(-scipy_k0(1.0) / (2.0 * math.pi), abs=1e-10)
+    for energy, r in ((-0.25, 2.0), (-1e4, 1e-3)):  # small r: kappa r = 0.1
+        want = -scipy_k0(math.sqrt(-energy) * r) / (2.0 * math.pi)
+        assert g0_by_quadrature(2, energy, r) == pytest.approx(want, rel=1e-13, abs=1e-10)
+
+
+def test_quadrature_matches_2d_bessel_at_small_energy():
+    # kappa r = 1e-3: slowly decaying kernel, where an oscillatory momentum-space
+    # quadrature is off by 1.2e-6 with its two working precisions agreeing
+    want = -mp.besselk(0, mp.mpf("1e-3")) / (2 * mp.pi)
+    assert g0_by_quadrature(2, -1e-6, 1.0) == pytest.approx(float(want), abs=1e-10)
 
 
 def test_quadrature_matches_3d_exponential():
-    assert g0_by_quadrature(3, -1.0, 1.0) == pytest.approx(
-        -math.exp(-1.0) / (4.0 * math.pi), abs=1e-10
-    )
+    for energy, r in ((-1.0, 1.0), (-1e-4, 50.0)):  # large r: kappa r = 0.5
+        want = -math.exp(-math.sqrt(-energy) * r) / (4.0 * math.pi * r)
+        assert g0_by_quadrature(3, energy, r) == pytest.approx(want, rel=1e-13, abs=1e-10)
 
 
 def test_quadrature_matches_1d_coincident():
-    assert g0_by_quadrature(1, -4.0, 0.0) == pytest.approx(-0.25, abs=1e-10)
+    for energy, want in ((-4.0, -0.25), (-1e4, -0.005)):  # strong |E|: kappa = 100
+        assert g0_by_quadrature(1, energy, 0.0) == pytest.approx(want, rel=1e-13, abs=1e-10)
 
 
 def test_quadrature_domain_checks():

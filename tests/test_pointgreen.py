@@ -310,6 +310,18 @@ def test_bound_state_window_filters():
     assert only_top[0].energy == pytest.approx(PAIR_ENERGIES[1], abs=1e-10)
 
 
+def test_default_window_stops_where_kappa_squared_leaves_the_normal_doubles():
+    # kappa_lo = 1e-3 sqrt(1e-320) squares to 0; the window floor 2^-511 keeps
+    # E_max = -2^-1022, and the closed form still reports its subnormal E_B
+    weak = center(0.0, from_bound_state(-1e-320))
+    assert pointgreen._search_window(1, [weak], None)[1] == -(2.0**-1022)
+    assert [s.energy for s in bound_states(1, [weak])] == [-1e-320]
+    states = bound_states(1, [weak, center(1.0, from_bound_state(-1.0))], method="scan")
+    assert [s.energy for s in states] == [-1.0]
+    # windows whose floor is a normal double are unchanged
+    assert pointgreen._search_window(1, [center(0.0, bare_1d(-2.0))], None) == (-16.0, -1e-6)
+
+
 def test_bound_state_validation():
     c = [center(0.0, bare_1d(-2.0))]
     with pytest.raises(IllegalSpecError):
@@ -446,6 +458,28 @@ def test_rejects_coincident_centers():
     with pytest.raises(IllegalSpecError) as info:
         bound_states(2, [center(p, from_bound_state(-1.0)) for p in pts])
     assert info.value.details == {"i": 1, "j": 3}
+
+
+def test_distances_beyond_the_squares_scale_like_hypot():
+    pos = np.array([[0.0, 0.0], [3.0, 4.0], [3e200, 4e200], [-1e300, 1e-300]])
+    _, r = pointgreen._pair_distances(pos)
+    want = [math.hypot(*(a - b)) for a, b in itertools.combinations(pos, 2)]
+    assert r == pytest.approx(want, rel=1e-15)
+    x = SpatialPoint((-3e200, 0.0))
+    want = [math.hypot(*(p - x.coords)) for p in pos]
+    assert pointgreen._distances_to(x, pos) == pytest.approx(want, rel=1e-15)
+    # entries whose squares stay finite keep the plain sum of squares
+    pos = np.array([[0.1, 0.7], [0.3, -1.9], [1e300, 0.0]])
+    _, r = pointgreen._pair_distances(pos)
+    assert r[0] == np.sqrt((0.1 - 0.3) ** 2 + (0.7 + 1.9) ** 2)
+
+
+def test_rejects_distances_beyond_double_range():
+    far = [center(-1e308, bare_1d(-2.0)), center(1e308, bare_1d(-2.0))]
+    with pytest.raises(DomainError):
+        m_matrix(1, -1.0, far)
+    with pytest.raises(DomainError):
+        green(1, -2.0, _pt(1e308), _pt(0.0), far[:1])
 
 
 def test_rejects_wrong_dimension_coupling():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -215,6 +216,66 @@ def test_cutoff_consistency_at_the_pole(dim, spec, order):
     assert resid[-1] < resid[0]
     slope = -np.polyfit(np.log(caps), np.log(resid), 1)[0]
     assert slope == pytest.approx(order, abs=0.2)
+
+
+def bubble_proper_time(dim: int, kappa, lam_cap: float):
+    """The bubble under a proper-time regulator t >= 1/Lambda^2,
+
+        int_{1/Lambda^2}^inf (4 pi t)^(-D/2) exp(-kappa^2 t) dt,
+
+    by tanh-sinh quadrature at the caller's mpmath precision (no E1 or erfc
+    closed form).  At Lambda -> inf it is the momentum bubble, -G0(E; 0, 0)."""
+    t0 = 1 / mp.mpf(lam_cap) ** 2
+    k2 = mp.mpf(kappa) ** 2
+    half_dim = mp.mpf(dim) / 2
+    return mp.quad(lambda t: mp.exp(-k2 * t) / (4 * mp.pi * t) ** half_dim, [t0, 1, mp.inf])
+
+
+@pytest.mark.parametrize(
+    "dim,spec,kappa_sub,order",
+    [
+        (2, renormalized_2d(-4.0 * math.pi, 1.0), 1.0, 2.0),  # D(-mu^2) = 1/lambda_R
+        (3, renormalized_3d(4.0 * math.pi), 0.0, 1.0),  # D(0) = 1/lambda_R
+    ],
+)
+def test_proper_time_regulator_gives_the_same_renormalized_denominator(
+    dim, spec, kappa_sub, order
+):
+    """The renormalized denominator does not depend on the regulator.
+
+    Cut the proper time (t >= 1/Lambda^2) instead of the momentum, and tune
+    the bare coupling at each Lambda so that 1/lambda + bubble equals
+    1/lambda_R at the subtraction point (kappa = mu in 2D, E = 0 in 3D).
+    The bare couplings differ from the sharp-cutoff ones (by ~gamma/(4 pi)
+    in 2D, in proportion to Lambda in 3D), yet the denominator converges to
+    :func:`renormalized_denominator` at the sharp cutoff's rates, Lambda^-2
+    in 2D and Lambda^-1 in 3D, and in 2D its zero to the transmuted E_B.
+    """
+    caps = [1e1, 1e2, 1e3, 1e4]
+    kappas = (0.3, 0.9, 2.0)
+    e_b = transmutation_energy(spec) if dim == 2 else None
+    errs, eb_errs = [], []
+    with mp.workdps(30):
+        for cap in caps:
+            inv_bare = 1 / mp.mpf(spec.lambda_r) - bubble_proper_time(dim, kappa_sub, cap)
+            sharp = 1.0 / bare_from_renormalized(dim, spec, Cutoff(cap))
+            assert abs(float(inv_bare) - sharp) > 0.01
+
+            def den(kap):
+                return inv_bare + bubble_proper_time(dim, kap, cap)
+
+            ren = [renormalized_denominator(dim, -k * k, spec).real for k in kappas]
+            errs.append(max(abs(float(den(k)) - d) for k, d in zip(kappas, ren)))
+            if e_b is not None:
+                kb = mp.findroot(den, math.sqrt(-e_b))
+                eb_errs.append(abs(-float(kb) ** 2 / e_b - 1.0))
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+    slope = -np.polyfit(np.log(caps), np.log(errs), 1)[0]
+    assert slope == pytest.approx(order, abs=0.1)
+    assert errs[-1] < (1e-8 if dim == 2 else 1e-4)
+    if e_b is not None:
+        assert all(a > b for a, b in zip(eb_errs, eb_errs[1:]))
+        assert eb_errs[-1] < 1e-8
 
 
 def test_transmutation_values():
