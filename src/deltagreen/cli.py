@@ -51,10 +51,8 @@ from .scatter import (
 _G0_UNIT = {1: "L", 2: "1", 3: "1/L"}
 DEFAULT_FLOW_CUTOFFS = "1e2,1e3,1e4,1e5,1e6"
 DEFAULT_FRIEDMAN_CUTOFFS = "1e2,1e3,1e4,1e5"
-
-
-class _VerifyFailed(Exception):
-    """Internal signal: table already emitted, exit with code 4."""
+MAX_GRID = 10**6  # grid counts and --grid-points: 10^6 rows take seconds and <= 0.75 GB
+MAX_CENTERS = 1024  # --center options per call: M(E) of 1024 centers is 16 MB
 
 
 @dataclass
@@ -82,14 +80,8 @@ class ResultTable:
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow([f"{name}[{unit}]" for name, unit in self.columns])
         for row in self.rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
         return buf.getvalue()
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _output_options(fn):
@@ -196,8 +188,8 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         count = int(parts[2])
     except ValueError:
         raise click.BadParameter(f"{flag}: expected start:stop:count with numeric fields")
-    if count < 2:
-        raise click.BadParameter(f"{flag}: count must be at least 2")
+    if not 2 <= count <= MAX_GRID:  # refused before the grid is allocated
+        raise click.BadParameter(f"{flag}: count must be from 2 to {MAX_GRID}")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -243,6 +235,12 @@ def _parse_center(dim: int, text: str) -> DeltaCenter:
             f"got keys {sorted(names)}"
         )
     return center(position, spec)
+
+
+def _parse_centers(dim: int, texts: tuple[str, ...]) -> list[DeltaCenter]:
+    if len(texts) > MAX_CENTERS:  # refused before any is parsed
+        raise click.BadParameter(f"--center: at most {MAX_CENTERS}, got {len(texts)}")
+    return [_parse_center(dim, t) for t in texts]
 
 
 def _one_of_k(ks: tuple[float, ...], grid: str | None, flag: str, grid_flag: str) -> list[float]:
@@ -308,7 +306,7 @@ def cmd_g0(dim, energy, retarded, rs, r_grid):
 @_table
 def cmd_green(dim, energy, retarded, center, x, y):
     """Full interacting Green's function G(E; x, y) for a set of centers."""
-    centers = [_parse_center(dim, t) for t in center]
+    centers = _parse_centers(dim, center)
     y_point = _parse_point(dim, y, "--y")
     points = [_parse_point(dim, t, "--x") for t in x]
     e = ComplexEnergy(complex(energy, 0.0), retarded=retarded)
@@ -334,11 +332,19 @@ def cmd_green(dim, energy, retarded, center, x, y):
     show_default=True,
     help="auto uses closed forms for a single center; scan always roots det M.",
 )
-@click.option("--grid-points", type=int, default=400, show_default=True, help="Scan grid size.")
+@click.option(
+    "--grid-points",
+    type=click.IntRange(2, MAX_GRID),
+    default=400,
+    show_default=True,
+    help="Scan grid size.",
+)
 @_table
 def cmd_bound(dim, center, emin, emax, tol, method, grid_points):
     """Bound-state energies: real poles of the interacting Green's function."""
-    centers = [_parse_center(dim, t) for t in center]
+    if not tol > 0.0:
+        raise click.BadParameter(f"--tol: {tol!r} is not positive")
+    centers = _parse_centers(dim, center)
     if (emin is None) != (emax is None):
         raise click.BadParameter("--emin and --emax must be given together")
     search = None if emin is None else (emin, emax)
@@ -673,7 +679,7 @@ def cmd_verify(fast, fmt, output):
         check_names=[name for name, _, _ in checks],
     )
     if not all(passed for _, passed, _, _ in rows):
-        raise _VerifyFailed()
+        click.get_current_context().exit(4)  # after the table
 
 
 def _strict(value):
@@ -695,17 +701,13 @@ def _emit_error(payload: dict, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, prog_name="deltagreen", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        # commands return None; click returns the code of a ctx.exit (--version, verify)
+        return cli.main(args=argv, prog_name="deltagreen", standalone_mode=False) or 0
     except click.ClickException as exc:
         return _emit_error(
             {"error": "InvalidInput", "message": exc.format_message(), "details": {}}, 2
         )
-    except _VerifyFailed:
-        return 4
     except SpecValidationError as exc:
         return _emit_error(exc.payload(), 2)
     except DeltaGreenError as exc:
         return _emit_error(exc.payload(), 3)
-    return 0

@@ -10,9 +10,11 @@ centers a_1..a_N the correction generalizes to a small linear solve:
     G = G0(x, y) + sum_ij G0(x, a_i) [M^-1]_ij G0(a_j, y),
     M_ii = D_i(E),      M_ij = -G0(E; a_i, a_j)   (i != j).
 
-M is complex symmetric (real symmetric on the negative real axis).  Bound
-states are the real E < 0 where det M vanishes; the residue of G there
-factorizes as psi(x) psi(y) with
+M is complex symmetric (real symmetric on the negative real axis).  G has a
+pole exactly where M is singular; :func:`green` reports one when its single
+solve, given a probe column too, shows cond(M) >= 1e12, and forms no det M,
+which underflows for many centers.  Bound states are the real E < 0 where
+det M vanishes; the residue of G there factorizes as psi(x) psi(y) with
 
     psi(x) = sum_i c_i G0(E_B; x, a_i),     c = v / sqrt(v . M'(E_B) v),
 
@@ -46,7 +48,6 @@ from .errors import (
 )
 from .greenfn import ComplexEnergy, GreenValue, SpatialPoint, g0, g0_kernel, g0_of_kappa
 from .renorm import (
-    BARE_1D,
     CouplingConstants,
     CouplingSpec,
     coupling_constants,
@@ -55,8 +56,8 @@ from .renorm import (
 )
 from .rootfind import bracket_sign_changes, refine_root
 
-#: Relative |det M| below which an evaluation counts as sitting on a pole.
-DET_POLE_TOL = 1e-12
+#: An evaluation sits on a pole when max|M^-1 z| max|M_ij| >= 1/POLE_TOL.
+POLE_TOL = 1e-12
 
 #: Centers closer than this are rejected as coincident.
 CENTER_DISTINCT_TOL = 1e-10
@@ -80,15 +81,18 @@ class DeltaCenter:
         self.coupling.require_dim(self.position.dim)
 
 
+def _point(p) -> SpatialPoint:
+    """A number, tuple or point as a point."""
+    if isinstance(p, SpatialPoint):
+        return p
+    if isinstance(p, (int, float)):
+        return SpatialPoint.of(float(p))
+    return SpatialPoint(tuple(p))
+
+
 def center(position, coupling: CouplingSpec) -> DeltaCenter:
     """Convenience constructor; ``position`` may be a number, tuple or point."""
-    if isinstance(position, SpatialPoint):
-        pos = position
-    elif isinstance(position, (int, float)):
-        pos = SpatialPoint.of(float(position))
-    else:
-        pos = SpatialPoint(tuple(position))
-    return DeltaCenter(position=pos, coupling=coupling)
+    return DeltaCenter(position=_point(position), coupling=coupling)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +100,6 @@ class MMatrix:
     """Snapshot of the N x N matrix whose zero eigenvalues mark bound states."""
 
     entries: np.ndarray
-    dim: int
-    energy: ComplexEnergy
 
     @property
     def n(self) -> int:
@@ -128,7 +130,6 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
             raise IllegalSpecError(
                 "center dimension mismatch", dim=dim, center_dim=c.position.dim
             )
-        c.coupling.require_dim(dim)
     return cs, _positions(cs)
 
 
@@ -165,10 +166,6 @@ def _matrices(off: np.ndarray, diag: np.ndarray, pairs) -> np.ndarray:
     return m
 
 
-def _couplings(dim: int, cs) -> CouplingConstants:
-    return coupling_constants(dim, [c.coupling for c in cs])
-
-
 def _assemble(
     dim: int, e: ComplexEnergy, consts: CouplingConstants, pairs, r: np.ndarray
 ) -> np.ndarray:
@@ -182,42 +179,45 @@ def m_matrix(dim: int, energy, centers) -> MMatrix:
     e = ComplexEnergy.of(energy)
     cs, pos = _validate_centers(dim, centers)
     pairs, r = _pair_distances(pos)
-    m = _assemble(dim, e, _couplings(dim, cs), pairs, r)
+    m = _assemble(dim, e, coupling_constants(dim, [c.coupling for c in cs]), pairs, r)
     m.setflags(write=False)
-    return MMatrix(entries=m, dim=dim, energy=e)
-
-
-def _det_scale(m: np.ndarray) -> float:
-    """Hadamard-style scale: product of row maxima, an upper bound for |det|."""
-    rows = np.max(np.abs(m), axis=1)
-    return float(np.prod(rows))
+    return MMatrix(entries=m)
 
 
 def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenValue:
     """Green's function of the free Hamiltonian plus the given delta centers.
 
     Reduces to :func:`deltagreen.greenfn.g0` for an empty center list.
-    Raises :class:`AtPoleError` when |det M| falls below 1e-12 relative to
-    its natural scale (the energy sits on a bound-state pole).
+    Raises :class:`AtPoleError` (a bound-state pole) on an exact zero pivot
+    or when max|M^-1 z| max|M_ij| >= 1/POLE_TOL = 1e12, for a probe z solved
+    for with the value; that product bounds the infinity-norm cond(M) from
+    below.  No det M is formed, so many centers give no false pole.
     """
     cs = tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
-    mm = m_matrix(dim, energy, cs)
-    det = complex(np.linalg.det(mm.entries))
-    scale = _det_scale(mm.entries)
-    if scale == 0.0 or abs(det) <= DET_POLE_TOL * scale:
+    e = ComplexEnergy.of(energy)
+    m = m_matrix(dim, e, cs).entries
+    pos = _positions(cs)
+    gy = g0_kernel(dim, e, _distances_to(y, pos))
+    # z_i = cos(i * golden angle): max|z_i| = 1, and no symmetric layout
+    # makes z orthogonal to a null vector
+    probe = np.cos(2.399963229728653 * np.arange(len(cs)))
+    try:
+        sol = np.linalg.solve(m, np.stack([gy, probe], axis=1))
+        # Python floats: an overflow gives inf, never a warning; a NaN (from a
+        # kernel entry past double precision) is no pole, GreenValue refuses it
+        amplification = float(np.max(np.abs(sol[:, 1]))) * float(np.max(np.abs(m)))
+    except np.linalg.LinAlgError:
+        amplification = math.inf
+    if amplification >= 1.0 / POLE_TOL:
         raise AtPoleError(
             "energy is at (or numerically too close to) a bound-state pole",
-            det=abs(det),
-            scale=scale,
+            amplification=amplification,
         )
-    e = mm.energy
-    pos = _positions(cs)
     gx = g0_kernel(dim, e, _distances_to(x, pos))
-    gy = g0_kernel(dim, e, _distances_to(y, pos))
     base = g0(dim, e, x, y)
-    corr = complex(gx @ np.linalg.solve(mm.entries, gy))
+    corr = complex(gx @ sol[:, 0])
     return GreenValue(value=base.value + corr, dim=dim, retarded=base.retarded)
 
 
@@ -255,11 +255,6 @@ def _norms(diffs) -> np.ndarray:
     if not np.isfinite(r).all():
         raise DomainError("distance overflows double precision")
     return r
-
-
-def _closed_form_energies(dim: int, cs: tuple[DeltaCenter, ...]) -> list[float]:
-    e_b = cs[0].coupling.bound_state_energy(dim)
-    return [e_b] if e_b is not None else []
 
 
 def _m_prime(e_b: float, m_at) -> np.ndarray:
@@ -355,7 +350,7 @@ def bound_states(
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
     window = _search_window(dim, cs, search)
-    consts = _couplings(dim, cs)
+    consts = coupling_constants(dim, [c.coupling for c in cs])
 
     def m_at(energy) -> np.ndarray:
         # M(E) on these centers; their distances and couplings do not depend on E
@@ -364,12 +359,15 @@ def bound_states(
     if method == "auto" and len(cs) == 1:
         # the default window holds the closed form's E_B, unless -E_B is
         # below the window's normal-double floor; only a given window filters
-        energies = [
-            e
-            for e in _closed_form_energies(dim, cs)
-            if search is None or window[0] <= e <= window[1]
-        ]
+        e_b = cs[0].coupling.bound_state_energy(dim)
+        in_window = e_b is not None and (search is None or window[0] <= e_b <= window[1])
+        energies = [e_b] if in_window else []
     else:
+        for i, c in enumerate(cs if search is None else ()):
+            # the default window stops at -2^-1022, and would hide this state
+            e_b = c.coupling.bound_state_energy(dim)
+            if e_b is not None and -e_b < KAPPA_FLOOR * KAPPA_FLOOR:
+                raise DomainError("-E_B is above the default scan window", center=i, e_b=e_b)
         energies = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
 
     states = []
@@ -474,10 +472,6 @@ def residue_wavefunction(state: BoundState, x) -> float:
     Normalized so the residue of :func:`green` at E_B equals
     psi_B(x) psi_B(y); in particular int |psi_B|^2 = 1.
     """
-    if isinstance(x, (int, float)):
-        x = SpatialPoint.of(float(x))
-    elif not isinstance(x, SpatialPoint):
-        x = SpatialPoint(tuple(x))
     return _psi_raw(
-        state.dim, state.energy, _positions(state.centers), state.residue_vector, x
+        state.dim, state.energy, _positions(state.centers), state.residue_vector, _point(x)
     )

@@ -1,14 +1,16 @@
 """The CLI contract under generated input.
 
-Every `friedman`, `trivial`, `rgflow`, `g0` and `scatter` call, over finite
-floats from +-1e-320 to +-1e300 and malformed cutoff lists and grids, ends
-with exit 0, 2 or 3;
-a failure writes exactly one strict-JSON line to stderr and nothing to
-stdout; no exception and no warning escapes ``main``.  Examples are derandomized so the
+Every `friedman`, `trivial`, `rgflow`, `g0`, `scatter`, `green` and `bound`
+call, over finite floats from +-1e-320 to +-1e300, malformed cutoff lists
+and grids, and malformed, duplicate, coincident and far-apart centers, ends
+with exit 0, 2 or 3; a success writes strict JSON or CSV to stdout, a
+failure exactly one strict-JSON line to stderr and nothing to stdout; no
+exception and no warning escapes ``main``.  Examples are derandomized so the
 suite stays deterministic.
 """
 
 import contextlib
+import csv
 import io
 import json
 import warnings
@@ -18,6 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from deltagreen import cli  # noqa: E402
 from deltagreen.cli import main  # noqa: E402
 
 POSITIVE = st.floats(min_value=1e-320, max_value=1e300)
@@ -117,13 +120,17 @@ def _assert_contract(argv):
     assert [str(w.message) for w in caught] == [], argv
     if code == 0:
         assert err.getvalue() == ""
-        _strict_json(out.getvalue())
+        if "csv" in argv:
+            header, *rows = csv.reader(io.StringIO(out.getvalue()))
+            assert all(len(row) == len(header) for row in rows), argv
+        else:
+            _strict_json(out.getvalue())
     else:
         assert out.getvalue() == ""
         text = err.getvalue()
         assert text.count("\n") == 1 and text.endswith("\n"), argv
         assert set(_strict_json(text)) == {"error", "message", "details"}
-    return code, out.getvalue()
+    return code, (out if code == 0 else err).getvalue()  # the stream that was written
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -145,12 +152,19 @@ EXTREME_ARGVS = [
     (("g0", "--dim", "1", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),  # phase k r
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e10"), 0),
-    # the default search window's kappa_lo = 1e-163 squares to 0
-    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1", "--method", "scan"), 0),
+    # -E_B = 1e-320 lies above the default scan window, which stops at -2^-1022
+    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1", "--method", "scan"), 3),
+    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--method", "scan"), 3),
+    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1e-320",
+      "--method", "scan"), 3),
     # squared center and point distances overflow
     (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
     (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
       "--x", "1e300,0,0", "--y", "0,1,0"), 3),
+    # a NaN kernel entry in M(E) (a phase k r past double precision) is no pole;
+    # det M of it printed a RuntimeWarning
+    (("green", "--dim", "2", "--energy", "1e17", "--retarded", "--center", "0,0:eb=-1",
+      "--center", "1.7,1e300:eb=-1", "--x", "0.1,0", "--y", "0.5,0.5"), 3),
 ]
 
 
@@ -158,7 +172,138 @@ EXTREME_ARGVS = [
 def test_extreme_argvs_keep_the_cli_contract(argv, want):
     code, out = _assert_contract(argv)
     assert code == want
+    if argv[:3] == ("green", "--dim", "2"):
+        assert _strict_json(out)["error"] == "ComputationError"  # not AtPole
     if argv[:3] == ("scatter", "--dim", "1"):
         assert _strict_json(out)["rows"] == [[1e-300, 0.8, 1.0 - 0.8]]
-    if argv[-1] == "scan":
-        assert _strict_json(out)["rows"] == [[0, -1.0, 1.0]]
+
+
+# -- green and bound -----------------------------------------------------------
+
+COORD = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 1e300, -1e300, 1e150, 1e-320]),  # far apart, or nearly coincident
+)
+# a coupling variant legal in each dimension, with moderate values that bind
+BINDING = {
+    1: st.floats(-4.0, -0.2).map(lambda v: f"lambda={v!r}"),
+    2: st.floats(-12.0, -1.0).map(lambda v: f"lambdaR={v!r},mu=1"),
+    3: st.floats(1.0, 40.0).map(lambda v: f"lambdaR={v!r}"),
+}
+EXTREME = st.one_of(
+    NEGATIVE.map(lambda v: f"eb={v!r}"),
+    FLOATS.map(lambda v: f"lambda={v!r}"),
+    st.tuples(FLOATS, POSITIVE).map(lambda c: f"lambdaR={c[0]!r},mu={c[1]!r}"),
+    FLOATS.map(lambda v: f"lambdaR={v!r}"),
+    st.text(alphabet="abelmdR=,-0123456789.", max_size=12),  # malformed
+)
+
+
+@st.composite
+def _green_bound_case(draw):
+    """A dimension, 1-6 center specs (some repeated, coincident, far apart or
+    malformed), two points (some malformed, some at a center) and an energy."""
+    dim = draw(st.integers(1, 3))
+
+    def point(shift=0.0):
+        # now and then one coordinate too few: a malformed point
+        size = dim - 1 if dim > 1 and draw(st.integers(0, 19)) == 19 else dim
+        coords = draw(st.lists(COORD, min_size=size, max_size=size))
+        return ",".join(repr(c + shift if i == 0 else c) for i, c in enumerate(coords))
+
+    coupling = st.floats(-4.0, -0.1).map(lambda v: f"eb={v!r}") | BINDING[dim]
+    n = draw(st.integers(1, 6))
+    # the i-th center shifted by 1.7 i along the first axis, so that few coincide
+    specs = [(point(1.7 * i), draw(coupling)) for i in range(n)]
+    if draw(st.integers(0, 3)) == 3:  # one extreme, illegal or malformed coupling
+        specs[-1] = (specs[-1][0], draw(EXTREME))
+    centers = [f"{pos}:{coupling}" for pos, coupling in specs]
+    if draw(st.integers(0, 7)) == 7:
+        centers.append(draw(st.sampled_from(centers)))  # a duplicate spec
+    x = draw(st.sampled_from([p for p, _ in specs]) | st.builds(point))  # at a center, or not
+    return str(dim), centers, x, draw(st.builds(point)), draw(st.floats(-5.0, 5.0) | FLOATS)
+
+
+def _center_args(centers):
+    return tuple(item for c in centers for item in ("--center", c))
+
+
+BOUND_OPTIONS = st.lists(
+    st.sampled_from([
+        ("--method", "scan"), ("--method", "scan"), ("--method", "auto"), ("--tol", "1e-10"),
+        ("--grid-points", "40"), ("--emin", "-20"), ("--emax", "-0.01"), ("--format", "csv"),
+        ("--tol", "0"), ("--grid-points", "1"),  # invalid
+    ]),
+    max_size=3, unique=True,
+).map(_flat)
+
+
+def _rows(argv, out):
+    if "csv" in argv:
+        return [row.split(",") for row in out.splitlines()[1:]]
+    return _strict_json(out)["rows"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_green_bound_case(), options=BOUND_OPTIONS, retarded=st.booleans())
+def test_green_and_bound_keep_the_cli_contract(case, options, retarded):
+    dim, centers, x, y, energy = case
+    code, out = _assert_contract(("bound", "--dim", dim) + _center_args(centers) + options)
+    energies = [energy]
+    if code == 0:
+        # just beside and on a bound-state pole: the pole test must fire cleanly
+        energies += [float(row[1]) for row in _rows(options, out)[:2]]
+    for e in energies:
+        _assert_contract(
+            ("green", "--dim", dim, "--energy", repr(e), "--x", x, "--y", y)
+            + _center_args(centers)
+            + (("--retarded",) if retarded else ())
+        )
+
+
+# -- size caps and bound's own parameters ----------------------------------------
+
+def _error(argv):
+    code, _ = _assert_contract(argv)
+    return code
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--dim", "1", "--center", "0:eb=-1", "--grid-points", "1"),
+    ("bound", "--dim", "1", "--center", "0:eb=-1", "--tol", "0"),
+    ("bound", "--dim", "1", "--center", "0:eb=-1", "--tol", "-1e-12"),
+], ids=lambda argv: " ".join(argv[5:]))
+def test_invalid_bound_parameters_exit_2(argv):
+    assert _error(argv) == 2
+
+
+def test_caps_refuse_one_more_before_allocating(monkeypatch):
+    # np.linspace and the parsers must not run on a refused size
+    monkeypatch.setattr(cli.np, "linspace", None)
+    cap = cli.MAX_GRID
+    assert _error(("g0", "--dim", "1", "--energy", "-1", "--r-grid", f"0.1:1:{cap + 1}")) == 2
+    assert _error(("scatter", "--dim", "1", "--lam", "-2", "--k-grid", f"0.1:1:{10**11}")) == 2
+    one = ("--dim", "1", "--center", "0:eb=-1")
+    assert _error(("bound",) + one + ("--grid-points", str(cap + 1))) == 2
+    # the cap itself passes (a single center takes the closed form: no grid)
+    assert _error(("bound",) + one + ("--grid-points", str(cap))) == 0
+    monkeypatch.setattr(cli, "_parse_center", None)
+    many = ("--center", "0:eb=-1") * (cli.MAX_CENTERS + 1)
+    assert _error(("bound", "--dim", "1") + many) == 2
+    assert _error(("green", "--dim", "1", "--energy", "-2", "--x", "0", "--y", "1") + many) == 2
+
+
+def test_caps_accept_their_own_value(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID", 5)
+    monkeypatch.setattr(cli, "MAX_CENTERS", 3)
+    assert _error(("g0", "--dim", "1", "--energy", "-1", "--r-grid", "0.1:1:5")) == 0
+    assert _error(("g0", "--dim", "1", "--energy", "-1", "--r-grid", "0.1:1:6")) == 2
+    assert _error(("scatter", "--dim", "1", "--lam", "-2", "--k-grid", "0.1:1:5")) == 0
+    assert _error(("scatter", "--dim", "1", "--lam", "-2", "--k-grid", "0.1:1:6")) == 2
+    three = ("--center", "0:eb=-1", "--center", "2:eb=-1", "--center", "4:eb=-1")
+    green = ("green", "--dim", "1", "--energy", "-2", "--x", "0.5", "--y", "1")
+    assert _error(green + three) == 0
+    assert _error(green + three + ("--center", "6:eb=-1")) == 2
+    assert _error(("bound", "--dim", "1") + three) == 0
+    assert _error(("bound", "--dim", "1") + three + ("--center", "6:eb=-1")) == 2

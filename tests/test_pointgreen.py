@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import k0 as scipy_k0
 
@@ -253,6 +254,73 @@ def test_green_raises_at_pole():
         green(1, PAIR_ENERGIES[0], _pt(0.3), _pt(0.4), PAIR)
 
 
+def _uniform_layout(n: int) -> list:
+    """n centers binding at -1, uniform in a 3D box of edge 2 n^(1/3)."""
+    pts = np.random.default_rng(0).uniform(0.0, 2.0 * n ** (1.0 / 3.0), size=(n, 3))
+    return [center(tuple(p), from_bound_state(-1.0)) for p in pts]
+
+
+@pytest.mark.parametrize("n", [250, 400])
+def test_green_many_centers_has_no_false_pole(n):
+    # cond(M) is 1e3 to 1e4 here, while det M and the product of its row
+    # maxima both underflow: a determinant test read all four as poles
+    cs = _uniform_layout(n)
+    x, y = _pt(0.1, 0.2, 0.3), _pt(1.0, 0.5, -0.2)
+    for energy in (-2.0, ComplexEnergy(1.5, retarded=True)):
+        gxy = green(3, energy, x, y, cs).value
+        gyx = green(3, energy, y, x, cs).value
+        assert np.isfinite(gxy) and gxy != 0.0
+        assert abs(gxy - gyx) <= 1e-9 * abs(gxy)
+
+
+def test_green_pole_at_a_node_of_the_state():
+    # y = 0 is the node of the pair's odd state, so G0(a_j, y) has no part
+    # along its null vector; the probe column still sees the pole
+    odd = bound_states(1, PAIR)[1].energy
+    assert odd == pytest.approx(PAIR_ENERGIES[1], abs=1e-10)
+    with pytest.raises(AtPoleError) as err:
+        green(1, odd * (1.0 + 1e-14), _pt(0.3), _pt(0.0), PAIR)
+    assert err.value.details["amplification"] >= 1e12
+
+
+@st.composite
+def _near_pole_cases(draw):
+    """A random layout and an energy: real, complex, retarded, or within a
+    relative 1e-16..1e-6 of one of its bound states (found for N <= 6)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 16, 64, 64, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = math.ceil(round(n ** (1.0 / dim), 9))
+    sites = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1)
+    sites = sites.reshape(-1, dim)[rng.choice(side**dim, size=n, replace=False)]
+    pts = draw(st.floats(0.6, 3.0)) * (sites + rng.uniform(-0.25, 0.25, sites.shape))
+    cs = [center(tuple(p), from_bound_state(-rng.uniform(0.25, 2.0))) for p in pts]
+    kind = draw(st.sampled_from(["real", "complex", "retarded", "pole"]))
+    if kind == "pole" and n <= 6:
+        states = bound_states(dim, cs, method="scan")
+        if states:
+            e_b = states[draw(st.integers(0, len(states) - 1))].energy
+            return dim, cs, e_b * (1.0 + draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-6])))
+    if kind == "complex":
+        return dim, cs, complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(0.01, 2.0)))
+    if kind == "retarded":
+        return dim, cs, ComplexEnergy(draw(st.floats(0.01, 4.0)), retarded=True)
+    return dim, cs, draw(st.floats(-4.0, -0.05))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_near_pole_cases())
+def test_every_pole_is_a_singular_m(case):
+    dim, cs, energy = case
+    x = _pt(*([0.37] * dim))
+    y = _pt(*([-0.41] * dim))
+    try:
+        green(dim, energy, x, y, cs)
+    except AtPoleError:
+        s = np.linalg.svd(m_matrix(dim, energy, cs).entries, compute_uv=False)
+        assert s[-1] <= 1e-8 * s[0]
+
+
 def test_green_2d_single_center_at_threshold_is_a_domain_error():
     # D(E) = -ln(kappa/kappa_B)/(2 pi) diverges at E = 0; no center pair's
     # kernel call raises first when there is only one center
@@ -316,7 +384,15 @@ def test_default_window_stops_where_kappa_squared_leaves_the_normal_doubles():
     weak = center(0.0, from_bound_state(-1e-320))
     assert pointgreen._search_window(1, [weak], None)[1] == -(2.0**-1022)
     assert [s.energy for s in bound_states(1, [weak])] == [-1e-320]
-    states = bound_states(1, [weak, center(1.0, from_bound_state(-1.0))], method="scan")
+    # a default-window scan would hide the weak center's state: it says so
+    pair = [center(1.0, from_bound_state(-1.0)), weak]
+    with pytest.raises(DomainError) as err:
+        bound_states(1, pair, method="scan")
+    assert err.value.details == {"center": 1, "e_b": -1e-320}
+    with pytest.raises(DomainError):
+        bound_states(1, [weak], method="scan")
+    # a given window scans as before, det M overflowing near its floor
+    states = bound_states(1, pair, search=(-16.0, -(2.0**-1022)))
     assert [s.energy for s in states] == [-1.0]
     # windows whose floor is a normal double are unchanged
     assert pointgreen._search_window(1, [center(0.0, bare_1d(-2.0))], None) == (-16.0, -1e-6)
