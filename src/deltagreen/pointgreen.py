@@ -12,7 +12,7 @@ centers a_1..a_N the correction generalizes to a small linear solve:
 
 M is complex symmetric (real symmetric on the negative real axis).  G has a
 pole exactly where M is singular; :func:`green` reports one when its single
-solve, given a probe column too, shows cond(M) >= 1e12, and forms no det M,
+solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
 which underflows for many centers.  Bound states are the real E < 0 where
 det M vanishes; the residue of G there factorizes as psi(x) psi(y) with
 
@@ -56,7 +56,7 @@ from .renorm import (
 )
 from .rootfind import bracket_sign_changes, refine_root
 
-#: An evaluation sits on a pole when max|M^-1 z| max|M_ij| >= 1/POLE_TOL.
+#: An evaluation sits on a pole when max|A^-1 z| >= 1/POLE_TOL (see :func:`green`).
 POLE_TOL = 1e-12
 
 #: Centers closer than this are rejected as coincident.
@@ -189,9 +189,10 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
 
     Reduces to :func:`deltagreen.greenfn.g0` for an empty center list.
     Raises :class:`AtPoleError` (a bound-state pole) on an exact zero pivot
-    or when max|M^-1 z| max|M_ij| >= 1/POLE_TOL = 1e12, for a probe z solved
-    for with the value; that product bounds the infinity-norm cond(M) from
-    below.  No det M is formed, so many centers give no false pole.
+    or when max|A^-1 z| >= 1/POLE_TOL, for a probe z solved with the value
+    and A = M with unit row sums: then cond(M) >= cond(A) >= 1e12 (infinity
+    norm, van der Sluis).  No det M, which underflows for many centers, and
+    no row size (a center far weaker than the rest) moves the decision.
     """
     cs = tuple(centers)
     if not cs:
@@ -200,14 +201,15 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     m = m_matrix(dim, e, cs).entries
     pos = _positions(cs)
     gy = g0_kernel(dim, e, _distances_to(y, pos))
-    # z_i = cos(i * golden angle): max|z_i| = 1, and no symmetric layout
-    # makes z orthogonal to a null vector
-    probe = np.cos(2.399963229728653 * np.arange(len(cs)))
+    # z_i = cos(i * golden angle): max|z_i| = 1, and no symmetric layout makes
+    # z orthogonal to a null vector; times the row sums r_i of |M_ij|,
+    # M^-1 (r z) = A^-1 z, so scaling a row (a weak center) moves no decision
+    with np.errstate(over="ignore"):  # a row sum past the doubles is inf
+        probe = np.cos(2.399963229728653 * np.arange(len(cs))) * np.abs(m).sum(axis=1)
     try:
         sol = np.linalg.solve(m, np.stack([gy, probe], axis=1))
-        # Python floats: an overflow gives inf, never a warning; a NaN (from a
-        # kernel entry past double precision) is no pole, GreenValue refuses it
-        amplification = float(np.max(np.abs(sol[:, 1]))) * float(np.max(np.abs(m)))
+        # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
+        amplification = float(np.max(np.abs(sol[:, 1])))
     except np.linalg.LinAlgError:
         amplification = math.inf
     if amplification >= 1.0 / POLE_TOL:
@@ -338,9 +340,14 @@ def bound_states(
     The scan walks det M on a log-spaced grid of kappa = sqrt(-E) (poles
     crowd toward E = 0- for weak coupling), evaluating the whole grid in
     batched kernel calls, brackets sign changes, bisects and
-    secant-polishes each to |dE| <= tol.  An empty result is not an
-    error.  For a single center the closed forms take precedence so the
-    textbook formulas are testable verbatim.
+    secant-polishes each to |dE| <= tol.  For a single center the closed
+    forms take precedence so the textbook formulas are testable verbatim.
+
+    An empty result is not an error, except from the default window when
+    every center binds alone with -E_B below its floor 2^-1022: M(E) is then
+    negative definite at E -> -inf and not at min E_B, so the centers bind a
+    state the scan missed (:class:`DomainError`).  Any other state outside
+    the default window is left out silently.
     """
     cs, pos = _validate_centers(dim, centers)
     pairs, r = _pair_distances(pos)
@@ -349,7 +356,8 @@ def bound_states(
     if method not in ("auto", "scan"):
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
-    window = _search_window(dim, cs, search)
+    own = [c.coupling.bound_state_energy(dim) for c in cs]
+    window = _search_window(own, search)
     consts = coupling_constants(dim, [c.coupling for c in cs])
 
     def m_at(energy) -> np.ndarray:
@@ -357,18 +365,15 @@ def bound_states(
         return _assemble(dim, ComplexEnergy.of(energy), consts, pairs, r)
 
     if method == "auto" and len(cs) == 1:
-        # the default window holds the closed form's E_B, unless -E_B is
-        # below the window's normal-double floor; only a given window filters
-        e_b = cs[0].coupling.bound_state_energy(dim)
+        # the closed form's E_B; only a given window filters it
+        e_b = own[0]
         in_window = e_b is not None and (search is None or window[0] <= e_b <= window[1])
         energies = [e_b] if in_window else []
     else:
-        for i, c in enumerate(cs if search is None else ()):
-            # the default window stops at -2^-1022, and would hide this state
-            e_b = c.coupling.bound_state_energy(dim)
-            if e_b is not None and -e_b < KAPPA_FLOOR * KAPPA_FLOOR:
-                raise DomainError("-E_B is above the default scan window", center=i, e_b=e_b)
         energies = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
+        if not energies and search is None and all(e is not None and e > window[1] for e in own):
+            raise DomainError("centers that bind alone above the default window bind a "
+                              "state at E <= min E_B that it misses", e_b=min(own))
 
     states = []
     for e_b in sorted(float(e) for e in energies):
@@ -383,7 +388,8 @@ def bound_states(
     return states
 
 
-def _search_window(dim, cs, search):
+def _search_window(own, search):
+    """The given window, or the default one around the centers' own E_B."""
     if search is not None:
         e_min, e_max = float(search[0]), float(search[1])
         if not (e_min < e_max < 0.0):
@@ -393,11 +399,7 @@ def _search_window(dim, cs, search):
                 e_max=e_max,
             )
         return e_min, e_max
-    scales = [1.0]
-    for c in cs:
-        e_b = c.coupling.bound_state_energy(dim)
-        if e_b is not None:
-            scales.append(math.sqrt(-e_b))
+    scales = [1.0] + [math.sqrt(-e_b) for e_b in own if e_b is not None]
     kap_hi = 4.0 * max(scales)
     kap_lo = max(min(scales) * 1e-3, KAPPA_FLOOR)
     return -kap_hi * kap_hi, -kap_lo * kap_lo

@@ -152,8 +152,10 @@ EXTREME_ARGVS = [
     (("g0", "--dim", "1", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),  # phase k r
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e10"), 0),
-    # -E_B = 1e-320 lies above the default scan window, which stops at -2^-1022
-    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1", "--method", "scan"), 3),
+    # the default scan window stops at -2^-1022: beside a strong neighbour a
+    # center of -E_B = 1e-320 adds no state, and the pair's one is found; one
+    # or two such centers alone bind one below the floor, and the scan says so
+    (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1", "--method", "scan"), 0),
     (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--method", "scan"), 3),
     (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1e-320",
       "--method", "scan"), 3),
@@ -161,6 +163,9 @@ EXTREME_ARGVS = [
     (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
     (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
       "--x", "1e300,0,0", "--y", "0,1,0"), 3),
+    # an infinite 1/lambda decouples its center: G is the other center's alone
+    (("green", "--dim", "1", "--energy", "-2", "--center", "0:lambda=-1e-320", "--center",
+      "1:eb=-1", "--x", "0.1", "--y", "0.5"), 0),
     # a NaN kernel entry in M(E) (a phase k r past double precision) is no pole;
     # det M of it printed a RuntimeWarning
     (("green", "--dim", "2", "--energy", "1e17", "--retarded", "--center", "0,0:eb=-1",
@@ -176,6 +181,10 @@ def test_extreme_argvs_keep_the_cli_contract(argv, want):
         assert _strict_json(out)["error"] == "ComputationError"  # not AtPole
     if argv[:3] == ("scatter", "--dim", "1"):
         assert _strict_json(out)["rows"] == [[1e-300, 0.8, 1.0 - 0.8]]
+    if argv[:3] == ("green", "--dim", "1"):
+        assert _strict_json(out)["rows"] == [[0.1, -0.3186693415242748, 0.0]]
+    if argv[-1] == "scan" and want == 0:
+        assert _strict_json(out)["rows"] == [[0, -1.0, 1.0]]
 
 
 # -- green and bound -----------------------------------------------------------

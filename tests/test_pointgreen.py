@@ -283,10 +283,36 @@ def test_green_pole_at_a_node_of_the_state():
     assert err.value.details["amplification"] >= 1e12
 
 
+# a center bound far more weakly or strongly than its neighbour (rows of M(E)
+# 1e12 to 1e17 apart in size) only decouples: G is the determinant test's value
+BADLY_SCALED = [
+    (1, -2.0, (0.1,), (0.5,), [(0.0,), from_bound_state(-1e-30)], -0.318669341524275),
+    (1, -2.0, (0.1,), (0.5,), [(0.0,), from_bound_state(-1e-24)], -0.3186693415244768),
+    (3, -2.0, (0.1, 0.2, 0.3), (1.0, 0.5, -0.2), [(0.0, 0.0, 0.0), from_bound_state(-1e30)],
+     -0.05989483378085064),
+    (3, -2.0, (0.1, 0.2, 0.3), (1.0, 0.5, -0.2), [(0.0, 0.0, 0.0), renormalized_3d(1e-16)],
+     -0.05989483378085074),
+    (3, ComplexEnergy(1.5, retarded=True), (0.1, 0.2, 0.3), (1.0, 0.5, -0.2),
+     [(0.0, 0.0, 0.0), renormalized_3d(1e-16)], 0.036322751733094745 + 0.007254734248941977j),
+]
+
+
+@pytest.mark.parametrize(
+    "dim, energy, x, y, first, want",
+    BADLY_SCALED,
+    ids=["1d-eb-1e-30", "1d-eb-1e-24", "3d-eb-1e30", "3d-lambdaR-1e-16", "3d-lambdaR-1e-16-retarded"],
+)
+def test_green_badly_scaled_rows_are_no_pole(dim, energy, x, y, first, want):
+    cs = [center(*first), center((1.0,) + (0.0,) * (dim - 1), from_bound_state(-1.0))]
+    assert green(dim, energy, _pt(*x), _pt(*y), cs).value == pytest.approx(want, rel=1e-14)
+
+
 @st.composite
 def _near_pole_cases(draw):
     """A random layout and an energy: real, complex, retarded, or within a
-    relative 1e-16..1e-6 of one of its bound states (found for N <= 6)."""
+    relative 1e-16..1e-6 of one of its bound states (found for N <= 6).  Off
+    the poles, one center in four binds 1e30 times weaker or stronger than
+    the rest."""
     dim = draw(st.integers(1, 3))
     n = draw(st.sampled_from([1, 2, 3, 4, 6, 16, 64, 64, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -294,8 +320,11 @@ def _near_pole_cases(draw):
     sites = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1)
     sites = sites.reshape(-1, dim)[rng.choice(side**dim, size=n, replace=False)]
     pts = draw(st.floats(0.6, 3.0)) * (sites + rng.uniform(-0.25, 0.25, sites.shape))
-    cs = [center(tuple(p), from_bound_state(-rng.uniform(0.25, 2.0))) for p in pts]
     kind = draw(st.sampled_from(["real", "complex", "retarded", "pole"]))
+    e_b = -rng.uniform(0.25, 2.0, n)
+    if kind != "pole":
+        e_b[0] *= draw(st.sampled_from([1.0, 1.0, 1e-30, 1e30]))
+    cs = [center(tuple(p), from_bound_state(e)) for p, e in zip(pts, e_b)]
     if kind == "pole" and n <= 6:
         states = bound_states(dim, cs, method="scan")
         if states:
@@ -317,8 +346,13 @@ def test_every_pole_is_a_singular_m(case):
     try:
         green(dim, energy, x, y, cs)
     except AtPoleError:
-        s = np.linalg.svd(m_matrix(dim, energy, cs).entries, compute_uv=False)
-        assert s[-1] <= 1e-8 * s[0]
+        # M is singular, and stays so with its rows equilibrated: a row of
+        # another size alone is no pole
+        m = m_matrix(dim, energy, cs).entries
+        rows = np.abs(m).sum(axis=1, keepdims=True)
+        for a in (m, m / np.where(rows > 0.0, rows, 1.0)):  # a zero row stays zero
+            s = np.linalg.svd(a, compute_uv=False)
+            assert s[-1] <= 1e-8 * s[0]
 
 
 def test_green_2d_single_center_at_threshold_is_a_domain_error():
@@ -382,20 +416,31 @@ def test_default_window_stops_where_kappa_squared_leaves_the_normal_doubles():
     # kappa_lo = 1e-3 sqrt(1e-320) squares to 0; the window floor 2^-511 keeps
     # E_max = -2^-1022, and the closed form still reports its subnormal E_B
     weak = center(0.0, from_bound_state(-1e-320))
-    assert pointgreen._search_window(1, [weak], None)[1] == -(2.0**-1022)
+    assert pointgreen._search_window([-1e-320], None)[1] == -(2.0**-1022)
     assert [s.energy for s in bound_states(1, [weak])] == [-1e-320]
-    # a default-window scan would hide the weak center's state: it says so
+    # a scan that finds no state of centers that each bind says so: the one
+    # weak center, or two of them, bind a state below the window's floor
+    for cs in ([weak], [weak, center(1.0, from_bound_state(-1e-320))]):
+        with pytest.raises(DomainError) as err:
+            bound_states(1, cs, method="scan")
+        assert err.value.details == {"e_b": -1e-320}
+    # a strong neighbour binds the pair's only state, in the window (a second
+    # needs a distance near 1e160); the scan, default or given window, finds it
     pair = [center(1.0, from_bound_state(-1.0)), weak]
-    with pytest.raises(DomainError) as err:
-        bound_states(1, pair, method="scan")
-    assert err.value.details == {"center": 1, "e_b": -1e-320}
-    with pytest.raises(DomainError):
-        bound_states(1, [weak], method="scan")
-    # a given window scans as before, det M overflowing near its floor
+    assert [s.energy for s in bound_states(1, pair, method="scan")] == [-1.0]
     states = bound_states(1, pair, search=(-16.0, -(2.0**-1022)))
     assert [s.energy for s in states] == [-1.0]
     # windows whose floor is a normal double are unchanged
-    assert pointgreen._search_window(1, [center(0.0, bare_1d(-2.0))], None) == (-16.0, -1e-6)
+    assert pointgreen._search_window([-1.0], None) == (-16.0, -1e-6)
+
+
+def test_default_window_check_needs_every_center_above_its_top():
+    # a center that binds no state of its own implies none: [] stays an answer
+    assert bound_states(3, [center((0.0, 0.0, 0.0), renormalized_3d(-1.0))], method="scan") == []
+    # two weak 3D centers 1 apart bind a state near -0.32, which the scan finds
+    weak = [center((0.0, 0.0, 0.0), from_bound_state(-1e-320)),
+            center((1.0, 0.0, 0.0), from_bound_state(-1e-320))]
+    assert len(bound_states(3, weak)) == 1
 
 
 def test_bound_state_validation():
