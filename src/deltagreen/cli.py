@@ -330,7 +330,8 @@ def cmd_green(dim, energy, retarded, center, x, y):
     type=click.Choice(["auto", "scan"]),
     default="auto",
     show_default=True,
-    help="auto uses closed forms for a single center; scan always roots det M.",
+    help="auto uses closed forms for a single center; scan always searches the "
+    "eigenvalue branches of M.",
 )
 @click.option(
     "--grid-points",

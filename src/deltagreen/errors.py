@@ -77,7 +77,9 @@ class PoleCrossingError(DeltaGreenError):
     code = "PoleCrossing"
 
 
-class ZeroCouplingError(DeltaGreenError):
+class ZeroCouplingError(SpecValidationError):
+    """A zero coupling is no interaction: invalid input, not a failure."""
+
     code = "ZeroCoupling"
 
 

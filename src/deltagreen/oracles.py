@@ -9,11 +9,12 @@ Nothing in this module shares a formula with the production code it checks:
   K0 from its own Bessel series and Chebyshev tables), none of which appears
   here.
 * :func:`lattice1d_spectrum` diagonalizes the second-difference Hamiltonian
-  with the delta as a single-site potential lambda/h, while production finds
-  det-M roots.
+  with the delta as a single-site potential lambda/h, while production roots
+  the eigenvalue branches of the N x N matrix M(E).
 * :func:`shooting1d` propagates decaying exponentials through the jump
-  condition psi'(a+) - psi'(a-) = lambda psi(a) and roots the matching
-  coefficient with a library bracketing solver (production uses its own).
+  condition psi'(a+) - psi'(a-) = lambda psi(a), counts states by the nodes
+  of psi (Sturm oscillation), and roots the matching coefficient with a
+  library bracketing solver (production uses its own).
 * :func:`lattice1d_transmission` solves plane-wave matching on the infinite
   lattice, with its own dispersion relation.
 * :func:`shrinking_well_depth` realizes the contact limit physically: the
@@ -217,47 +218,59 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
 
     Starting from a pure decaying exponential on the far left, each center
     applies the derivative jump lambda psi(a); a bound state is a kappa where
-    the growing-mode coefficient on the far right vanishes.  Roots are
-    bracketed on a fine grid and polished with a library solver.
+    the growing-mode coefficient on the far right vanishes.  The same pass
+    counts the states below -kappa^2 by Sturm oscillation: the nodes of psi,
+    one between centers where psi changes sign and one past the last center
+    where the growing coefficient's sign differs from psi there.  A grid cell
+    whose count drops by two or more is halved until each part holds one
+    state; each state is then polished with a library solver.
     """
     sites = sorted(_require_bare(centers))
     lo, hi = float(kappa_bracket[0]), float(kappa_bracket[1])
     if not (0.0 < lo < hi):
         raise DomainError("need 0 < kappa_min < kappa_max", lo=lo, hi=hi)
 
-    def grow_coeff(kap: float) -> float:
+    def shoot(kap: float) -> tuple[float, int]:
         a_coef, b_coef = 1.0, 0.0  # psi = A e^{kx} + B e^{-kx}
+        nodes, psi = 0, 1.0
         for pos, lam in sites:
             up = math.exp(kap * pos)
             dn = math.exp(-kap * pos)
-            psi = a_coef * up + b_coef * dn
+            prev, psi = psi, a_coef * up + b_coef * dn
+            nodes += (psi < 0.0) != (prev < 0.0)
             a_coef += lam * psi * dn / (2.0 * kap)
             b_coef -= lam * psi * up / (2.0 * kap)
             norm = max(abs(a_coef), abs(b_coef))
             if norm > 1e100:
                 a_coef /= norm
                 b_coef /= norm
-        return a_coef
+        return a_coef, nodes + ((a_coef < 0.0) != (psi < 0.0))
 
     grid = np.linspace(lo, hi, grid_points)
-    vals = [grow_coeff(k) for k in grid]
+    shots = [shoot(k) for k in grid]
+    cells = [
+        (grid[i], grid[i + 1], shots[i], shots[i + 1])
+        for i in range(grid_points - 1)
+        if shots[i][1] > shots[i + 1][1]
+    ]
     roots = []
-    for idx in range(grid_points - 1):
-        va, vb = vals[idx], vals[idx + 1]
-        if va == 0.0:
-            roots.append(float(grid[idx]))
-        elif (va < 0.0) != (vb < 0.0):
+    while cells:
+        a, b, (fa, na), (fb, nb) = cells.pop()
+        mid = 0.5 * (a + b)
+        if na - nb >= 2 and a < mid < b:
+            shot = shoot(mid)
+            halves = [(a, mid, (fa, na), shot), (mid, b, shot, (fb, nb))]
+            cells += [cell for cell in halves if cell[2][1] > cell[3][1]]
+        elif fa == 0.0 or fb == 0.0 or na - nb >= 2:
+            roots += [float(a if fa == 0.0 else b if fb == 0.0 else mid)] * (na - nb)
+        else:
             try:
-                roots.append(
-                    float(brentq(grow_coeff, grid[idx], grid[idx + 1], xtol=1e-13))
-                )
+                roots.append(float(brentq(lambda k: shoot(k)[0], a, b, xtol=1e-13)))
             except (RuntimeError, ValueError) as exc:
                 raise NonConvergenceError(
-                    "library root polish failed", a=float(grid[idx]), b=float(grid[idx + 1])
+                    "library root polish failed", a=float(a), b=float(b)
                 ) from exc
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    return sorted(roots)
 
 
 def lattice1d_transmission(lam: float, k: float, lat: Lattice1D) -> tuple[float, float]:

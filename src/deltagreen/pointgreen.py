@@ -13,17 +13,26 @@ centers a_1..a_N the correction generalizes to a small linear solve:
 M is complex symmetric (real symmetric on the negative real axis).  G has a
 pole exactly where M is singular; :func:`green` reports one when its single
 solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
-which underflows for many centers.  Bound states are the real E < 0 where
-det M vanishes; the residue of G there factorizes as psi(x) psi(y) with
+which underflows for many centers.
 
-    psi(x) = sum_i c_i G0(E_B; x, a_i),     c = v / sqrt(v . M'(E_B) v),
+Bound states are the real E < 0 where an eigenvalue of M(E) vanishes.  There
+M' = dM/dE is a positive-definite Gram matrix of the functions G0(., a_i)
+(Krein's resolvent formula), so every sorted eigenvalue mu_k(E) rises
+strictly with E and vanishes at most once: the states in a window are the
+branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them, each
+found by refining its own bracket on a log-kappa grid, with one batched
+``eigvalsh`` per step serving every branch.  Branches that vanish at the
+same energy (within tol, or 1e-12 relative) form a degenerate multiplet.
+The residue of G there is sum_a psi_a(x) psi_a(y) with
 
-where v is the null vector of M(E_B) and M' = dM/dE is evaluated by a
-complex-step derivative (exact to machine precision).  The sign of psi is
-fixed to be positive at the centroid of the centers; when the centroid value
-vanishes (odd states) or is not evaluable (a center itself in D >= 2), the
-probe moves along the first axis in small deterministic steps and the
-largest-magnitude probe fixes the sign instead.
+    psi_a(x) = sum_i C_ia G0(E_B; x, a_i),     C^T M'(E_B) C = 1,
+
+where the columns of C span the null space of M(E_B) and M' is evaluated by
+a complex-step derivative (exact to machine precision).  The sign of each
+psi_a is fixed to be positive at the centroid of the centers; when the
+centroid value vanishes (odd states) or is not evaluable (a center itself in
+D >= 2), the largest-magnitude of three probes along the first axis fixes
+the sign instead.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
 finite for distinct centers, so each center carries its own coupling and
@@ -46,7 +55,15 @@ from .errors import (
     IllegalSpecError,
     NonConvergenceError,
 )
-from .greenfn import ComplexEnergy, GreenValue, SpatialPoint, g0, g0_kernel, g0_of_kappa
+from .greenfn import (
+    COINCIDENT_TOL,
+    ComplexEnergy,
+    GreenValue,
+    SpatialPoint,
+    g0,
+    g0_kernel,
+    g0_of_kappa,
+)
 from .renorm import (
     CouplingConstants,
     CouplingSpec,
@@ -54,7 +71,8 @@ from .renorm import (
     renormalized_denominator,  # noqa: F401  kept bound: perfbench's tracer wraps this name
     renormalized_denominators,
 )
-from .rootfind import bracket_sign_changes, refine_root
+from .rootfind import bracket_sign_changes, refine_root  # noqa: F401  kept bound: perfbench's tracer wraps these names
+from .rootfind import refine_brackets
 
 #: An evaluation sits on a pole when max|A^-1 z| >= 1/POLE_TOL (see :func:`green`).
 POLE_TOL = 1e-12
@@ -265,49 +283,42 @@ def _m_prime(e_b: float, m_at) -> np.ndarray:
     return np.imag(m_at(complex(e_b, h))) / h
 
 
-def _sign_probes(pos: np.ndarray) -> list[SpatialPoint]:
+def _sign_probes(pos: np.ndarray) -> np.ndarray:
+    """The centroid of the centers, then three points along the first axis."""
     centroid = pos.mean(axis=0)
     span = max(1.0, float(np.max(np.abs(pos - centroid))))
-    probes = [centroid]
-    for step in (0.37, 0.79, 1.31):
-        shifted = centroid.copy()
-        shifted[0] += step * span
-        probes.append(shifted)
-    return [SpatialPoint(tuple(p)) for p in probes]
+    probes = np.repeat(centroid[None, :], 4, axis=0)
+    probes[1:, 0] += np.array([0.37, 0.79, 1.31]) * span
+    return probes
 
 
-def _residue_vector(dim: int, e_b: float, pos: np.ndarray, m_at) -> np.ndarray:
-    m = m_at(e_b).real
-    w, v = np.linalg.eigh(m)
-    null = v[:, int(np.argmin(np.abs(w)))]
-    mp = _m_prime(e_b, m_at)
-    slope = float(null @ mp @ null)
-    if slope <= 0.0:
+def _residue_vectors(dim: int, e_b: float, pos: np.ndarray, m_at, branches) -> list:
+    """Residue vectors c_a of the states on the given eigenvalue branches at E_B.
+
+    The branches' eigenvectors span the null space V of M(E_B); with
+    V^T M' V = U diag(g) U^T, the columns of C = V U g^(-1/2) satisfy
+    C^T M' C = 1, so the residue of M^-1 is C C^T and Res G = sum_a
+    psi_a(x) psi_a(y).  Each psi_a is made positive at the centroid or, if
+    it vanishes there (odd states) or a center sits there (D >= 2), at the
+    probe along the first axis where |psi_a| is largest.
+    """
+    null = np.linalg.eigh(m_at(e_b).real)[1][:, branches]
+    g, u = np.linalg.eigh(null.T @ _m_prime(e_b, m_at) @ null)
+    if not g[0] > 0.0:
         raise NonConvergenceError(
             "residue normalization failed (non-positive dM/dE at the root)",
             energy=e_b,
         )
-    c = null / math.sqrt(slope)
-    # fix the overall sign: psi > 0 at the centroid, falling back to probes
-    # along the first axis for odd states or unevaluable centroids
-    best = 0.0
-    for p in _sign_probes(pos):
-        try:
-            val = _psi_raw(dim, e_b, pos, c, p)
-        except DeltaGreenError:
-            continue
-        if abs(val) > abs(best):
-            best = val
-    if best < 0.0:
-        c = -c
-    out = np.asarray(c, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-def _psi_raw(dim: int, e_b: float, pos: np.ndarray, coeff, x: SpatialPoint) -> float:
-    # psi evaluation shared by the sign fix and the public accessor
-    return float(g0_kernel(dim, e_b, _distances_to(x, pos)).real @ coeff)
+    coeffs = (null @ u) / np.sqrt(g)
+    probes = _sign_probes(pos)
+    r = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
+    if dim >= 2:  # G0 diverges at a center
+        r = r[r.min(axis=1) >= COINCIDENT_TOL]
+    psi = g0_of_kappa(dim, math.sqrt(-e_b), r) @ coeffs
+    best = psi[np.abs(psi).argmax(axis=0), np.arange(len(branches))] if len(r) else 0.0
+    coeffs = np.where(best < 0.0, -coeffs, coeffs)
+    coeffs.setflags(write=False)
+    return list(coeffs.T)
 
 
 def bound_states(
@@ -331,23 +342,34 @@ def bound_states(
         Energy tolerance for root polishing.
     method : str
         "auto" returns the closed form directly for a single center;
-        "scan" forces the generic det-M sign-change search.
+        "scan" forces the eigenvalue-branch search.
     grid_points : int
-        Resolution of the log-spaced kappa scan grid.
+        Size of the log-spaced kappa grid on which the eigenvalues of M are
+        tabulated.
 
     Notes
     -----
-    The scan walks det M on a log-spaced grid of kappa = sqrt(-E) (poles
-    crowd toward E = 0- for weak coupling), evaluating the whole grid in
-    batched kernel calls, brackets sign changes, bisects and
-    secant-polishes each to |dE| <= tol.  For a single center the closed
-    forms take precedence so the textbook formulas are testable verbatim.
+    The search tabulates the sorted eigenvalues of the real M(-kappa^2) on a
+    log-spaced grid of kappa = sqrt(-E) (poles crowd toward E = 0- for weak
+    coupling) in batched kernel and ``eigvalsh`` calls.  Each eigenvalue
+    rises with E, so the branches positive at the window's top and not at its
+    bottom are exactly its states; every branch's grid cell is refined at
+    once (Anderson-Bjorck regula falsi, one ``eigvalsh`` batch per step
+    evaluated for all branches) to |dE| <= tol.  Roots within max(tol,
+    1e-12 |E|) of each other are one degenerate multiplet, several states
+    at one energy.  For
+    a single center the closed forms take precedence so the textbook
+    formulas are testable verbatim.
 
-    An empty result is not an error, except from the default window when
-    every center binds alone with -E_B below its floor 2^-1022: M(E) is then
-    negative definite at E -> -inf and not at min E_B, so the centers bind a
-    state the scan missed (:class:`DomainError`).  Any other state outside
-    the default window is left out silently.
+    Without a given window the bottom of the default one is lowered, kappa
+    doubling, until M has as many positive eigenvalues as at E -> -inf, so
+    no state lies below it.  Its top stays at the floor -2^-1022 or above:
+    an empty result is not an error, except when every center binds alone
+    with -E_B below that floor (:class:`DomainError`: M(E) is negative
+    definite at E -> -inf and not at min E_B, so the centers bind a state
+    the window misses).  A center whose D(E) is infinite at every E (its
+    1/lambda overflows) is decoupled: the others bind the states, and its
+    residue coefficient is 0.
     """
     cs, pos = _validate_centers(dim, centers)
     pairs, r = _pair_distances(pos)
@@ -356,9 +378,25 @@ def bound_states(
     if method not in ("auto", "scan"):
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
+    consts = coupling_constants(dim, [c.coupling for c in cs])
+    with np.errstate(divide="ignore"):  # a 2D E_B of -0.0 gives D = -inf
+        live = np.isfinite(renormalized_denominators(1.0, consts))
+    if not live.all():
+        # an infinite 1/lambda (or 2D E_B = -0.0) decouples its center: D_i
+        # is infinite at every E, so the others bind the states alone
+        keep = np.flatnonzero(live)
+        sub = [cs[i] for i in keep]
+        states = bound_states(dim, sub, search, tol, method, grid_points) if sub else []
+        out = []
+        for st in states:
+            c = np.zeros(len(cs))
+            c[keep] = st.residue_vector
+            c.setflags(write=False)
+            out.append(BoundState(energy=st.energy, dim=dim, centers=cs, residue_vector=c))
+        return out
+
     own = [c.coupling.bound_state_energy(dim) for c in cs]
     window = _search_window(own, search)
-    consts = coupling_constants(dim, [c.coupling for c in cs])
 
     def m_at(energy) -> np.ndarray:
         # M(E) on these centers; their distances and couplings do not depend on E
@@ -368,24 +406,20 @@ def bound_states(
         # the closed form's E_B; only a given window filters it
         e_b = own[0]
         in_window = e_b is not None and (search is None or window[0] <= e_b <= window[1])
-        energies = [e_b] if in_window else []
+        multiplets = [(e_b, [0])] if in_window else []
     else:
-        energies = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
-        if not energies and search is None and all(e is not None and e > window[1] for e in own):
+        if search is None:
+            window = (_window_bottom(dim, consts, pairs, r, window[0]), window[1])
+        multiplets = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
+        if not multiplets and search is None and all(e is not None and e > window[1] for e in own):
             raise DomainError("centers that bind alone above the default window bind a "
                               "state at E <= min E_B that it misses", e_b=min(own))
 
-    states = []
-    for e_b in sorted(float(e) for e in energies):
-        states.append(
-            BoundState(
-                energy=e_b,
-                dim=dim,
-                centers=cs,
-                residue_vector=_residue_vector(dim, e_b, pos, m_at),
-            )
-        )
-    return states
+    return [
+        BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c)
+        for e_b, branches in multiplets
+        for c in _residue_vectors(dim, e_b, pos, m_at, branches)
+    ]
 
 
 def _search_window(own, search):
@@ -416,56 +450,82 @@ def _scan_kappa(kappas: np.ndarray) -> np.ndarray:
     return np.sqrt(-e)
 
 
-def _scan_dets(
+def _eigenvalues(
     dim: int, consts: CouplingConstants, pairs, r: np.ndarray, kappas: np.ndarray
 ) -> np.ndarray:
-    """det M(-kappa^2) of the real matrices, for many kappa > 0 at once.
+    """Ascending eigenvalues of the real M(-kappa^2), one row per kappa > 0.
 
-    One kernel call and one denominator call cover a whole batch of
-    energies; batches hold at most SCAN_BATCH matrix entries, so memory
-    stays bounded for many centers.
+    One kernel call, one denominator call and one ``eigvalsh`` cover a whole
+    batch of energies; batches hold at most SCAN_BATCH matrix entries, so
+    memory stays bounded for many centers.
     """
     n = len(consts.value)
     step = max(1, SCAN_BATCH // (n * n))
-    dets = []
+    out = []
     for i in range(0, len(kappas), step):
         kap = _scan_kappa(kappas[i : i + step])
-        diag = renormalized_denominators(kap, consts)
-        off = g0_of_kappa(dim, kap[:, None], r).real
-        dets.append(np.linalg.det(_matrices(off, diag, pairs)))
-    return np.concatenate(dets)
+        with np.errstate(over="ignore", divide="ignore"):  # checked just below
+            m = _matrices(g0_of_kappa(dim, kap[:, None], r).real,
+                          renormalized_denominators(kap, consts), pairs)
+        if not np.isfinite(m).all():
+            raise DomainError("M(E) has an entry beyond double precision",
+                              energy=float(-kap[0] * kap[0]))
+        out.append(np.linalg.eigvalsh(m))
+    return np.concatenate(out)
+
+
+def _window_bottom(dim: int, consts: CouplingConstants, pairs, r, e_min: float) -> float:
+    """E_min, lowered by doubling kappa until no state can lie below it.
+
+    M' > 0 makes the number of positive eigenvalues of M(E) fall as E falls,
+    to its E -> -inf limit: the repulsive bare 1D centers (D_i -> 1/lambda_i
+    while the off-diagonal decays), none in 2D and 3D (D_i -> -inf).  Once
+    M(E_min) has that many, every branch has crossed zero above E_min.
+    """
+    limit = int(np.sum((consts.value > 0.0) & ~consts.from_e_b)) if dim == 1 else 0
+    kap = math.sqrt(-e_min)
+    while np.sum(_eigenvalues(dim, consts, pairs, r, np.array([kap])) > 0.0) > limit:
+        kap *= 2.0
+    return -kap * kap
 
 
 def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
+    """(E_B, branch indices) of every multiplet of states in the window, ascending.
+
+    Sorted eigenvalue k of M(E) rises with E, so it has at most one zero; the
+    branches with one in the window are those positive at its top and not at
+    its bottom.  Each is bracketed on the log-kappa grid and all brackets are
+    refined together; zeros that agree within max(tol, 1e-12 |E|) form one
+    multiplet.
+    """
     e_min, e_max = window
-    kap_lo = math.sqrt(-e_max)
-    kap_hi = math.sqrt(-e_min)
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
-
-    grid = np.geomspace(kap_lo, kap_hi, grid_points)
-
-    def f(kap: float) -> float:
-        if kap in on_grid:
-            return on_grid[kap]
-        return float(_scan_dets(dim, consts, pairs, r, np.array([kap]))[0])
-
-    roots = []
-    # a det that overflows (1D, kappa near the window floor) keeps its sign,
-    # which is what the brackets read; one context per scan, not one per det
-    with np.errstate(over="ignore"):
-        # the grid is evaluated in one batch; bisection points one at a time
-        on_grid = dict(zip(grid.tolist(), _scan_dets(dim, consts, pairs, r, grid).tolist()))
-        for a, b in bracket_sign_changes(f, grid):
-            kap = refine_root(f, a, b, xtol=tol / (2.0 * b))
-            roots.append(-kap * kap)
-    # collapse duplicates from adjacent brackets
-    roots.sort()
-    out: list[float] = []
-    for e in roots:
-        if not out or abs(e - out[-1]) > max(10.0 * tol, 1e-12 * abs(e)):
-            out.append(e)
-    return out
+    grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
+    mu = _eigenvalues(dim, consts, pairs, r, grid)  # falls along each column
+    n = mu.shape[1]
+    ks = np.arange(n - np.sum(mu[0] > 0.0), n - np.sum(mu[-1] > 0.0))
+    if not ks.size:
+        return []
+    # the first grid kappa where branch k is no longer positive ends its bracket
+    hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
+    fb = mu[hi, ks]
+    kap = grid[hi].copy()
+    open_ = fb < 0.0  # else an exact zero on the grid
+    if open_.any():
+        lo = hi[open_] - 1
+        kap[open_] = refine_brackets(
+            lambda x: _eigenvalues(dim, consts, pairs, r, x),
+            ks[open_], grid[lo], grid[hi[open_]], mu[lo, ks[open_]], fb[open_],
+            xtol=tol / (2.0 * grid[hi[open_]]),
+        )
+    order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
+    energies, ks = -kap[order] * kap[order], ks[order]
+    # |E| past ~1 has roots only to a few ulps, so tol alone would split a
+    # deep degenerate pair: the floor is 1e-12 relative
+    apart = np.diff(energies) > np.maximum(tol, 1e-12 * np.abs(energies[1:]))
+    groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
+    return [(float(np.mean(energies[g])), np.sort(ks[g])) for g in groups]
 
 
 def residue_wavefunction(state: BoundState, x) -> float:
@@ -474,6 +534,5 @@ def residue_wavefunction(state: BoundState, x) -> float:
     Normalized so the residue of :func:`green` at E_B equals
     psi_B(x) psi_B(y); in particular int |psi_B|^2 = 1.
     """
-    return _psi_raw(
-        state.dim, state.energy, _positions(state.centers), state.residue_vector, _point(x)
-    )
+    r = _distances_to(_point(x), _positions(state.centers))
+    return float(g0_kernel(state.dim, state.energy, r).real @ state.residue_vector)

@@ -159,8 +159,15 @@ EXTREME_ARGVS = [
     (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--method", "scan"), 3),
     (("bound", "--dim", "1", "--center", "0:eb=-1e-320", "--center", "1:eb=-1e-320",
       "--method", "scan"), 3),
-    # squared center and point distances overflow
+    # squared center and point distances overflow; det M = D^2 touches zero at
+    # the pair's two states without changing sign
     (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
+    # a state far below the default window's first bottom, -16
+    (("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"), 0),
+    # D = -inf (a 2D E_B of -0.0) or 1/lambda = inf at every E: the center
+    # decouples, and the other binds alone
+    (("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"), 0),
+    (("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"), 0),
     (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
       "--x", "1e300,0,0", "--y", "0,1,0"), 3),
     # an infinite 1/lambda decouples its center: G is the other center's alone
@@ -171,6 +178,15 @@ EXTREME_ARGVS = [
     (("green", "--dim", "2", "--energy", "1e17", "--retarded", "--center", "0,0:eb=-1",
       "--center", "1.7,1e300:eb=-1", "--x", "0.1,0", "--y", "0.5,0.5"), 3),
 ]
+
+
+# the states the default window must find in the argvs above
+BOUND_ENERGIES = {
+    ("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"): [-1.0, -1.0],
+    ("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"): [-3289.386074],
+    ("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"): [-1.0],
+    ("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"): [-1.0],
+}
 
 
 @pytest.mark.parametrize("argv,want", EXTREME_ARGVS, ids=[" ".join(a) for a, _ in EXTREME_ARGVS])
@@ -185,6 +201,9 @@ def test_extreme_argvs_keep_the_cli_contract(argv, want):
         assert _strict_json(out)["rows"] == [[0.1, -0.3186693415242748, 0.0]]
     if argv[-1] == "scan" and want == 0:
         assert _strict_json(out)["rows"] == [[0, -1.0, 1.0]]
+    if argv in BOUND_ENERGIES:
+        energies = [row[1] for row in _strict_json(out)["rows"]]
+        assert energies == pytest.approx(BOUND_ENERGIES[argv], rel=1e-9)
 
 
 # -- green and bound -----------------------------------------------------------
@@ -285,6 +304,12 @@ def _error(argv):
 ], ids=lambda argv: " ".join(argv[5:]))
 def test_invalid_bound_parameters_exit_2(argv):
     assert _error(argv) == 2
+
+
+@pytest.mark.parametrize("dim, spec", [("3", "0,0,0:lambdaR=0"), ("1", "0:lambda=0")])
+def test_zero_coupling_is_invalid_input(dim, spec):
+    # lambda = 0 is no interaction at all: exit 2, as any other invalid input
+    assert _error(("bound", "--dim", dim, "--center", spec)) == 2
 
 
 def test_caps_refuse_one_more_before_allocating(monkeypatch):

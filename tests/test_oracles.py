@@ -179,7 +179,7 @@ def test_shooting_two_centers_frozen_values():
     roots = shooting1d(PAIR, (0.3, 1.6))
     assert len(roots) == 2
     assert roots == pytest.approx((0.7968121300200433, 1.108857552878545), abs=1e-9)
-    # cross-route: the det-M scan must land on the same energies
+    # cross-route: the eigenvalue-branch search must land on the same energies
     scanned = [s.energy for s in bound_states(1, PAIR)]
     assert scanned == pytest.approx([-r * r for r in reversed(roots)], abs=1e-10)
 
@@ -189,6 +189,45 @@ def test_shooting_weak_coupling():
     assert roots  # a grid-adjacent root may be reported from both sides
     for r in roots:
         assert r == pytest.approx(1e-4, rel=1e-6)
+
+
+# bare 1D layouts (position, lambda), each with a window holding two states
+# less than one cell of a 4000-point kappa grid apart, and those two energies
+ONE_CELL_PAIRS = [
+    (  # dkappa = 4.6e-4: both halves of the split cell hold one state
+        ((3.225566634924, -1.6918704152257062), (10.647290662423, -2.7051854488296754),
+         (1.168605698155, -2.5698978931766523), (4.233723776287, -1.8074858153906324),
+         (5.915898168273, -2.6235016322656675), (7.451463596687, -2.3571762754430963),
+         (16.625592263443, -2.2686439941868093), (15.091471493076, -1.851245473201667),
+         (9.077186197634, -1.0832301326425), (-0.196261393562, -2.71822187950151),
+         (12.359408620283, -2.705487405556795), (13.796373379207, -2.200904220254675)),
+        (-29.55492074480289, -0.0007333672001654302), 9, (-2.2493834985615, -2.2480064271868),
+    ),
+    (  # dkappa = 3.6e-4: one half of the split cell holds both, the other none
+        ((0.147265901337, -1.0251208893977684), (1.415653468573, -2.5209660565502325),
+         (3.081867797589, -2.210454145753694), (4.269084639281, -1.931590200359633),
+         (5.834192755928, -2.58175458069302), (7.669413756741, -2.521945923263015),
+         (9.195398204653, -1.863015661759335), (10.520462952632, -1.338710069264918),
+         (12.021616654147, -1.1866568437666298), (13.332538277729, -2.062140614263885),
+         (14.7467767684, -2.6143831215229407), (16.516360583979, -1.0611177395248197),
+         (18.105168223494, -2.388705454406035), (19.273041366459, -1.3419688316484497),
+         (21.11151419656, -2.3430287045189537), (22.146891806805, -2.2943772454982763)),
+        (-27.339996424416142, -0.0006567955236747949), 10, (-2.0491069434419, -2.0480751682117),
+    ),
+]
+
+
+@pytest.mark.parametrize("line, window, count, pair", ONE_CELL_PAIRS, ids=["split", "one-sided"])
+def test_shooting_separates_states_in_one_grid_cell(line, window, count, pair):
+    # the growing coefficient changes sign twice inside one cell; the node
+    # count drops by two there, so the cell is halved before polishing
+    cs = [center(p, bare_1d(lam)) for p, lam in line]
+    roots = shooting1d(cs, (math.sqrt(-window[1]), math.sqrt(-window[0])), 4000)
+    shot = sorted(-k * k for k in roots)
+    assert len(shot) == count
+    assert [e for e in shot if pair[0] - 1e-9 < e < pair[1] + 1e-9] == pytest.approx(pair, abs=1e-12)
+    scanned = [s.energy for s in bound_states(1, cs, search=window, method="scan")]
+    assert scanned == pytest.approx(shot, abs=1e-12)
 
 
 def test_shooting_guards():

@@ -26,7 +26,7 @@ from deltagreen import (
 from deltagreen import greenfn, pointgreen, renorm
 from deltagreen.errors import AtPoleError, BranchCutError, DomainError, IllegalSpecError
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
-from deltagreen.oracles import Lattice1D, lattice1d_resolvent
+from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
 
 # two attractive centers at -1 and +1, lambda = -2 each: energies frozen from
 # the transfer-coefficient shooting oracle (see test_oracles.py)
@@ -441,6 +441,112 @@ def test_default_window_check_needs_every_center_above_its_top():
     weak = [center((0.0, 0.0, 0.0), from_bound_state(-1e-320)),
             center((1.0, 0.0, 0.0), from_bound_state(-1e-320))]
     assert len(bound_states(3, weak)) == 1
+
+
+def _triangle(scale=1.0):
+    # three eb = -1 centers in 3D on an equilateral triangle of side 1.2 sqrt(3);
+    # lengths / sqrt(scale) and E_B * scale multiply every energy by scale
+    r = 1.2 / math.sqrt(scale)
+    return [center((r * math.cos(a), r * math.sin(a), 0.0), from_bound_state(-scale))
+            for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+
+
+def _square():
+    return [center((x, y, 0.0), from_bound_state(-1.0)) for x in (0.0, 1.5) for y in (0.0, 1.5)]
+
+
+def _multiplets(states):
+    energies = [s.energy for s in states]
+    return [(e, energies.count(e)) for e in sorted(set(energies))]
+
+
+@pytest.mark.parametrize("centers, scale, want", [
+    (_triangle(), 1.0, [(-1.20599, 1), (-0.86571, 2)]),
+    (_square(), 1.0, [(-1.54034, 1), (-0.87452, 2), (-0.33419, 1)]),
+    # the pair's two roots differ by ulps of 8.7e5, far above tol = 1e-12
+    (_triangle(1e6), 1e6, [(-1.20599, 1), (-0.86571, 2)]),
+], ids=["triangle", "square", "deep-triangle"])
+def test_symmetric_layouts_keep_their_degenerate_states(centers, scale, want):
+    # det M touches zero without a sign change at a pair; each branch of M
+    # crosses zero once, so the pair is two states at one shared energy
+    got = _multiplets(bound_states(3, centers, method="scan"))
+    assert [n for _, n in got] == [n for _, n in want]
+    assert [e / scale for e, _ in got] == pytest.approx([e for e, _ in want], abs=1e-5)
+
+
+def test_degenerate_pair_residue_sums_over_its_states():
+    cs = _triangle()
+    pair = [s for s in bound_states(3, cs, method="scan") if s.energy > -1.0]
+    assert len(pair) == 2 and pair[0].energy == pair[1].energy
+    e_b = pair[0].energy
+    x, y = (0.4, -0.3, 0.2), (-0.7, 0.9, -0.1)
+    deltas = np.array([1e-3, 1e-4, 1e-5])
+    probes = [abs(e_b) * d * green(3, e_b + abs(e_b) * d, _pt(*x), _pt(*y), cs).value.real
+              for d in deltas]
+    want = sum(residue_wavefunction(s, x) * residue_wavefunction(s, y) for s in pair)
+    assert np.polyfit(deltas, probes, 2)[-1] == pytest.approx(want, rel=1e-6)
+    # each state alone is normalized: c^T M' c = 1 per state, 0 across the pair
+    mp_ = pointgreen._m_prime(e_b, lambda e: m_matrix(3, e, cs).entries)
+    c = np.stack([s.residue_vector for s in pair], axis=1)
+    assert c.T @ mp_ @ c == pytest.approx(np.eye(2), abs=1e-12)
+
+
+def _uniform_3d(n):
+    rng = np.random.default_rng(0)
+    return [center(tuple(p), from_bound_state(-1.0))
+            for p in rng.uniform(0.0, 2.0 * n ** (1.0 / 3.0), (n, 3))]
+
+
+@pytest.mark.parametrize("n, count", [(64, 55), (128, 103), (256, 200)])
+def test_many_centers_give_the_birman_schwinger_count(n, count):
+    # the states in a window are the eigenvalues of M that cross zero there
+    cs = _uniform_3d(n)
+    lo, hi = (np.linalg.eigvalsh(m_matrix(3, e, cs).entries.real) for e in (-16.0, -1e-6))
+    assert int(np.sum(hi > 0.0) - np.sum(lo > 0.0)) == count
+    states = bound_states(3, cs, method="scan")
+    assert len(states) == count
+    assert all(-16.0 <= s.energy <= -1e-6 for s in states)
+
+
+def test_default_window_reaches_states_below_its_bottom():
+    # two 3D centers 0.01 apart bind far below the default bottom -16
+    cs = [center((0.0, 0.0, 0.0), from_bound_state(-1.0)),
+          center((0.01, 0.0, 0.0), from_bound_state(-1.0))]
+    assert [s.energy for s in bound_states(3, cs)] == pytest.approx([-3289.386074], rel=1e-9)
+    # a repulsive bare 1D center keeps one positive eigenvalue as E -> -inf
+    line = [center(0.0, bare_1d(-6.0)), center(0.3, bare_1d(5.0)), center(1.0, bare_1d(-2.0))]
+    shot = sorted(-k * k for k in shooting1d(line, (1e-3, 8.0), 4000))
+    assert [s.energy for s in bound_states(1, line)] == pytest.approx(shot, rel=1e-12)
+
+
+def test_infinite_inverse_coupling_decouples_its_center():
+    # 1/lambda overflows to inf: D = inf at every E, so the center binds
+    # nothing and the others bind alone, with a 0 residue coefficient there
+    cs = [center(0.0, bare_1d(-1e-320)), center(1.0, from_bound_state(-1.0)),
+          center(3.0, bare_1d(-1.0))]
+    want = bound_states(1, cs[1:], method="scan")
+    got = bound_states(1, cs, method="scan")
+    assert [s.energy for s in got] == [s.energy for s in want]
+    for g, w in zip(got, want):
+        assert list(g.residue_vector) == [0.0] + list(w.residue_vector)
+        assert residue_wavefunction(g, 0.4) == residue_wavefunction(w, 0.4)
+    assert [s.energy for s in bound_states(1, cs[:2])] == [-1.0]
+    assert bound_states(1, cs[:1], method="scan") == []
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    gaps=st.lists(st.floats(0.2, 4.0), min_size=0, max_size=7),
+    lams=st.lists(st.floats(-3.0, -0.3), min_size=8, max_size=8),
+)
+def test_random_1d_layouts_agree_with_shooting(gaps, lams):
+    positions = np.concatenate([[0.0], np.cumsum(gaps)])
+    cs = [center(float(p), bare_1d(lam)) for p, lam in zip(positions, lams)]
+    kappas = [-0.5 * lam for lam in lams[: len(cs)]]
+    kap_lo, kap_hi = 0.05 * min(kappas), 4.0 * max(kappas)
+    states = bound_states(1, cs, search=(-kap_hi * kap_hi, -kap_lo * kap_lo), method="scan")
+    shot = sorted(-k * k for k in shooting1d(cs, (kap_lo, kap_hi), 4000))
+    assert [s.energy for s in states] == pytest.approx(shot, rel=1e-9, abs=1e-12)
 
 
 def test_bound_state_validation():

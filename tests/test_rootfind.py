@@ -1,4 +1,4 @@
-"""The in-house bracketing root finder."""
+"""The in-house bracketing root finders."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deltagreen.errors import DomainError, NonConvergenceError
-from deltagreen.rootfind import bracket_sign_changes, refine_root
+from deltagreen.rootfind import bracket_sign_changes, refine_brackets, refine_root
 
 
 def test_bracket_scan_finds_all_crossings():
@@ -75,3 +75,64 @@ def test_refine_root_survives_subresolution_xtol():
     # xtol below float spacing: the bisection loop must still terminate
     root = refine_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0, 1e-300)
     assert root == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def _family(xs):
+    """Rows of f_k(x) = tanh(3 (k/7 - x)) + 0.1 (k/7 - x)^3, k = 0..6: each falls
+    through one root at k/7; x = 1/3 is no grid point of the family."""
+    d = np.arange(7) / 7.0 - np.asarray(xs)[:, None]
+    return np.tanh(3.0 * d) + 0.1 * d**3
+
+
+def test_refine_brackets_shares_each_evaluation():
+    calls = []
+
+    def evaluate(xs):
+        calls.append(len(xs))
+        return _family(xs)
+
+    cols = np.arange(1, 7)
+    a, b = (cols - 0.5) / 7.0, (cols + 0.5) / 7.0
+    at = np.arange(6)
+    roots = refine_brackets(evaluate, cols, a, b, _family(a)[at, cols], _family(b)[at, cols],
+                            xtol=1e-13)
+    assert roots == pytest.approx(cols / 7.0, abs=1e-13)
+    # one call per step for all six brackets, never one point at a time
+    assert len(calls) <= 12
+    assert max(calls) <= 6
+
+
+def test_refine_brackets_steep_and_flat():
+    # regula falsi stalls on both; the bisection safeguard bounds the steps
+    # at about twice bisection's
+    calls = []
+
+    def evaluate(xs):
+        calls.append(len(xs))
+        return np.stack([np.tanh(50.0 * (xs - 0.3)), (xs - 1.1) ** 5], axis=1)
+
+    roots = refine_brackets(evaluate, [0, 1], [0.0, 0.0], [1.0, 2.0],
+                            [math.tanh(-15.0), (-1.1) ** 5], [math.tanh(35.0), 0.9**5],
+                            xtol=1e-13)
+    assert roots == pytest.approx([0.3, 1.1], abs=1e-13)
+    assert len(calls) <= 2 * math.ceil(math.log2(2.0 / 1e-13)) + 20
+
+
+def test_refine_brackets_either_sign_exact_zero_and_resolution():
+    f = lambda xs: np.stack([np.asarray(xs) - 0.25, 1.0 - 3.0 * np.asarray(xs)], axis=1)
+    roots = refine_brackets(f, [0, 1], [0.0, 0.0], [1.0, 1.0], [-0.25, 1.0], [0.75, -2.0],
+                            xtol=[1e-300, 1e-14])
+    assert roots[0] == 0.25  # hit exactly, or closed at floating-point resolution
+    assert roots[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+
+def test_refine_brackets_rejects_bad_input():
+    f = lambda xs: np.asarray(xs)[:, None] - 0.5
+    with pytest.raises(DomainError):  # no sign change
+        refine_brackets(f, [0], [0.6], [1.0], [0.1], [0.5], xtol=1e-12)
+    with pytest.raises(DomainError):
+        refine_brackets(f, [0], [0.0], [1.0], [-0.5], [0.5], xtol=0.0)
+    with pytest.raises(NonConvergenceError):
+        refine_brackets(lambda xs: np.tanh(50.0 * (np.asarray(xs)[:, None] - 0.3)), [0],
+                        [0.0], [1.0], [math.tanh(-15.0)], [math.tanh(35.0)], xtol=1e-12,
+                        max_iter=3)
