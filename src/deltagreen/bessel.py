@@ -242,10 +242,11 @@ def _k0_real(x: np.ndarray) -> np.ndarray:
 def _k0_complex(z: np.ndarray) -> np.ndarray:
     def large(w):
         # the scaled kve does not underflow before exp(-z) does (kv returns
-        # 0 from |z| ~ 700, where K0 ~ 1e-306 is still representable)
+        # 0 from |z| ~ 700, where K0 ~ 1e-306 is still representable); where
+        # exp(-Re z) underflows K0 is 0, and kve is NaN past |z| ~ 1e9
         from scipy.special import kve
 
-        return kve(0, w) * np.exp(-w)
+        return _split(w, np.exp(-w.real) > 0.0, lambda v: kve(0, v) * np.exp(-v), np.zeros_like)
 
     return _split(z, np.abs(z) <= 2.0, _k0_series, large)
 

@@ -227,26 +227,28 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
     """
     sites = sorted(_require_bare(centers))
     lo, hi = float(kappa_bracket[0]), float(kappa_bracket[1])
-    if not (0.0 < lo < hi):
-        raise DomainError("need 0 < kappa_min < kappa_max", lo=lo, hi=hi)
+    if not (0.0 < lo < hi < math.inf):
+        raise DomainError("need 0 < kappa_min < kappa_max < inf", lo=lo, hi=hi)
 
     def shoot(kap: float) -> tuple[float, int]:
-        a_coef, b_coef = 1.0, 0.0  # psi = A e^{kx} + B e^{-kx}
-        nodes, psi = 0, 1.0
+        # psi = A e^{k(x-p)} + B e^{-k(x-p)} about the last center p, scaled
+        # by a positive factor at each center so max(|A|, |B|) = 1: no
+        # exponent exceeds kappa times one gap, and scaling keeps every sign
+        a_coef, b_coef = 1.0, 0.0
+        nodes, psi, p = 0, 1.0, -math.inf  # psi = e^{k(x - a_1)} left of a_1
         for pos, lam in sites:
-            up = math.exp(kap * pos)
-            dn = math.exp(-kap * pos)
-            prev, psi = psi, a_coef * up + b_coef * dn
+            shrink = math.exp(-2.0 * kap * (pos - p))  # e^{kd} divided out
+            prev, psi = psi, a_coef + b_coef * shrink
             nodes += (psi < 0.0) != (prev < 0.0)
-            a_coef += lam * psi * dn / (2.0 * kap)
-            b_coef -= lam * psi * up / (2.0 * kap)
-            norm = max(abs(a_coef), abs(b_coef))
-            if norm > 1e100:
-                a_coef /= norm
-                b_coef /= norm
+            a_coef += lam * psi / (2.0 * kap)
+            b_coef = b_coef * shrink - lam * psi / (2.0 * kap)
+            norm = max(abs(a_coef), abs(b_coef)) or 1.0  # 0: psi vanished in doubles
+            if not norm < math.inf:
+                raise DomainError("shooting coefficients leave the double range", kappa=kap)
+            a_coef, b_coef, p = a_coef / norm, b_coef / norm, pos
         return a_coef, nodes + ((a_coef < 0.0) != (psi < 0.0))
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, grid_points).tolist()
     shots = [shoot(k) for k in grid]
     cells = [
         (grid[i], grid[i + 1], shots[i], shots[i + 1])

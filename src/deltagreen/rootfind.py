@@ -1,12 +1,12 @@
-"""Bracketing root finders used by the pole search.
+"""Bracketing root finding for the pole search: one algorithm.
 
 Deliberately self-contained (the numerical oracles use an independent library
 solver, so production and oracle never share a root-finding code path).
-:func:`refine_root` refines one bracket of a scalar function: bisection
-until the bracket is tight, then a few secant steps for polish, everything
-capped at ``MAX_ITER`` function evaluations.  :func:`refine_brackets`
-refines many brackets of a family of functions tabulated together (the
-eigenvalue branches of M(E)), one batched evaluation per step.
+:func:`refine_brackets` refines sign-change brackets of a family of functions
+tabulated together (the eigenvalue branches of M(E)) by Anderson-Bjorck
+regula falsi with a bisection safeguard, one batched evaluation per step.
+:func:`refine_root` is its one-bracket case for a scalar function, and
+:func:`bracket_sign_changes` finds a scalar function's brackets on a grid.
 """
 
 from __future__ import annotations
@@ -47,64 +47,24 @@ def refine_root(
     xtol: float,
     max_iter: int = MAX_ITER,
 ) -> float:
-    """Refine a sign-change bracket [a, b] to width <= xtol, then secant-polish.
+    """Refine a sign-change bracket [a, b] of a scalar f to width <= xtol.
 
-    Raises :class:`NonConvergenceError` after ``max_iter`` evaluations (for
-    instance when xtol is below the floating-point spacing of the bracket).
+    The one-bracket case of :func:`refine_brackets`: one evaluation per step,
+    so ``max_iter`` counts evaluations of f, the two ends included.  Raises
+    :class:`NonConvergenceError` when they run out.
     """
     if not (xtol > 0.0):
         raise DomainError("xtol must be positive", xtol=xtol)
     if a == b:
         return a
-    if a > b:
-        a, b = b, a
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise DomainError("bracket does not change sign", a=a, b=b)
-    used = 2
-    while (b - a) > xtol:
-        used += 1
-        if used > max_iter:
-            raise NonConvergenceError(
-                "root not localized within the iteration budget",
-                a=a,
-                b=b,
-                xtol=xtol,
-                iterations=max_iter,
-            )
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:  # bracket at floating-point resolution
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    # secant polish inside the final bracket
-    x0, f0 = a, fa
-    x1, f1 = b, fb
-    best_x, best_f = (x0, abs(f0)) if abs(f0) < abs(f1) else (x1, abs(f1))
-    for _ in range(6):
-        if used >= max_iter or f1 == f0:
-            break
-        used += 1
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (a <= x2 <= b):
-            break
-        f2 = f(x2)
-        if abs(f2) < best_f:
-            best_x, best_f = x2, abs(f2)
-        if f2 == 0.0:
-            return x2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return best_x
+    a, b = min(a, b), max(a, b)
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    roots = refine_brackets(
+        lambda xs: np.array([[f(float(x))] for x in xs]), [0], a, b, fa, fb, xtol, max_iter - 2
+    )
+    return float(roots[0])
 
 
 def refine_brackets(

@@ -71,6 +71,19 @@ def test_k0_complex_arguments(z):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+def test_k0_complex_is_exactly_zero_where_exp_underflows():
+    # K0(z) ~ sqrt(pi/2z) exp(-z) underflows past Re z ~ 745; the scaled kve
+    # is NaN for |z| past ~1e9, so it must not be multiplied by exp(-z) = 0
+    z = np.array([746.0 + 1.0j, 800.0 - 5.0j, 1e10 + 1.0j, 1e300 + 1e300j, 1e300 - 1.0j])
+    got = bessel.k0(z)
+    assert (got == 0.0).all()
+    assert bessel.k0(1e300 + 1e300j) == 0.0
+    # just below, the value is the tiny K0 itself
+    with mp.workdps(30):
+        ref = complex(mp.besselk(0, 700.0 + 3.0j))
+    assert abs(bessel.k0(700.0 + 3.0j) - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5 + 2.0j, complex(0.0, 3.0)])
 def test_k0_rejects_left_half_plane(bad):
     with pytest.raises(DomainError):

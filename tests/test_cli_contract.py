@@ -5,15 +5,20 @@ call, over finite floats from +-1e-320 to +-1e300, malformed cutoff lists
 and grids, and malformed, duplicate, coincident and far-apart centers, ends
 with exit 0, 2 or 3; a success writes strict JSON or CSV to stdout, a
 failure exactly one strict-JSON line to stderr and nothing to stdout; no
-exception and no warning escapes ``main``.  Examples are derandomized so the
-suite stays deterministic.
+exception and no warning escapes ``main``.  `verify`, with cheap stand-ins
+for its oracle checks, keeps the same contract over its flags and --output
+paths, and exits 4 after writing its table when a check fails.  Examples are
+derandomized so the suite stays deterministic.
 """
 
 import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -110,27 +115,38 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def _assert_contract(argv):
+def _assert_table(text, fmt):
+    """``text`` is strict JSON, or CSV with every row as wide as its header."""
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        assert all(len(row) == len(header) for row in rows), text
+    else:
+        _strict_json(text)
+
+
+def _assert_contract(argv, codes=(0, 2, 3)):
+    """Run ``main``; check the exit code, the streams and that nothing warned.
+
+    A table exit (0, or 4 for `verify`) writes a table and nothing to stderr;
+    any other writes nothing to stdout and one strict-JSON line to stderr.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a shown warning would land on stderr
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-    assert code in (0, 2, 3), argv
+    assert code in codes, argv
     assert [str(w.message) for w in caught] == [], argv
-    if code == 0:
+    if code in (0, 4):
         assert err.getvalue() == ""
-        if "csv" in argv:
-            header, *rows = csv.reader(io.StringIO(out.getvalue()))
-            assert all(len(row) == len(header) for row in rows), argv
-        else:
-            _strict_json(out.getvalue())
+        if "--output" not in argv:
+            _assert_table(out.getvalue(), "csv" if "csv" in argv else "json")
     else:
         assert out.getvalue() == ""
         text = err.getvalue()
         assert text.count("\n") == 1 and text.endswith("\n"), argv
         assert set(_strict_json(text)) == {"error", "message", "details"}
-    return code, (out if code == 0 else err).getvalue()  # the stream that was written
+    return code, (out if code in (0, 4) else err).getvalue()  # the stream that was written
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -164,6 +180,8 @@ EXTREME_ARGVS = [
     (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
     # a state far below the default window's first bottom, -16
     (("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"), 0),
+    # the complex-step dM/dE takes K0 of a complex argument ~1e300: 0, not NaN
+    (("bound", "--dim", "2", "--center", "0,0:eb=-1", "--center", "1e300,0:eb=-1"), 0),
     # D = -inf (a 2D E_B of -0.0) or 1/lambda = inf at every E: the center
     # decouples, and the other binds alone
     (("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"), 0),
@@ -184,6 +202,7 @@ EXTREME_ARGVS = [
 BOUND_ENERGIES = {
     ("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"): [-1.0, -1.0],
     ("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"): [-3289.386074],
+    ("bound", "--dim", "2", "--center", "0,0:eb=-1", "--center", "1e300,0:eb=-1"): [-1.0, -1.0],
     ("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"): [-1.0],
     ("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"): [-1.0],
 }
@@ -341,3 +360,59 @@ def test_caps_accept_their_own_value(monkeypatch):
     assert _error(green + three + ("--center", "6:eb=-1")) == 2
     assert _error(("bound", "--dim", "1") + three) == 0
     assert _error(("bound", "--dim", "1") + three + ("--center", "6:eb=-1")) == 2
+
+
+# -- verify ----------------------------------------------------------------------
+
+# cheap stand-ins for the oracle checks: all pass (exit 0), one fails (exit 4),
+# or one error is not a finite number (the table refuses it: exit 3)
+RIGGED_CHECKS = {
+    "pass": [("a", 0.0, 1e-6), ("b", 1e-9, 1e-6)],
+    "fail": [("a", 0.0, 1e-6), ("b", 1.0, 1e-6)],
+    "nan": [("a", float("nan"), 1e-6)],
+}
+OUTPUTS = ["file", "directory", "missing parent", "empty"]
+UNKNOWN = [("--slow",), ("-f",), ("--fast=1",), ("--format", "xml"), ("--output",)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    checks=st.sampled_from(sorted(RIGGED_CHECKS)),
+    fast=st.booleans(),
+    fmt=st.sampled_from([None, "json", "csv"]),
+    output=st.sampled_from([None] + OUTPUTS),
+    unknown=st.sampled_from([None] + UNKNOWN),
+    order=st.randoms(use_true_random=False),
+)
+def test_verify_keeps_the_cli_contract(checks, fast, fmt, output, unknown, order):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {
+            "file": os.path.join(tmp, "table.out"),
+            "directory": tmp,
+            "missing parent": os.path.join(tmp, "missing", "table.out"),
+            "empty": "",
+            None: None,
+        }[output]
+        options = [("--fast",)] * fast + [("--format", fmt)] * (fmt is not None)
+        options += [("--output", path)] * (path is not None)
+        order.shuffle(options)
+        # last, so that a bare --output misses its value and takes no flag as one
+        argv = ("verify",) + _flat(options + [unknown] * (unknown is not None))
+        with mock.patch.object(cli, "_verify_checks", lambda fast: RIGGED_CHECKS[checks]):
+            code, text = _assert_contract(argv, codes=(0, 2, 3, 4))
+        # parsing refuses first, then the table its NaN cell, then open() the path
+        if unknown is not None or output == "directory":
+            assert code == 2
+        elif checks == "nan":
+            assert code == 3
+        else:
+            assert code == (2 if output in ("missing parent", "empty") else
+                            {"pass": 0, "fail": 4}[checks])
+        if code in (0, 4):
+            if path is not None:
+                assert text == ""
+                with open(path, encoding="utf-8", newline="") as handle:
+                    text = handle.read()
+            _assert_table(text, fmt or "json")
+            if fmt != "csv":
+                assert _strict_json(text)["metadata"]["params"] == {"fast": fast}

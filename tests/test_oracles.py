@@ -230,11 +230,31 @@ def test_shooting_separates_states_in_one_grid_cell(line, window, count, pair):
     assert scanned == pytest.approx(shot, abs=1e-12)
 
 
+def test_shooting_far_centers_and_deep_window_stay_in_range():
+    # kappa times the span reaches 2000, past the range of exp; about the last
+    # center no exponent exceeds kappa times one gap
+    cs = [center(0.0, bare_1d(-2.0)), center(0.3, bare_1d(5.0)), center(40.0, bare_1d(-2.0))]
+    roots = shooting1d(cs, (1e-4, 50.0), 4000)  # no warning: the suite makes them errors
+    assert roots == pytest.approx([1.0], abs=1e-12)
+    assert shooting1d(cs, (1e-4, 14.0)) == pytest.approx(roots, abs=1e-12)
+    scanned = [s.energy for s in bound_states(1, cs, search=(-2500.0, -1e-8), method="scan")]
+    assert scanned == pytest.approx([-r * r for r in roots], abs=1e-12)
+    # three centers 1e300 apart: psi vanishes in doubles past the first, and
+    # each center binds alone
+    far = [center(x, bare_1d(-2.0)) for x in (-1e300, 0.0, 1e300)]
+    assert shooting1d(far, (1e-3, 10.0)) == pytest.approx([1.0] * 3, abs=1e-12)
+    assert shooting1d((), (0.5, 1.5)) == []  # no center, no state
+
+
 def test_shooting_guards():
     with pytest.raises(DomainError):
         shooting1d(ONE, (0.0, 1.0))
     with pytest.raises(DomainError):
         shooting1d(ONE, (2.0, 1.0))
+    with pytest.raises(DomainError):
+        shooting1d(ONE, (0.5, math.inf))
+    with pytest.raises(DomainError):  # lambda / (2 kappa) past the doubles
+        shooting1d((center(0.0, bare_1d(-1e308)),), (1e-300, 1.0))
     with pytest.raises(IllegalSpecError):
         shooting1d((center(0.0, from_bound_state(-1.0)),), (0.5, 1.5))
 

@@ -1,9 +1,11 @@
-"""The in-house bracketing root finders."""
+"""The in-house bracketing root finder and its one-bracket case."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from deltagreen.errors import DomainError, NonConvergenceError
 from deltagreen.rootfind import bracket_sign_changes, refine_brackets, refine_root
@@ -72,7 +74,7 @@ def test_refine_root_iteration_budget():
 
 
 def test_refine_root_survives_subresolution_xtol():
-    # xtol below float spacing: the bisection loop must still terminate
+    # xtol below float spacing: the refinement loop must still terminate
     root = refine_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0, 1e-300)
     assert root == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -136,3 +138,62 @@ def test_refine_brackets_rejects_bad_input():
         refine_brackets(lambda xs: np.tanh(50.0 * (np.asarray(xs)[:, None] - 0.3)), [0],
                         [0.0], [1.0], [math.tanh(-15.0)], [math.tanh(35.0)], xtol=1e-12,
                         max_iter=3)
+
+
+# -- refine_root as the one-bracket case of refine_brackets, against brentq ------
+
+# monotone families with their root at c: f(c) = 0 and the sign changes there
+FAMILIES = {
+    "linear": lambda c, s: lambda x: s * (x - c),
+    "cubic": lambda c, s: lambda x: x**3 - c**3,
+    "steep tanh": lambda c, s: lambda x: math.tanh(50.0 * s * (x - c)),
+    "quintic": lambda c, s: lambda x: (x - c) ** 5,
+}
+
+
+@st.composite
+def _monotone_bracket(draw):
+    """A monotone f of either orientation and a bracket [a, b] around its root."""
+    family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    c = draw(st.floats(-5.0, 5.0))
+    f = family(c, draw(st.floats(0.1, 100.0)))
+    if draw(st.booleans()):
+        f = (lambda g: lambda x: -g(x))(f)
+    a = c - draw(st.floats(1e-3, 10.0))
+    b = c + draw(st.floats(1e-3, 10.0))
+    xtol = 10.0 ** draw(st.integers(-14, -4))
+    return f, a, b, xtol
+
+
+def _assert_agrees_with_brentq(root, f, a, b, xtol):
+    # each lies within its own tolerance of the sign change (brentq's adds
+    # 4 eps |x|); the cubic's rounding blurs that change by a few ulps
+    ref = brentq(f, a, b, xtol=xtol, maxiter=1000)
+    assert abs(root - ref) <= 2.0 * xtol + 16.0 * math.ulp(ref)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_monotone_bracket(), st.booleans())
+def test_refine_root_agrees_with_brentq(case, swapped):
+    f, a, b, xtol = case
+    _assert_agrees_with_brentq(refine_root(f, *((b, a) if swapped else (a, b)), xtol), *case)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_monotone_bracket(), st.integers(2, 40))
+def test_refine_root_keeps_its_evaluation_budget(case, budget):
+    f, a, b, xtol = case
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        root = refine_root(counted, a, b, xtol, max_iter=budget)
+    except NonConvergenceError:
+        assert len(calls) <= budget
+        return
+    assert len(calls) <= budget
+    assert budget > 3  # the two ends and one step never suffice
+    _assert_agrees_with_brentq(root, *case)
