@@ -11,7 +11,8 @@ in gives an array of the same shape:
   same series for |z| <= 2; larger strictly complex arguments are delegated
   to the exponentially scaled :func:`scipy.special.kve` times exp(-z) (the
   only external special-function call, imported only when such an argument
-  occurs).
+  occurs), and past |z| ~ 1e9, where ``kve`` gives NaN, to the asymptotic
+  series.
 * ``j0``, ``y0`` -- ordinary Bessel functions of order zero for real
   arguments: ascending series on (0, 5], Chebyshev phase/amplitude tables
   beyond.  They supply the outgoing-wave (Hankel) combination
@@ -240,13 +241,24 @@ def _k0_real(x: np.ndarray) -> np.ndarray:
 
 
 def _k0_complex(z: np.ndarray) -> np.ndarray:
+    def scaled(v):
+        # exp(z) K0(z); kve is NaN past |z| ~ 1e9, where three terms of the
+        # asymptotic series sqrt(pi/(2z)) (1 - 1/(8z) + 9/(128z^2)) are exact
+        # to double precision (the next is ~0.07/z^3); every value kve gives
+        # finite keeps its bits
+        from scipy.special import kve
+
+        s = kve(0, v)
+        bad = ~np.isfinite(s)
+        t = 1.0 / v[bad]
+        s[bad] = np.sqrt(0.5 * math.pi * t) * (1.0 - 0.125 * t + 0.0703125 * t * t)
+        return s
+
     def large(w):
         # the scaled kve does not underflow before exp(-z) does (kv returns
         # 0 from |z| ~ 700, where K0 ~ 1e-306 is still representable); where
-        # exp(-Re z) underflows K0 is 0, and kve is NaN past |z| ~ 1e9
-        from scipy.special import kve
-
-        return _split(w, np.exp(-w.real) > 0.0, lambda v: kve(0, v) * np.exp(-v), np.zeros_like)
+        # exp(-Re z) underflows K0 is 0
+        return _split(w, np.exp(-w.real) > 0.0, lambda v: scaled(v) * np.exp(-v), np.zeros_like)
 
     return _split(z, np.abs(z) <= 2.0, _k0_series, large)
 

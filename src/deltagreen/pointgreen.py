@@ -211,11 +211,42 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     and A = M with unit row sums: then cond(M) >= cond(A) >= 1e12 (infinity
     norm, van der Sluis).  No det M, which underflows for many centers, and
     no row size (a center far weaker than the rest) moves the decision.
+
+    The strengths c = M^-1 G0(a, y) do not depend on x, so consecutive calls
+    with the same (E, y, centers) share one assembly and solve of M(E): a
+    tabulation of G(., y) solves once, with values bit-identical to solving
+    at every point.
     """
     cs = tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
     e = ComplexEnergy.of(energy)
+    pos, c = _strengths(dim, e, y, cs)
+    gx = g0_kernel(dim, e, _distances_to(x, pos))
+    base = g0(dim, e, x, y)
+    corr = complex(gx @ c)
+    return GreenValue(value=base.value + corr, dim=dim, retarded=base.retarded)
+
+
+#: (key, (pos, c)) of the last :func:`_strengths` solve, replaced and read
+#: whole so that no thread pairs one key with another's value.
+_last_solve: tuple = (None, None)
+
+
+def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
+    """The centers' positions and c = M(E)^-1 G0(a, y), both read-only.
+
+    The last result is reused when its key compares equal, so equal keys must
+    give equal bits: a + 0i equals a - 0i, so the sign of Im E is in the key
+    (y and the positions enter squared, which loses a zero's sign).  The key
+    is compared, not hashed: the caller's centers compare by identity first.
+    A pole raises before anything is kept.
+    """
+    global _last_solve
+    key = (dim, e, math.copysign(1.0, e.value.imag), y, cs)
+    last_key, last = _last_solve
+    if key == last_key:
+        return last
     m = m_matrix(dim, e, cs).entries
     pos = _positions(cs)
     gy = g0_kernel(dim, e, _distances_to(y, pos))
@@ -235,10 +266,13 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
             "energy is at (or numerically too close to) a bound-state pole",
             amplification=amplification,
         )
-    gx = g0_kernel(dim, e, _distances_to(x, pos))
-    base = g0(dim, e, x, y)
-    corr = complex(gx @ sol[:, 0])
-    return GreenValue(value=base.value + corr, dim=dim, retarded=base.retarded)
+    # the column stays a view of the solve: gx @ c on a contiguous copy runs
+    # another BLAS kernel, whose sum can differ in the last bit
+    c = sol[:, 0]
+    pos.setflags(write=False)
+    c.setflags(write=False)
+    _last_solve = (key, (pos, c))
+    return pos, c
 
 
 def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:

@@ -71,6 +71,18 @@ def test_k0_complex_arguments(z):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "z", [1.0 + 2e9j, 5.0 - 1e10j, 0.25 - 1e12j, 300.0 + 3e11j, 40.0 + 7.5e9j]
+)
+def test_k0_complex_past_kve_range_is_the_asymptotic_series(z):
+    # scipy's kve is NaN past |z| ~ 1e9 while exp(-z) is still representable
+    with mp.workdps(30):
+        ref = complex(mp.besselk(0, z))
+    got = bessel.k0(z)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+    assert bessel.k0(np.array([z, 4.0 + 3.0j]))[0] == got
+
+
 def test_k0_complex_is_exactly_zero_where_exp_underflows():
     # K0(z) ~ sqrt(pi/2z) exp(-z) underflows past Re z ~ 745; the scaled kve
     # is NaN for |z| past ~1e9, so it must not be multiplied by exp(-z) = 0

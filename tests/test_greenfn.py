@@ -207,3 +207,14 @@ def test_kernel_over_an_array_of_separations():
     # the one-dimensional kernel diverges at the threshold E = 0 + i0
     with pytest.raises(DomainError):
         g0_kernel(1, ComplexEnergy(0.0, retarded=True), np.array([1.0]))
+
+
+def test_2d_kernel_at_a_nearly_real_energy_far_away_is_finite():
+    # kappa r = 5 - 1e10 i: K0 comes from its asymptotic series, as scipy's
+    # kve is NaN there; its modulus is sqrt(pi / 2|z|) exp(-Re z)
+    e = ComplexEnergy(complex(1.0, 1e-9))
+    val = g0(2, e, SpatialPoint((0.0, 0.0)), SpatialPoint((1e10, 0.0))).value
+    z = e.kappa * 1e10
+    assert abs(val) == pytest.approx(
+        math.sqrt(math.pi / (2.0 * abs(z))) * math.exp(-z.real) / (2.0 * math.pi), rel=1e-5
+    )

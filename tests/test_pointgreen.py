@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +26,14 @@ from deltagreen import (
     residue_wavefunction,
 )
 from deltagreen import greenfn, pointgreen, renorm
-from deltagreen.errors import AtPoleError, BranchCutError, DomainError, IllegalSpecError
+from deltagreen.errors import (
+    AtPoleError,
+    BranchCutError,
+    CoincidentPointsError,
+    DeltaGreenError,
+    DomainError,
+    IllegalSpecError,
+)
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
 
@@ -367,6 +376,192 @@ def test_green_pole_flips_sign_of_det():
     det_lo = np.linalg.det(m_matrix(1, -1.0 - 1e-3, [center(0.0, bare_1d(-2.0))]).entries).real
     det_hi = np.linalg.det(m_matrix(1, -1.0 + 1e-3, [center(0.0, bare_1d(-2.0))]).entries).real
     assert det_lo * det_hi < 0.0
+
+
+# ------------------------------------------------ one solve per source point
+
+
+def _forget_last_solve():
+    pointgreen._last_solve = (None, None)
+
+
+def _count_solves(monkeypatch) -> dict:
+    """Count the M(E) assemblies and solves green makes from here on."""
+    calls = {"m_matrix": 0, "solve": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(pointgreen, "m_matrix", counting("m_matrix", pointgreen.m_matrix))
+    monkeypatch.setattr(pointgreen.np.linalg, "solve", counting("solve", pointgreen.np.linalg.solve))
+    _forget_last_solve()
+    return calls
+
+
+def test_green_tabulation_assembles_and_solves_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    pts = [(0.0, 0.0, 0.0), (1.3, 0.2, -0.4), (-0.7, 1.1, 0.5), (0.4, -1.2, 0.9)]
+    cs = [center(p, from_bound_state(-1.0 - 0.25 * i)) for i, p in enumerate(pts)]
+    e, y = complex(-0.8, 0.3), _pt(0.2, 0.3, -0.6)
+    xs = [_pt(0.1 * i, 1.0 - 0.3 * i, 0.5) for i in range(8)]
+    values = [green(3, e, x, y, cs).value for x in xs]
+    assert calls == {"m_matrix": 1, "solve": 1}
+    for x, v in zip(xs, values):  # a fresh solve at every point gives the same bits
+        _forget_last_solve()
+        assert green(3, e, x, y, cs).value == v
+    _forget_last_solve()
+    green(3, e, xs[0], y, cs)
+    calls.update(m_matrix=0, solve=0)
+
+    moved = cs[:1] + [center((1.3, 0.2, -0.39), cs[1].coupling)] + cs[2:]
+    for energy, source, layout in [
+        (complex(-0.8, 0.31), y, cs),
+        (e, _pt(0.2, 0.3, -0.61), cs),
+        (e, y, cs[:3] + [center(pts[3], from_bound_state(-1.8))]),
+        (e, y, moved),
+    ]:
+        before = calls["m_matrix"]
+        green(3, energy, xs[0], source, layout)
+        assert calls["m_matrix"] == before + 1
+        green(3, e, xs[0], y, cs)
+    # the caller's list mutated in place is another layout
+    before = calls["m_matrix"]
+    cs[2] = center((-0.7, 1.1, 0.6), cs[2].coupling)
+    green(3, e, xs[1], y, cs)
+    assert calls["m_matrix"] == before + 1
+    assert calls["solve"] == calls["m_matrix"]
+    # equal centers built afresh are the same layout
+    green(3, e, xs[2], y, [center(c.position, c.coupling) for c in cs])
+    assert calls["m_matrix"] == before + 1
+
+
+def test_green_reuse_keeps_every_error(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    single = [center(0.0, bare_1d(-2.0))]
+    for _ in range(3):  # a pole is never kept
+        with pytest.raises(AtPoleError):
+            green(1, -1.0, _pt(0.3), _pt(0.4), single)
+    assert calls == {"m_matrix": 3, "solve": 3}
+    cs = [center((0.0, 0.0), from_bound_state(-1.0)), center((1.0, 0.5), from_bound_state(-2.0))]
+    y = _pt(0.3, -0.2)
+    green(2, -0.7, _pt(0.5, 0.5), y, cs)
+    with pytest.raises(IllegalSpecError):
+        green(2, -0.7, _pt(0.5), y, cs)
+    with pytest.raises(CoincidentPointsError):
+        green(2, -0.7, y, y, cs)
+    with pytest.raises(CoincidentPointsError):
+        green(2, -0.7, _pt(1.0, 0.5), y, cs)
+    assert calls == {"m_matrix": 4, "solve": 4}
+
+
+def test_green_reuse_across_threads_never_mixes_sources():
+    cs = [center((1.1 * i, 0.3 * i), from_bound_state(-1.0 - 0.1 * i)) for i in range(6)]
+    sources = [_pt(-1.0 - 0.5 * t, 0.7) for t in range(6)]
+    xs = [_pt(0.5 + 0.25 * i, -0.4) for i in range(8)]
+    want = {}
+    for t, y in enumerate(sources):
+        _forget_last_solve()
+        want[t] = [green(2, -0.9, x, y, cs).value for x in xs]
+    got, errors = {}, []
+
+    def tabulate(t):
+        try:
+            got[t] = [[green(2, -0.9, x, sources[t], cs).value for x in xs] for _ in range(30)]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=tabulate, args=(t,)) for t in range(len(sources))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for t in want:
+        assert all(rows == want[t] for rows in got[t])
+
+
+def _signed_zero(v: float) -> float:
+    return math.copysign(0.0, -1.0) if v == 0.0 else v
+
+
+@st.composite
+def _reuse_cases(draw):
+    """A layout of 1-8 distinct centers in D = 1..3, an energy (real or
+    retarded with Im E = +-0.0, or complex), a source y with zero
+    coordinates, and a few field points x."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    coord = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    pts = [
+        (1.25 * i + draw(st.floats(-0.5, 0.5)),) + tuple(draw(coord) for _ in range(dim - 1))
+        for i in range(n)
+    ]
+    couplings = [draw(st.sampled_from(
+        [from_bound_state(-0.6), from_bound_state(-2.5)]
+        + {1: [bare_1d(-1.5), bare_1d(0.8)],
+           2: [renormalized_2d(0.7, 1.3)],
+           3: [renormalized_3d(6.0), renormalized_3d(-3.0)]}[dim]
+    )) for _ in range(n)]
+    kind = draw(st.sampled_from(["real", "complex", "retarded"]))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    if kind == "real":
+        energy = ComplexEnergy(complex(draw(st.floats(-6.0, -0.05)), zero))
+    elif kind == "retarded":
+        energy = ComplexEnergy(complex(draw(st.floats(0.05, 6.0)), zero), retarded=True)
+    else:
+        energy = complex(draw(st.floats(-4.0, 4.0)),
+                         draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0)))
+    y = tuple(draw(coord) for _ in range(dim))
+    xs = [tuple(draw(st.floats(-3.0, 12.0)) for _ in range(dim)) for _ in range(3)]
+    return dim, pts, couplings, energy, y, xs
+
+
+def _hex(f) -> tuple:
+    try:
+        v = f().value
+    except DeltaGreenError as exc:
+        return (type(exc).__name__,)
+    return v.real.hex(), v.imag.hex()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_reuse_cases(), order=st.randoms(use_true_random=False))
+def test_green_reuse_is_bit_identical_to_a_fresh_solve(case, order):
+    dim, pts, couplings, energy, y, xs = case
+    e = ComplexEnergy.of(energy)
+    # keys that compare equal to the first: Im E and the zeros of y and of
+    # the center positions of the other sign, fresh but equal centers
+    flipped = ComplexEnergy(complex(e.value.real, -e.value.imag), e.retarded)
+    energies = [e, flipped if e.value.imag == 0.0 else e]
+    sources = [_pt(*y), _pt(*map(_signed_zero, y))]
+    layouts = [[center(p, c) for p, c in zip(pts, couplings)],
+               [center(tuple(map(_signed_zero, p)), c) for p, c in zip(pts, couplings)]]
+    calls = [(en, src, cs, _pt(*x)) for en in energies for src in sources
+             for cs in layouts for x in xs]
+
+    def run(call):
+        en, src, cs, x = call
+        return _hex(lambda: green(dim, en, x, src, cs))
+
+    _forget_last_solve()
+    grouped = [run(c) for c in calls]  # consecutive calls share equal keys
+    shuffled = list(range(len(calls)))
+    order.shuffle(shuffled)
+    fresh = {}
+    for i in shuffled:
+        _forget_last_solve()
+        fresh[i] = run(calls[i])
+    assert grouped == [fresh[i] for i in range(len(calls))]
 
 
 # ------------------------------------------------------------ bound states

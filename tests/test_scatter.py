@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltagreen import (
     amplitude3d,
@@ -75,6 +76,15 @@ def test_optical_theorem_holds_under_unitary_policy():
         k = float(rng.uniform(0.05, 20.0))
         e_b = -float(rng.uniform(0.05, 25.0))
         assert abs(optical_theorem_residual(k, e_b)) <= 1e-14
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(k=st.floats(1e-100, 1e100), kappa_b=st.floats(1e-100, 1e100))
+def test_optical_theorem_residual_is_rounding_under_unitary_policy(k, kappa_b):
+    # Im f and k sigma / (4 pi) are both k / (kappa_B^2 + k^2)
+    e_b = -kappa_b * kappa_b
+    scale = k / (-e_b + k * k)
+    assert abs(optical_theorem_residual(k, e_b, policy="unitary")) <= 8 * 2.0**-52 * scale
 
 
 def test_optical_theorem_fails_under_paper_policy():
@@ -172,6 +182,18 @@ def test_transmission_limits_and_unitarity():
         assert t + r == 1.0
     # attraction and repulsion transmit identically (lambda enters squared)
     assert transmission1d(0.9, 2.0) == transmission1d(0.9, -2.0)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(
+    k=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    lam=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_transmission_and_reflection_sum_to_one(k, lam):
+    t, r = transmission1d(k, lam)
+    assert 0.0 <= t <= 1.0 and 0.0 <= r <= 1.0
+    assert t + r == 1.0
+    assert transmission1d(k, -lam) == (t, r)
 
 
 def test_transmission_survives_underflowing_squares():
