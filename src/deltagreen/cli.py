@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import click
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from . import __version__, oracles
 from .errors import DeltaGreenError, DomainError, IllegalSpecError, SpecValidationError
@@ -648,7 +647,9 @@ def _verify_checks(fast: bool):
     extrap = probes[1] + (probes[1] - probes[0]) * deltas[1] / (deltas[0] - deltas[1])
     checks.append(("residue_factorization_1d", abs(extrap - psi_xy), 1e-6))
 
-    norm, _ = _scipy_quad(
+    from scipy.integrate import quad  # here, so other commands start without scipy
+
+    norm, _ = quad(
         lambda t: residue_wavefunction(state, t) ** 2, -60.0, 60.0, points=[0.0], limit=200
     )
     checks.append(("residue_normalization_1d", abs(norm - 1.0), 1e-6))

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.optimize import brentq
 
 from .errors import (
     BranchAmbiguityError,
@@ -49,6 +47,9 @@ from .errors import (
 )
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
+
+# scipy is imported inside the oracles that use it, so a CLI call that runs
+# none of them starts without loading it (about 0.2 s)
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,8 @@ def lattice1d_spectrum(centers, lat: Lattice1D, n_states: int) -> list[float]:
         raise DomainError("use an odd point count so a grid point sits at 0")
     if n_states < 1 or n_states > lat.points:
         raise DomainError("n_states out of range", n_states=n_states)
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = _lattice_hamiltonian(centers, lat)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
     ground = np.abs(vecs[:, 0])
@@ -209,6 +212,8 @@ def lattice1d_resolvent(centers, lat: Lattice1D, energy: float, xi: float, xj: f
     ab[0, 1:] = off
     ab[1, :] = diag - energy
     ab[2, :-1] = off
+    from scipy.linalg import solve_banded
+
     sol = solve_banded((1, 1), ab, rhs)
     return float(-sol[i])
 
@@ -229,6 +234,7 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
     lo, hi = float(kappa_bracket[0]), float(kappa_bracket[1])
     if not (0.0 < lo < hi < math.inf):
         raise DomainError("need 0 < kappa_min < kappa_max < inf", lo=lo, hi=hi)
+    from scipy.optimize import brentq
 
     def shoot(kap: float) -> tuple[float, int]:
         # psi = A e^{k(x-p)} + B e^{-k(x-p)} about the last center p, scaled
@@ -326,6 +332,8 @@ def shrinking_well_depth(e_b: float, r0: float) -> float:
         raise BranchAmbiguityError(
             "first-branch bracket failed", f_lo=flo, f_hi=fhi
         )
+    from scipy.optimize import brentq
+
     try:
         u_star = brentq(match, lo, hi, xtol=1e-14)
     except (RuntimeError, ValueError) as exc:

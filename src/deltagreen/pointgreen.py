@@ -29,10 +29,10 @@ The residue of G there is sum_a psi_a(x) psi_a(y) with
 
 where the columns of C span the null space of M(E_B) and M' is evaluated by
 a complex-step derivative (exact to machine precision).  The sign of each
-psi_a is fixed to be positive at the centroid of the centers; when the
-centroid value vanishes (odd states) or is not evaluable (a center itself in
-D >= 2), the largest-magnitude of three probes along the first axis fixes
-the sign instead.
+psi_a is fixed by four probes, the centroid of the centers and three points
+along the first axis from it: psi_a is made positive at the probe where
+|psi_a| is largest (in D >= 2 a probe on a center is skipped).  So psi_a
+may be negative at the centroid.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
 finite for distinct centers, so each center carries its own coupling and
@@ -332,9 +332,9 @@ def _residue_vectors(dim: int, e_b: float, pos: np.ndarray, m_at, branches) -> l
     The branches' eigenvectors span the null space V of M(E_B); with
     V^T M' V = U diag(g) U^T, the columns of C = V U g^(-1/2) satisfy
     C^T M' C = 1, so the residue of M^-1 is C C^T and Res G = sum_a
-    psi_a(x) psi_a(y).  Each psi_a is made positive at the centroid or, if
-    it vanishes there (odd states) or a center sits there (D >= 2), at the
-    probe along the first axis where |psi_a| is largest.
+    psi_a(x) psi_a(y).  Each psi_a is made positive at the probe of
+    :func:`_sign_probes` where |psi_a| is largest, skipping probes on a
+    center in D >= 2 (G0 diverges there).
     """
     null = np.linalg.eigh(m_at(e_b).real)[1][:, branches]
     g, u = np.linalg.eigh(null.T @ _m_prime(e_b, m_at) @ null)
@@ -543,16 +543,10 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
         return []
     # the first grid kappa where branch k is no longer positive ends its bracket
     hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
-    fb = mu[hi, ks]
-    kap = grid[hi].copy()
-    open_ = fb < 0.0  # else an exact zero on the grid
-    if open_.any():
-        lo = hi[open_] - 1
-        kap[open_] = refine_brackets(
-            lambda x: _eigenvalues(dim, consts, pairs, r, x),
-            ks[open_], grid[lo], grid[hi[open_]], mu[lo, ks[open_]], fb[open_],
-            xtol=tol / (2.0 * grid[hi[open_]]),
-        )
+    kap = refine_brackets(
+        lambda x: _eigenvalues(dim, consts, pairs, r, x),
+        ks, grid[hi - 1], grid[hi], mu[hi - 1, ks], mu[hi, ks], xtol=tol / (2.0 * grid[hi]),
+    )
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]
     # |E| past ~1 has roots only to a few ulps, so tol alone would split a

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
+#: Steps :func:`refine_brackets` may take (one evaluation each); read per call.
 MAX_ITER = 200
 
 
@@ -40,84 +41,75 @@ def bracket_sign_changes(f: Callable[[float], float], xs) -> list[tuple[float, f
     return brackets
 
 
-def refine_root(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float,
-    max_iter: int = MAX_ITER,
-) -> float:
+def refine_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
     """Refine a sign-change bracket [a, b] of a scalar f to width <= xtol.
 
-    The one-bracket case of :func:`refine_brackets`: one evaluation per step,
-    so ``max_iter`` counts evaluations of f, the two ends included.  Raises
-    :class:`NonConvergenceError` when they run out.
+    The one-bracket case of :func:`refine_brackets`, with its contract: f is
+    evaluated at both ends, an end where f is exactly 0 is the root (so
+    ``refine_root(f, a, a, xtol)`` returns a if f(a) == 0 and raises
+    :class:`DomainError` otherwise), and each step evaluates f once, so f
+    runs at most ``MAX_ITER + 2`` times.
     """
-    if not (xtol > 0.0):
-        raise DomainError("xtol must be positive", xtol=xtol)
-    if a == b:
-        return a
     a, b = min(a, b), max(a, b)
-    fa, fb = f(a), f(b)
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
     roots = refine_brackets(
-        lambda xs: np.array([[f(float(x))] for x in xs]), [0], a, b, fa, fb, xtol, max_iter - 2
+        lambda xs: np.array([[f(float(x))] for x in xs]), [0], a, b, f(a), f(b), xtol
     )
     return float(roots[0])
 
 
 def refine_brackets(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    cols,
-    a,
-    b,
-    fa,
-    fb,
-    xtol,
-    max_iter: int = MAX_ITER,
+    evaluate: Callable[[np.ndarray], np.ndarray], cols, a, b, fa, fb, xtol
 ) -> np.ndarray:
     """Refine many sign-change brackets at once; every evaluation serves all.
 
     Bracket j = [a_j, b_j] holds a root of function ``cols[j]`` of a family
     that ``evaluate(xs)`` tabulates, one row per x; fa and fb are its values
-    at the ends, nonzero and of opposite signs.  Each step proposes one point
-    per open bracket (Anderson-Bjorck regula falsi; bisection when two steps
-    did not halve the bracket; kept 0.4 xtol inside the ends, so a step next
-    to the root closes it), evaluates the distinct points in one call, and
-    lets every point tighten every bracket that contains it.
+    at the ends, of opposite signs or exactly 0 at one end at least, which is
+    then the root (a if both).  Each step proposes one point per open
+    bracket (Anderson-Bjorck regula falsi; bisection when two steps did not
+    halve the bracket; kept 0.4 xtol inside the ends, so a step next to the
+    root closes it), evaluates the distinct points in one call, and lets
+    every point tighten every bracket that contains it.
 
-    Returns each root: an exact zero when a step hits one, else the secant
-    point of a bracket at most xtol wide (or at floating-point resolution).
-    Raises :class:`NonConvergenceError` after ``max_iter`` steps.
+    Returns each root: an exact zero when an end or a step hits one, else the
+    secant point of a bracket at most xtol wide (or at floating-point
+    resolution).  Raises :class:`NonConvergenceError` when brackets are still
+    open after ``MAX_ITER`` steps.
     """
     cols = np.asarray(cols, dtype=int)
     a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (a, b, fa, fb))
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), a.shape)
     if not (xtol > 0.0).all():
         raise DomainError("xtol must be positive")
-    # g = sign * f is positive at a and negative at b; ga, gb are the values
+    # g = sign * f is >= 0 at a and <= 0 at b; ga, gb are the values
     # the steps use, scaled down at an end that stays put
-    sign = np.sign(fa)
+    sign = np.where(fa != 0.0, np.sign(fa), -np.sign(fb))
     fa, fb = sign * fa, sign * fb
-    if not ((fa > 0.0) & (fb < 0.0) & (a < b)).all():
+    if not ((fa >= 0.0) & (fb <= 0.0) & (a <= b)).all():
         raise DomainError("bracket does not change sign")
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+
+    def secant(i):  # of brackets with both ends nonzero
+        return np.clip(a[i] + (b[i] - a[i]) * (fa[i] / (fa[i] - fb[i])), a[i], b[i])
+
     ga, gb = fa.copy(), fb.copy()
-    root = np.full(a.shape, np.nan)
     moved = np.zeros(a.shape, dtype=int)  # end moved last step: -1 a, 1 b, 0 both
     widths = [np.full(a.shape, np.inf)] * 2  # widths one and two steps ago
     bisect = np.zeros(a.shape, dtype=bool)
-    for _ in range(max_iter):
-        secant = np.clip(a + (b - a) * (fa / (fa - fb)), a, b)
+    for step in range(MAX_ITER + 1):
         j = np.flatnonzero(np.isnan(root) & (b - a > xtol))
         if not j.size:
-            return np.where(np.isnan(root), secant, root)
+            done = np.isnan(root)
+            root[done] = secant(done)
+            return root
+        if step == MAX_ITER:
+            break
         aj, bj = a[j], b[j]
         x = np.where(bisect[j], 0.5 * (aj + bj), aj + (bj - aj) * (ga[j] / (ga[j] - gb[j])))
         gap = np.minimum(0.4 * xtol[j], 0.25 * (bj - aj))
         x = np.clip(x, aj + gap, bj - gap)
         stuck = (x <= aj) | (x >= bj)  # bracket at floating-point resolution
-        root[j[stuck]] = secant[j[stuck]]
+        root[j[stuck]] = secant(j[stuck])
         j, aj, bj, x = j[~stuck], aj[~stuck], bj[~stuck], x[~stuck]
         if not j.size:
             continue
@@ -151,5 +143,5 @@ def refine_brackets(
     raise NonConvergenceError(
         "roots not localized within the iteration budget",
         open=int(np.sum(np.isnan(root) & (b - a > xtol))),
-        iterations=max_iter,
+        iterations=MAX_ITER,
     )

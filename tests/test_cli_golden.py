@@ -82,6 +82,11 @@ ERRORS = {
     'scatter --dim 2 --eb -1 --k 1': (2, '{"details": {"dim": 2}, "error": "IllegalSpec", "message": "scattering observables are implemented for dim 1 and 3 only"}\n'),
     'bound --dim 2 --center 0:lambda=-2': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: --center position: expected 2 coordinates, got 1"}\n'),
     'trivial --dim 3 --lam inf --energy -1': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value for \'--lam\': \'inf\' is not a finite number"}\n'),
+    'g0 --dim 3 --energy -1 --r-grid 0:1:x': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: --r-grid: expected start:stop:count with numeric fields"}\n'),
+    'bound --dim 1 --center 0': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: --center: missing \':\' in \'0\'"}\n'),
+    'bound --dim 1 --center 0:lambda=-1,lambda=-2': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: --center: duplicate key \'lambda\'"}\n'),
+    'rgflow --dim 2 --eb -1': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: dim 2 takes --lambda-r and --mu"}\n'),
+    'rgflow --dim 3 --lambda-r 1 --mu 1': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: dim 3 takes exactly one of --lambda-r or --eb, no --mu"}\n'),
 }
 
 CLOSE = {

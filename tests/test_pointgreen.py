@@ -564,6 +564,43 @@ def test_green_reuse_is_bit_identical_to_a_fresh_solve(case, order):
     assert grouped == [fresh[i] for i in range(len(calls))]
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_reuse_cases())
+def test_green_reciprocity_and_m_symmetry_over_random_layouts(case):
+    dim, pts, couplings, energy, y, xs = case
+    cs = [center(p, c) for p, c in zip(pts, couplings)]
+    m = m_matrix(dim, energy, cs).entries
+    assert np.array_equal(m, m.T)
+    x, y = _pt(*xs[0]), _pt(*y)
+    try:
+        gxy = green(dim, energy, x, y, cs).value
+    except DeltaGreenError as exc:
+        with pytest.raises(type(exc)):
+            green(dim, energy, y, x, cs)
+        return
+    gyx = green(dim, energy, y, x, cs).value
+    scale = max(abs(gxy), abs(gyx), abs(g0(dim, energy, x, y).value))
+    assert abs(gxy - gyx) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=_reuse_cases(), k=st.floats(0.3, 2.5))
+def test_green_retarded_is_epsilon_limit_with_centers(case, k):
+    """green at E = k^2 + i eps approaches the retarded value at first order."""
+    dim, pts, couplings, _, y, xs = case
+    cs = [center(p, c) for p, c in zip(pts, couplings)]
+    x, y = _pt(*xs[0]), _pt(*y)
+    try:
+        target = green(dim, ComplexEnergy(complex(k * k), retarded=True), x, y, cs).value
+    except DeltaGreenError:
+        return  # x or y on a center in D >= 2
+    errs = [abs(green(dim, complex(k * k, eps), x, y, cs).value - target)
+            for eps in (1e-6, 1e-8)]
+    assert errs[1] <= 1e-6 * max(1.0, abs(target))
+    # first order in eps: shrinking eps by 100 shrinks the gap by ~100
+    assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.25)
+
+
 # ------------------------------------------------------------ bound states
 
 
@@ -789,6 +826,18 @@ def test_residue_ground_state_positive_at_centroid():
     # further out along the axis
     assert abs(residue_wavefunction(states[1], 0.0)) < 1e-12
     assert residue_wavefunction(states[1], 1.5) > 0.0
+
+
+def test_residue_sign_follows_the_largest_probe():
+    # the sign is set where |psi| is largest among the centroid and the
+    # points 0.37, 0.79 and 1.31 span along the axis, not at the centroid
+    pos, lams = (-2.372, -1.901, -0.775, 2.003), (-1.618, -2.58, -4.909, -4.82)
+    centers = [center((x,), bare_1d(lam)) for x, lam in zip(pos, lams)]
+    state = next(s for s in bound_states(1, centers) if abs(s.energy + 5.80736) < 1e-5)
+    mid = float(np.mean(pos))
+    span = max(abs(x - mid) for x in pos)
+    assert residue_wavefunction(state, mid) < -0.07
+    assert residue_wavefunction(state, mid + 0.79 * span) > 0.38
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,15 @@ def test_bare_from_renormalized_2d_round_trip():
     assert 1.0 / back == pytest.approx(-4.0 * math.pi, rel=1e-12)
 
 
+def test_bare_from_bound_state_2d_matches_renormalized_form():
+    # mu drops out of the E_B form: both give the bare coupling of one state
+    spec = renormalized_2d(-4.0 * math.pi, 1.0)
+    same = from_bound_state(spec.bound_state_energy(2))
+    for cap in (1e2, 1e4):
+        want = bare_from_renormalized(2, spec, Cutoff(cap))
+        assert bare_from_renormalized(2, same, Cutoff(cap)) == pytest.approx(want, rel=1e-14)
+
+
 def test_bare_coupling_runs_to_zero_from_below():
     caps = [10.0**p for p in range(2, 9)]
     for dim, spec in ((2, renormalized_2d(-4.0 * math.pi, 1.0)), (3, renormalized_3d(4.0 * math.pi))):

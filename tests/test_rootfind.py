@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from deltagreen import rootfind
 from deltagreen.errors import DomainError, NonConvergenceError
 from deltagreen.rootfind import bracket_sign_changes, refine_brackets, refine_root
 
@@ -62,15 +63,20 @@ def test_refine_root_swapped_bracket():
 def test_refine_root_rejects_bad_input():
     with pytest.raises(DomainError):
         refine_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(DomainError):  # a one-point bracket off the root
+        refine_root(lambda x: x - 1.0, 0.5, 0.5, 1e-12)
     with pytest.raises(DomainError):
         refine_root(lambda x: x, -1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         refine_root(lambda x: x, -1.0, 1.0, -1e-3)
 
 
-def test_refine_root_iteration_budget():
+def test_refine_root_iteration_budget(monkeypatch):
+    monkeypatch.setattr(rootfind, "MAX_ITER", 1)
+    # the one allowed step lands on pi exactly and closes the bracket
+    assert refine_root(lambda x: x - math.pi, 0.0, 10.0, 1e-12) == math.pi
     with pytest.raises(NonConvergenceError):
-        refine_root(lambda x: x - math.pi, 0.0, 10.0, 1e-12, max_iter=3)
+        refine_root(lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, 1e-13)
 
 
 def test_refine_root_survives_subresolution_xtol():
@@ -127,17 +133,26 @@ def test_refine_brackets_either_sign_exact_zero_and_resolution():
     assert roots[0] == 0.25  # hit exactly, or closed at floating-point resolution
     assert roots[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
+    def never(xs):
+        raise AssertionError("an exact zero at an end needs no evaluation")
 
-def test_refine_brackets_rejects_bad_input():
+    # an exact zero at either end, of either sign change, and at both ends
+    roots = refine_brackets(never, [0, 1, 0, 1], [0.25, 0.0, 0.5, 0.5],
+                            [1.0, 1.0 / 3.0, 0.5, 0.5], [0.0, 1.0, 0.0, -0.0],
+                            [0.75, 0.0, 0.0, 0.0], xtol=1e-12)
+    assert roots.tolist() == [0.25, 1.0 / 3.0, 0.5, 0.5]
+
+
+def test_refine_brackets_rejects_bad_input(monkeypatch):
     f = lambda xs: np.asarray(xs)[:, None] - 0.5
     with pytest.raises(DomainError):  # no sign change
         refine_brackets(f, [0], [0.6], [1.0], [0.1], [0.5], xtol=1e-12)
     with pytest.raises(DomainError):
         refine_brackets(f, [0], [0.0], [1.0], [-0.5], [0.5], xtol=0.0)
+    monkeypatch.setattr(rootfind, "MAX_ITER", 3)
     with pytest.raises(NonConvergenceError):
         refine_brackets(lambda xs: np.tanh(50.0 * (np.asarray(xs)[:, None] - 0.3)), [0],
-                        [0.0], [1.0], [math.tanh(-15.0)], [math.tanh(35.0)], xtol=1e-12,
-                        max_iter=3)
+                        [0.0], [1.0], [math.tanh(-15.0)], [math.tanh(35.0)], xtol=1e-12)
 
 
 # -- refine_root as the one-bracket case of refine_brackets, against brentq ------
@@ -189,11 +204,13 @@ def test_refine_root_keeps_its_evaluation_budget(case, budget):
         calls.append(x)
         return f(x)
 
-    try:
-        root = refine_root(counted, a, b, xtol, max_iter=budget)
-    except NonConvergenceError:
-        assert len(calls) <= budget
-        return
+    # the two ends, then one evaluation per step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootfind, "MAX_ITER", budget - 2)
+        try:
+            root = refine_root(counted, a, b, xtol)
+        except NonConvergenceError:
+            assert len(calls) <= budget
+            return
     assert len(calls) <= budget
-    assert budget > 3  # the two ends and one step never suffice
     _assert_agrees_with_brentq(root, *case)
