@@ -5,8 +5,8 @@ only must match byte for byte, on stdout and through ``--output``, in JSON
 and CSV.  Tables that go through numpy's ``exp`` or the Bessel kernels, which
 may round differently on other CPUs, must match in metadata, columns and
 row count exactly and in every number to a relative 1e-14.  So must
-``verify --fast``, whose checks keep their names, order, verdicts and
-tolerances exactly.  Invalid inputs must print exactly the recorded error
+``verify`` and ``verify --fast``, whose checks keep their names, order,
+verdicts and tolerances exactly.  Invalid inputs must print exactly the recorded error
 line.
 """
 
@@ -152,8 +152,32 @@ CLOSE = {
     ),
 }
 
-# verify --fast: the checks' names, order, verdicts and tolerances exactly; the
-# errors, oracle against closed form, as numpy tables above
+# verify and verify --fast: the checks' names, order, verdicts and tolerances
+# exactly; the errors, oracle against closed form, as numpy tables above
+VERIFY_CHECKS = [
+    ("g0_quadrature_d1_r0.5", 0.0, 1e-08),
+    ("g0_quadrature_d1_r1", 0.0, 1e-08),
+    ("g0_quadrature_d1_r2", 0.0, 1e-08),
+    ("g0_quadrature_d2_r0.5", 0.0, 1e-08),
+    ("g0_quadrature_d2_r1", 1.3877787807814457e-17, 1e-08),
+    ("g0_quadrature_d2_r2", 1.3877787807814457e-17, 1e-08),
+    ("g0_quadrature_d3_r0.5", 0.0, 1e-08),
+    ("g0_quadrature_d3_r1", 3.469446951953614e-18, 1e-08),
+    ("g0_quadrature_d3_r2", 0.0, 1e-08),
+    ("g0_quadrature_d1_r0", 0.0, 1e-08),
+    ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
+    ("lattice_convergence_order", 0.0, 0.0),
+    ("shooting_two_delta", 2.220446049250313e-16, 1e-06),
+    ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
+    ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),
+    ("denominator_order_2d", 0.0, 0.0),
+    ("root_finder_3d", 0.0, 1e-12),
+    ("optical_theorem_unitary", 2.7755575615628914e-17, 1e-14),
+    ("transmission_lattice", 6.25007815352463e-06, 0.0001),
+    ("shrinking_well_depth", 0.002000594773581721, 0.005),
+    ("residue_factorization_1d", 2.9519059974170148e-09, 1e-06),
+    ("residue_normalization_1d", 2.220446049250313e-16, 1e-06),
+]
 VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d1_r1", 0.0, 1e-08),
     ("g0_quadrature_d2_r1", 1.3877787807814457e-17, 1e-08),
@@ -210,16 +234,24 @@ def test_table_close(capsys, tmp_path, line):
         assert row == pytest.approx(want_row, rel=1e-14, abs=0.0)
 
 
-def test_verify_fast_checks(capsys, tmp_path):
-    code, out, err = _run(capsys, tmp_path, "verify --fast")
+def _assert_verify(capsys, tmp_path, line, checks):
+    code, out, err = _run(capsys, tmp_path, line)
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    names, errors, tols = zip(*VERIFY_FAST_CHECKS)
+    names, errors, tols = zip(*checks)
     assert doc["columns"] == [["check_id", "1"], ["passed", "1"], ["error", "1"], ["tol", "1"]]
     assert doc["metadata"] == {"branch_policy": "unitary", "check_names": list(names),
-                               "command": "verify", "params": {"fast": True},
+                               "command": "verify", "params": {"fast": "--fast" in line},
                                "version": "0.1.0"}
     assert [(i, passed, tol) for i, passed, _, tol in doc["rows"]] == [
         (i, 1, tol) for i, tol in enumerate(tols, start=1)
     ]
     assert [row[2] for row in doc["rows"]] == pytest.approx(errors, rel=1e-14, abs=0.0)
+
+
+def test_verify_fast_checks(capsys, tmp_path):
+    _assert_verify(capsys, tmp_path, "verify --fast", VERIFY_FAST_CHECKS)
+
+
+def test_verify_checks(capsys, tmp_path):
+    _assert_verify(capsys, tmp_path, "verify", VERIFY_CHECKS)
