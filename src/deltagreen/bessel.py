@@ -13,11 +13,11 @@ in gives an array of the same shape:
   only external special-function call, imported only when such an argument
   occurs), and past |z| ~ 1e9, where ``kve`` gives NaN, to the asymptotic
   series.
-* ``j0``, ``y0`` -- ordinary Bessel functions of order zero for real
-  arguments: ascending series on (0, 5], Chebyshev phase/amplitude tables
-  beyond.  They supply the outgoing-wave (Hankel) combination
-  ``hankel1_0 = j0 + i*y0`` used by the retarded two-dimensional Green's
-  function, so the retarded path never leaves this module.
+* ``hankel1_0`` -- the outgoing-wave Hankel function J0 + i Y0 for real
+  arguments, from the ordinary Bessel functions of order zero: ascending
+  series on (0, 5], Chebyshev phase/amplitude tables beyond.  The retarded
+  two-dimensional Green's function uses it, so the retarded path never
+  leaves this module.
 
 Each series is summed to a fixed number of terms, enough for every argument
 of its interval, and the Chebyshev tables are converted once, at import, to
@@ -280,13 +280,12 @@ def k0(z):
     return _result(out.astype(complex, copy=False), arg)
 
 
-def _j0y0(x: np.ndarray, with_y: bool) -> np.ndarray:
-    """Rows J0(x) and, with_y, Y0(x) for x >= 0 (x > 0 when with_y)."""
+def _j0y0(x: np.ndarray) -> np.ndarray:
+    """Rows J0(x) and Y0(x) for x > 0."""
 
     def series(s):
         c = _polyval(0.25 * s * s, _J0Y0_SERIES)
-        if with_y:
-            c[1] = _TWO_OVER_PI * ((np.log(0.5 * s) + EULER_GAMMA) * c[0] - c[1])
+        c[1] = _TWO_OVER_PI * ((np.log(0.5 * s) + EULER_GAMMA) * c[0] - c[1])
         return c
 
     def tail(s):
@@ -304,31 +303,17 @@ def _j0y0(x: np.ndarray, with_y: bool) -> np.ndarray:
     return _split(x, x <= 5.0, series, tail)
 
 
-def _positive(x, name: str) -> tuple[np.ndarray, np.ndarray]:
+def hankel1_0(x):
+    """Outgoing Hankel function H0^(1)(x) = J0(x) + i Y0(x) for real x > 0.
+
+    Elementwise over an array.
+    """
     arg = np.asarray(x, dtype=float)
     flat = arg.ravel()
     bad = ~(flat > 0.0)
     if bad.any():
-        raise DomainError(f"{name} requires x > 0", x=float(flat[bad][0]))
-    return arg, flat
-
-
-def j0(x):
-    """Bessel function J0 for real argument, elementwise over an array."""
-    arg = np.asarray(x, dtype=float)
-    return _result(_j0y0(np.abs(arg.ravel()), False)[0], arg)
-
-
-def y0(x):
-    """Bessel function Y0 for real argument x > 0, elementwise over an array."""
-    arg, flat = _positive(x, "y0")
-    return _result(_j0y0(flat, True)[1], arg)
-
-
-def hankel1_0(x):
-    """Outgoing Hankel function H0^(1)(x) = J0(x) + i Y0(x) for real x > 0."""
-    arg, flat = _positive(x, "hankel1_0")
-    j, y = _j0y0(flat, True)
+        raise DomainError("hankel1_0 requires x > 0", x=float(flat[bad][0]))
+    j, y = _j0y0(flat)
     out = j.astype(complex)
     out.imag = y
     return _result(out, arg)

@@ -546,47 +546,42 @@ def cmd_trivial(dim, lam, energy, r, cutoffs):
     return [("lambda_cap", "1/L"), ("denominator", unit), ("correction_abs", unit)], rows
 
 
-def _verify_checks(fast: bool):
-    """Yield (name, error, tol) triples comparing closed forms to oracles."""
-    checks = []
-
+def _g0_quadrature_rows(fast):
+    """G0 at E = -1 in D = 1..3 against the proper-time quadrature."""
     radii = (1.0,) if fast else (0.5, 1.0, 2.0)
-    e_probe = -1.0
-    for dim in (1, 2, 3):
-        origin = SpatialPoint((0.0,) * dim)
-        for r in radii:
-            x = SpatialPoint((r,) + (0.0,) * (dim - 1))
-            closed = g0(dim, ComplexEnergy(e_probe), x, origin).value.real
-            bruteforce = oracles.g0_by_quadrature(dim, e_probe, r)
-            checks.append((f"g0_quadrature_d{dim}_r{r:g}", abs(closed - bruteforce), 1e-8))
-    closed0 = g0(1, ComplexEnergy(e_probe), SpatialPoint((0.0,)), SpatialPoint((0.0,))).value.real
-    checks.append(
-        ("g0_quadrature_d1_r0", abs(closed0 - oracles.g0_by_quadrature(1, e_probe, 0.0)), 1e-8)
-    )
+    for dim, r in [(dim, r) for dim in (1, 2, 3) for r in radii] + [(1, 0.0)]:
+        x = SpatialPoint((r,) + (0.0,) * (dim - 1))
+        closed = g0(dim, ComplexEnergy(-1.0), x, SpatialPoint((0.0,) * dim)).value.real
+        error = abs(closed - oracles.g0_by_quadrature(dim, -1.0, r))
+        yield f"g0_quadrature_d{dim}_r{r:g}", error, 1e-8
 
+
+def _lattice_spectrum_rows(fast):
+    """The 1D bound state E_B = -1 against lattice eigensolves, h -> 0."""
     single = [center(0.0, bare_1d(-2.0))]
     errs = []
     for points in (1001, 2001, 4001):
         lat = oracles.Lattice1D(half_width=20.0, points=points)
-        e_lat = oracles.lattice1d_spectrum(single, lat, 1)[0]
-        errs.append(abs(e_lat - (-1.0)))
-    checks.append(("lattice_bound_state_h0.01", errs[-1], 2e-2))
-    order = math.log2(errs[-2] / errs[-1])
-    checks.append(("lattice_convergence_order", max(0.0, 0.9 - order), 0.0))
+        errs.append(abs(oracles.lattice1d_spectrum(single, lat, 1)[0] - (-1.0)))
+    yield "lattice_bound_state_h0.01", errs[-1], 2e-2
+    yield "lattice_convergence_order", max(0.0, 0.9 - math.log2(errs[-2] / errs[-1])), 0.0
 
+
+def _shooting_rows(fast):
+    """The two-delta spectrum of the branch scan against shooting."""
     pair = [center(-1.0, bare_1d(-2.0)), center(1.0, bare_1d(-2.0))]
     det_states = bound_states(1, pair, method="scan")
-    kappas = oracles.shooting1d(pair, (0.05, 3.0))
-    shoot = sorted(-k * k for k in kappas)
+    shoot = sorted(-k * k for k in oracles.shooting1d(pair, (0.05, 3.0)))
     if len(shoot) != len(det_states):
         # a missed or spurious state: the count difference is >= 1, far above tol
-        checks.append(("shooting_two_delta", float(abs(len(shoot) - len(det_states))), 1e-6))
+        yield "shooting_two_delta", float(abs(len(shoot) - len(det_states))), 1e-6
     else:
-        worst = max(
-            abs(st.energy - e_ref) for st, e_ref in zip(det_states, shoot)
-        )
-        checks.append(("shooting_two_delta", worst, 1e-6))
+        worst = max(abs(st.energy - e_ref) for st, e_ref in zip(det_states, shoot))
+        yield "shooting_two_delta", worst, 1e-6
 
+
+def _renormalization_rows(fast):
+    """E_B's invariance under mu, the 2D cutoff limit and the 3D root."""
     base = renormalized_2d(-4.0 * math.pi, 1.0)
     e_ref = transmutation_energy(base)
     worst = 0.0
@@ -595,8 +590,9 @@ def _verify_checks(fast: bool):
         lam_prime = rg_shift(base.lambda_r, base.mu, mu_prime)
         e_shift = transmutation_energy(renormalized_2d(lam_prime, mu_prime))
         worst = max(worst, abs(e_shift - e_ref) / abs(e_ref))
-    checks.append(("transmutation_mu_invariance", worst, 1e-12))
+    yield "transmutation_mu_invariance", worst, 1e-12
 
+    # one e-fold below E_B the renormalized denominator is -1/(4 pi)
     kk = math.sqrt(math.e * abs(e_ref))
     target = -1.0 / (4.0 * math.pi)
     lam_caps = [1e2, 1e3, 1e4, 1e5, 1e6]
@@ -605,34 +601,40 @@ def _verify_checks(fast: bool):
         bare = bare_from_renormalized(2, base, Cutoff(cap))
         den = 1.0 / bare + bubble_regularized(2, kk, Cutoff(cap))
         den_errs.append(abs(den - target))
-    checks.append(("denominator_limit_2d", den_errs[-1], 1e-6))
+    yield "denominator_limit_2d", den_errs[-1], 1e-6
     slope = -np.polyfit(np.log(lam_caps), np.log(den_errs), 1)[0]
-    checks.append(("denominator_order_2d", max(0.0, abs(slope - 2.0) - 0.2), 0.0))
+    yield "denominator_order_2d", max(0.0, abs(slope - 2.0) - 0.2), 0.0
 
     spec3 = renormalized_3d(4.0 * math.pi)
+    kap_root = refine_root(
+        lambda kap: renormalized_denominator(3, -kap * kap, spec3).real, 0.25, 3.0, xtol=1e-14
+    )
+    yield "root_finder_3d", abs(kap_root * kap_root - 1.0), 1e-12
 
-    def det3(kap: float) -> float:
-        return renormalized_denominator(3, -kap * kap, spec3).real
 
-    kap_root = refine_root(det3, 0.25, 3.0, xtol=1e-14)
-    checks.append(("root_finder_3d", abs(kap_root * kap_root - 1.0), 1e-12))
-
+def _scattering_rows(fast):
+    """The 3D optical theorem, and 1D transmission against a lattice."""
     worst = 0.0
     for k in (0.1, 0.5, 1.0, 2.0, 5.0):
         for e_b in (-0.25, -1.0, -4.0):
             worst = max(worst, abs(optical_theorem_residual(k, e_b, "unitary")))
-    checks.append(("optical_theorem_unitary", worst, 1e-14))
+    yield "optical_theorem_unitary", worst, 1e-14
 
     lat = oracles.Lattice1D(half_width=10.0, points=2001)
     t_lat, _ = oracles.lattice1d_transmission(-2.0, 1.0, lat)
     t_exact, _ = transmission1d(1.0, -2.0)
-    checks.append(("transmission_lattice", abs(t_lat - t_exact), 1e-4))
+    yield "transmission_lattice", abs(t_lat - t_exact), 1e-4
 
+
+def _shrinking_well_rows(fast):
+    """The 3D delta at E_B = -1 as the limit of ever narrower square wells."""
     v0 = oracles.shrinking_well_depth(-1.0, 1e-3)
-    checks.append(
-        ("shrinking_well_depth", abs(v0 * 1e-6 - (math.pi / 2.0) ** 2), 5e-3)
-    )
+    yield "shrinking_well_depth", abs(v0 * 1e-6 - (math.pi / 2.0) ** 2), 5e-3
 
+
+def _residue_rows(fast):
+    """The 1D pole's residue factorizes into psi(x) psi(y), with norm 1."""
+    single = [center(0.0, bare_1d(-2.0))]
     state = bound_states(1, single)[0]
     x_pt, y_pt = 0.77, -0.33
     psi_xy = residue_wavefunction(state, x_pt) * residue_wavefunction(state, y_pt)
@@ -645,16 +647,27 @@ def _verify_checks(fast: bool):
         ).value.real
         probes.append((e_near - state.energy) * g_val)
     extrap = probes[1] + (probes[1] - probes[0]) * deltas[1] / (deltas[0] - deltas[1])
-    checks.append(("residue_factorization_1d", abs(extrap - psi_xy), 1e-6))
+    yield "residue_factorization_1d", abs(extrap - psi_xy), 1e-6
 
     from scipy.integrate import quad  # here, so other commands start without scipy
 
     norm, _ = quad(
         lambda t: residue_wavefunction(state, t) ** 2, -60.0, 60.0, points=[0.0], limit=200
     )
-    checks.append(("residue_normalization_1d", abs(norm - 1.0), 1e-6))
+    yield "residue_normalization_1d", abs(norm - 1.0), 1e-6
 
-    return checks
+
+#: ``verify``'s oracle checks in order: route -> generator of its (name, error,
+#: tol) rows given ``--fast``.  Acceptance criteria assert these rows.
+CHECKS = {
+    "g0_quadrature": _g0_quadrature_rows,
+    "lattice_spectrum": _lattice_spectrum_rows,
+    "shooting": _shooting_rows,
+    "renormalization": _renormalization_rows,
+    "scattering": _scattering_rows,
+    "shrinking_well": _shrinking_well_rows,
+    "residue": _residue_rows,
+}
 
 
 @cli.command(name="verify")
@@ -667,7 +680,7 @@ def _verify_checks(fast: bool):
 @_output_options
 def cmd_verify(fast, fmt, output):
     """Run every oracle cross-check; exit 4 if any comparison fails."""
-    checks = _verify_checks(fast)
+    checks = [check for route in CHECKS.values() for check in route(fast)]
     rows = [
         (idx, int(error <= tol), float(error), float(tol))
         for idx, (_, error, tol) in enumerate(checks, start=1)

@@ -537,6 +537,10 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     mu = _eigenvalues(dim, consts, pairs, r, grid)  # falls along each column
+    rises = np.flatnonzero(np.diff(np.sum(mu > 0.0, axis=1)) > 0)
+    if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
+        raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
+                                  energy=float(-grid[rises[0] + 1] ** 2))
     n = mu.shape[1]
     ks = np.arange(n - np.sum(mu[0] > 0.0), n - np.sum(mu[-1] > 0.0))
     if not ks.size:

@@ -5,8 +5,10 @@ solver, so production and oracle never share a root-finding code path).
 :func:`refine_brackets` refines sign-change brackets of a family of functions
 tabulated together (the eigenvalue branches of M(E)) by Anderson-Bjorck
 regula falsi with a bisection safeguard, one batched evaluation per step.
-:func:`refine_root` is its one-bracket case for a scalar function, and
-:func:`bracket_sign_changes` finds a scalar function's brackets on a grid.
+:func:`refine_root` is its one-bracket case for a scalar function.
+:func:`bracket_sign_changes`, which finds a scalar function's brackets on a
+grid, is not part of that engine: no production code calls it, and it stays
+only because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations

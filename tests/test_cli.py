@@ -16,9 +16,11 @@ import sys
 import numpy as np
 import pytest
 
+from deltagreen import bare_1d, center
 from deltagreen import cli as cli_mod
 from deltagreen.cli import ResultTable, main
 from deltagreen.errors import DomainError
+from deltagreen.oracles import shooting1d
 
 FOUR_PI = 4.0 * math.pi
 
@@ -103,6 +105,41 @@ def test_bound_2d_transmutation(capsys):
 def test_bound_3d_from_eb(capsys):
     doc = run_json(capsys, "bound", "--dim", "3", "--center", "0,0,0:eb=-2.25")
     assert doc["rows"] == [[0, -2.25, 1.5]]
+
+
+# three 1D centers, and six with one binding at -1.5266e-30: below kappa ~
+# 1e-15 M(E) ~ 11^T / (2 kappa), and its O(1) eigenvalues, whose signs count
+# the states, are rounding noise
+THREE_1D = ("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1:lambda=-1",
+            "--center", "2.5:lambda=-1.5", "--emin", "-10")
+SIX_1D_EB = ((0.264, -1.5266e-30), (0.656, -1.2013), (4.317, -1.8864), (9.706, -1.6777),
+             (13.012, -0.2548), (14.604, -1.7505))
+SIX_1D = ("bound", "--dim", "1") + tuple(
+    arg for x, e_b in SIX_1D_EB for arg in ("--center", f"{x}:eb={e_b}")
+)
+
+
+@pytest.mark.parametrize("argv", [THREE_1D + ("--emax=-1e-40",), THREE_1D + ("--emax=-1e-300",),
+                                  SIX_1D], ids=["three-1e-40", "three-1e-300", "six"])
+def test_bound_count_rising_as_e_falls_is_a_computational_failure(capsys, argv):
+    # the parent printed a spurious -6.5e-40, dropped -0.45497, and gave 2 of
+    # the six centers' 4 states, each with exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert _strict_json(err)["error"] == "NonConvergence"
+
+
+def test_bound_windows_above_the_noise_agree_with_shooting(capsys):
+    three = [center(0.0, bare_1d(-2.0)), center(1.0, bare_1d(-1.0)), center(2.5, bare_1d(-1.5))]
+    six = [center(x, bare_1d(-2.0 * math.sqrt(-e_b))) for x, e_b in SIX_1D_EB]
+    cases = [(THREE_1D + ("--emax=-1e-6",), three, math.sqrt(10.0), [-1.24271, -0.45497]),
+             (SIX_1D + ("--emin", "-9", "--emax", "-1e-6"), six, 3.0,
+              [-1.88706, -1.78163, -1.67717, -1.19739])]
+    for argv, cs, kap_hi, want in cases:
+        shot = sorted(-k * k for k in shooting1d(cs, (1e-3, kap_hi), 4000))
+        energies = [row[1] for row in run_json(capsys, *argv)["rows"]]
+        assert energies == pytest.approx(shot, rel=1e-10)
+        assert energies == pytest.approx(want, abs=1e-5)
 
 
 def test_scatter_3d_reference_row(capsys):
@@ -290,9 +327,7 @@ def test_error_payload_is_strict_json(capsys):
 
 
 def test_exit_4_when_a_check_fails(capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli_mod, "_verify_checks", lambda fast: [("rigged", 1.0, 1e-6)]
-    )
+    monkeypatch.setattr(cli_mod, "CHECKS", {"rigged": lambda fast: [("rigged", 1.0, 1e-6)]})
     code, out, _ = run_cli(capsys, "verify")
     assert code == 4
     doc = json.loads(out)  # the table is still emitted before exiting

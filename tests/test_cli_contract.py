@@ -398,7 +398,7 @@ def test_verify_keeps_the_cli_contract(checks, fast, fmt, output, unknown, order
         order.shuffle(options)
         # last, so that a bare --output misses its value and takes no flag as one
         argv = ("verify",) + _flat(options + [unknown] * (unknown is not None))
-        with mock.patch.object(cli, "_verify_checks", lambda fast: RIGGED_CHECKS[checks]):
+        with mock.patch.object(cli, "CHECKS", {"rigged": lambda fast: RIGGED_CHECKS[checks]}):
             code, text = _assert_contract(argv, codes=(0, 2, 3, 4))
         # parsing refuses first, then the table its NaN cell, then open() the path
         if unknown is not None or output == "directory":

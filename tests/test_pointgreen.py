@@ -33,6 +33,7 @@ from deltagreen.errors import (
     DeltaGreenError,
     DomainError,
     IllegalSpecError,
+    NonConvergenceError,
 )
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
@@ -779,6 +780,18 @@ def test_random_1d_layouts_agree_with_shooting(gaps, lams):
     states = bound_states(1, cs, search=(-kap_hi * kap_hi, -kap_lo * kap_lo), method="scan")
     shot = sorted(-k * k for k in shooting1d(cs, (kap_lo, kap_hi), 4000))
     assert [s.energy for s in states] == pytest.approx(shot, rel=1e-9, abs=1e-12)
+
+
+def test_noisy_eigenvalues_end_the_scan_in_non_convergence(monkeypatch):
+    # M' > 0 makes the positive count fall along the grid; eigenvalues lost
+    # to rounding make it rise somewhere, and the scan must not root them
+    eigvalsh = np.linalg.eigvalsh
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: eigvalsh(m) + rng.normal(0.0, 10.0, m.shape[:-1]))
+    with pytest.raises(NonConvergenceError) as err:
+        bound_states(1, PAIR, search=(-4.0, -0.01), method="scan")
+    assert -4.0 <= err.value.details["energy"] <= -0.01
 
 
 def test_bound_state_validation():
