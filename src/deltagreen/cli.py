@@ -2,9 +2,10 @@
 
 Subcommands map one-to-one onto library operations; output is a table in
 JSON or CSV with no timestamps, so identical invocations produce identical
-bytes.  Exit codes: 0 success, 2 invalid input, 3 computational failure
-(pole hit, divergence, non-convergence), 4 when `verify` finds any oracle
-disagreement.
+bytes.  A command returns its exit code after writing its table: 0, or 4
+when `verify` finds any oracle disagreement.  :func:`main` maps errors to 2
+(invalid input) and 3 (computational failure: pole hit, divergence,
+non-convergence).
 """
 
 from __future__ import annotations
@@ -83,67 +84,56 @@ class ResultTable:
         return buf.getvalue()
 
 
-def _output_options(fn):
-    fn = click.option(
+def _table(body):
+    """Make ``body`` a subcommand that prints its table, with --format/--output.
+
+    ``body`` takes click's parsed parameters and returns ``(columns, rows)``,
+    optionally followed, in order, by the parameters to record (default: the
+    parsed ones), further metadata entries and an exit code (default 0).  The
+    command writes the table, whose metadata records the command, the
+    parameters, the package version and the branch policy, as ``--format``
+    to ``--output`` (default: stdout), and then returns that code.
+    """
+
+    @click.option(
+        "--output",
+        "output",
+        type=click.Path(dir_okay=False, writable=True),
+        default=None,
+        help="Write the table to this file instead of standard output.",
+    )
+    @click.option(
         "--format",
         "fmt",
         type=click.Choice(["json", "csv"]),
         default="json",
         show_default=True,
         help="Output format.",
-    )(fn)
-    fn = click.option(
-        "--output",
-        "output",
-        type=click.Path(dir_okay=False, writable=True),
-        default=None,
-        help="Write the table to this file instead of standard output.",
-    )(fn)
-    return fn
-
-
-def _print_table(fmt, path, columns, rows, params, **metadata) -> None:
-    """Write the running command's table as ``fmt`` to ``path`` (None: stdout).
-
-    The metadata records the command, ``params``, the package version, the
-    branch policy and any further ``metadata`` entries.
-    """
-    table = ResultTable(
-        columns,
-        rows,
-        {
-            "command": click.get_current_context().command.name,
-            "params": params,
-            "version": __version__,
-            "branch_policy": resolve_policy(params.get("policy")),
-            **metadata,
-        },
     )
-    text = table.to_json() if fmt == "json" else table.to_csv()
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write {path}: {exc}") from exc
-
-
-def _table(body):
-    """Make ``body`` a subcommand that prints its table, with --format/--output.
-
-    ``body`` takes click's parsed parameters and returns ``(columns, rows)``,
-    or ``(columns, rows, params)`` when the parameters to record differ from
-    the parsed ones.
-    """
-
     @functools.wraps(body)
     def command(fmt, output, **params):
-        columns, rows, *recorded = body(**params)
-        _print_table(fmt, output, columns, rows, recorded[0] if recorded else params)
+        result = body(**params)
+        columns, rows, recorded, extra, code = result + (params, {}, 0)[len(result) - 2 :]
+        metadata = {
+            "command": click.get_current_context().command.name,
+            "params": recorded,
+            "version": __version__,
+            "branch_policy": resolve_policy(recorded.get("policy")),
+            **extra,
+        }
+        table = ResultTable(columns, rows, metadata)
+        text = table.to_json() if fmt == "json" else table.to_csv()
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(output, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise click.ClickException(f"cannot write {output}: {exc}") from exc
+        return code
 
-    return _output_options(command)
+    return command
 
 
 def _finite(text, flag: str | None = None) -> float:
@@ -677,24 +667,17 @@ CHECKS = {
     default=False,
     help="Trim the quadrature sweep to one radius per dimension.",
 )
-@_output_options
-def cmd_verify(fast, fmt, output):
+@_table
+def cmd_verify(fast):
     """Run every oracle cross-check; exit 4 if any comparison fails."""
     checks = [check for route in CHECKS.values() for check in route(fast)]
     rows = [
         (idx, int(error <= tol), float(error), float(tol))
         for idx, (_, error, tol) in enumerate(checks, start=1)
     ]
-    _print_table(
-        fmt,
-        output,
-        [("check_id", "1"), ("passed", "1"), ("error", "1"), ("tol", "1")],
-        rows,
-        {"fast": fast},
-        check_names=[name for name, _, _ in checks],
-    )
-    if not all(passed for _, passed, _, _ in rows):
-        click.get_current_context().exit(4)  # after the table
+    columns = [("check_id", "1"), ("passed", "1"), ("error", "1"), ("tol", "1")]
+    names = {"check_names": [name for name, _, _ in checks]}
+    return columns, rows, {"fast": fast}, names, 0 if all(row[1] for row in rows) else 4
 
 
 def _strict(value):
@@ -716,7 +699,7 @@ def _emit_error(payload: dict, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        # commands return None; click returns the code of a ctx.exit (--version, verify)
+        # a command returns its exit code; click returns that of a ctx.exit (--version)
         return cli.main(args=argv, prog_name="deltagreen", standalone_mode=False) or 0
     except click.ClickException as exc:
         return _emit_error(

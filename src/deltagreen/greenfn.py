@@ -141,11 +141,10 @@ def distance(x: SpatialPoint, y: SpatialPoint) -> float:
 
 @dataclass(frozen=True)
 class GreenValue:
-    """A finite Green's-function value and the branch it was computed on."""
+    """A finite Green's-function value and the dimension it was computed in."""
 
     value: complex
     dim: int
-    retarded: bool
 
     def __post_init__(self):
         if not cmath.isfinite(self.value):
@@ -249,7 +248,7 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
     """
     e = ComplexEnergy.of(energy)
     val = complex(g0_kernel(dim, e, _check_geometry(dim, x, y)))
-    return GreenValue(value=val, dim=dim, retarded=e.retarded)
+    return GreenValue(value=val, dim=dim)
 
 
 def g0_retarded(dim: int, k: float, x: SpatialPoint, y: SpatialPoint) -> GreenValue:

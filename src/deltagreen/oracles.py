@@ -90,7 +90,12 @@ class SquareWell3D:
             )
 
 
-def g0_by_quadrature(dim: int, energy: float, r: float, tol: float = 1e-10) -> float:
+#: Tolerance of :func:`g0_by_quadrature`: its two working precisions must
+#: agree within half of it.
+QUAD_TOL = 1e-10
+
+
+def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     """Free Green's function from its proper-time integral, no closed forms.
 
     For real E < 0 (units hbar = 2m = 1)
@@ -101,8 +106,9 @@ def g0_by_quadrature(dim: int, energy: float, r: float, tol: float = 1e-10) -> f
     integrand is positive and does not oscillate, so plain tanh-sinh
     quadrature (``mp.quad``) resolves it, split at t = r^2/4, where the
     Gaussian factor switches on (at t = 1 when r = 0).  The result is
-    computed at two working precisions; if they disagree beyond tol/2 a
-    :class:`TailBoundExceededError` is raised instead of returning a value.
+    computed at two working precisions; if they disagree beyond QUAD_TOL / 2
+    (QUAD_TOL = 1e-10) a :class:`TailBoundExceededError` is raised instead of
+    returning a value.
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimError("quadrature oracle covers D in {1,2,3}", dim=dim)
@@ -114,16 +120,14 @@ def g0_by_quadrature(dim: int, energy: float, r: float, tol: float = 1e-10) -> f
         raise DomainError("separation must be nonnegative", r=r)
     if dim >= 2 and r < 1e-14:
         raise CoincidentPointsError("coincident points diverge for D >= 2", dim=dim)
-    if tol < 1e-10:
-        raise DomainError("tolerances below 1e-10 are not offered", tol=tol)
 
     big = _g0_quad_at(dim, energy, r, 20)
     bigger = _g0_quad_at(dim, energy, r, 30)
-    if abs(big - bigger) > 0.5 * tol:
+    if abs(big - bigger) > 0.5 * QUAD_TOL:
         raise TailBoundExceededError(
             "quadrature did not converge within the requested tolerance",
             estimate=abs(big - bigger),
-            tol=tol,
+            tol=QUAD_TOL,
         )
     return float(bigger)
 

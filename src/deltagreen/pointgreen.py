@@ -48,13 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AtPoleError,
-    DeltaGreenError,
-    DomainError,
-    IllegalSpecError,
-    NonConvergenceError,
-)
+from .errors import AtPoleError, DomainError, IllegalSpecError, NonConvergenceError
 from .greenfn import (
     COINCIDENT_TOL,
     ComplexEnergy,
@@ -225,7 +219,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     gx = g0_kernel(dim, e, _distances_to(x, pos))
     base = g0(dim, e, x, y)
     corr = complex(gx @ c)
-    return GreenValue(value=base.value + corr, dim=dim, retarded=base.retarded)
+    return GreenValue(value=base.value + corr, dim=dim)
 
 
 #: (key, (pos, c)) of the last :func:`_strengths` solve, replaced and read

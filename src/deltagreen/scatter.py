@@ -39,7 +39,7 @@ import sys
 
 from .errors import DomainError, IllegalSpecError
 from .greenfn import ComplexEnergy, SpatialPoint, g0_retarded
-from .renorm import FROM_BOUND_STATE, REN_3D, CouplingSpec, renormalized_denominator
+from .renorm import CouplingSpec, renormalized_denominator
 
 POLICIES = ("unitary", "paper")
 
@@ -116,11 +116,6 @@ def scattered_wave(
     the amplitude at every radius.
     """
     k = _momentum(k)
-    if spec.variant not in (REN_3D, FROM_BOUND_STATE):
-        raise IllegalSpecError(
-            "3D scattering needs a renormalized 3D coupling or a bound-state spec",
-            variant=spec.variant,
-        )
     if not isinstance(x, SpatialPoint):
         x = SpatialPoint(tuple(x))
     if x.dim != 3:
