@@ -32,7 +32,10 @@ a complex-step derivative (exact to machine precision).  The sign of each
 psi_a is fixed by four probes, the centroid of the centers and three points
 along the first axis from it: psi_a is made positive at the probe where
 |psi_a| is largest (in D >= 2 a probe on a center is skipped).  So psi_a
-may be negative at the centroid.
+may be negative at the centroid.  Where psi_a underflows to 0 at every
+probe (a state far from them), its coefficient C_ia of largest magnitude
+is made negative instead: G0 < 0, so psi_a is positive next to its
+dominant center.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
 finite for distinct centers, so each center carries its own coupling and
@@ -328,7 +331,9 @@ def _residue_vectors(dim: int, e_b: float, pos: np.ndarray, m_at, branches) -> l
     C^T M' C = 1, so the residue of M^-1 is C C^T and Res G = sum_a
     psi_a(x) psi_a(y).  Each psi_a is made positive at the probe of
     :func:`_sign_probes` where |psi_a| is largest, skipping probes on a
-    center in D >= 2 (G0 diverges there).
+    center in D >= 2 (G0 diverges there).  If that largest |psi_a| is 0 (or
+    no probe is left), the largest-magnitude entry of c_a is made negative,
+    so psi_a is positive next to the center that dominates it.
     """
     null = np.linalg.eigh(m_at(e_b).real)[1][:, branches]
     g, u = np.linalg.eigh(null.T @ _m_prime(e_b, m_at) @ null)
@@ -343,7 +348,10 @@ def _residue_vectors(dim: int, e_b: float, pos: np.ndarray, m_at, branches) -> l
     if dim >= 2:  # G0 diverges at a center
         r = r[r.min(axis=1) >= COINCIDENT_TOL]
     psi = g0_of_kappa(dim, math.sqrt(-e_b), r) @ coeffs
-    best = psi[np.abs(psi).argmax(axis=0), np.arange(len(branches))] if len(r) else 0.0
+    cols = np.arange(len(branches))
+    best = psi[np.abs(psi).argmax(axis=0), cols] if len(r) else 0.0
+    # psi underflowed at every probe: G0 < 0, so -c_ia sets psi's sign at a_i
+    best = np.where(best == 0.0, -coeffs[np.abs(coeffs).argmax(axis=0), cols], best)
     coeffs = np.where(best < 0.0, -coeffs, coeffs)
     coeffs.setflags(write=False)
     return list(coeffs.T)

@@ -853,6 +853,21 @@ def test_residue_sign_follows_the_largest_probe():
     assert residue_wavefunction(state, mid + 0.79 * span) > 0.38
 
 
+@pytest.mark.parametrize("dim,sep", [(1, 800.0), (1, 2000.0), (3, 800.0), (3, 3000.0)])
+def test_residue_sign_when_every_probe_underflows(dim, sep):
+    # the probes sit near the centroid, far from the center at 0: psi of
+    # its state underflows to 0 at all of them at the larger separations,
+    # and is then made positive next to its dominant center instead
+    spec = bare_1d if dim == 1 else lambda e_b: from_bound_state(0.5 * e_b)
+    near, want = (0.0, 1.0) if dim == 1 else (0.3, 0.985146)
+    pad = (0.0,) * (dim - 1)
+    centers = [center((0.0,) + pad, spec(-2.0)), center((sep,) + pad, spec(-1.0))]
+    deep, shallow = bound_states(dim, centers)
+    assert deep.energy == pytest.approx(-1.0, rel=1e-12)
+    assert residue_wavefunction(deep, (near,) + pad) == pytest.approx(want, rel=1e-6)
+    assert residue_wavefunction(shallow, (sep + near,) + pad) > 0.0
+
+
 @pytest.mark.parametrize(
     "dim,centers,x,y",
     [
