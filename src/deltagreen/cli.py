@@ -547,14 +547,18 @@ def _g0_quadrature_rows(fast):
 
 
 def _lattice_spectrum_rows(fast):
-    """The 1D bound state E_B = -1 against lattice eigensolves, h -> 0."""
+    """The 1D bound state E_B = -1 against lattice eigensolves, h -> 0.
+
+    The on-site delta converges at second order: the order p measured as h
+    halves from 0.02 to 0.01 is reported as |p - 2|.
+    """
     single = [center(0.0, bare_1d(-2.0))]
     errs = []
     for points in (1001, 2001, 4001):
         lat = oracles.Lattice1D(half_width=20.0, points=points)
         errs.append(abs(oracles.lattice1d_spectrum(single, lat, 1)[0] - (-1.0)))
     yield "lattice_bound_state_h0.01", errs[-1], 2e-2
-    yield "lattice_convergence_order", max(0.0, 0.9 - math.log2(errs[-2] / errs[-1])), 0.0
+    yield "lattice_convergence_order", abs(math.log2(errs[-2] / errs[-1]) - 2.0), 0.1
 
 
 def _shooting_rows(fast):
@@ -593,7 +597,7 @@ def _renormalization_rows(fast):
         den_errs.append(abs(den - target))
     yield "denominator_limit_2d", den_errs[-1], 1e-6
     slope = -np.polyfit(np.log(lam_caps), np.log(den_errs), 1)[0]
-    yield "denominator_order_2d", max(0.0, abs(slope - 2.0) - 0.2), 0.0
+    yield "denominator_order_2d", abs(slope - 2.0), 0.2
 
     spec3 = renormalized_3d(4.0 * math.pi)
     kap_root = refine_root(

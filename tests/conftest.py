@@ -1,7 +1,7 @@
 """Shared pytest plumbing: prints the acceptance-criteria summary block."""
 
 CRITERIA = {
-    1: "1D bound state exact and lattice-oracle confirmed with order >= 0.9",
+    1: "1D bound state exact and lattice-oracle confirmed with order within 0.1 of 2",
     2: "2D dimensional transmutation value and RG invariance",
     3: "2D regularized denominator limit and O(cutoff^-2) rate",
     4: "3D bound state closed form and root-finder agreement",

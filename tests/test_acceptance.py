@@ -60,9 +60,9 @@ def test_criterion_01_bound_state_1d_exact_and_lattice_confirmed():
     assert states[0].energy == -1.0
 
     # independent route: tridiagonal eigensolves of the discretized operator
-    # against -1, within 2e-2 at h = 0.01 and with order >= 0.9 as h halves
+    # against -1, within 2e-2 at h = 0.01 and with order within 0.1 of 2 as h halves
     tols = _passing("lattice_spectrum")
-    assert tols == {"lattice_bound_state_h0.01": 2e-2, "lattice_convergence_order": 0.0}
+    assert tols == {"lattice_bound_state_h0.01": 2e-2, "lattice_convergence_order": 0.1}
 
 
 def test_criterion_02_dimensional_transmutation():
@@ -92,7 +92,7 @@ def test_criterion_03_regularized_denominator_reaches_renormalized_limit():
     # 1/lambda(cutoff) + B(K, cutoff) at cutoffs 1e2..1e6 against -1/(4 pi):
     # within 1e-6 at 1e6, and a log-log slope within 0.2 of -2
     tols = _passing("renormalization")
-    assert (tols["denominator_limit_2d"], tols["denominator_order_2d"]) == (1e-6, 0.0)
+    assert (tols["denominator_limit_2d"], tols["denominator_order_2d"]) == (1e-6, 0.2)
 
 
 def test_criterion_04_bound_state_3d_closed_form_and_root_finder():

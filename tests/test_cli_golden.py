@@ -166,11 +166,11 @@ VERIFY_CHECKS = [
     ("g0_quadrature_d3_r2", 0.0, 1e-08),
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
     ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
-    ("lattice_convergence_order", 0.0, 0.0),
+    ("lattice_convergence_order", 0.0002162968660659459, 0.1),
     ("shooting_two_delta", 2.220446049250313e-16, 1e-06),
     ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
     ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),
-    ("denominator_order_2d", 0.0, 0.0),
+    ("denominator_order_2d", 0.0004397224194763183, 0.2),
     ("root_finder_3d", 0.0, 1e-12),
     ("optical_theorem_unitary", 2.7755575615628914e-17, 1e-14),
     ("transmission_lattice", 6.25007815352463e-06, 0.0001),
@@ -184,11 +184,11 @@ VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d3_r1", 3.469446951953614e-18, 1e-08),
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
     ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
-    ("lattice_convergence_order", 0.0, 0.0),
+    ("lattice_convergence_order", 0.0002162968660659459, 0.1),
     ("shooting_two_delta", 2.220446049250313e-16, 1e-06),
     ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
     ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),
-    ("denominator_order_2d", 0.0, 0.0),
+    ("denominator_order_2d", 0.0004397224194763183, 0.2),
     ("root_finder_3d", 0.0, 1e-12),
     ("optical_theorem_unitary", 2.7755575615628914e-17, 1e-14),
     ("transmission_lattice", 6.25007815352463e-06, 0.0001),
