@@ -326,6 +326,11 @@ def test_error_payload_is_strict_json(capsys):
     assert _strict_json(err)["details"] == {"e_b": "-inf"}
 
 
+def test_strict_payload_values_reach_into_lists_and_tuples():
+    payload = {"a": [1.0, math.inf, (-math.inf, "x")], "b": {"c": math.nan}}
+    assert cli_mod._strict(payload) == {"a": [1.0, "inf", ["-inf", "x"]], "b": {"c": "nan"}}
+
+
 def test_exit_4_when_a_check_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "CHECKS", {"rigged": lambda fast: [("rigged", 1.0, 1e-6)]})
     code, out, _ = run_cli(capsys, "verify")

@@ -19,11 +19,13 @@ from deltagreen import (
     residue_wavefunction,
 )
 from deltagreen.errors import (
+    BranchAmbiguityError,
     CoincidentPointsError,
     DispersionError,
     DomainError,
     IllegalSpecError,
     InsufficientBoxError,
+    NonConvergenceError,
     TailBoundExceededError,
     UnsupportedDimError,
 )
@@ -257,6 +259,18 @@ def test_shooting_guards():
         shooting1d((center(0.0, from_bound_state(-1.0)),), (0.5, 1.5))
 
 
+def _failing_brentq(*args, **kwargs):
+    raise RuntimeError("failed to converge")
+
+
+def test_shooting_polish_failure_is_non_convergence(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "brentq", _failing_brentq)
+    with pytest.raises(NonConvergenceError):
+        shooting1d(PAIR, (0.05, 3.0))
+
+
 # ------------------------------------------------------------ transmission
 
 
@@ -319,6 +333,18 @@ def test_well_depth_guards():
         shrinking_well_depth(-1.0, 1.5)  # outside 0 < r0 < 1/kappa_B
     with pytest.raises(DomainError):
         SquareWell3D(0.1, -5.0)
+    # the root u = pi/2 + kappa_B r0 / (pi/2) falls below the bracket's
+    # bottom, pi/2 (1 + 1e-12), once kappa_B r0 is below ~2.5e-12
+    with pytest.raises(BranchAmbiguityError):
+        shrinking_well_depth(-1.0, 1e-13)
+
+
+def test_well_depth_polish_failure_is_non_convergence(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "brentq", _failing_brentq)
+    with pytest.raises(NonConvergenceError):
+        shrinking_well_depth(-1.0, 0.1)
 
 
 def test_well_tail_is_the_contact_shape():

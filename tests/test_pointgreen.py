@@ -804,6 +804,25 @@ def test_bound_state_validation():
         bound_states(1, c, search=(-1.0, 1.0))
     with pytest.raises(DomainError):
         bound_states(1, c, search=(-0.5, -1.0))
+    with pytest.raises(DomainError):
+        bound_states(1, PAIR, grid_points=1)
+
+
+def test_scan_entry_beyond_double_precision_is_a_domain_error(monkeypatch):
+    # no input was found whose M(E) overflows at a scan energy (an infinite
+    # 1/lambda decouples its center first), so the kernel is made to
+    def overflowing(dim, kappa, r):
+        return np.full(np.broadcast_shapes(np.shape(kappa), np.shape(r)), -np.inf)
+
+    monkeypatch.setattr(pointgreen, "g0_of_kappa", overflowing)
+    with pytest.raises(DomainError, match="beyond double precision"):
+        bound_states(1, PAIR, search=(-4.0, -0.01))
+
+
+def test_non_positive_m_prime_at_a_root_is_a_non_convergence(monkeypatch):
+    monkeypatch.setattr(pointgreen, "_m_prime", lambda e_b, m_at: -np.eye(len(m_at(e_b))))
+    with pytest.raises(NonConvergenceError, match="non-positive dM/dE"):
+        bound_states(1, PAIR)
 
 
 # ---------------------------------------------------------------- residues

@@ -31,7 +31,12 @@ from deltagreen.errors import (
     ZeroCouplingError,
 )
 from deltagreen.greenfn import ComplexEnergy
-from deltagreen.renorm import coupling_constants, renormalized_denominators
+from deltagreen.renorm import (
+    REN_2D,
+    CouplingSpec,
+    coupling_constants,
+    renormalized_denominators,
+)
 
 # surface of the unit sphere over (2 pi)^D, D = 1..4
 _ANGULAR = {
@@ -110,6 +115,8 @@ def test_bubble_validation():
 def test_coupling_spec_factories_validate():
     with pytest.raises(ZeroCouplingError):
         bare_1d(0.0)
+    with pytest.raises(DomainError):
+        bare_1d(math.inf)
     with pytest.raises(DomainError):
         renormalized_2d(-1.0, -2.0)
     with pytest.raises(ZeroCouplingError):
@@ -300,6 +307,8 @@ def test_transmutation_values():
         transmutation_energy(renormalized_3d(1.0))
     with pytest.raises(DomainError):
         transmutation_energy(renormalized_2d(1e-3, 1.0))  # exp overflow
+    with pytest.raises(ZeroCouplingError):  # the factory refuses it; the constructor does not
+        transmutation_energy(CouplingSpec(variant=REN_2D, lambda_r=0.0, mu=1.0))
 
 
 def test_rg_shift_examples():
@@ -311,6 +320,8 @@ def test_rg_shift_examples():
         rg_shift(4.0 * math.pi, 1.0, math.sqrt(math.e))
     with pytest.raises(DomainError):
         rg_shift(-1.0, -1.0, 1.0)
+    with pytest.raises(ZeroCouplingError):
+        rg_shift(0.0, 1.0, 2.0)
 
 
 def test_rg_flow_group_property():

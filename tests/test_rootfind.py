@@ -28,6 +28,8 @@ def test_bracket_scan_reports_exact_grid_zeros():
     assert (2.0, 2.0) in brackets
     assert all(a == b for a, b in brackets)
     assert refine_root(f, 0.0, 0.0, 1e-12) == 0.0
+    # a zero at the first grid point is reported too
+    assert bracket_sign_changes(f, [0.0, 1.0, 2.0]) == [(0.0, 0.0), (2.0, 2.0)]
 
 
 def test_bracket_scan_no_crossing():

@@ -141,6 +141,12 @@ def test_deep_bound_state_turns_scattering_off():
     assert abs(psi - plane) < 2e-4
 
 
+def test_scattered_wave_takes_a_coordinate_tuple():
+    spec = from_bound_state(-1.0)
+    point = scattered_wave(0.7, spec, SpatialPoint.of(0.3, -0.2, 1.5))
+    assert scattered_wave(0.7, spec, (0.3, -0.2, 1.5)) == point
+
+
 @pytest.mark.parametrize("policy", ["unitary", "paper"])
 def test_forward_axis_shadow(policy):
     # interference removes flux from the beam: |psi|^2 < 1 downstream
@@ -160,7 +166,7 @@ def test_scattering_input_validation():
     for x in (SpatialPoint.of(0.0), SpatialPoint.of(0.0, 1.0)):  # points of R^3 only
         with pytest.raises(IllegalSpecError):
             scattered_wave(1.0, from_bound_state(-1.0), x)
-    with pytest.raises(IllegalSpecError):
+    with pytest.raises(IllegalSpecError):  # require_dim(3) of the denominator
         scattered_wave(1.0, bare_1d(-2.0), SpatialPoint.of(0, 0, 1.0))
     with pytest.raises(DomainError):
         scattered_wave(0.0, from_bound_state(-1.0), SpatialPoint.of(0, 0, 1.0))
