@@ -547,11 +547,8 @@ def _g0_quadrature_rows(fast):
 
 
 def _lattice_spectrum_rows(fast):
-    """The 1D bound state E_B = -1 against lattice eigensolves, h -> 0.
-
-    The on-site delta converges at second order: the order p measured as h
-    halves from 0.02 to 0.01 is reported as |p - 2|.
-    """
+    """The 1D bound state E_B = -1 against lattice eigensolves, h -> 0, and
+    |p - 2| for the order p as h halves (the on-site delta is second order)."""
     single = [center(0.0, bare_1d(-2.0))]
     errs = []
     for points in (1001, 2001, 4001):

@@ -107,8 +107,7 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     quadrature (``mp.quad``) resolves it, split at t = r^2/4, where the
     Gaussian factor switches on (at t = 1 when r = 0).  The result is
     computed at two working precisions; if they disagree beyond QUAD_TOL / 2
-    (QUAD_TOL = 1e-10) a :class:`TailBoundExceededError` is raised instead of
-    returning a value.
+    a :class:`TailBoundExceededError` is raised instead of returning a value.
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimError("quadrature oracle covers D in {1,2,3}", dim=dim)
