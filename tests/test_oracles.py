@@ -259,18 +259,6 @@ def test_shooting_guards():
         shooting1d((center(0.0, from_bound_state(-1.0)),), (0.5, 1.5))
 
 
-def _failing_brentq(*args, **kwargs):
-    raise RuntimeError("failed to converge")
-
-
-def test_shooting_polish_failure_is_non_convergence(monkeypatch):
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "brentq", _failing_brentq)
-    with pytest.raises(NonConvergenceError):
-        shooting1d(PAIR, (0.05, 3.0))
-
-
 # ------------------------------------------------------------ transmission
 
 
@@ -339,12 +327,20 @@ def test_well_depth_guards():
         shrinking_well_depth(-1.0, 1e-13)
 
 
-def test_well_depth_polish_failure_is_non_convergence(monkeypatch):
+@pytest.mark.parametrize(
+    "call",
+    [lambda: shooting1d(PAIR, (0.05, 3.0)), lambda: shrinking_well_depth(-1.0, 0.1)],
+    ids=["shooting", "well_depth"],
+)
+def test_library_root_polish_failure_is_non_convergence(monkeypatch, call):
     import scipy.optimize
 
-    monkeypatch.setattr(scipy.optimize, "brentq", _failing_brentq)
+    def failing(*args, **kwargs):
+        raise RuntimeError("failed to converge")
+
+    monkeypatch.setattr(scipy.optimize, "brentq", failing)
     with pytest.raises(NonConvergenceError):
-        shrinking_well_depth(-1.0, 0.1)
+        call()
 
 
 def test_well_tail_is_the_contact_shape():

@@ -810,7 +810,7 @@ def test_bound_state_validation():
 
 def test_scan_entry_beyond_double_precision_is_a_domain_error(monkeypatch):
     # no input was found whose M(E) overflows at a scan energy (an infinite
-    # 1/lambda decouples its center first), so the kernel is made to
+    # 1/lambda decouples its center first), so a patched kernel overflows
     def overflowing(dim, kappa, r):
         return np.full(np.broadcast_shapes(np.shape(kappa), np.shape(r)), -np.inf)
 
