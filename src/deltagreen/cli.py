@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 import click
+import mpmath as mp
 import numpy as np
 
 from . import __version__, oracles
@@ -640,12 +641,8 @@ def _residue_rows(fast):
     extrap = probes[1] + (probes[1] - probes[0]) * deltas[1] / (deltas[0] - deltas[1])
     yield "residue_factorization_1d", abs(extrap - psi_xy), 1e-6
 
-    from scipy.integrate import quad  # here, so other commands start without scipy
-
-    norm, _ = quad(
-        lambda t: residue_wavefunction(state, t) ** 2, -60.0, 60.0, points=[0.0], limit=200
-    )
-    yield "residue_normalization_1d", abs(norm - 1.0), 1e-6
+    norm = mp.quad(lambda t: residue_wavefunction(state, float(t)) ** 2, [-60, 0, 60])
+    yield "residue_normalization_1d", abs(float(norm) - 1.0), 1e-6
 
 
 #: ``verify``'s oracle checks in order: route -> generator of its (name, error,

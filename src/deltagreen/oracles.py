@@ -13,8 +13,8 @@ Nothing in this module shares a formula with the production code it checks:
   the eigenvalue branches of the N x N matrix M(E).
 * :func:`shooting1d` propagates decaying exponentials through the jump
   condition psi'(a+) - psi'(a-) = lambda psi(a), counts states by the nodes
-  of psi (Sturm oscillation), and roots the matching coefficient with a
-  library bracketing solver (production uses its own).
+  of psi (Sturm oscillation), and roots the matching coefficient by plain
+  bisection (production uses Anderson-Bjorck regula falsi).
 * :func:`lattice1d_transmission` solves plane-wave matching on the infinite
   lattice, with its own dispersion relation.
 * :func:`shrinking_well_depth` realizes the contact limit physically: the
@@ -35,21 +35,19 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (
-    BranchAmbiguityError,
     CoincidentPointsError,
     DispersionError,
     DomainError,
     IllegalSpecError,
     InsufficientBoxError,
-    NonConvergenceError,
     TailBoundExceededError,
     UnsupportedDimError,
 )
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
 
-# scipy is imported inside the oracles that use it, so a CLI call that runs
-# none of them starts without loading it (about 0.2 s)
+# scipy.linalg is imported inside the lattice oracles, so a CLI call that runs
+# neither starts without loading scipy
 
 
 @dataclass(frozen=True)
@@ -231,13 +229,12 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
     one between centers where psi changes sign and one past the last center
     where the growing coefficient's sign differs from psi there.  A grid cell
     whose count drops by two or more is halved until each part holds one
-    state; each state is then polished with a library solver.
+    state; each state is then polished by bisection.
     """
     sites = sorted(_require_bare(centers))
     lo, hi = float(kappa_bracket[0]), float(kappa_bracket[1])
     if not (0.0 < lo < hi < math.inf):
         raise DomainError("need 0 < kappa_min < kappa_max < inf", lo=lo, hi=hi)
-    from scipy.optimize import brentq
 
     def shoot(kap: float) -> tuple[float, int]:
         # psi = A e^{k(x-p)} + B e^{-k(x-p)} about the last center p, scaled
@@ -275,13 +272,20 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
         elif fa == 0.0 or fb == 0.0 or na - nb >= 2:
             roots += [float(a if fa == 0.0 else b if fb == 0.0 else mid)] * (na - nb)
         else:
-            try:
-                roots.append(float(brentq(lambda k: shoot(k)[0], a, b, xtol=1e-13)))
-            except (RuntimeError, ValueError) as exc:
-                raise NonConvergenceError(
-                    "library root polish failed", a=float(a), b=float(b)
-                ) from exc
+            roots.append(_bisect(lambda k: shoot(k)[0], a, b))
     return sorted(roots)
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """A sign change of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Halves the bracket until its midpoint equals one of its ends, so the
+    result and its neighbouring double bracket the change.
+    """
+    neg_a = f(a) < 0.0
+    while a < (mid := 0.5 * a + 0.5 * b) < b:  # halves first: a + b may overflow
+        a, b = (mid, b) if (f(mid) < 0.0) == neg_a else (a, mid)
+    return mid
 
 
 def lattice1d_transmission(lam: float, k: float, lat: Lattice1D) -> tuple[float, float]:
@@ -325,24 +329,17 @@ def shrinking_well_depth(e_b: float, r0: float) -> float:
             "deep-well regime needs 0 < r0 < 1/kappa_B", r0=r0, kappa_b=kb
         )
 
-    def match(u: float) -> float:
-        return (u / r0) * math.cos(u) / math.sin(u) + kb
+    def match(w: float) -> float:  # u = q r0 = pi/2 + w, cot u = -tan w
+        return -(0.5 * math.pi + w) / r0 * math.tan(w) + kb
 
-    lo = 0.5 * math.pi * (1.0 + 1e-12)
-    hi = math.pi * (1.0 - 1e-12)
-    flo, fhi = match(lo), match(hi)
-    if not (flo > 0.0 > fhi):
-        raise BranchAmbiguityError(
-            "first-branch bracket failed", f_lo=flo, f_hi=fhi
-        )
-    from scipy.optimize import brentq
-
-    try:
-        u_star = brentq(match, lo, hi, xtol=1e-14)
-    except (RuntimeError, ValueError) as exc:
-        raise NonConvergenceError("well-depth root polish failed") from exc
+    # match(0) = kappa_B > 0 and match -> -inf as w -> pi/2: the bracket
+    # changes sign for every r0, and w resolves roots near u = pi/2
+    u_star = 0.5 * math.pi + _bisect(match, 0.0, 0.5 * math.pi * (1.0 - 1e-12))
     q = u_star / r0
-    return q * q + kb * kb
+    depth = q * q + kb * kb
+    if not depth < math.inf:
+        raise DomainError("well depth overflows the doubles", r0=r0)
+    return depth
 
 
 def square_well_radial(well: SquareWell3D, e_b: float, r: float) -> float:

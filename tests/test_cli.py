@@ -465,3 +465,19 @@ def test_cli_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_cold_verify_loads_no_scipy_optimize_or_integrate():
+    # the oracles root by bisection and the residue norm uses mpmath's
+    # quadrature: verify loads scipy.linalg alone (about 0.1 s less)
+    code = (
+        "import contextlib, io, sys\n"
+        "from deltagreen.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--fast'])\n"
+        "unwanted = ('scipy.optimize', 'scipy.integrate')\n"
+        "print(code, [m for m in sys.modules if m.startswith(unwanted)])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0 []\n"

@@ -167,7 +167,7 @@ VERIFY_CHECKS = [
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
     ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
     ("lattice_convergence_order", 0.0002162968660659459, 0.1),
-    ("shooting_two_delta", 2.220446049250313e-16, 1e-06),
+    ("shooting_two_delta", 0.0, 1e-06),
     ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
     ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),
     ("denominator_order_2d", 0.0004397224194763183, 0.2),
@@ -176,7 +176,7 @@ VERIFY_CHECKS = [
     ("transmission_lattice", 6.25007815352463e-06, 0.0001),
     ("shrinking_well_depth", 0.002000594773581721, 0.005),
     ("residue_factorization_1d", 2.9519059974170148e-09, 1e-06),
-    ("residue_normalization_1d", 2.220446049250313e-16, 1e-06),
+    ("residue_normalization_1d", 0.0, 1e-06),
 ]
 VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d1_r1", 0.0, 1e-08),
@@ -185,7 +185,7 @@ VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
     ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
     ("lattice_convergence_order", 0.0002162968660659459, 0.1),
-    ("shooting_two_delta", 2.220446049250313e-16, 1e-06),
+    ("shooting_two_delta", 0.0, 1e-06),
     ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
     ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),
     ("denominator_order_2d", 0.0004397224194763183, 0.2),
@@ -194,7 +194,7 @@ VERIFY_FAST_CHECKS = [
     ("transmission_lattice", 6.25007815352463e-06, 0.0001),
     ("shrinking_well_depth", 0.002000594773581721, 0.005),
     ("residue_factorization_1d", 2.9519059974170148e-09, 1e-06),
-    ("residue_normalization_1d", 2.220446049250313e-16, 1e-06),
+    ("residue_normalization_1d", 0.0, 1e-06),
 ]
 
 

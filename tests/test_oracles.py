@@ -8,6 +8,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import k0 as scipy_k0
 
 from deltagreen import (
@@ -19,13 +20,11 @@ from deltagreen import (
     residue_wavefunction,
 )
 from deltagreen.errors import (
-    BranchAmbiguityError,
     CoincidentPointsError,
     DispersionError,
     DomainError,
     IllegalSpecError,
     InsufficientBoxError,
-    NonConvergenceError,
     TailBoundExceededError,
     UnsupportedDimError,
 )
@@ -191,6 +190,41 @@ def test_shooting_weak_coupling():
         assert r == pytest.approx(1e-4, rel=1e-6)
 
 
+def test_shooting_two_delta_matches_parity_roots_to_one_ulp():
+    # lambda = -2 at x = +-1: even states solve kappa = 1 + e^(-2 kappa), odd
+    # ones kappa = 1 - e^(-2 kappa)
+    with mp.workdps(50):
+        refs = [float(mp.findroot(lambda k: k - 1 + s * mp.exp(-2 * k), 1.0)) for s in (1, -1)]
+    roots = shooting1d(PAIR, (0.05, 3.0))  # verify's window
+    assert len(roots) == 2
+    for root, ref in zip(roots, refs):
+        assert abs(root - ref) <= math.ulp(ref)
+
+
+_MONOTONE = [lambda t: t, math.atan, math.tanh, math.erf, math.cbrt]  # keep the sign of t
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3, unique=True),
+    st.sampled_from(_MONOTONE),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_bisect_brackets_the_sign_change_between_neighbouring_doubles(ends, g, sign):
+    a, c, b = sorted(ends)  # the sign change sits exactly at c
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return sign * g(x - c)
+
+    root = oracles._bisect(f, a, b)
+    assert all(a <= x <= b for x in calls) and a <= root <= b
+    assert any(
+        (f(root) < 0.0) != (f(math.nextafter(root, side)) < 0.0) for side in (-math.inf, math.inf)
+    )
+
+
 # bare 1D layouts (position, lambda), each with a window holding two states
 # less than one cell of a 4000-point kappa grid apart, and those two energies
 ONE_CELL_PAIRS = [
@@ -321,26 +355,26 @@ def test_well_depth_guards():
         shrinking_well_depth(-1.0, 1.5)  # outside 0 < r0 < 1/kappa_B
     with pytest.raises(DomainError):
         SquareWell3D(0.1, -5.0)
-    # the root u = pi/2 + kappa_B r0 / (pi/2) falls below the bracket's
-    # bottom, pi/2 (1 + 1e-12), once kappa_B r0 is below ~2.5e-12
-    with pytest.raises(BranchAmbiguityError):
-        shrinking_well_depth(-1.0, 1e-13)
+    # the root u = pi/2 + kappa_B r0 / (pi/2) crowds pi/2 as r0 shrinks;
+    # rooting in w = u - pi/2 resolves it at any r0
+    want = _well_depth_ref(1.0, 1e-13)
+    assert shrinking_well_depth(-1.0, 1e-13) == pytest.approx(want, rel=5e-16)
+    with pytest.raises(DomainError):  # V0 ~ (pi / 2 r0)^2 past the doubles
+        shrinking_well_depth(-1.0, 1e-160)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [lambda: shooting1d(PAIR, (0.05, 3.0)), lambda: shrinking_well_depth(-1.0, 0.1)],
-    ids=["shooting", "well_depth"],
-)
-def test_library_root_polish_failure_is_non_convergence(monkeypatch, call):
-    import scipy.optimize
+def _well_depth_ref(kappa_b, r0):
+    # q cot(q r0) = -kappa_B rooted in u = q r0 at 50 digits
+    with mp.workdps(50):
+        kb, r0 = mp.mpf(kappa_b), mp.mpf(r0)
+        u = mp.findroot(lambda u: u / r0 * mp.cot(u) + kb, mp.pi / 2 + kb * r0 / (mp.pi / 2))
+        return float((u / r0) ** 2 + kb * kb)
 
-    def failing(*args, **kwargs):
-        raise RuntimeError("failed to converge")
 
-    monkeypatch.setattr(scipy.optimize, "brentq", failing)
-    with pytest.raises(NonConvergenceError):
-        call()
+@pytest.mark.parametrize("r0", [0.5, 0.1, 1e-3, 1e-6, 1e-12])
+def test_well_depth_matches_mpmath_root(r0):
+    # within two ulps of V0: bisection in w leaves only the rounding of q^2
+    assert shrinking_well_depth(-1.0, r0) == pytest.approx(_well_depth_ref(1.0, r0), rel=5e-16)
 
 
 def test_well_tail_is_the_contact_shape():
