@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 
 import click
-import mpmath as mp
 import numpy as np
 
 from . import __version__, oracles
@@ -562,13 +561,13 @@ def _lattice_spectrum_rows(fast):
 def _shooting_rows(fast):
     """The two-delta spectrum of the branch scan against shooting."""
     pair = [center(-1.0, bare_1d(-2.0)), center(1.0, bare_1d(-2.0))]
-    det_states = bound_states(1, pair, method="scan")
+    states = bound_states(1, pair, method="scan")
     shoot = sorted(-k * k for k in oracles.shooting1d(pair, (0.05, 3.0)))
-    if len(shoot) != len(det_states):
+    if len(shoot) != len(states):
         # a missed or spurious state: the count difference is >= 1, far above tol
-        yield "shooting_two_delta", float(abs(len(shoot) - len(det_states))), 1e-6
+        yield "shooting_two_delta", float(abs(len(shoot) - len(states))), 1e-6
     else:
-        worst = max(abs(st.energy - e_ref) for st, e_ref in zip(det_states, shoot))
+        worst = max(abs(st.energy - e_ref) for st, e_ref in zip(states, shoot))
         yield "shooting_two_delta", worst, 1e-6
 
 
@@ -641,8 +640,8 @@ def _residue_rows(fast):
     extrap = probes[1] + (probes[1] - probes[0]) * deltas[1] / (deltas[0] - deltas[1])
     yield "residue_factorization_1d", abs(extrap - psi_xy), 1e-6
 
-    norm = mp.quad(lambda t: residue_wavefunction(state, float(t)) ** 2, [-60, 0, 60])
-    yield "residue_normalization_1d", abs(float(norm) - 1.0), 1e-6
+    norm = oracles.norm_by_quadrature(lambda x: residue_wavefunction(state, x), (-60, 0, 60))
+    yield "residue_normalization_1d", abs(norm - 1.0), 1e-6
 
 
 #: ``verify``'s oracle checks in order: route -> generator of its (name, error,

@@ -115,9 +115,3 @@ class DispersionError(DeltaGreenError):
     """Lattice dispersion error too large at this k*h."""
 
     code = "DispersionError"
-
-
-class BranchAmbiguityError(DeltaGreenError):
-    """Root bracketing for the well depth failed to isolate the first branch."""
-
-    code = "BranchAmbiguity"

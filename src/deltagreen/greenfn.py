@@ -21,9 +21,10 @@ Coincident points with D >= 2 are a typed error (:class:`CoincidentPointsError`)
 never an infinity: that divergence is exactly what the renormalization
 machinery in :mod:`deltagreen.renorm` exists to absorb.
 
-:func:`g0_kernel` evaluates these closed forms over a whole array of
-separations at once; :func:`g0` is the checked point-to-point entry that
-calls it with one separation.
+:func:`g0_of_kappa` evaluates the closed forms, unchecked, over arrays of
+kappa and r, the retarded kappa = -i k included (in 2D, -(i/4) H0^(1)(k r));
+:func:`g0_kernel` checks one energy and calls it, and :func:`g0` checks two
+points and calls :func:`g0_kernel`.
 """
 
 from __future__ import annotations
@@ -194,12 +195,6 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
             dim=dim,
             r=float(r.min()),
         )
-    if dim == 2 and e.retarded and e.value.real > 0.0:
-        # K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the retarded path on
-        # the self-contained real-argument j0/y0 implementations; k r past
-        # double precision gives a NaN that GreenValue refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -0.25j * np.asarray(bessel.hankel1_0(math.sqrt(e.value.real) * r))
     kap = e.kappa
     if dim == 1 and kap == 0.0:
         raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
@@ -210,18 +205,23 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
 def g0_of_kappa(dim: int, kappa, r):
     """The closed forms at E = -kappa**2, elementwise over kappa and r broadcast.
 
-    ``kappa`` is sqrt(-E) with Re kappa > 0, or -i k (k > 0) in D = 1, 3 for
-    the retarded kernel.  Nothing is checked: :func:`g0_kernel` is the
-    checked entry point.
+    ``kappa`` is sqrt(-E) with Re kappa > 0 or, for the retarded kernel,
+    -i k with k > 0 at every entry.  Nothing is checked: :func:`g0_kernel`
+    is the checked entry point.
     """
     # kappa * r overflowing to inf is the kernel underflowing to 0, or (for
     # imaginary kappa) a phase k r past double precision: a NaN that the
     # finite check of GreenValue refuses
     with np.errstate(over="ignore", invalid="ignore"):
         if dim == 2:
+            z = kappa * r
+            if np.iscomplexobj(z) and not z.real.any():
+                # kappa = -i k: K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the
+                # retarded kernel on the self-contained real-argument j0/y0
+                return -0.25j * np.asarray(bessel.hankel1_0(-z.imag))
             # dividing by the negated constant negates the quotient exactly
             # and saves a complex temporary the size of r
-            return np.asarray(bessel.k0(kappa * r)) / -_TWO_PI
+            return np.asarray(bessel.k0(z)) / -_TWO_PI
         wave = np.exp(-kappa * r)
     if dim == 1:
         return -wave / (2.0 * kappa)

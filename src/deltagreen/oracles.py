@@ -17,6 +17,8 @@ Nothing in this module shares a formula with the production code it checks:
   bisection (production uses Anderson-Bjorck regula falsi).
 * :func:`lattice1d_transmission` solves plane-wave matching on the infinite
   lattice, with its own dispersion relation.
+* :func:`norm_by_quadrature` integrates |psi|^2 by tanh-sinh quadrature,
+  while production normalizes the residue through dM/dE at the pole.
 * :func:`shrinking_well_depth` realizes the contact limit physically: the
   depth a finite spherical well must acquire as its radius shrinks while one
   bound state is held fixed, approaching V0 r0^2 -> (pi/2)^2.
@@ -139,6 +141,13 @@ def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
             [0, q if r > 0.0 else 1, mp.inf],
         )
         return float(-val)
+
+
+def norm_by_quadrature(psi, points) -> float:
+    """int psi(x)^2 dx from points[0] to points[-1] by tanh-sinh quadrature
+    at double precision, split at each point (put psi's kinks there)."""
+    with mp.workdps(15):
+        return float(mp.quad(lambda t: psi(float(t)) ** 2, list(points)))
 
 
 def _require_bare(centers) -> list[tuple[float, float]]:

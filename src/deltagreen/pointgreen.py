@@ -10,8 +10,10 @@ centers a_1..a_N the correction generalizes to a small linear solve:
     G = G0(x, y) + sum_ij G0(x, a_i) [M^-1]_ij G0(a_j, y),
     M_ii = D_i(E),      M_ij = -G0(E; a_i, a_j)   (i != j).
 
-M is complex symmetric (real symmetric on the negative real axis).  G has a
-pole exactly where M is singular; :func:`green` reports one when its single
+M is complex symmetric (real symmetric on the negative real axis).  One
+builder assembles it at an array of kappa = sqrt(-E) for :func:`m_matrix`,
+:func:`green`, the residues and every batch of the scan.  G has a pole
+exactly where M is singular; :func:`green` reports one when its single
 solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
 which underflows for many centers.
 
@@ -181,20 +183,26 @@ def _matrices(off: np.ndarray, diag: np.ndarray, pairs) -> np.ndarray:
     return m
 
 
-def _assemble(
-    dim: int, e: ComplexEnergy, consts: CouplingConstants, pairs, r: np.ndarray
-) -> np.ndarray:
-    """M(E) from the pair distances and coupling constants: one kernel call
-    fills the off-diagonal, one denominator call the diagonal."""
-    return _matrices(g0_kernel(dim, e, r), renormalized_denominators(e.kappa, consts), pairs)
+def _m_of_kappa(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.ndarray:
+    """M(-kappa^2) at every kappa of a 1-D array, from the pair distances and
+    coupling constants: real matrices if every kappa is real, else complex.
+    One denominator call fills the diagonals (first: at kappa = 0 in D = 1,
+    2 it raises before the kernel divides by zero), one kernel call the rest.
+    """
+    if not np.imag(kappas).any():  # real kappa keeps the kernel on real arithmetic
+        kappas = np.real(kappas)
+    diag = renormalized_denominators(kappas, consts)
+    off = g0_of_kappa(dim, kappas[:, None], r)  # K0 is complex even at real kappa
+    return _matrices(off if np.iscomplexobj(kappas) else off.real, diag, pairs)
 
 
 def m_matrix(dim: int, energy, centers) -> MMatrix:
     """Assemble M(E): renormalized denominators on the diagonal, -G0 off it."""
-    e = ComplexEnergy.of(energy)
+    kappas = np.array([ComplexEnergy.of(energy).kappa])
     cs, pos = _validate_centers(dim, centers)
     pairs, r = _pair_distances(pos)
-    m = _assemble(dim, e, coupling_constants(dim, [c.coupling for c in cs]), pairs, r)
+    consts = coupling_constants(dim, [c.coupling for c in cs])
+    m = np.asarray(_m_of_kappa(dim, consts, pairs, r, kappas)[0], dtype=complex)
     m.setflags(write=False)
     return MMatrix(entries=m)
 
@@ -436,7 +444,7 @@ def bound_states(
 
     def m_at(energy) -> np.ndarray:
         # M(E) on these centers; their distances and couplings do not depend on E
-        return _assemble(dim, ComplexEnergy.of(energy), consts, pairs, r)
+        return _m_of_kappa(dim, consts, pairs, r, np.array([ComplexEnergy.of(energy).kappa]))[0]
 
     if method == "auto" and len(cs) == 1:
         # the closed form's E_B; only a given window filters it
@@ -475,34 +483,21 @@ def _search_window(own, search):
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
-def _scan_kappa(kappas: np.ndarray) -> np.ndarray:
-    """sqrt(-E) at the scan energies E = -kappa^2, each checked as
-    :class:`ComplexEnergy` checks it (finite, off the branch cut)."""
-    with np.errstate(over="ignore"):  # an overflow is caught just below
-        e = -kappas * kappas
-    ok = np.isfinite(e) & (e < 0.0)
-    if not ok.all():
-        ComplexEnergy(complex(e[~ok][0]))  # raises the typed error
-    return np.sqrt(-e)
-
-
-def _eigenvalues(
-    dim: int, consts: CouplingConstants, pairs, r: np.ndarray, kappas: np.ndarray
-) -> np.ndarray:
+def _eigenvalues(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.ndarray:
     """Ascending eigenvalues of the real M(-kappa^2), one row per kappa > 0.
 
-    One kernel call, one denominator call and one ``eigvalsh`` cover a whole
-    batch of energies; batches hold at most SCAN_BATCH matrix entries, so
-    memory stays bounded for many centers.
+    One :func:`_m_of_kappa` call and one ``eigvalsh`` cover a whole batch of
+    energies; batches hold at most SCAN_BATCH matrix entries, so memory
+    stays bounded for many centers.  The kappas lie in a checked window, so
+    no -kappa^2 overflows or underflows.
     """
     n = len(consts.value)
     step = max(1, SCAN_BATCH // (n * n))
     out = []
     for i in range(0, len(kappas), step):
-        kap = _scan_kappa(kappas[i : i + step])
+        kap = kappas[i : i + step]
         with np.errstate(over="ignore", divide="ignore"):  # checked just below
-            m = _matrices(g0_of_kappa(dim, kap[:, None], r).real,
-                          renormalized_denominators(kap, consts), pairs)
+            m = _m_of_kappa(dim, consts, pairs, r, kap)
         if not np.isfinite(m).all():
             raise DomainError("M(E) has an entry beyond double precision",
                               energy=float(-kap[0] * kap[0]))
@@ -516,13 +511,16 @@ def _window_bottom(dim: int, consts: CouplingConstants, pairs, r, e_min: float) 
     M' > 0 makes the number of positive eigenvalues of M(E) fall as E falls,
     to its E -> -inf limit: the repulsive bare 1D centers (D_i -> 1/lambda_i
     while the off-diagonal decays), none in 2D and 3D (D_i -> -inf).  Once
-    M(E_min) has that many, every branch has crossed zero above E_min.
+    M(E_min) has that many, every branch has crossed zero above E_min.  An
+    E_min that overflows raises :class:`DomainError` as :class:`ComplexEnergy` does.
     """
     limit = int(np.sum((consts.value > 0.0) & ~consts.from_e_b)) if dim == 1 else 0
     kap = math.sqrt(-e_min)
-    while np.sum(_eigenvalues(dim, consts, pairs, r, np.array([kap])) > 0.0) > limit:
+    while True:
+        e_min = ComplexEnergy(-kap * kap).value.real
+        if np.sum(_eigenvalues(dim, consts, pairs, r, np.array([kap])) > 0.0) <= limit:
+            return e_min
         kap *= 2.0
-    return -kap * kap
 
 
 def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):

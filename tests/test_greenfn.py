@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -207,6 +208,22 @@ def test_kernel_over_an_array_of_separations():
     # the one-dimensional kernel diverges at the threshold E = 0 + i0
     with pytest.raises(DomainError):
         g0_kernel(1, ComplexEnergy(0.0, retarded=True), np.array([1.0]))
+
+
+def test_2d_g0_of_kappa_takes_the_retarded_kappa():
+    # kappa = -i k gives the outgoing wave -(i/4) H0^(1)(k r), the kernel's
+    # retarded value bit for bit
+    from deltagreen.greenfn import g0_kernel, g0_of_kappa
+
+    r = np.array([1e-6, 0.3, 1.0, 4.9, 5.1, 37.0])
+    for k in (0.2, 1.0, 3.5):
+        got = g0_of_kappa(2, complex(0.0, -k), r)
+        want = g0_kernel(2, ComplexEnergy(k * k, retarded=True), r)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with mp.workdps(30):
+            ref = [complex(-0.25j * mp.hankel1(0, mp.mpf(k) * mp.mpf(x))) for x in r]
+        for g, h in zip(got, ref):
+            assert abs(g - h) <= 1e-13 * abs(h), (k, g, h)
 
 
 def test_2d_kernel_at_a_nearly_real_energy_far_away_is_finite():

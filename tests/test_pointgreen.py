@@ -28,7 +28,6 @@ from deltagreen import (
 from deltagreen import greenfn, pointgreen, renorm
 from deltagreen.errors import (
     AtPoleError,
-    BranchCutError,
     CoincidentPointsError,
     DeltaGreenError,
     DomainError,
@@ -175,12 +174,24 @@ def test_m_matrix_and_scan_make_no_scalar_denominator_call(monkeypatch):
     assert calls == []
 
 
-def test_scan_energies_are_checked_like_complex_energies():
-    assert np.array_equal(pointgreen._scan_kappa(np.array([0.5, 2.0])), [0.5, 2.0])
-    with pytest.raises(DomainError):  # -kappa^2 overflows to -inf
-        pointgreen._scan_kappa(np.array([1.0, 1e200]))
-    with pytest.raises(BranchCutError):  # -kappa^2 underflows to -0.0
-        pointgreen._scan_kappa(np.array([1e-170]))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scan_eigenvalues_are_those_of_m_matrix(dim):
+    # the scan counts states from the same M(-kappa^2) that m_matrix returns
+    rng = np.random.default_rng(40 + dim)
+    other = {1: bare_1d(-1.3), 2: renormalized_2d(-6.0, 1.0), 3: renormalized_3d(9.0)}[dim]
+    cs = [center(tuple(p), other if i % 2 else from_bound_state(-0.5 - 0.2 * i))
+          for i, p in enumerate(rng.uniform(0.0, 3.0, (6, dim)))]
+    consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
+    pairs, r = pointgreen._pair_distances(pointgreen._positions(cs))
+    kappas = np.geomspace(0.03, 30.0, 9)
+    grid = pointgreen._eigenvalues(dim, consts, pairs, r, kappas)
+    for kap, row in zip(kappas, grid):
+        want = np.linalg.eigvalsh(m_matrix(dim, -kap * kap, cs).entries.real).tobytes()
+        assert pointgreen._eigenvalues(dim, consts, pairs, r, np.array([kap]))[0].tobytes() == want
+        # 2D K0 sums its Chebyshev terms by a BLAS product that rounds each
+        # argument by its place in the batch, so there only one kappa alone agrees
+        if dim != 2:
+            assert row.tobytes() == want, kap
 
 
 @pytest.mark.parametrize("dim", [1, 3])
