@@ -8,9 +8,10 @@ Nothing in this module shares a formula with the production code it checks:
   tanh-sinh quadrature; production evaluates closed forms (exponentials and
   K0 from its own Bessel series and Chebyshev tables), none of which appears
   here.
-* :func:`lattice1d_spectrum` diagonalizes the second-difference Hamiltonian
-  with the delta as a single-site potential lambda/h, while production roots
-  the eigenvalue branches of the N x N matrix M(E).
+* :func:`lattice1d_spectrum` bisects Sturm counts of the second-difference
+  Hamiltonian with the delta as a single-site potential lambda/h (its
+  resolvent is a Thomas solve), while production roots the eigenvalue
+  branches of the N x N matrix M(E) with dense LAPACK.
 * :func:`shooting1d` propagates decaying exponentials through the jump
   condition psi'(a+) - psi'(a-) = lambda psi(a), counts states by the nodes
   of psi (Sturm oscillation), and roots the matching coefficient by plain
@@ -47,9 +48,6 @@ from .errors import (
 )
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
-
-# scipy.linalg is imported inside the lattice oracles, so a CLI call that runs
-# neither starts without loading scipy
 
 
 @dataclass(frozen=True)
@@ -162,70 +160,99 @@ def _require_bare(centers) -> list[tuple[float, float]]:
     return out
 
 
-def _lattice_hamiltonian(centers, lat: Lattice1D) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_hamiltonian(centers, lat: Lattice1D) -> tuple[list[float], float]:
+    """Site potentials v and hopping t of H = t (2 - S) + diag(v), S the sum
+    of the one-site shifts: t = 1/h^2, and a center adds lambda/h at its site."""
     sites = _require_bare(centers)
     h = lat.h
-    n = lat.points
-    diag = np.full(n, 2.0 / (h * h))
-    off = np.full(n - 1, -1.0 / (h * h))
+    v = [0.0] * lat.points
     for pos, lam in sites:
         idx = int(round((pos + lat.half_width) / h))
-        if idx < 0 or idx >= n:
+        if idx < 0 or idx >= lat.points:
             raise DomainError("center outside the lattice box", position=pos)
-        diag[idx] += lam / h
-    return diag, off
+        v[idx] += lam / h
+    return v, 1.0 / (h * h)
+
+
+def _sturm_count(v: list[float], t: float, x: float) -> int:
+    """Eigenvalues of H below x: the negative pivots t + r of H - x = L D L^T,
+    r_i = v_i - x + t r_(i-1) / (t + r_(i-1)); x meets numbers of size kappa/h
+    in r rather than 2/h^2 in the pivot, and so keeps its bits."""
+    below, r = 0, math.inf  # the first pivot has no predecessor: t r/(t + r) = t
+    for vi in v:
+        try:
+            r = vi - x + t / (1.0 + t / r)
+        except ZeroDivisionError:  # r = 0 adds 0; after a zero pivot the next is -inf
+            r = vi - x if r == 0.0 else -math.inf
+        if r < -t:
+            below += 1
+    return below
+
+
+def _thomas(v: list[float], t: float, shift: float, rhs) -> list[float]:
+    """(H - shift)^-1 rhs by the Thomas algorithm.  Its pivots are those of
+    :func:`_sturm_count`, bit for bit: all positive where it counts 0."""
+    r, q, y, rows = math.inf, math.inf, 0.0, []
+    for vi, b in zip(v, rhs):
+        y = b + t * y / q
+        r = vi - shift + (t / (1.0 + t / r) if r else 0.0)
+        q = t + r
+        if q == 0.0:
+            raise DomainError("zero pivot in the lattice solve", shift=shift)
+        rows.append((q, y))
+    u = [0.0]  # u_(n+1), then back substitution from u_n to u_1
+    for q, y in reversed(rows):
+        u.append((y + t * u[-1]) / q)
+    return u[:0:-1]
 
 
 def lattice1d_spectrum(centers, lat: Lattice1D, n_states: int) -> list[float]:
     """Lowest eigenvalues of the discretized 1D Hamiltonian, ascending.
 
-    The box must hold the bound states: if the ground eigenfunction keeps
-    more than 1e-6 of its peak amplitude at a wall,
-    :class:`InsufficientBoxError` is raised.
+    Each is bisected on the Sturm count to adjacent doubles, as LAPACK's
+    dstebz does (Barth, Martin and Wilkinson, Numer. Math. 9 (1967) 386).
+    The box must hold the bound states: if the ground eigenfunction (one
+    inverse iteration a double below the lowest eigenvalue) keeps more than
+    1e-6 of its peak amplitude at a wall, :class:`InsufficientBoxError` is raised.
     """
     if lat.points % 2 == 0:
         raise DomainError("use an odd point count so a grid point sits at 0")
     if n_states < 1 or n_states > lat.points:
         raise DomainError("n_states out of range", n_states=n_states)
-    from scipy.linalg import eigh_tridiagonal
-
-    diag, off = _lattice_hamiltonian(centers, lat)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
-    ground = np.abs(vecs[:, 0])
+    v, t = _lattice_hamiltonian(centers, lat)
+    vals, lo, hi = [], min(v), max(v) + 4.0 * t  # Gershgorin: the spectrum lies inside
+    for k in range(n_states):
+        vals.append(_bisect(lambda x: k + 0.5 - _sturm_count(v, t, x), lo, hi))
+        lo = math.nextafter(vals[-1], -math.inf)  # at most k + 1 eigenvalues below
+    # Perron-Frobenius: the ground state has no node, so a constant overlaps it
+    ground = np.abs(_thomas(v, t, math.nextafter(vals[0], -math.inf), [1.0] * lat.points))
     if max(ground[0], ground[-1]) > 1e-6 * ground.max():
         raise InsufficientBoxError(
             "ground state leaks to the box boundary; enlarge half_width",
             boundary_amplitude=float(max(ground[0], ground[-1]) / ground.max()),
         )
-    return [float(v) for v in vals]
+    return vals
 
 
 def lattice1d_resolvent(centers, lat: Lattice1D, energy: float, xi: float, xj: float) -> float:
     """Lattice (E - H)^(-1) kernel at the grid points nearest xi, xj.
 
-    Solves the banded system (H - E) u = delta/h and returns -u at the
+    Solves (H - E) u = delta/h by the Thomas algorithm and returns -u at the
     target site, matching the sign convention of the continuum kernel.
     """
     energy = float(energy)
     if not (energy < 0.0):
         raise DomainError("lattice resolvent implemented for E < 0", energy=energy)
-    diag, off = _lattice_hamiltonian(centers, lat)
+    v, t = _lattice_hamiltonian(centers, lat)
     h = lat.h
     n = lat.points
     j = int(round((xj + lat.half_width) / h))
     i = int(round((xi + lat.half_width) / h))
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError("evaluation point outside the box", xi=xi, xj=xj)
-    rhs = np.zeros(n)
+    rhs = [0.0] * n
     rhs[j] = 1.0 / h
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag - energy
-    ab[2, :-1] = off
-    from scipy.linalg import solve_banded
-
-    sol = solve_banded((1, 1), ab, rhs)
-    return float(-sol[i])
+    return -_thomas(v, t, energy, rhs)[i]
 
 
 def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1200) -> list[float]:

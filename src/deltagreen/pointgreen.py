@@ -478,7 +478,7 @@ def _search_window(own, search):
             )
         return e_min, e_max
     scales = [1.0] + [math.sqrt(-e_b) for e_b in own if e_b is not None]
-    kap_hi = 4.0 * max(scales)
+    kap_hi = min(4.0 * max(scales), math.sqrt(np.finfo(float).max))  # -kap_hi^2 stays finite
     kap_lo = max(min(scales) * 1e-3, KAPPA_FLOOR)
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
@@ -557,7 +557,10 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
     # deep degenerate pair: the floor is 1e-12 relative
     apart = np.diff(energies) > np.maximum(tol, 1e-12 * np.abs(energies[1:]))
     groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
-    return [(float(np.mean(energies[g])), np.sort(ks[g])) for g in groups]
+    with np.errstate(over="ignore"):  # a sum past -1.8e308 overflows: then average halves
+        means = [np.mean(energies[g]) for g in groups]
+    return [(float(m if np.isfinite(m) else 2.0 * np.mean(0.5 * energies[g])), np.sort(ks[g]))
+            for m, g in zip(means, groups)]
 
 
 def residue_wavefunction(state: BoundState, x) -> float:

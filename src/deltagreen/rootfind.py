@@ -1,7 +1,7 @@
 """Bracketing root finding for the pole search: one algorithm.
 
-Deliberately self-contained (the numerical oracles use an independent library
-solver, so production and oracle never share a root-finding code path).
+Deliberately self-contained; the numerical oracles root by plain bisection
+instead, so production and oracle never share a root-finding code path.
 :func:`refine_brackets` refines sign-change brackets of a family of functions
 tabulated together (the eigenvalue branches of M(E)) by Anderson-Bjorck
 regula falsi with a bisection safeguard, one batched evaluation per step.

@@ -30,6 +30,22 @@ def k0_reference(z: float) -> complex:
         return complex(core * mp.exp(-zc))
 
 
+def k0_rotated_reference(z: complex) -> complex:
+    """K0(z) for complex z from the same integral along a rotated ray.
+
+    With u = cosh t - 1, K0(z) = exp(-z) int_0^inf exp(-z u) (u (u + 2))^(-1/2) du.
+    Off the real axis exp(-z cosh t) oscillates; taking u = tau / z, tau real
+    (the ray crosses no branch cut for Re z > 0), gives
+    exp(-z) / z int_0^inf exp(-tau) (u (u + 2))^(-1/2) dtau, which decays
+    like exp(-tau) for every arg z.
+    """
+    with mp.workdps(20):
+        zc = mp.mpmathify(z)
+        core = mp.quad(lambda tau: mp.exp(-tau) / mp.sqrt(tau / zc) / mp.sqrt(tau / zc + 2),
+                       [0, 1, mp.inf])
+        return complex(core * mp.exp(-zc) / zc)
+
+
 K0_PROBES = [1e-6, 1e-4, 0.01, 0.3, 1.0, 1.9999, 2.0001, 3.7, 10.0, 55.0, 222.0, 700.0]
 
 
@@ -75,7 +91,8 @@ def test_k0_complex_arguments(z):
     "z", [1.0 + 2e9j, 5.0 - 1e10j, 0.25 - 1e12j, 300.0 + 3e11j, 40.0 + 7.5e9j]
 )
 def test_k0_complex_past_kve_range_is_the_asymptotic_series(z):
-    # scipy's kve is NaN past |z| ~ 1e9 while exp(-z) is still representable
+    # past |z| = 1e9 the asymptotic series takes over from Steed's CF2 (where
+    # scipy's kve, once used here, gave NaN) while exp(-z) is representable
     with mp.workdps(30):
         ref = complex(mp.besselk(0, z))
     got = bessel.k0(z)
@@ -84,8 +101,8 @@ def test_k0_complex_past_kve_range_is_the_asymptotic_series(z):
 
 
 def test_k0_complex_is_exactly_zero_where_exp_underflows():
-    # K0(z) ~ sqrt(pi/2z) exp(-z) underflows past Re z ~ 745; the scaled kve
-    # is NaN for |z| past ~1e9, so it must not be multiplied by exp(-z) = 0
+    # K0(z) ~ sqrt(pi/2z) exp(-z) underflows past Re z ~ 745; a scaled value
+    # that is NaN or inf there must not be multiplied by exp(-z) = 0
     z = np.array([746.0 + 1.0j, 800.0 - 5.0j, 1e10 + 1.0j, 1e300 + 1e300j, 1e300 - 1.0j])
     got = bessel.k0(z)
     assert (got == 0.0).all()
@@ -94,6 +111,34 @@ def test_k0_complex_is_exactly_zero_where_exp_underflows():
     with mp.workdps(30):
         ref = complex(mp.besselk(0, 700.0 + 3.0j))
     assert abs(bessel.k0(700.0 + 3.0j) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("modulus", [2.0 + 1e-9, 2.5, 3.7, 30.0, 1e3, 1e6, 1e9])
+def test_k0_complex_steed_matches_rotated_quadrature(modulus):
+    # Steed's CF2 on 2 < |z| <= 1e9 up to arg z = pi/2 - 1e-12, where it takes
+    # the most steps (141 at |z| = 2); where exp(-Re z) underflows both are 0
+    for tilt in (1e-12, 1e-6, 1e-2, 0.4, 1.2):  # pi/2 - arg z
+        z = modulus * complex(math.sin(tilt), math.cos(tilt))
+        ref = k0_rotated_reference(z)
+        got = bessel.k0(z)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (z, got, ref)
+        assert bessel.k0(z.conjugate()) == got.conjugate()
+
+
+@pytest.mark.parametrize("x", [2.0001, 7.5, 90.0, 600.0])
+def test_k0_beside_the_real_axis_continues_the_real_table(x):
+    # within |Im z| <= 1e-8 Re z the real tail table is evaluated at complex
+    # z: accurate on both sides of the switch, and a complex step through it
+    # gives K0' = -K1
+    for eta in (0.99e-8, 1.01e-8):
+        z = complex(x, eta * x)
+        ref = k0_rotated_reference(z)
+        assert abs(bessel.k0(z) - ref) <= 1e-12 * abs(ref)
+    h = 1e-20 * x
+    with mp.workdps(30):
+        k1 = float(mp.besselk(1, x))
+    assert bessel.k0(complex(x, h)).imag / h == pytest.approx(-k1, rel=1e-12)
+    assert bessel.k0(complex(x, h)).real == pytest.approx(bessel.k0(x).real, rel=4e-15)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5 + 2.0j, complex(0.0, 3.0)])

@@ -107,6 +107,15 @@ def test_bound_3d_from_eb(capsys):
     assert doc["rows"] == [[0, -2.25, 1.5]]
 
 
+def test_bound_default_window_reaches_the_largest_finite_energy(capsys):
+    # the default bottom -(4 kappa_max)^2 overflowed to -inf once -E_B passed
+    # ~1.1e307 (exit 3); it stops at the largest finite -kappa^2 instead
+    pair = ("bound", "--dim", "3", "--center", "0,0,0:eb=-2e307", "--center", "1,0,0:eb=-2e307")
+    rows = run_json(capsys, *pair)["rows"]
+    assert [row[:2] for row in rows] == [[0, -2e307], [1, -2e307]]
+    assert rows == run_json(capsys, *pair, "--emin=-1.7e308", "--emax=-1")["rows"]
+
+
 # three 1D centers, and six with one binding at -1.5266e-30: below kappa ~
 # 1e-15 M(E) ~ 11^T / (2 kappa), and its O(1) eigenvalues, whose signs count
 # the states, are rounding noise
@@ -468,16 +477,25 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cold_verify_loads_no_scipy_optimize_or_integrate():
-    # the oracles root by bisection and the residue norm uses mpmath's
-    # quadrature: verify loads scipy.linalg alone (about 0.1 s less)
-    code = (
+    # the oracles bisect (roots and Sturm counts), solve the lattice by the
+    # Thomas algorithm and integrate with mpmath, and complex K0 takes Steed's
+    # continued fraction: no runtime path loads any scipy module
+    run = (
         "import contextlib, io, sys\n"
         "from deltagreen.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['verify', '--fast'])\n"
-        "unwanted = ('scipy.optimize', 'scipy.integrate')\n"
-        "print(code, [m for m in sys.modules if m.startswith(unwanted)])"
+        "    code = main({argv!r})\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "0 []\n"
+    # a 2D G at complex E with |kappa r| ~ 3 and ~5 off the real axis
+    green_2d = (
+        "from deltagreen import ComplexEnergy, SpatialPoint, center, from_bound_state, green\n"
+        "cs = [center((0.0, 0.0), from_bound_state(-1.0)), center((3.0, 0.0), from_bound_state(-1.0))]\n"
+        "e = ComplexEnergy(complex(-1.0, 0.5))\n"
+        "g = green(2, e, SpatialPoint((0.5, 0.2)), SpatialPoint((5.0, 1.0)), cs).value\n"
+        "code = 0 if abs(g) > 0.0 else 1\n"
+    )
+    report = "import sys\nprint(code, [m for m in sys.modules if m.startswith('scipy')])\n"
+    for code in (run.format(argv=["verify"]), run.format(argv=["verify", "--fast"]), green_2d):
+        res = subprocess.run([sys.executable, "-c", code + report], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 []\n", code

@@ -165,8 +165,8 @@ VERIFY_CHECKS = [
     ("g0_quadrature_d3_r1", 3.469446951953614e-18, 1e-08),
     ("g0_quadrature_d3_r2", 0.0, 1e-08),
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
-    ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
-    ("lattice_convergence_order", 0.0002162968660659459, 0.1),
+    ("lattice_bound_state_h0.01", 2.499875008510344e-05, 0.02),
+    ("lattice_convergence_order", 0.00021636406784586448, 0.1),
     ("shooting_two_delta", 0.0, 1e-06),
     ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
     ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),
@@ -183,8 +183,8 @@ VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d2_r1", 1.3877787807814457e-17, 1e-08),
     ("g0_quadrature_d3_r1", 3.469446951953614e-18, 1e-08),
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
-    ("lattice_bound_state_h0.01", 2.4998748936910786e-05, 0.02),
-    ("lattice_convergence_order", 0.0002162968660659459, 0.1),
+    ("lattice_bound_state_h0.01", 2.499875008510344e-05, 0.02),
+    ("lattice_convergence_order", 0.00021636406784586448, 0.1),
     ("shooting_two_delta", 0.0, 1e-06),
     ("transmutation_mu_invariance", 4.526848610063103e-16, 1e-12),
     ("denominator_limit_2d", 7.997769113643471e-14, 1e-06),

@@ -227,8 +227,8 @@ def test_2d_g0_of_kappa_takes_the_retarded_kappa():
 
 
 def test_2d_kernel_at_a_nearly_real_energy_far_away_is_finite():
-    # kappa r = 5 - 1e10 i: K0 comes from its asymptotic series, as scipy's
-    # kve is NaN there; its modulus is sqrt(pi / 2|z|) exp(-Re z)
+    # kappa r = 5 - 1e10 i: K0 comes from its asymptotic series, which takes
+    # over past |z| = 1e9; its modulus is sqrt(pi / 2|z|) exp(-Re z)
     e = ComplexEnergy(complex(1.0, 1e-9))
     val = g0(2, e, SpatialPoint((0.0, 0.0)), SpatialPoint((1e10, 0.0))).value
     z = e.kappa * 1e10

@@ -7,8 +7,10 @@ that when an oracle certifies production code the certificate means something.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.special import k0 as scipy_k0
 
 from deltagreen import (
@@ -149,6 +151,94 @@ def test_lattice_spectrum_guards():
         lattice1d_spectrum((center(30.0, bare_1d(-2.0)),), Lattice1D(10.0, 1001), 1)
     with pytest.raises(IllegalSpecError):
         lattice1d_spectrum((center(0.0, from_bound_state(-1.0)),), Lattice1D(10.0, 1001), 1)
+
+
+def _lattice_matrix(centers, lat):
+    """The diagonal and off-diagonal of H as LAPACK takes them."""
+    v, t = oracles._lattice_hamiltonian(centers, lat)
+    return 2.0 * t + np.array(v), np.full(lat.points - 1, -t), t
+
+
+ASYMMETRIC = (center(-1.0, bare_1d(-2.0)), center(1.5, bare_1d(-1.2)))
+
+
+@pytest.mark.parametrize("points", [401, 1001, 2001, 5001])
+@pytest.mark.parametrize("centers", [ONE, ASYMMETRIC], ids=["one", "asymmetric"])
+def test_lattice_spectrum_matches_lapack(centers, points):
+    lat = Lattice1D(20.0, points)
+    diag, off, t = _lattice_matrix(centers, lat)
+    want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 2))
+    # LAPACK's Sturm count rounds x against the diagonal 2t, so it resolves
+    # an eigenvalue only to about eps * 4t (3.5e-12 off at 5001 points, where
+    # the mpmath reference below puts this oracle within 1e-14)
+    for n_states in (1, 2, 3):
+        got = lattice1d_spectrum(centers, lat, n_states)
+        assert got == pytest.approx(want[:n_states], rel=0.0, abs=np.finfo(float).eps * 4.0 * t)
+
+
+def _mp_sturm_eigenvalue(centers, lat, near):
+    """Lowest eigenvalue of the same H by the classical Sturm recurrence
+    q_i = d_i - x - t^2 / q_(i-1) at 30 digits, bisected from near +- 1e-10."""
+    v, t = oracles._lattice_hamiltonian(centers, lat)
+    with mp.workdps(30):
+        diag, t2 = [2 * mp.mpf(t) + mp.mpf(vi) for vi in v], mp.mpf(t) ** 2
+
+        def count(x):
+            below, q = 0, mp.inf
+            for d in diag:
+                q = d - x - t2 / q
+                below += q < 0
+            return below
+
+        a, b = mp.mpf(near) - mp.mpf(1e-10), mp.mpf(near) + mp.mpf(1e-10)
+        assert (count(a), count(b)) == (0, 1)
+        while b - a > mp.mpf(1e-20):
+            a, b = (a, (a + b) / 2) if count((a + b) / 2) else ((a + b) / 2, b)
+        return (a + b) / 2
+
+
+def test_verify_lattice_against_an_mpmath_sturm_reference():
+    # the 4001-point lattice of `verify`: LAPACK's eigh_tridiagonal sits
+    # 1.1e-12 from the reference, this oracle 7e-15
+    lat = Lattice1D(20.0, 4001)
+    got = lattice1d_spectrum(ONE, lat, 1)[0]
+    ref = _mp_sturm_eigenvalue(ONE, lat, got)
+    assert float(ref) == pytest.approx(-0.99997500124992186, rel=0.0, abs=1e-17)
+    assert abs(got - ref) <= 2e-14
+
+
+def test_lattice_ground_vector_shift_is_positive_definite():
+    # one double below the lowest eigenvalue the Sturm count is 0, so every
+    # pivot of the inverse-iteration solve is positive
+    lat = Lattice1D(20.0, 1001)
+    v, t = oracles._lattice_hamiltonian(ASYMMETRIC, lat)
+    shift = math.nextafter(lattice1d_spectrum(ASYMMETRIC, lat, 1)[0], -math.inf)
+    assert oracles._sturm_count(v, t, shift) == 0
+    ground = np.array(oracles._thomas(v, t, shift, [1.0] * lat.points))
+    diag, off, _ = _lattice_matrix(ASYMMETRIC, lat)
+    want = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0]
+    assert np.abs(ground / np.linalg.norm(ground)) == pytest.approx(np.abs(want), abs=1e-10)
+
+
+@pytest.mark.parametrize("energy", [-3.0, -0.5, -0.1])
+def test_lattice_resolvent_matches_solve_banded(energy):
+    lat = Lattice1D(20.0, 4097)
+    diag, off, _ = _lattice_matrix(ASYMMETRIC, lat)
+    band = np.zeros((3, lat.points))
+    band[0, 1:], band[1], band[2, :-1] = off, diag - energy, off
+    for xi, xj in ((0.3, -0.2), (-1.0, 1.5), (5.0, -7.0)):
+        i, j = (int(round((x + lat.half_width) / lat.h)) for x in (xi, xj))
+        rhs = np.zeros(lat.points)
+        rhs[j] = 1.0 / lat.h
+        want = -solve_banded((1, 1), band, rhs)[i]
+        # both solves round to ~eps times the condition number 4t / |E - E_B|
+        assert lattice1d_resolvent(ASYMMETRIC, lat, energy, xi, xj) == pytest.approx(want, rel=1e-9)
+
+
+def test_lattice_resolvent_zero_pivot_is_a_domain_error():
+    # h = 1: the first pivot 2 + lambda - E of H - E is 0 for lambda = -3, E = -1
+    with pytest.raises(DomainError):
+        lattice1d_resolvent([center(-1.0, bare_1d(-3.0))], Lattice1D(1.0, 3), -1.0, 0.0, 0.0)
 
 
 def test_lattice_resolvent_free_case():
