@@ -284,7 +284,7 @@ def _k0_complex(z: np.ndarray) -> np.ndarray:
 
     def large(w):
         # the real tail table, continued, stays accurate within 1e-8 of the
-        # axis, where a complex step (dM/dE) differentiates it
+        # axis, where the residues' complex step in ln kappa differentiates it
         return _split(w, np.abs(w.imag) <= 1e-8 * w.real, _k0_tail, off_axis)
 
     return _split(z, np.abs(z) <= 2.0, _k0_series, large)

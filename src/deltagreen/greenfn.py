@@ -93,14 +93,18 @@ class ComplexEnergy:
             )
 
     @property
-    def kappa(self) -> complex:
-        """sqrt(-E) on the principal branch; -i*sqrt(E) in the retarded case."""
+    def kappa(self) -> float | complex:
+        """sqrt(-E) on the principal branch; -i*sqrt(E) in the retarded case.
+
+        A float where kappa is real (E <= 0 on the real axis, of either sign
+        of zero Im E), so the kernels and denominators stay on real
+        arithmetic there; a complex number otherwise.
+        """
         if self.retarded:
             e = self.value.real
-            if e > 0.0:
-                return complex(0.0, -math.sqrt(e))
-            return complex(math.sqrt(-e), 0.0)
-        return cmath.sqrt(-self.value)
+            return complex(0.0, -math.sqrt(e)) if e > 0.0 else math.sqrt(-e)
+        kap = cmath.sqrt(-self.value)
+        return kap.real if kap.imag == 0.0 else kap
 
     @classmethod
     def of(cls, energy) -> "ComplexEnergy":
@@ -198,8 +202,7 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     kap = e.kappa
     if dim == 1 and kap == 0.0:
         raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
-    # a real kappa keeps the exponentials and K0 on real arithmetic
-    return np.asarray(g0_of_kappa(dim, kap.real if kap.imag == 0.0 else kap, r), dtype=complex)
+    return np.asarray(g0_of_kappa(dim, kap, r), dtype=complex)
 
 
 def g0_of_kappa(dim: int, kappa, r):

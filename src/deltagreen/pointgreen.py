@@ -29,15 +29,20 @@ The residue of G there is sum_a psi_a(x) psi_a(y) with
 
     psi_a(x) = sum_i C_ia G0(E_B; x, a_i),     C^T M'(E_B) C = 1,
 
-where the columns of C span the null space of M(E_B) and M' is evaluated by
-a complex-step derivative (exact to machine precision).  The sign of each
-psi_a is fixed by four probes, the centroid of the centers and three points
-along the first axis from it: psi_a is made positive at the probe where
-|psi_a| is largest (in D >= 2 a probe on a center is skipped).  So psi_a
-may be negative at the centroid.  Where psi_a underflows to 0 at every
-probe (a state far from them), its coefficient C_ia of largest magnitude
-is made negative instead: G0 < 0, so psi_a is positive next to its
-dominant center.
+where the columns of C span the null space of M(E_B).  M' comes from a
+complex step in ln kappa, not in E: S = -Im M(kappa (1 + i h)) / h, h =
+1e-20, is 2 kappa^2 M', exact to machine precision since no difference is
+taken (Squire and Trapp, SIAM Rev. 40 (1998) 110), and C^T S C = 2 kappa^2.
+A step relative to kappa suits every E_B, and S stays a normal double over
+the whole double range (one center: 1/(2 kappa) in 1D, 1/(2 pi) in 2D,
+kappa/(4 pi) in 3D), while M' itself, 1/(4 kappa^3) in 1D, underflows for
+deep states.  The sign of each psi_a is fixed by four probes, the centroid
+of the centers and three points along the first axis from it: psi_a is
+made positive at the probe where |psi_a| is largest (in D >= 2 a probe on a
+center is skipped).  So psi_a may be negative at the centroid.  Where psi_a
+underflows to 0 at every probe (a state far from them), its coefficient
+C_ia of largest magnitude is made negative instead: G0 < 0, so psi_a is
+positive next to its dominant center.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
 finite for distinct centers, so each center carries its own coupling and
@@ -185,12 +190,10 @@ def _matrices(off: np.ndarray, diag: np.ndarray, pairs) -> np.ndarray:
 
 def _m_of_kappa(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.ndarray:
     """M(-kappa^2) at every kappa of a 1-D array, from the pair distances and
-    coupling constants: real matrices if every kappa is real, else complex.
+    coupling constants: real matrices for a real array, else complex.
     One denominator call fills the diagonals (first: at kappa = 0 in D = 1,
     2 it raises before the kernel divides by zero), one kernel call the rest.
     """
-    if not np.imag(kappas).any():  # real kappa keeps the kernel on real arithmetic
-        kappas = np.real(kappas)
     diag = renormalized_denominators(kappas, consts)
     off = g0_of_kappa(dim, kappas[:, None], r)  # K0 is complex even at real kappa
     return _matrices(off if np.iscomplexobj(kappas) else off.real, diag, pairs)
@@ -242,13 +245,14 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     """The centers' positions and c = M(E)^-1 G0(a, y), both read-only.
 
     The last result is reused when its key compares equal, so equal keys must
-    give equal bits: a + 0i equals a - 0i, so the sign of Im E is in the key
-    (y and the positions enter squared, which loses a zero's sign).  The key
-    is compared, not hashed: the caller's centers compare by identity first.
-    A pole raises before anything is kept.
+    give equal bits: a + 0i equals a - 0i, but kappa is then real, so no
+    value depends on the sign of a zero Im E (y and the positions enter
+    squared, which loses a zero's sign too).  The key is compared, not
+    hashed: the caller's centers compare by identity first.  A pole raises
+    before anything is kept.
     """
     global _last_solve
-    key = (dim, e, math.copysign(1.0, e.value.imag), y, cs)
+    key = (dim, e, y, cs)
     last_key, last = _last_solve
     if key == last_key:
         return last
@@ -316,12 +320,6 @@ def _norms(diffs) -> np.ndarray:
     return r
 
 
-def _m_prime(e_b: float, m_at) -> np.ndarray:
-    """dM/dE at real E_B by a complex step; exact to machine precision."""
-    h = 1e-20 * max(1.0, abs(e_b))
-    return np.imag(m_at(complex(e_b, h))) / h
-
-
 def _sign_probes(pos: np.ndarray) -> np.ndarray:
     """The centroid of the centers, then three points along the first axis."""
     centroid = pos.mean(axis=0)
@@ -331,11 +329,13 @@ def _sign_probes(pos: np.ndarray) -> np.ndarray:
     return probes
 
 
-def _residue_vectors(dim: int, e_b: float, pos: np.ndarray, m_at, branches) -> list:
+def _residue_vectors(dim: int, consts: CouplingConstants, pairs, r, pos: np.ndarray,
+                     e_b: float, branches) -> list:
     """Residue vectors c_a of the states on the given eigenvalue branches at E_B.
 
     The branches' eigenvectors span the null space V of M(E_B); with
-    V^T M' V = U diag(g) U^T, the columns of C = V U g^(-1/2) satisfy
+    S = -Im M(kappa (1 + 1e-20 i)) / 1e-20 = 2 kappa^2 M' and V^T S V =
+    U diag(g) U^T, the columns of C = V U sqrt(2) kappa g^(-1/2) satisfy
     C^T M' C = 1, so the residue of M^-1 is C C^T and Res G = sum_a
     psi_a(x) psi_a(y).  Each psi_a is made positive at the probe of
     :func:`_sign_probes` where |psi_a| is largest, skipping probes on a
@@ -343,21 +343,24 @@ def _residue_vectors(dim: int, e_b: float, pos: np.ndarray, m_at, branches) -> l
     no probe is left), the largest-magnitude entry of c_a is made negative,
     so psi_a is positive next to the center that dominates it.
     """
-    null = np.linalg.eigh(m_at(e_b).real)[1][:, branches]
-    g, u = np.linalg.eigh(null.T @ _m_prime(e_b, m_at) @ null)
+    kap = math.sqrt(-e_b)
+    m, m_step = (_m_of_kappa(dim, consts, pairs, r, np.array([k]))[0]
+                 for k in (kap, kap * (1.0 + 1e-20j)))
+    null = np.linalg.eigh(m)[1][:, branches]
+    g, u = np.linalg.eigh(null.T @ (m_step.imag / -1e-20) @ null)
     if not g[0] > 0.0:
         raise NonConvergenceError(
             "residue normalization failed (non-positive dM/dE at the root)",
             energy=e_b,
         )
-    coeffs = (null @ u) / np.sqrt(g)
+    coeffs = (null @ u) * (math.sqrt(2.0) * kap / np.sqrt(g))
     probes = _sign_probes(pos)
-    r = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
+    dist = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
     if dim >= 2:  # G0 diverges at a center
-        r = r[r.min(axis=1) >= COINCIDENT_TOL]
-    psi = g0_of_kappa(dim, math.sqrt(-e_b), r) @ coeffs
+        dist = dist[dist.min(axis=1) >= COINCIDENT_TOL]
+    psi = g0_of_kappa(dim, kap, dist) @ coeffs
     cols = np.arange(len(branches))
-    best = psi[np.abs(psi).argmax(axis=0), cols] if len(r) else 0.0
+    best = psi[np.abs(psi).argmax(axis=0), cols] if len(dist) else 0.0
     # psi underflowed at every probe: G0 < 0, so -c_ia sets psi's sign at a_i
     best = np.where(best == 0.0, -coeffs[np.abs(coeffs).argmax(axis=0), cols], best)
     coeffs = np.where(best < 0.0, -coeffs, coeffs)
@@ -442,10 +445,6 @@ def bound_states(
     own = [c.coupling.bound_state_energy(dim) for c in cs]
     window = _search_window(own, search)
 
-    def m_at(energy) -> np.ndarray:
-        # M(E) on these centers; their distances and couplings do not depend on E
-        return _m_of_kappa(dim, consts, pairs, r, np.array([ComplexEnergy.of(energy).kappa]))[0]
-
     if method == "auto" and len(cs) == 1:
         # the closed form's E_B; only a given window filters it
         e_b = own[0]
@@ -462,7 +461,7 @@ def bound_states(
     return [
         BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c)
         for e_b, branches in multiplets
-        for c in _residue_vectors(dim, e_b, pos, m_at, branches)
+        for c in _residue_vectors(dim, consts, pairs, r, pos, e_b, branches)
     ]
 
 

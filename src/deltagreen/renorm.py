@@ -55,7 +55,6 @@ and returns D(E) as a plain complex number.
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -294,50 +293,27 @@ def coupling_constants(dim: int, specs) -> CouplingConstants:
     return CouplingConstants(dim, np.array(value, dtype=float), np.array(from_e_b, dtype=bool))
 
 
-# cmath.log elementwise, for the complex kappa that _kappa_operand leaves as
-# Python numbers
-_CLOG = np.frompyfunc(cmath.log, 1, 1)
-
-
-def _kappa_operand(kappa) -> np.ndarray:
-    """kappa as the denominator formulas' operand.
-
-    Real kappa (E on the negative real axis, the whole bound-state scan) is
-    float64.  Complex kappa becomes an object array of Python complex
-    numbers, so each entry takes Python's complex division: numpy's multiplies
-    by a reciprocal and rounds differently in the last bit.
-    """
-    kap = np.asarray(kappa)
-    if np.iscomplexobj(kap):
-        if kap.imag.any():
-            return kap.astype(object)
-        kap = kap.real
-    return kap.astype(float, copy=False)
-
-
 def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray:
     """D_i(-kappa^2) for every center of ``constants``, at every kappa.
 
     ``kappa`` is sqrt(-E) (Re kappa >= 0, or -i k for a retarded E = k^2),
     a number or an array.  The result has shape ``kappa.shape + (N,)``; it
-    is real for real kappa and complex otherwise.  Apart from kappa = 0 in
+    is real for a real-dtype kappa and complex for a complex-dtype one, even
+    where every imaginary part is zero.  Apart from kappa = 0 in
     D = 1, 2 (:class:`DomainError`, D diverges there), the energies are not
     checked here: :func:`renormalized_denominator` is the checked entry.
     """
     dim, value, from_e_b = constants
-    kap = _kappa_operand(kappa)[..., None]
+    kap = np.asarray(kappa)[..., None]
     if dim < 3 and not kap.all():
         raise DomainError("the renormalized denominator diverges at E = 0", dim=dim)
     if dim == 1:
         half = 0.5 / kap
-        out = np.where(from_e_b, half - value, value + half)
-    elif dim == 2:
+        return np.where(from_e_b, half - value, value + half)
+    if dim == 2:
         # -(1/4pi) ln(E/E_B) continued off the negative axis via kappa
-        ratio = kap / value
-        out = -(_CLOG(ratio) if ratio.dtype == object else np.log(ratio)) / (2.0 * math.pi)
-    else:
-        out = np.where(from_e_b, (value - kap) / _FOUR_PI, value - kap / _FOUR_PI)
-    return out.astype(complex) if out.dtype == object else out
+        return -np.log(kap / value) / (2.0 * math.pi)
+    return np.where(from_e_b, (value - kap) / _FOUR_PI, value - kap / _FOUR_PI)
 
 
 def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:

@@ -179,10 +179,12 @@ EXTREME_ARGVS = [
     # the pair's two states without changing sign
     (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
     # the default window's bottom stops at the largest finite -kappa^2, and a
-    # multiplet whose sum would overflow is averaged by halves: the 3D pair is
-    # found; in 1D dM/dE = 1/(4 kappa^3) underflows to 0, so the residue
-    # cannot be normalized
-    (("bound", "--dim", "1", "--center", "0:eb=-1.7e308", "--center", "1:eb=-1.7e308"), 3),
+    # multiplet whose sum would overflow is averaged by halves; in 1D dM/dE =
+    # 1/(4 kappa^3) underflows to 0, but the residues are normalized by
+    # 2 kappa^2 dM/dE = 1/(2 kappa), which does not
+    (("bound", "--dim", "1", "--center", "0:eb=-1e300"), 0),
+    (("bound", "--dim", "1", "--center", "0:eb=-1e250", "--center", "1:eb=-1e250"), 0),
+    (("bound", "--dim", "1", "--center", "0:eb=-1.7e308", "--center", "1:eb=-1.7e308"), 0),
     (("bound", "--dim", "3", "--center", "0,0,0:eb=-1.7e308", "--center", "1,0,0:eb=-1.7e308"), 0),
     # a state far below the default window's first bottom, -16
     (("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"), 0),
@@ -208,6 +210,10 @@ EXTREME_ARGVS = [
 BOUND_ENERGIES = {
     ("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"): [-1.0, -1.0],
     ("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"): [-3289.386074],
+    ("bound", "--dim", "1", "--center", "0:eb=-1e300"): [-1e300],
+    ("bound", "--dim", "1", "--center", "0:eb=-1e250", "--center", "1:eb=-1e250"): [-1e250, -1e250],
+    ("bound", "--dim", "1", "--center", "0:eb=-1.7e308", "--center", "1:eb=-1.7e308"):
+        [-1.7e308, -1.7e308],
     ("bound", "--dim", "3", "--center", "0,0,0:eb=-1.7e308", "--center", "1,0,0:eb=-1.7e308"):
         [-1.7e308, -1.7e308],
     ("bound", "--dim", "2", "--center", "0,0:eb=-1", "--center", "1e300,0:eb=-1"): [-1.0, -1.0],
@@ -228,8 +234,6 @@ def test_extreme_argvs_keep_the_cli_contract(argv, want):
         assert _strict_json(out)["rows"] == [[0.1, -0.3186693415242748, 0.0]]
     if argv[-1] == "scan" and want == 0:
         assert _strict_json(out)["rows"] == [[0, -1.0, 1.0]]
-    if "eb=-1.7e308" in argv[4] and want == 3:
-        assert _strict_json(out)["error"] == "NonConvergence"
     if argv in BOUND_ENERGIES:
         energies = [row[1] for row in _strict_json(out)["rows"]]
         assert energies == pytest.approx(BOUND_ENERGIES[argv], rel=1e-9)

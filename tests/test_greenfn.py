@@ -42,6 +42,10 @@ def test_kappa_branch_choices():
     assert ComplexEnergy(4.0, retarded=True).kappa == -2.0j
     k = ComplexEnergy(complex(1.0, 0.5)).kappa
     assert k.real > 0.0
+    # a real kappa is a float, whatever the sign of a zero Im E
+    for e in (ComplexEnergy(-4.0), ComplexEnergy(complex(-4.0, -0.0)),
+              ComplexEnergy(-4.0, retarded=True)):
+        assert type(e.kappa) is float and e.kappa == 2.0
     with pytest.raises(BranchCutError):
         ComplexEnergy(1.0)
     with pytest.raises(BranchCutError):

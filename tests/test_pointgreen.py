@@ -117,8 +117,8 @@ def test_m_matrix_entries_match_independent_closed_forms(dim, branch):
     for kap in (0.5, 1.0, 2.0):
         e = {
             "real": ComplexEnergy(-kap * kap),
-            # the energies _m_prime steps to
-            "complex_step": ComplexEnergy(complex(-kap * kap, 1e-20 * kap * kap)),
+            # -(kappa (1 + 1e-20 i))^2, where the residues' step in ln kappa goes
+            "complex_step": ComplexEnergy(complex(-kap * kap, -2e-20 * kap * kap)),
             "retarded": ComplexEnergy(kap * kap, retarded=True),
         }[branch]
         m = m_matrix(dim, e, cs).entries
@@ -729,8 +729,9 @@ def test_degenerate_pair_residue_sums_over_its_states():
               for d in deltas]
     want = sum(residue_wavefunction(s, x) * residue_wavefunction(s, y) for s in pair)
     assert np.polyfit(deltas, probes, 2)[-1] == pytest.approx(want, rel=1e-6)
-    # each state alone is normalized: c^T M' c = 1 per state, 0 across the pair
-    mp_ = pointgreen._m_prime(e_b, lambda e: m_matrix(3, e, cs).entries)
+    # each state alone is normalized: c^T M' c = 1 per state, 0 across the
+    # pair, with M' from a complex step in E (exact at |E_B| ~ 1)
+    mp_ = m_matrix(3, complex(e_b, 1e-20), cs).entries.imag / 1e-20
     c = np.stack([s.residue_vector for s in pair], axis=1)
     assert c.T @ mp_ @ c == pytest.approx(np.eye(2), abs=1e-12)
 
@@ -831,12 +832,33 @@ def test_scan_entry_beyond_double_precision_is_a_domain_error(monkeypatch):
 
 
 def test_non_positive_m_prime_at_a_root_is_a_non_convergence(monkeypatch):
-    monkeypatch.setattr(pointgreen, "_m_prime", lambda e_b, m_at: -np.eye(len(m_at(e_b))))
+    m_of_kappa = pointgreen._m_of_kappa
+
+    def conjugated(*args):
+        # conj M(kappa (1 + i h)) = M(kappa (1 - i h)): the step reads -M'
+        return m_of_kappa(*args).conj()
+
+    monkeypatch.setattr(pointgreen, "_m_of_kappa", conjugated)
     with pytest.raises(NonConvergenceError, match="non-positive dM/dE"):
         bound_states(1, PAIR)
 
 
 # ---------------------------------------------------------------- residues
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("e_b", [-1e300, -1e20, -1.0, -1e-20, -1e-300])
+def test_single_center_residue_is_its_closed_form_across_the_double_range(dim, e_b):
+    # -2 kappa^(3/2) (1D), -2 sqrt(pi) kappa (2D), -sqrt(8 pi kappa) (3D);
+    # dM/dE itself underflows (1D, -1e300) or outgrows any fixed step in E
+    # (-1e-300), but the step in ln kappa reads 2 kappa^2 dM/dE, a normal
+    # double at both ends
+    state = bound_states(dim, [center((0.0,) * dim, from_bound_state(e_b))])[0]
+    with mp.workdps(40):
+        kap = mp.sqrt(-mp.mpf(e_b))
+        want = float({1: -2 * kap**1.5, 2: -2 * mp.sqrt(mp.pi) * kap,
+                      3: -mp.sqrt(8 * mp.pi * kap)}[dim])
+    assert abs(state.residue_vector[0] - want) <= 4.0 * np.spacing(abs(want))
 
 
 def test_residue_wavefunction_1d_closed_form():

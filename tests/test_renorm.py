@@ -398,24 +398,31 @@ def _energies(branch, rng, k):
     if branch == "real":
         return [ComplexEnergy(-m) for m in mags]
     if branch == "complex_step":
-        return [ComplexEnergy(complex(-m, 1e-20 * m)) for m in mags]
+        # -(kappa (1 + 1e-20 i))^2, the residue's complex step in ln kappa
+        return [ComplexEnergy(complex(-m, -2e-20 * m)) for m in mags]
     if branch == "complex":
         return [ComplexEnergy(complex(*rng.uniform(-5.0, 5.0, 2))) for _ in mags]
     return [ComplexEnergy(m, retarded=True) for m in mags]
 
 
 def _scalar_reference(dim, e, spec):
-    """The denominators in Python scalar arithmetic, one formula per variant."""
+    """The denominators in Python scalar arithmetic, one formula per variant,
+    and the two terms each formula adds (in 2D the log and the 1/(2 pi) by
+    which a relative rounding of its argument moves it)."""
     kap = e.kappa
     if dim == 1:
+        half = 0.5 / kap
         if spec.variant == "bare_1d":
-            return 1.0 / spec.lam + 0.5 / kap
-        return 0.5 / kap - 0.5 / math.sqrt(-spec.e_b)
+            return 1.0 / spec.lam + half, (1.0 / spec.lam, half)
+        half_b = 0.5 / math.sqrt(-spec.e_b)
+        return half - half_b, (half, half_b)
     if dim == 2:
-        return -cmath.log(kap / math.sqrt(-spec.bound_state_energy(2))) / (2.0 * math.pi)
+        ref = -cmath.log(kap / math.sqrt(-spec.bound_state_energy(2))) / (2.0 * math.pi)
+        return ref, (ref, 1.0 / (2.0 * math.pi))
     if spec.variant == "ren_3d":
-        return 1.0 / spec.lambda_r - kap / (4.0 * math.pi)
-    return (math.sqrt(-spec.e_b) - kap) / (4.0 * math.pi)
+        return 1.0 / spec.lambda_r - kap / (4.0 * math.pi), (1.0 / spec.lambda_r, kap / (4.0 * math.pi))
+    kb = math.sqrt(-spec.e_b)
+    return (kb - kap) / (4.0 * math.pi), (kb / (4.0 * math.pi), kap / (4.0 * math.pi))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -430,8 +437,13 @@ def test_array_denominators_match_the_scalar_entry(dim, branch):
     for row, e in zip(out, energies):
         for val, spec in zip(row, specs):
             assert val == renormalized_denominator(dim, e, spec)
-            ref = _scalar_reference(dim, e, spec)
-            if dim == 2 and branch == "real":
+            ref, terms = _scalar_reference(dim, e, spec)
+            if branch != "real":
+                # numpy's complex division (a multiply by the reciprocal) and
+                # log may differ from Python's in the last bit of a term; the
+                # sum of two terms then moves by that bit of the larger
+                assert abs(val - ref) <= 4e-16 * max(map(abs, terms))
+            elif dim == 2:
                 # real kappa takes numpy's log, which may differ from
                 # cmath.log in the last bit
                 assert abs(val - ref) <= 4e-16 * abs(ref)
@@ -445,6 +457,8 @@ def test_array_denominators_shape_follows_kappa():
     assert renormalized_denominators(np.ones((4, 3)), consts).shape == (4, 3, 2)
     assert renormalized_denominators(np.ones(5), consts).dtype == float
     assert renormalized_denominators(np.full(5, 1.0 + 0.5j), consts).dtype == complex
+    # the dtype follows kappa's, also where every imaginary part is zero
+    assert renormalized_denominators(np.full(5, 1.0 + 0.0j), consts).dtype == complex
 
 
 @pytest.mark.parametrize(
