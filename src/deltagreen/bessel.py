@@ -23,10 +23,9 @@ of its interval, and the Chebyshev tables are converted once, at import, to
 monomial coefficients.  A series or a table is then one matrix of powers of
 its variable (each pass doubles the powers known, ``BLOCK`` arguments at a
 time so memory stays bounded) times one coefficient matrix: a handful of
-numpy operations per call whatever the number of arguments.  The matrix
-product may add the terms in another order for a long array than for one
-argument, so a value can differ in its last bit with the other arguments of
-the call.
+numpy operations per call whatever the number of arguments.  The product
+is summed in one order for every argument, so a value does not depend on the
+other arguments of the call.
 
 The Chebyshev tables were generated offline by projecting the scaled
 functions onto Chebyshev polynomials at 50-digit precision and truncating at
@@ -189,6 +188,10 @@ def _polyval(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [_polyval(t[i : i + BLOCK], coeffs) for i in range(0, t.size, BLOCK)], axis=1
         )
+    if t.size == 1:
+        # einsum sums a single column with a dot-product loop, in another
+        # order than the columns of a longer array: evaluate t twice, keep one
+        return _polyval(np.repeat(t, 2), coeffs)[:, :1]
     terms = coeffs.shape[1]
     powers = np.empty((terms, t.size), dtype=t.dtype)
     powers[0] = 1.0
@@ -198,7 +201,8 @@ def _polyval(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         j = min(k, terms - k)
         np.multiply(powers[:j], powers[k - 1] * t, out=powers[k : k + j])
         k += j
-    return coeffs @ powers
+    # numpy's own loops: a BLAS product's summation order changes with n
+    return np.einsum("ik,kn->in", coeffs, powers)
 
 
 def _split(x: np.ndarray, low: np.ndarray, below, above) -> np.ndarray:
@@ -293,18 +297,14 @@ def _k0_complex(z: np.ndarray) -> np.ndarray:
 def k0(z):
     """Modified Bessel function of the second kind, order zero, Re z > 0.
 
-    Elementwise over an array; complex results.
+    Elementwise over an array, in the argument's dtype: real or complex.
     """
     arg = np.asarray(z)
     flat = arg.ravel()
     bad = ~(flat.real > 0.0)
     if bad.any():
         raise DomainError("k0 requires Re z > 0", z=repr(complex(flat[bad][0])))
-    if np.isrealobj(flat):
-        out = _k0_real(flat)
-    else:
-        out = _split(flat, flat.imag == 0.0, lambda w: _k0_real(w.real), _k0_complex)
-    return _result(out.astype(complex, copy=False), arg)
+    return _result(_k0_real(flat) if np.isrealobj(flat) else _k0_complex(flat), arg)
 
 
 def _j0y0(x: np.ndarray) -> np.ndarray:

@@ -188,7 +188,7 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Complex values, one per separation, in the shape of ``r``.
+        One value per separation, in the shape of ``r``; real at real kappa.
     """
     _check_dim(dim)
     e = ComplexEnergy.of(energy)
@@ -202,15 +202,15 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     kap = e.kappa
     if dim == 1 and kap == 0.0:
         raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
-    return np.asarray(g0_of_kappa(dim, kap, r), dtype=complex)
+    return np.asarray(g0_of_kappa(dim, kap, r))
 
 
 def g0_of_kappa(dim: int, kappa, r):
     """The closed forms at E = -kappa**2, elementwise over kappa and r broadcast.
 
     ``kappa`` is sqrt(-E) with Re kappa > 0 or, for the retarded kernel,
-    -i k with k > 0 at every entry.  Nothing is checked: :func:`g0_kernel`
-    is the checked entry point.
+    -i k with k > 0 at every entry; the values take kappa's dtype.  Nothing
+    is checked: :func:`g0_kernel` is the checked entry point.
     """
     # kappa * r overflowing to inf is the kernel underflowing to 0, or (for
     # imaginary kappa) a phase k r past double precision: a NaN that the
@@ -223,7 +223,7 @@ def g0_of_kappa(dim: int, kappa, r):
                 # retarded kernel on the self-contained real-argument j0/y0
                 return -0.25j * np.asarray(bessel.hankel1_0(-z.imag))
             # dividing by the negated constant negates the quotient exactly
-            # and saves a complex temporary the size of r
+            # and saves a temporary the size of r
             return np.asarray(bessel.k0(z)) / -_TWO_PI
         wave = np.exp(-kappa * r)
     if dim == 1:

@@ -195,17 +195,16 @@ def _m_of_kappa(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.nda
     2 it raises before the kernel divides by zero), one kernel call the rest.
     """
     diag = renormalized_denominators(kappas, consts)
-    off = g0_of_kappa(dim, kappas[:, None], r)  # K0 is complex even at real kappa
-    return _matrices(off if np.iscomplexobj(kappas) else off.real, diag, pairs)
+    return _matrices(g0_of_kappa(dim, kappas[:, None], r), diag, pairs)
 
 
 def m_matrix(dim: int, energy, centers) -> MMatrix:
-    """Assemble M(E): renormalized denominators on the diagonal, -G0 off it."""
+    """Assemble M(E): renormalized denominators on the diagonal, -G0 off it; real at real kappa."""
     kappas = np.array([ComplexEnergy.of(energy).kappa])
     cs, pos = _validate_centers(dim, centers)
     pairs, r = _pair_distances(pos)
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    m = np.asarray(_m_of_kappa(dim, consts, pairs, r, kappas)[0], dtype=complex)
+    m = _m_of_kappa(dim, consts, pairs, r, kappas)[0]
     m.setflags(write=False)
     return MMatrix(entries=m)
 
@@ -569,4 +568,4 @@ def residue_wavefunction(state: BoundState, x) -> float:
     psi_B(x) psi_B(y); in particular int |psi_B|^2 = 1.
     """
     r = _distances_to(_point(x), _positions(state.centers))
-    return float(g0_kernel(state.dim, state.energy, r).real @ state.residue_vector)
+    return float(g0_kernel(state.dim, state.energy, r) @ state.residue_vector)

@@ -197,16 +197,33 @@ def test_array_arguments_match_one_at_a_time():
     x = np.geomspace(1e-6, 700.0, 2 * bessel.BLOCK + 7)
     k = bessel.k0(x)
     h = bessel.hankel1_0(x)
-    assert k.shape == x.shape and k.dtype == complex
-    assert h.shape == x.shape and h.dtype == complex
-    # the terms of a sum may be added in another order inside a long array,
-    # so values agree to rounding, on the scales the accuracy tests use
+    assert k.shape == x.shape and k.dtype == np.float64
+    assert h.shape == x.shape and h.dtype == np.complex128
     for i in range(0, x.size, 61):
         xi = float(x[i])
-        assert abs(k[i] - bessel.k0(xi)) <= 4e-15 * abs(k[i])
-        hi = bessel.hankel1_0(xi)
-        assert abs(h[i].real - hi.real) <= 4e-15 * max(1.0, abs(h[i].real))
-        assert abs(h[i].imag - hi.imag) <= 4e-15 * max(1.0, abs(h[i].imag))
+        assert k[i] == bessel.k0(xi)
+        assert h[i] == bessel.hankel1_0(xi)
+
+
+def test_values_do_not_depend_on_the_other_arguments():
+    # 2 BLOCK + 7 arguments, so the last block holds 7, on both sides of
+    # every branch point: the series/table switches at 2 (K0) and 5 (J0/Y0);
+    # for complex z the series at |z| = 2, the real table within 1e-8 of
+    # the axis (the residues' step z (1 + 1e-20 i) among them), Steed's CF2
+    # up to |z| = 1e9, the asymptotic series beyond (by the imaginary axis)
+    # and K0 = 0 where exp(-Re z) underflows
+    n = 2 * bessel.BLOCK + 7
+    x = np.geomspace(1e-6, 800.0, n)
+    rng = np.random.default_rng(5)
+    tilts = np.array([1.0 + 1e-20j, 1.0 + 0.9e-8j, 1.0 + 1.1e-8j, np.exp(0.3j), np.exp(1.5j),
+                      1e-9 + 1.0j])
+    z = np.geomspace(1e-3, 1e10, n) * rng.choice(tilts, n)
+    for f, args in ((bessel.k0, x), (bessel.hankel1_0, x), (bessel.k0, z)):
+        got = f(args)
+        assert got.tobytes() == np.array([f(a) for a in args], dtype=got.dtype).tobytes()
+        # and inside any other batch: reversed, and in blocks of three
+        assert f(args[::-1])[::-1].tobytes() == got.tobytes()
+        assert np.concatenate([f(args[i : i + 3]) for i in range(0, n, 3)]).tobytes() == got.tobytes()
 
 
 def test_array_shape_and_mixed_real_complex_arguments():

@@ -159,8 +159,8 @@ VERIFY_CHECKS = [
     ("g0_quadrature_d1_r1", 0.0, 1e-08),
     ("g0_quadrature_d1_r2", 0.0, 1e-08),
     ("g0_quadrature_d2_r0.5", 0.0, 1e-08),
-    ("g0_quadrature_d2_r1", 1.3877787807814457e-17, 1e-08),
-    ("g0_quadrature_d2_r2", 1.3877787807814457e-17, 1e-08),
+    ("g0_quadrature_d2_r1", 0.0, 1e-08),
+    ("g0_quadrature_d2_r2", 2.0816681711721685e-17, 1e-08),
     ("g0_quadrature_d3_r0.5", 0.0, 1e-08),
     ("g0_quadrature_d3_r1", 3.469446951953614e-18, 1e-08),
     ("g0_quadrature_d3_r2", 0.0, 1e-08),
@@ -180,7 +180,7 @@ VERIFY_CHECKS = [
 ]
 VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d1_r1", 0.0, 1e-08),
-    ("g0_quadrature_d2_r1", 1.3877787807814457e-17, 1e-08),
+    ("g0_quadrature_d2_r1", 0.0, 1e-08),
     ("g0_quadrature_d3_r1", 3.469446951953614e-18, 1e-08),
     ("g0_quadrature_d1_r0", 0.0, 1e-08),
     ("lattice_bound_state_h0.01", 2.499875008510344e-05, 0.02),

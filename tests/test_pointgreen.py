@@ -25,7 +25,7 @@ from deltagreen import (
     renormalized_denominator,
     residue_wavefunction,
 )
-from deltagreen import greenfn, pointgreen, renorm
+from deltagreen import bessel, greenfn, pointgreen, renorm
 from deltagreen.errors import (
     AtPoleError,
     CoincidentPointsError,
@@ -186,12 +186,9 @@ def test_scan_eigenvalues_are_those_of_m_matrix(dim):
     kappas = np.geomspace(0.03, 30.0, 9)
     grid = pointgreen._eigenvalues(dim, consts, pairs, r, kappas)
     for kap, row in zip(kappas, grid):
-        want = np.linalg.eigvalsh(m_matrix(dim, -kap * kap, cs).entries.real).tobytes()
+        want = np.linalg.eigvalsh(m_matrix(dim, -kap * kap, cs).entries).tobytes()
         assert pointgreen._eigenvalues(dim, consts, pairs, r, np.array([kap]))[0].tobytes() == want
-        # 2D K0 sums its Chebyshev terms by a BLAS product that rounds each
-        # argument by its place in the batch, so there only one kappa alone agrees
-        if dim != 2:
-            assert row.tobytes() == want, kap
+        assert row.tobytes() == want, kap
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -214,7 +211,41 @@ def test_green_reciprocity_many_centers(dim):
             assert abs(gxy - gyx) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernels_are_real_where_kappa_is(dim):
+    # one dtype rule for the array kernels: float64 at a real kappa = sqrt(-E)
+    # (E <= 0 on the real axis), complex128 at complex or retarded E
+    cs = [center((p,) + (0.0,) * (dim - 1), from_bound_state(-1.0)) for p in (0.0, 1.0, 3.0)]
+    r = np.array([0.5, 2.0])
+    for e, want in ((ComplexEnergy(-1.7), np.float64),
+                    (ComplexEnergy(complex(-1.0, 0.4)), np.complex128),
+                    (ComplexEnergy(complex(-1.7, -3.4e-20)), np.complex128),
+                    (ComplexEnergy(2.0, retarded=True), np.complex128)):
+        assert m_matrix(dim, e, cs).entries.dtype == want
+        assert greenfn.g0_kernel(dim, e, r).dtype == want
+        if not e.retarded:  # K0 of the retarded -i k r is off its domain
+            assert bessel.k0(e.kappa * r).dtype == want
+
+
 # ------------------------------------------------------------------- green
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_green_real_solve_matches_a_complex_solve(dim):
+    # at real E, M(E) is real and green solves it in real arithmetic
+    rng = np.random.default_rng(70 + dim)
+    cs = [center(tuple(p), from_bound_state(-0.5 - 0.2 * i))
+          for i, p in enumerate(rng.uniform(0.0, 3.0, (6, dim)))]
+    pos = np.array([c.position.coords for c in cs])
+    x, y = (_pt(*p) for p in rng.uniform(-1.0, 4.0, (2, dim)))
+    for energy in (-0.05, -0.37, -2.9):
+        m = m_matrix(dim, energy, cs).entries
+        assert m.dtype == np.float64
+        gx, gy = (greenfn.g0_kernel(dim, energy, np.linalg.norm(pos - np.array(p.coords), axis=1))
+                  for p in (x, y))
+        want = g0(dim, energy, x, y).value + gx @ np.linalg.solve(m.astype(complex), gy)
+        got = green(dim, energy, x, y, cs).value
+        assert abs(got - want) <= 1e-12 * abs(want), energy
 
 
 def test_green_single_center_closed_value():
