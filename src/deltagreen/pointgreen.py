@@ -15,7 +15,7 @@ builder assembles it at an array of kappa = sqrt(-E) for :func:`m_matrix`,
 :func:`green`, the residues and every batch of the scan.  G has a pole
 exactly where M is singular; :func:`green` reports one when its single
 solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
-which underflows for many centers.
+which underflows for many centers.  Each point x is one kernel row.
 
 Bound states are the real E < 0 where an eigenvalue of M(E) vanishes.  There
 M' = dM/dE is a positive-definite Gram matrix of the functions G0(., a_i)
@@ -23,9 +23,9 @@ M' = dM/dE is a positive-definite Gram matrix of the functions G0(., a_i)
 strictly with E and vanishes at most once: the states in a window are the
 branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them, each
 found by refining its own bracket on a log-kappa grid, with one batched
-``eigvalsh`` per step serving every branch.  Branches that vanish at the
-same energy (within tol, or 1e-12 relative) form a degenerate multiplet.
-The residue of G there is sum_a psi_a(x) psi_a(y) with
+``eigvalsh`` per step serving every branch.  Roots within 2 max(tol,
+1e-12 |E|) of each other form a degenerate multiplet (each is within half
+that of the energy).  The residue of G there is sum_a psi_a(x) psi_a(y) with
 
     psi_a(x) = sum_i C_ia G0(E_B; x, a_i),     C^T M'(E_B) C = 1,
 
@@ -42,7 +42,8 @@ made positive at the probe where |psi_a| is largest (in D >= 2 a probe on a
 center is skipped).  So psi_a may be negative at the centroid.  Where psi_a
 underflows to 0 at every probe (a state far from them), its coefficient
 C_ia of largest magnitude is made negative instead: G0 < 0, so psi_a is
-positive next to its dominant center.
+positive next to its dominant center.  All multiplets of a scan share one
+residue pass: one M and one step assembly, one ``eigh``, one kernel call.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
 finite for distinct centers, so each center carries its own coupling and
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +87,7 @@ POLE_TOL = 1e-12
 CENTER_DISTINCT_TOL = 1e-10
 
 #: Matrix entries assembled per batch of scan energies.
-SCAN_BATCH = 1 << 16
+SCAN_BATCH = 1 << 14
 
 #: Smallest kappa of the default search window: its square, 2^-1022, is the
 #: smallest normal double, so E = -kappa^2 neither underflows nor loses bits.
@@ -140,6 +142,11 @@ class BoundState:
     @property
     def kappa(self) -> float:
         return math.sqrt(-self.energy)
+
+    @cached_property
+    def _kernel_args(self) -> tuple:
+        """The positions and energy :func:`residue_wavefunction` reads, built once."""
+        return _positions(self.centers), ComplexEnergy(self.energy)
 
 
 def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.ndarray]:
@@ -222,17 +229,16 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     The strengths c = M^-1 G0(a, y) do not depend on x, so consecutive calls
     with the same (E, y, centers) share one assembly and solve of M(E): a
     tabulation of G(., y) solves once, with values bit-identical to solving
-    at every point.
+    at every point.  Each point is then one kernel call, at |x - y| and |x - a_i|.
     """
     cs = tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
     e = ComplexEnergy.of(energy)
     pos, c = _strengths(dim, e, y, cs)
-    gx = g0_kernel(dim, e, _distances_to(x, pos))
-    base = g0(dim, e, x, y)
-    corr = complex(gx @ c)
-    return GreenValue(value=base.value + corr, dim=dim)
+    rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's) for math.dist
+    k = g0_kernel(dim, e, np.concatenate(([math.dist(x.coords, y.coords)], rx)))
+    return GreenValue(value=complex(k[0]) + complex(k[1:] @ c), dim=dim)
 
 
 #: (key, (pos, c)) of the last :func:`_strengths` solve, replaced and read
@@ -329,8 +335,8 @@ def _sign_probes(pos: np.ndarray) -> np.ndarray:
 
 
 def _residue_vectors(dim: int, consts: CouplingConstants, pairs, r, pos: np.ndarray,
-                     e_b: float, branches) -> list:
-    """Residue vectors c_a of the states on the given eigenvalue branches at E_B.
+                     multiplets) -> list:
+    """One (N, k) block of residue vectors c_a per multiplet (E_B, k branches).
 
     The branches' eigenvectors span the null space V of M(E_B); with
     S = -Im M(kappa (1 + 1e-20 i)) / 1e-20 = 2 kappa^2 M' and V^T S V =
@@ -340,31 +346,37 @@ def _residue_vectors(dim: int, consts: CouplingConstants, pairs, r, pos: np.ndar
     :func:`_sign_probes` where |psi_a| is largest, skipping probes on a
     center in D >= 2 (G0 diverges there).  If that largest |psi_a| is 0 (or
     no probe is left), the largest-magnitude entry of c_a is made negative,
-    so psi_a is positive next to the center that dominates it.
+    so psi_a is positive next to the center that dominates it.  A batch of
+    multiplets (SCAN_BATCH entries of M) shares each assembly, ``eigh`` and
+    kernel call; a block's bits are those of its multiplet alone.
     """
-    kap = math.sqrt(-e_b)
-    m, m_step = (_m_of_kappa(dim, consts, pairs, r, np.array([k]))[0]
-                 for k in (kap, kap * (1.0 + 1e-20j)))
-    null = np.linalg.eigh(m)[1][:, branches]
-    g, u = np.linalg.eigh(null.T @ (m_step.imag / -1e-20) @ null)
-    if not g[0] > 0.0:
-        raise NonConvergenceError(
-            "residue normalization failed (non-positive dM/dE at the root)",
-            energy=e_b,
-        )
-    coeffs = (null @ u) * (math.sqrt(2.0) * kap / np.sqrt(g))
-    probes = _sign_probes(pos)
-    dist = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
-    if dim >= 2:  # G0 diverges at a center
-        dist = dist[dist.min(axis=1) >= COINCIDENT_TOL]
-    psi = g0_of_kappa(dim, kap, dist) @ coeffs
-    cols = np.arange(len(branches))
-    best = psi[np.abs(psi).argmax(axis=0), cols] if len(dist) else 0.0
-    # psi underflowed at every probe: G0 < 0, so -c_ia sets psi's sign at a_i
-    best = np.where(best == 0.0, -coeffs[np.abs(coeffs).argmax(axis=0), cols], best)
-    coeffs = np.where(best < 0.0, -coeffs, coeffs)
-    coeffs.setflags(write=False)
-    return list(coeffs.T)
+    out, step = [], max(1, SCAN_BATCH // len(pos) ** 2)
+    for i in range(0, len(multiplets), step):
+        batch = multiplets[i : i + step]
+        kaps = np.sqrt([-e_b for e_b, _ in batch])
+        m, m_step = (_m_of_kappa(dim, consts, pairs, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
+        probes = _sign_probes(pos)
+        dist = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
+        if dim >= 2:  # G0 diverges at a center
+            dist = dist[dist.min(axis=1) >= COINCIDENT_TOL]
+        kernels = g0_of_kappa(dim, kaps[:, None, None], dist)
+        vecs = np.linalg.eigh(m)[1]
+        for (e_b, branches), kap, v, s, kernel in zip(batch, kaps, vecs, m_step.imag / -1e-20, kernels):
+            null = v[:, branches]
+            g, u = np.linalg.eigh(null.T @ s @ null)
+            if not g[0] > 0.0:
+                raise NonConvergenceError("residue normalization failed (non-positive "
+                                          "dM/dE at the root)", energy=e_b)
+            coeffs = (null @ u) * (math.sqrt(2.0) * kap / np.sqrt(g))
+            psi = kernel @ coeffs
+            cols = np.arange(len(branches))
+            best = psi[np.abs(psi).argmax(axis=0), cols] if len(dist) else 0.0
+            # psi underflowed at every probe: G0 < 0, so -c_ia sets psi's sign at a_i
+            best = np.where(best == 0.0, -coeffs[np.abs(coeffs).argmax(axis=0), cols], best)
+            coeffs = np.where(best < 0.0, -coeffs, coeffs)
+            coeffs.setflags(write=False)
+            out.append(coeffs)
+    return out
 
 
 def bound_states(
@@ -401,11 +413,11 @@ def bound_states(
     rises with E, so the branches positive at the window's top and not at its
     bottom are exactly its states; every branch's grid cell is refined at
     once (Anderson-Bjorck regula falsi, one ``eigvalsh`` batch per step
-    evaluated for all branches) to |dE| <= tol.  Roots within max(tol,
-    1e-12 |E|) of each other are one degenerate multiplet, several states
-    at one energy.  For
-    a single center the closed forms take precedence so the textbook
-    formulas are testable verbatim.
+    evaluated for all branches) to |dE| <= tol.  Each root is within
+    max(tol, 1e-12 |E|) of its energy, so roots within twice that of each
+    other are one degenerate multiplet: several states at one energy (their
+    mean).  For a single center the closed forms take precedence so the
+    textbook formulas are testable verbatim.
 
     Without a given window the bottom of the default one is lowered, kappa
     doubling, until M has as many positive eigenvalues as at E -> -inf, so
@@ -457,10 +469,11 @@ def bound_states(
             raise DomainError("centers that bind alone above the default window bind a "
                               "state at E <= min E_B that it misses", e_b=min(own))
 
+    blocks = _residue_vectors(dim, consts, pairs, r, pos, multiplets)
     return [
         BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c)
-        for e_b, branches in multiplets
-        for c in _residue_vectors(dim, consts, pairs, r, pos, e_b, branches)
+        for (e_b, _), block in zip(multiplets, blocks)
+        for c in block.T
     ]
 
 
@@ -527,8 +540,8 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
     Sorted eigenvalue k of M(E) rises with E, so it has at most one zero; the
     branches with one in the window are those positive at its top and not at
     its bottom.  Each is bracketed on the log-kappa grid and all brackets are
-    refined together; zeros that agree within max(tol, 1e-12 |E|) form one
-    multiplet.
+    refined together; zeros that agree within 2 max(tol, 1e-12 |E|) form
+    one multiplet.
     """
     e_min, e_max = window
     if grid_points < 2:
@@ -552,8 +565,9 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]
     # |E| past ~1 has roots only to a few ulps, so tol alone would split a
-    # deep degenerate pair: the floor is 1e-12 relative
-    apart = np.diff(energies) > np.maximum(tol, 1e-12 * np.abs(energies[1:]))
+    # deep degenerate pair: the floor is 1e-12 relative; both roots of a
+    # pair lie within it of their energy, so within twice it of each other
+    apart = np.diff(energies) > 2.0 * np.maximum(tol, 1e-12 * np.abs(energies[1:]))
     groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
     with np.errstate(over="ignore"):  # a sum past -1.8e308 overflows: then average halves
         means = [np.mean(energies[g]) for g in groups]
@@ -567,5 +581,5 @@ def residue_wavefunction(state: BoundState, x) -> float:
     Normalized so the residue of :func:`green` at E_B equals
     psi_B(x) psi_B(y); in particular int |psi_B|^2 = 1.
     """
-    r = _distances_to(_point(x), _positions(state.centers))
-    return float(g0_kernel(state.dim, state.energy, r) @ state.residue_vector)
+    pos, e = state._kernel_args
+    return float(g0_kernel(state.dim, e, _distances_to(_point(x), pos)) @ state.residue_vector)

@@ -148,7 +148,7 @@ def test_m_matrix_makes_no_scalar_g0_call(monkeypatch):
     m_matrix(3, -1.7, cs)
     assert calls == []
     green(3, -1.7, _pt(0.1, 0.2, 0.3), _pt(5.0, 5.0, 5.0), cs)
-    assert len(calls) == 1  # G0(x, y) itself; the source vectors are one kernel call each
+    assert calls == []  # G0(x, y) is the first entry of the point's kernel row
 
 
 def test_m_matrix_and_scan_make_no_scalar_denominator_call(monkeypatch):
@@ -501,6 +501,41 @@ def test_green_reuse_keeps_every_error(monkeypatch):
     assert calls == {"m_matrix": 4, "solve": 4}
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_green_point_is_one_kernel_row_with_the_g0_errors(monkeypatch, dim):
+    calls = {"g0_kernel": 0, "k0": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    kernel = counting("g0_kernel", greenfn.g0_kernel)
+    monkeypatch.setattr(pointgreen, "g0_kernel", kernel)
+    monkeypatch.setattr(greenfn, "g0_kernel", kernel)  # the one g0 calls
+    monkeypatch.setattr(bessel, "k0", counting("k0", bessel.k0))
+    pad = (0.0,) * (dim - 2)
+    cs = [center((0.0, 0.0) + pad, from_bound_state(-1.0)),
+          center((1.0, 0.5) + pad, from_bound_state(-2.0))]
+    y = _pt(0.3, -0.2, *pad)
+    _forget_last_solve()
+    green(dim, -0.7, _pt(0.5, 0.5, *pad), y, cs)
+    calls.update(g0_kernel=0, k0=0)
+    # after the solve, G0(x, y) and every G0(x, a_i) are one kernel call
+    green(dim, -0.7, _pt(0.9, -0.4, *pad), y, cs)
+    assert calls == {"g0_kernel": 1, "k0": 1 if dim == 2 else 0}
+    for x in (_pt(0.5), _pt(0.5, 0.5, 0.5, 0.5)):
+        with pytest.raises(IllegalSpecError) as err:
+            green(dim, -0.7, x, y, cs)
+        assert err.value.details == {"dim": dim, "xdim": x.dim}
+    for x in (y, cs[1].position):  # on the source, on a center
+        with pytest.raises(CoincidentPointsError) as err:
+            green(dim, -0.7, x, y, cs)
+        assert err.value.details == {"dim": dim, "r": 0.0}
+
+
 def test_green_reuse_across_threads_never_mixes_sources():
     cs = [center((1.1 * i, 0.3 * i), from_bound_state(-1.0 - 0.1 * i)) for i in range(6)]
     sources = [_pt(-1.0 - 0.5 * t, 0.7) for t in range(6)]
@@ -767,6 +802,42 @@ def test_degenerate_pair_residue_sums_over_its_states():
     assert c.T @ mp_ @ c == pytest.approx(np.eye(2), abs=1e-12)
 
 
+def _polygon(n, a, e_b):
+    # a regular n-gon of nearest-neighbour distance a, coordinates rounded
+    # to 12 digits: the benchmark's symmetric 2D layouts
+    radius = a / (2.0 * math.sin(math.pi / n))
+    return [center(tuple(round(radius * f(2 * math.pi * k / n), 12) for f in (math.cos, math.sin)),
+                   from_bound_state(e_b)) for k in range(n)]
+
+
+@pytest.mark.parametrize("n, a, e_b, window, want", [
+    (8, 0.8688571362282915, -1.171857857912272,
+     (-18.749725726596353, -0.0029296446447806806), -0.2341688442),
+    (12, 1.394340535822198, -0.8287121074046553,
+     (-13.259393718474483, -0.0020717802685116383), -1.1334457229),
+], ids=["octagon", "12-gon"])
+def test_degenerate_pair_roots_twice_the_tolerance_apart_are_one_multiplet(n, a, e_b, window, want):
+    # each root of the pair lies within max(tol, 1e-12 |E|) of the shared
+    # energy, but the two lie 1.9e-12 and 1.4e-12 apart: grouping them
+    # within that bound alone split the pair into two states
+    cs = _polygon(n, a, e_b)
+    pair = [s for s in bound_states(2, cs, search=window, method="scan")
+            if abs(s.energy - want) < 1e-9]
+    assert len(pair) == 2 and pair[0].energy == pair[1].energy
+    e = pair[0].energy
+    # the columns of C are M'-orthonormal and span the null space, so C C^T,
+    # and the residue sum_a psi_a(x) psi_a(y), does not depend on the basis
+    mp_ = m_matrix(2, complex(e, 1e-20), cs).entries.imag / 1e-20
+    c = np.stack([s.residue_vector for s in pair], axis=1)
+    assert c.T @ mp_ @ c == pytest.approx(np.eye(2), abs=1e-10)
+    x, y = (0.4, -0.3), (-0.7, 0.9)
+    deltas = np.array([1e-3, 1e-4, 1e-5])
+    probes = [abs(e) * d * green(2, e + abs(e) * d, _pt(*x), _pt(*y), cs).value.real
+              for d in deltas]
+    want = sum(residue_wavefunction(s, x) * residue_wavefunction(s, y) for s in pair)
+    assert np.polyfit(deltas, probes, 2)[-1] == pytest.approx(want, rel=1e-6)
+
+
 def _uniform_3d(n):
     rng = np.random.default_rng(0)
     return [center(tuple(p), from_bound_state(-1.0))
@@ -872,6 +943,64 @@ def test_non_positive_m_prime_at_a_root_is_a_non_convergence(monkeypatch):
     monkeypatch.setattr(pointgreen, "_m_of_kappa", conjugated)
     with pytest.raises(NonConvergenceError, match="non-positive dM/dE"):
         bound_states(1, PAIR)
+
+
+def _with_degenerate_multiplet(dim):
+    # every layout holds a degenerate multiplet and a center whose 1/lambda
+    # overflows (decoupled: bound_states drops it before the scan)
+    if dim == 1:  # two far centers bind a pair at E = -1
+        cs = [center(-1e300, from_bound_state(-1.0)), center(0.0, from_bound_state(-0.5)),
+              center(1.5, bare_1d(-3.0)), center(1e300, from_bound_state(-1.0))]
+    elif dim == 2:
+        cs = _polygon(8, 0.8688571362282915, -1.171857857912272)
+    else:
+        cs = _triangle()
+    return cs + [center((0.05,) * dim, {1: bare_1d(-1e-320), 2: renormalized_2d(-1e-320, 1.0),
+                                        3: renormalized_3d(1e-320)}[dim])]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_residue_pass_per_scan_matches_each_multiplet_alone(monkeypatch, dim):
+    m_of_kappa, residue_vectors = pointgreen._m_of_kappa, pointgreen._residue_vectors
+    assembled, passes = [], []
+
+    def counting(*args):
+        assembled.append(args[-1])
+        return m_of_kappa(*args)
+
+    def recording(*args):
+        before = len(assembled)
+        blocks = residue_vectors(*args)
+        passes.append((args, blocks, len(assembled) - before))
+        return blocks
+
+    monkeypatch.setattr(pointgreen, "_m_of_kappa", counting)
+    monkeypatch.setattr(pointgreen, "_residue_vectors", recording)
+    cs = _with_degenerate_multiplet(dim)
+    states = bound_states(dim, cs, method="scan")
+    assert len(passes) == 1
+    (*head, multiplets), blocks, assemblies = passes[0]
+    assert assemblies == 2  # M(E_B) and its complex step, for every multiplet at once
+    assert len(multiplets) >= 2 and max(len(b) for _, b in multiplets) >= 2
+    assert all(s.residue_vector[-1] == 0.0 for s in states)
+    for multiplet, block in zip(multiplets, blocks, strict=True):
+        (alone,) = residue_vectors(*head, [multiplet])
+        assert alone.shape == block.shape and alone.tobytes() == block.tobytes()
+
+
+def test_residue_normalization_failure_names_its_multiplet(monkeypatch):
+    m_of_kappa = pointgreen._m_of_kappa
+
+    def conjugated_after_the_first(*args):
+        # the complex step at the second multiplet reads -M'
+        m = m_of_kappa(*args)
+        m[1:] = m[1:].conj()
+        return m
+
+    monkeypatch.setattr(pointgreen, "_m_of_kappa", conjugated_after_the_first)
+    with pytest.raises(NonConvergenceError) as err:
+        bound_states(1, PAIR)
+    assert err.value.details["energy"] == pytest.approx(PAIR_ENERGIES[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------- residues
