@@ -21,11 +21,14 @@ Bound states are the real E < 0 where an eigenvalue of M(E) vanishes.  There
 M' = dM/dE is a positive-definite Gram matrix of the functions G0(., a_i)
 (Krein's resolvent formula), so every sorted eigenvalue mu_k(E) rises
 strictly with E and vanishes at most once: the states in a window are the
-branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them, each
-found by refining its own bracket on a log-kappa grid, with one batched
-``eigvalsh`` per step serving every branch.  Roots within 2 max(tol,
-1e-12 |E|) of each other form a degenerate multiplet (each is within half
-that of the energy).  The residue of G there is sum_a psi_a(x) psi_a(y) with
+branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them.  The
+count n_+ only falls along a log-kappa grid, so a search evaluates the grid
+only where a count changes (or M is not clear of rounding) to bracket each
+branch between adjacent grid points; the brackets are then refined with
+one batched ``eigvalsh`` per step serving every branch.  Roots within
+2 max(tol, 1e-12 |E|) of each other form a degenerate multiplet (each is
+within half that of the energy).  The residue of G there is
+sum_a psi_a(x) psi_a(y) with
 
     psi_a(x) = sum_i C_ia G0(E_B; x, a_i),     C^T M'(E_B) C = 1,
 
@@ -402,22 +405,27 @@ def bound_states(
         "auto" returns the closed form directly for a single center;
         "scan" forces the eigenvalue-branch search.
     grid_points : int
-        Size of the log-spaced kappa grid on which the eigenvalues of M are
-        tabulated.
+        Size of the log-spaced kappa grid whose adjacent points bracket each
+        state; the search evaluates M only at the few it needs.
 
     Notes
     -----
-    The search tabulates the sorted eigenvalues of the real M(-kappa^2) on a
-    log-spaced grid of kappa = sqrt(-E) (poles crowd toward E = 0- for weak
-    coupling) in batched kernel and ``eigvalsh`` calls.  Each eigenvalue
-    rises with E, so the branches positive at the window's top and not at its
-    bottom are exactly its states; every branch's grid cell is refined at
-    once (Anderson-Bjorck regula falsi, one ``eigvalsh`` batch per step
-    evaluated for all branches) to |dE| <= tol.  Each root is within
-    max(tol, 1e-12 |E|) of its energy, so roots within twice that of each
-    other are one degenerate multiplet: several states at one energy (their
-    mean).  For a single center the closed forms take precedence so the
-    textbook formulas are testable verbatim.
+    The search brackets the zeros of the sorted eigenvalues of the real
+    M(-kappa^2) on a log-spaced grid of kappa = sqrt(-E) (poles crowd toward
+    E = 0- for weak coupling).  Each eigenvalue rises with E, so the branches
+    positive at the window's top and not at its bottom are exactly its
+    states, and the count of positive eigenvalues only falls along the grid:
+    a bisection over grid indices, in batched kernel and ``eigvalsh`` calls,
+    evaluates it only in cells where that count changes or M is not clear of
+    rounding, and finds the same brackets as every grid point would (a count
+    that rises anyway is rounding noise: :class:`NonConvergenceError`).
+    Every branch's grid cell is refined at once (Anderson-Bjorck regula
+    falsi, one ``eigvalsh`` batch per step evaluated for all branches) to
+    |dE| <= tol.  Each root is within max(tol, 1e-12 |E|) of its energy, so
+    roots within twice that of each other are one degenerate multiplet:
+    several states at one energy (their mean).  For a single center the
+    closed forms take precedence so the textbook formulas are testable
+    verbatim.
 
     Without a given window the bottom of the default one is lowered, kappa
     doubling, until M has as many positive eigenvalues as at E -> -inf, so
@@ -534,34 +542,61 @@ def _window_bottom(dim: int, consts: CouplingConstants, pairs, r, e_min: float) 
         kap *= 2.0
 
 
-def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
-    """(E_B, branch indices) of every multiplet of states in the window, ascending.
+def _brackets(dim, consts, pairs, r, window, grid_points):
+    """The branches k with a zero in the window, each with its bracket: the
+    adjacent kappas of the log-kappa grid, and mu_k there, where mu_k turns
+    non-positive.
 
-    Sorted eigenvalue k of M(E) rises with E, so it has at most one zero; the
-    branches with one in the window are those positive at its top and not at
-    its bottom.  Each is bracketed on the log-kappa grid and all brackets are
-    refined together; zeros that agree within 2 max(tol, 1e-12 |E|) form
-    one multiplet.
+    The grid is searched, not tabulated: first every isqrt(grid_points)-th
+    point and the last, then, level by level in one batch, the midpoint of
+    every cell between evaluated points whose ends differ in count n_+ or
+    where M is not clear of rounding at either end (min|mu| <= POLE_TOL
+    max|mu|).  A cell with neither has equal counts and every mu_k clear of
+    zero at both ends; each mu_k is monotone, so every point inside would
+    show that count too.  The evaluated counts are thus those of the whole
+    grid, each change between adjacent points, and the guard on them names
+    the first rise the whole grid shows.
     """
     e_min, e_max = window
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
-    mu = _eigenvalues(dim, consts, pairs, r, grid)  # falls along each column
-    rises = np.flatnonzero(np.diff(np.sum(mu > 0.0, axis=1)) > 0)
+    idx = np.unique(np.append(np.arange(0, grid_points, math.isqrt(grid_points)), grid_points - 1))
+    mu = _eigenvalues(dim, consts, pairs, r, grid[idx])  # falls along each column
+    while True:
+        count, size = np.sum(mu > 0.0, axis=1), np.abs(mu)
+        blurred = size.min(axis=1) <= POLE_TOL * size.max(axis=1)
+        cut = (np.diff(idx) > 1) & ((np.diff(count) != 0) | blurred[:-1] | blurred[1:])
+        if not cut.any():
+            break
+        mid, at = (idx[:-1][cut] + idx[1:][cut]) // 2, np.flatnonzero(cut) + 1
+        idx = np.insert(idx, at, mid)
+        mu = np.insert(mu, at, _eigenvalues(dim, consts, pairs, r, grid[mid]), axis=0)
+    rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
         raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
-                                  energy=float(-grid[rises[0] + 1] ** 2))
+                                  energy=float(-grid[idx[rises[0] + 1]] ** 2))
     n = mu.shape[1]
-    ks = np.arange(n - np.sum(mu[0] > 0.0), n - np.sum(mu[-1] > 0.0))
-    if not ks.size:
-        return []
+    ks = np.arange(n - count[0], n - count[-1])
     # the first grid kappa where branch k is no longer positive ends its bracket
     hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
-    kap = refine_brackets(
-        lambda x: _eigenvalues(dim, consts, pairs, r, x),
-        ks, grid[hi - 1], grid[hi], mu[hi - 1, ks], mu[hi, ks], xtol=tol / (2.0 * grid[hi]),
-    )
+    return ks, grid[idx[hi - 1]], grid[idx[hi]], mu[hi - 1, ks], mu[hi, ks]
+
+
+def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
+    """(E_B, branch indices) of every multiplet of states in the window, ascending.
+
+    Sorted eigenvalue k of M(E) rises with E, so it has at most one zero; the
+    branches with one in the window are those positive at its top and not at
+    its bottom.  Each is bracketed on the log-kappa grid (:func:`_brackets`)
+    and all brackets are refined together; zeros that agree within
+    2 max(tol, 1e-12 |E|) form one multiplet.
+    """
+    ks, lo, hi, mu_lo, mu_hi = _brackets(dim, consts, pairs, r, window, grid_points)
+    if not ks.size:
+        return []
+    kap = refine_brackets(lambda x: _eigenvalues(dim, consts, pairs, r, x),
+                          ks, lo, hi, mu_lo, mu_hi, xtol=tol / (2.0 * hi))
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]
     # |E| past ~1 has roots only to a few ulps, so tol alone would split a

@@ -128,14 +128,20 @@ SIX_1D = ("bound", "--dim", "1") + tuple(
 )
 
 
-@pytest.mark.parametrize("argv", [THREE_1D + ("--emax=-1e-40",), THREE_1D + ("--emax=-1e-300",),
-                                  SIX_1D], ids=["three-1e-40", "three-1e-300", "six"])
-def test_bound_count_rising_as_e_falls_is_a_computational_failure(capsys, argv):
-    # the parent printed a spurious -6.5e-40, dropped -0.45497, and gave 2 of
-    # the six centers' 4 states, each with exit 0
+@pytest.mark.parametrize("argv, energy", [
+    (THREE_1D + ("--emax=-1e-40",), -8.410310505352607e-40),
+    (THREE_1D + ("--emax=-1e-300",), -1.9085421440067208e-295),
+    (SIX_1D, -1.8932109762835708e-36),
+], ids=["three-1e-40", "three-1e-300", "six"])
+def test_bound_count_rising_as_e_falls_is_a_computational_failure(capsys, argv, energy):
+    # a scan without this guard printed a spurious -6.5e-40, dropped -0.45497,
+    # and gave 2 of the six centers' 4 states, each with exit 0; the energy
+    # is the grid point where the count first rises
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert _strict_json(err)["error"] == "NonConvergence"
+    doc = _strict_json(err)
+    assert doc["error"] == "NonConvergence"
+    assert doc["details"]["energy"] == energy
 
 
 def test_bound_windows_above_the_noise_agree_with_shooting(capsys):

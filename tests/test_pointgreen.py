@@ -908,6 +908,96 @@ def test_noisy_eigenvalues_end_the_scan_in_non_convergence(monkeypatch):
     assert -4.0 <= err.value.details["energy"] <= -0.01
 
 
+def _full_grid_brackets(dim, consts, pairs, r, window, grid_points):
+    # the reference scan: eigenvalues at every grid point, the guard on the
+    # whole count sequence, and each bracket where its branch turns non-positive
+    e_min, e_max = window
+    grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
+    mu = pointgreen._eigenvalues(dim, consts, pairs, r, grid)
+    count = np.sum(mu > 0.0, axis=1)
+    rises = np.flatnonzero(np.diff(count) > 0)
+    if rises.size:
+        raise NonConvergenceError("count rises", energy=float(-grid[rises[0] + 1] ** 2))
+    n = mu.shape[1]
+    ks = np.arange(n - count[0], n - count[-1])
+    hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
+    return ks, grid[hi - 1], grid[hi], mu[hi - 1, ks], mu[hi, ks]
+
+
+def _scan_args(dim, cs):
+    consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
+    return (dim, consts) + pointgreen._pair_distances(pointgreen._positions(cs))
+
+
+def _scan_outcomes(dim, cs, window, grid_points=400):
+    """The searched and the full-grid scan's multiplets (hex energies), or the
+    energy each one's guard names."""
+    args = _scan_args(dim, cs)
+
+    def outcome():
+        try:
+            multiplets = pointgreen._scan_energies(*args, window, 1e-12, grid_points)
+            return [(e_b.hex(), ks.tolist()) for e_b, ks in multiplets]
+        except NonConvergenceError as exc:
+            return exc.details["energy"].hex()
+
+    searched = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointgreen, "_brackets", _full_grid_brackets)
+        return searched, outcome()
+
+
+@st.composite
+def _scan_cases(draw):
+    # 1D windows reach tops of -1e-60, where M ~ 11^T / (2 kappa) leaves its
+    # O(1) eigenvalues to rounding and the guard often fires
+    dim = draw(st.sampled_from([1, 1, 1, 2, 3]))
+    n = draw(st.integers(2, 6))
+    if dim == 1:
+        gaps = draw(st.lists(st.floats(0.2, 4.0), min_size=n - 1, max_size=n - 1))
+        sites = np.concatenate([[0.0], np.cumsum(gaps)])[:, None]
+    else:  # lattice sites 1.5 apart, each moved by at most 0.3 per axis
+        lattice = np.array(list(itertools.product(range(3), repeat=dim))[:n], dtype=float)
+        shifts = draw(st.lists(st.floats(-0.3, 0.3), min_size=n * dim, max_size=n * dim))
+        sites = 1.5 * lattice + np.reshape(shifts, (n, dim))
+    cs = []
+    for site in sites:
+        if dim == 1 and draw(st.booleans()):
+            coupling = bare_1d(draw(st.floats(-3.0, -0.3)))
+        else:
+            depth = draw(st.floats(-0.3, 35.0 if dim == 1 else 3.0))
+            coupling = from_bound_state(-(10.0**-depth))
+        cs.append(center(tuple(site), coupling))
+    top = -(10.0 ** -draw(st.floats(2.0, 60.0)))
+    return dim, cs, (-(10.0 ** draw(st.floats(0.0, 1.5))), top)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_scan_cases())
+def test_grid_search_gives_the_full_grid_outcome(case):
+    # the same multiplets bit for bit, or the same first rise of the count
+    searched, full = _scan_outcomes(*case)
+    assert searched == full
+
+
+@pytest.mark.parametrize("dim, cs, window, grid_points, most", [
+    (3, _uniform_3d(16), (-16.0, -1e-6), 400, 119),
+    (3, _uniform_3d(16), (-16.0, -1e-6), 2, 2),
+    (3, _uniform_3d(16), (-16.0, -1e-6), 3, 3),
+    (2, [center((0.0, 0.0), from_bound_state(-1.0)), center((1.0, 0.0), from_bound_state(-0.5)),
+         center((0.0, 1.5), from_bound_state(-2.0))], (-32.0, -5e-7), 1_000_000, 1100),
+])
+def test_grid_search_evaluates_few_grid_points(monkeypatch, dim, cs, window, grid_points, most):
+    # a few of the grid's points bracket every branch as all of them do, bit for bit
+    args, eigenvalues, rows = _scan_args(dim, cs), pointgreen._eigenvalues, []
+    monkeypatch.setattr(pointgreen, "_eigenvalues",
+                        lambda *a: rows.append(len(a[-1])) or eigenvalues(*a))
+    searched = pointgreen._brackets(*args, window, grid_points)
+    assert searched[0].size and sum(rows) <= most
+    for got, want in zip(searched, _full_grid_brackets(*args, window, grid_points)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bound_state_validation():
     c = [center(0.0, bare_1d(-2.0))]
     with pytest.raises(IllegalSpecError):
