@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import DeltaGreenError, DomainError, IllegalSpecError, SpecValidationError
-from .greenfn import ComplexEnergy, SpatialPoint, g0
+from .greenfn import ComplexEnergy, SpatialPoint, g0, g0_kernel
 from .pointgreen import DeltaCenter, bound_states, center, green, residue_wavefunction
 from .renorm import (
     Cutoff,
@@ -51,7 +51,7 @@ from .scatter import (
 _G0_UNIT = {1: "L", 2: "1", 3: "1/L"}
 DEFAULT_FLOW_CUTOFFS = "1e2,1e3,1e4,1e5,1e6"
 DEFAULT_FRIEDMAN_CUTOFFS = "1e2,1e3,1e4,1e5"
-MAX_GRID = 10**6  # grid counts and --grid-points: 10^6 rows take seconds and <= 0.75 GB
+MAX_GRID = 10**6  # grid counts and --grid-points: a 10^6-row g0 table takes ~10 s and ~0.46 GB
 MAX_CENTERS = 1024  # --center options per call: M(E) of 1024 centers is 16 MB
 
 
@@ -267,12 +267,10 @@ def cmd_g0(dim, energy, retarded, rs, r_grid):
     """Free-space Green's function G0(E; r) on a grid of separations."""
     radii = _one_of_k(rs, r_grid, "--r", "--r-grid")
     e = ComplexEnergy(complex(energy, 0.0), retarded=retarded)
-    origin = SpatialPoint((0.0,) * dim)
-    rows = []
-    for r in radii:
-        x = SpatialPoint((r,) + (0.0,) * (dim - 1))
-        val = g0(dim, e, x, origin).value
-        rows.append((float(r), float(val.real), float(val.imag)))
+    vals = g0_kernel(dim, e, np.abs(radii))
+    if not np.isfinite(vals).all():
+        raise DeltaGreenError("non-finite Green's function value", dim=dim)
+    rows = list(zip(radii, vals.real.tolist(), vals.imag.tolist()))
     unit = _G0_UNIT[dim]
     params = {"dim": dim, "energy": energy, "retarded": retarded, "r": radii}
     return [("r", "L"), ("re_g0", unit), ("im_g0", unit)], rows, params

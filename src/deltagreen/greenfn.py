@@ -183,7 +183,8 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
         Energy off the positive real axis, or retarded (E + i0+).
     r : array_like
         Separations |x - y| >= 0; for dim >= 2 each must reach
-        ``COINCIDENT_TOL``.
+        ``COINCIDENT_TOL`` (the error names the first that does not, in
+        C order).
 
     Returns
     -------
@@ -193,11 +194,11 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     _check_dim(dim)
     e = ComplexEnergy.of(energy)
     r = np.asarray(r, dtype=float)
-    if dim >= 2 and r.size and r.min() < COINCIDENT_TOL:
+    if dim >= 2 and (close := r[r < COINCIDENT_TOL]).size:
         raise CoincidentPointsError(
             "free Green's function diverges at coincident points for D >= 2",
             dim=dim,
-            r=float(r.min()),
+            r=float(close[0]),
         )
     kap = e.kappa
     if dim == 1 and kap == 0.0:

@@ -12,7 +12,8 @@ centers a_1..a_N the correction generalizes to a small linear solve:
 
 M is complex symmetric (real symmetric on the negative real axis).  One
 builder assembles it at an array of kappa = sqrt(-E) for :func:`m_matrix`,
-:func:`green`, the residues and every batch of the scan.  G has a pole
+:func:`green`, the residues and every batch of the scan: its N(N-1)/2 + N
+distinct values, then one gather that lays out M.  G has a pole
 exactly where M is singular; :func:`green` reports one when its single
 solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
 which underflows for many centers.  Each point x is one kernel row.
@@ -169,9 +170,13 @@ def _positions(cs) -> np.ndarray:
     return np.array([c.position.coords for c in cs], dtype=float)
 
 
-def _pair_distances(pos: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Index pairs i < j (row-major) and |a_i - a_j| for each."""
-    pairs = np.triu_indices(len(pos), 1)
+def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The N x N slot map that lays out M by one gather, and |a_i - a_j| for
+    the P pairs i < j (row-major): (i, j) and (j, i) read pair p's slot p,
+    (i, i) slot P + i.
+    """
+    n = len(pos)
+    pairs = np.triu_indices(n, 1)
     r = _norms(lambda: (c[pairs[0]] - c[pairs[1]] for c in pos.T))
     close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
     if close.size:
@@ -180,41 +185,31 @@ def _pair_distances(pos: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.
             i=int(pairs[0][close[0]]),
             j=int(pairs[1][close[0]]),
         )
-    return pairs, r
+    slots = np.empty((n, n), dtype=np.intp)
+    slots[pairs] = slots[pairs[::-1]] = np.arange(r.size)
+    slots[np.diag_indices(n)] = r.size + np.arange(n)
+    return slots, r
 
 
-def _matrices(off: np.ndarray, diag: np.ndarray, pairs) -> np.ndarray:
-    """Symmetric M: -off at each pair (i, j) and (j, i), diag on the diagonal.
-
-    Leading axes of ``off`` (..., pairs) and ``diag`` (..., N) batch matrices.
-    """
-    n = diag.shape[-1]
-    m = np.empty(diag.shape + (n,), dtype=np.result_type(off, diag))
-    neg = -off
-    m[..., pairs[0], pairs[1]] = neg
-    m[..., pairs[1], pairs[0]] = neg
-    idx = np.arange(n)
-    m[..., idx, idx] = diag
-    return m
-
-
-def _m_of_kappa(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.ndarray:
-    """M(-kappa^2) at every kappa of a 1-D array, from the pair distances and
-    coupling constants: real matrices for a real array, else complex.
-    One denominator call fills the diagonals (first: at kappa = 0 in D = 1,
-    2 it raises before the kernel divides by zero), one kernel call the rest.
+def _m_of_kappa(dim: int, consts: CouplingConstants, slots, r, kappas) -> np.ndarray:
+    """M(-kappa^2) at every kappa of a 1-D array, from :func:`_pair_distances`
+    and the coupling constants: real matrices for a real array, else complex.
+    The denominators come first (at kappa = 0 in D = 1, 2 they raise before
+    the kernel divides by zero).  ``np.take``, unlike fancy indexing, keeps
+    each matrix C-contiguous, the layout whose ``eigh`` bits tests pin.
     """
     diag = renormalized_denominators(kappas, consts)
-    return _matrices(g0_of_kappa(dim, kappas[:, None], r), diag, pairs)
+    off = g0_of_kappa(dim, kappas[:, None], r)
+    return np.take(np.concatenate((-off, diag), axis=-1), slots, axis=-1)
 
 
 def m_matrix(dim: int, energy, centers) -> MMatrix:
     """Assemble M(E): renormalized denominators on the diagonal, -G0 off it; real at real kappa."""
     kappas = np.array([ComplexEnergy.of(energy).kappa])
     cs, pos = _validate_centers(dim, centers)
-    pairs, r = _pair_distances(pos)
+    slots, r = _pair_distances(pos)
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    m = _m_of_kappa(dim, consts, pairs, r, kappas)[0]
+    m = _m_of_kappa(dim, consts, slots, r, kappas)[0]
     m.setflags(write=False)
     return MMatrix(entries=m)
 
@@ -337,7 +332,7 @@ def _sign_probes(pos: np.ndarray) -> np.ndarray:
     return probes
 
 
-def _residue_vectors(dim: int, consts: CouplingConstants, pairs, r, pos: np.ndarray,
+def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndarray,
                      multiplets) -> list:
     """One (N, k) block of residue vectors c_a per multiplet (E_B, k branches).
 
@@ -357,7 +352,7 @@ def _residue_vectors(dim: int, consts: CouplingConstants, pairs, r, pos: np.ndar
     for i in range(0, len(multiplets), step):
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
-        m, m_step = (_m_of_kappa(dim, consts, pairs, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
+        m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
         probes = _sign_probes(pos)
         dist = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
         if dim >= 2:  # G0 diverges at a center
@@ -438,7 +433,7 @@ def bound_states(
     residue coefficient is 0.
     """
     cs, pos = _validate_centers(dim, centers)
-    pairs, r = _pair_distances(pos)
+    slots, r = _pair_distances(pos)
     if not (tol > 0.0):
         raise DomainError("tol must be positive", tol=tol)
     if method not in ("auto", "scan"):
@@ -471,13 +466,13 @@ def bound_states(
         multiplets = [(e_b, [0])] if in_window else []
     else:
         if search is None:
-            window = (_window_bottom(dim, consts, pairs, r, window[0]), window[1])
-        multiplets = _scan_energies(dim, consts, pairs, r, window, tol, grid_points)
+            window = (_window_bottom(dim, consts, slots, r, window[0]), window[1])
+        multiplets = _scan_energies(dim, consts, slots, r, window, tol, grid_points)
         if not multiplets and search is None and all(e is not None and e > window[1] for e in own):
             raise DomainError("centers that bind alone above the default window bind a "
                               "state at E <= min E_B that it misses", e_b=min(own))
 
-    blocks = _residue_vectors(dim, consts, pairs, r, pos, multiplets)
+    blocks = _residue_vectors(dim, consts, slots, r, pos, multiplets)
     return [
         BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c)
         for (e_b, _), block in zip(multiplets, blocks)
@@ -502,7 +497,7 @@ def _search_window(own, search):
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
-def _eigenvalues(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.ndarray:
+def _eigenvalues(dim: int, consts: CouplingConstants, slots, r, kappas) -> np.ndarray:
     """Ascending eigenvalues of the real M(-kappa^2), one row per kappa > 0.
 
     One :func:`_m_of_kappa` call and one ``eigvalsh`` cover a whole batch of
@@ -516,7 +511,7 @@ def _eigenvalues(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.nd
     for i in range(0, len(kappas), step):
         kap = kappas[i : i + step]
         with np.errstate(over="ignore", divide="ignore"):  # checked just below
-            m = _m_of_kappa(dim, consts, pairs, r, kap)
+            m = _m_of_kappa(dim, consts, slots, r, kap)
         if not np.isfinite(m).all():
             raise DomainError("M(E) has an entry beyond double precision",
                               energy=float(-kap[0] * kap[0]))
@@ -524,7 +519,7 @@ def _eigenvalues(dim: int, consts: CouplingConstants, pairs, r, kappas) -> np.nd
     return np.concatenate(out)
 
 
-def _window_bottom(dim: int, consts: CouplingConstants, pairs, r, e_min: float) -> float:
+def _window_bottom(dim: int, consts: CouplingConstants, slots, r, e_min: float) -> float:
     """E_min, lowered by doubling kappa until no state can lie below it.
 
     M' > 0 makes the number of positive eigenvalues of M(E) fall as E falls,
@@ -537,12 +532,12 @@ def _window_bottom(dim: int, consts: CouplingConstants, pairs, r, e_min: float) 
     kap = math.sqrt(-e_min)
     while True:
         e_min = ComplexEnergy(-kap * kap).value.real
-        if np.sum(_eigenvalues(dim, consts, pairs, r, np.array([kap])) > 0.0) <= limit:
+        if np.sum(_eigenvalues(dim, consts, slots, r, np.array([kap])) > 0.0) <= limit:
             return e_min
         kap *= 2.0
 
 
-def _brackets(dim, consts, pairs, r, window, grid_points):
+def _brackets(dim, consts, slots, r, window, grid_points):
     """The branches k with a zero in the window, each with its bracket: the
     adjacent kappas of the log-kappa grid, and mu_k there, where mu_k turns
     non-positive.
@@ -562,7 +557,7 @@ def _brackets(dim, consts, pairs, r, window, grid_points):
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     idx = np.unique(np.append(np.arange(0, grid_points, math.isqrt(grid_points)), grid_points - 1))
-    mu = _eigenvalues(dim, consts, pairs, r, grid[idx])  # falls along each column
+    mu = _eigenvalues(dim, consts, slots, r, grid[idx])  # falls along each column
     while True:
         count, size = np.sum(mu > 0.0, axis=1), np.abs(mu)
         blurred = size.min(axis=1) <= POLE_TOL * size.max(axis=1)
@@ -571,7 +566,7 @@ def _brackets(dim, consts, pairs, r, window, grid_points):
             break
         mid, at = (idx[:-1][cut] + idx[1:][cut]) // 2, np.flatnonzero(cut) + 1
         idx = np.insert(idx, at, mid)
-        mu = np.insert(mu, at, _eigenvalues(dim, consts, pairs, r, grid[mid]), axis=0)
+        mu = np.insert(mu, at, _eigenvalues(dim, consts, slots, r, grid[mid]), axis=0)
     rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
         raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
@@ -583,7 +578,7 @@ def _brackets(dim, consts, pairs, r, window, grid_points):
     return ks, grid[idx[hi - 1]], grid[idx[hi]], mu[hi - 1, ks], mu[hi, ks]
 
 
-def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
+def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
     """(E_B, branch indices) of every multiplet of states in the window, ascending.
 
     Sorted eigenvalue k of M(E) rises with E, so it has at most one zero; the
@@ -592,10 +587,10 @@ def _scan_energies(dim, consts, pairs, r, window, tol, grid_points):
     and all brackets are refined together; zeros that agree within
     2 max(tol, 1e-12 |E|) form one multiplet.
     """
-    ks, lo, hi, mu_lo, mu_hi = _brackets(dim, consts, pairs, r, window, grid_points)
+    ks, lo, hi, mu_lo, mu_hi = _brackets(dim, consts, slots, r, window, grid_points)
     if not ks.size:
         return []
-    kap = refine_brackets(lambda x: _eigenvalues(dim, consts, pairs, r, x),
+    kap = refine_brackets(lambda x: _eigenvalues(dim, consts, slots, r, x),
                           ks, lo, hi, mu_lo, mu_hi, xtol=tol / (2.0 * hi))
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]

@@ -30,8 +30,9 @@ In D=2 the arbitrary scale mu drops out of physics: the bound-state energy
     E_B = -mu^2 exp(4 pi / lambda_R)
 
 is invariant under the flow 1/lambda_R' = 1/lambda_R - ln(mu'^2/mu^2)/(4 pi),
-so a dimensionless coupling trades itself for one dimensionful scale.  All
-renormalized couplings are therefore canonicalized to E_B internally.  In
+so a dimensionless coupling trades itself for one dimensionful scale, and a
+2D lambda_R enters only through its E_B.  A 3D lambda_R is kept as 1/lambda_R,
+which stays finite where no E_B exists (lambda_R < 0).  In
 D=4 the K-dependent part of the bubble grows without bound and cannot be
 absorbed into any redefinition of lambda; :func:`friedman_report` tabulates
 that obstruction.
@@ -321,8 +322,8 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
     as a complex number (real-valued on the negative real axis).
 
     Its unique zero on the negative real axis, when one exists, is the
-    bound-state energy.  Renormalized couplings are converted to E_B first,
-    so only one physical parameter enters.
+    bound-state energy.  A 2D lambda_R enters through its E_B alone; a 3D
+    lambda_R through 1/lambda_R, D = 1/lambda_R - kappa/(4 pi).
     """
     e = ComplexEnergy.of(energy)
     return complex(renormalized_denominators(e.kappa, coupling_constants(dim, (spec,)))[0])

@@ -27,6 +27,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deltagreen import cli  # noqa: E402
 from deltagreen.cli import main  # noqa: E402
+from deltagreen.errors import DeltaGreenError  # noqa: E402
+from deltagreen.greenfn import ComplexEnergy, SpatialPoint, g0  # noqa: E402
 
 POSITIVE = st.floats(min_value=1e-320, max_value=1e300)
 NEGATIVE = st.floats(min_value=-1e300, max_value=-1e-320)
@@ -237,6 +239,33 @@ def test_extreme_argvs_keep_the_cli_contract(argv, want):
     if argv in BOUND_ENERGIES:
         energies = [row[1] for row in _strict_json(out)["rows"]]
         assert energies == pytest.approx(BOUND_ENERGIES[argv], rel=1e-9)
+
+
+G0_RADII = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, -0.0, 1e-14, 5e-324, -5e-324, 1e300, -1e300]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(dim=st.integers(1, 3), retarded=st.booleans(), negative=st.booleans(),
+       size=st.floats(1e-6, 1e6), radii=st.lists(G0_RADII, min_size=1, max_size=6))
+def test_g0_table_is_g0_row_by_row(dim, retarded, negative, size, radii):
+    # one kernel call over |r| gives each row's g0(r e_1, 0) bit for bit, or
+    # the error of the first row that fails
+    energy = -size if negative or not retarded else size
+    argv = ["g0", "--dim", str(dim), "--energy", repr(energy)] + ["--retarded"] * retarded
+    code, text = _assert_contract(argv + [a for r in radii for a in ("--r", repr(r))])
+    e, origin = ComplexEnergy(energy, retarded=retarded), SpatialPoint((0.0,) * dim)
+    try:
+        values = [g0(dim, e, SpatialPoint((r,) + (0.0,) * (dim - 1)), origin).value
+                  for r in radii]
+    except DeltaGreenError as exc:
+        assert (code, _strict_json(text)) == (3, exc.payload())
+    else:
+        assert code == 0
+        want = [[r, v.real, v.imag] for r, v in zip(radii, values)]
+        assert repr(_strict_json(text)["rows"]) == repr(want)
 
 
 # -- green and bound -----------------------------------------------------------

@@ -6,8 +6,8 @@ and CSV.  Tables that go through numpy's ``exp`` or the Bessel kernels, which
 may round differently on other CPUs, must match in metadata, columns and
 row count exactly and in every number to a relative 1e-14.  So must
 ``verify`` and ``verify --fast``, whose checks keep their names, order,
-verdicts and tolerances exactly.  Invalid inputs must print exactly the recorded error
-line.
+verdicts and tolerances exactly.  Invalid inputs and failed computations must
+print exactly the recorded error line.
 """
 
 import json
@@ -87,6 +87,10 @@ ERRORS = {
     'bound --dim 1 --center 0:lambda=-1,lambda=-2': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: --center: duplicate key \'lambda\'"}\n'),
     'rgflow --dim 2 --eb -1': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: dim 2 takes --lambda-r and --mu"}\n'),
     'rgflow --dim 3 --lambda-r 1 --mu 1': (2, '{"details": {}, "error": "InvalidInput", "message": "Invalid value: dim 3 takes exactly one of --lambda-r or --eb, no --mu"}\n'),
+    # the first coincident radius, not the smallest, as a row-by-row table reports it
+    'g0 --dim 2 --energy -1 --r 0.5 --r 1e-15 --r 0': (3, '{"details": {"dim": 2, "r": 1e-15}, "error": "CoincidentPoints", "message": "free Green\'s function diverges at coincident points for D >= 2"}\n'),
+    'g0 --dim 3 --energy 0.7 --retarded --r 1e-300 --r 5e-324 --r 1e300': (3, '{"details": {"dim": 3, "r": 1e-300}, "error": "CoincidentPoints", "message": "free Green\'s function diverges at coincident points for D >= 2"}\n'),
+    'g0 --dim 1 --energy 1e300 --retarded --r 1 --r 1e300': (3, '{"details": {"dim": 1}, "error": "ComputationError", "message": "non-finite Green\'s function value"}\n'),
 }
 
 CLOSE = {

@@ -208,8 +208,13 @@ def test_kernel_over_an_array_of_separations():
             assert got.dtype == (np.float64 if energy == -1.7 else np.complex128)
             for idx in np.ndindex(r.shape):
                 assert got[idx] == g0(dim, energy, _axis_point(dim, r[idx]), ORIGIN[dim]).value
-    with pytest.raises(CoincidentPointsError):
-        g0_kernel(2, -1.0, np.array([1.0, 0.0]))
+    # the error names the first coincident separation in C order, not the
+    # smallest, as a table checked row by row would
+    for dim in (2, 3):
+        for r, first in (([0.5, 1e-15, 0.0], 1e-15), ([[1.0, 2e-300], [5e-324, 0.0]], 2e-300)):
+            with pytest.raises(CoincidentPointsError) as err:
+                g0_kernel(dim, -1.0, np.array(r))
+            assert err.value.details == {"dim": dim, "r": first}
     # the one-dimensional kernel diverges at the threshold E = 0 + i0
     with pytest.raises(DomainError):
         g0_kernel(1, ComplexEnergy(0.0, retarded=True), np.array([1.0]))

@@ -174,6 +174,41 @@ def test_m_matrix_and_scan_make_no_scalar_denominator_call(monkeypatch):
     assert calls == []
 
 
+def _scattered(off, diag):
+    """M placed by fancy-index scatters: -off at both triangles, diag on the diagonal."""
+    n = diag.shape[-1]
+    pairs = np.triu_indices(n, 1)
+    m = np.empty(diag.shape + (n,), dtype=np.result_type(off, diag))
+    neg = -off
+    m[..., pairs[0], pairs[1]] = neg
+    m[..., pairs[1], pairs[0]] = neg
+    idx = np.arange(n)
+    m[..., idx, idx] = diag
+    return m
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_m_of_kappa_gathers_the_scattered_matrices(dim, n, batch):
+    # one gather gives the scatters' bits in a C-contiguous batch, the layout
+    # whose eigh the residues and the scan are bit-checked against
+    rng = np.random.default_rng(10 * dim + n)
+    other = {1: bare_1d(-1.3), 2: renormalized_2d(-6.0, 1.0), 3: renormalized_3d(9.0)}[dim]
+    cs = [center(tuple(p), other if i % 2 else from_bound_state(-0.5 - 0.2 * i))
+          for i, p in enumerate(rng.uniform(0.0, 3.0, (n, dim)))]
+    consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
+    slots, r = pointgreen._pair_distances(pointgreen._positions(cs))
+    kap = np.geomspace(0.2, 5.0, batch)
+    for kappas in (kap, kap * np.exp(0.4j), kap * (1.0 + 1e-20j)):
+        got = pointgreen._m_of_kappa(dim, consts, slots, r, kappas)
+        want = _scattered(greenfn.g0_of_kappa(dim, kappas[:, None], r),
+                          renorm.renormalized_denominators(kappas, consts))
+        assert got.flags.c_contiguous
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_scan_eigenvalues_are_those_of_m_matrix(dim):
     # the scan counts states from the same M(-kappa^2) that m_matrix returns
@@ -182,12 +217,12 @@ def test_scan_eigenvalues_are_those_of_m_matrix(dim):
     cs = [center(tuple(p), other if i % 2 else from_bound_state(-0.5 - 0.2 * i))
           for i, p in enumerate(rng.uniform(0.0, 3.0, (6, dim)))]
     consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
-    pairs, r = pointgreen._pair_distances(pointgreen._positions(cs))
+    slots, r = pointgreen._pair_distances(pointgreen._positions(cs))
     kappas = np.geomspace(0.03, 30.0, 9)
-    grid = pointgreen._eigenvalues(dim, consts, pairs, r, kappas)
+    grid = pointgreen._eigenvalues(dim, consts, slots, r, kappas)
     for kap, row in zip(kappas, grid):
         want = np.linalg.eigvalsh(m_matrix(dim, -kap * kap, cs).entries).tobytes()
-        assert pointgreen._eigenvalues(dim, consts, pairs, r, np.array([kap]))[0].tobytes() == want
+        assert pointgreen._eigenvalues(dim, consts, slots, r, np.array([kap]))[0].tobytes() == want
         assert row.tobytes() == want, kap
 
 
@@ -908,12 +943,12 @@ def test_noisy_eigenvalues_end_the_scan_in_non_convergence(monkeypatch):
     assert -4.0 <= err.value.details["energy"] <= -0.01
 
 
-def _full_grid_brackets(dim, consts, pairs, r, window, grid_points):
+def _full_grid_brackets(dim, consts, slots, r, window, grid_points):
     # the reference scan: eigenvalues at every grid point, the guard on the
     # whole count sequence, and each bracket where its branch turns non-positive
     e_min, e_max = window
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
-    mu = pointgreen._eigenvalues(dim, consts, pairs, r, grid)
+    mu = pointgreen._eigenvalues(dim, consts, slots, r, grid)
     count = np.sum(mu > 0.0, axis=1)
     rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:
