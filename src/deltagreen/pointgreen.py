@@ -440,11 +440,10 @@ def bound_states(
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    with np.errstate(divide="ignore"):  # a 2D E_B of -0.0 gives D = -inf
-        live = np.isfinite(renormalized_denominators(1.0, consts))
+    live = np.isfinite(consts.value) & (consts.value != 0.0)
     if not live.all():
-        # an infinite 1/lambda (or 2D E_B = -0.0) decouples its center: D_i
-        # is infinite at every E, so the others bind the states alone
+        # an infinite 1/lambda (or a 2D kappa_B of 0) decouples its center:
+        # D_i is infinite at every E, so the others bind the states alone
         keep = np.flatnonzero(live)
         sub = [cs[i] for i in keep]
         states = bound_states(dim, sub, search, tol, method, grid_points) if sub else []
@@ -523,12 +522,12 @@ def _window_bottom(dim: int, consts: CouplingConstants, slots, r, e_min: float) 
     """E_min, lowered by doubling kappa until no state can lie below it.
 
     M' > 0 makes the number of positive eigenvalues of M(E) fall as E falls,
-    to its E -> -inf limit: the repulsive bare 1D centers (D_i -> 1/lambda_i
-    while the off-diagonal decays), none in 2D and 3D (D_i -> -inf).  Once
+    to its E -> -inf limit: the 1D centers with a positive constant (D_i ->
+    1/lambda_i > 0 while the off-diagonal decays), none in 2D and 3D.  Once
     M(E_min) has that many, every branch has crossed zero above E_min.  An
     E_min that overflows raises :class:`DomainError` as :class:`ComplexEnergy` does.
     """
-    limit = int(np.sum((consts.value > 0.0) & ~consts.from_e_b)) if dim == 1 else 0
+    limit = int(np.sum(consts.value > 0.0)) if dim == 1 else 0
     kap = math.sqrt(-e_min)
     while True:
         e_min = ComplexEnergy(-kap * kap).value.real

@@ -23,7 +23,7 @@ yielding the renormalized denominators
 
     D=1:  1/lambda + 1/(2 kappa)
     D=2:  -ln(kappa/kappa_B) / (2 pi)      (kappa_B^2 = -E_B)
-    D=3:  1/lambda_R - kappa/(4 pi) = (kappa_B - kappa)/(4 pi)  for lambda_R > 0.
+    D=3:  1/lambda_R - kappa/(4 pi) = kappa_B/(4 pi) - kappa/(4 pi)  for lambda_R > 0.
 
 In D=2 the arbitrary scale mu drops out of physics: the bound-state energy
 
@@ -38,20 +38,20 @@ absorbed into any redefinition of lambda; :func:`friedman_report` tabulates
 that obstruction.
 
 The renormalized denominators of a whole center list are evaluated as one
-array: :func:`coupling_constants` reads each coupling once into one constant
-per center,
+array: :func:`coupling_constants` reads each coupling once into the one
+constant of its denominator,
 
-    D=1:  1/lambda (bare) or 1/(2 kappa_B) (from E_B)
+    D=1:  1/lambda (bare) or -1/(2 kappa_B) (from E_B)
     D=2:  kappa_B (transmuted from lambda_R, or given as E_B)
-    D=3:  1/lambda_R (renormalized) or kappa_B (from E_B),
+    D=3:  1/lambda_R (renormalized) or kappa_B/(4 pi) (from E_B),
 
 and :func:`renormalized_denominators` evaluates D_i(-kappa^2) for every
-center at an array of kappa in one numpy expression, shape kappa.shape + (N,).
-Each variant keeps its own operation order (1/lambda + 1/(2 kappa),
-1/(2 kappa) - 1/(2 kappa_B), 1/lambda_R - kappa/(4 pi), (kappa_B - kappa)/(4 pi)),
-so a zero of D at E = E_B stays an exact 0.0.  :func:`renormalized_denominator`
-is the checked one-energy, one-coupling entry point: it calls the array form
-and returns D(E) as a plain complex number.
+center at an array of kappa in one numpy expression per dimension,
+value + 1/(2 kappa), -ln(kappa/value)/(2 pi) and value - kappa/(4 pi), shape
+kappa.shape + (N,).  A center given by E_B has D = 0.0 exactly at
+kappa = kappa_B.  :func:`renormalized_denominator` is the checked
+one-energy, one-coupling entry point: it calls the array form and returns
+D(E) as a plain complex number.
 """
 
 from __future__ import annotations
@@ -241,11 +241,7 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
                 kb2 = -spec.e_b
                 inv = -math.log(lam_cap**2 / kb2) / _FOUR_PI
     else:
-        if spec.variant == REN_3D:
-            inv = 1.0 / spec.lambda_r - lam_cap / _TWO_PI_SQ
-        else:
-            kb = math.sqrt(-spec.e_b)
-            inv = kb / _FOUR_PI - lam_cap / _TWO_PI_SQ
+        inv = float(coupling_constants(3, (spec,)).value[0]) - lam_cap / _TWO_PI_SQ
     if abs(inv) <= INVERSE_COUPLING_TOL:
         raise PoleCrossingError(
             "bare coupling undefined at this cutoff (1/lambda crosses 0)",
@@ -258,14 +254,14 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
 class CouplingConstants(NamedTuple):
     """The per-center constants :func:`renormalized_denominators` reads.
 
-    ``value[i]`` is 1/lambda or 1/(2 kappa_B) in D=1, kappa_B in D=2, and
-    1/lambda_R or kappa_B in D=3; ``from_e_b[i]`` marks the centers given by
-    their bound-state energy, which use the second form in D=1 and D=3.
+    ``value[i]`` is the one constant of center i's denominator: 1/lambda, or
+    -1/(2 kappa_B) from E_B, in D=1; kappa_B in D=2; 1/lambda_R, or
+    kappa_B/(4 pi) from E_B, in D=3.  An infinite 1/lambda or 1/lambda_R,
+    or a 2D kappa_B of 0, makes D_i infinite at every energy.
     """
 
     dim: int
     value: np.ndarray
-    from_e_b: np.ndarray
 
 
 def coupling_constants(dim: int, specs) -> CouplingConstants:
@@ -279,19 +275,17 @@ def coupling_constants(dim: int, specs) -> CouplingConstants:
     if dim not in (1, 2, 3):
         raise UnsupportedDimError("denominator defined for D in {1,2,3}", dim=dim)
     value = []
-    from_e_b = []
     for spec in specs:
         spec.require_dim(dim)
         by_e_b = spec.variant == FROM_BOUND_STATE
         if dim == 1:
-            value.append(0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
+            value.append(-0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
         elif dim == 2:
             e_b = spec.e_b if by_e_b else transmutation_energy(spec)
             value.append(math.sqrt(-e_b))
         else:
-            value.append(math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lambda_r)
-        from_e_b.append(by_e_b)
-    return CouplingConstants(dim, np.array(value, dtype=float), np.array(from_e_b, dtype=bool))
+            value.append(math.sqrt(-spec.e_b) / _FOUR_PI if by_e_b else 1.0 / spec.lambda_r)
+    return CouplingConstants(dim, np.array(value, dtype=float))
 
 
 def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray:
@@ -304,17 +298,16 @@ def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray
     D = 1, 2 (:class:`DomainError`, D diverges there), the energies are not
     checked here: :func:`renormalized_denominator` is the checked entry.
     """
-    dim, value, from_e_b = constants
+    dim, value = constants
     kap = np.asarray(kappa)[..., None]
     if dim < 3 and not kap.all():
         raise DomainError("the renormalized denominator diverges at E = 0", dim=dim)
     if dim == 1:
-        half = 0.5 / kap
-        return np.where(from_e_b, half - value, value + half)
+        return value + 0.5 / kap
     if dim == 2:
         # -(1/4pi) ln(E/E_B) continued off the negative axis via kappa
         return -np.log(kap / value) / (2.0 * math.pi)
-    return np.where(from_e_b, (value - kap) / _FOUR_PI, value - kap / _FOUR_PI)
+    return value - kap / _FOUR_PI
 
 
 def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:

@@ -55,6 +55,17 @@ EXACT = {
         '10.0,-2.5376435394440633,-25.376435394440634,-2.0\r\n'
         '100.0,-0.20187665986031617,-20.187665986031618,-2.0\r\n'
     ),
+    # a 3D E_B and a 3D lambda_R run the bare coupling from one constant each
+    'rgflow --dim 3 --eb -1.7': (
+        '{"columns":[["lambda_cap","1/L"],["bare_lambda","L"],["bare_times_cutoff","1"],["eb","1/L^2"]],'
+        '"metadata":{"branch_policy":"unitary","command":"rgflow","params":{"cutoffs":"1e2,1e3,1e4,1e5,1e6","dim":3,"eb":-1.7,"lambda_r":null,"mu":null},"version":"0.1.0"},'
+        '"rows":[[100.0,-0.20151934082935802,-20.151934082935803,-1.7],[1000.0,-0.01977971900853159,-19.77971900853159,-1.7],[10000.0,-0.001974325235419581,-19.743252354195807,-1.7],[100000.0,-0.00019739613082845676,-19.739613082845676,-1.7],[1000000.0,-1.9739249229500216e-05,-19.739249229500217,-1.7]]}\n'
+    ),
+    'rgflow --dim 3 --lambda-r 2.5': (
+        '{"columns":[["lambda_cap","1/L"],["bare_lambda","L"],["bare_times_cutoff","1"],["eb","1/L^2"]],'
+        '"metadata":{"branch_policy":"unitary","command":"rgflow","params":{"cutoffs":"1e2,1e3,1e4,1e5,1e6","dim":3,"eb":null,"lambda_r":2.5,"mu":null},"version":"0.1.0"},'
+        '"rows":[[100.0,-0.21431361261610102,-21.431361261610103,-25.266187266788755],[1000.0,-0.01989630371958369,-19.89630371958369,-25.266187266788755],[10000.0,-0.0019754806572249766,-19.754806572249766,-25.266187266788755],[100000.0,-0.0001974076747070279,-19.740767470702792,-25.266187266788755],[1000000.0,-1.9739364657954957e-05,-19.739364657954958,-25.266187266788755]]}\n'
+    ),
     'friedman --k 2.5 --cutoffs 10,20,40': (
         '{"columns":[["lambda_cap","1/L"],["total_bubble","1/L^2"],["quadratic_part","1/L^2"],["nonremovable_part","1/L^2"]],'
         '"metadata":{"branch_policy":"unitary","command":"friedman","params":{"cutoffs":"10,20,40","k":2.5},"version":"0.1.0"},'

@@ -422,7 +422,7 @@ def _scalar_reference(dim, e, spec):
     if spec.variant == "ren_3d":
         return 1.0 / spec.lambda_r - kap / (4.0 * math.pi), (1.0 / spec.lambda_r, kap / (4.0 * math.pi))
     kb = math.sqrt(-spec.e_b)
-    return (kb - kap) / (4.0 * math.pi), (kb / (4.0 * math.pi), kap / (4.0 * math.pi))
+    return kb / (4.0 * math.pi) - kap / (4.0 * math.pi), (kb / (4.0 * math.pi), kap / (4.0 * math.pi))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -486,6 +486,26 @@ def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
     out = np.diagonal(renormalized_denominators(kappa, coupling_constants(3, specs)))
     inv = np.array([1.0 / s.lambda_r for s in specs])
     assert np.all(np.abs(out) <= 4.0 * np.spacing(inv))
+
+
+@pytest.mark.parametrize(
+    "dim,spec,value",
+    [
+        (1, bare_1d(-2.5), 1.0 / -2.5),
+        (1, from_bound_state(-1.7), -1.0 / (2.0 * math.sqrt(1.7))),
+        (2, renormalized_2d(-3.0, 2.0), math.sqrt(4.0 * math.exp(4.0 * math.pi / -3.0))),
+        (2, from_bound_state(-1.7), math.sqrt(1.7)),
+        (3, renormalized_3d(2.5), 1.0 / 2.5),
+        (3, renormalized_3d(-0.5), 1.0 / -0.5),
+        (3, from_bound_state(-1.7), math.sqrt(1.7) / (4.0 * math.pi)),
+    ],
+)
+def test_coupling_constants_are_the_one_constant_of_each_denominator(dim, spec, value):
+    # D = value + 1/(2 kappa), -ln(kappa/value)/(2 pi), value - kappa/(4 pi)
+    consts = coupling_constants(dim, [spec, spec])
+    assert consts.dim == dim
+    assert consts.value.tolist() == [value, value]
+    assert consts._fields == ("dim", "value")
 
 
 def test_coupling_constants_raise_the_denominator_errors():
