@@ -43,10 +43,13 @@ kappa/(4 pi) in 3D), while M' itself, 1/(4 kappa^3) in 1D, underflows for
 deep states.  The sign of each psi_a is fixed by four probes, the centroid
 of the centers and three points along the first axis from it: psi_a is
 made positive at the probe where |psi_a| is largest (in D >= 2 a probe on a
-center is skipped).  So psi_a may be negative at the centroid.  Where psi_a
-underflows to 0 at every probe (a state far from them), its coefficient
-C_ia of largest magnitude is made negative instead: G0 < 0, so psi_a is
-positive next to its dominant center.  All multiplets of a scan share one
+center is skipped).  So psi_a may be negative at the centroid.  A probe value
+within 1e-9 sum_i |C_ia G0(p, a_i)| is rounding noise (the probe lies on a
+nodal surface) and counts as 0.  Where psi_a is 0 at every probe (nodal there,
+or underflowed far from them), its coefficient C_ia of largest magnitude is
+made negative instead, among ties within 1e-9 the first a_i in lexicographic
+coordinate order: G0 < 0, so psi_a is positive next to its dominant center,
+whatever the order of the centers.  All multiplets of a scan share one
 residue pass: one M and one step assembly, one ``eigh``, one kernel call.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
@@ -342,13 +345,16 @@ def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndar
     C^T M' C = 1, so the residue of M^-1 is C C^T and Res G = sum_a
     psi_a(x) psi_a(y).  Each psi_a is made positive at the probe of
     :func:`_sign_probes` where |psi_a| is largest, skipping probes on a
-    center in D >= 2 (G0 diverges there).  If that largest |psi_a| is 0 (or
-    no probe is left), the largest-magnitude entry of c_a is made negative,
-    so psi_a is positive next to the center that dominates it.  A batch of
-    multiplets (SCAN_BATCH entries of M) shares each assembly, ``eigh`` and
-    kernel call; a block's bits are those of its multiplet alone.
+    center in D >= 2 (G0 diverges there) and counting a value within 1e-9 of
+    the sum of its terms' magnitudes as 0.  If every probe is 0 (or none is
+    left), the largest-magnitude entry of c_a, the first in coordinate order
+    among ties within 1e-9, is made negative, so psi_a is positive next to
+    the center that dominates it.  A batch of multiplets (SCAN_BATCH entries
+    of M) shares each assembly, ``eigh`` and kernel call; a block's bits are
+    those of its multiplet alone.
     """
     out, step = [], max(1, SCAN_BATCH // len(pos) ** 2)
+    order = np.lexsort(pos.T[::-1])  # the centers in lexicographic coordinate order
     for i in range(0, len(multiplets), step):
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
@@ -367,10 +373,12 @@ def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndar
                                           "dM/dE at the root)", energy=e_b)
             coeffs = (null @ u) * (math.sqrt(2.0) * kap / np.sqrt(g))
             psi = kernel @ coeffs
-            cols = np.arange(len(branches))
-            best = psi[np.abs(psi).argmax(axis=0), cols] if len(dist) else 0.0
-            # psi underflowed at every probe: G0 < 0, so -c_ia sets psi's sign at a_i
-            best = np.where(best == 0.0, -coeffs[np.abs(coeffs).argmax(axis=0), cols], best)
+            psi[np.abs(psi) <= 1e-9 * (np.abs(kernel) @ np.abs(coeffs))] = 0.0  # noise
+            best = (psi[np.abs(psi).argmax(axis=0), np.arange(len(branches))] if len(dist)
+                    else np.zeros(len(branches)))
+            for a in np.flatnonzero(best == 0.0):  # G0 < 0: -c_ia sets psi's sign at a_i
+                size = np.abs(coeffs[order, a])
+                best[a] = -coeffs[order[np.argmax(size >= (1.0 - 1e-9) * size.max())], a]
             coeffs = np.where(best < 0.0, -coeffs, coeffs)
             coeffs.setflags(write=False)
             out.append(coeffs)

@@ -1205,6 +1205,94 @@ def test_residue_sign_when_every_probe_underflows(dim, sep):
     assert residue_wavefunction(shallow, (sep + near,) + pad) > 0.0
 
 
+def _psi(state, points):
+    return np.array([residue_wavefunction(state, x) for x in points])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_residue_sign_of_a_symmetric_square_ignores_the_center_order(dim):
+    # every sign probe of the top state lies on a nodal line (x = 1 and
+    # y = 1), where psi is rounding noise: its sign comes from the first
+    # center in coordinate order, whatever the order of the list
+    square = [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0)]
+    pos = [p + (0.0,) * (dim - 2) for p in square]
+    points = [(0.3, -0.7, 0.2), (1.1, 0.4, 0.5), (2.6, 1.9, 0.0)]
+    points = [p[:dim] for p in points]
+    first = None
+    for order in itertools.permutations(range(4)):
+        states = bound_states(dim, [center(pos[i], from_bound_state(-1.0)) for i in order])
+        energies = [s.energy for s in states]
+        psis = [_psi(s, points) for s in states]
+        if first is None:
+            first = energies, psis
+            assert energies[-1] == pytest.approx(-0.4551783484132904 if dim == 2
+                                                 else -0.7207578890555207, rel=1e-12)
+            continue
+        assert energies == pytest.approx(first[0], rel=1e-13)
+        for e, psi, want in zip(energies, psis, first[1]):
+            if energies.count(e) == 1:
+                assert np.max(np.abs(psi - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@st.composite
+def _rigid_motion_cases(draw, kind):
+    """A jittered layout of 2-8 centers, each binding alone, and one exact
+    symmetry of the Hamiltonian: a permutation of the list, a translation,
+    the reflection x -> -x (1D) or a 90 degree rotation of two axes."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    sites = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=n, max_size=n,
+                          unique=True))
+    jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=n * dim, max_size=n * dim))
+    pos = 1.5 * np.array(sites, dtype=float) + np.reshape(jitter, (n, dim))
+    e_bs = draw(st.lists(st.floats(-2.0, -0.25), min_size=n, max_size=n))
+    bare = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    make = {1: lambda e: bare_1d(-2.0 * math.sqrt(-e)),
+            2: lambda e: renormalized_2d(4.0 * math.pi / math.log(-e / 4.0), 2.0),
+            3: lambda e: renormalized_3d(4.0 * math.pi / math.sqrt(-e))}[dim]
+    specs = [make(e) if b else from_bound_state(e) for e, b in zip(e_bs, bare)]
+    order = list(range(n))
+    if kind == "permute":
+        order = draw(st.permutations(order))
+        move = lambda x: x
+    elif kind == "translate":
+        shift = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=dim, max_size=dim)))
+        move = lambda x: x + shift
+    elif dim == 1:
+        move = lambda x: -x
+    else:
+        i, j = draw(st.permutations(range(dim)))[:2]
+
+        def move(x):
+            y = np.array(x, dtype=float)
+            y[i], y[j] = -x[j], x[i]
+            return y
+
+    return dim, pos, specs, order, move
+
+
+@pytest.mark.parametrize("kind", ["permute", "translate", "reflect_or_rotate"])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_exact_symmetries_keep_the_states(kind, data):
+    dim, pos, specs, order, move = data.draw(_rigid_motion_cases(kind))
+    centroid = pos.mean(axis=0)
+    points = [centroid + np.array(d[:dim]) for d in
+              ((0.37, 0.21, 0.13), (-0.52, -0.44, 0.29), (1.61, -0.27, -0.35))]
+    before = bound_states(dim, [center(tuple(p), s) for p, s in zip(pos, specs)])
+    after = bound_states(dim, [center(tuple(move(pos[i])), specs[i]) for i in order])
+    e0, e1 = [s.energy for s in before], [s.energy for s in after]
+    assert [e0.count(e) for e in e0] == [e1.count(e) for e in e1]
+    assert e1 == pytest.approx(e0, rel=5e-13, abs=0.0)
+    moved = [move(x) for x in points]
+    for e in dict.fromkeys(e0):
+        # sum_a psi_a(x) psi_a(y) over a multiplet: free of signs and bases
+        k = [i for i, f in enumerate(e0) if f == e]
+        want = sum(np.outer(_psi(before[i], points), _psi(before[i], points)) for i in k)
+        got = sum(np.outer(_psi(after[i], moved), _psi(after[i], moved)) for i in k)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "dim,centers,x,y",
     [
