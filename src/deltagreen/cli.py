@@ -71,7 +71,7 @@ class ResultTable:
         payload = {
             "metadata": self.metadata,
             "columns": [[name, unit] for name, unit in self.columns],
-            "rows": [list(row) for row in self.rows],
+            "rows": self.rows,
         }
         return json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
 

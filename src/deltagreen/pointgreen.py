@@ -40,17 +40,12 @@ taken (Squire and Trapp, SIAM Rev. 40 (1998) 110), and C^T S C = 2 kappa^2.
 A step relative to kappa suits every E_B, and S stays a normal double over
 the whole double range (one center: 1/(2 kappa) in 1D, 1/(2 pi) in 2D,
 kappa/(4 pi) in 3D), while M' itself, 1/(4 kappa^3) in 1D, underflows for
-deep states.  The sign of each psi_a is fixed by four probes, the centroid
-of the centers and three points along the first axis from it: psi_a is
-made positive at the probe where |psi_a| is largest (in D >= 2 a probe on a
-center is skipped).  So psi_a may be negative at the centroid.  A probe value
-within 1e-9 sum_i |C_ia G0(p, a_i)| is rounding noise (the probe lies on a
-nodal surface) and counts as 0.  Where psi_a is 0 at every probe (nodal there,
-or underflowed far from them), its coefficient C_ia of largest magnitude is
-made negative instead, among ties within 1e-9 the first a_i in lexicographic
-coordinate order: G0 < 0, so psi_a is positive next to its dominant center,
-whatever the order of the centers.  All multiplets of a scan share one
-residue pass: one M and one step assembly, one ``eigh``, one kernel call.
+deep states.  Only the products psi_a(x) psi_a(y) are fixed, so the sign
+of psi_a is a convention: its coefficient C_ia of largest magnitude is made
+negative, among ties within 1e-9 the first a_i in lexicographic coordinate
+order.  G0 < 0, so psi_a is positive next to its dominant center.  All
+multiplets of a scan share one residue pass: one M and one step assembly,
+one ``eigh``.
 
 Renormalization never touches the off-diagonal entries: G0(a_i, a_j) is
 finite for distinct centers, so each center carries its own coupling and
@@ -69,7 +64,6 @@ import numpy as np
 
 from .errors import AtPoleError, DomainError, IllegalSpecError, NonConvergenceError
 from .greenfn import (
-    COINCIDENT_TOL,
     ComplexEnergy,
     GreenValue,
     SpatialPoint,
@@ -326,15 +320,6 @@ def _norms(diffs) -> np.ndarray:
     return r
 
 
-def _sign_probes(pos: np.ndarray) -> np.ndarray:
-    """The centroid of the centers, then three points along the first axis."""
-    centroid = pos.mean(axis=0)
-    span = max(1.0, float(np.max(np.abs(pos - centroid))))
-    probes = np.repeat(centroid[None, :], 4, axis=0)
-    probes[1:, 0] += np.array([0.37, 0.79, 1.31]) * span
-    return probes
-
-
 def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndarray,
                      multiplets) -> list:
     """One (N, k) block of residue vectors c_a per multiplet (E_B, k branches).
@@ -343,15 +328,11 @@ def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndar
     S = -Im M(kappa (1 + 1e-20 i)) / 1e-20 = 2 kappa^2 M' and V^T S V =
     U diag(g) U^T, the columns of C = V U sqrt(2) kappa g^(-1/2) satisfy
     C^T M' C = 1, so the residue of M^-1 is C C^T and Res G = sum_a
-    psi_a(x) psi_a(y).  Each psi_a is made positive at the probe of
-    :func:`_sign_probes` where |psi_a| is largest, skipping probes on a
-    center in D >= 2 (G0 diverges there) and counting a value within 1e-9 of
-    the sum of its terms' magnitudes as 0.  If every probe is 0 (or none is
-    left), the largest-magnitude entry of c_a, the first in coordinate order
-    among ties within 1e-9, is made negative, so psi_a is positive next to
-    the center that dominates it.  A batch of multiplets (SCAN_BATCH entries
-    of M) shares each assembly, ``eigh`` and kernel call; a block's bits are
-    those of its multiplet alone.
+    psi_a(x) psi_a(y).  The largest-magnitude entry of each c_a, the first
+    in lexicographic coordinate order among ties within 1e-9 (relative), is
+    made negative, so psi_a is positive next to the center that dominates
+    it.  A batch of multiplets (SCAN_BATCH entries of M) shares each
+    assembly and ``eigh``; a block's bits are those of its multiplet alone.
     """
     out, step = [], max(1, SCAN_BATCH // len(pos) ** 2)
     order = np.lexsort(pos.T[::-1])  # the centers in lexicographic coordinate order
@@ -359,27 +340,18 @@ def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndar
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
         m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
-        probes = _sign_probes(pos)
-        dist = _norms(lambda: (p[:, None] - c for p, c in zip(probes.T, pos.T)))
-        if dim >= 2:  # G0 diverges at a center
-            dist = dist[dist.min(axis=1) >= COINCIDENT_TOL]
-        kernels = g0_of_kappa(dim, kaps[:, None, None], dist)
         vecs = np.linalg.eigh(m)[1]
-        for (e_b, branches), kap, v, s, kernel in zip(batch, kaps, vecs, m_step.imag / -1e-20, kernels):
+        for (e_b, branches), kap, v, s in zip(batch, kaps, vecs, m_step.imag / -1e-20):
             null = v[:, branches]
             g, u = np.linalg.eigh(null.T @ s @ null)
             if not g[0] > 0.0:
                 raise NonConvergenceError("residue normalization failed (non-positive "
                                           "dM/dE at the root)", energy=e_b)
             coeffs = (null @ u) * (math.sqrt(2.0) * kap / np.sqrt(g))
-            psi = kernel @ coeffs
-            psi[np.abs(psi) <= 1e-9 * (np.abs(kernel) @ np.abs(coeffs))] = 0.0  # noise
-            best = (psi[np.abs(psi).argmax(axis=0), np.arange(len(branches))] if len(dist)
-                    else np.zeros(len(branches)))
-            for a in np.flatnonzero(best == 0.0):  # G0 < 0: -c_ia sets psi's sign at a_i
-                size = np.abs(coeffs[order, a])
-                best[a] = -coeffs[order[np.argmax(size >= (1.0 - 1e-9) * size.max())], a]
-            coeffs = np.where(best < 0.0, -coeffs, coeffs)
+            size = np.abs(coeffs[order])
+            lead = order[np.argmax(size >= (1.0 - 1e-9) * size.max(axis=0), axis=0)]
+            # G0 < 0: a negative c_ia makes psi_a positive next to a_i
+            coeffs = np.where(coeffs[lead, np.arange(len(branches))] > 0.0, -coeffs, coeffs)
             coeffs.setflags(write=False)
             out.append(coeffs)
     return out
@@ -491,7 +463,7 @@ def _search_window(own, search):
     """The given window, or the default one around the centers' own E_B."""
     if search is not None:
         e_min, e_max = float(search[0]), float(search[1])
-        if not (e_min < e_max < 0.0):
+        if not (-math.inf < e_min < e_max < 0.0):
             raise DomainError(
                 "search window must satisfy E_min < E_max < 0",
                 e_min=e_min,
@@ -597,8 +569,10 @@ def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
     ks, lo, hi, mu_lo, mu_hi = _brackets(dim, consts, slots, r, window, grid_points)
     if not ks.size:
         return []
+    # a tol so small that its kappa width underflows refines to resolution
+    xtol = np.maximum(tol / (2.0 * hi), np.finfo(float).smallest_subnormal)
     kap = refine_brackets(lambda x: _eigenvalues(dim, consts, slots, r, x),
-                          ks, lo, hi, mu_lo, mu_hi, xtol=tol / (2.0 * hi))
+                          ks, lo, hi, mu_lo, mu_hi, xtol=xtol)
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]
     # |E| past ~1 has roots only to a few ulps, so tol alone would split a
@@ -616,7 +590,9 @@ def residue_wavefunction(state: BoundState, x) -> float:
     """Bound-state wavefunction psi_B(x) extracted from the residue of G.
 
     Normalized so the residue of :func:`green` at E_B equals
-    psi_B(x) psi_B(y); in particular int |psi_B|^2 = 1.
+    psi_B(x) psi_B(y); in particular int |psi_B|^2 = 1.  That fixes psi_B
+    up to sign: it is positive next to the center of largest |c_i| in
+    ``state.residue_vector`` (the first in coordinate order among ties).
     """
     pos, e = state._kernel_args
     return float(g0_kernel(state.dim, e, _distances_to(_point(x), pos)) @ state.residue_vector)

@@ -1045,6 +1045,16 @@ def test_bound_state_validation():
         bound_states(1, c, search=(-0.5, -1.0))
     with pytest.raises(DomainError):
         bound_states(1, PAIR, grid_points=1)
+    with pytest.raises(DomainError, match="search window"):
+        bound_states(1, PAIR, search=(-math.inf, -1e-3))
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-320])
+def test_a_tol_below_the_kappa_resolution_refines_to_resolution(tol):
+    # tol / (2 kappa) underflows to 0 at 5e-324: the refinement then runs to
+    # floating-point resolution, as for any tol below it
+    energies = [s.energy for s in bound_states(1, PAIR, tol=tol)]
+    assert energies == pytest.approx(PAIR_ENERGIES, rel=1e-15)
 
 
 def test_scan_entry_beyond_double_precision_is_a_domain_error(monkeypatch):
@@ -1172,29 +1182,36 @@ def test_residue_wavefunction_2d_closed_form():
 def test_residue_ground_state_positive_at_centroid():
     states = bound_states(1, PAIR)
     assert residue_wavefunction(states[0], 0.0) > 0.0
-    # first excited state is odd: near-zero at the centroid, fixed positive
-    # further out along the axis
+    # first excited state is odd: near-zero at the centroid; its coefficients
+    # tie, so it is positive next to the first center in coordinate order
     assert abs(residue_wavefunction(states[1], 0.0)) < 1e-12
-    assert residue_wavefunction(states[1], 1.5) > 0.0
+    assert residue_wavefunction(states[1], -1.5) > 0.0
 
 
-def test_residue_sign_follows_the_largest_probe():
-    # the sign is set where |psi| is largest among the centroid and the
-    # points 0.37, 0.79 and 1.31 span along the axis, not at the centroid
-    pos, lams = (-2.372, -1.901, -0.775, 2.003), (-1.618, -2.58, -4.909, -4.82)
-    centers = [center((x,), bare_1d(lam)) for x, lam in zip(pos, lams)]
-    state = next(s for s in bound_states(1, centers) if abs(s.energy + 5.80736) < 1e-5)
-    mid = float(np.mean(pos))
-    span = max(abs(x - mid) for x in pos)
-    assert residue_wavefunction(state, mid) < -0.07
-    assert residue_wavefunction(state, mid + 0.79 * span) > 0.38
+@pytest.mark.parametrize("dim,pos,specs", [
+    (1, [-2.372, -1.901, -0.775, 2.003], [bare_1d(lam) for lam in (-1.618, -2.58, -4.909, -4.82)]),
+    (2, [(0.0, 0.1), (1.6, -0.2), (0.3, 1.4), (1.45, 1.7)],
+     [from_bound_state(e) for e in (-1.0, -0.7, -1.9, -0.4)]),
+    (3, [(0.0, 0.1, 0.0), (1.2, -0.2, 0.3), (0.3, 1.1, -0.2), (1.05, 1.3, 0.9)],
+     [from_bound_state(e) for e in (-1.0, -0.7, -1.9, -0.4)]),
+], ids=["1d", "2d", "3d"])
+def test_residue_sign_follows_the_largest_coefficient(dim, pos, specs):
+    # each state's coefficient of largest magnitude is negative: G0 < 0, so
+    # psi is positive next to that center (G0 diverges there in 2D and 3D)
+    states = bound_states(dim, [center(p, s) for p, s in zip(pos, specs)])
+    assert len(states) > 1
+    for state in states:
+        lead = int(np.argmax(np.abs(state.residue_vector)))
+        assert state.residue_vector[lead] < 0.0
+        if dim >= 2:
+            near = np.array(pos[lead]) + 1e-3 / math.sqrt(dim)
+            assert residue_wavefunction(state, tuple(near)) > 0.0
 
 
 @pytest.mark.parametrize("dim,sep", [(1, 800.0), (1, 2000.0), (3, 800.0), (3, 3000.0)])
 def test_residue_sign_when_every_probe_underflows(dim, sep):
-    # the probes sit near the centroid, far from the center at 0: psi of
-    # its state underflows to 0 at all of them at the larger separations,
-    # and is then made positive next to its dominant center instead
+    # psi of each state underflows to 0 near the centroid at the larger
+    # separations; it is positive next to its dominant center all the same
     spec = bare_1d if dim == 1 else lambda e_b: from_bound_state(0.5 * e_b)
     near, want = (0.0, 1.0) if dim == 1 else (0.3, 0.985146)
     pad = (0.0,) * (dim - 1)
@@ -1211,9 +1228,9 @@ def _psi(state, points):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_residue_sign_of_a_symmetric_square_ignores_the_center_order(dim):
-    # every sign probe of the top state lies on a nodal line (x = 1 and
-    # y = 1), where psi is rounding noise: its sign comes from the first
-    # center in coordinate order, whatever the order of the list
+    # the top state's coefficients tie in magnitude (it is odd in x and in
+    # y): its sign comes from the first center in coordinate order, whatever
+    # the order of the list
     square = [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0)]
     pos = [p + (0.0,) * (dim - 2) for p in square]
     points = [(0.3, -0.7, 0.2), (1.1, 0.4, 0.5), (2.6, 1.9, 0.0)]
@@ -1291,6 +1308,27 @@ def test_exact_symmetries_keep_the_states(kind, data):
         want = sum(np.outer(_psi(before[i], points), _psi(before[i], points)) for i in k)
         got = sum(np.outer(_psi(after[i], moved), _psi(after[i], moved)) for i in k)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["permute", "translate", "reflect_or_rotate"])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_exact_symmetries_keep_the_sign_of_each_state(kind, data):
+    # a non-degenerate state with one dominant coefficient keeps its sign
+    # under every symmetry above: psi itself moves with the centers
+    dim, pos, specs, order, move = data.draw(_rigid_motion_cases(kind))
+    points = [pos.mean(axis=0) + np.array(d[:dim]) for d in
+              ((0.37, 0.21, 0.13), (-0.52, -0.44, 0.29), (1.61, -0.27, -0.35))]
+    before = bound_states(dim, [center(tuple(p), s) for p, s in zip(pos, specs)])
+    after = bound_states(dim, [center(tuple(move(pos[i])), specs[i]) for i in order])
+    e0, e1 = [s.energy for s in before], [s.energy for s in after]
+    assert [e0.count(e) for e in e0] == [e1.count(e) for e in e1]
+    moved = [move(x) for x in points]
+    for b, a, e in zip(before, after, e0):
+        top = np.sort(np.abs(b.residue_vector))[::-1]
+        if e0.count(e) == 1 and top[0] - top[1] > 1e-6 * top[0]:
+            psi = _psi(b, points)
+            assert np.max(np.abs(_psi(a, moved) - psi)) <= 1e-9 * np.max(np.abs(psi))
 
 
 @pytest.mark.parametrize(
