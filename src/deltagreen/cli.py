@@ -1,11 +1,11 @@
 """Command-line surface: every computation as a deterministic result table.
 
-Subcommands map one-to-one onto library operations; output is a table in
-JSON or CSV with no timestamps, so identical invocations produce identical
-bytes.  A command returns its exit code after writing its table: 0, or 4
-when `verify` finds any oracle disagreement.  :func:`main` maps errors to 2
-(invalid input) and 3 (computational failure: pole hit, divergence,
-non-convergence).
+Subcommands map one-to-one onto library operations; :func:`_render` writes
+each result as a table in JSON or CSV with no timestamps, so identical
+invocations produce identical bytes.  A command returns its exit code after
+writing its table: 0, or 4 when `verify` finds any oracle disagreement.
+:func:`main` maps errors to 2 (invalid input) and 3 (computational failure:
+pole hit, divergence, non-convergence).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -51,37 +50,24 @@ from .scatter import (
 _G0_UNIT = {1: "L", 2: "1", 3: "1/L"}
 DEFAULT_FLOW_CUTOFFS = "1e2,1e3,1e4,1e5,1e6"
 DEFAULT_FRIEDMAN_CUTOFFS = "1e2,1e3,1e4,1e5"
-MAX_GRID = 10**6  # grid counts and --grid-points: a 10^6-row g0 table takes ~10 s and ~0.46 GB
+MAX_GRID = 10**6  # grid counts and --grid-points: a 10^6-row g0 table takes ~7 s and ~0.4 GB
 MAX_CENTERS = 1024  # --center options per call: M(E) of 1024 centers is 16 MB
 
 
-@dataclass
-class ResultTable:
-    columns: list
-    rows: list
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for row in self.rows:
-            for (name, _), value in zip(self.columns, row):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise DomainError("result is not a finite number", column=name, value=value)
-
-    def to_json(self) -> str:
-        payload = {
-            "metadata": self.metadata,
-            "columns": [[name, unit] for name, unit in self.columns],
-            "rows": self.rows,
-        }
+def _render(columns, rows, metadata, fmt) -> str:
+    """The table as JSON or CSV text; a non-finite cell raises :class:`DomainError`."""
+    bad = ~np.isfinite(np.array(rows, dtype=float))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]  # the first in row order
+        raise DomainError("result is not a finite number", column=columns[j][0], value=rows[i][j])
+    if fmt == "json":
+        payload = {"metadata": metadata, "columns": [[n, u] for n, u in columns], "rows": rows}
         return json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow([f"{name}[{unit}]" for name, unit in self.columns])
-        for row in self.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
-        return buf.getvalue()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow([f"{name}[{unit}]" for name, unit in columns])
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _table(body):
@@ -91,8 +77,9 @@ def _table(body):
     optionally followed, in order, by the parameters to record (default: the
     parsed ones), further metadata entries and an exit code (default 0).  The
     command writes the table, whose metadata records the command, the
-    parameters, the package version and the branch policy, as ``--format``
-    to ``--output`` (default: stdout), and then returns that code.
+    parameters, the package version and the branch policy, rendered by
+    :func:`_render` as ``--format`` to ``--output`` (default: stdout), and
+    then returns that code.
     """
 
     @click.option(
@@ -121,8 +108,7 @@ def _table(body):
             "branch_policy": resolve_policy(recorded.get("policy")),
             **extra,
         }
-        table = ResultTable(columns, rows, metadata)
-        text = table.to_json() if fmt == "json" else table.to_csv()
+        text = _render(columns, rows, metadata, fmt)
         if output is None:
             sys.stdout.write(text)
         else:

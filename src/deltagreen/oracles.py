@@ -68,9 +68,6 @@ class Lattice1D:
     def h(self) -> float:
         return 2.0 * self.half_width / (self.points - 1)
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.points)
-
 
 @dataclass(frozen=True)
 class SquareWell3D:

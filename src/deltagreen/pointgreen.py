@@ -72,7 +72,6 @@ from .greenfn import (
     g0_of_kappa,
 )
 from .renorm import (
-    CouplingConstants,
     CouplingSpec,
     coupling_constants,
     renormalized_denominator,  # noqa: F401  kept bound: perfbench's tracer wraps this name
@@ -188,14 +187,14 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slots, r
 
 
-def _m_of_kappa(dim: int, consts: CouplingConstants, slots, r, kappas) -> np.ndarray:
+def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     """M(-kappa^2) at every kappa of a 1-D array, from :func:`_pair_distances`
     and the coupling constants: real matrices for a real array, else complex.
     The denominators come first (at kappa = 0 in D = 1, 2 they raise before
     the kernel divides by zero).  ``np.take``, unlike fancy indexing, keeps
     each matrix C-contiguous, the layout whose ``eigh`` bits tests pin.
     """
-    diag = renormalized_denominators(kappas, consts)
+    diag = renormalized_denominators(dim, kappas, consts)
     off = g0_of_kappa(dim, kappas[:, None], r)
     return np.take(np.concatenate((-off, diag), axis=-1), slots, axis=-1)
 
@@ -320,7 +319,7 @@ def _norms(diffs) -> np.ndarray:
     return r
 
 
-def _residue_vectors(dim: int, consts: CouplingConstants, slots, r, pos: np.ndarray,
+def _residue_vectors(dim: int, consts: np.ndarray, slots, r, pos: np.ndarray,
                      multiplets) -> list:
     """One (N, k) block of residue vectors c_a per multiplet (E_B, k branches).
 
@@ -420,7 +419,7 @@ def bound_states(
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    live = np.isfinite(consts.value) & (consts.value != 0.0)
+    live = np.isfinite(consts) & (consts != 0.0)
     if not live.all():
         # an infinite 1/lambda (or a 2D kappa_B of 0) decouples its center:
         # D_i is infinite at every E, so the others bind the states alone
@@ -476,7 +475,7 @@ def _search_window(own, search):
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
-def _eigenvalues(dim: int, consts: CouplingConstants, slots, r, kappas) -> np.ndarray:
+def _eigenvalues(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     """Ascending eigenvalues of the real M(-kappa^2), one row per kappa > 0.
 
     One :func:`_m_of_kappa` call and one ``eigvalsh`` cover a whole batch of
@@ -484,7 +483,7 @@ def _eigenvalues(dim: int, consts: CouplingConstants, slots, r, kappas) -> np.nd
     stays bounded for many centers.  The kappas lie in a checked window, so
     no -kappa^2 overflows or underflows.
     """
-    n = len(consts.value)
+    n = len(consts)
     step = max(1, SCAN_BATCH // (n * n))
     out = []
     for i in range(0, len(kappas), step):
@@ -498,7 +497,7 @@ def _eigenvalues(dim: int, consts: CouplingConstants, slots, r, kappas) -> np.nd
     return np.concatenate(out)
 
 
-def _window_bottom(dim: int, consts: CouplingConstants, slots, r, e_min: float) -> float:
+def _window_bottom(dim: int, consts: np.ndarray, slots, r, e_min: float) -> float:
     """E_min, lowered by doubling kappa until no state can lie below it.
 
     M' > 0 makes the number of positive eigenvalues of M(E) fall as E falls,
@@ -507,7 +506,7 @@ def _window_bottom(dim: int, consts: CouplingConstants, slots, r, e_min: float) 
     M(E_min) has that many, every branch has crossed zero above E_min.  An
     E_min that overflows raises :class:`DomainError` as :class:`ComplexEnergy` does.
     """
-    limit = int(np.sum(consts.value > 0.0)) if dim == 1 else 0
+    limit = int(np.sum(consts > 0.0)) if dim == 1 else 0
     kap = math.sqrt(-e_min)
     while True:
         e_min = ComplexEnergy(-kap * kap).value.real

@@ -241,7 +241,7 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
                 kb2 = -spec.e_b
                 inv = -math.log(lam_cap**2 / kb2) / _FOUR_PI
     else:
-        inv = float(coupling_constants(3, (spec,)).value[0]) - lam_cap / _TWO_PI_SQ
+        inv = float(coupling_constants(3, (spec,))[0]) - lam_cap / _TWO_PI_SQ
     if abs(inv) <= INVERSE_COUPLING_TOL:
         raise PoleCrossingError(
             "bare coupling undefined at this cutoff (1/lambda crosses 0)",
@@ -251,21 +251,13 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
     return 1.0 / inv
 
 
-class CouplingConstants(NamedTuple):
-    """The per-center constants :func:`renormalized_denominators` reads.
+def coupling_constants(dim: int, specs) -> np.ndarray:
+    """Read each coupling of a center list once for :func:`renormalized_denominators`.
 
-    ``value[i]`` is the one constant of center i's denominator: 1/lambda, or
+    Element i is the one constant of center i's denominator: 1/lambda, or
     -1/(2 kappa_B) from E_B, in D=1; kappa_B in D=2; 1/lambda_R, or
     kappa_B/(4 pi) from E_B, in D=3.  An infinite 1/lambda or 1/lambda_R,
     or a 2D kappa_B of 0, makes D_i infinite at every energy.
-    """
-
-    dim: int
-    value: np.ndarray
-
-
-def coupling_constants(dim: int, specs) -> CouplingConstants:
-    """Read each coupling of a center list once for :func:`renormalized_denominators`.
 
     Raises what the denominator itself raises: :class:`UnsupportedDimError`
     outside D in {1,2,3}, :class:`IllegalSpecError` for a coupling illegal in
@@ -285,11 +277,11 @@ def coupling_constants(dim: int, specs) -> CouplingConstants:
             value.append(math.sqrt(-e_b))
         else:
             value.append(math.sqrt(-spec.e_b) / _FOUR_PI if by_e_b else 1.0 / spec.lambda_r)
-    return CouplingConstants(dim, np.array(value, dtype=float))
+    return np.array(value, dtype=float)
 
 
-def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray:
-    """D_i(-kappa^2) for every center of ``constants``, at every kappa.
+def renormalized_denominators(dim: int, kappa, value: np.ndarray) -> np.ndarray:
+    """D_i(-kappa^2) at every kappa, for every constant of :func:`coupling_constants`.
 
     ``kappa`` is sqrt(-E) (Re kappa >= 0, or -i k for a retarded E = k^2),
     a number or an array.  The result has shape ``kappa.shape + (N,)``; it
@@ -298,7 +290,6 @@ def renormalized_denominators(kappa, constants: CouplingConstants) -> np.ndarray
     D = 1, 2 (:class:`DomainError`, D diverges there), the energies are not
     checked here: :func:`renormalized_denominator` is the checked entry.
     """
-    dim, value = constants
     kap = np.asarray(kappa)[..., None]
     if dim < 3 and not kap.all():
         raise DomainError("the renormalized denominator diverges at E = 0", dim=dim)
@@ -319,7 +310,7 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
     lambda_R through 1/lambda_R, D = 1/lambda_R - kappa/(4 pi).
     """
     e = ComplexEnergy.of(energy)
-    return complex(renormalized_denominators(e.kappa, coupling_constants(dim, (spec,)))[0])
+    return complex(renormalized_denominators(dim, e.kappa, coupling_constants(dim, (spec,)))[0])
 
 
 def transmutation_energy(spec: CouplingSpec) -> float:

@@ -18,7 +18,7 @@ import pytest
 
 from deltagreen import bare_1d, center
 from deltagreen import cli as cli_mod
-from deltagreen.cli import ResultTable, main
+from deltagreen.cli import _render, main
 from deltagreen.errors import DomainError
 from deltagreen.oracles import shooting1d
 
@@ -321,17 +321,23 @@ EXTREME_ARGVS = [
 
 @pytest.mark.parametrize("argv", EXTREME_ARGVS, ids=lambda argv: " ".join(argv[:3]))
 def test_extreme_finite_inputs_are_computational_failures(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert _strict_json(err)["error"] == "DomainError"
+    for fmt in ((), ("--format", "csv")):
+        code, out, err = run_cli(capsys, *argv, *fmt)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert _strict_json(err)["error"] == "DomainError"
 
 
 def test_result_table_refuses_non_finite_cells():
     with pytest.raises(DomainError) as info:
-        ResultTable(columns=[("a", "1"), ("eb", "1/L^2")], rows=[[1.0, -math.inf]])
+        _render([("a", "1"), ("eb", "1/L^2")], [[1.0, -math.inf]], {}, "json")
     assert info.value.details["column"] == "eb"
+    # non-finite cells in two rows and two columns: the first in row order is named
+    rows = [[1.0, 2.0, 3.0], [4.0, 5.0, math.nan], [7.0, math.inf, 9.0]]
+    with pytest.raises(DomainError) as info:
+        _render([("a", "1"), ("b", "1"), ("c", "1")], rows, {}, "csv")
+    assert info.value.details["column"] == "c"
 
 
 def test_error_payload_is_strict_json(capsys):
@@ -421,21 +427,17 @@ def test_result_table_random_round_trip():
             [float(v) for v in rng.normal(scale=10.0 ** rng.integers(-8, 9), size=3)]
             for _ in range(n_rows)
         ]
-        table = ResultTable(
-            columns=[("a", "1"), ("b", "L"), ("c", "1/L^2")],
-            rows=rows,
-            metadata={"command": "synthetic"},
-        )
-        assert json.loads(table.to_json())["rows"] == rows
-        reader = csv.reader(io.StringIO(table.to_csv()))
+        columns = [("a", "1"), ("b", "L"), ("c", "1/L^2")]
+        metadata = {"command": "synthetic"}
+        assert json.loads(_render(columns, rows, metadata, "json"))["rows"] == rows
+        reader = csv.reader(io.StringIO(_render(columns, rows, metadata, "csv")))
         next(reader)
         assert [[float(c) for c in row] for row in reader] == rows
 
 
 def test_result_table_empty_rows():
-    table = ResultTable(columns=[("a", "1")], rows=[], metadata={})
-    assert json.loads(table.to_json())["rows"] == []
-    assert table.to_csv() == "a[1]\r\n"
+    assert json.loads(_render([("a", "1")], [], {}, "json"))["rows"] == []
+    assert _render([("a", "1")], [], {}, "csv") == "a[1]\r\n"
 
 
 # -------------------------------------------------------------- subprocess

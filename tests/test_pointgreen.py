@@ -203,7 +203,7 @@ def test_m_of_kappa_gathers_the_scattered_matrices(dim, n, batch):
     for kappas in (kap, kap * np.exp(0.4j), kap * (1.0 + 1e-20j)):
         got = pointgreen._m_of_kappa(dim, consts, slots, r, kappas)
         want = _scattered(greenfn.g0_of_kappa(dim, kappas[:, None], r),
-                          renorm.renormalized_denominators(kappas, consts))
+                          renorm.renormalized_denominators(dim, kappas, consts))
         assert got.flags.c_contiguous
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()

@@ -432,7 +432,7 @@ def test_array_denominators_match_the_scalar_entry(dim, branch):
     specs = _mixed_specs(dim, rng, 6)
     energies = _energies(branch, rng, 40)
     kappa = np.array([e.kappa for e in energies])
-    out = renormalized_denominators(kappa, coupling_constants(dim, specs))
+    out = renormalized_denominators(dim, kappa, coupling_constants(dim, specs))
     assert out.shape == (40, 6)
     for row, e in zip(out, energies):
         for val, spec in zip(row, specs):
@@ -453,12 +453,12 @@ def test_array_denominators_match_the_scalar_entry(dim, branch):
 
 def test_array_denominators_shape_follows_kappa():
     consts = coupling_constants(3, [renormalized_3d(2.0), from_bound_state(-1.0)])
-    assert renormalized_denominators(1.5, consts).shape == (2,)
-    assert renormalized_denominators(np.ones((4, 3)), consts).shape == (4, 3, 2)
-    assert renormalized_denominators(np.ones(5), consts).dtype == float
-    assert renormalized_denominators(np.full(5, 1.0 + 0.5j), consts).dtype == complex
+    assert renormalized_denominators(3, 1.5, consts).shape == (2,)
+    assert renormalized_denominators(3, np.ones((4, 3)), consts).shape == (4, 3, 2)
+    assert renormalized_denominators(3, np.ones(5), consts).dtype == float
+    assert renormalized_denominators(3, np.full(5, 1.0 + 0.5j), consts).dtype == complex
     # the dtype follows kappa's, also where every imaginary part is zero
-    assert renormalized_denominators(np.full(5, 1.0 + 0.0j), consts).dtype == complex
+    assert renormalized_denominators(3, np.full(5, 1.0 + 0.0j), consts).dtype == complex
 
 
 @pytest.mark.parametrize(
@@ -475,7 +475,7 @@ def test_denominator_vanishes_exactly_at_the_bound_state(dim, make):
     rng = np.random.default_rng(dim)
     specs = [make(rng) for _ in range(200)]
     kappa = np.array([ComplexEnergy(s.bound_state_energy(dim)).kappa for s in specs])
-    out = renormalized_denominators(kappa, coupling_constants(dim, specs))
+    out = renormalized_denominators(dim, kappa, coupling_constants(dim, specs))
     assert np.all(np.diagonal(out) == 0.0)
 
 
@@ -483,7 +483,7 @@ def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
     rng = np.random.default_rng(3)
     specs = [renormalized_3d(float(10.0 ** rng.uniform(-3, 3))) for _ in range(1000)]
     kappa = np.array([ComplexEnergy(s.bound_state_energy(3)).kappa for s in specs])
-    out = np.diagonal(renormalized_denominators(kappa, coupling_constants(3, specs)))
+    out = np.diagonal(renormalized_denominators(3, kappa, coupling_constants(3, specs)))
     inv = np.array([1.0 / s.lambda_r for s in specs])
     assert np.all(np.abs(out) <= 4.0 * np.spacing(inv))
 
@@ -503,9 +503,7 @@ def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
 def test_coupling_constants_are_the_one_constant_of_each_denominator(dim, spec, value):
     # D = value + 1/(2 kappa), -ln(kappa/value)/(2 pi), value - kappa/(4 pi)
     consts = coupling_constants(dim, [spec, spec])
-    assert consts.dim == dim
-    assert consts.value.tolist() == [value, value]
-    assert consts._fields == ("dim", "value")
+    assert consts.tolist() == [value, value]
 
 
 def test_coupling_constants_raise_the_denominator_errors():
