@@ -1,5 +1,6 @@
 """Multi-center resolvent, bound-state search, residue factorization."""
 
+import hashlib
 import itertools
 import math
 import sys
@@ -1031,6 +1032,63 @@ def test_grid_search_evaluates_few_grid_points(monkeypatch, dim, cs, window, gri
     assert searched[0].size and sum(rows) <= most
     for got, want in zip(searched, _full_grid_brackets(*args, window, grid_points)):
         assert got.tobytes() == want.tobytes()
+
+
+def _jittered(dim, n, spacing, seed):
+    # n sites of a cubic lattice, each moved by at most a fifth of the spacing
+    rng = np.random.default_rng(seed)
+    side = math.ceil(round(n ** (1.0 / dim), 9))
+    sites = np.array(list(itertools.product(range(side), repeat=dim))[:n], dtype=float)
+    return [tuple(p) for p in spacing * (sites + rng.uniform(-0.2, 0.2, (n, dim)))]
+
+
+def _golden_layouts():
+    """(dim, centers, window) of fixed layouts: chains, squares, polygons and
+    jittered lattices in D = 1..3 with N = 2..16, every coupling variant of
+    each dimension, and both the default window and given ones."""
+    eb, ren2, ren3 = from_bound_state, renormalized_2d, renormalized_3d
+    place = lambda points, couplings: [center(p, c) for p, c in zip(points, couplings)]
+    ring = [c.position.coords for c in _polygon(6, 1.3, -1.0)]
+    pentagon = [c.position.coords + (0.0,) for c in _polygon(5, 1.1, -1.0)]
+    square = [(0.0, 0.0), (0.0, 1.2), (1.2, 0.0), (1.2, 1.2)]
+    patch = [(1.1 * i, 1.1 * j) for i in range(4) for j in range(4)]
+    mixed2 = [eb(-1.0), ren2(-6.0, 1.0), eb(-0.4), ren2(-9.0, 0.7)] * 3
+    mixed3 = [eb(-1.0), ren3(12.0), eb(-2.0), ren3(20.0)] * 3
+    return [
+        (1, place([-1.0, 1.0], [bare_1d(-2.0)] * 2), None),
+        (1, place([0.0, 1.3, 2.6, 3.9, 5.2], [bare_1d(-1.5), eb(-1.0)] * 3), None),
+        (1, place([0.0, 0.4, 1.5], [bare_1d(-6.0), bare_1d(5.0), bare_1d(-2.0)]), None),
+        (1, place([p[0] for p in _jittered(1, 8, 1.0, 1)],
+                  [bare_1d(-1.0 - 0.1 * k) for k in range(8)]), (-20.0, -1e-4)),
+        (1, place([0.9 * k for k in range(16)], [bare_1d(-1.5)] * 16), (-12.0, -1e-6)),
+        (2, place(square, [eb(-1.0)] * 4), None),
+        (2, place([(0.0, 0.0), (1.5, 0.0)], [ren2(-8.0, 1.0)] * 2), None),
+        (2, _polygon(3, 1.0, -0.7), None),
+        (2, place(ring, [ren2(-7.0, 1.2)] * 6), (-30.0, -1e-5)),
+        (2, place(_jittered(2, 9, 1.4, 2), mixed2), None),
+        (2, place(patch, [eb(-1.0)] * 16), (-40.0, -1e-4)),
+        (3, place([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [ren3(10.0)] * 2), None),
+        (3, place([p + (0.0,) for p in square], [eb(-1.0)] * 4), None),
+        (3, place(pentagon, [eb(-1.5)] * 5), None),
+        (3, place([(0.8 * k, 0.0, 0.0) for k in range(6)], [ren3(4.0 * math.pi)] * 6),
+         (-25.0, -1e-6)),
+        (3, place(itertools.product((0.0, 1.3), repeat=3), [ren3(9.0)] * 8), None),
+        (3, place(_jittered(3, 12, 1.2, 3), mixed3), None),
+        (3, _uniform_3d(16), (-16.0, -1e-6)),
+    ]
+
+
+def test_scan_keeps_its_bits():
+    # one sha256 over every energy and residue coefficient of the scan on
+    # fixed layouts; recorded with numpy 2.4.6 on x86-64, whose SIMD exp and
+    # log another numpy build or CPU may round differently in the last bit
+    digest, count = hashlib.sha256(), 0
+    for dim, cs, window in _golden_layouts():
+        for st_ in bound_states(dim, cs, search=window, method="scan"):
+            digest.update(" ".join(map(float.hex, [st_.energy, *st_.residue_vector])).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        83, "af494b869d408aa027e0aa22b35685e868cb8d228da543b1d40481f5fa1d26d7")
 
 
 def test_bound_state_validation():

@@ -1,5 +1,6 @@
 """The in-house bracketing root finder and its one-bracket case."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -155,6 +156,101 @@ def test_refine_brackets_rejects_bad_input(monkeypatch):
     with pytest.raises(NonConvergenceError):
         refine_brackets(lambda xs: np.tanh(50.0 * (np.asarray(xs)[:, None] - 0.3)), [0],
                         [0.0], [1.0], [math.tanh(-15.0)], [math.tanh(35.0)], xtol=1e-12)
+
+
+# -- the bits of every root and of every evaluation, pinned ---------------------
+
+def _cubes(xs):
+    # convex and concave rising and falling branches: regula falsi keeps one
+    # end, so Anderson-Bjorck scales the value at a (columns 2, 3) and at b (0, 1)
+    x = np.asarray(xs)
+    return np.stack([x**3 - 0.2, 0.2 - x**3, np.expm1(-5.0 * x) + 0.5, np.exp(x) - 2.0], axis=1)
+
+
+def _plateau(xs):
+    # exactly 0 within 1e-3 of 0.3: a step several points in hits it
+    x = np.asarray(xs)[:, None]
+    return np.where(np.abs(x - 0.3) < 1e-3, 0.0, np.tanh(20.0 * (x - 0.3)))
+
+
+def _shared_cell(xs):
+    # three branches with their roots in one cell [0, 1]
+    x = np.asarray(xs)
+    return np.stack([x - 0.3, np.tanh(5.0 * (x - 0.55)), x**5 - 0.7**5], axis=1)
+
+
+def _ends(f, cols, a, b):
+    at = np.arange(len(cols))
+    return f(a)[at, cols], f(b)[at, cols]
+
+
+def _pinned_cases():
+    # lopsided brackets that overlap their neighbours': each step's points
+    # fall inside several of them
+    six = np.arange(1, 7)
+    lo6, hi6 = (six - 0.6) / 7.0, (six + 0.9) / 7.0
+    zeros, ones = np.zeros(4), np.ones(4)
+    return {
+        "family": (_family, six, lo6, hi6, *_ends(_family, six, lo6, hi6), 1e-13),
+        "steep and flat": (
+            lambda xs: np.stack([np.tanh(50.0 * (xs - 0.3)), (xs - 1.1) ** 5], axis=1),
+            [0, 1], [0.0, 0.0], [1.0, 2.0], [math.tanh(-15.0), (-1.1) ** 5],
+            [math.tanh(35.0), 0.9**5], 1e-13),
+        "shared cell": (_shared_cell, [0, 1, 2], [0.0] * 3, [1.0] * 3,
+                        *_ends(_shared_cell, [0, 1, 2], np.zeros(3), np.ones(3)), 1e-13),
+        "anderson-bjorck": (_cubes, [0, 1, 2, 3], zeros, ones,
+                            *_ends(_cubes, [0, 1, 2, 3], zeros, ones), 1e-13),
+        "zero mid-way": (_plateau, [0], [0.0], [1.0], [math.tanh(-6.0)], [math.tanh(14.0)], 1e-13),
+        "resolution": (lambda xs: np.asarray(xs)[:, None] ** 2 - 2.0, [0], [1.0], [2.0],
+                       [-1.0], [2.0], 1e-300),
+        "xtol array": (lambda xs: np.stack([np.asarray(xs) - 0.25, 1.0 - 3.0 * np.asarray(xs)],
+                                           axis=1),
+                       [0, 1], [0.0, 0.0], [1.0, 1.0], [-0.25, 1.0], [0.75, -2.0],
+                       [1e-300, 1e-14]),
+    }
+
+
+#: per case: the roots, the number of evaluate calls, and the sha256 of the
+#: float.hex of the points of every call
+PINNED = {
+    "anderson-bjorck": (
+        ["0x1.2b6b5edf6b54ap-1", "0x1.2b6b5edf6b54ap-1", "0x1.1be9bff2e94bfp-3",
+         "0x1.62e42fefa39efp-1"], 16,
+        "8fa122d04340b4a967869eb6d9405554948cd990b8c6a06afec81b161da1e1e8"),
+    "family": (
+        ["0x1.2492492492492p-3", "0x1.2492492492492p-2", "0x1.b6db6db6db6dbp-2",
+         "0x1.2492492492492p-1", "0x1.6db6db6db6db7p-1", "0x1.b6db6db6db6dbp-1"], 4,
+        "def469be03beee7c15e2702d43c73d2051cc426375b7962336dba2e737209c65"),
+    "resolution": (
+        ["0x1.6a09e667f3bccp+0"], 7,
+        "e288b23d1de301a452e377b5fbb05b08c64134c81d1f752dd531ee23526101d5"),
+    "shared cell": (
+        ["0x1.3333333333333p-2", "0x1.199999999999ap-1", "0x1.6666666666666p-1"], 7,
+        "eb37db365581d0b189374a781f212aeea268ba509893555c8aa584468d8466af"),
+    "steep and flat": (
+        ["0x1.3333333333333p-2", "0x1.1999999999996p+0"], 108,
+        "129587788dfe92b22d444152fe87f2d2d5811d85ab97dfad6c860bd2604e2568"),
+    "xtol array": (
+        ["0x1.0000000000000p-2", "0x1.5555555555555p-2"], 1,
+        "819c362a21a7e5f0b26116bb2b448289762bd933bcb16e12d82d0c60f691de58"),
+    "zero mid-way": (
+        ["0x1.32750af2da50cp-2"], 5,
+        "4f42775eac99148f368959dcf2842bbff0e0b9cfb5899a2606ba9bb6d7527403"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_cases()))
+def test_refine_brackets_keeps_its_bits(name):
+    evaluate, cols, a, b, fa, fb, xtol = _pinned_cases()[name]
+    calls = []
+
+    def recorded(xs):
+        calls.append([float(x).hex() for x in xs])
+        return evaluate(xs)
+
+    roots = refine_brackets(recorded, cols, a, b, fa, fb, xtol=xtol)
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert ([float(x).hex() for x in roots], len(calls), digest) == PINNED[name]
 
 
 # -- refine_root as the one-bracket case of refine_brackets, against brentq ------
