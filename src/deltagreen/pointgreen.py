@@ -534,17 +534,20 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
-    idx = np.unique(np.append(np.arange(0, grid_points, math.isqrt(grid_points)), grid_points - 1))
-    mu = _eigenvalues(dim, consts, slots, r, grid[idx])  # falls along each column
-    while True:
-        count, size = np.sum(mu > 0.0, axis=1), np.abs(mu)
-        blurred = size.min(axis=1) <= POLE_TOL * size.max(axis=1)
-        cut = (np.diff(idx) > 1) & ((np.diff(count) != 0) | blurred[:-1] | blurred[1:])
-        if not cut.any():
-            break
-        mid, at = (idx[:-1][cut] + idx[1:][cut]) // 2, np.flatnonzero(cut) + 1
-        idx = np.insert(idx, at, mid)
-        mu = np.insert(mu, at, _eigenvalues(dim, consts, slots, r, grid[mid]), axis=0)
+    batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
+    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding
+    cells, done, rows, key = list(zip(batch, batch[1:])), [], [], {}
+    while batch:
+        mu = _eigenvalues(dim, consts, slots, r, grid[batch])  # falls along each column
+        blurred = np.abs(mu).min(axis=1) <= POLE_TOL * np.abs(mu).max(axis=1)
+        key.update(zip(batch, np.where(blurred, -1, np.sum(mu > 0.0, axis=1)).tolist()))
+        done, rows = done + batch, rows + [mu]
+        cut = [(lo, hi) for lo, hi in cells if hi - lo > 1 and (key[lo] != key[hi] or key[lo] < 0)]
+        batch = [(lo + hi) // 2 for lo, hi in cut]
+        cells = [cell for (lo, hi), m in zip(cut, batch) for cell in ((lo, m), (m, hi))]
+    order = np.argsort(done)
+    idx, mu = np.asarray(done)[order], np.concatenate(rows)[order]
+    count = np.sum(mu > 0.0, axis=1)
     rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
         raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",

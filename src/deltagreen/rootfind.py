@@ -4,7 +4,8 @@ Deliberately self-contained; the numerical oracles root by plain bisection
 instead, so production and oracle never share a root-finding code path.
 :func:`refine_brackets` refines sign-change brackets of a family of functions
 tabulated together (the eigenvalue branches of M(E)) by Anderson-Bjorck
-regula falsi with a bisection safeguard, one batched evaluation per step.
+regula falsi with a bisection safeguard: one batched evaluation per step,
+and the bookkeeping per bracket, in plain floats.
 :func:`refine_root` is its one-bracket case for a scalar function.
 :func:`bracket_sign_changes`, which finds a scalar function's brackets on a
 grid, is not part of that engine: no production code calls it, and it stays
@@ -13,6 +14,7 @@ only because the benchmark's tracer wraps it by name.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable
 
 import numpy as np
@@ -70,15 +72,15 @@ def refine_brackets(
     then the root (a if both).  Each step proposes one point per open
     bracket (Anderson-Bjorck regula falsi; bisection when two steps did not
     halve the bracket; kept 0.4 xtol inside the ends, so a step next to the
-    root closes it), evaluates the distinct points in one call, and lets
-    every point tighten every bracket that contains it.
+    root closes it), evaluates the distinct points, ascending, in one call,
+    and lets every point tighten every bracket that contains it (found by
+    bisection: O(k log p) for k brackets and p points).
 
     Returns each root: an exact zero when an end or a step hits one, else the
     secant point of a bracket at most xtol wide (or at floating-point
     resolution).  Raises :class:`NonConvergenceError` when brackets are still
     open after ``MAX_ITER`` steps.
     """
-    cols = np.asarray(cols, dtype=int)
     a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (a, b, fa, fb))
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), a.shape)
     if not (xtol > 0.0).all():
@@ -89,61 +91,66 @@ def refine_brackets(
     fa, fb = sign * fa, sign * fb
     if not ((fa >= 0.0) & (fb <= 0.0) & (a <= b)).all():
         raise DomainError("bracket does not change sign")
-    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan)).tolist()
+    cols, sign, xtol = np.asarray(cols).tolist(), sign.tolist(), xtol.tolist()
+    a, b, fa, fb = a.tolist(), b.tolist(), fa.tolist(), fb.tolist()
+    ga, gb, n = fa[:], fb[:], len(a)
+    # the end moved last step (-1 a, 1 b, 0 both), the widths 1 and 2 steps ago
+    moved, past, halve = [0] * n, [(np.inf, np.inf)] * n, [False] * n
 
-    def secant(i):  # of brackets with both ends nonzero
-        return np.clip(a[i] + (b[i] - a[i]) * (fa[i] / (fa[i] - fb[i])), a[i], b[i])
+    def secant(i):  # of a bracket with both ends nonzero
+        return _clip(a[i] + (b[i] - a[i]) * (fa[i] / (fa[i] - fb[i])), a[i], b[i])
 
-    ga, gb = fa.copy(), fb.copy()
-    moved = np.zeros(a.shape, dtype=int)  # end moved last step: -1 a, 1 b, 0 both
-    widths = [np.full(a.shape, np.inf)] * 2  # widths one and two steps ago
-    bisect = np.zeros(a.shape, dtype=bool)
+    todo = [i for i, x in enumerate(root) if x != x]
     for step in range(MAX_ITER + 1):
-        j = np.flatnonzero(np.isnan(root) & (b - a > xtol))
-        if not j.size:
-            done = np.isnan(root)
-            root[done] = secant(done)
-            return root
+        for i in todo:
+            if not b[i] - a[i] > xtol[i]:
+                root[i] = secant(i)
+        todo = [i for i in todo if root[i] != root[i]]
+        if not todo:
+            return np.array(root)
         if step == MAX_ITER:
             break
-        aj, bj = a[j], b[j]
-        x = np.where(bisect[j], 0.5 * (aj + bj), aj + (bj - aj) * (ga[j] / (ga[j] - gb[j])))
-        gap = np.minimum(0.4 * xtol[j], 0.25 * (bj - aj))
-        x = np.clip(x, aj + gap, bj - gap)
-        stuck = (x <= aj) | (x >= bj)  # bracket at floating-point resolution
-        root[j[stuck]] = secant(j[stuck])
-        j, aj, bj, x = j[~stuck], aj[~stuck], bj[~stuck], x[~stuck]
-        if not j.size:
+        points = {}
+        for i in todo:
+            ai, bi = a[i], b[i]
+            x = 0.5 * (ai + bi) if halve[i] else ai + (bi - ai) * (ga[i] / (ga[i] - gb[i]))
+            gap = min(0.4 * xtol[i], 0.25 * (bi - ai))
+            x = _clip(x, ai + gap, bi - gap)
+            if x <= ai or x >= bi:  # bracket at floating-point resolution
+                root[i] = secant(i)
+            else:
+                points[i] = x
+        if not points:
             continue
-        xs = np.unique(x)
-        g = evaluate(xs)[:, cols[j]] * sign[j]  # (points, open brackets)
-        inside = (xs[:, None] > aj) & (xs[:, None] < bj)
-        zero = inside & (g == 0.0)
-        hit = zero.any(axis=0)
-        root[j[hit]] = xs[zero.argmax(axis=0)[hit]]
-        up, down = inside & (g > 0.0), inside & (g < 0.0)
-        ia = np.where(up, xs[:, None], -np.inf).argmax(axis=0)
-        ib = np.where(down, xs[:, None], np.inf).argmin(axis=0)
-        at = np.arange(j.size)
-        new_a, new_b = up.any(axis=0), down.any(axis=0)
-        old_a, old_b = ga[j], gb[j]
-        a[j[new_a]] = xs[ia[new_a]]
-        fa[j[new_a]] = ga[j[new_a]] = g[ia[new_a], at[new_a]]
-        b[j[new_b]] = xs[ib[new_b]]
-        fb[j[new_b]] = gb[j[new_b]] = g[ib[new_b], at[new_b]]
-        # Anderson-Bjorck: an end kept twice in a row has its value scaled
-        # by 1 - g_new/g_old of the moving end (by 1/2 if that is not positive)
-        side = np.where(new_a & ~new_b, -1, np.where(new_b & ~new_a, 1, 0))
-        for keep, moving, old, s in ((gb, ga, old_a, -1), (ga, gb, old_b, 1)):
-            k = (side == s) & (moved[j] == s)
-            m = 1.0 - moving[j[k]] / old[k]
-            keep[j[k]] *= np.where(m > 0.0, m, 0.5)
-        moved[j] = side
-        width = b - a
-        bisect = width > 0.5 * widths[1]
-        widths = [width, widths[0]]
-    raise NonConvergenceError(
-        "roots not localized within the iteration budget",
-        open=int(np.sum(np.isnan(root) & (b - a > xtol))),
-        iterations=MAX_ITER,
-    )
+        xs = sorted(set(points.values()))
+        need = sorted({cols[i] for i in points})
+        rows = dict(zip(need, evaluate(np.array(xs))[:, need].T.tolist()))
+        for i in points:
+            inside = [(xs[p], rows[cols[i]][p] * sign[i])
+                      for p in range(bisect_right(xs, a[i]), bisect_left(xs, b[i]))]
+            if zero := [x for x, g in inside if g == 0.0]:
+                root[i] = zero[0]
+                continue
+            up, down = [q for q in inside if q[1] > 0.0], [q for q in inside if q[1] < 0.0]
+            # Anderson-Bjorck: an end kept twice in a row has its value scaled
+            # by 1 - g_new/g_old of the moving end (by 1/2 if that is not positive)
+            side = bool(down) - bool(up)  # the end that moves alone: -1 a, 1 b
+            if up:
+                if side == moved[i] == -1:
+                    gb[i] *= m if (m := 1.0 - up[-1][1] / ga[i]) > 0.0 else 0.5
+                a[i], fa[i], ga[i] = *up[-1], up[-1][1]
+            if down:
+                if side == moved[i] == 1:
+                    ga[i] *= m if (m := 1.0 - down[0][1] / gb[i]) > 0.0 else 0.5
+                b[i], fb[i], gb[i] = *down[0], down[0][1]
+            moved[i], width = side, b[i] - a[i]
+            halve[i], past[i] = width > 0.5 * past[i][1], (width, past[i][0])
+    raise NonConvergenceError("roots not localized within the iteration budget",
+                              open=len(todo), iterations=MAX_ITER)
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float: NaN stays, a tie or lo > hi gives the bound."""
+    x = lo if x <= lo else x
+    return hi if x >= hi else x

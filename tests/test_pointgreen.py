@@ -1024,12 +1024,14 @@ def test_grid_search_gives_the_full_grid_outcome(case):
          center((0.0, 1.5), from_bound_state(-2.0))], (-32.0, -5e-7), 1_000_000, 1100),
 ])
 def test_grid_search_evaluates_few_grid_points(monkeypatch, dim, cs, window, grid_points, most):
-    # a few of the grid's points bracket every branch as all of them do, bit for bit
-    args, eigenvalues, rows = _scan_args(dim, cs), pointgreen._eigenvalues, []
+    # a few of the grid's points, none twice, bracket every branch as all of
+    # them do, bit for bit
+    args, eigenvalues, kappas = _scan_args(dim, cs), pointgreen._eigenvalues, []
     monkeypatch.setattr(pointgreen, "_eigenvalues",
-                        lambda *a: rows.append(len(a[-1])) or eigenvalues(*a))
+                        lambda *a: kappas.extend(a[-1].tolist()) or eigenvalues(*a))
     searched = pointgreen._brackets(*args, window, grid_points)
-    assert searched[0].size and sum(rows) <= most
+    assert searched[0].size and len(kappas) <= most
+    assert len(set(kappas)) == len(kappas)
     for got, want in zip(searched, _full_grid_brackets(*args, window, grid_points)):
         assert got.tobytes() == want.tobytes()
 

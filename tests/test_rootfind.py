@@ -162,7 +162,7 @@ def test_refine_brackets_rejects_bad_input(monkeypatch):
 
 def _cubes(xs):
     # convex and concave rising and falling branches: regula falsi keeps one
-    # end, so Anderson-Bjorck scales the value at a (columns 2, 3) and at b (0, 1)
+    # end, so Anderson-Bjorck scales the value kept at a on some and at b on others
     x = np.asarray(xs)
     return np.stack([x**3 - 0.2, 0.2 - x**3, np.expm1(-5.0 * x) + 0.5, np.exp(x) - 2.0], axis=1)
 
@@ -312,3 +312,60 @@ def test_refine_root_keeps_its_evaluation_budget(case, budget):
             return
     assert len(calls) <= budget
     _assert_agrees_with_brentq(root, *case)
+
+
+@st.composite
+def _monotone_brackets(draw):
+    """1-12 monotone functions, each with its root in one of 1-4 cells: the
+    brackets that share a cell see each other's points."""
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.floats(-5.0, 5.0))
+        cells.append((lo, lo + draw(st.floats(1e-3, 10.0))))
+    fs, a, b, xtol = [], [], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        lo, hi = cells[draw(st.integers(0, len(cells) - 1))]
+        c = lo + (hi - lo) * draw(st.floats(0.05, 0.95))
+        f = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](c, draw(st.floats(0.1, 100.0)))
+        if draw(st.booleans()):
+            f = (lambda g: lambda x: -g(x))(f)
+        fs.append(f)
+        a.append(lo)
+        b.append(hi)
+        xtol.append(10.0 ** draw(st.integers(-14, -4)))
+    return fs, a, b, xtol
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_monotone_brackets())
+def test_refine_brackets_agrees_with_brentq_on_many_brackets(case):
+    fs, a, b, xtol = case
+    table = lambda xs: np.array([[f(x) for f in fs] for x in xs])
+    # each bracket as the evaluations so far leave it: the points strictly
+    # inside tighten the end of their sign, and a 0 or a width <= xtol closes it
+    sign = [1.0 if f(x) > 0.0 else -1.0 for f, x in zip(fs, a)]
+    lo, hi, shut, calls = list(a), list(b), [False] * len(fs), []
+
+    def evaluate(xs):
+        assert all(np.diff(xs) > 0.0)
+        assert all(any(l < x < h and not s for l, h, s in zip(lo, hi, shut)) for x in xs)
+        calls.append(len(xs))
+        g = table(xs)
+        for j in range(len(fs)):
+            inside = [(x, sign[j] * gx) for x, gx in zip(xs, g[:, j]) if lo[j] < x < hi[j]]
+            ups, downs = [x for x, gx in inside if gx > 0.0], [x for x, gx in inside if gx < 0.0]
+            lo[j], hi[j] = max(ups, default=lo[j]), min(downs, default=hi[j])
+            shut[j] |= len(ups) + len(downs) < len(inside) or hi[j] - lo[j] <= xtol[j]
+        return g
+
+    cols = range(len(fs))
+    fa, fb = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
+    roots = refine_brackets(evaluate, cols, a, b, fa, fb, xtol)
+    assert len(calls) <= rootfind.MAX_ITER
+    for root, f, lo_, hi_, tol in zip(roots, fs, a, b, xtol):
+        _assert_agrees_with_brentq(root, f, lo_, hi_, tol)
+    if calls:  # a budget one step short of the run's
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rootfind, "MAX_ITER", len(calls) - 1)
+            with pytest.raises(NonConvergenceError):
+                refine_brackets(table, cols, a, b, fa, fb, xtol)
