@@ -97,15 +97,14 @@ def refine_brackets(
     ga, gb, n = fa[:], fb[:], len(a)
     # the end moved last step (-1 a, 1 b, 0 both), the widths 1 and 2 steps ago
     moved, past, halve = [0] * n, [(np.inf, np.inf)] * n, [False] * n
-
-    def secant(i):  # of a bracket with both ends nonzero
-        return _clip(a[i] + (b[i] - a[i]) * (fa[i] / (fa[i] - fb[i])), a[i], b[i])
-
     todo = [i for i, x in enumerate(root) if x != x]
+    points = dict.fromkeys(todo)  # each bracket's point of the last step
     for step in range(MAX_ITER + 1):
+        # the secant point closes a bracket at most xtol wide, or one left
+        # without a point (at floating-point resolution)
         for i in todo:
-            if not b[i] - a[i] > xtol[i]:
-                root[i] = secant(i)
+            if root[i] != root[i] and (i not in points or not b[i] - a[i] > xtol[i]):
+                root[i] = _clip(a[i] + (b[i] - a[i]) * (fa[i] / (fa[i] - fb[i])), a[i], b[i])
         todo = [i for i in todo if root[i] != root[i]]
         if not todo:
             return np.array(root)
@@ -117,9 +116,7 @@ def refine_brackets(
             x = 0.5 * (ai + bi) if halve[i] else ai + (bi - ai) * (ga[i] / (ga[i] - gb[i]))
             gap = min(0.4 * xtol[i], 0.25 * (bi - ai))
             x = _clip(x, ai + gap, bi - gap)
-            if x <= ai or x >= bi:  # bracket at floating-point resolution
-                root[i] = secant(i)
-            else:
+            if not (x <= ai or x >= bi):
                 points[i] = x
         if not points:
             continue
