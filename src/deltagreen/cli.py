@@ -297,7 +297,7 @@ def cmd_green(dim, energy, retarded, center, x, y):
 @click.option("--center", multiple=True, required=True, help="Delta center spec; repeatable.")
 @click.option("--emin", type=FINITE, default=None, help="Lower edge of the energy search window.")
 @click.option("--emax", type=FINITE, default=None, help="Upper edge (must stay below 0).")
-@click.option("--tol", type=FINITE, default=1e-12, show_default=True, help="Energy tolerance.")
+@click.option("--tol", type=FINITE, default=1e-12, show_default=True, help="Relative energy tolerance.")
 @click.option(
     "--method",
     type=click.Choice(["auto", "scan"]),

@@ -26,10 +26,10 @@ branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them.  The
 count n_+ only falls along a log-kappa grid, so a search evaluates the grid
 only where a count changes (or M is not clear of rounding) to bracket each
 branch between adjacent grid points; the brackets are then refined with
-one batched ``eigvalsh`` per step serving every branch.  Roots within
-2 max(tol, 1e-12 |E|) of each other form a degenerate multiplet (each is
-within half that of the energy).  The residue of G there is
-sum_a psi_a(x) psi_a(y) with
+one batched ``eigvalsh`` per step serving every branch, each to |dE| <=
+tol |E|, and roots within 2 max(tol, 1e-12) |E| of each other form a
+degenerate multiplet (each is within half that of the energy).  The
+residue of G there is sum_a psi_a(x) psi_a(y) with
 
     psi_a(x) = sum_i C_ia G0(E_B; x, a_i),     C^T M'(E_B) C = 1,
 
@@ -374,7 +374,7 @@ def bound_states(
         Window on the negative real axis.  None picks a window wide enough
         around the single-center closed-form scales.
     tol : float
-        Energy tolerance for root polishing.
+        Relative energy tolerance for root polishing: |dE| <= tol |E|.
     method : str
         "auto" returns the closed form directly for a single center;
         "scan" forces the eigenvalue-branch search.
@@ -395,8 +395,8 @@ def bound_states(
     that rises anyway is rounding noise: :class:`NonConvergenceError`).
     Every branch's grid cell is refined at once (Anderson-Bjorck regula
     falsi, one ``eigvalsh`` batch per step evaluated for all branches) to
-    |dE| <= tol.  Each root is within max(tol, 1e-12 |E|) of its energy, so
-    roots within twice that of each other are one degenerate multiplet:
+    |dE| <= tol |E|.  Each root is within max(tol, 1e-12) |E| of its energy,
+    so roots within twice that of each other are one degenerate multiplet:
     several states at one energy (their mean).  For a single center the
     closed forms take precedence so the textbook formulas are testable
     verbatim.
@@ -562,27 +562,27 @@ def _brackets(dim, consts, slots, r, window, grid_points):
 def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
     """(E_B, branch indices) of every multiplet of states in the window, ascending.
 
-    Sorted eigenvalue k of M(E) rises with E, so it has at most one zero; the
-    branches with one in the window are those positive at its top and not at
-    its bottom.  Each is bracketed on the log-kappa grid (:func:`_brackets`)
-    and all brackets are refined together; zeros that agree within
-    2 max(tol, 1e-12 |E|) form one multiplet.
+    Each branch with a zero in the window is bracketed on the log-kappa grid
+    (:func:`_brackets`), all brackets are refined together, each to |dE| <=
+    tol |E|, and zeros within 2 max(tol, 1e-12) |E| form one multiplet.
     """
     ks, lo, hi, mu_lo, mu_hi = _brackets(dim, consts, slots, r, window, grid_points)
     if not ks.size:
         return []
-    # a tol so small that its kappa width underflows refines to resolution
-    xtol = np.maximum(tol / (2.0 * hi), np.finfo(float).smallest_subnormal)
+    # |dE| = 2 kappa dkappa <= tol kappa^2: a width that underflows refines
+    # to resolution, one that overflows (a huge tol) closes at once
+    with np.errstate(over="ignore"):
+        xtol = np.maximum(0.5 * tol * lo, np.finfo(float).smallest_subnormal)
     kap = refine_brackets(lambda x: _eigenvalues(dim, consts, slots, r, x),
                           ks, lo, hi, mu_lo, mu_hi, xtol=xtol)
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]
-    # |E| past ~1 has roots only to a few ulps, so tol alone would split a
-    # deep degenerate pair: the floor is 1e-12 relative; both roots of a
-    # pair lie within it of their energy, so within twice it of each other
-    apart = np.diff(energies) > 2.0 * np.maximum(tol, 1e-12 * np.abs(energies[1:]))
-    groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
-    with np.errstate(over="ignore"):  # a sum past -1.8e308 overflows: then average halves
+    # a degenerate pair's roots agree only to a few ulps, hence the 1e-12
+    # floor: both lie within max(tol, 1e-12) |E| of their energy.  An infinite
+    # threshold merges all; a sum past -1.8e308 overflows: then average halves
+    with np.errstate(over="ignore"):
+        apart = np.diff(energies) > 2.0 * max(tol, 1e-12) * np.abs(energies[1:])
+        groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
         means = [np.mean(energies[g]) for g in groups]
     return [(float(m if np.isfinite(m) else 2.0 * np.mean(0.5 * energies[g])), np.sort(ks[g]))
             for m, g in zip(means, groups)]

@@ -116,6 +116,17 @@ def test_bound_default_window_reaches_the_largest_finite_energy(capsys):
     assert rows == run_json(capsys, *pair, "--emin=-1.7e308", "--emax=-1")["rows"]
 
 
+def test_bound_shallow_pair_is_two_states(capsys):
+    # a tol absolute in energy refined these roots only to 1e-12 and merged
+    # them: one energy, -1.4999999999424529e-12, printed twice; tol |E| does not
+    pair = ("bound", "--dim", "3", "--center", "0,0,0:eb=-1e-12", "--center", "1e7,0,0:eb=-2e-12")
+    got = [row[1] for row in run_json(capsys, *pair)["rows"]]
+    want = [row[1] for row in run_json(capsys, *pair, "--tol", "1e-30")["rows"]]
+    assert len(set(got)) == 2
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert want == pytest.approx([-2.000000000000035e-12, -9.999999999004786e-13], rel=1e-12)
+
+
 # three 1D centers, and six with one binding at -1.5266e-30: below kappa ~
 # 1e-15 M(E) ~ 11^T / (2 kappa), and its O(1) eigenvalues, whose signs count
 # the states, are rounding noise

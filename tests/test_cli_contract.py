@@ -180,9 +180,17 @@ EXTREME_ARGVS = [
     # squared center and point distances overflow; det M = D^2 touches zero at
     # the pair's two states without changing sign
     (("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"), 0),
-    # tol / (2 kappa) underflows to 0: the roots are refined to resolution
+    # tol kappa / 2 underflows to 0: the roots are refined to resolution, at
+    # E ~ -1 and at E ~ -1e-12; a tol whose width and multiplet threshold
+    # overflow merges the pair in one step
     (("bound", "--dim", "1", "--center", "-1:lambda=-2", "--center", "1:lambda=-2",
       "--tol", "5e-324"), 0),
+    (("bound", "--dim", "3", "--center", "0,0,0:eb=-1e-12", "--center", "1e7,0,0:eb=-2e-12",
+      "--tol", "5e-324"), 0),
+    (("bound", "--dim", "1", "--center", "0:eb=-1e10", "--center", "1:eb=-2e10", "--tol", "1e300"),
+     0),
+    (("bound", "--dim", "1", "--center", "0:eb=-1e10", "--center", "1:eb=-2e10", "--tol", "1e308"),
+     0),
     # the default window's bottom stops at the largest finite -kappa^2, and a
     # multiplet whose sum would overflow is averaged by halves; in 1D dM/dE =
     # 1/(4 kappa^3) underflows to 0, but the residues are normalized by
@@ -216,6 +224,12 @@ BOUND_ENERGIES = {
     ("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"): [-1.0, -1.0],
     ("bound", "--dim", "1", "--center", "-1:lambda=-2", "--center", "1:lambda=-2", "--tol", "5e-324"):
         [-1.2295650725757956, -0.6349095705470416],
+    ("bound", "--dim", "3", "--center", "0,0,0:eb=-1e-12", "--center", "1e7,0,0:eb=-2e-12",
+     "--tol", "5e-324"): [-2.000000000000035e-12, -9.999999999004786e-13],
+    ("bound", "--dim", "1", "--center", "0:eb=-1e10", "--center", "1:eb=-2e10", "--tol", "1e300"):
+        [-15017957225.164825, -15017957225.164825],
+    ("bound", "--dim", "1", "--center", "0:eb=-1e10", "--center", "1:eb=-2e10", "--tol", "1e308"):
+        [-15017957225.164825, -15017957225.164825],
     ("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"): [-3289.386074],
     ("bound", "--dim", "1", "--center", "0:eb=-1e300"): [-1e300],
     ("bound", "--dim", "1", "--center", "0:eb=-1e250", "--center", "1:eb=-1e250"): [-1e250, -1e250],

@@ -809,7 +809,7 @@ def _multiplets(states):
 @pytest.mark.parametrize("centers, scale, want", [
     (_triangle(), 1.0, [(-1.20599, 1), (-0.86571, 2)]),
     (_square(), 1.0, [(-1.54034, 1), (-0.87452, 2), (-0.33419, 1)]),
-    # the pair's two roots differ by ulps of 8.7e5, far above tol = 1e-12
+    # the pair's two roots differ by ulps of 8.7e5: the grouping is relative
     (_triangle(1e6), 1e6, [(-1.20599, 1), (-0.86571, 2)]),
 ], ids=["triangle", "square", "deep-triangle"])
 def test_symmetric_layouts_keep_their_degenerate_states(centers, scale, want):
@@ -838,27 +838,27 @@ def test_degenerate_pair_residue_sums_over_its_states():
     assert c.T @ mp_ @ c == pytest.approx(np.eye(2), abs=1e-12)
 
 
-def _polygon(n, a, e_b):
-    # a regular n-gon of nearest-neighbour distance a, coordinates rounded
-    # to 12 digits: the benchmark's symmetric 2D layouts
+def _polygon(n, a, e_b, rounded=True):
+    # a regular n-gon of nearest-neighbour distance a, coordinates rounded to
+    # 12 digits as in the benchmark's symmetric 2D layouts, or not rounded
     radius = a / (2.0 * math.sin(math.pi / n))
-    return [center(tuple(round(radius * f(2 * math.pi * k / n), 12) for f in (math.cos, math.sin)),
-                   from_bound_state(e_b)) for k in range(n)]
+    coords = [[radius * f(2 * math.pi * k / n) for f in (math.cos, math.sin)] for k in range(n)]
+    return [center(tuple(round(x, 12) if rounded else x for x in xy), from_bound_state(e_b))
+            for xy in coords]
 
 
-@pytest.mark.parametrize("n, a, e_b, window, want", [
-    (8, 0.8688571362282915, -1.171857857912272,
-     (-18.749725726596353, -0.0029296446447806806), -0.2341688442),
-    (12, 1.394340535822198, -0.8287121074046553,
-     (-13.259393718474483, -0.0020717802685116383), -1.1334457229),
-], ids=["octagon", "12-gon"])
-def test_degenerate_pair_roots_twice_the_tolerance_apart_are_one_multiplet(n, a, e_b, window, want):
-    # each root of the pair lies within max(tol, 1e-12 |E|) of the shared
-    # energy, but the two lie 1.9e-12 and 1.4e-12 apart: grouping them
-    # within that bound alone split the pair into two states
-    cs = _polygon(n, a, e_b)
-    pair = [s for s in bound_states(2, cs, search=window, method="scan")
+# the octagon of equal 2D eb centers (spectrum op d2_n8_sym, seed 31 round
+# 1), a window around its states, and the energy of its pair
+OCTAGON = (8, 0.8688571362282915, -1.171857857912272)
+OCTAGON_WINDOW, OCTAGON_PAIR = (-18.749725726596353, -0.0029296446447806806), -0.2341688442
+
+
+def _states_near(cs, window, want, tol=1e-12):
+    return [s for s in bound_states(2, cs, search=window, tol=tol, method="scan")
             if abs(s.energy - want) < 1e-9]
+
+
+def _assert_one_multiplet(cs, pair):
     assert len(pair) == 2 and pair[0].energy == pair[1].energy
     e = pair[0].energy
     # the columns of C are M'-orthonormal and span the null space, so C C^T,
@@ -872,6 +872,37 @@ def test_degenerate_pair_roots_twice_the_tolerance_apart_are_one_multiplet(n, a,
               for d in deltas]
     want = sum(residue_wavefunction(s, x) * residue_wavefunction(s, y) for s in pair)
     assert np.polyfit(deltas, probes, 2)[-1] == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, a, e_b, window, want", [
+    (12, 1.394340535822198, -0.8287121074046553,
+     (-13.259393718474483, -0.0020717802685116383), -1.1334457229),
+], ids=["12-gon"])
+def test_degenerate_pair_roots_twice_the_tolerance_apart_are_one_multiplet(n, a, e_b, window, want):
+    # each root of the pair lies within max(tol, 1e-12) |E| of the shared
+    # energy, and the two lie 1.2e-12 |E| apart: grouping them within that
+    # bound, not twice it, split the pair into two states
+    cs = _polygon(n, a, e_b)
+    _assert_one_multiplet(cs, _states_near(cs, window, want))
+
+
+def test_the_rounded_octagon_splits_its_pair():
+    # rounding the coordinates to 12 digits splits the pair by 8.0e-12 |E|:
+    # its roots keep their bits at tol 1e-16 and 1e-30, so at the default tol
+    # they are two states, each close to its root
+    cs = _polygon(*OCTAGON)
+    pair, fine = (_states_near(cs, OCTAGON_WINDOW, OCTAGON_PAIR, tol) for tol in (1e-12, 1e-16))
+    assert len(pair) == 2 and pair[0].energy < pair[1].energy
+    assert [s.energy for s in pair] == pytest.approx([s.energy for s in fine], rel=1e-13)
+    # a tol above the split makes it one multiplet
+    _assert_one_multiplet(cs, _states_near(cs, OCTAGON_WINDOW, OCTAGON_PAIR, 1e-11))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 5e-324])
+def test_the_unrounded_octagon_keeps_its_pair(tol):
+    # exact positions split the pair only by rounding, far below 1e-12 |E|
+    cs = _polygon(*OCTAGON, rounded=False)
+    _assert_one_multiplet(cs, _states_near(cs, OCTAGON_WINDOW, OCTAGON_PAIR, tol))
 
 
 def _uniform_3d(n):
@@ -1090,7 +1121,7 @@ def test_scan_keeps_its_bits():
             digest.update(" ".join(map(float.hex, [st_.energy, *st_.residue_vector])).encode())
             count += 1
     assert (count, digest.hexdigest()) == (
-        83, "af494b869d408aa027e0aa22b35685e868cb8d228da543b1d40481f5fa1d26d7")
+        83, "a0792b00f37311cc3f404d25749d65ab45a8e3ba244669509ebe94e3380e31e0")
 
 
 def test_bound_state_validation():
@@ -1111,7 +1142,7 @@ def test_bound_state_validation():
 
 @pytest.mark.parametrize("tol", [5e-324, 1e-320])
 def test_a_tol_below_the_kappa_resolution_refines_to_resolution(tol):
-    # tol / (2 kappa) underflows to 0 at 5e-324: the refinement then runs to
+    # tol kappa / 2 underflows to 0 at 5e-324: the refinement then runs to
     # floating-point resolution, as for any tol below it
     energies = [s.energy for s in bound_states(1, PAIR, tol=tol)]
     assert energies == pytest.approx(PAIR_ENERGIES, rel=1e-15)
@@ -1356,8 +1387,9 @@ def test_exact_symmetries_keep_the_states(kind, data):
     centroid = pos.mean(axis=0)
     points = [centroid + np.array(d[:dim]) for d in
               ((0.37, 0.21, 0.13), (-0.52, -0.44, 0.29), (1.61, -0.27, -0.35))]
-    before = bound_states(dim, [center(tuple(p), s) for p, s in zip(pos, specs)])
-    after = bound_states(dim, [center(tuple(move(pos[i])), specs[i]) for i in order])
+    # each root lies within tol |E| of its energy, so 5e-13 holds for any draw
+    before = bound_states(dim, [center(tuple(p), s) for p, s in zip(pos, specs)], tol=1e-14)
+    after = bound_states(dim, [center(tuple(move(pos[i])), specs[i]) for i in order], tol=1e-14)
     e0, e1 = [s.energy for s in before], [s.energy for s in after]
     assert [e0.count(e) for e in e0] == [e1.count(e) for e in e1]
     assert e1 == pytest.approx(e0, rel=5e-13, abs=0.0)
@@ -1389,6 +1421,42 @@ def test_exact_symmetries_keep_the_sign_of_each_state(kind, data):
         if e0.count(e) == 1 and top[0] - top[1] > 1e-6 * top[0]:
             psi = _psi(b, points)
             assert np.max(np.abs(_psi(a, moved) - psi)) <= 1e-9 * np.max(np.abs(psi))
+
+
+@st.composite
+def _scaled_layouts(draw):
+    """A jittered layout of 2-8 eb centers, at least 0.9 apart, and k for a
+    scale s = 2^k: at k >= -30 the scaled centers stay 8.4e-10 apart, clear
+    of CENTER_DISTINCT_TOL."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    sites = draw(st.lists(st.tuples(*[st.integers(0, 7)] * dim), min_size=n, max_size=n,
+                          unique=True))
+    jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=n * dim, max_size=n * dim))
+    pos = 1.5 * np.array(sites, dtype=float) + np.reshape(jitter, (n, dim))
+    e_bs = draw(st.lists(st.floats(-2.0, -0.25), min_size=n, max_size=n))
+    return dim, pos, e_bs, draw(st.integers(-30, 500))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=_scaled_layouts())
+def test_scaling_the_lengths_scales_the_states(case):
+    # H = -laplacian + sum lambda_i delta(x - a_i) maps to itself under
+    # x -> s x, E -> E / s^2, each E_B with it; a power of 2 scales exactly,
+    # so the states keep their multiplets, and E s^2 its value: each root lies
+    # within tol |E| of it, and the rounding of M(E) moves it by about
+    # eps ||M|| |c|^2 (dmu/dE = 1/|c|^2 along the residue vector c), the
+    # floor of a shallow state beside deep ones
+    dim, pos, e_bs, k = case
+    s = 2.0**k
+    before, after = (bound_states(dim, [center(tuple(p * f), from_bound_state(e / (f * f)))
+                                        for p, e in zip(pos, e_bs)], tol=1e-14) for f in (1.0, s))
+    e0, e1 = [x.energy for x in before], [x.energy * s * s for x in after]
+    assert [e0.count(e) for e in e0] == [e1.count(e) for e in e1]
+    for x, e in zip(before, e1):
+        m = m_matrix(dim, x.energy, x.centers).entries.real
+        floor = 4.0 * np.finfo(float).eps * np.linalg.norm(m, 2) * np.sum(x.residue_vector**2)
+        assert abs(e - x.energy) <= 1e-13 * abs(x.energy) + floor
 
 
 @pytest.mark.parametrize(
