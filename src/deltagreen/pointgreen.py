@@ -397,19 +397,20 @@ def bound_states(
     falsi, one ``eigvalsh`` batch per step evaluated for all branches) to
     |dE| <= tol |E|.  Each root is within max(tol, 1e-12) |E| of its energy,
     so roots within twice that of each other are one degenerate multiplet:
-    several states at one energy (their mean).  For a single center the
-    closed forms take precedence so the textbook formulas are testable
-    verbatim.
+    several states at one energy (their mean); below tol ~ 1e-12 the
+    rounding of M limits a root to about eps (||M(E)||_2 + |ln kappa|/(2 pi)
+    in 2D) |c|^2, c its residue vector.  For a single center the closed
+    forms take precedence so the textbook formulas are testable verbatim.
 
     Without a given window the bottom of the default one is lowered, kappa
     doubling, until M has as many positive eigenvalues as at E -> -inf, so
     no state lies below it.  Its top stays at the floor -2^-1022 or above:
     an empty result is not an error, except when every center binds alone
-    with -E_B below that floor (:class:`DomainError`: M(E) is negative
+    with -E_B below that floor or 0 (:class:`DomainError`: M(E) is negative
     definite at E -> -inf and not at min E_B, so the centers bind a state
-    the window misses).  A center whose D(E) is infinite at every E (its
-    1/lambda overflows) is decoupled: the others bind the states, and its
-    residue coefficient is 0.
+    the window misses); an E_B that overflows raises it too.  A center whose
+    constant is not finite has D(E) infinite at every E and is decoupled:
+    the others bind the states, and its residue coefficient is 0.
     """
     cs, pos = _validate_centers(dim, centers)
     slots, r = _pair_distances(pos)
@@ -419,13 +420,11 @@ def bound_states(
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    live = np.isfinite(consts) & (consts != 0.0)
-    if not live.all():
-        # an infinite 1/lambda (or a 2D kappa_B of 0) decouples its center:
-        # D_i is infinite at every E, so the others bind the states alone
+    live = np.isfinite(consts)
+    if live.any() and not live.all():
+        # an infinite constant decouples its center: the others bind the states alone
         keep = np.flatnonzero(live)
-        sub = [cs[i] for i in keep]
-        states = bound_states(dim, sub, search, tol, method, grid_points) if sub else []
+        states = bound_states(dim, [cs[i] for i in keep], search, tol, method, grid_points)
         out = []
         for st in states:
             c = np.zeros(len(cs))
@@ -437,18 +436,20 @@ def bound_states(
     own = [c.coupling.bound_state_energy(dim) for c in cs]
     window = _search_window(own, search)
 
-    if method == "auto" and len(cs) == 1:
-        # the closed form's E_B; only a given window filters it
+    if not live.any():
+        multiplets = []  # every center decoupled: no state within the doubles
+    elif method == "auto" and len(cs) == 1:
+        # the closed form's E_B, unless it underflowed; only a given window filters it
         e_b = own[0]
-        in_window = e_b is not None and (search is None or window[0] <= e_b <= window[1])
+        in_window = e_b is not None and e_b < 0.0 and (search is None or window[0] <= e_b <= window[1])
         multiplets = [(e_b, [0])] if in_window else []
     else:
         if search is None:
             window = (_window_bottom(dim, consts, slots, r, window[0]), window[1])
         multiplets = _scan_energies(dim, consts, slots, r, window, tol, grid_points)
-        if not multiplets and search is None and all(e is not None and e > window[1] for e in own):
-            raise DomainError("centers that bind alone above the default window bind a "
-                              "state at E <= min E_B that it misses", e_b=min(own))
+    if not multiplets and search is None and all(e is not None and e > window[1] for e in own):
+        raise DomainError("centers that bind alone above the default window bind a "
+                          "state at E <= min E_B that it misses", e_b=min(own))
 
     blocks = _residue_vectors(dim, consts, slots, r, pos, multiplets)
     return [

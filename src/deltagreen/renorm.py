@@ -22,32 +22,32 @@ D=2 and D=3 it stays finite as Lambda -> inf only if the bare coupling runs:
 yielding the renormalized denominators
 
     D=1:  1/lambda + 1/(2 kappa)
-    D=2:  -ln(kappa/kappa_B) / (2 pi)      (kappa_B^2 = -E_B)
+    D=2:  (ln kappa_B - ln kappa) / (2 pi)      (kappa_B^2 = -E_B)
     D=3:  1/lambda_R - kappa/(4 pi) = kappa_B/(4 pi) - kappa/(4 pi)  for lambda_R > 0.
 
-In D=2 the arbitrary scale mu drops out of physics: the bound-state energy
+In D=2 the arbitrary scale mu drops out of physics: the scale
 
-    E_B = -mu^2 exp(4 pi / lambda_R)
+    ln kappa_B = ln mu + 2 pi / lambda_R,   E_B = -kappa_B^2 = -mu^2 exp(4 pi / lambda_R),
 
 is invariant under the flow 1/lambda_R' = 1/lambda_R - ln(mu'^2/mu^2)/(4 pi),
 so a dimensionless coupling trades itself for one dimensionful scale, and a
-2D lambda_R enters only through its E_B.  A 3D lambda_R is kept as 1/lambda_R,
-which stays finite where no E_B exists (lambda_R < 0).  In
-D=4 the K-dependent part of the bubble grows without bound and cannot be
-absorbed into any redefinition of lambda; :func:`friedman_report` tabulates
-that obstruction.
+2D lambda_R enters only through ln kappa_B, finite where E_B leaves the
+doubles.  A 3D lambda_R is kept as 1/lambda_R, finite where no E_B exists
+(lambda_R < 0).  In D=4 the K-dependent part of the bubble grows without
+bound and cannot be absorbed into any redefinition of lambda;
+:func:`friedman_report` tabulates that obstruction.
 
 The renormalized denominators of a whole center list are evaluated as one
 array: :func:`coupling_constants` reads each coupling once into the one
 constant of its denominator,
 
     D=1:  1/lambda (bare) or -1/(2 kappa_B) (from E_B)
-    D=2:  kappa_B (transmuted from lambda_R, or given as E_B)
+    D=2:  ln kappa_B (transmuted from lambda_R, or given as E_B)
     D=3:  1/lambda_R (renormalized) or kappa_B/(4 pi) (from E_B),
 
 and :func:`renormalized_denominators` evaluates D_i(-kappa^2) for every
 center at an array of kappa in one numpy expression per dimension,
-value + 1/(2 kappa), -ln(kappa/value)/(2 pi) and value - kappa/(4 pi), shape
+value + 1/(2 kappa), (value - ln kappa)/(2 pi) and value - kappa/(4 pi), shape
 kappa.shape + (N,).  A center given by E_B has D = 0.0 exactly at
 kappa = kappa_B.  :func:`renormalized_denominator` is the checked
 one-energy, one-coupling entry point: it calls the array form and returns
@@ -76,6 +76,7 @@ from .greenfn import ComplexEnergy
 
 _FOUR_PI = 4.0 * math.pi
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
+_LN_MAX = math.log(np.finfo(float).max)  # exp(x) is a double for |x| below it
 
 #: |1/lambda| below this counts as crossing the pole of the coupling map.
 INVERSE_COUPLING_TOL = 1e-14
@@ -255,14 +256,13 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     """Read each coupling of a center list once for :func:`renormalized_denominators`.
 
     Element i is the one constant of center i's denominator: 1/lambda, or
-    -1/(2 kappa_B) from E_B, in D=1; kappa_B in D=2; 1/lambda_R, or
-    kappa_B/(4 pi) from E_B, in D=3.  An infinite 1/lambda or 1/lambda_R,
-    or a 2D kappa_B of 0, makes D_i infinite at every energy.
+    -1/(2 kappa_B) from E_B, in D=1; ln kappa_B = ln mu + 2 pi/lambda_R, or
+    ln sqrt(-E_B), in D=2, so D = (ln kappa_B - ln kappa)/(2 pi); 1/lambda_R,
+    or kappa_B/(4 pi) from E_B, in D=3.  A constant that is not finite (its
+    1/lambda or 2 pi/lambda_R overflows) makes D_i infinite at every energy.
 
-    Raises what the denominator itself raises: :class:`UnsupportedDimError`
-    outside D in {1,2,3}, :class:`IllegalSpecError` for a coupling illegal in
-    ``dim``, and :class:`DomainError` where a 2D transmutation energy
-    overflows.
+    Raises, as the denominator does, :class:`UnsupportedDimError` outside D
+    in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimError("denominator defined for D in {1,2,3}", dim=dim)
@@ -273,8 +273,9 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
         if dim == 1:
             value.append(-0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
         elif dim == 2:
-            e_b = spec.e_b if by_e_b else transmutation_energy(spec)
-            value.append(math.sqrt(-e_b))
+            # numpy's log, as the denominator takes it of kappa: D = 0.0 at kappa_B
+            value.append(np.log(math.sqrt(-spec.e_b)) if by_e_b
+                         else math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r)
         else:
             value.append(math.sqrt(-spec.e_b) / _FOUR_PI if by_e_b else 1.0 / spec.lambda_r)
     return np.array(value, dtype=float)
@@ -296,8 +297,8 @@ def renormalized_denominators(dim: int, kappa, value: np.ndarray) -> np.ndarray:
     if dim == 1:
         return value + 0.5 / kap
     if dim == 2:
-        # -(1/4pi) ln(E/E_B) continued off the negative axis via kappa
-        return -np.log(kap / value) / (2.0 * math.pi)
+        # each term divided alone: the complex division of an infinite sum is NaN
+        return value / (2.0 * math.pi) - np.log(kap) / (2.0 * math.pi)
     return value - kap / _FOUR_PI
 
 
@@ -306,7 +307,7 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
     as a complex number (real-valued on the negative real axis).
 
     Its unique zero on the negative real axis, when one exists, is the
-    bound-state energy.  A 2D lambda_R enters through its E_B alone; a 3D
+    bound-state energy.  A 2D lambda_R enters through ln kappa_B alone; a 3D
     lambda_R through 1/lambda_R, D = 1/lambda_R - kappa/(4 pi).
     """
     e = ComplexEnergy.of(energy)
@@ -316,7 +317,7 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
 def transmutation_energy(spec: CouplingSpec) -> float:
     """E_B = -mu^2 exp(4 pi / lambda_R): the dimensionful scale a
     dimensionless 2D coupling transmutes into.  Negative for every
-    lambda_R != 0."""
+    lambda_R != 0: -0.0 if it underflows, :class:`DomainError` if it overflows."""
     if spec.variant != REN_2D:
         raise IllegalSpecError(
             "transmutation energy is defined for renormalized 2D couplings",
@@ -324,12 +325,15 @@ def transmutation_energy(spec: CouplingSpec) -> float:
         )
     if spec.lambda_r == 0.0:
         raise ZeroCouplingError("lambda_R = 0 has no transmutation scale")
-    with _double_range(
-        "transmutation energy overflows double precision",
-        lambda_r=spec.lambda_r,
-        mu=spec.mu,
-    ):
-        return -spec.mu * spec.mu * math.exp(_FOUR_PI / spec.lambda_r)
+    mu2, scale = spec.mu * spec.mu, _FOUR_PI / spec.lambda_r
+    if 0.0 < mu2 < math.inf and abs(scale) < _LN_MAX and (e_b := -mu2 * math.exp(scale)) > -math.inf:
+        return e_b
+    # a factor or their product left the doubles: E_B = -kappa_B^2 need not
+    twice_ln_kb = 2.0 * float(coupling_constants(2, (spec,))[0])
+    if twice_ln_kb >= _LN_MAX:
+        raise DomainError("transmutation energy overflows double precision",
+                          lambda_r=spec.lambda_r, mu=spec.mu)
+    return -math.exp(twice_ln_kb)
 
 
 def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:

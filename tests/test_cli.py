@@ -127,6 +127,31 @@ def test_bound_shallow_pair_is_two_states(capsys):
     assert want == pytest.approx([-2.000000000000035e-12, -9.999999999004786e-13], rel=1e-12)
 
 
+# lambda_R = -0.01 at mu = 1: E_B = -exp(-400 pi) underflows to -0.0, yet the
+# center is live (ln kappa_B = -200 pi); the references are a scipy brentq on
+# det M and a 2x2 solve, with scipy's K0 and the ln kappa_B denominators
+WEAK_2D = ("--dim", "2", "--center", "0,0:lambdaR=-0.01,mu=1", "--center", "2,0:eb=-1")
+
+
+def test_weak_2d_coupling_keeps_its_center(capsys):
+    [row] = run_json(capsys, "bound", *WEAK_2D)["rows"]
+    assert row[1] == pytest.approx(-1.0000412872313267, rel=1e-13)
+    code, out, err = run_cli(capsys, "green", *WEAK_2D, "--energy", "-0.7", "--x", "1,0", "--y", "0,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0][2] == pytest.approx(0.011893935954371639, rel=1e-12)
+
+
+@pytest.mark.parametrize("coupling", [
+    "lambdaR=-0.01,mu=1",  # E_B underflows
+    "lambdaR=5.561078970618804e+73,mu=2.624634836309935e+165",  # E_B overflows
+])
+@pytest.mark.parametrize("method", ["auto", "scan"])
+def test_a_lone_2d_state_beyond_the_doubles_exits_3(capsys, coupling, method):
+    code, out, err = run_cli(capsys, "bound", "--dim", "2", "--center", f"0,0:{coupling}",
+                             "--method", method)
+    assert (code, out, json.loads(err)["error"]) == (3, "", "DomainError")
+
+
 # three 1D centers, and six with one binding at -1.5266e-30: below kappa ~
 # 1e-15 M(E) ~ 11^T / (2 kappa), and its O(1) eigenvalues, whose signs count
 # the states, are rounding noise

@@ -203,8 +203,9 @@ EXTREME_ARGVS = [
     (("bound", "--dim", "3", "--center", "0,0,0:eb=-1", "--center", "0.01,0,0:eb=-1"), 0),
     # the complex-step dM/dE takes K0 of a complex argument ~1e300: 0, not NaN
     (("bound", "--dim", "2", "--center", "0,0:eb=-1", "--center", "1e300,0:eb=-1"), 0),
-    # D = -inf (a 2D E_B of -0.0) or 1/lambda = inf at every E: the center
-    # decouples, and the other binds alone
+    # ln kappa_B = -2 pi 1e300 keeps the 2D center live, with D ~ -1e300 in
+    # the window, and its own state, at E_B = -0.0, beyond the doubles;
+    # 1/lambda = inf at every E decouples the 1D center.  The other binds alone
     (("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"), 0),
     (("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"), 0),
     (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
@@ -369,6 +370,51 @@ def test_green_and_bound_keep_the_cli_contract(case, options, retarded):
             + _center_args(centers)
             + (("--retarded",) if retarded else ())
         )
+
+
+# -- couplings across the double range ------------------------------------------
+
+# log-uniform magnitudes beside hypothesis' own float draws, which favour
+# the ends of the range and round numbers
+MAGNITUDE = POSITIVE | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-320, 299))
+SIGNED = st.tuples(st.booleans(), MAGNITUDE).map(lambda s: -s[1] if s[0] else s[1])
+COUPLINGS = {
+    1: SIGNED.map(lambda v: f"lambda={v!r}"),
+    2: st.tuples(SIGNED, MAGNITUDE).map(lambda c: f"lambdaR={c[0]!r},mu={c[1]!r}"),
+    3: SIGNED.map(lambda v: f"lambdaR={v!r}"),
+}
+
+
+@st.composite
+def _double_range_case(draw):
+    """A dimension, 1-4 centers of every coupling variant with magnitudes
+    from 1e-320 to 1e300, spaced at a length scale from 1e-6 to 1e8, two
+    points and an energy."""
+    dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 8))
+
+    def point(shift):
+        coords = draw(st.lists(st.floats(-0.4, 0.4), min_size=dim, max_size=dim))
+        return ",".join(repr(scale * (c + shift * (i == 0))) for i, c in enumerate(coords))
+
+    coupling = MAGNITUDE.map(lambda v: f"eb={-v!r}") | COUPLINGS[dim]
+    centers = [f"{point(i)}:{draw(coupling)}" for i in range(draw(st.integers(1, 4)))]
+    return str(dim), centers, point(0.5), point(-0.5), draw(SIGNED)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(case=_double_range_case(), method=st.sampled_from(["auto", "scan"]), retarded=st.booleans())
+def test_couplings_across_the_double_range_keep_the_cli_contract(case, method, retarded):
+    dim, centers, x, y, energy = case
+    code, out = _assert_contract(("bound", "--dim", dim, "--method", method) + _center_args(centers))
+    if dim == "2" and code == 0:
+        # every 2D center binds: a state lies at or below the least E_B, or
+        # the default window misses it and says so
+        assert _strict_json(out)["rows"]
+    _assert_contract(
+        ("green", "--dim", dim, "--energy", repr(energy), "--x", x, "--y", y)
+        + _center_args(centers) + (("--retarded",) if retarded else ())
+    )
 
 
 # -- size caps and bound's own parameters ----------------------------------------

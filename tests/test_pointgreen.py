@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import k0 as scipy_k0
 
 from deltagreen import (
@@ -945,7 +946,48 @@ def test_infinite_inverse_coupling_decouples_its_center():
         assert list(g.residue_vector) == [0.0] + list(w.residue_vector)
         assert residue_wavefunction(g, 0.4) == residue_wavefunction(w, 0.4)
     assert [s.energy for s in bound_states(1, cs[:2])] == [-1.0]
-    assert bound_states(1, cs[:1], method="scan") == []
+    # alone it binds at E_B = -lambda^2/4 = -0.0, beyond the doubles: so
+    # does every decoupled center that binds, and the window check says so
+    for method in ("auto", "scan"):
+        with pytest.raises(DomainError) as err:
+            bound_states(1, cs[:1], method=method)
+        assert err.value.details == {"e_b": -0.0}
+    assert bound_states(1, [center(0.0, bare_1d(1e-320))], method="scan") == []
+
+
+def test_weak_2d_coupling_binds_with_its_neighbour():
+    # lambda_R = -0.01 at mu = 1: E_B = -exp(-400 pi) underflows to -0.0, yet
+    # ln kappa_B = -200 pi keeps D finite, and the center lowers the pair's
+    # state; the reference is a root of det M on the 2x2 M with scipy's K0
+    cs = [center((0.0, 0.0), renormalized_2d(-0.01, 1.0)), center((2.0, 0.0), from_bound_state(-1.0))]
+    ln_kb = np.array([-200.0 * math.pi, 0.0])
+
+    def m(kap):
+        off = scipy_k0(2.0 * kap) / (2.0 * math.pi)
+        return np.diag((ln_kb - math.log(kap)) / (2.0 * math.pi)) + off * (1.0 - np.eye(2))
+
+    kap = brentq(lambda k: np.linalg.det(m(k)), 0.9, 1.1, xtol=1e-16, rtol=1e-15)
+    for method in ("auto", "scan"):
+        [state] = bound_states(2, cs, method=method)
+        assert state.energy == pytest.approx(-kap * kap, rel=1e-13)
+    # G(x, y) = G0(x, y) + g(x)^T M^-1 g(y), g_i(x) = G0(x, a_i) = -K0/(2 pi)
+    x, y, kap = np.array([1.0, 0.0]), np.array([0.0, 1.0]), math.sqrt(0.7)
+    g0 = lambda p, q: -scipy_k0(kap * np.linalg.norm(p - q)) / (2.0 * math.pi)
+    gx, gy = (np.array([g0(p, np.array(c.position.coords)) for c in cs]) for p in (x, y))
+    want = g0(x, y) + gx @ np.linalg.solve(m(kap), gy)
+    got = green(2, -0.7, SpatialPoint(tuple(x)), SpatialPoint(tuple(y)), cs).value
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("coupling", [
+    renormalized_2d(-0.01, 1.0),  # E_B = -exp(-400 pi) underflows to -0.0
+    renormalized_2d(5.561078970618804e+73, 2.624634836309935e+165),  # E_B ~ -7e330 overflows
+    renormalized_2d(-1e-320, 1.0),  # 2 pi/lambda_R overflows: the center decouples
+])
+@pytest.mark.parametrize("method", ["auto", "scan"])
+def test_a_lone_2d_state_beyond_the_doubles_is_a_domain_error(coupling, method):
+    with pytest.raises(DomainError):
+        bound_states(2, [center((0.0, 0.0), coupling)], method=method)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -1121,7 +1163,7 @@ def test_scan_keeps_its_bits():
             digest.update(" ".join(map(float.hex, [st_.energy, *st_.residue_vector])).encode())
             count += 1
     assert (count, digest.hexdigest()) == (
-        83, "a0792b00f37311cc3f404d25749d65ab45a8e3ba244669509ebe94e3380e31e0")
+        83, "ff1a9e531aea86469890be40b9eb8c742b4b089146d52eaa4e2652a7cf73de63")
 
 
 def test_bound_state_validation():
@@ -1446,17 +1488,22 @@ def test_scaling_the_lengths_scales_the_states(case):
     # so the states keep their multiplets, and E s^2 its value: each root lies
     # within tol |E| of it, and the rounding of M(E) moves it by about
     # eps ||M|| |c|^2 (dmu/dE = 1/|c|^2 along the residue vector c), the
-    # floor of a shallow state beside deep ones
+    # floor of a shallow state beside deep ones.  In 2D each diagonal entry
+    # (ln kappa_B - ln kappa)/(2 pi) also rounds by about eps |ln kappa|/(2 pi)
+    # at each scale, which a scaling moves by k ln 2
     dim, pos, e_bs, k = case
     s = 2.0**k
     before, after = (bound_states(dim, [center(tuple(p * f), from_bound_state(e / (f * f)))
                                         for p, e in zip(pos, e_bs)], tol=1e-14) for f in (1.0, s))
     e0, e1 = [x.energy for x in before], [x.energy * s * s for x in after]
     assert [e0.count(e) for e in e0] == [e1.count(e) for e in e1]
-    for x, e in zip(before, e1):
+    for x, y in zip(before, after):
         m = m_matrix(dim, x.energy, x.centers).entries.real
-        floor = 4.0 * np.finfo(float).eps * np.linalg.norm(m, 2) * np.sum(x.residue_vector**2)
-        assert abs(e - x.energy) <= 1e-13 * abs(x.energy) + floor
+        size = np.linalg.norm(m, 2)
+        if dim == 2:
+            size += (abs(math.log(x.kappa)) + abs(math.log(y.kappa))) / (2.0 * math.pi)
+        floor = 4.0 * np.finfo(float).eps * size * np.sum(x.residue_vector**2)
+        assert abs(y.energy * s * s - x.energy) <= 1e-13 * abs(x.energy) + floor
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,31 @@ def test_transmutation_values():
         transmutation_energy(CouplingSpec(variant=REN_2D, lambda_r=0.0, mu=1.0))
 
 
+@pytest.mark.parametrize("lambda_r, mu", [
+    (-3.925474319693792e-94, 7.0793263427925425e+249),  # mu^2 overflows, exp underflows
+    (-1.0, 1e200),  # mu^2 overflows
+    (0.01, 1e-200),  # exp overflows, mu^2 underflows
+    (-0.01, 1.0),  # exp underflows
+    (1e-3, 1.0),  # exp overflows
+    (1.0, 1e154),  # both factors are doubles, their product is not
+])
+def test_transmutation_energy_outside_the_double_range(lambda_r, mu):
+    # where a factor of -mu^2 exp(4 pi/lambda_R) leaves the doubles, E_B is
+    # -exp(2 ln kappa_B); it is -0.0 where it underflows and a DomainError
+    # where it overflows
+    want = -mp.mpf(mu) ** 2 * mp.exp(4 * mp.pi / mp.mpf(lambda_r))
+    if -want > mp.mpf(np.finfo(float).max):
+        with pytest.raises(DomainError, match="overflows"):
+            transmutation_energy(renormalized_2d(lambda_r, mu))
+        return
+    e_b = transmutation_energy(renormalized_2d(lambda_r, mu))
+    if -want < mp.mpf(5e-324) / 2:
+        assert math.copysign(1.0, e_b) == -1.0 and e_b == 0.0
+    else:
+        # 2 ln kappa_B ~ 336 carries its rounding into E_B: 336 eps ~ 7e-14
+        assert e_b == pytest.approx(float(want), rel=1e-13)
+
+
 def test_rg_shift_examples():
     assert rg_shift(-4.0 * math.pi, 1.0, math.e) == pytest.approx(
         -4.0 * math.pi / 3.0, rel=1e-14
@@ -407,8 +432,7 @@ def _energies(branch, rng, k):
 
 def _scalar_reference(dim, e, spec):
     """The denominators in Python scalar arithmetic, one formula per variant,
-    and the two terms each formula adds (in 2D the log and the 1/(2 pi) by
-    which a relative rounding of its argument moves it)."""
+    and the two terms each formula adds."""
     kap = e.kappa
     if dim == 1:
         half = 0.5 / kap
@@ -417,8 +441,12 @@ def _scalar_reference(dim, e, spec):
         half_b = 0.5 / math.sqrt(-spec.e_b)
         return half - half_b, (half, half_b)
     if dim == 2:
-        ref = -cmath.log(kap / math.sqrt(-spec.bound_state_energy(2))) / (2.0 * math.pi)
-        return ref, (ref, 1.0 / (2.0 * math.pi))
+        if spec.variant == "ren_2d":
+            ln_kb = math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r
+        else:
+            ln_kb = math.log(math.sqrt(-spec.e_b))
+        terms = (ln_kb / (2.0 * math.pi), cmath.log(kap) / (2.0 * math.pi))
+        return terms[0] - terms[1], terms
     if spec.variant == "ren_3d":
         return 1.0 / spec.lambda_r - kap / (4.0 * math.pi), (1.0 / spec.lambda_r, kap / (4.0 * math.pi))
     kb = math.sqrt(-spec.e_b)
@@ -438,15 +466,13 @@ def test_array_denominators_match_the_scalar_entry(dim, branch):
         for val, spec in zip(row, specs):
             assert val == renormalized_denominator(dim, e, spec)
             ref, terms = _scalar_reference(dim, e, spec)
-            if branch != "real":
+            if branch != "real" or dim == 2:
                 # numpy's complex division (a multiply by the reciprocal) and
-                # log may differ from Python's in the last bit of a term; the
-                # sum of two terms then moves by that bit of the larger
-                assert abs(val - ref) <= 4e-16 * max(map(abs, terms))
-            elif dim == 2:
-                # real kappa takes numpy's log, which may differ from
-                # cmath.log in the last bit
-                assert abs(val - ref) <= 4e-16 * abs(ref)
+                # log, real or complex, may differ from Python's in the last
+                # bit of a term; the sum of two terms then moves by that bit
+                # of the larger.  In 2D both terms are logs, each of which may
+                # move by its last bit
+                assert abs(val - ref) <= (1e-15 if dim == 2 else 4e-16) * max(map(abs, terms))
             else:
                 assert val == ref
 
@@ -475,8 +501,17 @@ def test_denominator_vanishes_exactly_at_the_bound_state(dim, make):
     rng = np.random.default_rng(dim)
     specs = [make(rng) for _ in range(200)]
     kappa = np.array([ComplexEnergy(s.bound_state_energy(dim)).kappa for s in specs])
-    out = renormalized_denominators(dim, kappa, coupling_constants(dim, specs))
-    assert np.all(np.diagonal(out) == 0.0)
+    consts = coupling_constants(dim, specs)
+    out = np.diagonal(renormalized_denominators(dim, kappa, consts))
+    if specs[0].variant == "ren_2d":
+        # kappa_B comes from -mu^2 exp(4 pi/lambda_R), the constant from
+        # ln mu + 2 pi/lambda_R: D is their rounding, a few ulp of the larger
+        # term (ln kappa_B itself may cancel to near 0)
+        terms = np.array([max(1.0, abs(math.log(s.mu)), abs(2.0 * math.pi / s.lambda_r)) for s in specs])
+        assert np.all(np.abs(out) <= 4.0 * np.spacing(terms) / (2.0 * math.pi))
+        assert np.any(out != 0.0)
+    else:
+        assert np.all(out == 0.0)
 
 
 def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
@@ -493,15 +528,15 @@ def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
     [
         (1, bare_1d(-2.5), 1.0 / -2.5),
         (1, from_bound_state(-1.7), -1.0 / (2.0 * math.sqrt(1.7))),
-        (2, renormalized_2d(-3.0, 2.0), math.sqrt(4.0 * math.exp(4.0 * math.pi / -3.0))),
-        (2, from_bound_state(-1.7), math.sqrt(1.7)),
+        (2, renormalized_2d(-3.0, 2.0), math.log(2.0) + 2.0 * math.pi / -3.0),
+        (2, from_bound_state(-1.7), math.log(math.sqrt(1.7))),
         (3, renormalized_3d(2.5), 1.0 / 2.5),
         (3, renormalized_3d(-0.5), 1.0 / -0.5),
         (3, from_bound_state(-1.7), math.sqrt(1.7) / (4.0 * math.pi)),
     ],
 )
 def test_coupling_constants_are_the_one_constant_of_each_denominator(dim, spec, value):
-    # D = value + 1/(2 kappa), -ln(kappa/value)/(2 pi), value - kappa/(4 pi)
+    # D = value + 1/(2 kappa), (value - ln kappa)/(2 pi), value - kappa/(4 pi)
     consts = coupling_constants(dim, [spec, spec])
     assert consts.tolist() == [value, value]
 
@@ -511,12 +546,13 @@ def test_coupling_constants_raise_the_denominator_errors():
         coupling_constants(4, [from_bound_state(-1.0)])
     with pytest.raises(IllegalSpecError):
         coupling_constants(2, [from_bound_state(-1.0), renormalized_3d(1.0)])
-    with pytest.raises(DomainError):
-        coupling_constants(2, [renormalized_2d(1e-3, 1.0)])  # E_B overflows
     with pytest.raises(UnsupportedDimError):
         renormalized_denominator(4, -1.0, from_bound_state(-1.0))
-    with pytest.raises(DomainError):
-        renormalized_denominator(2, -1.0, renormalized_2d(1e-3, 1.0))
+    # E_B overflows, ln kappa_B does not: D = 1/lambda_R at kappa = mu
+    for mu in (1.0, 1e100):
+        assert coupling_constants(2, [renormalized_2d(1e-3, mu)])[0] == math.log(mu) + 2.0 * math.pi / 1e-3
+        d = renormalized_denominator(2, -mu * mu, renormalized_2d(1e-3, mu))
+        assert d == pytest.approx(1e3, rel=1e-15)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
