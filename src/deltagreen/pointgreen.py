@@ -398,9 +398,9 @@ def bound_states(
     |dE| <= tol |E|.  Each root is within max(tol, 1e-12) |E| of its energy,
     so roots within twice that of each other are one degenerate multiplet:
     several states at one energy (their mean); below tol ~ 1e-12 the
-    rounding of M limits a root to about eps (||M(E)||_2 + |ln kappa|/(2 pi)
-    in 2D) |c|^2, c its residue vector.  For a single center the closed
-    forms take precedence so the textbook formulas are testable verbatim.
+    rounding of M limits a root to about eps ||M(E)||_2 |c|^2, c its residue
+    vector.  For a single center the closed forms take precedence so the
+    textbook formulas are testable verbatim.
 
     Without a given window the bottom of the default one is lowered, kappa
     doubling, until M has as many positive eigenvalues as at E -> -inf, so

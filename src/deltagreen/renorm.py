@@ -42,16 +42,16 @@ array: :func:`coupling_constants` reads each coupling once into the one
 constant of its denominator,
 
     D=1:  1/lambda (bare) or -1/(2 kappa_B) (from E_B)
-    D=2:  ln kappa_B (transmuted from lambda_R, or given as E_B)
+    D=2:  ln kappa_B (transmuted from lambda_R), or ln m + e i for kappa_B = m 2^e (from E_B)
     D=3:  1/lambda_R (renormalized) or kappa_B/(4 pi) (from E_B),
 
 and :func:`renormalized_denominators` evaluates D_i(-kappa^2) for every
 center at an array of kappa in one numpy expression per dimension,
-value + 1/(2 kappa), (value - ln kappa)/(2 pi) and value - kappa/(4 pi), shape
-kappa.shape + (N,).  A center given by E_B has D = 0.0 exactly at
-kappa = kappa_B.  :func:`renormalized_denominator` is the checked
-one-energy, one-coupling entry point: it calls the array form and returns
-D(E) as a plain complex number.
+value + 1/(2 kappa), (ln kappa_B - ln kappa)/(2 pi) with kappa split as
+m 2^e too, and value - kappa/(4 pi), shape kappa.shape + (N,).  A center
+given by E_B has D = 0.0 exactly at kappa = kappa_B.  The checked
+one-energy, one-coupling entry :func:`renormalized_denominator` calls the
+array form and returns D(E) as a plain complex number.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from .greenfn import ComplexEnergy
 
 _FOUR_PI = 4.0 * math.pi
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
-_LN_MAX = math.log(np.finfo(float).max)  # exp(x) is a double for |x| below it
+_TINY, _LN_TINY, _LN_MAX = np.finfo(float).tiny, math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 #: |1/lambda| below this counts as crossing the pole of the coupling map.
 INVERSE_COUPLING_TOL = 1e-14
@@ -252,13 +252,20 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
     return 1.0 / inv
 
 
+def _log_split(x):
+    """(ln m, e) for x = m 2^e exactly, |m| in [1/sqrt 2, sqrt 2): scaling x by 2^k moves e alone."""
+    e = np.frexp(np.abs(x) * math.sqrt(2.0))[1]
+    return np.log(x / np.ldexp(0.5, e)), e - 1.0
+
+
 def coupling_constants(dim: int, specs) -> np.ndarray:
     """Read each coupling of a center list once for :func:`renormalized_denominators`.
 
     Element i is the one constant of center i's denominator: 1/lambda, or
     -1/(2 kappa_B) from E_B, in D=1; ln kappa_B = ln mu + 2 pi/lambda_R, or
-    ln sqrt(-E_B), in D=2, so D = (ln kappa_B - ln kappa)/(2 pi); 1/lambda_R,
-    or kappa_B/(4 pi) from E_B, in D=3.  A constant that is not finite (its
+    from E_B ln m + e i for kappa_B = m 2^e exactly (ln m + e ln 2), in D=2,
+    so D keeps its bits when kappa and kappa_B scale by 2^k; 1/lambda_R, or
+    kappa_B/(4 pi) from E_B, in D=3.  A constant that is not finite (its
     1/lambda or 2 pi/lambda_R overflows) makes D_i infinite at every energy.
 
     Raises, as the denominator does, :class:`UnsupportedDimError` outside D
@@ -273,12 +280,12 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
         if dim == 1:
             value.append(-0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
         elif dim == 2:
-            # numpy's log, as the denominator takes it of kappa: D = 0.0 at kappa_B
-            value.append(np.log(math.sqrt(-spec.e_b)) if by_e_b
+            # ln m + e i from E_B, split as the denominator splits kappa: D = 0.0 at kappa_B
+            value.append(complex(*_log_split(math.sqrt(-spec.e_b))) if by_e_b
                          else math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r)
         else:
             value.append(math.sqrt(-spec.e_b) / _FOUR_PI if by_e_b else 1.0 / spec.lambda_r)
-    return np.array(value, dtype=float)
+    return np.array(value, dtype=complex if dim == 2 else float)
 
 
 def renormalized_denominators(dim: int, kappa, value: np.ndarray) -> np.ndarray:
@@ -297,8 +304,8 @@ def renormalized_denominators(dim: int, kappa, value: np.ndarray) -> np.ndarray:
     if dim == 1:
         return value + 0.5 / kap
     if dim == 2:
-        # each term divided alone: the complex division of an infinite sum is NaN
-        return value / (2.0 * math.pi) - np.log(kap) / (2.0 * math.pi)
+        ln_m, e = _log_split(kap)  # each term divided alone: the complex division of inf is NaN
+        return (value.real + (value.imag - e) * math.log(2.0)) / (2.0 * math.pi) - ln_m / (2.0 * math.pi)
     return value - kap / _FOUR_PI
 
 
@@ -326,13 +333,11 @@ def transmutation_energy(spec: CouplingSpec) -> float:
     if spec.lambda_r == 0.0:
         raise ZeroCouplingError("lambda_R = 0 has no transmutation scale")
     mu2, scale = spec.mu * spec.mu, _FOUR_PI / spec.lambda_r
-    if 0.0 < mu2 < math.inf and abs(scale) < _LN_MAX and (e_b := -mu2 * math.exp(scale)) > -math.inf:
+    if _TINY <= mu2 and _LN_TINY <= scale < _LN_MAX and _TINY <= -(e_b := -mu2 * math.exp(scale)) < math.inf:
         return e_b
-    # a factor or their product left the doubles: E_B = -kappa_B^2 need not
-    twice_ln_kb = 2.0 * float(coupling_constants(2, (spec,))[0])
-    if twice_ln_kb >= _LN_MAX:
-        raise DomainError("transmutation energy overflows double precision",
-                          lambda_r=spec.lambda_r, mu=spec.mu)
+    # a factor or their product is no normal double: E_B = -kappa_B^2 need not be one
+    if (twice_ln_kb := 2.0 * coupling_constants(2, (spec,))[0].real) >= _LN_MAX:
+        raise DomainError("transmutation energy overflows double precision", lambda_r=spec.lambda_r, mu=spec.mu)
     return -math.exp(twice_ln_kb)
 
 

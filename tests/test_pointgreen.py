@@ -1163,7 +1163,7 @@ def test_scan_keeps_its_bits():
             digest.update(" ".join(map(float.hex, [st_.energy, *st_.residue_vector])).encode())
             count += 1
     assert (count, digest.hexdigest()) == (
-        83, "ff1a9e531aea86469890be40b9eb8c742b4b089146d52eaa4e2652a7cf73de63")
+        83, "141b44106d3b785379f41bece2c43fbf1d34f30bb6741fadf09f39bbbf5ea71b")
 
 
 def test_bound_state_validation():
@@ -1488,22 +1488,17 @@ def test_scaling_the_lengths_scales_the_states(case):
     # so the states keep their multiplets, and E s^2 its value: each root lies
     # within tol |E| of it, and the rounding of M(E) moves it by about
     # eps ||M|| |c|^2 (dmu/dE = 1/|c|^2 along the residue vector c), the
-    # floor of a shallow state beside deep ones.  In 2D each diagonal entry
-    # (ln kappa_B - ln kappa)/(2 pi) also rounds by about eps |ln kappa|/(2 pi)
-    # at each scale, which a scaling moves by k ln 2
+    # floor of a shallow state beside deep ones
     dim, pos, e_bs, k = case
     s = 2.0**k
     before, after = (bound_states(dim, [center(tuple(p * f), from_bound_state(e / (f * f)))
                                         for p, e in zip(pos, e_bs)], tol=1e-14) for f in (1.0, s))
     e0, e1 = [x.energy for x in before], [x.energy * s * s for x in after]
     assert [e0.count(e) for e in e0] == [e1.count(e) for e in e1]
-    for x, y in zip(before, after):
+    for x, e in zip(before, e1):
         m = m_matrix(dim, x.energy, x.centers).entries.real
-        size = np.linalg.norm(m, 2)
-        if dim == 2:
-            size += (abs(math.log(x.kappa)) + abs(math.log(y.kappa))) / (2.0 * math.pi)
-        floor = 4.0 * np.finfo(float).eps * size * np.sum(x.residue_vector**2)
-        assert abs(y.energy * s * s - x.energy) <= 1e-13 * abs(x.energy) + floor
+        floor = 4.0 * np.finfo(float).eps * np.linalg.norm(m, 2) * np.sum(x.residue_vector**2)
+        assert abs(e - x.energy) <= 1e-13 * abs(x.energy) + floor
 
 
 @pytest.mark.parametrize(

@@ -318,11 +318,14 @@ def test_transmutation_values():
     (-0.01, 1.0),  # exp underflows
     (1e-3, 1.0),  # exp overflows
     (1.0, 1e154),  # both factors are doubles, their product is not
+    (0.02, 3e-162),  # mu^2 is subnormal, 10% off
+    (-0.0174, 1e100),  # exp is subnormal
+    (-0.018192, 1e-10),  # both factors are normal, their product is subnormal
 ])
 def test_transmutation_energy_outside_the_double_range(lambda_r, mu):
-    # where a factor of -mu^2 exp(4 pi/lambda_R) leaves the doubles, E_B is
-    # -exp(2 ln kappa_B); it is -0.0 where it underflows and a DomainError
-    # where it overflows
+    # where a factor of -mu^2 exp(4 pi/lambda_R) or their product is no
+    # normal double, E_B is -exp(2 ln kappa_B); it is -0.0 where it
+    # underflows and a DomainError where it overflows
     want = -mp.mpf(mu) ** 2 * mp.exp(4 * mp.pi / mp.mpf(lambda_r))
     if -want > mp.mpf(np.finfo(float).max):
         with pytest.raises(DomainError, match="overflows"):
@@ -333,7 +336,10 @@ def test_transmutation_energy_outside_the_double_range(lambda_r, mu):
         assert math.copysign(1.0, e_b) == -1.0 and e_b == 0.0
     else:
         # 2 ln kappa_B ~ 336 carries its rounding into E_B: 336 eps ~ 7e-14
-        assert e_b == pytest.approx(float(want), rel=1e-13)
+        assert e_b == pytest.approx(float(want), rel=1e-13, abs=5e-324)
+    if e_b <= -np.finfo(float).tiny:
+        # the closed form and the scan's denominator agree on the state
+        assert abs(renormalized_denominator(2, e_b, renormalized_2d(lambda_r, mu))) <= 1e-13
 
 
 def test_rg_shift_examples():
@@ -441,11 +447,16 @@ def _scalar_reference(dim, e, spec):
         half_b = 0.5 / math.sqrt(-spec.e_b)
         return half - half_b, (half, half_b)
     if dim == 2:
+        # ln kappa_B - ln kappa with kappa = m 2^e, |m| in [1/sqrt 2, sqrt 2),
+        # and kappa_B likewise when given by E_B: ln m_B + (e_B - e) ln 2 - ln m
+        e = math.frexp(abs(kap) * math.sqrt(2.0))[1] - 1
         if spec.variant == "ren_2d":
-            ln_kb = math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r
+            ln_m_b, e_b = math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r, 0
         else:
-            ln_kb = math.log(math.sqrt(-spec.e_b))
-        terms = (ln_kb / (2.0 * math.pi), cmath.log(kap) / (2.0 * math.pi))
+            e_b = math.frexp(math.sqrt(-spec.e_b) * math.sqrt(2.0))[1] - 1
+            ln_m_b = math.log(math.sqrt(-spec.e_b) / 2.0**e_b)
+        log = cmath.log if isinstance(kap, complex) else math.log
+        terms = ((ln_m_b + (e_b - e) * math.log(2.0)) / (2.0 * math.pi), log(kap / 2.0**e) / (2.0 * math.pi))
         return terms[0] - terms[1], terms
     if spec.variant == "ren_3d":
         return 1.0 / spec.lambda_r - kap / (4.0 * math.pi), (1.0 / spec.lambda_r, kap / (4.0 * math.pi))
@@ -470,9 +481,8 @@ def test_array_denominators_match_the_scalar_entry(dim, branch):
                 # numpy's complex division (a multiply by the reciprocal) and
                 # log, real or complex, may differ from Python's in the last
                 # bit of a term; the sum of two terms then moves by that bit
-                # of the larger.  In 2D both terms are logs, each of which may
-                # move by its last bit
-                assert abs(val - ref) <= (1e-15 if dim == 2 else 4e-16) * max(map(abs, terms))
+                # of the larger
+                assert abs(val - ref) <= 4e-16 * max(map(abs, terms))
             else:
                 assert val == ref
 
@@ -514,6 +524,18 @@ def test_denominator_vanishes_exactly_at_the_bound_state(dim, make):
         assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize("k", [-30, -1, 1, 139, 500])
+def test_2d_e_b_denominators_keep_their_bits_under_power_of_2_scaling(k):
+    # lengths scaled by 2^k scale kappa and an E_B's kappa_B by 2^-k exactly,
+    # so D = (ln kappa_B - ln kappa)/(2 pi) is the same double at every k
+    rng = np.random.default_rng(7)
+    e_bs, kappa = -rng.uniform(0.25, 2.0, 6), rng.uniform(0.05, 3.0, 40)
+    s = 2.0**k
+    before, after = (renormalized_denominators(2, kappa / f, coupling_constants(
+        2, [from_bound_state(e / (f * f)) for e in e_bs])) for f in (1.0, s))
+    assert np.array_equal(before, after)
+
+
 def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
     rng = np.random.default_rng(3)
     specs = [renormalized_3d(float(10.0 ** rng.uniform(-3, 3))) for _ in range(1000)]
@@ -529,14 +551,16 @@ def test_renormalized_3d_denominator_at_the_bound_state_within_4_ulp():
         (1, bare_1d(-2.5), 1.0 / -2.5),
         (1, from_bound_state(-1.7), -1.0 / (2.0 * math.sqrt(1.7))),
         (2, renormalized_2d(-3.0, 2.0), math.log(2.0) + 2.0 * math.pi / -3.0),
-        (2, from_bound_state(-1.7), math.log(math.sqrt(1.7))),
+        # kappa_B = m 2^e, |m| in [1/sqrt 2, sqrt 2), held as ln m + e i
+        (2, from_bound_state(-1.7), complex(np.log(math.sqrt(1.7)), 0)),
         (3, renormalized_3d(2.5), 1.0 / 2.5),
         (3, renormalized_3d(-0.5), 1.0 / -0.5),
         (3, from_bound_state(-1.7), math.sqrt(1.7) / (4.0 * math.pi)),
+        (2, from_bound_state(-17.0), complex(np.log(math.sqrt(17.0) / 4.0), 2)),
     ],
 )
 def test_coupling_constants_are_the_one_constant_of_each_denominator(dim, spec, value):
-    # D = value + 1/(2 kappa), (value - ln kappa)/(2 pi), value - kappa/(4 pi)
+    # D = value + 1/(2 kappa), (ln kappa_B - ln kappa)/(2 pi), value - kappa/(4 pi)
     consts = coupling_constants(dim, [spec, spec])
     assert consts.tolist() == [value, value]
 
