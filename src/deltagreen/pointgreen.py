@@ -408,9 +408,9 @@ def bound_states(
     an empty result is not an error, except when every center binds alone
     with -E_B below that floor or 0 (:class:`DomainError`: M(E) is negative
     definite at E -> -inf and not at min E_B, so the centers bind a state
-    the window misses); an E_B that overflows raises it too.  A center whose
-    constant is not finite has D(E) infinite at every E and is decoupled:
-    the others bind the states, and its residue coefficient is 0.
+    the window misses).  E_B is read for the default window and for a lone
+    center, and one that overflows raises :class:`DomainError` too; a given
+    window over several centers is searched through their finite constants.
     """
     cs, pos = _validate_centers(dim, centers)
     slots, r = _pair_distances(pos)
@@ -420,25 +420,11 @@ def bound_states(
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    live = np.isfinite(consts)
-    if live.any() and not live.all():
-        # an infinite constant decouples its center: the others bind the states alone
-        keep = np.flatnonzero(live)
-        states = bound_states(dim, [cs[i] for i in keep], search, tol, method, grid_points)
-        out = []
-        for st in states:
-            c = np.zeros(len(cs))
-            c[keep] = st.residue_vector
-            c.setflags(write=False)
-            out.append(BoundState(energy=st.energy, dim=dim, centers=cs, residue_vector=c))
-        return out
-
-    own = [c.coupling.bound_state_energy(dim) for c in cs]
+    # E_B is read for the default window's scales and for a lone center's own state
+    own = [c.coupling.bound_state_energy(dim) for c in cs] if search is None or len(cs) == 1 else []
     window = _search_window(own, search)
 
-    if not live.any():
-        multiplets = []  # every center decoupled: no state within the doubles
-    elif method == "auto" and len(cs) == 1:
+    if method == "auto" and len(cs) == 1:
         # the closed form's E_B, unless it underflowed; only a given window filters it
         e_b = own[0]
         in_window = e_b is not None and e_b < 0.0 and (search is None or window[0] <= e_b <= window[1])

@@ -119,18 +119,20 @@ class CouplingSpec:
             )
 
     def bound_state_energy(self, dim: int) -> float | None:
-        """E_B < 0 if this coupling binds in dimension ``dim``, else None."""
+        """E_B < 0 if this coupling binds in dimension ``dim``, None if it
+        does not: -0.0 where E_B underflows, :class:`DomainError` where it overflows."""
         self.require_dim(dim)
-        if self.variant == BARE_1D:
-            return -0.25 * self.lam * self.lam if self.lam < 0.0 else None
         if self.variant == REN_2D:
             return transmutation_energy(self)
-        if self.variant == REN_3D:
-            if self.lambda_r > 0.0:
-                kb = _FOUR_PI / self.lambda_r
-                return -kb * kb
-            return None
-        return self.e_b
+        if self.variant == FROM_BOUND_STATE:
+            return self.e_b
+        if self.variant == BARE_1D:
+            e_b = -0.25 * self.lam * self.lam if self.lam < 0.0 else None
+        else:  # REN_3D: kappa_B = 4 pi/lambda_R
+            e_b = -(kb := _FOUR_PI / self.lambda_r) * kb if self.lambda_r > 0.0 else None
+        if e_b == -math.inf:
+            raise DomainError("bound-state energy overflows double precision", e_b=e_b)
+        return e_b
 
 
 def bare_1d(lam: float) -> CouplingSpec:
@@ -138,8 +140,8 @@ def bare_1d(lam: float) -> CouplingSpec:
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError("bare coupling must be finite", lam=lam)
-    if lam == 0.0:
-        raise ZeroCouplingError("lambda = 0 is no interaction at all")
+    if lam == 0.0 or math.isinf(1.0 / lam):
+        raise ZeroCouplingError("lambda = 0 is no interaction at all, nor is 1/lambda = inf", lam=lam)
     return CouplingSpec(variant=BARE_1D, lam=lam)
 
 
@@ -147,8 +149,8 @@ def renormalized_2d(lambda_r: float, mu: float) -> CouplingSpec:
     """Renormalized 2D coupling lambda_R at subtraction scale mu > 0."""
     lambda_r = float(lambda_r)
     mu = float(mu)
-    if not math.isfinite(lambda_r) or lambda_r == 0.0:
-        raise ZeroCouplingError("lambda_R must be finite and nonzero", lambda_r=lambda_r)
+    if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(2.0 * math.pi / lambda_r):
+        raise ZeroCouplingError("lambda_R and 2 pi/lambda_R must be finite and nonzero", lambda_r=lambda_r)
     if not (mu > 0.0) or not math.isfinite(mu):
         raise DomainError("subtraction scale mu must be positive", mu=mu)
     return CouplingSpec(variant=REN_2D, lambda_r=lambda_r, mu=mu)
@@ -157,8 +159,8 @@ def renormalized_2d(lambda_r: float, mu: float) -> CouplingSpec:
 def renormalized_3d(lambda_r: float) -> CouplingSpec:
     """Renormalized 3D coupling; binds only for lambda_R > 0."""
     lambda_r = float(lambda_r)
-    if not math.isfinite(lambda_r) or lambda_r == 0.0:
-        raise ZeroCouplingError("lambda_R must be finite and nonzero", lambda_r=lambda_r)
+    if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(1.0 / lambda_r):
+        raise ZeroCouplingError("lambda_R and 1/lambda_R must be finite and nonzero", lambda_r=lambda_r)
     return CouplingSpec(variant=REN_3D, lambda_r=lambda_r)
 
 
@@ -265,8 +267,8 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     -1/(2 kappa_B) from E_B, in D=1; ln kappa_B = ln mu + 2 pi/lambda_R, or
     from E_B ln m + e i for kappa_B = m 2^e exactly (ln m + e ln 2), in D=2,
     so D keeps its bits when kappa and kappa_B scale by 2^k; 1/lambda_R, or
-    kappa_B/(4 pi) from E_B, in D=3.  A constant that is not finite (its
-    1/lambda or 2 pi/lambda_R overflows) makes D_i infinite at every energy.
+    kappa_B/(4 pi) from E_B, in D=3.  Each is finite: the factories refuse
+    a coupling whose 1/lambda, 2 pi/lambda_R or 1/lambda_R overflows.
 
     Raises, as the denominator does, :class:`UnsupportedDimError` outside D
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
@@ -335,8 +337,9 @@ def transmutation_energy(spec: CouplingSpec) -> float:
     mu2, scale = spec.mu * spec.mu, _FOUR_PI / spec.lambda_r
     if _TINY <= mu2 and _LN_TINY <= scale < _LN_MAX and _TINY <= -(e_b := -mu2 * math.exp(scale)) < math.inf:
         return e_b
-    # a factor or their product is no normal double: E_B = -kappa_B^2 need not be one
-    if (twice_ln_kb := 2.0 * coupling_constants(2, (spec,))[0].real) >= _LN_MAX:
+    # a factor or their product is no normal double: E_B = -kappa_B^2 need not
+    # be one; a Python float, unlike a numpy scalar, doubles to inf without a warning
+    if (twice_ln_kb := 2.0 * float(coupling_constants(2, (spec,))[0].real)) >= _LN_MAX:
         raise DomainError("transmutation energy overflows double precision", lambda_r=spec.lambda_r, mu=spec.mu)
     return -math.exp(twice_ln_kb)
 

@@ -378,7 +378,7 @@ def test_result_table_refuses_non_finite_cells():
 
 def test_error_payload_is_strict_json(capsys):
     # a finite coupling so weak that E_B = -(4 pi / lambda_R)^2 overflows
-    code, _, err = run_cli(capsys, "scatter", "--dim", "3", "--lambda-r", "1e-320", "--k", "1")
+    code, _, err = run_cli(capsys, "scatter", "--dim", "3", "--lambda-r", "1e-300", "--k", "1")
     assert code == 3
     assert _strict_json(err)["details"] == {"e_b": "-inf"}
 

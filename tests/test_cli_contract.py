@@ -15,7 +15,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import sys
 import tempfile
 import warnings
 from unittest import mock
@@ -163,6 +165,20 @@ def test_g0_and_scatter_keep_the_cli_contract(argv):
     _assert_contract(argv)
 
 
+# argvs that read an E_B beyond the doubles: the default window's scales, a
+# lone center's own state (in a given window too), a 3D amplitude or flow
+E_B_OVERFLOWS = [
+    ("bound", "--dim", "1", "--center", "0:lambda=-1e300"),
+    ("bound", "--dim", "3", "--center", "0,0,0:lambdaR=2.8048664346235065e-283"),
+    ("bound", "--dim", "1", "--center", "0:lambda=-1e300", "--center", "1:lambda=-2"),
+    ("scatter", "--dim", "3", "--lambda-r", "1e-300", "--k", "1"),
+    ("rgflow", "--dim", "3", "--lambda-r", "1e-300"),
+    ("bound", "--dim", "1", "--center", "0:lambda=-1e300", "--emin", "-10", "--emax", "-0.1",
+     "--method", "auto"),
+    ("bound", "--dim", "1", "--center", "0:lambda=-1e300", "--emin", "-10", "--emax", "-0.1",
+     "--method", "scan"),
+]
+
 # finite argvs at the edge of double precision, with the exit code each must give
 EXTREME_ARGVS = [
     (("scatter", "--dim", "1", "--lam", "-1e-300", "--k", "1e-300"), 0),  # k^2 underflows
@@ -204,15 +220,24 @@ EXTREME_ARGVS = [
     # the complex-step dM/dE takes K0 of a complex argument ~1e300: 0, not NaN
     (("bound", "--dim", "2", "--center", "0,0:eb=-1", "--center", "1e300,0:eb=-1"), 0),
     # ln kappa_B = -2 pi 1e300 keeps the 2D center live, with D ~ -1e300 in
-    # the window, and its own state, at E_B = -0.0, beyond the doubles;
-    # 1/lambda = inf at every E decouples the 1D center.  The other binds alone
+    # the window, and its own state, at E_B = -0.0, beyond the doubles, as
+    # where 2 ln kappa_B overflows to -inf: the other binds alone
     (("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"), 0),
-    (("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"), 0),
+    (("bound", "--dim", "2", "--center", "0,0:lambdaR=-4.4e-308,mu=1", "--center", "1,0:eb=-1"), 0),
+    # 1/lambda, 2 pi/lambda_R or 1/lambda_R = inf is lambda = 0: invalid input
+    (("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"), 2),
+    (("green", "--dim", "1", "--energy", "-2", "--center", "0:lambda=-1e-320", "--center",
+      "1:eb=-1", "--x", "0.1", "--y", "0.5"), 2),
+    (("bound", "--dim", "2", "--center", "0,0:lambdaR=1e-320,mu=1", "--center", "1,0:eb=-1"), 2),
+    (("bound", "--dim", "3", "--center", "0,0,0:lambdaR=1e-320"), 2),
+    *[(argv, 3) for argv in E_B_OVERFLOWS],
+    # a given window over several centers reads their finite constants, no E_B
+    (("bound", "--dim", "1", "--center", "0:lambda=-1e300", "--center", "1:lambda=-2",
+      "--emin", "-10", "--emax", "-0.1"), 0),
+    (("bound", "--dim", "2", "--center", "0,0:lambdaR=1e-3,mu=1", "--center", "1,0:eb=-1",
+      "--emin", "-10", "--emax", "-0.1"), 0),
     (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
       "--x", "1e300,0,0", "--y", "0,1,0"), 3),
-    # an infinite 1/lambda decouples its center: G is the other center's alone
-    (("green", "--dim", "1", "--energy", "-2", "--center", "0:lambda=-1e-320", "--center",
-      "1:eb=-1", "--x", "0.1", "--y", "0.5"), 0),
     # a NaN kernel entry in M(E) (a phase k r past double precision) is no pole;
     # det M of it printed a RuntimeWarning
     (("green", "--dim", "2", "--energy", "1e17", "--retarded", "--center", "0,0:eb=-1",
@@ -220,7 +245,9 @@ EXTREME_ARGVS = [
 ]
 
 
-# the states the default window must find in the argvs above
+# the states the argvs above must find; those in a given window, to 1e-13
+# relative, agree with a shooting oracle (1D: the 1e300 center forces psi(0)
+# = 0, the pair's odd state) or a brentq root of det M with scipy's K0 (2D)
 BOUND_ENERGIES = {
     ("bound", "--dim", "1", "--center", "0:lambda=-2", "--center", "1e300:lambda=-2"): [-1.0, -1.0],
     ("bound", "--dim", "1", "--center", "-1:lambda=-2", "--center", "1:lambda=-2", "--tol", "5e-324"):
@@ -240,7 +267,11 @@ BOUND_ENERGIES = {
         [-1.7e308, -1.7e308],
     ("bound", "--dim", "2", "--center", "0,0:eb=-1", "--center", "1e300,0:eb=-1"): [-1.0, -1.0],
     ("bound", "--dim", "2", "--center", "0,0:lambdaR=-1e-300,mu=1", "--center", "1,0:eb=-1"): [-1.0],
-    ("bound", "--dim", "1", "--center", "0:lambda=-1e-320", "--center", "1:eb=-1"): [-1.0],
+    ("bound", "--dim", "2", "--center", "0,0:lambdaR=-4.4e-308,mu=1", "--center", "1,0:eb=-1"): [-1.0],
+    ("bound", "--dim", "1", "--center", "0:lambda=-1e300", "--center", "1:lambda=-2",
+     "--emin", "-10", "--emax", "-0.1"): [-0.6349095705470416],
+    ("bound", "--dim", "2", "--center", "0,0:lambdaR=1e-3,mu=1", "--center", "1,0:eb=-1",
+     "--emin", "-10", "--emax", "-0.1"): [-0.9999435729277568],
 }
 
 
@@ -252,13 +283,16 @@ def test_extreme_argvs_keep_the_cli_contract(argv, want):
         assert _strict_json(out)["error"] == "ComputationError"  # not AtPole
     if argv[:3] == ("scatter", "--dim", "1"):
         assert _strict_json(out)["rows"] == [[1e-300, 0.8, 1.0 - 0.8]]
-    if argv[:3] == ("green", "--dim", "1"):
-        assert _strict_json(out)["rows"] == [[0.1, -0.3186693415242748, 0.0]]
+    if want == 2:
+        assert _strict_json(out)["error"] == "ZeroCoupling"
+    if argv in E_B_OVERFLOWS:
+        assert _strict_json(out)["error"] == "DomainError"
+        assert _strict_json(out)["details"] == {"e_b": "-inf"}
     if argv[-1] == "scan" and want == 0:
         assert _strict_json(out)["rows"] == [[0, -1.0, 1.0]]
     if argv in BOUND_ENERGIES:
         energies = [row[1] for row in _strict_json(out)["rows"]]
-        assert energies == pytest.approx(BOUND_ENERGIES[argv], rel=1e-9)
+        assert energies == pytest.approx(BOUND_ENERGIES[argv], rel=1e-13 if "--emin" in argv else 1e-9)
 
 
 G0_RADII = st.one_of(
@@ -377,11 +411,27 @@ def test_green_and_bound_keep_the_cli_contract(case, options, retarded):
 # log-uniform magnitudes beside hypothesis' own float draws, which favour
 # the ends of the range and round numbers
 MAGNITUDE = POSITIVE | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-320, 299))
-SIGNED = st.tuples(st.booleans(), MAGNITUDE).map(lambda s: -s[1] if s[0] else s[1])
+# each |coupling| where its E_B or its constant leaves the doubles: 2 sqrt(max)
+# and 1/max in 1D, 2 pi/max and 4 pi/max in 2D, 1/max and 4 pi/sqrt(max) in 3D
+_MAX = sys.float_info.max
+EDGES = {1: (2.0 * math.sqrt(_MAX), 1.0 / _MAX), 2: (2.0 * math.pi / _MAX, 4.0 * math.pi / _MAX),
+         3: (1.0 / _MAX, 4.0 * math.pi / math.sqrt(_MAX))}
+
+
+def _signed(magnitude):
+    return st.tuples(st.booleans(), magnitude).map(lambda s: -s[1] if s[0] else s[1])
+
+
+def _coupling_value(dim):
+    """A signed magnitude, or one just on either side of an edge of ``dim``."""
+    near = st.sampled_from([edge * side for edge in EDGES[dim] for side in (1.0 - 1e-9, 1.0 + 1e-9)])
+    return _signed(MAGNITUDE | near)
+
+
 COUPLINGS = {
-    1: SIGNED.map(lambda v: f"lambda={v!r}"),
-    2: st.tuples(SIGNED, MAGNITUDE).map(lambda c: f"lambdaR={c[0]!r},mu={c[1]!r}"),
-    3: SIGNED.map(lambda v: f"lambdaR={v!r}"),
+    1: _coupling_value(1).map(lambda v: f"lambda={v!r}"),
+    2: st.tuples(_coupling_value(2), MAGNITUDE).map(lambda c: f"lambdaR={c[0]!r},mu={c[1]!r}"),
+    3: _coupling_value(3).map(lambda v: f"lambdaR={v!r}"),
 }
 
 
@@ -399,7 +449,7 @@ def _double_range_case(draw):
 
     coupling = MAGNITUDE.map(lambda v: f"eb={-v!r}") | COUPLINGS[dim]
     centers = [f"{point(i)}:{draw(coupling)}" for i in range(draw(st.integers(1, 4)))]
-    return str(dim), centers, point(0.5), point(-0.5), draw(SIGNED)
+    return str(dim), centers, point(0.5), point(-0.5), draw(_signed(MAGNITUDE))
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)

@@ -934,27 +934,6 @@ def test_default_window_reaches_states_below_its_bottom():
     assert [s.energy for s in bound_states(1, line)] == pytest.approx(shot, rel=1e-12)
 
 
-def test_infinite_inverse_coupling_decouples_its_center():
-    # 1/lambda overflows to inf: D = inf at every E, so the center binds
-    # nothing and the others bind alone, with a 0 residue coefficient there
-    cs = [center(0.0, bare_1d(-1e-320)), center(1.0, from_bound_state(-1.0)),
-          center(3.0, bare_1d(-1.0))]
-    want = bound_states(1, cs[1:], method="scan")
-    got = bound_states(1, cs, method="scan")
-    assert [s.energy for s in got] == [s.energy for s in want]
-    for g, w in zip(got, want):
-        assert list(g.residue_vector) == [0.0] + list(w.residue_vector)
-        assert residue_wavefunction(g, 0.4) == residue_wavefunction(w, 0.4)
-    assert [s.energy for s in bound_states(1, cs[:2])] == [-1.0]
-    # alone it binds at E_B = -lambda^2/4 = -0.0, beyond the doubles: so
-    # does every decoupled center that binds, and the window check says so
-    for method in ("auto", "scan"):
-        with pytest.raises(DomainError) as err:
-            bound_states(1, cs[:1], method=method)
-        assert err.value.details == {"e_b": -0.0}
-    assert bound_states(1, [center(0.0, bare_1d(1e-320))], method="scan") == []
-
-
 def test_weak_2d_coupling_binds_with_its_neighbour():
     # lambda_R = -0.01 at mu = 1: E_B = -exp(-400 pi) underflows to -0.0, yet
     # ln kappa_B = -200 pi keeps D finite, and the center lowers the pair's
@@ -979,10 +958,37 @@ def test_weak_2d_coupling_binds_with_its_neighbour():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_a_given_window_reads_no_e_b_of_several_centers():
+    # lambda_R = 1e-3 at mu = 1: E_B = -exp(4000 pi) overflows, ln kappa_B =
+    # 2000 pi does not, and a given window over several centers is searched
+    # through that constant; the reference is a root of det M with scipy's K0
+    cs = [center((0.0, 0.0), renormalized_2d(1e-3, 1.0)), center((1.0, 0.0), from_bound_state(-1.0))]
+    ln_kb = np.array([2000.0 * math.pi, 0.0])
+
+    def det_m(kap):
+        off = scipy_k0(kap) / (2.0 * math.pi)
+        return np.prod((ln_kb - math.log(kap)) / (2.0 * math.pi)) - off * off
+
+    kap = brentq(det_m, 0.9, 1.1, xtol=1e-16, rtol=1e-15)
+    # 1D: lambda = -1e300 forces psi(0) = 0, so the pair binds PAIR's odd state
+    line = [center(0.0, bare_1d(-1e300)), center(1.0, bare_1d(-2.0))]
+    for method in ("auto", "scan"):
+        [state] = bound_states(2, cs, search=(-10.0, -0.1), method=method)
+        assert state.energy == pytest.approx(-kap * kap, rel=1e-13)
+        [state] = bound_states(1, line, search=(-10.0, -0.1), method=method)
+        assert state.energy == pytest.approx(PAIR_ENERGIES[1], rel=1e-13)
+        # the default window reads every E_B, and a lone center its own
+        for dim, layout in ((2, cs), (1, line), (1, line[:1])):
+            with pytest.raises(DomainError, match="overflows"):
+                bound_states(dim, layout, method=method)
+        with pytest.raises(DomainError, match="overflows") as err:
+            bound_states(1, line[:1], search=(-10.0, -0.1), method=method)
+        assert err.value.details == {"e_b": -math.inf}
+
+
 @pytest.mark.parametrize("coupling", [
     renormalized_2d(-0.01, 1.0),  # E_B = -exp(-400 pi) underflows to -0.0
     renormalized_2d(5.561078970618804e+73, 2.624634836309935e+165),  # E_B ~ -7e330 overflows
-    renormalized_2d(-1e-320, 1.0),  # 2 pi/lambda_R overflows: the center decouples
 ])
 @pytest.mark.parametrize("method", ["auto", "scan"])
 def test_a_lone_2d_state_beyond_the_doubles_is_a_domain_error(coupling, method):
@@ -1191,8 +1197,8 @@ def test_a_tol_below_the_kappa_resolution_refines_to_resolution(tol):
 
 
 def test_scan_entry_beyond_double_precision_is_a_domain_error(monkeypatch):
-    # no input was found whose M(E) overflows at a scan energy (an infinite
-    # 1/lambda decouples its center first), so a patched kernel overflows
+    # no input was found whose M(E) overflows at a scan energy (the factories
+    # keep every coupling's constant finite), so a patched kernel overflows
     def overflowing(dim, kappa, r):
         return np.full(np.broadcast_shapes(np.shape(kappa), np.shape(r)), -np.inf)
 
@@ -1214,17 +1220,11 @@ def test_non_positive_m_prime_at_a_root_is_a_non_convergence(monkeypatch):
 
 
 def _with_degenerate_multiplet(dim):
-    # every layout holds a degenerate multiplet and a center whose 1/lambda
-    # overflows (decoupled: bound_states drops it before the scan)
+    # every layout holds a degenerate multiplet
     if dim == 1:  # two far centers bind a pair at E = -1
-        cs = [center(-1e300, from_bound_state(-1.0)), center(0.0, from_bound_state(-0.5)),
-              center(1.5, bare_1d(-3.0)), center(1e300, from_bound_state(-1.0))]
-    elif dim == 2:
-        cs = _polygon(8, 0.8688571362282915, -1.171857857912272)
-    else:
-        cs = _triangle()
-    return cs + [center((0.05,) * dim, {1: bare_1d(-1e-320), 2: renormalized_2d(-1e-320, 1.0),
-                                        3: renormalized_3d(1e-320)}[dim])]
+        return [center(-1e300, from_bound_state(-1.0)), center(0.0, from_bound_state(-0.5)),
+                center(1.5, bare_1d(-3.0)), center(1e300, from_bound_state(-1.0))]
+    return _polygon(8, 0.8688571362282915, -1.171857857912272) if dim == 2 else _triangle()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1245,12 +1245,11 @@ def test_one_residue_pass_per_scan_matches_each_multiplet_alone(monkeypatch, dim
     monkeypatch.setattr(pointgreen, "_m_of_kappa", counting)
     monkeypatch.setattr(pointgreen, "_residue_vectors", recording)
     cs = _with_degenerate_multiplet(dim)
-    states = bound_states(dim, cs, method="scan")
+    bound_states(dim, cs, method="scan")
     assert len(passes) == 1
     (*head, multiplets), blocks, assemblies = passes[0]
     assert assemblies == 2  # M(E_B) and its complex step, for every multiplet at once
     assert len(multiplets) >= 2 and max(len(b) for _, b in multiplets) >= 2
-    assert all(s.residue_vector[-1] == 0.0 for s in states)
     for multiplet, block in zip(multiplets, blocks, strict=True):
         (alone,) = residue_vectors(*head, [multiplet])
         assert alone.shape == block.shape and alone.tobytes() == block.tobytes()

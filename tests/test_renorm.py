@@ -129,6 +129,38 @@ def test_coupling_spec_factories_validate():
     assert renormalized_3d(-4.0).bound_state_energy(3) is None
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("dim, factory", [
+    (1, bare_1d), (2, lambda v: renormalized_2d(v, 1.0)), (3, renormalized_3d),
+], ids=["1d", "2d", "3d"])
+def test_a_coupling_whose_constant_overflows_is_refused(dim, factory, sign):
+    # 1/lambda, 2 pi/lambda_R or 1/lambda_R = inf makes 1/D vanish at every
+    # energy, as lambda = 0 does: the factories refuse both
+    with pytest.raises(ZeroCouplingError):
+        factory(sign * 1e-320)
+    assert np.isfinite(coupling_constants(dim, (factory(sign * 1e-300),))).all()
+
+
+@pytest.mark.parametrize("spec, dim, want", [
+    (bare_1d(1e300), 1, None),  # no state
+    (renormalized_3d(-1e-300), 3, None),
+    (bare_1d(-2.0), 1, -1.0),
+    (renormalized_3d(4.0 * math.pi), 3, -1.0),
+    (bare_1d(-1e-300), 1, -0.0),  # -lambda^2/4 underflows
+    (renormalized_3d(1e300), 3, -0.0),  # -(4 pi/lambda_R)^2 underflows
+    (bare_1d(-1e300), 1, -math.inf),  # overflows: a DomainError
+    (renormalized_3d(1e-300), 3, -math.inf),
+    (renormalized_3d(2.8048664346235065e-283), 3, -math.inf),
+])
+def test_bound_state_energy_has_three_outcomes(spec, dim, want):
+    if want == -math.inf:
+        with pytest.raises(DomainError, match="overflows") as err:
+            spec.bound_state_energy(dim)
+        assert err.value.details == {"e_b": -math.inf}
+    else:
+        assert repr(spec.bound_state_energy(dim)) == repr(want)  # -0.0 keeps its sign
+
+
 def test_bare_from_renormalized_3d_example():
     lam = bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), Cutoff(1e4))
     assert lam == pytest.approx(-1.9742e-3, rel=1e-4)
@@ -321,6 +353,8 @@ def test_transmutation_values():
     (0.02, 3e-162),  # mu^2 is subnormal, 10% off
     (-0.0174, 1e100),  # exp is subnormal
     (-0.018192, 1e-10),  # both factors are normal, their product is subnormal
+    (-4.4e-308, 1.0),  # 2 pi/lambda_R is a double, 2 ln kappa_B is not: E_B underflows
+    (4.4e-308, 1.0),  # likewise, and E_B overflows
 ])
 def test_transmutation_energy_outside_the_double_range(lambda_r, mu):
     # where a factor of -mu^2 exp(4 pi/lambda_R) or their product is no
