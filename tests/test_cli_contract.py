@@ -483,10 +483,14 @@ def test_invalid_bound_parameters_exit_2(argv):
     assert _error(argv) == 2
 
 
-@pytest.mark.parametrize("dim, spec", [("3", "0,0,0:lambdaR=0"), ("1", "0:lambda=0")])
-def test_zero_coupling_is_invalid_input(dim, spec):
+@pytest.mark.parametrize("dim, spec, details", [
+    ("3", "0,0,0:lambdaR=0", {"lambda_r": 0.0}), ("1", "0:lambda=0", {"lam": 0.0}),
+])
+def test_zero_coupling_is_invalid_input(dim, spec, details):
     # lambda = 0 is no interaction at all: exit 2, as any other invalid input
-    assert _error(("bound", "--dim", dim, "--center", spec)) == 2
+    code, err = _assert_contract(("bound", "--dim", dim, "--center", spec))
+    payload = _strict_json(err)
+    assert code == 2 and payload["error"] == "ZeroCoupling" and payload["details"] == details
 
 
 def test_caps_refuse_one_more_before_allocating(monkeypatch):

@@ -986,14 +986,25 @@ def test_a_given_window_reads_no_e_b_of_several_centers():
         assert err.value.details == {"e_b": -math.inf}
 
 
-@pytest.mark.parametrize("coupling", [
-    renormalized_2d(-0.01, 1.0),  # E_B = -exp(-400 pi) underflows to -0.0
-    renormalized_2d(5.561078970618804e+73, 2.624634836309935e+165),  # E_B ~ -7e330 overflows
+@pytest.mark.parametrize("dim, coupling, e_b", [
+    (1, bare_1d(-1e-300), -0.0),  # E_B = -lambda^2/4 underflows
+    (2, renormalized_2d(-0.01, 1.0), -0.0),  # E_B = -exp(-400 pi) underflows
+    (3, renormalized_3d(1e300), -0.0),  # E_B = -(4 pi/lambda_R)^2 underflows
+    (2, renormalized_2d(5.561078970618804e+73, 2.624634836309935e+165), None),  # ~ -7e330 overflows
 ])
 @pytest.mark.parametrize("method", ["auto", "scan"])
-def test_a_lone_2d_state_beyond_the_doubles_is_a_domain_error(coupling, method):
-    with pytest.raises(DomainError):
-        bound_states(2, [center((0.0, 0.0), coupling)], method=method)
+def test_a_lone_state_beyond_the_doubles_is_a_domain_error(dim, coupling, e_b, method):
+    with pytest.raises(DomainError) as err:
+        bound_states(dim, [center((0.0,) * dim if dim > 1 else 0.0, coupling)], method=method)
+    if e_b is None:
+        assert "overflows" in str(err.value)
+    else:  # the window check names the underflowed E_B, -0.0 with its sign
+        assert repr(err.value.details) == repr({"e_b": e_b})
+
+
+def test_a_lone_near_hard_wall_repulsion_binds_nothing():
+    # 1/lambda = 1e-300: D is finite, and the scan finds no state
+    assert bound_states(1, [center(0.0, bare_1d(1e-300))], method="scan") == []
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
