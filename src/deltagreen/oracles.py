@@ -58,6 +58,7 @@ class Lattice1D:
     points: int
 
     def __post_init__(self):
+        object.__setattr__(self, "half_width", float(self.half_width))
         if not (self.half_width > 0.0) or not math.isfinite(self.half_width):
             raise DomainError("half_width must be positive", half_width=self.half_width)
         if int(self.points) != self.points or self.points < 3:

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -96,12 +95,15 @@ KAPPA_FLOOR = 2.0**-511
 
 @dataclass(frozen=True)
 class DeltaCenter:
-    """A point interaction: position plus its coupling."""
+    """A point interaction: a position (a number, tuple or point) and its coupling."""
 
     position: SpatialPoint
     coupling: CouplingSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "position", _point(self.position))
+        if not isinstance(self.coupling, CouplingSpec):
+            raise IllegalSpecError("a center's coupling must be a CouplingSpec", coupling=repr(self.coupling))
         self.coupling.require_dim(self.position.dim)
 
 
@@ -114,9 +116,7 @@ def _point(p) -> SpatialPoint:
     return SpatialPoint(tuple(p))
 
 
-def center(position, coupling: CouplingSpec) -> DeltaCenter:
-    """Convenience constructor; ``position`` may be a number, tuple or point."""
-    return DeltaCenter(position=_point(position), coupling=coupling)
+center = DeltaCenter
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,21 +132,17 @@ class MMatrix:
 
 @dataclass(frozen=True, eq=False)
 class BoundState:
-    """A bound state: energy, the centers that bind it, and the residue vector."""
+    """A bound state: energy, its centers, their read-only positions and the residue vector."""
 
     energy: float
     dim: int
     centers: tuple[DeltaCenter, ...]
     residue_vector: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
 
     @property
     def kappa(self) -> float:
         return math.sqrt(-self.energy)
-
-    @cached_property
-    def _kernel_args(self) -> tuple:
-        """The positions and energy :func:`residue_wavefunction` reads, built once."""
-        return _positions(self.centers), ComplexEnergy(self.energy)
 
 
 def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.ndarray]:
@@ -163,7 +159,10 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
 
 
 def _positions(cs) -> np.ndarray:
-    return np.array([c.position.coords for c in cs], dtype=float)
+    """The centers' positions as a read-only (N, dim) array."""
+    pos = np.array([c.position.coords for c in cs], dtype=float)
+    pos.setflags(write=False)
+    return pos
 
 
 def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +276,6 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     # the column stays a view of the solve: gx @ c on a contiguous copy runs
     # another BLAS kernel, whose sum can differ in the last bit
     c = sol[:, 0]
-    pos.setflags(write=False)
     c.setflags(write=False)
     _last_solve = (key, (pos, c))
     return pos, c
@@ -439,7 +437,7 @@ def bound_states(
 
     blocks = _residue_vectors(dim, consts, slots, r, pos, multiplets)
     return [
-        BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c)
+        BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c, positions=pos)
         for (e_b, _), block in zip(multiplets, blocks)
         for c in block.T
     ]
@@ -583,5 +581,5 @@ def residue_wavefunction(state: BoundState, x) -> float:
     up to sign: it is positive next to the center of largest |c_i| in
     ``state.residue_vector`` (the first in coordinate order among ties).
     """
-    pos, e = state._kernel_args
-    return float(g0_kernel(state.dim, e, _distances_to(_point(x), pos)) @ state.residue_vector)
+    r = _distances_to(_point(x), state.positions)
+    return float(g0_kernel(state.dim, state.energy, r) @ state.residue_vector)

@@ -87,22 +87,22 @@ REN_2D = "ren_2d"
 REN_3D = "ren_3d"
 FROM_BOUND_STATE = "from_bound_state"
 
-_VARIANT_DIMS = {
-    BARE_1D: (1,),
-    REN_2D: (2,),
-    REN_3D: (3,),
-    FROM_BOUND_STATE: (1, 2, 3),
+#: Each variant's fields, exactly the ones it sets, and the dimensions it is legal in.
+_VARIANTS = {
+    BARE_1D: (("lam",), (1,)),
+    REN_2D: (("lambda_r", "mu"), (2,)),
+    REN_3D: (("lambda_r",), (3,)),
+    FROM_BOUND_STATE: (("e_b",), (1, 2, 3)),
 }
 
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """How a contact interaction is parameterized.
-
-    Use the factory functions :func:`bare_1d`, :func:`renormalized_2d`,
-    :func:`renormalized_3d` and :func:`from_bound_state`; the constructor
-    itself performs only cross-field validation.
-    """
+    """How a contact interaction is parameterized: one of four shapes, named
+    by the factories :func:`bare_1d`, :func:`renormalized_2d`,
+    :func:`renormalized_3d` and :func:`from_bound_state`.  The constructor
+    checks each: a variant sets exactly its own fields, converted to float,
+    and a value no coupling can take raises a typed :mod:`deltagreen.errors` error."""
 
     variant: str
     lam: float | None = None  # bare coupling (D=1)
@@ -110,13 +110,33 @@ class CouplingSpec:
     mu: float | None = None  # subtraction scale (D=2), units 1/length
     e_b: float | None = None  # bound-state energy, units 1/length**2
 
+    def __post_init__(self):
+        given = tuple(f for f in ("lam", "lambda_r", "mu", "e_b") if getattr(self, f) is not None)
+        if given != _VARIANTS.get(self.variant, (None,))[0]:
+            raise IllegalSpecError("a coupling variant sets exactly its own fields",
+                                   variant=self.variant, fields=list(given))
+        for f in given:
+            object.__setattr__(self, f, float(getattr(self, f)))
+        lam, lambda_r, mu, e_b = self.lam, self.lambda_r, self.mu, self.e_b
+        if self.variant == BARE_1D:
+            if not math.isfinite(lam):
+                raise DomainError("bare coupling must be finite", lam=lam)
+            if lam == 0.0 or math.isinf(1.0 / lam):
+                raise ZeroCouplingError("lambda = 0 is no interaction at all, nor is 1/lambda = inf", lam=lam)
+        elif self.variant == REN_2D:
+            if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(2.0 * math.pi / lambda_r):
+                raise ZeroCouplingError("lambda_R and 2 pi/lambda_R must be finite and nonzero", lambda_r=lambda_r)
+            if not (mu > 0.0) or not math.isfinite(mu):
+                raise DomainError("subtraction scale mu must be positive", mu=mu)
+        elif self.variant == REN_3D:
+            if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(1.0 / lambda_r):
+                raise ZeroCouplingError("lambda_R and 1/lambda_R must be finite and nonzero", lambda_r=lambda_r)
+        elif not (e_b < 0.0) or not math.isfinite(e_b):  # FROM_BOUND_STATE
+            raise DomainError("bound-state energy must be negative", e_b=e_b)
+
     def require_dim(self, dim: int) -> None:
-        if dim not in _VARIANT_DIMS.get(self.variant, ()):
-            raise IllegalSpecError(
-                "coupling variant illegal for this dimension",
-                variant=self.variant,
-                dim=dim,
-            )
+        if dim not in _VARIANTS[self.variant][1]:
+            raise IllegalSpecError("coupling variant illegal for this dimension", variant=self.variant, dim=dim)
 
     def bound_state_energy(self, dim: int) -> float | None:
         """E_B < 0 if this coupling binds in dimension ``dim``, None if it
@@ -137,38 +157,21 @@ class CouplingSpec:
 
 def bare_1d(lam: float) -> CouplingSpec:
     """Bare one-dimensional coupling lambda (attractive if negative)."""
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise DomainError("bare coupling must be finite", lam=lam)
-    if lam == 0.0 or math.isinf(1.0 / lam):
-        raise ZeroCouplingError("lambda = 0 is no interaction at all, nor is 1/lambda = inf", lam=lam)
     return CouplingSpec(variant=BARE_1D, lam=lam)
 
 
 def renormalized_2d(lambda_r: float, mu: float) -> CouplingSpec:
     """Renormalized 2D coupling lambda_R at subtraction scale mu > 0."""
-    lambda_r = float(lambda_r)
-    mu = float(mu)
-    if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(2.0 * math.pi / lambda_r):
-        raise ZeroCouplingError("lambda_R and 2 pi/lambda_R must be finite and nonzero", lambda_r=lambda_r)
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise DomainError("subtraction scale mu must be positive", mu=mu)
     return CouplingSpec(variant=REN_2D, lambda_r=lambda_r, mu=mu)
 
 
 def renormalized_3d(lambda_r: float) -> CouplingSpec:
     """Renormalized 3D coupling; binds only for lambda_R > 0."""
-    lambda_r = float(lambda_r)
-    if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(1.0 / lambda_r):
-        raise ZeroCouplingError("lambda_R and 1/lambda_R must be finite and nonzero", lambda_r=lambda_r)
     return CouplingSpec(variant=REN_3D, lambda_r=lambda_r)
 
 
 def from_bound_state(e_b: float) -> CouplingSpec:
     """Parameterize the interaction directly by its bound-state energy E_B < 0."""
-    e_b = float(e_b)
-    if not (e_b < 0.0) or not math.isfinite(e_b):
-        raise DomainError("bound-state energy must be negative", e_b=e_b)
     return CouplingSpec(variant=FROM_BOUND_STATE, e_b=e_b)
 
 
@@ -332,8 +335,6 @@ def transmutation_energy(spec: CouplingSpec) -> float:
             "transmutation energy is defined for renormalized 2D couplings",
             variant=spec.variant,
         )
-    if spec.lambda_r == 0.0:
-        raise ZeroCouplingError("lambda_R = 0 has no transmutation scale")
     mu2, scale = spec.mu * spec.mu, _FOUR_PI / spec.lambda_r
     if _TINY <= mu2 and _LN_TINY <= scale < _LN_MAX and _TINY <= -(e_b := -mu2 * math.exp(scale)) < math.inf:
         return e_b

@@ -52,6 +52,9 @@ def test_kappa_branch_choices():
         ComplexEnergy(complex(1.0, 1e-13))
     with pytest.raises(BranchCutError):
         ComplexEnergy(complex(2.0, 1.0), retarded=True)
+    for bad in (math.nan, -math.inf, complex(-1.0, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(DomainError, match="energy must be finite"):
+            ComplexEnergy(bad)
 
 
 # closed forms at E=-1: -1/2 at r=0; at r=1, -exp(-1)/2, -K0(1)/(2 pi) (from

@@ -110,6 +110,26 @@ def test_lattice_geometry():
         Lattice1D(-1.0, 100)
     with pytest.raises(DomainError):
         Lattice1D(1.0, 2)
+    # a numpy half-width would make h, t and the shifts numpy scalars, whose
+    # division by zero warns and returns inf instead of raising
+    lat = Lattice1D(np.float64(16.0), 1601)
+    assert type(lat.half_width) is float and type(lat.h) is float
+    assert lat == Lattice1D(16.0, 1601)
+    e0 = lattice1d_spectrum(ONE, lat, 1)[0]
+    assert type(e0) is float and e0 == lattice1d_spectrum(ONE, Lattice1D(16.0, 1601), 1)[0]
+
+
+@pytest.mark.parametrize("v, t, x", [
+    ([3.0, 5.0, 4.0, 6.0], 1.0, 5.0),  # r_1 = -t (pivot 0, so r_2 = -inf), then r_3 = 0
+    ([2.0, 3.0, 1.0], 1.0, 3.0),  # r_1 = 0, then r_2 = 0
+    ([2.0, 3.0, 1.0], 1.0, 4.0),  # r_1 = -t, so r_2 = -inf; then r_3 = -2t
+])
+def test_sturm_count_through_zero_pivots(v, t, x):
+    n = len(v)
+    h = np.diag(2.0 * t + np.array(v)) - t * (np.eye(n, k=1) + np.eye(n, k=-1))
+    eig = np.linalg.eigvalsh(h)
+    assert np.min(np.abs(eig - x)) > 0.1  # x is no eigenvalue of H itself
+    assert oracles._sturm_count(v, t, x) == np.sum(eig < x)
 
 
 def test_lattice_spectrum_single_center():

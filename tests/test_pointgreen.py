@@ -15,6 +15,8 @@ from scipy.optimize import brentq
 from scipy.special import k0 as scipy_k0
 
 from deltagreen import (
+    CouplingSpec,
+    DeltaCenter,
     bare_1d,
     bound_states,
     center,
@@ -35,6 +37,7 @@ from deltagreen.errors import (
     DomainError,
     IllegalSpecError,
     NonConvergenceError,
+    ZeroCouplingError,
 )
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
@@ -1629,6 +1632,46 @@ def test_rejects_wrong_dimension_coupling():
         center((0.0, 0.0, 0.0), bare_1d(-2.0))
     with pytest.raises(IllegalSpecError):
         m_matrix(2, -1.0, [center((0.0,), bare_1d(-2.0))])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: CouplingSpec("bare_1d", lam=0.0), ZeroCouplingError),
+    (lambda: CouplingSpec("bare_1d", lam=math.nan), DomainError),
+    (lambda: CouplingSpec("from_bound_state", e_b=1.0), DomainError),
+    (lambda: CouplingSpec("bare_1d", lam=-2.0, e_b=-5.0), IllegalSpecError),
+    (lambda: CouplingSpec("from_bound_state", lam=-2.0), IllegalSpecError),
+    (lambda: CouplingSpec("ren_2d", lambda_r=-1.0), IllegalSpecError),
+    (lambda: CouplingSpec("nonsense"), IllegalSpecError),
+    (lambda: DeltaCenter(_pt(0.0), -2.0), IllegalSpecError),
+], ids=["lam0", "lam_nan", "eb_positive", "extra_field", "wrong_field", "missing_field",
+        "unknown_variant", "coupling_not_a_spec"])
+def test_direct_construction_is_checked(build, error):
+    # each value type checks itself when built, so no path reaches the math unchecked
+    with pytest.raises(error):
+        build()
+
+
+def test_factories_and_constructors_build_equal_values():
+    assert center is DeltaCenter
+    assert bare_1d(-2) == CouplingSpec("bare_1d", lam=-2.0)
+    assert renormalized_2d(np.float64(-1.0), 1) == CouplingSpec("ren_2d", lambda_r=-1.0, mu=1.0)
+    assert renormalized_3d(4.0) == CouplingSpec("ren_3d", lambda_r=4.0)
+    assert from_bound_state(-1.0) == CouplingSpec("from_bound_state", e_b=-1.0)
+    spec = renormalized_2d(-1, 1)
+    assert (spec.lam, spec.lambda_r, spec.mu, spec.e_b) == (None, -1.0, 1.0, None)
+    assert type(spec.lambda_r) is float and type(spec.mu) is float
+    for position in (0.5, (0.5,), _pt(0.5), np.array([0.5])):
+        c = DeltaCenter(position, bare_1d(-2.0))
+        assert c == center(_pt(0.5), bare_1d(-2.0)) and c.position == _pt(0.5)
+
+
+def test_bound_states_carry_their_read_only_positions():
+    states = bound_states(1, PAIR)
+    for s in states:
+        assert s.positions.tolist() == [[-1.0], [1.0]]
+        assert not s.positions.flags.writeable
+    with pytest.raises(ValueError):
+        states[0].positions[0, 0] = 0.0
 
 
 def test_rejects_empty_center_list():

@@ -339,8 +339,8 @@ def test_transmutation_values():
         transmutation_energy(renormalized_3d(1.0))
     with pytest.raises(DomainError):
         transmutation_energy(renormalized_2d(1e-3, 1.0))  # exp overflow
-    with pytest.raises(ZeroCouplingError):  # the factory refuses it; the constructor does not
-        transmutation_energy(CouplingSpec(variant=REN_2D, lambda_r=0.0, mu=1.0))
+    with pytest.raises(ZeroCouplingError):  # the constructor refuses it, as the factory does
+        CouplingSpec(variant=REN_2D, lambda_r=0.0, mu=1.0)
 
 
 @pytest.mark.parametrize("lambda_r, mu", [
