@@ -4,10 +4,11 @@ Nothing in this module shares a formula with the production code it checks:
 
 * :func:`g0_by_quadrature` integrates the Schwinger proper-time (heat-kernel)
   representation G0(E; r) = -int_0^inf (4 pi t)^(-D/2) exp(-r^2/(4t) + E t) dt,
-  a Laplace transform of the free Gaussian propagator, with arbitrary-precision
-  tanh-sinh quadrature; production evaluates closed forms (exponentials and
-  K0 from its own Bessel series and Chebyshev tables), none of which appears
-  here.
+  a Laplace transform of the free Gaussian propagator, with an
+  arbitrary-precision double-exponential trapezoid rule, checked at two
+  precisions to a relative tolerance; production evaluates closed forms
+  (exponentials and K0 from its own Bessel series and Chebyshev tables),
+  none of which appears here.
 * :func:`lattice1d_spectrum` bisects Sturm counts of the second-difference
   Hamiltonian with the delta as a single-site potential lambda/h (its
   resolvent is a Thomas solve), while production roots the eigenvalue
@@ -99,11 +100,14 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
         G0(E; r) = -int_0^inf (4 pi t)^(-D/2) exp(-r^2/(4t) + E t) dt,
 
     the heat kernel of the free Laplacian weighted by exp(E t).  The
-    integrand is positive and does not oscillate, so plain tanh-sinh
-    quadrature (``mp.quad``) resolves it, split at t = r^2/4, where the
-    Gaussian factor switches on (at t = 1 when r = 0).  The result is
-    computed at two working precisions; if they disagree beyond QUAD_TOL / 2
-    a :class:`TailBoundExceededError` is raised instead of returning a value.
+    integrand is positive and does not oscillate, so the double-exponential
+    trapezoid rule (Takahasi and Mori 1974) resolves it in u, with
+    t = c exp(u - e^-u): c = min(r^2/4, r/(2 kappa)), where the Gaussian
+    factor switches on or, if that comes later, where exp(E t - r^2/(4t))
+    peaks (c = 1/kappa when r = 0).  The result is computed at two working
+    precisions; if they disagree beyond QUAD_TOL / 2 relative to the value
+    (absolute where |G0| > 1) a :class:`TailBoundExceededError` is raised
+    instead of returning a value.
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimError("quadrature oracle covers D in {1,2,3}", dim=dim)
@@ -118,7 +122,7 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
 
     big = _g0_quad_at(dim, energy, r, 20)
     bigger = _g0_quad_at(dim, energy, r, 30)
-    if abs(big - bigger) > 0.5 * QUAD_TOL:
+    if abs(big - bigger) > 0.5 * QUAD_TOL * min(1.0, abs(bigger)):
         raise TailBoundExceededError(
             "quadrature did not converge within the requested tolerance",
             estimate=abs(big - bigger),
@@ -127,16 +131,65 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     return float(bigger)
 
 
+#: Budget of the double-exponential rule: step halvings after h = 1, and
+#: the largest |u| a side's walk may reach before its terms are negligible.
+DE_LEVELS = 12
+DE_REACH = 160
+
+
 def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
+    """The proper-time integral at ``dps`` digits by the double-exponential
+    trapezoid rule in u: t = c exp(u - e^-u), dt = t (1 + e^-u) du, and
+    q = r^2/4.  Steps h = 2^-k halve on nested grids, so each level adds
+    only the odd nodes.  Each side's walk stops at a term below 10^-dps of
+    the sum and no larger than the one before; the rule stops once the
+    squared relative change between levels is below 10^-dps.  Running out
+    of DE_REACH or DE_LEVELS raises :class:`TailBoundExceededError`."""
     with mp.workdps(dps):
+        exp, sqrt = mp.exp, mp.sqrt
         e = mp.mpf(energy)
         q = mp.mpf(r) ** 2 / 4
-        half_dim = mp.mpf(dim) / 2
-        val = mp.quad(
-            lambda t: mp.exp(e * t - q / t) / (4 * mp.pi * t) ** half_dim,
-            [0, q if r > 0.0 else 1, mp.inf],
+        c = min(q, sqrt(q / -e)) if r > 0.0 else -1 / e
+        k = 1 / (4 * mp.pi)
+        eps = mp.mpf(10) ** -dps
+
+        def term(u):
+            x = exp(-u)
+            t = c * exp(u - x)
+            kernel_t = sqrt(k * t) if dim == 1 else k if dim == 2 else k * sqrt(k / t)
+            return exp(e * t - q / t) * kernel_t * (1 + x)
+
+        def walk(first, stride):
+            """Sum the terms at first, first + stride, ... until negligible."""
+            nonlocal total
+            u, last = first, 0
+            while abs(u) <= DE_REACH:
+                g = term(u)
+                total += g
+                if g <= eps * total and g <= last:
+                    return
+                u, last = u + stride, g
+            raise TailBoundExceededError(
+                "double-exponential rule: tail not negligible within its reach",
+                reach=DE_REACH, dps=dps,
+            )
+
+        total = term(mp.mpf(0))
+        h = mp.mpf(1)
+        walk(h, h)
+        walk(-h, -h)
+        level = h * total
+        for _ in range(DE_LEVELS):
+            h /= 2
+            walk(h, 2 * h)
+            walk(-h, -2 * h)
+            level, prev = h * total, level
+            if (level - prev) ** 2 <= eps * level * level:
+                return float(-level)
+        raise TailBoundExceededError(
+            "double-exponential rule: levels did not converge",
+            levels=DE_LEVELS, dps=dps,
         )
-        return float(-val)
 
 
 def norm_by_quadrature(psi, points) -> float:

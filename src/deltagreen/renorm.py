@@ -57,6 +57,7 @@ array form and returns D(E) as a plain complex number.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,8 +102,9 @@ class CouplingSpec:
     """How a contact interaction is parameterized: one of four shapes, named
     by the factories :func:`bare_1d`, :func:`renormalized_2d`,
     :func:`renormalized_3d` and :func:`from_bound_state`.  The constructor
-    checks each: a variant sets exactly its own fields, converted to float,
-    and a value no coupling can take raises a typed :mod:`deltagreen.errors` error."""
+    checks each: a variant sets exactly its own fields, each a real number
+    converted to float, and a value no coupling can take raises a typed
+    :mod:`deltagreen.errors` error."""
 
     variant: str
     lam: float | None = None  # bare coupling (D=1)
@@ -112,11 +114,19 @@ class CouplingSpec:
 
     def __post_init__(self):
         given = tuple(f for f in ("lam", "lambda_r", "mu", "e_b") if getattr(self, f) is not None)
-        if given != _VARIANTS.get(self.variant, (None,))[0]:
+        known = isinstance(self.variant, str) and self.variant in _VARIANTS
+        if not known or given != _VARIANTS[self.variant][0]:
             raise IllegalSpecError("a coupling variant sets exactly its own fields",
                                    variant=self.variant, fields=list(given))
         for f in given:
-            object.__setattr__(self, f, float(getattr(self, f)))
+            value = getattr(self, f)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise IllegalSpecError("a coupling field must be a real number", field=f, type=type(value).__name__)
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the doubles
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, f, value)
         lam, lambda_r, mu, e_b = self.lam, self.lambda_r, self.mu, self.e_b
         if self.variant == BARE_1D:
             if not math.isfinite(lam):

@@ -5,13 +5,14 @@ that when an oracle certifies production code the certificate means something.
 """
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.special import k0 as scipy_k0
+from scipy.special import k0 as scipy_k0, k0e as scipy_k0e
 
 from deltagreen import (
     bare_1d,
@@ -31,7 +32,7 @@ from deltagreen.errors import (
     UnsupportedDimError,
 )
 from deltagreen.greenfn import SpatialPoint
-from deltagreen import oracles
+from deltagreen import bessel, greenfn, oracles
 from deltagreen.oracles import (
     Lattice1D,
     SquareWell3D,
@@ -98,6 +99,100 @@ def test_quadrature_two_precision_guard(monkeypatch):
     )
     with pytest.raises(TailBoundExceededError):
         g0_by_quadrature(1, -1.0, 1.0)
+
+
+def test_quadrature_guard_is_relative_and_never_looser(monkeypatch):
+    # |big - bigger| <= QUAD_TOL / 2 * min(1, |bigger|): absolute above |G0| = 1
+    # as before, relative below it, so a tiny value cannot pass on its smallness
+    def passes(big, bigger):
+        monkeypatch.setattr(oracles, "_g0_quad_at", lambda dim, e, r, dps: bigger if dps == 30 else big)
+        try:
+            return g0_by_quadrature(1, -1.0, 1.0) == bigger
+        except TailBoundExceededError:
+            return False
+
+    half = 0.5 * oracles.QUAD_TOL
+    assert passes(-2.0 - 0.9 * half, -2.0) and not passes(-2.0 - 1.1 * half, -2.0)
+    assert passes(-0.5 - 0.4 * half, -0.5) and not passes(-0.5 - 0.6 * half, -0.5)
+    assert passes(-1e-30 * (1 + 0.9 * half), -1e-30)
+    assert not passes(-1e-30 * (1 + 1.1 * half), -1e-30)
+    assert not passes(-0.0, -5e-151) and not passes(-5e-151, -0.0)
+
+
+def _closed_g0(dim, energy, r):
+    """Closed forms from scipy and math: 1D and 3D exponentials, 2D K0."""
+    kappa = math.sqrt(-energy)
+    if dim == 1:
+        return -math.exp(-kappa * r) / (2.0 * kappa)
+    if dim == 2:
+        return -scipy_k0e(kappa * r) * math.exp(-kappa * r) / (2.0 * math.pi)
+    return -math.exp(-kappa * r) / (4.0 * math.pi * r)
+
+
+@pytest.mark.parametrize("dim, energy, r", [(2, -1.0, 300.0), (1, -1e300, 0.0), (1, -1e20, 0.0)])
+def test_quadrature_tiny_values_are_right_or_refused(dim, energy, r):
+    # an absolute guard let these through wrong: 9x off, -0.0 and 8e-8 relative
+    try:
+        value = g0_by_quadrature(dim, energy, r)
+    except TailBoundExceededError:
+        return
+    assert value == pytest.approx(_closed_g0(dim, energy, r), rel=1e-12, abs=0.0)
+
+
+def _sweep(count=60, seed=20261019):
+    """D = 1..3, E log-uniform in [-1e8, -1e-8], kappa r log-uniform in
+    [1e-3, 50], and every tenth case the 1D coincident point r = 0."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        dim = int(rng.integers(1, 4))
+        energy = -(10.0 ** rng.uniform(-8.0, 8.0))
+        kappa_r = 10.0 ** rng.uniform(-3.0, math.log10(50.0))
+        cases.append((1, energy, 0.0) if i % 10 == 0 else (dim, energy, kappa_r / math.sqrt(-energy)))
+    return cases
+
+
+@pytest.mark.parametrize("dim, energy, r", _sweep())
+def test_quadrature_matches_closed_forms_across_scales(dim, energy, r):
+    want = _closed_g0(dim, energy, r)
+    assert g0_by_quadrature(dim, energy, r) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_quadrature_shares_no_algorithm_with_production(monkeypatch):
+    # production's K0 and G0 kernels all raise: the oracle must not notice
+    points = [(1, -1.0, 1.0), (2, -1.0, 1.0), (3, -1.0, 1.0), (1, -1.0, 0.0), (2, -0.25, 2.0)]
+    before = [g0_by_quadrature(*p) for p in points]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called production code")
+
+    monkeypatch.setattr(bessel, "k0", refuse)
+    monkeypatch.setattr(greenfn, "g0_of_kappa", refuse)
+    monkeypatch.setattr(greenfn, "g0_kernel", refuse)
+    with pytest.raises(AssertionError):
+        g0(2, -1.0, SpatialPoint((1.0, 0.0)), SpatialPoint((0.0, 0.0)))
+    assert [g0_by_quadrature(*p) for p in points] == before
+
+
+@pytest.mark.parametrize("budget, value", [("DE_LEVELS", 1), ("DE_REACH", 2)])
+def test_quadrature_budget_runs_out_as_a_typed_error(monkeypatch, budget, value):
+    # too few levels, or too short a walk: a TailBoundExceededError, never a loop
+    monkeypatch.setattr(oracles, budget, value)
+    with pytest.raises(TailBoundExceededError):
+        g0_by_quadrature(2, -1e-6, 1.0)
+
+
+@pytest.mark.parametrize("dim, energy, r", [
+    (3, -1e6, 1.0), (2, -1e-30, 1.0), (3, -1.0, 1e-8), (1, -1e-300, 1.0),
+    (2, -1.0, 300.0), (1, -1e300, 0.0), (1, -1e20, 0.0),
+])
+def test_quadrature_extremes_return_or_refuse_within_a_second(dim, energy, r):
+    start = time.perf_counter()
+    try:
+        g0_by_quadrature(dim, energy, r)
+    except TailBoundExceededError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 # ----------------------------------------------------------------- lattice

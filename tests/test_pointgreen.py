@@ -1651,6 +1651,39 @@ def test_direct_construction_is_checked(build, error):
         build()
 
 
+@pytest.mark.parametrize("build, details", [
+    (lambda: bare_1d("x"), {"field": "lam", "type": "str"}),
+    (lambda: renormalized_2d("a", 1.0), {"field": "lambda_r", "type": "str"}),
+    (lambda: renormalized_2d(-1.0, b"1"), {"field": "mu", "type": "bytes"}),
+    (lambda: bare_1d(1j), {"field": "lam", "type": "complex"}),
+    (lambda: renormalized_3d(1j), {"field": "lambda_r", "type": "complex"}),
+    (lambda: from_bound_state(np.complex128(-1.0)), {"field": "e_b", "type": "complex128"}),
+    (lambda: bare_1d(True), {"field": "lam", "type": "bool"}),
+    (lambda: from_bound_state(np.bool_(True)), {"field": "e_b", "type": "bool"}),
+    (lambda: from_bound_state(None), {"fields": [], "variant": "from_bound_state"}),
+    (lambda: CouplingSpec(["bare_1d"], lam=-2.0), {"fields": ["lam"], "variant": ["bare_1d"]}),
+    (lambda: CouplingSpec({}, lam=-2.0), {"fields": ["lam"], "variant": {}}),
+    (lambda: CouplingSpec(1, lam=-2.0), {"fields": ["lam"], "variant": 1}),
+], ids=["str", "str_2d", "bytes_mu", "complex", "complex_3d", "numpy_complex", "bool",
+        "numpy_bool", "none",
+        "unhashable_variant", "dict_variant", "int_variant"])
+def test_bad_coupling_fields_are_illegal_specs(build, details):
+    # a field that is no real number, or a variant that is no known name, is one
+    # typed error naming the field, never a bare ValueError or TypeError
+    with pytest.raises(IllegalSpecError) as info:
+        build()
+    assert info.value.details == details
+
+
+def test_integer_couplings_beyond_the_doubles_are_infinite():
+    # float() of such an int overflows; the spec sees the infinity it stands for
+    with pytest.raises(DomainError) as info:
+        bare_1d(-10**400)
+    assert info.value.details == {"lam": -math.inf}
+    with pytest.raises(ZeroCouplingError):
+        renormalized_3d(10**400)
+
+
 def test_factories_and_constructors_build_equal_values():
     assert center is DeltaCenter
     assert bare_1d(-2) == CouplingSpec("bare_1d", lam=-2.0)
