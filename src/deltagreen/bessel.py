@@ -25,7 +25,10 @@ its variable (each pass doubles the powers known, ``BLOCK`` arguments at a
 time so memory stays bounded) times one coefficient matrix: a handful of
 numpy operations per call whatever the number of arguments.  The product
 is summed in one order for every argument, so a value does not depend on the
-other arguments of the call.
+other arguments of the call.  Real K0 is one stacked table (its series
+rows, zero-padded, over its tail row) evaluated in one pass: each argument
+picks its variable, then its result, and the zeros change no sum.  J0/Y0
+and complex K0 keep ``_split``, one branch per argument and a merge.
 
 The Chebyshev tables were generated offline by projecting the scaled
 functions onto Chebyshev polynomials at 50-digit precision and truncating at
@@ -180,6 +183,8 @@ _K0_SERIES = _series_table(16, 1.0)
 _J0Y0_SERIES = _series_table(21, -1.0)
 _K0_TAIL_POLY = _monomial_table(_K0_TAIL)
 _PQ_TAIL_POLY = _monomial_table(_P0_TAIL, _Q0_TAIL)
+_K0_TABLE = np.zeros((3, len(_K0_TAIL)))  # real K0's rows I0, sum H_m t^m/(m!)^2, scaled tail
+_K0_TABLE[:2, :16], _K0_TABLE[2] = _K0_SERIES, _K0_TAIL_POLY[0]
 
 
 def _polyval(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -240,7 +245,10 @@ def _k0_tail(x: np.ndarray) -> np.ndarray:
 
 
 def _k0_real(x: np.ndarray) -> np.ndarray:
-    return _split(x, x <= 2.0, _k0_series, _k0_tail)
+    # one pass over _K0_TABLE; the branch not taken may overflow, and is dropped
+    low = x <= 2.0
+    i0, s, tail = _polyval(np.where(low, 0.25 * x * x, 4.0 / x - 1.0), _K0_TABLE)
+    return np.where(low, -(np.log(0.5 * x) + EULER_GAMMA) * i0 + s, tail * np.exp(-x) / np.sqrt(x))
 
 
 def _k0_steed(z: np.ndarray) -> np.ndarray:
@@ -301,10 +309,11 @@ def k0(z):
     """
     arg = np.asarray(z)
     flat = arg.ravel()
-    bad = ~(flat.real > 0.0)
-    if bad.any():
-        raise DomainError("k0 requires Re z > 0", z=repr(complex(flat[bad][0])))
-    return _result(_k0_real(flat) if np.isrealobj(flat) else _k0_complex(flat), arg)
+    if not (flat.real > 0.0).all():
+        raise DomainError("k0 requires Re z > 0", z=repr(complex(flat[~(flat.real > 0.0)][0])))
+    # dropped lanes overflow; log(z/2) = log 0 at the smallest subnormal: K0 = inf (inf + nan i)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _result(_k0_real(flat) if np.isrealobj(flat) else _k0_complex(flat), arg)
 
 
 def _j0y0(x: np.ndarray) -> np.ndarray:
@@ -337,10 +346,11 @@ def hankel1_0(x):
     """
     arg = np.asarray(x, dtype=float)
     flat = arg.ravel()
-    bad = ~(flat > 0.0)
-    if bad.any():
-        raise DomainError("hankel1_0 requires x > 0", x=float(flat[bad][0]))
-    j, y = _j0y0(flat)
+    if not (flat > 0.0).all():
+        raise DomainError("hankel1_0 requires x > 0", x=float(flat[~(flat > 0.0)][0]))
+    # as in k0: log 0 at the smallest subnormal, and x^2 past the doubles in the tail
+    with np.errstate(divide="ignore", over="ignore"):
+        j, y = _j0y0(flat)
     out = j.astype(complex)
     out.imag = y
     return _result(out, arg)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,19 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 
+def as_number(value, field: str, what: str, kind=numbers.Real):
+    """A value type's field as a float (complex for numbers.Complex), an int past the doubles
+    as its infinity; :class:`IllegalSpecError` names the field of a bool or another kind."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise IllegalSpecError(f"{what} must be a {'real ' if kind is numbers.Real else ''}number",
+                               field=field, type=type(value).__name__)
+    convert = float if kind is numbers.Real else complex
+    try:
+        return convert(value)
+    except OverflowError:
+        return convert(math.inf if value > 0 else -math.inf)
+
+
 @dataclass(frozen=True)
 class ComplexEnergy:
     """Energy E in units 1/length**2, tracking the branch prescription.
@@ -75,7 +89,7 @@ class ComplexEnergy:
     retarded: bool = False
 
     def __post_init__(self):
-        v = complex(self.value)
+        v = as_number(self.value, "value", "an energy", numbers.Complex)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise DomainError("energy must be finite", energy=repr(v))
         object.__setattr__(self, "value", v)
@@ -108,19 +122,18 @@ class ComplexEnergy:
 
     @classmethod
     def of(cls, energy) -> "ComplexEnergy":
-        if isinstance(energy, ComplexEnergy):
-            return energy
-        return cls(complex(energy))
+        return energy if isinstance(energy, ComplexEnergy) else cls(energy)
 
 
 @dataclass(frozen=True)
 class SpatialPoint:
-    """A point of R^D, D in {1, 2, 3, 4}; coordinates in units of length."""
+    """A point of R^D, D in {1, 2, 3, 4} (a number: D = 1); coordinates in units of length."""
 
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.coords)
+        coords = self.coords if np.iterable(self.coords) else (self.coords,)
+        c = tuple(as_number(v, "coords", "a coordinate") for v in coords)
         if len(c) not in (1, 2, 3, 4):
             raise UnsupportedDimError(
                 "points live in 1 to 4 dimensions", got=len(c)
@@ -136,6 +149,11 @@ class SpatialPoint:
     @classmethod
     def of(cls, *coords: float) -> "SpatialPoint":
         return cls(tuple(coords))
+
+
+def as_point(p) -> SpatialPoint:
+    """A point as itself; a number or a sequence of numbers as a point."""
+    return p if isinstance(p, SpatialPoint) else SpatialPoint(p)
 
 
 def distance(x: SpatialPoint, y: SpatialPoint) -> float:
@@ -203,7 +221,8 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     kap = e.kappa
     if dim == 1 and kap == 0.0:
         raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
-    return np.asarray(g0_of_kappa(dim, kap, r))
+    with np.errstate(over="ignore", invalid="ignore"):  # as g0_of_kappa asks
+        return np.asarray(g0_of_kappa(dim, kap, r))
 
 
 def g0_of_kappa(dim: int, kappa, r):
@@ -211,22 +230,20 @@ def g0_of_kappa(dim: int, kappa, r):
 
     ``kappa`` is sqrt(-E) with Re kappa > 0 or, for the retarded kernel,
     -i k with k > 0 at every entry; the values take kappa's dtype.  Nothing
-    is checked: :func:`g0_kernel` is the checked entry point.
+    is checked: :func:`g0_kernel` is the checked entry point.  Its caller
+    ignores overflow and invalid, one np.errstate per public call: kappa r past
+    the doubles is G0 = 0, or a lost phase k r, a NaN that GreenValue refuses.
     """
-    # kappa * r overflowing to inf is the kernel underflowing to 0, or (for
-    # imaginary kappa) a phase k r past double precision: a NaN that the
-    # finite check of GreenValue refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        if dim == 2:
-            z = kappa * r
-            if np.iscomplexobj(z) and not z.real.any():
-                # kappa = -i k: K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the
-                # retarded kernel on the self-contained real-argument j0/y0
-                return -0.25j * np.asarray(bessel.hankel1_0(-z.imag))
-            # dividing by the negated constant negates the quotient exactly
-            # and saves a temporary the size of r
-            return np.asarray(bessel.k0(z)) / -_TWO_PI
-        wave = np.exp(-kappa * r)
+    if dim == 2:
+        z = kappa * r
+        if np.iscomplexobj(z) and not z.real.any():
+            # kappa = -i k: K0(-i k r) = (i pi / 2) H0^(1)(k r) keeps the
+            # retarded kernel on the self-contained real-argument j0/y0
+            return -0.25j * np.asarray(bessel.hankel1_0(-z.imag))
+        # dividing by the negated constant negates the quotient exactly
+        # and saves a temporary the size of r
+        return np.asarray(bessel.k0(z)) / -_TWO_PI
+    wave = np.exp(-kappa * r)
     if dim == 1:
         return -wave / (2.0 * kappa)
     return -wave / (_FOUR_PI * r)
@@ -242,7 +259,7 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
     energy : ComplexEnergy or number
         Energy off the positive real axis, or retarded (E + i0+).
     x, y : SpatialPoint
-        Evaluation points; for dim >= 2 they must be distinct.
+        Evaluation points (or what :func:`as_point` takes); distinct for dim >= 2.
 
     Returns
     -------
@@ -251,7 +268,7 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
         infinity; outgoing-wave form for retarded energies.
     """
     e = ComplexEnergy.of(energy)
-    val = complex(g0_kernel(dim, e, _check_geometry(dim, x, y)))
+    val = complex(g0_kernel(dim, e, _check_geometry(dim, as_point(x), as_point(y))))
     return GreenValue(value=val, dim=dim)
 
 

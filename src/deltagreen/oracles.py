@@ -47,6 +47,7 @@ from .errors import (
     TailBoundExceededError,
     UnsupportedDimError,
 )
+from .greenfn import as_number
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
 
@@ -59,10 +60,11 @@ class Lattice1D:
     points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "half_width", float(self.half_width))
+        object.__setattr__(self, "half_width", as_number(self.half_width, "half_width", "a lattice field"))
         if not (self.half_width > 0.0) or not math.isfinite(self.half_width):
             raise DomainError("half_width must be positive", half_width=self.half_width)
-        if int(self.points) != self.points or self.points < 3:
+        points = as_number(self.points, "points", "a lattice field")
+        if not (points >= 3.0 and points % 1.0 == 0.0):
             raise DomainError("need at least 3 grid points", points=self.points)
         object.__setattr__(self, "points", int(self.points))
 

@@ -63,9 +63,11 @@ import numpy as np
 
 from .errors import AtPoleError, DomainError, IllegalSpecError, NonConvergenceError
 from .greenfn import (
+    COINCIDENT_TOL,
     ComplexEnergy,
     GreenValue,
     SpatialPoint,
+    as_point,
     g0,
     g0_kernel,
     g0_of_kappa,
@@ -101,19 +103,10 @@ class DeltaCenter:
     coupling: CouplingSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _point(self.position))
+        object.__setattr__(self, "position", as_point(self.position))
         if not isinstance(self.coupling, CouplingSpec):
             raise IllegalSpecError("a center's coupling must be a CouplingSpec", coupling=repr(self.coupling))
         self.coupling.require_dim(self.position.dim)
-
-
-def _point(p) -> SpatialPoint:
-    """A number, tuple or point as a point."""
-    if isinstance(p, SpatialPoint):
-        return p
-    if isinstance(p, (int, float)):
-        return SpatialPoint.of(float(p))
-    return SpatialPoint(tuple(p))
 
 
 center = DeltaCenter
@@ -151,6 +144,8 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
     if not cs:
         raise IllegalSpecError("at least one center required")
     for c in cs:
+        if not isinstance(c, DeltaCenter):
+            raise IllegalSpecError("a center must be a DeltaCenter", field="centers", type=type(c).__name__)
         if c.position.dim != dim:
             raise IllegalSpecError(
                 "center dimension mismatch", dim=dim, center_dim=c.position.dim
@@ -190,8 +185,9 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     """M(-kappa^2) at every kappa of a 1-D array, from :func:`_pair_distances`
     and the coupling constants: real matrices for a real array, else complex.
     The denominators come first (at kappa = 0 in D = 1, 2 they raise before
-    the kernel divides by zero).  ``np.take``, unlike fancy indexing, keeps
-    each matrix C-contiguous, the layout whose ``eigh`` bits tests pin.
+    the kernel divides by zero), under the caller's errstate (:func:`g0_of_kappa`).
+    ``np.take``, unlike fancy indexing, keeps each matrix C-contiguous, the
+    layout whose ``eigh`` bits tests pin.
     """
     diag = renormalized_denominators(dim, kappas, consts)
     off = g0_of_kappa(dim, kappas[:, None], r)
@@ -204,7 +200,8 @@ def m_matrix(dim: int, energy, centers) -> MMatrix:
     cs, pos = _validate_centers(dim, centers)
     slots, r = _pair_distances(pos)
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    m = _m_of_kappa(dim, consts, slots, r, kappas)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _m_of_kappa(dim, consts, slots, r, kappas)[0]
     m.setflags(write=False)
     return MMatrix(entries=m)
 
@@ -227,7 +224,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     cs = tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
-    e = ComplexEnergy.of(energy)
+    e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, c = _strengths(dim, e, y, cs)
     rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's) for math.dist
     k = g0_kernel(dim, e, np.concatenate(([math.dist(x.coords, y.coords)], rx)))
@@ -287,7 +284,10 @@ def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
         raise IllegalSpecError(
             "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
         )
-    return _norms(lambda: (c - xc for c, xc in zip(pos.T, x.coords)))
+    # one pass; past the doubles, the hypot way of _norms (DomainError if r is)
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.square(pos - x.coords).sum(axis=1))
+    return r if np.isfinite(r).all() else _norms(lambda: (c - xc for c, xc in zip(pos.T, x.coords)))
 
 
 def _norms(diffs) -> np.ndarray:
@@ -336,11 +336,13 @@ def _residue_vectors(dim: int, consts: np.ndarray, slots, r, pos: np.ndarray,
     for i in range(0, len(multiplets), step):
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
-        m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
         vecs = np.linalg.eigh(m)[1]
         for (e_b, branches), kap, v, s in zip(batch, kaps, vecs, m_step.imag / -1e-20):
             null = v[:, branches]
-            g, u = np.linalg.eigh(null.T @ s @ null)
+            gram = null.T @ s @ null  # LAPACK's eigh of a 1 x 1 matrix: its entry, vector [1]
+            g, u = (gram[0], np.ones((1, 1))) if len(branches) == 1 else np.linalg.eigh(gram)
             if not g[0] > 0.0:
                 raise NonConvergenceError("residue normalization failed (non-positive "
                                           "dM/dE at the root)", energy=e_b)
@@ -473,7 +475,7 @@ def _eigenvalues(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     out = []
     for i in range(0, len(kappas), step):
         kap = kappas[i : i + step]
-        with np.errstate(over="ignore", divide="ignore"):  # checked just below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked just below
             m = _m_of_kappa(dim, consts, slots, r, kap)
         if not np.isfinite(m).all():
             raise DomainError("M(E) has an entry beyond double precision",
@@ -505,7 +507,8 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     adjacent kappas of the log-kappa grid, and mu_k there, where mu_k turns
     non-positive.
 
-    The grid is searched, not tabulated: first every isqrt(grid_points)-th
+    The grid is searched, not tabulated, and evaluated only at the indices
+    searched (:func:`_geomspace_at`): first every isqrt(grid_points)-th
     point and the last, then, level by level in one batch, the midpoint of
     every cell between evaluated points whose ends differ in count n_+ or
     where M is not clear of rounding at either end (min|mu| <= POLE_TOL
@@ -518,30 +521,43 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     e_min, e_max = window
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2", grid_points=grid_points)
-    grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
+    kap_lo, kap_hi = math.sqrt(-e_max), math.sqrt(-e_min)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
     # key: an evaluated index's count n_+, or -1 where M is not clear of rounding
-    cells, done, rows, key = list(zip(batch, batch[1:])), [], [], {}
+    cells, done, kaps, rows, key = list(zip(batch, batch[1:])), [], [], [], {}
     while batch:
-        mu = _eigenvalues(dim, consts, slots, r, grid[batch])  # falls along each column
+        kap = _geomspace_at(kap_lo, kap_hi, grid_points, batch)
+        mu = _eigenvalues(dim, consts, slots, r, kap)  # falls along each column
         blurred = np.abs(mu).min(axis=1) <= POLE_TOL * np.abs(mu).max(axis=1)
         key.update(zip(batch, np.where(blurred, -1, np.sum(mu > 0.0, axis=1)).tolist()))
-        done, rows = done + batch, rows + [mu]
+        done, kaps, rows = done + batch, kaps + [kap], rows + [mu]
         cut = [(lo, hi) for lo, hi in cells if hi - lo > 1 and (key[lo] != key[hi] or key[lo] < 0)]
         batch = [(lo + hi) // 2 for lo, hi in cut]
         cells = [cell for (lo, hi), m in zip(cut, batch) for cell in ((lo, m), (m, hi))]
     order = np.argsort(done)
-    idx, mu = np.asarray(done)[order], np.concatenate(rows)[order]
+    kap, mu = np.concatenate(kaps)[order], np.concatenate(rows)[order]
     count = np.sum(mu > 0.0, axis=1)
     rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
         raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
-                                  energy=float(-grid[idx[rises[0] + 1]] ** 2))
+                                  energy=float(-kap[rises[0] + 1] ** 2))
     n = mu.shape[1]
     ks = np.arange(n - count[0], n - count[-1])
     # the first grid kappa where branch k is no longer positive ends its bracket
     hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
-    return ks, grid[idx[hi - 1]], grid[idx[hi]], mu[hi - 1, ks], mu[hi, ks]
+    return ks, kap[hi - 1], kap[hi], mu[hi - 1, ks], mu[hi, ks]
+
+
+def _geomspace_at(lo: float, hi: float, n: int, idx) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)[idx]`` for ascending indices, computed only there as
+    geomspace does: 10 ** (i step + log10 lo), and the end points exactly lo and hi."""
+    log_lo = np.log10(lo)
+    out = 10.0 ** (np.multiply(idx, (np.log10(hi) - log_lo) / (n - 1)) + log_lo)
+    if idx[0] == 0:
+        out[0] = lo
+    if idx[-1] == n - 1:
+        out[-1] = hi
+    return out
 
 
 def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
@@ -581,5 +597,8 @@ def residue_wavefunction(state: BoundState, x) -> float:
     up to sign: it is positive next to the center of largest |c_i| in
     ``state.residue_vector`` (the first in coordinate order among ties).
     """
-    r = _distances_to(_point(x), state.positions)
-    return float(g0_kernel(state.dim, state.energy, r) @ state.residue_vector)
+    r = _distances_to(as_point(x), state.positions)
+    if (r < COINCIDENT_TOL).any():
+        g0_kernel(state.dim, state.energy, r)  # raises CoincidentPointsError in D >= 2
+    with np.errstate(over="ignore", invalid="ignore"):  # as g0_of_kappa asks
+        return float(g0_of_kappa(state.dim, state.kappa, r) @ state.residue_vector)

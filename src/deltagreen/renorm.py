@@ -57,7 +57,6 @@ array form and returns D(E) as a plain complex number.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,7 +72,7 @@ from .errors import (
     UnsupportedDimError,
     ZeroCouplingError,
 )
-from .greenfn import ComplexEnergy
+from .greenfn import ComplexEnergy, as_number
 
 _FOUR_PI = 4.0 * math.pi
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
@@ -119,14 +118,7 @@ class CouplingSpec:
             raise IllegalSpecError("a coupling variant sets exactly its own fields",
                                    variant=self.variant, fields=list(given))
         for f in given:
-            value = getattr(self, f)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise IllegalSpecError("a coupling field must be a real number", field=f, type=type(value).__name__)
-            try:
-                value = float(value)
-            except OverflowError:  # an int beyond the doubles
-                value = math.inf if value > 0 else -math.inf
-            object.__setattr__(self, f, value)
+            object.__setattr__(self, f, as_number(getattr(self, f), f, "a coupling field"))
         lam, lambda_r, mu, e_b = self.lam, self.lambda_r, self.mu, self.e_b
         if self.variant == BARE_1D:
             if not math.isfinite(lam):
@@ -202,7 +194,7 @@ class Cutoff:
     lambda_cap: float
 
     def __post_init__(self):
-        v = float(self.lambda_cap)
+        v = as_number(self.lambda_cap, "lambda_cap", "a cutoff")
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError("cutoff must be positive and finite", lambda_cap=v)
         object.__setattr__(self, "lambda_cap", v)

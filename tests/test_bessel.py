@@ -6,6 +6,7 @@ imaginary parts of the Hankel function.  Production code computes these from
 series and stored Chebyshev tables, so agreement is a genuine cross-check.
 """
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -243,3 +244,26 @@ def test_array_domain_errors_name_the_first_bad_argument():
         bessel.hankel1_0(np.array([1.0, np.nan]))
     with pytest.raises(DomainError):
         bessel.hankel1_0(np.array([[1.0], [0.0]]))
+
+
+def _edge_sweep() -> np.ndarray:
+    # both sides of every branch edge (2 for K0, 5 for J0/Y0), the smallest
+    # subnormal, a tiny normal, where exp(-x) underflows and near the top of
+    # the doubles
+    edges = [np.nextafter(e, side) for e in (2.0, 5.0) for side in (0.0, e, math.inf)]
+    return np.array([5e-324, 1e-300, 0.3, *edges, 10.0, 745.0, 1e308])
+
+
+def test_kernels_keep_their_bits_at_every_branch_edge():
+    # one sha256 over float.hex of real K0, of complex K0 within 1e-8 of the
+    # axis (where it continues the real table) and of H0^(1), each called on
+    # the whole sweep and on every argument alone; recorded with numpy 2.4.6
+    # on x86-64 before the real K0 became one stacked table
+    x = _edge_sweep()
+    z = np.concatenate([x * (1.0 + t * 1j) for t in (1e-20, 1e-9, 1e-8, -1e-8)])
+    digest = hashlib.sha256()
+    with np.errstate(all="ignore"):  # the older kernels warned at 5e-324 and 1e308: bits only
+        for f, args in ((bessel.k0, x), (bessel.k0, z), (bessel.hankel1_0, x)):
+            for value in map(complex, [*np.ravel(f(args)), *(f(a) for a in args)]):
+                digest.update(f"{value.real.hex()} {value.imag.hex()};".encode())
+    assert digest.hexdigest() == "e8d4e28ce47320d32a1aca1834f382fa5ab8208d2727efe4e59cced8bb56445a"

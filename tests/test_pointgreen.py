@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -41,6 +42,7 @@ from deltagreen.errors import (
 )
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
+from deltagreen.renorm import Cutoff
 
 # two attractive centers at -1 and +1, lambda = -2 each: energies frozen from
 # the transfer-coefficient shooting oracle (see test_oracles.py)
@@ -1186,6 +1188,39 @@ def test_scan_keeps_its_bits():
         83, "141b44106d3b785379f41bece2c43fbf1d34f30bb6741fadf09f39bbbf5ea71b")
 
 
+#: Fixed probes off every center of the golden layouts, cut to each dimension.
+_GOLDEN_PROBES = ((0.37, -0.21, 0.13), (1.71, 0.93, -0.44), (-0.58, 2.27, 0.61), (3.14, 1.59, 2.65))
+
+
+def test_residue_wavefunctions_keep_their_bits():
+    # one sha256 over psi_B at four fixed probes for every state of the
+    # golden layouts; recorded with numpy 2.4.6 on x86-64 before psi went
+    # straight to the closed-form kernel
+    digest, count = hashlib.sha256(), 0
+    for dim, cs, window in _golden_layouts():
+        for st_ in bound_states(dim, cs, search=window, method="scan"):
+            psi = [residue_wavefunction(st_, p[:dim]) for p in _GOLDEN_PROBES]
+            digest.update(" ".join(map(float.hex, psi)).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        83, "812cf5658ed24a411140d174ae806aa8f3fbca0328f6573d792f8d0b3b7c011d")
+
+
+@pytest.mark.parametrize("n", [2, 400, 10**6])
+def test_grid_search_points_are_those_of_geomspace(n):
+    # the search evaluates the log-kappa grid only at the indices it reads;
+    # each is the bit of np.geomspace's, its two end points exactly lo and hi
+    rng = np.random.default_rng(n)
+    windows = [(2.0**-511, 1.3e154), (0.05, 4.0)]
+    windows += [tuple(np.sort(10.0 ** rng.uniform(-150.0, 150.0, 2))) for _ in range(4)]
+    for lo, hi in windows:
+        want = np.geomspace(lo, hi, n)
+        assert pointgreen._geomspace_at(lo, hi, n, np.arange(n)).tobytes() == want.tobytes()
+        assert pointgreen._geomspace_at(lo, hi, n, [0, n - 1]).tolist() == [lo, hi]
+        idx = np.unique(rng.integers(0, n, 50))
+        assert pointgreen._geomspace_at(lo, hi, n, idx).tobytes() == want[idx].tobytes()
+
+
 def test_bound_state_validation():
     c = [center(0.0, bare_1d(-2.0))]
     with pytest.raises(IllegalSpecError):
@@ -1538,6 +1573,26 @@ def test_residue_factorizes_the_pole(dim, centers, x, y):
     assert extrapolated == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_residue_wavefunction_keeps_every_error(dim):
+    # psi goes to the closed-form kernel unchecked, so the checks stay in
+    # front of it: each bad probe is one typed error, never a numpy warning
+    origin, far = (0.0,) * dim, (-1e308,) + (0.0,) * (dim - 1)
+    state = bound_states(dim, [center(origin, from_bound_state(-1.0))])[0]
+    far_state = bound_states(dim, [center(far, from_bound_state(-1.0))])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoincidentPointsError):
+            residue_wavefunction(state, origin)
+        with pytest.raises(DomainError):
+            residue_wavefunction(far_state, (1e308,) + (0.0,) * (dim - 1))
+        with pytest.raises(IllegalSpecError):
+            residue_wavefunction(state, (0.5,) * (dim + 1))
+        # the kernel underflows to 0 far out, with 4 pi r past the doubles in 3D
+        assert residue_wavefunction(state, (1e300,) + (0.0,) * (dim - 1)) == 0.0
+        assert residue_wavefunction(far_state, (0.0,) * (dim - 1) + (1e300,)) == 0.0
+
+
 def test_residue_normalization_1d():
     state = bound_states(1, PAIR)[0]
     total, err = quad(
@@ -1670,6 +1725,31 @@ def test_direct_construction_is_checked(build, error):
 def test_bad_coupling_fields_are_illegal_specs(build, details):
     # a field that is no real number, or a variant that is no known name, is one
     # typed error naming the field, never a bare ValueError or TypeError
+    with pytest.raises(IllegalSpecError) as info:
+        build()
+    assert info.value.details == details
+
+
+@pytest.mark.parametrize("build, details", [
+    (lambda: SpatialPoint(("x",)), {"field": "coords", "type": "str"}),
+    (lambda: SpatialPoint(None), {"field": "coords", "type": "NoneType"}),
+    (lambda: SpatialPoint((1.0, True)), {"field": "coords", "type": "bool"}),
+    (lambda: Cutoff("x"), {"field": "lambda_cap", "type": "str"}),
+    (lambda: ComplexEnergy("x"), {"field": "value", "type": "str"}),
+    (lambda: ComplexEnergy(None), {"field": "value", "type": "NoneType"}),
+    (lambda: Lattice1D(1.0, "x"), {"field": "points", "type": "str"}),
+    (lambda: Lattice1D("x", 11), {"field": "half_width", "type": "str"}),
+    (lambda: center("x", bare_1d(-2.0)), {"field": "coords", "type": "str"}),
+    (lambda: residue_wavefunction(bound_states(1, PAIR)[0], "x"), {"field": "coords", "type": "str"}),
+    (lambda: g0(3, -1.0, None, _pt(0.0, 0.0, 1.0)), {"field": "coords", "type": "NoneType"}),
+    (lambda: bound_states(3, [1]), {"field": "centers", "type": "int"}),
+], ids=["point_str", "point_none", "point_bool", "cutoff_str", "energy_str", "energy_none",
+        "lattice_points_str", "lattice_width_str", "center_str", "probe_str", "g0_none",
+        "center_int"])
+def test_bad_value_type_fields_are_illegal_specs(build, details):
+    # every value type converts its fields in one helper: a field of the wrong
+    # kind is one typed error naming it, never a bare ValueError, TypeError or
+    # AttributeError, and a bool is no number
     with pytest.raises(IllegalSpecError) as info:
         build()
     assert info.value.details == details
