@@ -5,13 +5,12 @@ actually meets.  Every function takes a number or an array of arguments and
 evaluates the whole array at once; a number in gives a number out, an array
 in gives an array of the same shape:
 
-* ``k0`` -- modified Bessel function K0.  Real arguments use an ascending
-  series on (0, 2] and a frozen Chebyshev table for the scaled tail
-  sqrt(z)*exp(z)*K0(z) on [2, inf).  Complex arguments with Re z > 0 use the
-  same series for |z| <= 2 and the same table within 1e-8 of the real axis;
-  other arguments take Steed's continued fraction CF2 up to |z| = 1e9 and
-  the asymptotic series beyond.  No external special-function library is
-  called.
+* ``k0`` -- modified Bessel function K0.  An ascending series for |z| <= 2
+  and a frozen Chebyshev table for the scaled tail sqrt(z)*exp(z)*K0(z)
+  beyond serve real arguments and complex ones (Re z > 0) with |z| <= 2 or
+  within 1e-8 of the real axis; other complex arguments take Steed's
+  continued fraction CF2 up to |z| = 1e9 and the asymptotic series beyond.
+  No external special-function library is called.
 * ``hankel1_0`` -- the outgoing-wave Hankel function J0 + i Y0 for real
   arguments, from the ordinary Bessel functions of order zero: ascending
   series on (0, 5], Chebyshev phase/amplitude tables beyond.  The retarded
@@ -25,10 +24,11 @@ its variable (each pass doubles the powers known, ``BLOCK`` arguments at a
 time so memory stays bounded) times one coefficient matrix: a handful of
 numpy operations per call whatever the number of arguments.  The product
 is summed in one order for every argument, so a value does not depend on the
-other arguments of the call.  Real K0 is one stacked table (its series
-rows, zero-padded, over its tail row) evaluated in one pass: each argument
-picks its variable, then its result, and the zeros change no sum.  J0/Y0
-and complex K0 keep ``_split``, one branch per argument and a merge.
+other arguments of the call.  K0 on real and near-axis arguments is one
+stacked table (its series rows, zero-padded, over its tail row) evaluated in
+one pass: each argument picks its variable, then its result, and the zeros
+change no sum.  J0/Y0 and off-axis complex K0 keep ``_split``, one branch
+per argument and a merge.
 
 The Chebyshev tables were generated offline by projecting the scaled
 functions onto Chebyshev polynomials at 50-digit precision and truncating at
@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, quiet
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -179,12 +179,10 @@ def _monomial_table(*tables) -> np.ndarray:
 
 # 16 terms reach (t^15 / 15!^2) < 1e-24 for |t| = |z|^2/4 <= 1; 21 terms
 # reach 1e-21 for t = x^2/4 <= 6.25
-_K0_SERIES = _series_table(16, 1.0)
 _J0Y0_SERIES = _series_table(21, -1.0)
-_K0_TAIL_POLY = _monomial_table(_K0_TAIL)
 _PQ_TAIL_POLY = _monomial_table(_P0_TAIL, _Q0_TAIL)
-_K0_TABLE = np.zeros((3, len(_K0_TAIL)))  # real K0's rows I0, sum H_m t^m/(m!)^2, scaled tail
-_K0_TABLE[:2, :16], _K0_TABLE[2] = _K0_SERIES, _K0_TAIL_POLY[0]
+_K0_TABLE = np.zeros((3, len(_K0_TAIL)))  # K0's rows I0, sum H_m t^m/(m!)^2, scaled tail
+_K0_TABLE[:2, :16], _K0_TABLE[2] = _series_table(16, 1.0), _monomial_table(_K0_TAIL)[0]
 
 
 def _polyval(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -233,22 +231,12 @@ def _result(values: np.ndarray, arg: np.ndarray):
     return values.reshape(arg.shape) if arg.ndim else values[0].item()
 
 
-def _k0_series(z: np.ndarray) -> np.ndarray:
-    # K0(z) = -(log(z/2) + gamma) I0(z) + sum_{m>=1} H_m (z^2/4)^m / (m!)^2
-    i0, s = _polyval(0.25 * z * z, _K0_SERIES)
-    return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s
-
-
-def _k0_tail(x: np.ndarray) -> np.ndarray:
-    # scaled tail; exp(-x) underflows gracefully for x beyond ~745
-    return _polyval(4.0 / x - 1.0, _K0_TAIL_POLY)[0] * np.exp(-x) / np.sqrt(x)
-
-
-def _k0_real(x: np.ndarray) -> np.ndarray:
-    # one pass over _K0_TABLE; the branch not taken may overflow, and is dropped
-    low = x <= 2.0
-    i0, s, tail = _polyval(np.where(low, 0.25 * x * x, 4.0 / x - 1.0), _K0_TABLE)
-    return np.where(low, -(np.log(0.5 * x) + EULER_GAMMA) * i0 + s, tail * np.exp(-x) / np.sqrt(x))
+def _k0_table(z: np.ndarray) -> np.ndarray:
+    # one pass over _K0_TABLE: -(log(z/2) + gamma) I0(z) + sum_{m>=1} H_m (z^2/4)^m / (m!)^2 for
+    # |z| <= 2, the scaled tail beyond (exp(-z) underflows past ~745); the lane not taken is dropped
+    low = np.abs(z) <= 2.0
+    i0, s, tail = _polyval(np.where(low, 0.25 * z * z, 4.0 / z - 1.0), _K0_TABLE)
+    return np.where(low, -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s, tail * np.exp(-z) / np.sqrt(z))
 
 
 def _k0_steed(z: np.ndarray) -> np.ndarray:
@@ -294,14 +282,13 @@ def _k0_complex(z: np.ndarray) -> np.ndarray:
 
         return _split(w, np.exp(-w.real) > 0.0, unscaled, np.zeros_like)
 
-    def large(w):
-        # the real tail table, continued, stays accurate within 1e-8 of the
-        # axis, where the residues' complex step in ln kappa differentiates it
-        return _split(w, np.abs(w.imag) <= 1e-8 * w.real, _k0_tail, off_axis)
-
-    return _split(z, np.abs(z) <= 2.0, _k0_series, large)
+    # the real tail table, continued, stays accurate within 1e-8 of the
+    # axis, where the residues' complex step in ln kappa differentiates it
+    near = (np.abs(z) <= 2.0) | (np.abs(z.imag) <= 1e-8 * z.real)
+    return _split(z, near, _k0_table, off_axis)
 
 
+@quiet
 def k0(z):
     """Modified Bessel function of the second kind, order zero, Re z > 0.
 
@@ -311,9 +298,8 @@ def k0(z):
     flat = arg.ravel()
     if not (flat.real > 0.0).all():
         raise DomainError("k0 requires Re z > 0", z=repr(complex(flat[~(flat.real > 0.0)][0])))
-    # dropped lanes overflow; log(z/2) = log 0 at the smallest subnormal: K0 = inf (inf + nan i)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _result(_k0_real(flat) if np.isrealobj(flat) else _k0_complex(flat), arg)
+    # log(z/2) = log 0 at the smallest subnormal: K0 = inf (inf + nan i)
+    return _result(_k0_table(flat) if np.isrealobj(flat) else _k0_complex(flat), arg)
 
 
 def _j0y0(x: np.ndarray) -> np.ndarray:
@@ -339,6 +325,7 @@ def _j0y0(x: np.ndarray) -> np.ndarray:
     return _split(x, x <= 5.0, series, tail)
 
 
+@quiet
 def hankel1_0(x):
     """Outgoing Hankel function H0^(1)(x) = J0(x) + i Y0(x) for real x > 0.
 
@@ -348,9 +335,7 @@ def hankel1_0(x):
     flat = arg.ravel()
     if not (flat > 0.0).all():
         raise DomainError("hankel1_0 requires x > 0", x=float(flat[~(flat > 0.0)][0]))
-    # as in k0: log 0 at the smallest subnormal, and x^2 past the doubles in the tail
-    with np.errstate(divide="ignore", over="ignore"):
-        j, y = _j0y0(flat)
+    j, y = _j0y0(flat)
     out = j.astype(complex)
     out.imag = y
     return _result(out, arg)

@@ -12,9 +12,20 @@ Two families matter to callers:
 
 Each exception carries a short machine-readable ``code`` plus a ``details``
 dict so the CLI can emit structured payloads instead of bare text.
+
+Floating-point policy.  The public numerical functions (``bessel``'s ``k0``
+and ``hankel1_0``, ``greenfn.g0_kernel``, ``pointgreen``'s ``m_matrix``,
+``green``, ``bound_states`` and ``residue_wavefunction``) run under
+:func:`quiet`: no numpy warning leaves a public call, and no result depends on
+the caller's numpy error state.  Values are checked explicitly instead: a
+non-finite M(E) in the scan, ``GreenValue``, the residue Gram matrix's sign.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 
 class DeltaGreenError(Exception):
@@ -115,3 +126,13 @@ class DispersionError(DeltaGreenError):
     """Lattice dispersion error too large at this k*h."""
 
     code = "DispersionError"
+
+
+def quiet(func):
+    """``func`` run under ``np.errstate(all="ignore")``: the policy above."""
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return func(*args, **kwargs)
+    return wrapper

@@ -44,6 +44,7 @@ from .errors import (
     DomainError,
     IllegalSpecError,
     UnsupportedDimError,
+    quiet,
 )
 
 #: Tolerance on Im(E) below which an energy with Re(E) >= 0 counts as sitting
@@ -190,6 +191,7 @@ def _check_geometry(dim: int, x: SpatialPoint, y: SpatialPoint) -> float:
     return distance(x, y)
 
 
+@quiet
 def g0_kernel(dim: int, energy, r) -> np.ndarray:
     """Free Green's function G0(E; r) at every separation of the array ``r``.
 
@@ -221,8 +223,7 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     kap = e.kappa
     if dim == 1 and kap == 0.0:
         raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
-    with np.errstate(over="ignore", invalid="ignore"):  # as g0_of_kappa asks
-        return np.asarray(g0_of_kappa(dim, kap, r))
+    return np.asarray(g0_of_kappa(dim, kap, r))
 
 
 def g0_of_kappa(dim: int, kappa, r):
@@ -230,9 +231,9 @@ def g0_of_kappa(dim: int, kappa, r):
 
     ``kappa`` is sqrt(-E) with Re kappa > 0 or, for the retarded kernel,
     -i k with k > 0 at every entry; the values take kappa's dtype.  Nothing
-    is checked: :func:`g0_kernel` is the checked entry point.  Its caller
-    ignores overflow and invalid, one np.errstate per public call: kappa r past
-    the doubles is G0 = 0, or a lost phase k r, a NaN that GreenValue refuses.
+    is checked: :func:`g0_kernel` is the checked entry point, under the
+    floating-point policy of :mod:`deltagreen.errors`: kappa r past the
+    doubles is G0 = 0, or a lost phase k r, a NaN that GreenValue refuses.
     """
     if dim == 2:
         z = kappa * r
@@ -278,7 +279,7 @@ def g0_retarded(dim: int, k: float, x: SpatialPoint, y: SpatialPoint) -> GreenVa
     Closed forms: D=1: exp(ikr)/(2ik); D=2: -(i/4) H0^(1)(kr);
     D=3: -exp(ikr)/(4 pi r).
     """
-    k = float(k)
+    k = as_number(k, "k", "a momentum")
     if not (k > 0.0) or not math.isfinite(k):
         raise DomainError("retarded evaluation needs k > 0", k=k)
     return g0(dim, ComplexEnergy(k * k, retarded=True), x, y)

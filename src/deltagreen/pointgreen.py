@@ -61,12 +61,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AtPoleError, DomainError, IllegalSpecError, NonConvergenceError
+from .errors import AtPoleError, DomainError, IllegalSpecError, NonConvergenceError, quiet
 from .greenfn import (
     COINCIDENT_TOL,
     ComplexEnergy,
     GreenValue,
     SpatialPoint,
+    as_number,
     as_point,
     g0,
     g0_kernel,
@@ -185,7 +186,7 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     """M(-kappa^2) at every kappa of a 1-D array, from :func:`_pair_distances`
     and the coupling constants: real matrices for a real array, else complex.
     The denominators come first (at kappa = 0 in D = 1, 2 they raise before
-    the kernel divides by zero), under the caller's errstate (:func:`g0_of_kappa`).
+    the kernel divides by zero), under the policy of :mod:`deltagreen.errors`.
     ``np.take``, unlike fancy indexing, keeps each matrix C-contiguous, the
     layout whose ``eigh`` bits tests pin.
     """
@@ -194,18 +195,19 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     return np.take(np.concatenate((-off, diag), axis=-1), slots, axis=-1)
 
 
+@quiet
 def m_matrix(dim: int, energy, centers) -> MMatrix:
     """Assemble M(E): renormalized denominators on the diagonal, -G0 off it; real at real kappa."""
     kappas = np.array([ComplexEnergy.of(energy).kappa])
     cs, pos = _validate_centers(dim, centers)
     slots, r = _pair_distances(pos)
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _m_of_kappa(dim, consts, slots, r, kappas)[0]
+    m = _m_of_kappa(dim, consts, slots, r, kappas)[0]
     m.setflags(write=False)
     return MMatrix(entries=m)
 
 
+@quiet
 def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenValue:
     """Green's function of the free Hamiltonian plus the given delta centers.
 
@@ -257,8 +259,7 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     # z_i = cos(i * golden angle): max|z_i| = 1, and no symmetric layout makes
     # z orthogonal to a null vector; times the row sums r_i of |M_ij|,
     # M^-1 (r z) = A^-1 z, so scaling a row (a weak center) moves no decision
-    with np.errstate(over="ignore"):  # a row sum past the doubles is inf
-        probe = np.cos(2.399963229728653 * np.arange(len(cs))) * np.abs(m).sum(axis=1)
+    probe = np.cos(2.399963229728653 * np.arange(len(cs))) * np.abs(m).sum(axis=1)
     try:
         sol = np.linalg.solve(m, np.stack([gy, probe], axis=1))
         # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
@@ -285,8 +286,7 @@ def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
             "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
         )
     # one pass; past the doubles, the hypot way of _norms (DomainError if r is)
-    with np.errstate(over="ignore"):
-        r = np.sqrt(np.square(pos - x.coords).sum(axis=1))
+    r = np.sqrt(np.square(pos - x.coords).sum(axis=1))
     return r if np.isfinite(r).all() else _norms(lambda: (c - xc for c, xc in zip(pos.T, x.coords)))
 
 
@@ -300,20 +300,13 @@ def _norms(diffs) -> np.ndarray:
     keeps the bytes of the plain sum.  A length beyond the double range (or
     an infinite difference) raises :class:`DomainError`.
     """
-    try:
-        with np.errstate(over="raise"):
-            return np.sqrt(sum(d**2 for d in diffs()))
-    except FloatingPointError:
-        pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        ds = list(diffs())
-        r = np.sqrt(sum(d**2 for d in ds))
-        big = np.isinf(r)
-        parts = [np.abs(d[big]) for d in ds]
+    r = np.sqrt(sum(d**2 for d in diffs()))
+    if (big := np.isinf(r)).any():
+        parts = [np.abs(d[big]) for d in diffs()]
         scale = np.maximum.reduce(parts)
         r[big] = scale * np.sqrt(sum((p / scale) ** 2 for p in parts))
-    if not np.isfinite(r).all():
-        raise DomainError("distance overflows double precision")
+        if not np.isfinite(r).all():
+            raise DomainError("distance overflows double precision")
     return r
 
 
@@ -336,8 +329,7 @@ def _residue_vectors(dim: int, consts: np.ndarray, slots, r, pos: np.ndarray,
     for i in range(0, len(multiplets), step):
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
-        with np.errstate(over="ignore", invalid="ignore"):
-            m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
+        m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
         vecs = np.linalg.eigh(m)[1]
         for (e_b, branches), kap, v, s in zip(batch, kaps, vecs, m_step.imag / -1e-20):
             null = v[:, branches]
@@ -356,6 +348,7 @@ def _residue_vectors(dim: int, consts: np.ndarray, slots, r, pos: np.ndarray,
     return out
 
 
+@quiet
 def bound_states(
     dim: int,
     centers,
@@ -414,7 +407,7 @@ def bound_states(
     """
     cs, pos = _validate_centers(dim, centers)
     slots, r = _pair_distances(pos)
-    if not (tol > 0.0):
+    if not ((tol := as_number(tol, "tol", "a tolerance")) > 0.0):
         raise DomainError("tol must be positive", tol=tol)
     if method not in ("auto", "scan"):
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
@@ -448,7 +441,10 @@ def bound_states(
 def _search_window(own, search):
     """The given window, or the default one around the centers' own E_B."""
     if search is not None:
-        e_min, e_max = float(search[0]), float(search[1])
+        pair = tuple(search) if np.iterable(search) else (search,)
+        if len(pair) != 2:
+            raise IllegalSpecError("search window must be a pair (E_min, E_max)", field="search")
+        e_min, e_max = (as_number(e, "search", "a window bound") for e in pair)
         if not (-math.inf < e_min < e_max < 0.0):
             raise DomainError(
                 "search window must satisfy E_min < E_max < 0",
@@ -475,8 +471,7 @@ def _eigenvalues(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     out = []
     for i in range(0, len(kappas), step):
         kap = kappas[i : i + step]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked just below
-            m = _m_of_kappa(dim, consts, slots, r, kap)
+        m = _m_of_kappa(dim, consts, slots, r, kap)
         if not np.isfinite(m).all():
             raise DomainError("M(E) has an entry beyond double precision",
                               energy=float(-kap[0] * kap[0]))
@@ -572,8 +567,7 @@ def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
         return []
     # |dE| = 2 kappa dkappa <= tol kappa^2: a width that underflows refines
     # to resolution, one that overflows (a huge tol) closes at once
-    with np.errstate(over="ignore"):
-        xtol = np.maximum(0.5 * tol * lo, np.finfo(float).smallest_subnormal)
+    xtol = np.maximum(0.5 * tol * lo, np.finfo(float).smallest_subnormal)
     kap = refine_brackets(lambda x: _eigenvalues(dim, consts, slots, r, x),
                           ks, lo, hi, mu_lo, mu_hi, xtol=xtol)
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
@@ -581,14 +575,14 @@ def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
     # a degenerate pair's roots agree only to a few ulps, hence the 1e-12
     # floor: both lie within max(tol, 1e-12) |E| of their energy.  An infinite
     # threshold merges all; a sum past -1.8e308 overflows: then average halves
-    with np.errstate(over="ignore"):
-        apart = np.diff(energies) > 2.0 * max(tol, 1e-12) * np.abs(energies[1:])
-        groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
-        means = [np.mean(energies[g]) for g in groups]
+    apart = np.diff(energies) > 2.0 * max(tol, 1e-12) * np.abs(energies[1:])
+    groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
+    means = [np.mean(energies[g]) for g in groups]
     return [(float(m if np.isfinite(m) else 2.0 * np.mean(0.5 * energies[g])), np.sort(ks[g]))
             for m, g in zip(means, groups)]
 
 
+@quiet
 def residue_wavefunction(state: BoundState, x) -> float:
     """Bound-state wavefunction psi_B(x) extracted from the residue of G.
 
@@ -600,5 +594,4 @@ def residue_wavefunction(state: BoundState, x) -> float:
     r = _distances_to(as_point(x), state.positions)
     if (r < COINCIDENT_TOL).any():
         g0_kernel(state.dim, state.energy, r)  # raises CoincidentPointsError in D >= 2
-    with np.errstate(over="ignore", invalid="ignore"):  # as g0_of_kappa asks
-        return float(g0_of_kappa(state.dim, state.kappa, r) @ state.residue_vector)
+    return float(g0_of_kappa(state.dim, state.kappa, r) @ state.residue_vector)

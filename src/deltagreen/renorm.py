@@ -206,7 +206,7 @@ def bubble_regularized(dim: int, K: float, cutoff: Cutoff | None) -> float:
     ``cutoff=None`` removes the cutoff; that limit is finite only in D=1
     (value 1/(2K)), otherwise :class:`DivergentBubbleError` is raised.
     """
-    K = float(K)
+    K = as_number(K, "K", "a momentum")
     if not (K > 0.0) or not math.isfinite(K):
         raise DomainError("bubble needs K > 0", K=K)
     if dim not in (1, 2, 3, 4):
@@ -354,14 +354,14 @@ def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:
     invariant under the shift.  Raises :class:`CouplingBlowupError` where
     1/lambda_R' crosses zero.
     """
-    lambda_r = float(lambda_r)
-    mu = float(mu)
-    mu_prime = float(mu_prime)
+    lambda_r = as_number(lambda_r, "lambda_r", "a coupling")
+    mu, mu_prime = as_number(mu, "mu", "a scale"), as_number(mu_prime, "mu_prime", "a scale")
     if lambda_r == 0.0:
         raise ZeroCouplingError("cannot shift lambda_R = 0")
     if not (mu > 0.0 and mu_prime > 0.0):
         raise DomainError("scales must be positive", mu=mu, mu_prime=mu_prime)
-    inv = 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI
+    with _double_range("scale ratio leaves double precision", mu=mu, mu_prime=mu_prime):
+        inv = 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI
     if abs(inv) <= INVERSE_COUPLING_TOL:
         raise CouplingBlowupError(
             "1/lambda_R' vanishes at this scale shift", mu=mu, mu_prime=mu_prime
@@ -386,7 +386,7 @@ def friedman_report(K: float, cutoffs) -> list[FriedmanRow]:
     without bound along any increasing cutoff sequence: the no-go for contact
     interactions above three dimensions.
     """
-    K = float(K)
+    K = as_number(K, "K", "a momentum")
     if not (K > 0.0) or not math.isfinite(K):
         raise DomainError("friedman_report needs K > 0", K=K)
     caps = [c if isinstance(c, Cutoff) else Cutoff(c) for c in cutoffs]

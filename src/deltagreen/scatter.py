@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 
 from .errors import DomainError, IllegalSpecError
-from .greenfn import ComplexEnergy, SpatialPoint, g0_retarded
+from .greenfn import ComplexEnergy, SpatialPoint, as_number, as_point, g0_retarded
 from .renorm import CouplingSpec, renormalized_denominator
 
 POLICIES = ("unitary", "paper")
@@ -57,14 +58,14 @@ def resolve_policy(policy: str | None = None) -> str:
 
 
 def _momentum(k: float) -> float:
-    k = float(k)
+    k = as_number(k, "k", "a momentum")
     if not (k > 0.0) or not math.isfinite(k):
         raise DomainError("momentum must be positive", k=k)
     return k
 
 
 def _kappa_b(e_b: float) -> float:
-    e_b = float(e_b)
+    e_b = as_number(e_b, "e_b", "a bound-state energy")
     if not (e_b < 0.0) or not math.isfinite(e_b):
         raise DomainError("bound-state energy must be negative", e_b=e_b)
     return math.sqrt(-e_b)
@@ -79,7 +80,7 @@ def amplitude_denominator(k: complex, e_b: float, policy: str | None = None) -> 
     """
     kb = _kappa_b(e_b)
     sign = 1.0 if resolve_policy(policy) == "unitary" else -1.0
-    return kb + sign * 1j * complex(k)
+    return kb + sign * 1j * as_number(k, "k", "a momentum", numbers.Complex)
 
 
 def amplitude3d(k: float, e_b: float, policy: str | None = None) -> complex:
@@ -115,9 +116,7 @@ def scattered_wave(
     "paper" policy the denominator is conjugated, reproducing that sign of
     the amplitude at every radius.
     """
-    k = _momentum(k)
-    if not isinstance(x, SpatialPoint):
-        x = SpatialPoint(tuple(x))
+    k, x = _momentum(k), as_point(x)
     if x.dim != 3:
         raise IllegalSpecError("scattered_wave takes a point of R^3", xdim=x.dim)
     d = renormalized_denominator(3, ComplexEnergy(k * k, retarded=True), spec)
@@ -135,7 +134,7 @@ def transmission1d(k: float, lam: float) -> tuple[float, float]:
     T depends on lambda only through lambda^2).  lambda = 0 transmits fully.
     """
     k = _momentum(k)
-    lam = float(lam)
+    lam = as_number(lam, "lam", "a coupling")
     if not math.isfinite(lam):
         raise DomainError("coupling must be finite", lam=lam)
     kk = k * k

@@ -1661,16 +1661,21 @@ def test_rejects_coincident_centers():
 
 
 def test_distances_beyond_the_squares_scale_like_hypot():
+    # the helpers run under their public callers' floating-point policy
     pos = np.array([[0.0, 0.0], [3.0, 4.0], [3e200, 4e200], [-1e300, 1e-300]])
-    _, r = pointgreen._pair_distances(pos)
+    with np.errstate(all="ignore"):
+        _, r = pointgreen._pair_distances(pos)
     want = [math.hypot(*(a - b)) for a, b in itertools.combinations(pos, 2)]
     assert r == pytest.approx(want, rel=1e-15)
     x = SpatialPoint((-3e200, 0.0))
     want = [math.hypot(*(p - x.coords)) for p in pos]
-    assert pointgreen._distances_to(x, pos) == pytest.approx(want, rel=1e-15)
+    with np.errstate(all="ignore"):
+        got = pointgreen._distances_to(x, pos)
+    assert got == pytest.approx(want, rel=1e-15)
     # entries whose squares stay finite keep the plain sum of squares
     pos = np.array([[0.1, 0.7], [0.3, -1.9], [1e300, 0.0]])
-    _, r = pointgreen._pair_distances(pos)
+    with np.errstate(all="ignore"):
+        _, r = pointgreen._pair_distances(pos)
     assert r[0] == np.sqrt((0.1 - 0.3) ** 2 + (0.7 + 1.9) ** 2)
 
 
