@@ -25,7 +25,6 @@ from .errors import DeltaGreenError, DomainError, IllegalSpecError, SpecValidati
 from .greenfn import ComplexEnergy, SpatialPoint, g0, g0_kernel
 from .pointgreen import DeltaCenter, bound_states, center, green, residue_wavefunction
 from .renorm import (
-    Cutoff,
     bare_1d,
     bare_from_renormalized,
     bubble_regularized,
@@ -426,7 +425,7 @@ def cmd_rgflow(dim, lambda_r, mu, eb, cutoffs):
             raise click.BadParameter("dim 2 takes --lambda-r and --mu")
         spec = renormalized_2d(lambda_r, mu)
         for i, cap in enumerate(lam_caps):
-            bare = bare_from_renormalized(2, spec, Cutoff(cap))
+            bare = bare_from_renormalized(2, spec, cap)
             mu_prime = mu * 2.0**i
             lam_r_prime = rg_shift(lambda_r, mu, mu_prime)
             e_b = transmutation_energy(renormalized_2d(lam_r_prime, mu_prime))
@@ -449,7 +448,7 @@ def cmd_rgflow(dim, lambda_r, mu, eb, cutoffs):
                 lambda_r=lambda_r,
             )
         for cap in lam_caps:
-            bare = bare_from_renormalized(3, spec, Cutoff(cap))
+            bare = bare_from_renormalized(3, spec, cap)
             rows.append((float(cap), float(bare), float(bare * cap), float(e_b)))
         columns = [
             ("lambda_cap", "1/L"),
@@ -513,7 +512,7 @@ def cmd_trivial(dim, lam, energy, r, cutoffs):
     g0x = g0(dim, e, x, origin).value
     rows = []
     for cap in lam_caps:
-        den = 1.0 / lam + bubble_regularized(dim, kk, Cutoff(cap))
+        den = 1.0 / lam + bubble_regularized(dim, kk, cap)
         correction = abs(g0x) ** 2 / abs(den)
         rows.append((float(cap), float(den), float(correction)))
     unit = "1" if dim == 2 else "1/L"
@@ -573,8 +572,8 @@ def _renormalization_rows(fast):
     lam_caps = [1e2, 1e3, 1e4, 1e5, 1e6]
     den_errs = []
     for cap in lam_caps:
-        bare = bare_from_renormalized(2, base, Cutoff(cap))
-        den = 1.0 / bare + bubble_regularized(2, kk, Cutoff(cap))
+        bare = bare_from_renormalized(2, base, cap)
+        den = 1.0 / bare + bubble_regularized(2, kk, cap)
         den_errs.append(abs(den - target))
     yield "denominator_limit_2d", den_errs[-1], 1e-6
     slope = -np.polyfit(np.log(lam_caps), np.log(den_errs), 1)[0]

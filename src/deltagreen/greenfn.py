@@ -71,6 +71,22 @@ def as_number(value, field: str, what: str, kind=numbers.Real):
         return convert(math.inf if value > 0 else -math.inf)
 
 
+def require_type(value, cls, field: str, message: str):
+    """``value`` itself if it is a ``cls``; else :class:`IllegalSpecError` naming the field and the type given."""
+    if not isinstance(value, cls):
+        raise IllegalSpecError(message, field=field, type=type(value).__name__)
+    return value
+
+
+def as_scale(value, field: str, what: str, message: str) -> float:
+    """A positive scale (a momentum, cutoff or subtraction scale) as a float:
+    :func:`as_number`, then :class:`DomainError` ``message`` unless 0 < v < inf."""
+    v = as_number(value, field, what)
+    if not 0.0 < v < math.inf:
+        raise DomainError(message, **{field: v})
+    return v
+
+
 @dataclass(frozen=True)
 class ComplexEnergy:
     """Energy E in units 1/length**2, tracking the branch prescription.
@@ -279,7 +295,5 @@ def g0_retarded(dim: int, k: float, x: SpatialPoint, y: SpatialPoint) -> GreenVa
     Closed forms: D=1: exp(ikr)/(2ik); D=2: -(i/4) H0^(1)(kr);
     D=3: -exp(ikr)/(4 pi r).
     """
-    k = as_number(k, "k", "a momentum")
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("retarded evaluation needs k > 0", k=k)
+    k = as_scale(k, "k", "a momentum", "retarded evaluation needs k > 0")
     return g0(dim, ComplexEnergy(k * k, retarded=True), x, y)

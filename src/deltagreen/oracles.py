@@ -47,7 +47,7 @@ from .errors import (
     TailBoundExceededError,
     UnsupportedDimError,
 )
-from .greenfn import as_number
+from .greenfn import as_number, as_scale
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
 
@@ -60,9 +60,8 @@ class Lattice1D:
     points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "half_width", as_number(self.half_width, "half_width", "a lattice field"))
-        if not (self.half_width > 0.0) or not math.isfinite(self.half_width):
-            raise DomainError("half_width must be positive", half_width=self.half_width)
+        object.__setattr__(self, "half_width",
+                           as_scale(self.half_width, "half_width", "a lattice field", "half_width must be positive"))
         points = as_number(self.points, "points", "a lattice field")
         if not (points >= 3.0 and points % 1.0 == 0.0):
             raise DomainError("need at least 3 grid points", points=self.points)
@@ -81,12 +80,9 @@ class SquareWell3D:
     depth: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and self.depth > 0.0):
-            raise DomainError(
-                "radius and depth must be positive",
-                radius=self.radius,
-                depth=self.depth,
-            )
+        for f in ("radius", "depth"):
+            object.__setattr__(self, f, as_scale(getattr(self, f), f, "a well field",
+                                                 "radius and depth must be positive"))
 
 
 #: Tolerance of :func:`g0_by_quadrature`: its two working precisions must
@@ -385,9 +381,7 @@ def lattice1d_transmission(lam: float, k: float, lat: Lattice1D) -> tuple[float,
     lattice result that approaches the continuum at O((kh)^2).
     """
     lam = float(lam)
-    k = float(k)
-    if not (k > 0.0):
-        raise DomainError("momentum must be positive", k=k)
+    k = as_scale(k, "k", "a momentum", "momentum must be positive")
     h = lat.h
     if k * h > 0.1:
         raise DispersionError("kh > 0.1: lattice dispersion too coarse", kh=k * h)

@@ -57,6 +57,7 @@ get renormalized.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,7 @@ from .greenfn import (
     g0,
     g0_kernel,
     g0_of_kappa,
+    require_type,
 )
 from .renorm import (
     CouplingSpec,
@@ -105,8 +107,7 @@ class DeltaCenter:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_point(self.position))
-        if not isinstance(self.coupling, CouplingSpec):
-            raise IllegalSpecError("a center's coupling must be a CouplingSpec", coupling=repr(self.coupling))
+        require_type(self.coupling, CouplingSpec, "coupling", "a center's coupling must be a CouplingSpec")
         self.coupling.require_dim(self.position.dim)
 
 
@@ -139,14 +140,18 @@ class BoundState:
         return math.sqrt(-self.energy)
 
 
+def _center_tuple(centers) -> tuple:
+    """A center list as a tuple; :class:`IllegalSpecError` for no list at all (None, a lone center)."""
+    return tuple(require_type(centers, Iterable, "centers", "centers must be a list of DeltaCenter"))
+
+
 def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.ndarray]:
     """The centers as a tuple, and their positions as an (N, dim) array."""
-    cs = tuple(centers)
+    cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
     for c in cs:
-        if not isinstance(c, DeltaCenter):
-            raise IllegalSpecError("a center must be a DeltaCenter", field="centers", type=type(c).__name__)
+        require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         if c.position.dim != dim:
             raise IllegalSpecError(
                 "center dimension mismatch", dim=dim, center_dim=c.position.dim
@@ -223,7 +228,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     tabulation of G(., y) solves once, with values bit-identical to solving
     at every point.  Each point is then one kernel call, at |x - y| and |x - a_i|.
     """
-    cs = tuple(centers)
+    cs = _center_tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
@@ -373,7 +378,7 @@ def bound_states(
         "scan" forces the eigenvalue-branch search.
     grid_points : int
         Size of the log-spaced kappa grid whose adjacent points bracket each
-        state; the search evaluates M only at the few it needs.
+        state, 2 to 10^6; the search evaluates M only at the few it needs.
 
     Notes
     -----
@@ -409,6 +414,10 @@ def bound_states(
     slots, r = _pair_distances(pos)
     if not ((tol := as_number(tol, "tol", "a tolerance")) > 0.0):
         raise DomainError("tol must be positive", tol=tol)
+    if not (grid_points := as_number(grid_points, "grid_points", "a grid size")).is_integer():
+        raise IllegalSpecError("grid_points must be a whole number", grid_points=grid_points)
+    if not 2 <= grid_points <= 10**6:  # the search starts at isqrt(grid_points) points
+        raise DomainError("grid_points must be from 2 to 10^6", grid_points=grid_points)
     if method not in ("auto", "scan"):
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
@@ -425,7 +434,7 @@ def bound_states(
     else:
         if search is None:
             window = (_window_bottom(dim, consts, slots, r, window[0]), window[1])
-        multiplets = _scan_energies(dim, consts, slots, r, window, tol, grid_points)
+        multiplets = _scan_energies(dim, consts, slots, r, window, tol, int(grid_points))
     if not multiplets and search is None and all(e is not None and e > window[1] for e in own):
         raise DomainError("centers that bind alone above the default window bind a "
                           "state at E <= min E_B that it misses", e_b=min(own))
@@ -514,8 +523,6 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     the first rise the whole grid shows.
     """
     e_min, e_max = window
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2", grid_points=grid_points)
     kap_lo, kap_hi = math.sqrt(-e_max), math.sqrt(-e_min)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
     # key: an evaluated index's count n_+, or -1 where M is not clear of rounding
@@ -591,6 +598,7 @@ def residue_wavefunction(state: BoundState, x) -> float:
     up to sign: it is positive next to the center of largest |c_i| in
     ``state.residue_vector`` (the first in coordinate order among ties).
     """
+    require_type(state, BoundState, "state", "a bound state must be a BoundState")
     r = _distances_to(as_point(x), state.positions)
     if (r < COINCIDENT_TOL).any():
         g0_kernel(state.dim, state.energy, r)  # raises CoincidentPointsError in D >= 2

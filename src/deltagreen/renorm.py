@@ -1,4 +1,4 @@
-"""Cutoff-regularized bubble integrals and coupling renormalization.
+"""Bubble integrals under a sharp momentum cutoff, and coupling renormalization.
 
 The divergence a contact potential produces is the coincident-point limit of
 the free Green's function, i.e. the momentum-space bubble
@@ -57,6 +57,7 @@ array form and returns D(E) as a plain complex number.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -72,7 +73,7 @@ from .errors import (
     UnsupportedDimError,
     ZeroCouplingError,
 )
-from .greenfn import ComplexEnergy, as_number
+from .greenfn import ComplexEnergy, as_number, as_scale, require_type
 
 _FOUR_PI = 4.0 * math.pi
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
@@ -128,8 +129,7 @@ class CouplingSpec:
         elif self.variant == REN_2D:
             if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(2.0 * math.pi / lambda_r):
                 raise ZeroCouplingError("lambda_R and 2 pi/lambda_R must be finite and nonzero", lambda_r=lambda_r)
-            if not (mu > 0.0) or not math.isfinite(mu):
-                raise DomainError("subtraction scale mu must be positive", mu=mu)
+            as_scale(mu, "mu", "a coupling field", "subtraction scale mu must be positive")
         elif self.variant == REN_3D:
             if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(1.0 / lambda_r):
                 raise ZeroCouplingError("lambda_R and 1/lambda_R must be finite and nonzero", lambda_r=lambda_r)
@@ -187,37 +187,31 @@ def _double_range(message: str, **details):
         raise DomainError(message, **details) from exc
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Sharp momentum cutoff Lambda, units 1/length."""
-
-    lambda_cap: float
-
-    def __post_init__(self):
-        v = as_number(self.lambda_cap, "lambda_cap", "a cutoff")
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError("cutoff must be positive and finite", lambda_cap=v)
-        object.__setattr__(self, "lambda_cap", v)
+def _cutoff(value) -> float:
+    """A sharp momentum cutoff Lambda > 0, units 1/length, as a float."""
+    return as_scale(value, "lambda_cap", "a cutoff", "cutoff must be positive and finite")
 
 
-def bubble_regularized(dim: int, K: float, cutoff: Cutoff | None) -> float:
+def _spec(spec) -> CouplingSpec:
+    return require_type(spec, CouplingSpec, "spec", "a coupling must be a CouplingSpec")
+
+
+def bubble_regularized(dim: int, K: float, cutoff: float | None) -> float:
     """Momentum bubble int_{|k|<Lambda} d^Dk/(2pi)^D (k^2+K^2)^(-1), exactly.
 
-    ``cutoff=None`` removes the cutoff; that limit is finite only in D=1
-    (value 1/(2K)), otherwise :class:`DivergentBubbleError` is raised.
+    ``cutoff`` is Lambda; None removes the cutoff, a limit finite only in
+    D=1 (value 1/(2K)), otherwise :class:`DivergentBubbleError` is raised.
     """
-    K = as_number(K, "K", "a momentum")
-    if not (K > 0.0) or not math.isfinite(K):
-        raise DomainError("bubble needs K > 0", K=K)
+    lam_cap = None if cutoff is None else _cutoff(cutoff)
+    K = as_scale(K, "K", "a momentum", "bubble needs K > 0")
     if dim not in (1, 2, 3, 4):
         raise UnsupportedDimError("bubble defined for D in {1,2,3,4}", dim=dim)
-    if cutoff is None:
+    if lam_cap is None:
         if dim == 1:
             return 0.5 / K
         raise DivergentBubbleError(
             "bubble diverges as the cutoff is removed for D >= 2", dim=dim
         )
-    lam_cap = cutoff.lambda_cap
     if dim == 1:
         return math.atan(lam_cap / K) / (math.pi * K)
     if dim == 3:
@@ -228,17 +222,17 @@ def bubble_regularized(dim: int, K: float, cutoff: Cutoff | None) -> float:
         return (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2)
 
 
-def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> float:
-    """Bare coupling lambda(Lambda) reproducing ``spec`` at cutoff Lambda.
+def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float:
+    """Bare coupling lambda(Lambda) reproducing ``spec`` at cutoff Lambda = ``cutoff``.
 
     Runs to 0- as the cutoff grows; raises :class:`PoleCrossingError` at
     cutoffs where 1/lambda crosses zero (|1/lambda| <= 1e-14) and the bare
     coupling is undefined.
     """
+    lam_cap = _cutoff(cutoff)
     if dim not in (2, 3):
         raise UnsupportedDimError("bare coupling runs only in D=2 and D=3", dim=dim)
-    spec.require_dim(dim)
-    lam_cap = cutoff.lambda_cap
+    _spec(spec).require_dim(dim)
     if dim == 2:
         with _double_range(
             "cutoff log leaves double precision", dim=dim, lambda_cap=lam_cap
@@ -246,8 +240,7 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: Cutoff) -> floa
             if spec.variant == REN_2D:
                 inv = 1.0 / spec.lambda_r - math.log((lam_cap / spec.mu) ** 2) / _FOUR_PI
             else:  # FROM_BOUND_STATE; mu drops out entirely
-                kb2 = -spec.e_b
-                inv = -math.log(lam_cap**2 / kb2) / _FOUR_PI
+                inv = -math.log(lam_cap**2 / -spec.e_b) / _FOUR_PI
     else:
         inv = float(coupling_constants(3, (spec,))[0]) - lam_cap / _TWO_PI_SQ
     if abs(inv) <= INVERSE_COUPLING_TOL:
@@ -325,14 +318,14 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
     lambda_R through 1/lambda_R, D = 1/lambda_R - kappa/(4 pi).
     """
     e = ComplexEnergy.of(energy)
-    return complex(renormalized_denominators(dim, e.kappa, coupling_constants(dim, (spec,)))[0])
+    return complex(renormalized_denominators(dim, e.kappa, coupling_constants(dim, (_spec(spec),)))[0])
 
 
 def transmutation_energy(spec: CouplingSpec) -> float:
     """E_B = -mu^2 exp(4 pi / lambda_R): the dimensionful scale a
     dimensionless 2D coupling transmutes into.  Negative for every
     lambda_R != 0: -0.0 if it underflows, :class:`DomainError` if it overflows."""
-    if spec.variant != REN_2D:
+    if _spec(spec).variant != REN_2D:
         raise IllegalSpecError(
             "transmutation energy is defined for renormalized 2D couplings",
             variant=spec.variant,
@@ -355,11 +348,10 @@ def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:
     1/lambda_R' crosses zero.
     """
     lambda_r = as_number(lambda_r, "lambda_r", "a coupling")
-    mu, mu_prime = as_number(mu, "mu", "a scale"), as_number(mu_prime, "mu_prime", "a scale")
     if lambda_r == 0.0:
         raise ZeroCouplingError("cannot shift lambda_R = 0")
-    if not (mu > 0.0 and mu_prime > 0.0):
-        raise DomainError("scales must be positive", mu=mu, mu_prime=mu_prime)
+    mu = as_scale(mu, "mu", "a scale", "scales must be positive")
+    mu_prime = as_scale(mu_prime, "mu_prime", "a scale", "scales must be positive")
     with _double_range("scale ratio leaves double precision", mu=mu, mu_prime=mu_prime):
         inv = 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI
     if abs(inv) <= INVERSE_COUPLING_TOL:
@@ -386,26 +378,22 @@ def friedman_report(K: float, cutoffs) -> list[FriedmanRow]:
     without bound along any increasing cutoff sequence: the no-go for contact
     interactions above three dimensions.
     """
-    K = as_number(K, "K", "a momentum")
-    if not (K > 0.0) or not math.isfinite(K):
-        raise DomainError("friedman_report needs K > 0", K=K)
-    caps = [c if isinstance(c, Cutoff) else Cutoff(c) for c in cutoffs]
+    K = as_scale(K, "K", "a momentum", "friedman_report needs K > 0")
+    caps = [_cutoff(c) for c in require_type(cutoffs, Iterable, "cutoffs", "cutoffs must be a list of numbers")]
     if not caps:
         raise DomainError("cutoff list must be nonempty")
-    vals = [c.lambda_cap for c in caps]
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    if any(b <= a for a, b in zip(caps, caps[1:])):
         raise DomainError("cutoff list must be strictly increasing")
     sixteen_pi2 = 16.0 * math.pi**2
     rows = []
-    for c in caps:
-        lam_cap = c.lambda_cap
+    for lam_cap in caps:
         with _double_range("bubble overflows double precision", K=K, lambda_cap=lam_cap):
             quad = lam_cap**2 / sixteen_pi2
             nonrem = (K**2 / sixteen_pi2) * math.log1p((lam_cap / K) ** 2)
         rows.append(
             FriedmanRow(
                 lambda_cap=lam_cap,
-                total_bubble=bubble_regularized(4, K, c),
+                total_bubble=bubble_regularized(4, K, lam_cap),
                 quadratic_part=quad,
                 nonremovable_part=nonrem,
             )

@@ -39,7 +39,7 @@ import numbers
 import sys
 
 from .errors import DomainError, IllegalSpecError
-from .greenfn import ComplexEnergy, SpatialPoint, as_number, as_point, g0_retarded
+from .greenfn import ComplexEnergy, SpatialPoint, as_number, as_point, as_scale, g0_retarded
 from .renorm import CouplingSpec, renormalized_denominator
 
 POLICIES = ("unitary", "paper")
@@ -58,10 +58,7 @@ def resolve_policy(policy: str | None = None) -> str:
 
 
 def _momentum(k: float) -> float:
-    k = as_number(k, "k", "a momentum")
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError("momentum must be positive", k=k)
-    return k
+    return as_scale(k, "k", "a momentum", "momentum must be positive")
 
 
 def _kappa_b(e_b: float) -> float:

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from deltagreen import (
     ComplexEnergy,
-    Cutoff,
     SpatialPoint,
     amplitude3d,
     bare_1d,
@@ -217,7 +216,7 @@ def test_criterion_08_four_dimensional_no_go_and_triviality():
         base = SpatialPoint.of(*([0.0] * dim))
         g_sq = abs(g0(dim, ComplexEnergy(-1.0), probe, base).value) ** 2
         corr = [
-            g_sq / abs(1.0 + bubble_regularized(dim, 1.0, Cutoff(cap)))
+            g_sq / abs(1.0 + bubble_regularized(dim, 1.0, cap))
             for cap in long_caps
         ]
         assert all(a > b for a, b in zip(corr, corr[1:]))

@@ -231,6 +231,8 @@ EXTREME_ARGVS = [
     (("bound", "--dim", "2", "--center", "0,0:lambdaR=1e-320,mu=1", "--center", "1,0:eb=-1"), 2),
     (("bound", "--dim", "3", "--center", "0,0,0:lambdaR=1e-320"), 2),
     *[(argv, 3) for argv in E_B_OVERFLOWS],
+    # the second row's subtraction scale mu' = 2 mu overflows: rg_shift refuses it
+    (("rgflow", "--dim", "2", "--lambda-r", "-0.005", "--mu", "1.5e308", "--cutoffs", "1e300,1e301"), 3),
     # a given window over several centers reads their finite constants, no E_B
     (("bound", "--dim", "1", "--center", "0:lambda=-1e300", "--center", "1:lambda=-2",
       "--emin", "-10", "--emax", "-0.1"), 0),

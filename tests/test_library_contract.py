@@ -5,8 +5,9 @@
   that state as it found it.
 * Number arguments: every public function that takes a number returns a
   value or raises one typed :class:`DeltaGreenError` for any argument,
-  never a bare Python error or a warning.  The property is derandomized so
-  the suite stays deterministic.
+  never a bare Python error or a warning.  So does every function that
+  takes a center list, a coupling or a bound state, for any value there.
+  The properties are derandomized so the suite stays deterministic.
 """
 
 import math
@@ -17,11 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltagreen import (
-    Cutoff,
     DeltaGreenError,
+    DomainError,
+    IllegalSpecError,
     amplitude3d,
     amplitude_denominator,
     bare_1d,
+    bare_from_renormalized,
     bound_states,
     bubble_regularized,
     center,
@@ -32,11 +35,14 @@ from deltagreen import (
     green,
     m_matrix,
     optical_theorem_residual,
+    renormalized_2d,
     renormalized_3d,
+    renormalized_denominator,
     residue_wavefunction,
     rg_shift,
     scattered_wave,
     transmission1d,
+    transmutation_energy,
 )
 from deltagreen import bessel, greenfn
 
@@ -84,15 +90,19 @@ def test_results_do_not_depend_on_the_callers_numpy_error_state(name):
 
 
 _SPEC_3D = renormalized_3d(1.0)
+_SPEC_2D = renormalized_2d(-1.0, 1.0)
 _PAIR_1D = [center(-1.0, bare_1d(-2.0)), center(1.0, bare_1d(-2.0))]
 
-# (function, its valid keyword arguments, the number arguments to replace)
+# (function, its valid keyword arguments, the number arguments to replace;
+# "a[i]" replaces element i of the sequence a)
 _NUMBER_CALLS = [
     (rg_shift, dict(lambda_r=2.0, mu=1.0, mu_prime=2.0), ("lambda_r", "mu", "mu_prime")),
-    (bubble_regularized, dict(dim=1, K=1.0, cutoff=Cutoff(10.0)), ("K",)),
-    (bubble_regularized, dict(dim=2, K=1.0, cutoff=Cutoff(10.0)), ("K",)),
-    (bubble_regularized, dict(dim=4, K=1.0, cutoff=Cutoff(10.0)), ("K",)),
-    (friedman_report, dict(K=1.0, cutoffs=[10.0, 100.0]), ("K",)),
+    (bubble_regularized, dict(dim=1, K=1.0, cutoff=10.0), ("K", "cutoff")),
+    (bubble_regularized, dict(dim=2, K=1.0, cutoff=10.0), ("K", "cutoff")),
+    (bubble_regularized, dict(dim=4, K=1.0, cutoff=10.0), ("K", "cutoff")),
+    (bare_from_renormalized, dict(dim=2, spec=_SPEC_2D, cutoff=10.0), ("cutoff",)),
+    (bare_from_renormalized, dict(dim=3, spec=_SPEC_3D, cutoff=10.0), ("cutoff",)),
+    (friedman_report, dict(K=1.0, cutoffs=[10.0, 100.0]), ("K", "cutoffs", "cutoffs[0]", "cutoffs[1]")),
     (transmission1d, dict(k=1.0, lam=-2.0), ("k", "lam")),
     (amplitude3d, dict(k=1.0, e_b=-1.0), ("k", "e_b")),
     (amplitude_denominator, dict(k=1.0, e_b=-1.0), ("k", "e_b")),
@@ -101,8 +111,8 @@ _NUMBER_CALLS = [
     (g0_retarded, dict(dim=3, k=1.0, x=(0.0, 0.0, 1.0), y=(0.0, 0.0, 0.0)), ("k",)),
     (g0_retarded, dict(dim=2, k=1.0, x=(0.0, 1.0), y=(0.0, 0.0)), ("k",)),
     (scattered_wave, dict(k=1.0, spec=_SPEC_3D, x=(0.0, 0.0, 1.0)), ("k", "x")),
-    (bound_states, dict(dim=1, centers=_PAIR_1D, search=(-4.0, -0.01), tol=1e-12),
-     ("search", "tol", "search[0]", "search[1]")),
+    (bound_states, dict(dim=1, centers=_PAIR_1D, search=(-4.0, -0.01), tol=1e-12, grid_points=400),
+     ("search", "tol", "search[0]", "search[1]", "grid_points")),
 ]
 
 _HOSTILE = st.one_of(
@@ -116,17 +126,17 @@ _HOSTILE = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
 @given(call=st.sampled_from(_NUMBER_CALLS), data=st.data())
 def test_number_arguments_return_or_raise_one_typed_error(call, data):
     func, kwargs, names = call
     name = data.draw(st.sampled_from(names), label="argument")
     value = data.draw(_HOSTILE, label="value")
     kwargs = dict(kwargs)
-    if name.startswith("search["):
-        pair = list(kwargs["search"])
-        pair[int(name[-2])] = value
-        kwargs["search"] = tuple(pair)
+    if name.endswith("]"):
+        seq = list(kwargs[name[:-3]])
+        seq[int(name[-2])] = value
+        kwargs[name[:-3]] = type(kwargs[name[:-3]])(seq)
     else:
         kwargs[name] = value
     with warnings.catch_warnings():
@@ -152,3 +162,71 @@ def test_number_arguments_return_or_raise_one_typed_error(call, data):
 def test_bad_number_arguments_are_typed_errors(func, args):
     with pytest.raises(DeltaGreenError):
         func(*args)
+
+
+# (function, its valid keyword arguments, the argument that takes no number)
+_VALUE_CALLS = [
+    (green, dict(dim=1, energy=-1.0, x=0.5, y=0.2, centers=_PAIR_1D), "centers"),
+    (m_matrix, dict(dim=1, energy=-1.0, centers=_PAIR_1D), "centers"),
+    (bound_states, dict(dim=1, centers=_PAIR_1D), "centers"),
+    (renormalized_denominator, dict(dim=3, energy=-1.0, spec=_SPEC_3D), "spec"),
+    (bare_from_renormalized, dict(dim=3, spec=_SPEC_3D, cutoff=10.0), "spec"),
+    (bare_from_renormalized, dict(dim=2, spec=_SPEC_2D, cutoff=10.0), "spec"),
+    (transmutation_energy, dict(spec=_SPEC_2D), "spec"),
+    (scattered_wave, dict(k=1.0, spec=_SPEC_3D, x=(0.0, 0.0, 1.0)), "spec"),
+    (residue_wavefunction, dict(state=_STATE_2D, x=(1.0, 0.0)), "state"),
+]
+
+_NOT_VALUES = st.sampled_from([
+    None, "x", "", 1.0, 0, True, [], [1.0, 2.0], ["x"], [None], (1.0, "x"), {}, {"centers": 1},
+    np.array([1.0, 2.0]), _PAIR_1D[0], [_PAIR_1D[0], None], _SPEC_2D, _SPEC_3D, _STATE_2D,
+    [_SPEC_3D], [_STATE_2D], bare_1d(-2.0), from_bound_state(-1.0),
+])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(call=st.sampled_from(_VALUE_CALLS), value=_NOT_VALUES)
+def test_center_spec_and_state_arguments_return_or_raise_one_typed_error(call, value):
+    func, kwargs, name = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            func(**{**kwargs, name: value})
+        except DeltaGreenError:
+            pass
+
+
+_LONE = center(-1.0, bare_1d(-2.0))
+
+
+@pytest.mark.parametrize("call, error, details", [
+    (lambda: green(1, -1.0, 0.5, 0.2, _LONE), IllegalSpecError, {"field": "centers", "type": "DeltaCenter"}),
+    (lambda: green(1, -1.0, 0.5, 0.2, None), IllegalSpecError, {"field": "centers", "type": "NoneType"}),
+    (lambda: m_matrix(1, -1.0, _LONE), IllegalSpecError, {"field": "centers", "type": "DeltaCenter"}),
+    (lambda: bound_states(1, None), IllegalSpecError, {"field": "centers", "type": "NoneType"}),
+    (lambda: transmutation_energy(None), IllegalSpecError, {"field": "spec", "type": "NoneType"}),
+    (lambda: renormalized_denominator(3, -1.0, "x"), IllegalSpecError, {"field": "spec", "type": "str"}),
+    (lambda: bare_from_renormalized(3, _PAIR_1D, 10.0), IllegalSpecError, {"field": "spec", "type": "list"}),
+    (lambda: scattered_wave(1.0, None, (0.0, 0.0, 1.0)), IllegalSpecError, {"field": "spec", "type": "NoneType"}),
+    (lambda: residue_wavefunction(_SPEC_3D, 0.0), IllegalSpecError, {"field": "state", "type": "CouplingSpec"}),
+    (lambda: bound_states(1, _PAIR_1D, grid_points="x"), IllegalSpecError, {"field": "grid_points", "type": "str"}),
+    (lambda: bound_states(1, _PAIR_1D, grid_points=True), IllegalSpecError, {"field": "grid_points", "type": "bool"}),
+    (lambda: bound_states(1, _PAIR_1D, grid_points=2.5), IllegalSpecError, {"grid_points": 2.5}),
+    (lambda: bound_states(1, _PAIR_1D, grid_points=1e200), DomainError, {"grid_points": 1e200}),
+    (lambda: bubble_regularized(2, 1.0, 0.0), DomainError, {"lambda_cap": 0.0}),
+    (lambda: rg_shift(-3.0, 1.0, math.inf), DomainError, {"mu_prime": math.inf}),
+    (lambda: rg_shift(-3.0, -1.0, 1.0), DomainError, {"mu": -1.0}),
+    (lambda: friedman_report(1.0, 10.0), IllegalSpecError, {"field": "cutoffs", "type": "float"}),
+], ids=["green_lone_center", "green_none", "m_matrix_lone_center", "bound_none", "transmutation_none",
+        "denominator_str", "bare_list", "scattered_none", "residue_spec", "grid_str", "grid_bool",
+        "grid_fraction", "grid_huge", "cutoff_zero", "rg_scale_inf", "rg_scale_negative", "cutoffs_number"])
+def test_bad_arguments_name_themselves(call, error, details):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and info.value.details == details
+
+
+def test_plain_number_cutoffs_return_values():
+    assert bubble_regularized(2, 1.0, 10.0) == math.log1p(100.0) / (4.0 * math.pi)
+    assert bare_from_renormalized(3, renormalized_3d(2.0), 10.0) < 0.0
+    assert friedman_report(1.0, [10.0])[0].lambda_cap == 10.0

@@ -42,7 +42,6 @@ from deltagreen.errors import (
 )
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
-from deltagreen.renorm import Cutoff
 
 # two attractive centers at -1 and +1, lambda = -2 each: energies frozen from
 # the transfer-coefficient shooting oracle (see test_oracles.py)
@@ -1739,7 +1738,9 @@ def test_bad_coupling_fields_are_illegal_specs(build, details):
     (lambda: SpatialPoint(("x",)), {"field": "coords", "type": "str"}),
     (lambda: SpatialPoint(None), {"field": "coords", "type": "NoneType"}),
     (lambda: SpatialPoint((1.0, True)), {"field": "coords", "type": "bool"}),
-    (lambda: Cutoff("x"), {"field": "lambda_cap", "type": "str"}),
+    (lambda: renorm.bubble_regularized(2, 1.0, "x"), {"field": "lambda_cap", "type": "str"}),
+    (lambda: renorm.bare_from_renormalized(3, renormalized_3d(1.0), "x"), {"field": "lambda_cap", "type": "str"}),
+    (lambda: renorm.friedman_report(1.0, [10.0, "x"]), {"field": "lambda_cap", "type": "str"}),
     (lambda: ComplexEnergy("x"), {"field": "value", "type": "str"}),
     (lambda: ComplexEnergy(None), {"field": "value", "type": "NoneType"}),
     (lambda: Lattice1D(1.0, "x"), {"field": "points", "type": "str"}),
@@ -1748,8 +1749,8 @@ def test_bad_coupling_fields_are_illegal_specs(build, details):
     (lambda: residue_wavefunction(bound_states(1, PAIR)[0], "x"), {"field": "coords", "type": "str"}),
     (lambda: g0(3, -1.0, None, _pt(0.0, 0.0, 1.0)), {"field": "coords", "type": "NoneType"}),
     (lambda: bound_states(3, [1]), {"field": "centers", "type": "int"}),
-], ids=["point_str", "point_none", "point_bool", "cutoff_str", "energy_str", "energy_none",
-        "lattice_points_str", "lattice_width_str", "center_str", "probe_str", "g0_none",
+], ids=["point_str", "point_none", "point_bool", "cutoff_str", "cutoff_str_bare", "cutoff_str_friedman",
+        "energy_str", "energy_none", "lattice_points_str", "lattice_width_str", "center_str", "probe_str", "g0_none",
         "center_int"])
 def test_bad_value_type_fields_are_illegal_specs(build, details):
     # every value type converts its fields in one helper: a field of the wrong

@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from deltagreen import (
-    Cutoff,
     bare_1d,
     bare_from_renormalized,
     bubble_regularized,
@@ -65,20 +64,20 @@ def bubble_by_quadrature(dim: int, big_k: float, lam_cap: float) -> float:
 @pytest.mark.parametrize("big_k", [0.3, 1.0, 4.7])
 @pytest.mark.parametrize("lam_cap", [0.6, 10.0, 250.0])
 def test_bubble_matches_radial_quadrature(dim, tol, big_k, lam_cap):
-    closed = bubble_regularized(dim, big_k, Cutoff(lam_cap))
+    closed = bubble_regularized(dim, big_k, lam_cap)
     brute = bubble_by_quadrature(dim, big_k, lam_cap)
     assert closed == pytest.approx(brute, rel=tol)
 
 
 def test_bubble_frozen_values():
-    assert bubble_regularized(2, 1.0, Cutoff(1.0)) == pytest.approx(
+    assert bubble_regularized(2, 1.0, 1.0) == pytest.approx(
         math.log(2.0) / (4.0 * math.pi), rel=1e-14
     )
-    assert bubble_regularized(3, 1.0, Cutoff(100.0)) == pytest.approx(
+    assert bubble_regularized(3, 1.0, 100.0) == pytest.approx(
         (100.0 - math.atan(100.0)) / (2.0 * math.pi**2), rel=1e-14
     )
     # K -> 0 limit of the 4D bubble: pure quadratic divergence
-    assert bubble_regularized(4, 1e-9, Cutoff(10.0)) == pytest.approx(
+    assert bubble_regularized(4, 1e-9, 10.0) == pytest.approx(
         100.0 / (16.0 * math.pi**2), rel=1e-6
     )
 
@@ -94,22 +93,27 @@ def test_bubble_infinite_cutoff_only_in_1d():
 def test_bubble_monotonicity():
     for dim in (1, 2, 3, 4):
         caps = [0.5, 1.0, 2.0, 8.0, 64.0]
-        vals = [bubble_regularized(dim, 1.0, Cutoff(c)) for c in caps]
+        vals = [bubble_regularized(dim, 1.0, c) for c in caps]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         ks = [0.2, 0.5, 1.3, 3.1]
-        vals_k = [bubble_regularized(dim, k, Cutoff(10.0)) for k in ks]
+        vals_k = [bubble_regularized(dim, k, 10.0) for k in ks]
         assert all(a > b for a, b in zip(vals_k, vals_k[1:]))
 
 
 def test_bubble_validation():
     with pytest.raises(UnsupportedDimError):
-        bubble_regularized(5, 1.0, Cutoff(1.0))
+        bubble_regularized(5, 1.0, 1.0)
     with pytest.raises(DomainError):
-        bubble_regularized(2, -1.0, Cutoff(1.0))
-    with pytest.raises(DomainError):
-        Cutoff(-3.0)
-    with pytest.raises(DomainError):
-        Cutoff(math.inf)
+        bubble_regularized(2, -1.0, 1.0)
+    # a cutoff is a plain number that each function taking one checks first
+    for cap in (-3.0, 0.0, math.inf, math.nan):
+        for call in (lambda: bubble_regularized(5, -1.0, cap),
+                     lambda: bare_from_renormalized(1, None, cap),
+                     lambda: friedman_report(1.0, [10.0, cap])):
+            with pytest.raises(DomainError, match="cutoff must be positive and finite") as info:
+                call()
+            (key, got), = info.value.details.items()
+            assert key == "lambda_cap" and (got == cap or math.isnan(got) and math.isnan(cap))
 
 
 def test_coupling_spec_factories_validate():
@@ -162,7 +166,7 @@ def test_bound_state_energy_has_three_outcomes(spec, dim, want):
 
 
 def test_bare_from_renormalized_3d_example():
-    lam = bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), Cutoff(1e4))
+    lam = bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), 1e4)
     assert lam == pytest.approx(-1.9742e-3, rel=1e-4)
     # round-trip: rebuild 1/lambda_R from the bare coupling
     back = 1.0 / lam + 1e4 / (2.0 * math.pi**2)
@@ -172,7 +176,7 @@ def test_bare_from_renormalized_3d_example():
 def test_bare_from_renormalized_2d_round_trip():
     spec = renormalized_2d(-4.0 * math.pi, 1.0)
     cap = math.exp(2.0 * math.pi)
-    lam = bare_from_renormalized(2, spec, Cutoff(cap))
+    lam = bare_from_renormalized(2, spec, cap)
     back = 1.0 / lam + math.log(cap * cap) / (4.0 * math.pi)
     assert 1.0 / back == pytest.approx(-4.0 * math.pi, rel=1e-12)
 
@@ -182,34 +186,34 @@ def test_bare_from_bound_state_2d_matches_renormalized_form():
     spec = renormalized_2d(-4.0 * math.pi, 1.0)
     same = from_bound_state(spec.bound_state_energy(2))
     for cap in (1e2, 1e4):
-        want = bare_from_renormalized(2, spec, Cutoff(cap))
-        assert bare_from_renormalized(2, same, Cutoff(cap)) == pytest.approx(want, rel=1e-14)
+        want = bare_from_renormalized(2, spec, cap)
+        assert bare_from_renormalized(2, same, cap) == pytest.approx(want, rel=1e-14)
 
 
 def test_bare_coupling_runs_to_zero_from_below():
     caps = [10.0**p for p in range(2, 9)]
     for dim, spec in ((2, renormalized_2d(-4.0 * math.pi, 1.0)), (3, renormalized_3d(4.0 * math.pi))):
-        lams = [bare_from_renormalized(dim, spec, Cutoff(c)) for c in caps]
+        lams = [bare_from_renormalized(dim, spec, c) for c in caps]
         assert all(lam < 0.0 for lam in lams)
         assert all(a < b for a, b in zip(lams, lams[1:]))  # increasing toward 0-
     # 3D asymptote: lambda * cutoff -> -2 pi^2
-    lam_tail = bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), Cutoff(1e8))
+    lam_tail = bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), 1e8)
     assert lam_tail * 1e8 == pytest.approx(-2.0 * math.pi**2, rel=1e-6)
 
 
 def test_pole_crossing_detected():
     # 1/lambda passes through zero where the log term cancels 1/lambda_R
     with pytest.raises(PoleCrossingError):
-        bare_from_renormalized(2, renormalized_2d(-4.0 * math.pi, 1.0), Cutoff(math.exp(-0.5)))
+        bare_from_renormalized(2, renormalized_2d(-4.0 * math.pi, 1.0), math.exp(-0.5))
     with pytest.raises(PoleCrossingError):
-        bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), Cutoff(math.pi / 2.0))
+        bare_from_renormalized(3, renormalized_3d(4.0 * math.pi), math.pi / 2.0)
 
 
 def test_bare_from_renormalized_validation():
     with pytest.raises(UnsupportedDimError):
-        bare_from_renormalized(1, bare_1d(-2.0), Cutoff(10.0))
+        bare_from_renormalized(1, bare_1d(-2.0), 10.0)
     with pytest.raises(IllegalSpecError):
-        bare_from_renormalized(2, renormalized_3d(1.0), Cutoff(10.0))
+        bare_from_renormalized(2, renormalized_3d(1.0), 10.0)
 
 
 def test_denominator_values():
@@ -227,7 +231,7 @@ def test_denominator_limit_equivalence():
     The regularized and renormalized routes must agree once the cutoff is
     large; 1e6 buys about twelve digits in 2D and six in 3D.
     """
-    cap = Cutoff(1e6)
+    cap = 1e6
     cases = [
         (2, renormalized_2d(-4.0 * math.pi, 1.0), -math.exp(1) * math.exp(-1) * math.e),
         (2, renormalized_2d(-4.0 * math.pi, 1.0), -0.9),
@@ -259,8 +263,8 @@ def test_cutoff_consistency_at_the_pole(dim, spec, order):
     caps = [1e2, 1e3, 1e4]
     resid = []
     for cap in caps:
-        lam = bare_from_renormalized(dim, spec, Cutoff(cap))
-        resid.append(abs(1.0 / lam + bubble_regularized(dim, kb, Cutoff(cap))))
+        lam = bare_from_renormalized(dim, spec, cap)
+        resid.append(abs(1.0 / lam + bubble_regularized(dim, kb, cap)))
     assert resid[-1] < resid[0]
     slope = -np.polyfit(np.log(caps), np.log(resid), 1)[0]
     assert slope == pytest.approx(order, abs=0.2)
@@ -306,7 +310,7 @@ def test_proper_time_regulator_gives_the_same_renormalized_denominator(
     with mp.workdps(30):
         for cap in caps:
             inv_bare = 1 / mp.mpf(spec.lambda_r) - bubble_proper_time(dim, kappa_sub, cap)
-            sharp = 1.0 / bare_from_renormalized(dim, spec, Cutoff(cap))
+            sharp = 1.0 / bare_from_renormalized(dim, spec, cap)
             assert abs(float(inv_bare) - sharp) > 0.01
 
             def den(kap):
@@ -625,12 +629,12 @@ def test_denominator_at_zero_energy_is_a_domain_error(dim):
 
 def test_finite_range_overflows_are_domain_errors():
     with pytest.raises(DomainError):
-        bubble_regularized(2, 1e-160, Cutoff(1e2))
+        bubble_regularized(2, 1e-160, 1e2)
     with pytest.raises(DomainError):
-        bubble_regularized(4, 1e-300, Cutoff(1.0))
+        bubble_regularized(4, 1e-300, 1.0)
     with pytest.raises(DomainError):
         friedman_report(1e-300, [1.0, 2.0])
     with pytest.raises(DomainError):  # (cutoff / mu)^2 underflows to 0
-        bare_from_renormalized(2, renormalized_2d(-1.0, 1e200), Cutoff(1e-200))
+        bare_from_renormalized(2, renormalized_2d(-1.0, 1e200), 1e-200)
     with pytest.raises(DomainError):  # (cutoff / mu)^2 overflows
-        bare_from_renormalized(2, renormalized_2d(-1.0, 1e-100), Cutoff(1e200))
+        bare_from_renormalized(2, renormalized_2d(-1.0, 1e-100), 1e200)
