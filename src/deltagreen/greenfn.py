@@ -87,6 +87,20 @@ def as_scale(value, field: str, what: str, message: str) -> float:
     return v
 
 
+def as_kappa_b(e_b) -> float:
+    """kappa_B = sqrt(-E_B): :func:`as_number`, then :class:`DomainError` unless -inf < E_B < 0."""
+    if not -math.inf < (e_b := as_number(e_b, "e_b", "a bound-state energy")) < 0.0:
+        raise DomainError("bound-state energy must be negative", e_b=e_b)
+    return math.sqrt(-e_b)
+
+
+def check_dim(dim, dims, message: str) -> None:
+    """:class:`UnsupportedDimError` ``message`` for a ``dim`` not in ``dims`` (None
+    takes any) and for an array, whose comparisons give arrays, not truth values."""
+    if getattr(dim, "ndim", 0) or dims is not None and dim not in dims:
+        raise UnsupportedDimError(message, dim=dim)
+
+
 @dataclass(frozen=True)
 class ComplexEnergy:
     """Energy E in units 1/length**2, tracking the branch prescription.
@@ -174,6 +188,7 @@ def as_point(p) -> SpatialPoint:
 
 
 def distance(x: SpatialPoint, y: SpatialPoint) -> float:
+    x, y = as_point(x), as_point(y)
     if x.dim != y.dim:
         raise IllegalSpecError("points of different dimension", xdim=x.dim, ydim=y.dim)
     return math.dist(x.coords, y.coords)
@@ -192,19 +207,7 @@ class GreenValue:
 
 
 def _check_dim(dim: int) -> None:
-    if dim not in (1, 2, 3):
-        raise UnsupportedDimError(
-            "position-space Green's functions exist here for D in {1,2,3}", dim=dim
-        )
-
-
-def _check_geometry(dim: int, x: SpatialPoint, y: SpatialPoint) -> float:
-    _check_dim(dim)
-    if x.dim != dim or y.dim != dim:
-        raise IllegalSpecError(
-            "point dimension does not match dim", dim=dim, xdim=x.dim, ydim=y.dim
-        )
-    return distance(x, y)
+    check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
 
 
 @quiet
@@ -230,7 +233,7 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     _check_dim(dim)
     e = ComplexEnergy.of(energy)
     r = np.asarray(r, dtype=float)
-    if dim >= 2 and (close := r[r < COINCIDENT_TOL]).size:
+    if dim != 1 and (close := r[r < COINCIDENT_TOL]).size:
         raise CoincidentPointsError(
             "free Green's function diverges at coincident points for D >= 2",
             dim=dim,
@@ -284,9 +287,11 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
         The unique solution of (E + Laplacian) G = delta(x - y) decaying at
         infinity; outgoing-wave form for retarded energies.
     """
-    e = ComplexEnergy.of(energy)
-    val = complex(g0_kernel(dim, e, _check_geometry(dim, as_point(x), as_point(y))))
-    return GreenValue(value=val, dim=dim)
+    e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
+    _check_dim(dim)
+    if x.dim != dim or y.dim != dim:
+        raise IllegalSpecError("point dimension does not match dim", dim=dim, xdim=x.dim, ydim=y.dim)
+    return GreenValue(value=complex(g0_kernel(dim, e, distance(x, y))), dim=dim)
 
 
 def g0_retarded(dim: int, k: float, x: SpatialPoint, y: SpatialPoint) -> GreenValue:

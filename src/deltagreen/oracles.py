@@ -19,8 +19,9 @@ Nothing in this module shares a formula with the production code it checks:
   bisection (production uses Anderson-Bjorck regula falsi).
 * :func:`lattice1d_transmission` solves plane-wave matching on the infinite
   lattice, with its own dispersion relation.
-* :func:`norm_by_quadrature` integrates |psi|^2 by tanh-sinh quadrature,
-  while production normalizes the residue through dM/dE at the pole.
+* :func:`norm_by_quadrature` integrates |psi|^2 by the same rule mapped to
+  each finite piece (tanh-sinh), while production normalizes the residue
+  through dM/dE at the pole.  No oracle calls an mpmath integrator.
 * :func:`shrinking_well_depth` realizes the contact limit physically: the
   depth a finite spherical well must acquire as its radius shrinks while one
   bound state is held fixed, approaching V0 r0^2 -> (pi/2)^2.
@@ -33,6 +34,7 @@ epsilon -> 0+ limit in the greenfn tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -45,9 +47,8 @@ from .errors import (
     IllegalSpecError,
     InsufficientBoxError,
     TailBoundExceededError,
-    UnsupportedDimError,
 )
-from .greenfn import as_number, as_scale
+from .greenfn import as_kappa_b, as_number, as_scale, check_dim, require_type
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
 
@@ -106,16 +107,22 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     precisions; if they disagree beyond QUAD_TOL / 2 relative to the value
     (absolute where |G0| > 1) a :class:`TailBoundExceededError` is raised
     instead of returning a value.
+
+    Measured range: kappa r up to about 3e5 (G0 long underflowed to -0.0)
+    and down to about 1e-33 in D = 1, 2, where the plateau in u, about
+    2 ln(2/(kappa r)) long, outgrows DE_REACH; r = 0 in D = 1 at every E.
+    Past either end, as at (1, -1e200, 1.0), it raises TailBoundExceededError.
     """
-    if dim not in (1, 2, 3):
-        raise UnsupportedDimError("quadrature oracle covers D in {1,2,3}", dim=dim)
-    energy = float(energy)
-    r = float(r)
+    check_dim(dim, (1, 2, 3), "quadrature oracle covers D in {1,2,3}")
+    energy = as_number(energy, "energy", "an energy")
+    r = as_number(r, "r", "a separation")
     if not (energy < 0.0) or not math.isfinite(energy):
         raise DomainError("quadrature oracle needs real E < 0", energy=energy)
     if r < 0.0:
         raise DomainError("separation must be nonnegative", r=r)
-    if dim >= 2 and r < 1e-14:
+    if not r < math.inf:
+        raise DomainError("separation must be finite", r=r)
+    if dim != 1 and r < 1e-14:
         raise CoincidentPointsError("coincident points diverge for D >= 2", dim=dim)
 
     big = _g0_quad_at(dim, energy, r, 20)
@@ -135,21 +142,58 @@ DE_LEVELS = 12
 DE_REACH = 160
 
 
+def _de_rule(term, dps: int):
+    """int term(u) du over the real line, term >= 0 decaying like exp(-e^|u|),
+    by the double-exponential trapezoid rule (Takahasi and Mori 1974) at the
+    caller's working precision of ``dps`` digits.  Steps h = 2^-k halve on
+    nested grids, each level adding only the odd nodes.  Each side's walk
+    stops at a term below 10^-dps of the sum and no larger than the one
+    before; the rule stops once the squared relative change between levels
+    is below 10^-dps.  Out of DE_REACH or DE_LEVELS: TailBoundExceededError."""
+    eps = mp.mpf(10) ** -dps
+
+    def walk(first, stride):
+        """Sum the terms at first, first + stride, ... until negligible."""
+        nonlocal total
+        u, last = first, 0
+        while abs(u) <= DE_REACH:
+            g = term(u)
+            total += g
+            if g <= eps * total < mp.inf and g <= last:  # an infinite sum never settles
+                return
+            u, last = u + stride, g
+        raise TailBoundExceededError(
+            "double-exponential rule: tail not negligible within its reach",
+            reach=DE_REACH, dps=dps,
+        )
+
+    total = term(mp.mpf(0))
+    h = mp.mpf(1)
+    walk(h, h)
+    walk(-h, -h)
+    level = h * total
+    for _ in range(DE_LEVELS):
+        h /= 2
+        walk(h, 2 * h)
+        walk(-h, -2 * h)
+        level, prev = h * total, level
+        if (level - prev) ** 2 <= eps * level * level:
+            return level
+    raise TailBoundExceededError(
+        "double-exponential rule: levels did not converge",
+        levels=DE_LEVELS, dps=dps,
+    )
+
+
 def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
-    """The proper-time integral at ``dps`` digits by the double-exponential
-    trapezoid rule in u: t = c exp(u - e^-u), dt = t (1 + e^-u) du, and
-    q = r^2/4.  Steps h = 2^-k halve on nested grids, so each level adds
-    only the odd nodes.  Each side's walk stops at a term below 10^-dps of
-    the sum and no larger than the one before; the rule stops once the
-    squared relative change between levels is below 10^-dps.  Running out
-    of DE_REACH or DE_LEVELS raises :class:`TailBoundExceededError`."""
+    """The proper-time integral at ``dps`` digits: :func:`_de_rule` over u,
+    with t = c exp(u - e^-u), dt = t (1 + e^-u) du, and q = r^2/4."""
     with mp.workdps(dps):
         exp, sqrt = mp.exp, mp.sqrt
         e = mp.mpf(energy)
         q = mp.mpf(r) ** 2 / 4
         c = min(q, sqrt(q / -e)) if r > 0.0 else -1 / e
         k = 1 / (4 * mp.pi)
-        eps = mp.mpf(10) ** -dps
 
         def term(u):
             x = exp(-u)
@@ -157,44 +201,38 @@ def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
             kernel_t = sqrt(k * t) if dim == 1 else k if dim == 2 else k * sqrt(k / t)
             return exp(e * t - q / t) * kernel_t * (1 + x)
 
-        def walk(first, stride):
-            """Sum the terms at first, first + stride, ... until negligible."""
-            nonlocal total
-            u, last = first, 0
-            while abs(u) <= DE_REACH:
-                g = term(u)
-                total += g
-                if g <= eps * total and g <= last:
-                    return
-                u, last = u + stride, g
-            raise TailBoundExceededError(
-                "double-exponential rule: tail not negligible within its reach",
-                reach=DE_REACH, dps=dps,
-            )
-
-        total = term(mp.mpf(0))
-        h = mp.mpf(1)
-        walk(h, h)
-        walk(-h, -h)
-        level = h * total
-        for _ in range(DE_LEVELS):
-            h /= 2
-            walk(h, 2 * h)
-            walk(-h, -2 * h)
-            level, prev = h * total, level
-            if (level - prev) ** 2 <= eps * level * level:
-                return float(-level)
-        raise TailBoundExceededError(
-            "double-exponential rule: levels did not converge",
-            levels=DE_LEVELS, dps=dps,
-        )
+        return float(-_de_rule(term, dps))
 
 
 def norm_by_quadrature(psi, points) -> float:
-    """int psi(x)^2 dx from points[0] to points[-1] by tanh-sinh quadrature
-    at double precision, split at each point (put psi's kinks there)."""
+    """int psi(x)^2 dx from points[0] to points[-1], split at each point (put
+    psi's kinks there), at double precision: :func:`_de_rule` at 15 digits on
+    each piece [a, b] under x = m + d tanh(s), s = (pi/2) sinh u, with m and d
+    its midpoint and half-width.  x is the nearer end -+ 2 d q / (1 + q),
+    q = e^(-2|s|), so nodes crowding an end keep their digits; tanh and the
+    weight come from exponentials.  The points must be finite and increasing."""
+    ends = [as_number(p, "points", "a split point")
+            for p in require_type(points, Iterable, "points", "points must be a list of numbers")]
+    if len(ends) < 2 or not all(-math.inf < a < b < math.inf for a, b in zip(ends, ends[1:])):
+        raise DomainError("need two or more finite, increasing points", points=ends)
     with mp.workdps(15):
-        return float(mp.quad(lambda t: psi(float(t)) ** 2, list(points)))
+        half_pi = mp.pi / 2
+
+        def piece(a, b):
+            d = (mp.mpf(b) - a) / 2
+
+            def term(u):
+                v = mp.exp(u)
+                w = 1 / v
+                q = mp.exp(-half_pi * abs(v - w))
+                p = 1 + q
+                off = 2 * d * q / p
+                y = psi(float(b - off if u > 0 else a + off))
+                return y * y * half_pi * (v + w) * off / p  # y * y: inf, not OverflowError
+
+            return _de_rule(term, 15)
+
+        return float(sum(piece(a, b) for a, b in zip(ends, ends[1:])))
 
 
 def _require_bare(centers) -> list[tuple[float, float]]:
@@ -216,11 +254,17 @@ def _lattice_hamiltonian(centers, lat: Lattice1D) -> tuple[list[float], float]:
     h = lat.h
     v = [0.0] * lat.points
     for pos, lam in sites:
-        idx = int(round((pos + lat.half_width) / h))
-        if idx < 0 or idx >= lat.points:
+        if (idx := _site(pos, lat)) is None:
             raise DomainError("center outside the lattice box", position=pos)
         v[idx] += lam / h
     return v, 1.0 / (h * h)
+
+
+def _site(x: float, lat: Lattice1D) -> int | None:
+    """Index of the grid point nearest x, or None for an x outside the box."""
+    s = (x + lat.half_width) / lat.h
+    i = round(s) if -1.0 < s < lat.points else -1  # round raises on inf and NaN
+    return i if 0 <= i < lat.points else None
 
 
 def _sturm_count(v: list[float], t: float, x: float) -> int:
@@ -289,18 +333,16 @@ def lattice1d_resolvent(centers, lat: Lattice1D, energy: float, xi: float, xj: f
     Solves (H - E) u = delta/h by the Thomas algorithm and returns -u at the
     target site, matching the sign convention of the continuum kernel.
     """
-    energy = float(energy)
+    energy = as_number(energy, "energy", "an energy")
+    xi, xj = as_number(xi, "xi", "a lattice point"), as_number(xj, "xj", "a lattice point")
     if not (energy < 0.0):
         raise DomainError("lattice resolvent implemented for E < 0", energy=energy)
     v, t = _lattice_hamiltonian(centers, lat)
-    h = lat.h
-    n = lat.points
-    j = int(round((xj + lat.half_width) / h))
-    i = int(round((xi + lat.half_width) / h))
-    if not (0 <= i < n and 0 <= j < n):
+    i, j = _site(xi, lat), _site(xj, lat)
+    if i is None or j is None:
         raise DomainError("evaluation point outside the box", xi=xi, xj=xj)
-    rhs = [0.0] * n
-    rhs[j] = 1.0 / h
+    rhs = [0.0] * lat.points
+    rhs[j] = 1.0 / lat.h
     return -_thomas(v, t, energy, rhs)[i]
 
 
@@ -317,9 +359,14 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
     state; each state is then polished by bisection.
     """
     sites = sorted(_require_bare(centers))
-    lo, hi = float(kappa_bracket[0]), float(kappa_bracket[1])
+    pair = require_type(kappa_bracket, Iterable, "kappa_bracket", "kappa_bracket must be a pair of numbers")
+    if len(pair := [as_number(k, "kappa_bracket", "a momentum") for k in pair]) != 2:
+        raise IllegalSpecError("kappa_bracket must be a pair of numbers", size=len(pair))
+    lo, hi = pair
     if not (0.0 < lo < hi < math.inf):
         raise DomainError("need 0 < kappa_min < kappa_max < inf", lo=lo, hi=hi)
+    if not 2 <= (grid_points := as_number(grid_points, "grid_points", "a grid size")) <= 10**6 or grid_points % 1:
+        raise DomainError("grid_points must be a whole number from 2 to 10^6", grid_points=grid_points)
 
     def shoot(kap: float) -> tuple[float, int]:
         # psi = A e^{k(x-p)} + B e^{-k(x-p)} about the last center p, scaled
@@ -339,11 +386,11 @@ def shooting1d(centers, kappa_bracket: tuple[float, float], grid_points: int = 1
             a_coef, b_coef, p = a_coef / norm, b_coef / norm, pos
         return a_coef, nodes + ((a_coef < 0.0) != (psi < 0.0))
 
-    grid = np.linspace(lo, hi, grid_points).tolist()
+    grid = np.linspace(lo, hi, int(grid_points)).tolist()
     shots = [shoot(k) for k in grid]
     cells = [
         (grid[i], grid[i + 1], shots[i], shots[i + 1])
-        for i in range(grid_points - 1)
+        for i in range(len(grid) - 1)
         if shots[i][1] > shots[i + 1][1]
     ]
     roots = []
@@ -380,7 +427,9 @@ def lattice1d_transmission(lam: float, k: float, lat: Lattice1D) -> tuple[float,
     gives t = 2i k_eff / (2i k_eff - lambda) with k_eff = sin(qh)/h, an exact
     lattice result that approaches the continuum at O((kh)^2).
     """
-    lam = float(lam)
+    lam = as_number(lam, "lam", "a coupling")
+    if not math.isfinite(lam):
+        raise DomainError("coupling must be finite", lam=lam)
     k = as_scale(k, "k", "a momentum", "momentum must be positive")
     h = lat.h
     if k * h > 0.1:
@@ -402,11 +451,8 @@ def shrinking_well_depth(e_b: float, r0: float) -> float:
     the dimensionless product V0 r0^2 tends to (pi/2)^2: the physical face
     of the running coupling.
     """
-    e_b = float(e_b)
-    r0 = float(r0)
-    if not (e_b < 0.0) or not math.isfinite(e_b):
-        raise DomainError("bound-state energy must be negative", e_b=e_b)
-    kb = math.sqrt(-e_b)
+    kb = as_kappa_b(e_b)
+    r0 = as_number(r0, "r0", "a well radius")
     if not (0.0 < r0 < 1.0 / kb):
         raise DomainError(
             "deep-well regime needs 0 < r0 < 1/kappa_B", r0=r0, kappa_b=kb
@@ -431,13 +477,12 @@ def square_well_radial(well: SquareWell3D, e_b: float, r: float) -> float:
     sin(qr)/r inside, matched decaying exponential outside; used to check
     that outside the core the shape is exactly the contact-potential one.
     """
-    e_b = float(e_b)
-    r = float(r)
-    if not (e_b < 0.0):
-        raise DomainError("bound-state energy must be negative", e_b=e_b)
-    if r <= 0.0:
+    kb = as_kappa_b(e_b)
+    r = as_number(r, "r", "a radius")
+    if not r > 0.0:
         raise DomainError("radius must be positive", r=r)
-    kb = math.sqrt(-e_b)
+    if kb * kb > well.depth:
+        raise DomainError("bound state below the bottom of the well", kappa_b=kb, depth=well.depth)
     q = math.sqrt(well.depth - kb * kb)
     if r <= well.radius:
         return math.sin(q * r) / r

@@ -70,6 +70,7 @@ from .greenfn import (
     SpatialPoint,
     as_number,
     as_point,
+    check_dim,
     g0,
     g0_kernel,
     g0_of_kappa,
@@ -150,6 +151,7 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
     cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
+    check_dim(dim, None, "dim must be one number, not an array")
     for c in cs:
         require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         if c.position.dim != dim:
@@ -231,6 +233,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     cs = _center_tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
+    check_dim(dim, None, "dim must be one number, not an array")
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, c = _strengths(dim, e, y, cs)
     rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's) for math.dist

@@ -70,10 +70,9 @@ from .errors import (
     DomainError,
     IllegalSpecError,
     PoleCrossingError,
-    UnsupportedDimError,
     ZeroCouplingError,
 )
-from .greenfn import ComplexEnergy, as_number, as_scale, require_type
+from .greenfn import ComplexEnergy, as_kappa_b, as_number, as_scale, check_dim, require_type
 
 _FOUR_PI = 4.0 * math.pi
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
@@ -133,8 +132,8 @@ class CouplingSpec:
         elif self.variant == REN_3D:
             if not math.isfinite(lambda_r) or lambda_r == 0.0 or math.isinf(1.0 / lambda_r):
                 raise ZeroCouplingError("lambda_R and 1/lambda_R must be finite and nonzero", lambda_r=lambda_r)
-        elif not (e_b < 0.0) or not math.isfinite(e_b):  # FROM_BOUND_STATE
-            raise DomainError("bound-state energy must be negative", e_b=e_b)
+        else:  # FROM_BOUND_STATE
+            as_kappa_b(e_b)
 
     def require_dim(self, dim: int) -> None:
         if dim not in _VARIANTS[self.variant][1]:
@@ -204,8 +203,7 @@ def bubble_regularized(dim: int, K: float, cutoff: float | None) -> float:
     """
     lam_cap = None if cutoff is None else _cutoff(cutoff)
     K = as_scale(K, "K", "a momentum", "bubble needs K > 0")
-    if dim not in (1, 2, 3, 4):
-        raise UnsupportedDimError("bubble defined for D in {1,2,3,4}", dim=dim)
+    check_dim(dim, (1, 2, 3, 4), "bubble defined for D in {1,2,3,4}")
     if lam_cap is None:
         if dim == 1:
             return 0.5 / K
@@ -230,8 +228,7 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float
     coupling is undefined.
     """
     lam_cap = _cutoff(cutoff)
-    if dim not in (2, 3):
-        raise UnsupportedDimError("bare coupling runs only in D=2 and D=3", dim=dim)
+    check_dim(dim, (2, 3), "bare coupling runs only in D=2 and D=3")
     _spec(spec).require_dim(dim)
     if dim == 2:
         with _double_range(
@@ -271,8 +268,7 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     Raises, as the denominator does, :class:`UnsupportedDimError` outside D
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
-    if dim not in (1, 2, 3):
-        raise UnsupportedDimError("denominator defined for D in {1,2,3}", dim=dim)
+    check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
     value = []
     for spec in specs:
         spec.require_dim(dim)
@@ -299,7 +295,7 @@ def renormalized_denominators(dim: int, kappa, value: np.ndarray) -> np.ndarray:
     checked here: :func:`renormalized_denominator` is the checked entry.
     """
     kap = np.asarray(kappa)[..., None]
-    if dim < 3 and not kap.all():
+    if dim != 3 and not kap.all():
         raise DomainError("the renormalized denominator diverges at E = 0", dim=dim)
     if dim == 1:
         return value + 0.5 / kap

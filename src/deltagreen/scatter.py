@@ -39,7 +39,7 @@ import numbers
 import sys
 
 from .errors import DomainError, IllegalSpecError
-from .greenfn import ComplexEnergy, SpatialPoint, as_number, as_point, as_scale, g0_retarded
+from .greenfn import ComplexEnergy, SpatialPoint, as_kappa_b, as_number, as_point, as_scale, g0_retarded
 from .renorm import CouplingSpec, renormalized_denominator
 
 POLICIES = ("unitary", "paper")
@@ -61,13 +61,6 @@ def _momentum(k: float) -> float:
     return as_scale(k, "k", "a momentum", "momentum must be positive")
 
 
-def _kappa_b(e_b: float) -> float:
-    e_b = as_number(e_b, "e_b", "a bound-state energy")
-    if not (e_b < 0.0) or not math.isfinite(e_b):
-        raise DomainError("bound-state energy must be negative", e_b=e_b)
-    return math.sqrt(-e_b)
-
-
 def amplitude_denominator(k: complex, e_b: float, policy: str | None = None) -> complex:
     """kappa_B + ik (unitary) or kappa_B - ik (paper); -1/f, continued in k.
 
@@ -75,7 +68,7 @@ def amplitude_denominator(k: complex, e_b: float, policy: str | None = None) -> 
     f to complex k: |amplitude_denominator(i kappa_B, E_B)| = 0 at the bound
     state.
     """
-    kb = _kappa_b(e_b)
+    kb = as_kappa_b(e_b)
     sign = 1.0 if resolve_policy(policy) == "unitary" else -1.0
     return kb + sign * 1j * as_number(k, "k", "a momentum", numbers.Complex)
 
@@ -89,7 +82,7 @@ def amplitude3d(k: float, e_b: float, policy: str | None = None) -> complex:
 def cross_section_total(k: float, e_b: float) -> float:
     """sigma = 4 pi |f|^2 = 4 pi / (kappa_B^2 + k^2); branch-independent."""
     k = _momentum(k)
-    kb = _kappa_b(e_b)
+    kb = as_kappa_b(e_b)
     return _FOUR_PI / (kb * kb + k * k)
 
 

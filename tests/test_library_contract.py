@@ -5,9 +5,11 @@
   that state as it found it.
 * Number arguments: every public function that takes a number returns a
   value or raises one typed :class:`DeltaGreenError` for any argument,
-  never a bare Python error or a warning.  So does every function that
-  takes a center list, a coupling or a bound state, for any value there.
-  The properties are derandomized so the suite stays deterministic.
+  never a bare Python error or a warning; so do the public oracles of
+  :mod:`deltagreen.oracles`, and a ``dim`` given as an array is refused.
+  So does every function that takes a center list, a coupling or a bound
+  state, for any value there.  The properties are derandomized so the
+  suite stays deterministic.
 """
 
 import math
@@ -31,6 +33,7 @@ from deltagreen import (
     cross_section_total,
     friedman_report,
     from_bound_state,
+    g0,
     g0_retarded,
     green,
     m_matrix,
@@ -45,6 +48,18 @@ from deltagreen import (
     transmutation_energy,
 )
 from deltagreen import bessel, greenfn
+from deltagreen.errors import UnsupportedDimError
+from deltagreen.oracles import (
+    Lattice1D,
+    SquareWell3D,
+    g0_by_quadrature,
+    lattice1d_resolvent,
+    lattice1d_transmission,
+    norm_by_quadrature,
+    shooting1d,
+    shrinking_well_depth,
+    square_well_radial,
+)
 
 # two 3D E_B = -1 centers 800 apart: exp(-sqrt(2) 800) underflows at E = -2
 _PAIR_3D = [center((0.0, 0.0, 0.0), from_bound_state(-1.0)),
@@ -112,13 +127,24 @@ _NUMBER_CALLS = [
     (g0_retarded, dict(dim=2, k=1.0, x=(0.0, 1.0), y=(0.0, 0.0)), ("k",)),
     (scattered_wave, dict(k=1.0, spec=_SPEC_3D, x=(0.0, 0.0, 1.0)), ("k", "x")),
     (bound_states, dict(dim=1, centers=_PAIR_1D, search=(-4.0, -0.01), tol=1e-12, grid_points=400),
-     ("search", "tol", "search[0]", "search[1]", "grid_points")),
+     ("dim", "search", "tol", "search[0]", "search[1]", "grid_points")),
+    (g0, dict(dim=1, energy=-1.0, x=0.5, y=0.2), ("dim", "energy", "x", "y")),
+    (g0, dict(dim=3, energy=-1.0, x=(0.0, 0.0, 1.0), y=(0.0, 0.0, 0.0)), ("dim", "x[2]", "y[0]")),
+    (green, dict(dim=1, energy=-0.5, x=0.5, y=0.2, centers=_PAIR_1D), ("dim", "energy", "x", "y")),
+    (m_matrix, dict(dim=1, energy=-0.5, centers=_PAIR_1D), ("dim", "energy")),
+    (renormalized_denominator, dict(dim=3, energy=-1.0, spec=_SPEC_3D), ("dim", "energy")),
+    (greenfn.distance, dict(x=(0.0,), y=(1.0,)), ("x", "y")),
+    (bare_1d, dict(lam=-2.0), ("lam",)),
+    (renormalized_2d, dict(lambda_r=-1.0, mu=1.0), ("lambda_r", "mu")),
+    (renormalized_3d, dict(lambda_r=1.0), ("lambda_r",)),
+    (from_bound_state, dict(e_b=-1.0), ("e_b",)),
+    (center, dict(position=(0.0, 0.0), coupling=_SPEC_2D), ("position", "position[1]")),
 ]
 
 _HOSTILE = st.one_of(
     st.sampled_from(["x", "2", "", None, [], [1.0], [1.0, 2.0], (1.0, "x"), True, False,
                      np.float64(2.0), np.float32(-1.5), np.int64(3), np.bool_(True),
-                     np.complex128(1.0 + 1.0j), 1j, 2.0 + 0.0j, np.array([1.0]),
+                     np.complex128(1.0 + 1.0j), 1j, 2.0 + 0.0j, np.array([1.0]), np.array([1.0, 2.0]),
                      math.nan, math.inf, -math.inf, 10**400, -(10**400), 0, 0.0, -0.0,
                      -1.0, 5e-324, -5e-324, 1e-200, 1e200, 1e308, -1e308]),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -126,9 +152,7 @@ _HOSTILE = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=800, deadline=None, database=None)
-@given(call=st.sampled_from(_NUMBER_CALLS), data=st.data())
-def test_number_arguments_return_or_raise_one_typed_error(call, data):
+def _call_with_one_hostile_value(call, data):
     func, kwargs, names = call
     name = data.draw(st.sampled_from(names), label="argument")
     value = data.draw(_HOSTILE, label="value")
@@ -145,6 +169,57 @@ def test_number_arguments_return_or_raise_one_typed_error(call, data):
             func(**kwargs)
         except DeltaGreenError:
             pass
+
+
+@settings(derandomize=True, max_examples=1300, deadline=None, database=None)
+@given(call=st.sampled_from(_NUMBER_CALLS), data=st.data())
+def test_number_arguments_return_or_raise_one_typed_error(call, data):
+    _call_with_one_hostile_value(call, data)
+
+
+# the public oracles, on small grids; a finite hostile g0_by_quadrature call
+# can take a third of a second, so this property draws fewer examples
+_ORACLE_CALLS = [
+    (g0_by_quadrature, dict(dim=1, energy=-1.0, r=0.5), ("dim", "energy", "r")),
+    (lattice1d_resolvent, dict(centers=_PAIR_1D, lat=Lattice1D(5.0, 101), energy=-3.0, xi=0.3, xj=-0.2),
+     ("energy", "xi", "xj")),
+    (lattice1d_transmission, dict(lam=-2.0, k=1.0, lat=Lattice1D(10.0, 2001)), ("lam", "k")),
+    (shooting1d, dict(centers=_PAIR_1D, kappa_bracket=(0.5, 1.5), grid_points=50),
+     ("kappa_bracket", "kappa_bracket[0]", "kappa_bracket[1]", "grid_points")),
+    (shrinking_well_depth, dict(e_b=-1.0, r0=0.1), ("e_b", "r0")),
+    (square_well_radial, dict(well=SquareWell3D(0.1, 300.0), e_b=-1.0, r=0.5), ("e_b", "r")),
+    (Lattice1D, dict(half_width=10.0, points=101), ("half_width", "points")),
+    (SquareWell3D, dict(radius=0.1, depth=100.0), ("radius", "depth")),
+    (norm_by_quadrature, dict(psi=lambda x: math.exp(-abs(x)), points=(-1.0, 0.0, 1.0)),
+     ("points", "points[0]", "points[1]", "points[2]")),
+]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(call=st.sampled_from(_ORACLE_CALLS), data=st.data())
+def test_oracle_number_arguments_return_or_raise_one_typed_error(call, data):
+    _call_with_one_hostile_value(call, data)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: g0(np.array([1.0, 2.0]), -1.0, 0.5, 0.2),
+    lambda: green(np.array([1.0, 2.0]), -0.5, 0.5, 0.2, _PAIR_1D),
+    lambda: bound_states(np.array([1, 2]), _PAIR_1D),
+    lambda: m_matrix(np.array([1]), -0.5, _PAIR_1D),
+    lambda: bubble_regularized(np.array([1, 2]), 1.0, 10.0),
+    lambda: renormalized_denominator(np.array([3, 3]), -1.0, _SPEC_3D),
+    lambda: g0_by_quadrature(np.array([1, 2]), -1.0, 1.0),
+], ids=["g0", "green", "bound_states", "m_matrix", "bubble", "denominator", "quadrature"])
+def test_a_dim_given_as_an_array_is_unsupported(call):
+    with pytest.raises(UnsupportedDimError):
+        call()
+
+
+def test_distance_reads_its_points():
+    assert greenfn.distance((0.0,), 3.0) == 3.0
+    with pytest.raises(IllegalSpecError) as info:
+        greenfn.distance("x", (0.0,))
+    assert info.value.details == {"field": "coords", "type": "str"}
 
 
 @pytest.mark.parametrize("func, args", [

@@ -15,6 +15,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.special import k0 as scipy_k0, k0e as scipy_k0e
 
 from deltagreen import (
+    amplitude3d,
     bare_1d,
     bound_states,
     center,
@@ -40,6 +41,7 @@ from deltagreen.oracles import (
     lattice1d_resolvent,
     lattice1d_spectrum,
     lattice1d_transmission,
+    norm_by_quadrature,
     shooting1d,
     shrinking_well_depth,
     square_well_radial,
@@ -193,6 +195,132 @@ def test_quadrature_extremes_return_or_refuse_within_a_second(dim, energy, r):
     except TailBoundExceededError:
         pass
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("dim, energy, r, want", [
+    (1, -1.0, 0.5, -0.3032653298563167),
+    (2, -0.25, 2.0, -0.06700812050849714),
+    (3, -1.0, 1e-8, -7957747.075017296),
+    (2, -1e-30, 1.0, -5.51546806537288),
+    (1, -1e300, 0.0, -5e-151),
+    (2, -1.0, 300.0, -5.926444427214651e-133),
+])
+def test_quadrature_values_keep_their_bits(dim, energy, r, want):
+    # recorded values: a change to the engine or the G0 map that moves a bit fails here
+    assert g0_by_quadrature(dim, energy, r) == want
+
+
+def test_quadrature_states_its_range():
+    # the docstring's measured ends: kappa r from about 1e-33 to about 3e5
+    assert g0_by_quadrature(1, -1.21e-66, 1.0) == pytest.approx(-0.5 / 1.1e-33, rel=1e-13)
+    assert g0_by_quadrature(3, -1.0, 3e5) == -0.0
+    for dim, energy, r in [(1, -1.0, 1e-35), (2, -1e-70, 1.0), (1, -1e200, 1.0), (3, -1.0, 1e6)]:
+        with pytest.raises(TailBoundExceededError):
+            g0_by_quadrature(dim, energy, r)
+
+
+# ----------------------------------------------------------- normalization
+
+
+@pytest.mark.parametrize("psi, points, want", [
+    (lambda x: math.exp(-abs(x)), (-60.0, 0.0, 60.0), 1.0 - math.exp(-120.0)),
+    (lambda x: math.exp(-abs(x - 0.3)), (-40.0, 0.3, 50.0), 1.0 - 0.5 * (math.exp(-80.6) + math.exp(-99.4))),
+    (lambda x: math.sqrt(abs(x)), (-1.0, 0.0, 1.0), 1.0),  # |x|: a kink at 0
+    (lambda x: abs(x) ** -0.25 if x else math.inf, (-1.0, 0.0, 1.0), 4.0),  # 1/sqrt|x|: singular at 0
+    (lambda x: math.exp(-0.5 * x * x), (-30.0, 30.0), math.sqrt(math.pi)),
+    (lambda x: 0.0, (-1.0, 2.0), 0.0),
+], ids=["exp_kink", "exp_kink_off_center", "abs_kink", "end_singularity", "gaussian", "zero"])
+def test_norm_integrates_known_integrals_split_at_their_kinks(psi, points, want):
+    assert norm_by_quadrature(psi, points) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def test_norm_of_a_two_center_state_is_one():
+    # psi^2 of each 1D pair state has kinks at both centers
+    for state in bound_states(1, PAIR):
+        norm = norm_by_quadrature(lambda x: residue_wavefunction(state, x), (-60.0, -1.0, 1.0, 60.0))
+        assert norm == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("psi, points", [
+    (lambda x: abs(x) ** -0.5 if x else math.inf, (-1.0, 0.0, 1.0)),  # 1/|x|: no integral
+    (lambda x: abs(x) ** -0.5 if x else 0.0, (-1.0, 0.0, 1.0)),  # the same, 0 where x rounds to 0
+    (lambda x: 1e200, (0.0, 1.0)),  # psi^2 past the doubles
+    (lambda x: math.nan, (-1.0, 0.0, 1.0)),
+    (lambda x: math.exp(-abs(x)), (-60.0, 60.0)),  # a kink between the points
+], ids=["non_decaying", "non_decaying_finite", "overflow", "nan", "unsplit_kink"])
+def test_norm_refuses_what_it_cannot_integrate(psi, points):
+    start = time.perf_counter()
+    with pytest.raises(TailBoundExceededError):
+        norm_by_quadrature(psi, points)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("points", [(0.0,), (), (1.0, 0.0), (0.0, 0.0, 1.0), (-math.inf, 0.0, 1.0), (0.0, math.nan)])
+def test_norm_needs_finite_increasing_points(points):
+    with pytest.raises(DomainError):
+        norm_by_quadrature(lambda x: 1.0, points)
+
+
+def test_norm_calls_no_mpmath_integrator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath integrator was called")
+
+    for name in ("quad", "quadts", "quadgl", "quadosc"):
+        monkeypatch.setattr(mp, name, refuse)
+    assert norm_by_quadrature(lambda x: math.exp(-abs(x)), (-60.0, 0.0, 60.0)) == pytest.approx(1.0)
+    assert g0_by_quadrature(1, -1.0, 0.5) == -0.3032653298563167
+
+
+# --------------------------------------------------- arguments at the edges
+
+
+_WELL = SquareWell3D(0.1, 100.0)
+_LAT = Lattice1D(10.0, 1001)
+
+
+@pytest.mark.parametrize("call, error, details", [
+    (lambda: square_well_radial(_WELL, -math.inf, 1.0), DomainError, {"e_b": -math.inf}),
+    (lambda: square_well_radial(_WELL, -200.0, 1.0), DomainError, {"kappa_b": math.sqrt(200.0), "depth": 100.0}),
+    (lambda: square_well_radial(_WELL, -1.0, math.nan), DomainError, {"r": math.nan}),
+    (lambda: square_well_radial(_WELL, "x", 1.0), IllegalSpecError, {"field": "e_b", "type": "str"}),
+    (lambda: lattice1d_resolvent(ONE, _LAT, -1.0, math.nan, 0.0), DomainError, {"xi": math.nan, "xj": 0.0}),
+    (lambda: lattice1d_resolvent(ONE, _LAT, -1.0, math.inf, 0.0), DomainError, {"xi": math.inf, "xj": 0.0}),
+    (lambda: lattice1d_resolvent(ONE, _LAT, -1.0, 1e308, 0.0), DomainError, {"xi": 1e308, "xj": 0.0}),
+    (lambda: lattice1d_spectrum((center(1e308, bare_1d(-2.0)),), _LAT, 1), DomainError, {"position": 1e308}),
+    (lambda: shooting1d(ONE, (0.1,)), IllegalSpecError, {"size": 1}),
+    (lambda: shooting1d(ONE, 0.1), IllegalSpecError, {"field": "kappa_bracket", "type": "float"}),
+    (lambda: shooting1d(ONE, (0.5, 1.5), 1), DomainError, {"grid_points": 1.0}),
+    (lambda: shooting1d(ONE, (0.5, 1.5), 1e200), DomainError, {"grid_points": 1e200}),
+    (lambda: shooting1d(ONE, (0.5, 1.5), 2.5), DomainError, {"grid_points": 2.5}),
+    (lambda: g0_by_quadrature(1, -1.0, math.nan), DomainError, {"r": math.nan}),
+    (lambda: g0_by_quadrature(1, -1.0, math.inf), DomainError, {"r": math.inf}),
+    (lambda: g0_by_quadrature(1, "x", 1.0), IllegalSpecError, {"field": "energy", "type": "str"}),
+    (lambda: g0_by_quadrature(np.array([1, 2]), -1.0, 1.0), UnsupportedDimError, None),
+    (lambda: lattice1d_transmission(math.nan, 1.0, _LAT), DomainError, {"lam": math.nan}),
+    (lambda: lattice1d_transmission(math.inf, 0.01, _LAT), DomainError, {"lam": math.inf}),
+    (lambda: shrinking_well_depth(-math.inf, 0.1), DomainError, {"e_b": -math.inf}),
+    (lambda: shrinking_well_depth(-1.0, None), IllegalSpecError, {"field": "r0", "type": "NoneType"}),
+], ids=["radial_e_b_inf", "radial_below_floor", "radial_r_nan", "radial_e_b_str", "resolvent_xi_nan",
+        "resolvent_xi_inf", "resolvent_xi_huge", "spectrum_center_huge", "bracket_short", "bracket_number",
+        "grid_one", "grid_huge", "grid_fraction", "quad_r_nan", "quad_r_inf", "quad_energy_str",
+        "quad_dim_array", "transmission_lam_nan", "transmission_lam_inf", "depth_e_b_inf", "depth_r0_none"])
+def test_oracle_arguments_at_the_edges_are_typed_errors(call, error, details):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    if details is not None:
+        assert repr(info.value.details) == repr(dict(sorted(details.items())))
+
+
+def test_bound_state_checks_share_one_message():
+    # CouplingSpec, the scattering amplitude and both well oracles read E_B
+    # through one checker: one message and one detail key everywhere
+    calls = [lambda: from_bound_state(0.5), lambda: amplitude3d(1.0, 0.5),
+             lambda: shrinking_well_depth(0.5, 0.1), lambda: square_well_radial(_WELL, 0.5, 1.0)]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert (info.value.message, info.value.details) == ("bound-state energy must be negative", {"e_b": 0.5})
 
 
 # ----------------------------------------------------------------- lattice
