@@ -64,8 +64,8 @@ class Lattice1D:
         object.__setattr__(self, "half_width",
                            as_scale(self.half_width, "half_width", "a lattice field", "half_width must be positive"))
         points = as_number(self.points, "points", "a lattice field")
-        if not (points >= 3.0 and points % 1.0 == 0.0):
-            raise DomainError("need at least 3 grid points", points=self.points)
+        if not (3.0 <= points <= 10**6 and points % 1.0 == 0.0):  # shooting1d's ceiling too
+            raise DomainError("need a whole number of grid points from 3 to 10^6", points=self.points)
         object.__setattr__(self, "points", int(self.points))
 
     @property

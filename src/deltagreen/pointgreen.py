@@ -13,7 +13,10 @@ centers a_1..a_N the correction generalizes to a small linear solve:
 M is complex symmetric (real symmetric on the negative real axis).  One
 builder assembles it at an array of kappa = sqrt(-E) for :func:`m_matrix`,
 :func:`green`, the residues and every batch of the scan: its N(N-1)/2 + N
-distinct values, then one gather that lays out M.  G has a pole
+distinct values, then one gather that lays out M.  The index arrays of that
+layout depend on N alone, so they are built once per N and kept read-only,
+about 12 N^2 bytes each (0.79 MB at N = 256, 12.6 MB at N = 1024; the last
+8 counts up to 1024 are kept).  G has a pole
 exactly where M is singular; :func:`green` reports one when its single
 solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
 which underflows for many centers.  Each point x is one kernel row.
@@ -56,6 +59,7 @@ get renormalized.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -97,6 +101,10 @@ SCAN_BATCH = 1 << 14
 #: Smallest kappa of the default search window: its square, 2^-1022, is the
 #: smallest normal double, so E = -kappa^2 neither underflows nor loses bits.
 KAPPA_FLOOR = 2.0**-511
+
+#: Center counts whose pair layout (see :func:`_layout`) is cached, and how many are kept.
+LAYOUT_CACHE_MAX_N = 1024
+LAYOUT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -172,21 +180,51 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The N x N slot map that lays out M by one gather, and |a_i - a_j| for
     the P pairs i < j (row-major): (i, j) and (j, i) read pair p's slot p,
     (i, i) slot P + i.
+
+    The slot map and the pairs' flat indices depend on N alone: they come
+    read-only from :func:`_layout`, cached per N up to 1024 centers, about
+    12 N^2 bytes each.  Each coordinate's squared ``np.subtract.outer``
+    differences are summed in place over the whole N x N array (two N x N
+    doubles, whatever the dimension), and one gather takes the P pair
+    entries; if a square overflows, :func:`_norms` recomputes the pairs
+    hypot-style, and the first coincident pair names its (i, j).
     """
     n = len(pos)
-    pairs = np.triu_indices(n, 1)
-    r = _norms(lambda: (c[pairs[0]] - c[pairs[1]] for c in pos.T))
+    flat, slots = _layout(n)
+    d2, sq = np.zeros((n, n)), np.empty((n, n))
+    for c in pos.T:
+        d2 += np.square(np.subtract.outer(c, c, out=sq), out=sq)
+    r = np.sqrt(np.take(d2, flat))
+    if not np.isfinite(r).all():
+        i, j = divmod(flat, n)
+        r = _norms(lambda: (c[i] - c[j] for c in pos.T))
     close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
     if close.size:
-        raise IllegalSpecError(
-            "coincident centers (closer than 1e-10) are one center",
-            i=int(pairs[0][close[0]]),
-            j=int(pairs[1][close[0]]),
-        )
-    slots = np.empty((n, n), dtype=np.intp)
-    slots[pairs] = slots[pairs[::-1]] = np.arange(r.size)
-    slots[np.diag_indices(n)] = r.size + np.arange(n)
+        i, j = divmod(int(flat[close[0]]), n)
+        raise IllegalSpecError("coincident centers (closer than 1e-10) are one center", i=i, j=j)
     return slots, r
+
+
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, slots) for N = n centers, read-only: the flat index i n + j into
+    an N x N array of each pair i < j, row-major, and the slot map of
+    :func:`_pair_distances`.  Cached for the last LAYOUT_CACHE_SIZE counts
+    used up to LAYOUT_CACHE_MAX_N: 8 bytes per pair and per map entry."""
+    return (_cached_layout if n <= LAYOUT_CACHE_MAX_N else _build_layout)(n)
+
+
+def _build_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, 1)
+    slots = np.empty((n, n), dtype=np.intp)
+    slots[i, j] = slots[j, i] = np.arange(i.size)
+    slots[np.diag_indices(n)] = i.size + np.arange(n)
+    flat = i * n + j
+    flat.setflags(write=False)
+    slots.setflags(write=False)
+    return flat, slots
+
+
+_cached_layout = functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)(_build_layout)
 
 
 def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:

@@ -136,6 +136,7 @@ class CouplingSpec:
             as_kappa_b(e_b)
 
     def require_dim(self, dim: int) -> None:
+        check_dim(dim, None, "dim must be one number, not an array")
         if dim not in _VARIANTS[self.variant][1]:
             raise IllegalSpecError("coupling variant illegal for this dimension", variant=self.variant, dim=dim)
 
@@ -269,19 +270,23 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
     check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
-    value = []
+    value, from_e_b = [], []
     for spec in specs:
         spec.require_dim(dim)
         by_e_b = spec.variant == FROM_BOUND_STATE
+        from_e_b.append(by_e_b)
         if dim == 1:
             value.append(-0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
         elif dim == 2:
-            # ln m + e i from E_B, split as the denominator splits kappa: D = 0.0 at kappa_B
-            value.append(complex(*_log_split(math.sqrt(-spec.e_b))) if by_e_b
-                         else math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r)
+            value.append(math.sqrt(-spec.e_b) if by_e_b else math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r)
         else:
             value.append(math.sqrt(-spec.e_b) / _FOUR_PI if by_e_b else 1.0 / spec.lambda_r)
-    return np.array(value, dtype=complex if dim == 2 else float)
+    value = np.array(value, dtype=complex if dim == 2 else float)
+    if dim == 2 and any(from_e_b):
+        # every kappa_B -> ln m + e i in one split, as the denominator splits
+        # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
+        value.real[from_e_b], value.imag[from_e_b] = _log_split(value.real[from_e_b])
+    return value
 
 
 def renormalized_denominators(dim: int, kappa, value: np.ndarray) -> np.ndarray:

@@ -209,7 +209,10 @@ def test_oracle_number_arguments_return_or_raise_one_typed_error(call, data):
     lambda: bubble_regularized(np.array([1, 2]), 1.0, 10.0),
     lambda: renormalized_denominator(np.array([3, 3]), -1.0, _SPEC_3D),
     lambda: g0_by_quadrature(np.array([1, 2]), -1.0, 1.0),
-], ids=["g0", "green", "bound_states", "m_matrix", "bubble", "denominator", "quadrature"])
+    lambda: from_bound_state(-1.0).bound_state_energy(np.array([1, 2])),
+    lambda: from_bound_state(-1.0).require_dim(np.array([1])),
+], ids=["g0", "green", "bound_states", "m_matrix", "bubble", "denominator", "quadrature",
+        "bound_state_energy", "require_dim"])
 def test_a_dim_given_as_an_array_is_unsupported(call):
     with pytest.raises(UnsupportedDimError):
         call()

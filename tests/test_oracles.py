@@ -300,10 +300,13 @@ _LAT = Lattice1D(10.0, 1001)
     (lambda: lattice1d_transmission(math.inf, 0.01, _LAT), DomainError, {"lam": math.inf}),
     (lambda: shrinking_well_depth(-math.inf, 0.1), DomainError, {"e_b": -math.inf}),
     (lambda: shrinking_well_depth(-1.0, None), IllegalSpecError, {"field": "r0", "type": "NoneType"}),
+    (lambda: Lattice1D(10.0, 10**200 + 1), DomainError, {"points": 10**200 + 1}),
+    (lambda: Lattice1D(10.0, 10**6 + 1), DomainError, {"points": 10**6 + 1}),
 ], ids=["radial_e_b_inf", "radial_below_floor", "radial_r_nan", "radial_e_b_str", "resolvent_xi_nan",
         "resolvent_xi_inf", "resolvent_xi_huge", "spectrum_center_huge", "bracket_short", "bracket_number",
         "grid_one", "grid_huge", "grid_fraction", "quad_r_nan", "quad_r_inf", "quad_energy_str",
-        "quad_dim_array", "transmission_lam_nan", "transmission_lam_inf", "depth_e_b_inf", "depth_r0_none"])
+        "quad_dim_array", "transmission_lam_nan", "transmission_lam_inf", "depth_e_b_inf", "depth_r0_none",
+        "lattice_points_huge", "lattice_points_past_ceiling"])
 def test_oracle_arguments_at_the_edges_are_typed_errors(call, error, details):
     with pytest.raises(error) as info:
         call()
@@ -333,6 +336,7 @@ def test_lattice_geometry():
         Lattice1D(-1.0, 100)
     with pytest.raises(DomainError):
         Lattice1D(1.0, 2)
+    assert Lattice1D(1.0, 10**6).points == 10**6  # the ceiling shooting1d's grid has too
     # a numpy half-width would make h, t and the shifts numpy scalars, whose
     # division by zero warns and returns inf instead of raising
     lat = Lattice1D(np.float64(16.0), 1601)

@@ -1659,6 +1659,71 @@ def test_rejects_coincident_centers():
     assert info.value.details == {"i": 1, "j": 3}
 
 
+def _reference_pair_distances(pos):
+    """The layout built from scratch on every call: per-pair coordinate
+    gathers, hypot-style lengths where a square overflows, the slot scatter."""
+    n = len(pos)
+    pairs = np.triu_indices(n, 1)
+    diffs = [c[pairs[0]] - c[pairs[1]] for c in pos.T]
+    r = np.sqrt(sum(d**2 for d in diffs))
+    if (big := np.isinf(r)).any():
+        parts = [np.abs(d[big]) for d in diffs]
+        scale = np.maximum.reduce(parts)
+        r[big] = scale * np.sqrt(sum((p / scale) ** 2 for p in parts))
+        if not np.isfinite(r).all():
+            raise DomainError("distance overflows double precision")
+    close = np.flatnonzero(r < pointgreen.CENTER_DISTINCT_TOL)
+    if close.size:
+        raise IllegalSpecError("coincident centers (closer than 1e-10) are one center",
+                               i=int(pairs[0][close[0]]), j=int(pairs[1][close[0]]))
+    slots = np.empty((n, n), dtype=np.intp)
+    slots[pairs] = slots[pairs[::-1]] = np.arange(r.size)
+    slots[np.diag_indices(n)] = r.size + np.arange(n)
+    return slots, r
+
+
+def _layout_outcome(func, pos):
+    """The bytes of the slot map and distances, or the error class and payload."""
+    try:
+        with np.errstate(all="ignore"):
+            slots, r = func(pos)
+    except DeltaGreenError as err:
+        return type(err), err.details
+    return slots.tobytes(), r.dtype, r.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cached_layout_gives_the_per_call_layout_bit_for_bit(dim):
+    # N = 1..300 (N = 1 has no pair), at unit scale and where some or all squares overflow
+    for n in range(1, 301):
+        rng = np.random.default_rng([dim, n])
+        scale = (1.0, 1e154, 1e200)[n % 3]
+        pos = rng.uniform(-1.0, 1.0, (n, dim)) * scale
+        if n % 7 == 4:  # two coincident pairs: the first in row-major order is named
+            i, j, k, m = np.sort(rng.choice(n, 4, replace=False))
+            pos[m], pos[k] = pos[i], pos[j] + 1e-11 * scale
+        want = _layout_outcome(_reference_pair_distances, pos)
+        assert _layout_outcome(pointgreen._pair_distances, pos) == want, (n, scale)
+    # a difference past the doubles is one DomainError either way
+    pos = np.array([[1e308] * dim, [0.0] * dim, [-1e308] * dim])
+    assert _layout_outcome(pointgreen._pair_distances, pos)[0] is DomainError
+    assert _layout_outcome(pointgreen._pair_distances, pos) == _layout_outcome(_reference_pair_distances, pos)
+
+
+def test_cached_layout_is_read_only_and_kept_per_center_count():
+    flat, slots = pointgreen._layout(5)
+    for arr in (flat, slots):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert pointgreen._layout(5)[1] is slots
+    assert pointgreen._pair_distances(np.arange(5.0)[:, None])[0] is slots
+    # past the largest cached count each call builds its own layout
+    n = pointgreen.LAYOUT_CACHE_MAX_N + 1
+    first, second = pointgreen._layout(n), pointgreen._layout(n)
+    assert first[1] is not second[1]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
 def test_distances_beyond_the_squares_scale_like_hypot():
     # the helpers run under their public callers' floating-point policy
     pos = np.array([[0.0, 0.0], [3.0, 4.0], [3e200, 4e200], [-1e300, 1e-300]])

@@ -20,6 +20,7 @@ from deltagreen import (
     rg_shift,
     transmutation_energy,
 )
+from deltagreen import renorm
 from deltagreen.errors import (
     CouplingBlowupError,
     DivergentBubbleError,
@@ -601,6 +602,30 @@ def test_coupling_constants_are_the_one_constant_of_each_denominator(dim, spec, 
     # D = value + 1/(2 kappa), (ln kappa_B - ln kappa)/(2 pi), value - kappa/(4 pi)
     consts = coupling_constants(dim, [spec, spec])
     assert consts.tolist() == [value, value]
+
+
+def test_whole_list_2d_constants_are_the_one_center_constants_bit_for_bit():
+    # every E_B's kappa_B is split in one call; each constant keeps the bits,
+    # zero signs included, of its center alone and of the split of a lone number
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    ks = [-537, -1, 0, 1, 511, *range(-530, 511, 31)]
+    e_bs = [-tiny, -2.0 * tiny, -np.finfo(float).tiny, -big, -np.nextafter(big, 0.0), -1.7, -17.0]
+    e_bs += [-((2.0**k) ** 2) for k in ks]
+    e_bs += (-(10.0 ** np.random.default_rng(3).uniform(-323.0, 308.0, 40))).tolist()
+    specs = [renormalized_2d(-(1.0 + 0.1 * i), 0.5 + i) if i % 3 == 2 else from_bound_state(e)
+             for i, e in enumerate(e_bs)]
+    whole = coupling_constants(2, specs)
+    ones = np.concatenate([coupling_constants(2, [spec]) for spec in specs])
+    assert whole.tobytes() == ones.tobytes()
+    for spec, value in zip(specs, whole):
+        if spec.variant == renorm.FROM_BOUND_STATE:
+            split = complex(*renorm._log_split(math.sqrt(-spec.e_b)))
+            assert np.array([split]).tobytes() == np.array([value]).tobytes()
+    # kappa_B = 2^k: ln m = +0.0 and e = k exactly
+    for k in ks:
+        value = complex(coupling_constants(2, [from_bound_state(-((2.0**k) ** 2))])[0])
+        assert value == complex(0.0, k) and math.copysign(1.0, value.real) == 1.0
+    assert coupling_constants(2, []).tobytes() == b""
 
 
 def test_coupling_constants_raise_the_denominator_errors():
