@@ -292,7 +292,8 @@ def _k0_complex(z: np.ndarray) -> np.ndarray:
 def k0(z):
     """Modified Bessel function of the second kind, order zero, Re z > 0.
 
-    Elementwise over an array, in the argument's dtype: real or complex.
+    Elementwise over an array, in the argument's dtype: real or complex.  The
+    smallest subnormal gives inf; no Green's function takes so small an argument (kappa r > ~1e-176).
     """
     arg = np.asarray(z)
     flat = arg.ravel()
@@ -329,7 +330,8 @@ def _j0y0(x: np.ndarray) -> np.ndarray:
 def hankel1_0(x):
     """Outgoing Hankel function H0^(1)(x) = J0(x) + i Y0(x) for real x > 0.
 
-    Elementwise over an array.
+    Elementwise over an array.  The smallest subnormal gives 1 - inf j; no
+    Green's function takes so small an argument (kappa r > ~1e-176).
     """
     arg = np.asarray(x, dtype=float)
     flat = arg.ravel()

@@ -4,8 +4,8 @@ Nothing in this module shares a formula with the production code it checks:
 
 * :func:`g0_by_quadrature` integrates the Schwinger proper-time (heat-kernel)
   representation G0(E; r) = -int_0^inf (4 pi t)^(-D/2) exp(-r^2/(4t) + E t) dt,
-  a Laplace transform of the free Gaussian propagator, with an
-  arbitrary-precision double-exponential trapezoid rule, checked at two
+  a Laplace transform of the free Gaussian propagator, with a
+  double-exponential trapezoid rule in ``decimal`` arithmetic, checked at two
   precisions to a relative tolerance; production evaluates closed forms
   (exponentials and K0 from its own Bessel series and Chebyshev tables),
   none of which appears here.
@@ -21,7 +21,7 @@ Nothing in this module shares a formula with the production code it checks:
   lattice, with its own dispersion relation.
 * :func:`norm_by_quadrature` integrates |psi|^2 by the same rule mapped to
   each finite piece (tanh-sinh), while production normalizes the residue
-  through dM/dE at the pole.  No oracle calls an mpmath integrator.
+  through dM/dE at the pole.  No oracle imports mpmath.
 * :func:`shrinking_well_depth` realizes the contact limit physically: the
   depth a finite spherical well must acquire as its radius shrinks while one
   bound state is held fixed, approaching V0 r0^2 -> (pi/2)^2.
@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -51,6 +51,12 @@ from .errors import (
 from .greenfn import as_kappa_b, as_number, as_scale, check_dim, require_type
 from .pointgreen import DeltaCenter
 from .renorm import BARE_1D
+
+
+def __getattr__(name):  # ``mp``, kept readable: perfbench's tracer counts mpmath's integrators through it
+    if name == "mp":
+        return __import__("mpmath")  # imported on that read only: no oracle imports mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,10 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     trapezoid rule (Takahasi and Mori 1974) resolves it in u, with
     t = c exp(u - e^-u): c = min(r^2/4, r/(2 kappa)), where the Gaussian
     factor switches on or, if that comes later, where exp(E t - r^2/(4t))
-    peaks (c = 1/kappa when r = 0).  The result is computed at two working
-    precisions; if they disagree beyond QUAD_TOL / 2 relative to the value
-    (absolute where |G0| > 1) a :class:`TailBoundExceededError` is raised
-    instead of returning a value.
+    peaks (c = 1/kappa when r = 0).  The result is computed in ``Decimal`` at
+    two working precisions, 20 and 30 digits; if they disagree beyond
+    QUAD_TOL / 2 relative to the value (absolute where |G0| > 1) a
+    :class:`TailBoundExceededError` is raised instead of returning a value.
 
     Measured range: kappa r up to about 3e5 (G0 long underflowed to -0.0)
     and down to about 1e-33 in D = 1, 2, where the plateau in u, about
@@ -142,15 +148,16 @@ DE_LEVELS = 12
 DE_REACH = 160
 
 
-def _de_rule(term, dps: int):
+def _de_rule(term, dps: int, num):
     """int term(u) du over the real line, term >= 0 decaying like exp(-e^|u|),
-    by the double-exponential trapezoid rule (Takahasi and Mori 1974) at the
-    caller's working precision of ``dps`` digits.  Steps h = 2^-k halve on
-    nested grids, each level adding only the odd nodes.  Each side's walk
-    stops at a term below 10^-dps of the sum and no larger than the one
-    before; the rule stops once the squared relative change between levels
-    is below 10^-dps.  Out of DE_REACH or DE_LEVELS: TailBoundExceededError."""
-    eps = mp.mpf(10) ** -dps
+    by the double-exponential trapezoid rule (Takahasi and Mori 1974) in the
+    number type ``num``, ``Decimal`` (in the caller's context) or ``float``, to
+    ``dps`` digits.  Steps h = 2^-k halve on nested grids, each level adding
+    only the odd nodes.  Each side's walk stops at a term below 10^-dps of the
+    sum and no larger than the one before; the rule stops once the relative
+    change between levels is below 10^(-dps/2), unsquared so no float leaves
+    the doubles.  Out of DE_REACH or DE_LEVELS: TailBoundExceededError."""
+    eps, tol, inf = num(10) ** -dps, num(10) ** num(-dps / 2), num("inf")
 
     def walk(first, stride):
         """Sum the terms at first, first + stride, ... until negligible."""
@@ -159,7 +166,7 @@ def _de_rule(term, dps: int):
         while abs(u) <= DE_REACH:
             g = term(u)
             total += g
-            if g <= eps * total < mp.inf and g <= last:  # an infinite sum never settles
+            if g <= eps * total < inf and g <= last:  # an infinite sum never settles
                 return
             u, last = u + stride, g
         raise TailBoundExceededError(
@@ -167,8 +174,8 @@ def _de_rule(term, dps: int):
             reach=DE_REACH, dps=dps,
         )
 
-    total = term(mp.mpf(0))
-    h = mp.mpf(1)
+    total = term(num(0))
+    h = num(1)
     walk(h, h)
     walk(-h, -h)
     level = h * total
@@ -177,7 +184,7 @@ def _de_rule(term, dps: int):
         walk(h, 2 * h)
         walk(-h, -2 * h)
         level, prev = h * total, level
-        if (level - prev) ** 2 <= eps * level * level:
+        if abs(level - prev) <= tol * level:
             return level
     raise TailBoundExceededError(
         "double-exponential rule: levels did not converge",
@@ -186,53 +193,55 @@ def _de_rule(term, dps: int):
 
 
 def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
-    """The proper-time integral at ``dps`` digits: :func:`_de_rule` over u,
-    with t = c exp(u - e^-u), dt = t (1 + e^-u) du, and q = r^2/4."""
-    with mp.workdps(dps):
-        exp, sqrt = mp.exp, mp.sqrt
-        e = mp.mpf(energy)
-        q = mp.mpf(r) ** 2 / 4
-        c = min(q, sqrt(q / -e)) if r > 0.0 else -1 / e
-        k = 1 / (4 * mp.pi)
+    """The proper-time integral in ``Decimal`` at ``dps`` digits: :func:`_de_rule`
+    over u, with t = c exp(u - e^-u), dt = t (1 + e^-u) du, and q = r^2/4.  A zero
+    sum (every term below 10^-(10^18)) is refused as levels that did not converge."""
+    with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        e = Decimal(energy)
+        q = Decimal(r) ** 2 / 4
+        c = min(q, (q / -e).sqrt()) if r > 0.0 else -1 / e
+        k = 1 / (4 * Decimal("3.141592653589793238462643383279502884197169399375105820974944592"))
 
         def term(u):
-            x = exp(-u)
-            t = c * exp(u - x)
-            kernel_t = sqrt(k * t) if dim == 1 else k if dim == 2 else k * sqrt(k / t)
-            return exp(e * t - q / t) * kernel_t * (1 + x)
+            x = (-u).exp()
+            t = c * (u - x).exp()
+            kernel_t = (k * t).sqrt() if dim == 1 else k if dim == 2 else k * (k / t).sqrt()
+            return (e * t - q / t).exp() * kernel_t * (1 + x)
 
-        return float(-_de_rule(term, dps))
+        total = _de_rule(term, dps, Decimal)
+    if not total:
+        raise TailBoundExceededError("double-exponential rule: levels did not converge", levels=DE_LEVELS, dps=dps)
+    return float(-total)
 
 
 def norm_by_quadrature(psi, points) -> float:
     """int psi(x)^2 dx from points[0] to points[-1], split at each point (put
-    psi's kinks there), at double precision: :func:`_de_rule` at 15 digits on
-    each piece [a, b] under x = m + d tanh(s), s = (pi/2) sinh u, with m and d
-    its midpoint and half-width.  x is the nearer end -+ 2 d q / (1 + q),
+    psi's kinks there), in ``float``: :func:`_de_rule` at 15 digits on each
+    piece [a, b] under x = m + d tanh(s), s = (pi/2) sinh u, with m and d its
+    midpoint and half-width.  x is the nearer end -+ 2 d q / (1 + q),
     q = e^(-2|s|), so nodes crowding an end keep their digits; tanh and the
     weight come from exponentials.  The points must be finite and increasing."""
     ends = [as_number(p, "points", "a split point")
             for p in require_type(points, Iterable, "points", "points must be a list of numbers")]
     if len(ends) < 2 or not all(-math.inf < a < b < math.inf for a, b in zip(ends, ends[1:])):
         raise DomainError("need two or more finite, increasing points", points=ends)
-    with mp.workdps(15):
-        half_pi = mp.pi / 2
+    half_pi = math.pi / 2
 
-        def piece(a, b):
-            d = (mp.mpf(b) - a) / 2
+    def piece(a, b):
+        d = (b - a) / 2
 
-            def term(u):
-                v = mp.exp(u)
-                w = 1 / v
-                q = mp.exp(-half_pi * abs(v - w))
-                p = 1 + q
-                off = 2 * d * q / p
-                y = psi(float(b - off if u > 0 else a + off))
-                return y * y * half_pi * (v + w) * off / p  # y * y: inf, not OverflowError
+        def term(u):
+            v = math.exp(u)
+            w = 1 / v
+            q = math.exp(-half_pi * abs(v - w))
+            p = 1 + q
+            off = 2 * d * q / p
+            y = psi(b - off if u > 0 else a + off)
+            return y * y * half_pi * (v + w) * off / p  # y * y: inf, not OverflowError
 
-            return _de_rule(term, 15)
+        return _de_rule(term, 15, float)
 
-        return float(sum(piece(a, b) for a, b in zip(ends, ends[1:])))
+    return float(sum(piece(a, b) for a, b in zip(ends, ends[1:])))
 
 
 def _require_bare(centers) -> list[tuple[float, float]]:
@@ -267,10 +276,10 @@ def _site(x: float, lat: Lattice1D) -> int | None:
     return i if 0 <= i < lat.points else None
 
 
-def _sturm_count(v: list[float], t: float, x: float) -> int:
-    """Eigenvalues of H below x: the negative pivots t + r of H - x = L D L^T,
-    r_i = v_i - x + t r_(i-1) / (t + r_(i-1)); x meets numbers of size kappa/h
-    in r rather than 2/h^2 in the pivot, and so keeps its bits."""
+def _sturm_count(v: list[float], t: float, x: float, stop: float = math.inf) -> int:
+    """Eigenvalues of H below x, up to stop + 1: the negative pivots t + r of
+    H - x = L D L^T, r_i = v_i - x + t r_(i-1) / (t + r_(i-1)); x meets numbers
+    of size kappa/h in r rather than 2/h^2 in the pivot, and so keeps its bits."""
     below, r = 0, math.inf  # the first pivot has no predecessor: t r/(t + r) = t
     for vi in v:
         try:
@@ -279,6 +288,8 @@ def _sturm_count(v: list[float], t: float, x: float) -> int:
             r = vi - x if r == 0.0 else -math.inf
         if r < -t:
             below += 1
+            if below > stop:
+                break
     return below
 
 
@@ -315,7 +326,7 @@ def lattice1d_spectrum(centers, lat: Lattice1D, n_states: int) -> list[float]:
     v, t = _lattice_hamiltonian(centers, lat)
     vals, lo, hi = [], min(v), max(v) + 4.0 * t  # Gershgorin: the spectrum lies inside
     for k in range(n_states):
-        vals.append(_bisect(lambda x: k + 0.5 - _sturm_count(v, t, x), lo, hi))
+        vals.append(_bisect(lambda x: k + 0.5 - _sturm_count(v, t, x, k), lo, hi))  # k + 1 pivots fix the sign
         lo = math.nextafter(vals[-1], -math.inf)  # at most k + 1 eigenvalues below
     # Perron-Frobenius: the ground state has no node, so a constant overlaps it
     ground = np.abs(_thomas(v, t, math.nextafter(vals[0], -math.inf), [1.0] * lat.points))

@@ -169,10 +169,18 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
     return cs, _positions(cs)
 
 
+_last_positions: tuple = (None, None)  # (centers, positions), replaced and read whole
+
+
 def _positions(cs) -> np.ndarray:
-    """The centers' positions as a read-only (N, dim) array."""
-    pos = np.array([c.position.coords for c in cs], dtype=float)
-    pos.setflags(write=False)
+    """The centers' positions as a read-only (N, dim) array, built once per run of calls
+    on one tuple: :func:`_strengths` takes those of its :func:`m_matrix` validation."""
+    global _last_positions
+    last_cs, pos = _last_positions
+    if cs is not last_cs:
+        pos = np.array([c.position.coords for c in cs], dtype=float)
+        pos.setflags(write=False)
+        _last_positions = (cs, pos)
     return pos
 
 

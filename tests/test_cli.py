@@ -522,8 +522,9 @@ def test_cli_import_loads_no_scipy():
 
 def test_cold_verify_loads_no_scipy_optimize_or_integrate():
     # the oracles bisect (roots and Sturm counts), solve the lattice by the
-    # Thomas algorithm and integrate with mpmath, and complex K0 takes Steed's
-    # continued fraction: no runtime path loads any scipy module
+    # Thomas algorithm and integrate in decimal and float arithmetic, and
+    # complex K0 takes Steed's continued fraction: no runtime path loads any
+    # scipy or mpmath module (both are test references only)
     run = (
         "import contextlib, io, sys\n"
         "from deltagreen.cli import main\n"
@@ -538,8 +539,9 @@ def test_cold_verify_loads_no_scipy_optimize_or_integrate():
         "g = green(2, e, SpatialPoint((0.5, 0.2)), SpatialPoint((5.0, 1.0)), cs).value\n"
         "code = 0 if abs(g) > 0.0 else 1\n"
     )
-    report = "import sys\nprint(code, [m for m in sys.modules if m.startswith('scipy')])\n"
-    for code in (run.format(argv=["verify"]), run.format(argv=["verify", "--fast"]), green_2d):
+    report = "import sys\nprint(code, [m for m in sys.modules if m.startswith(('scipy', 'mpmath'))])\n"
+    g0_call = run.format(argv=["g0", "--dim", "2", "--energy", "-1", "--r", "1"])
+    for code in (run.format(argv=["verify"]), run.format(argv=["verify", "--fast"]), g0_call, green_2d):
         res = subprocess.run([sys.executable, "-c", code + report], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "0 []\n", code
