@@ -11,8 +11,9 @@ Nothing in this module shares a formula with the production code it checks:
   none of which appears here.
 * :func:`lattice1d_spectrum` bisects Sturm counts of the second-difference
   Hamiltonian with the delta as a single-site potential lambda/h (its
-  resolvent is a Thomas solve), while production roots the eigenvalue
-  branches of the N x N matrix M(E) with dense LAPACK.
+  resolvent is a Thomas solve), seeded by Newton steps on the same pivots,
+  while production roots the eigenvalue branches of the N x N matrix M(E)
+  with dense LAPACK.
 * :func:`shooting1d` propagates decaying exponentials through the jump
   condition psi'(a+) - psi'(a-) = lambda psi(a), counts states by the nodes
   of psi (Sturm oscillation), and roots the matching coefficient by plain
@@ -113,6 +114,8 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     two working precisions, 20 and 30 digits; if they disagree beyond
     QUAD_TOL / 2 relative to the value (absolute where |G0| > 1) a
     :class:`TailBoundExceededError` is raised instead of returning a value.
+    The nodes do not depend on D, so D = 1, 2, 3 at one (E, r) share them
+    (``_NODES``), each with the bits of a fresh call.
 
     Measured range: kappa r up to about 3e5 (G0 long underflowed to -0.0)
     and down to about 1e-33 in D = 1, 2, where the plateau in u, about
@@ -152,29 +155,31 @@ def _de_rule(term, dps: int, num):
     """int term(u) du over the real line, term >= 0 decaying like exp(-e^|u|),
     by the double-exponential trapezoid rule (Takahasi and Mori 1974) in the
     number type ``num``, ``Decimal`` (in the caller's context) or ``float``, to
-    ``dps`` digits.  Steps h = 2^-k halve on nested grids, each level adding
+    ``dps`` digits; ``term(u, x)`` gets x = e^-u, carried along each walk by a
+    product a node.  Steps h = 2^-k halve on nested grids, each level adding
     only the odd nodes.  Each side's walk stops at a term below 10^-dps of the
     sum and no larger than the one before; the rule stops once the relative
     change between levels is below 10^(-dps/2), unsquared so no float leaves
     the doubles.  Out of DE_REACH or DE_LEVELS: TailBoundExceededError."""
     eps, tol, inf = num(10) ** -dps, num(10) ** num(-dps / 2), num("inf")
+    exp = math.exp if num is float else num.exp
 
     def walk(first, stride):
         """Sum the terms at first, first + stride, ... until negligible."""
         nonlocal total
-        u, last = first, 0
+        u, x, shrink, last = first, exp(-first), exp(-stride), 0
         while abs(u) <= DE_REACH:
-            g = term(u)
+            g = term(u, x)
             total += g
             if g <= eps * total < inf and g <= last:  # an infinite sum never settles
                 return
-            u, last = u + stride, g
+            u, x, last = u + stride, x * shrink, g
         raise TailBoundExceededError(
             "double-exponential rule: tail not negligible within its reach",
             reach=DE_REACH, dps=dps,
         )
 
-    total = term(num(0))
+    total = term(num(0), num(1))
     h = num(1)
     walk(h, h)
     walk(-h, -h)
@@ -192,21 +197,34 @@ def _de_rule(term, dps: int, num):
     )
 
 
+#: Proper-time nodes u -> (t, exp(E t - q/t)) per (energy, r, dps), for the
+#: last NODE_KEYS keys; one key holds one rule's nodes, 2,434 at (2, -1e-30, 1).
+_NODES: dict = {}
+NODE_KEYS = 8
+
+
 def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
     """The proper-time integral in ``Decimal`` at ``dps`` digits: :func:`_de_rule`
-    over u, with t = c exp(u - e^-u), dt = t (1 + e^-u) du, and q = r^2/4.  A zero
-    sum (every term below 10^-(10^18)) is refused as levels that did not converge."""
+    over u, with x = e^-u, t = c exp(u - x) = c e^-x / x, dt = t (1 + x) du, and
+    q = r^2/4.  A zero sum (every term below 10^-(10^18)) is refused as levels
+    that did not converge."""
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
         e = Decimal(energy)
         q = Decimal(r) ** 2 / 4
         c = min(q, (q / -e).sqrt()) if r > 0.0 else -1 / e
         k = 1 / (4 * Decimal("3.141592653589793238462643383279502884197169399375105820974944592"))
 
-        def term(u):
-            x = (-u).exp()
-            t = c * (u - x).exp()
+        if (key := (energy, r, dps)) not in _NODES and len(_NODES) >= NODE_KEYS:
+            del _NODES[next(iter(_NODES))]  # the oldest key
+        nodes = _NODES.setdefault(key, {})
+
+        def term(u, x):
+            if (node := nodes.get(u)) is None:
+                t = c * (-x).exp() / x
+                node = nodes[u] = t, (e * t - q / t).exp()
+            t, weight = node
             kernel_t = (k * t).sqrt() if dim == 1 else k if dim == 2 else k * (k / t).sqrt()
-            return (e * t - q / t).exp() * kernel_t * (1 + x)
+            return weight * kernel_t * (1 + x)
 
         total = _de_rule(term, dps, Decimal)
     if not total:
@@ -230,7 +248,7 @@ def norm_by_quadrature(psi, points) -> float:
     def piece(a, b):
         d = (b - a) / 2
 
-        def term(u):
+        def term(u, _):
             v = math.exp(u)
             w = 1 / v
             q = math.exp(-half_pi * abs(v - w))
@@ -280,17 +298,68 @@ def _sturm_count(v: list[float], t: float, x: float, stop: float = math.inf) -> 
     """Eigenvalues of H below x, up to stop + 1: the negative pivots t + r of
     H - x = L D L^T, r_i = v_i - x + t r_(i-1) / (t + r_(i-1)); x meets numbers
     of size kappa/h in r rather than 2/h^2 in the pivot, and so keeps its bits."""
-    below, r = 0, math.inf  # the first pivot has no predecessor: t r/(t + r) = t
+    below, r, neg_t = 0, math.inf, -t  # the first pivot has no predecessor: t r/(t + r) = t
     for vi in v:
         try:
             r = vi - x + t / (1.0 + t / r)
         except ZeroDivisionError:  # r = 0 adds 0; after a zero pivot the next is -inf
             r = vi - x if r == 0.0 else -math.inf
-        if r < -t:
+        if r < neg_t:
             below += 1
             if below > stop:
                 break
     return below
+
+
+def _sturm_slope(v: list[float], t: float, x: float) -> tuple[int, float]:
+    """:func:`_sturm_count`'s full count and, on the same pivots, the slope of
+    ln|det(H - x)|: sum r'_i / (t + r_i), r'_i = (t/(t + r_(i-1)))^2 r'_(i-1) - 1.
+    The slope is NaN where the recurrence divides by zero (a zero pivot)."""
+    below, r, dr, slope, neg_t = 0, math.inf, 0.0, 0.0, -t
+    try:
+        for vi in v:
+            p = t / (1.0 + t / r)
+            s = p / r  # t/(t + r_(i-1))
+            r = vi - x + p
+            dr = s * s * dr - 1.0
+            slope += dr / (t + r)
+            if r < neg_t:
+                below += 1
+    except ZeroDivisionError:
+        return _sturm_count(v, t, x), math.nan
+    return below, slope
+
+
+def _sturm_eigenvalue(v: list[float], t: float, k: int, a: float, b: float) -> float:
+    """The (k+1)-th eigenvalue of H, where at most k lie below a and more below b.
+
+    Bisects the count to a 3% bracket, then steps x -= 1/slope (Newton on
+    det(H - x)) while each step shrinks 4-fold, to under 2^20 ulps; a step out
+    of [a, b] bisects instead.  :func:`_bisect` closes within +-128 ulps of x,
+    widened 64-fold until two counts straddle, or over [a, b] when Newton
+    meets a cluster or a zero pivot.  Every count tightens [a, b]."""
+    def above(x):  # positive while at most k eigenvalues lie below x: k + 1 pivots fix the sign
+        return k + 0.5 - _sturm_count(v, t, x, k)
+
+    while b - a > 0.03 * max(-a, b) and a < (mid := 0.5 * a + 0.5 * b) < b:
+        a, b = (mid, b) if above(mid) > 0 else (a, mid)
+    x, last = 0.5 * a + 0.5 * b, math.inf
+    while True:
+        below, slope = _sturm_slope(v, t, x)
+        a, b = (x, b) if below <= k else (a, x)
+        step = -1.0 / slope if abs(slope) > 0.0 else math.nan
+        if not abs(step) < 0.25 * last or below > k + 1:  # a zero pivot, or a cluster below x
+            return _bisect(above, a, b)
+        x, last = (x + step, abs(step)) if a < x + step < b else (0.5 * a + 0.5 * b, last)  # or bisect
+        if min(last, b - a) <= 2.0**20 * math.ulp(x):
+            break
+    w = 128.0 * math.ulp(x)  # close on the count: x +- w straddles the change, or widen
+    while a < x - w or x + w < b:
+        for probe in (x - w, x + w):
+            if a < probe < b:
+                a, b = (probe, b) if above(probe) > 0 else (a, probe)
+        w *= 64.0
+    return _bisect(above, a, b)
 
 
 def _thomas(v: list[float], t: float, shift: float, rhs) -> list[float]:
@@ -314,7 +383,8 @@ def lattice1d_spectrum(centers, lat: Lattice1D, n_states: int) -> list[float]:
     """Lowest eigenvalues of the discretized 1D Hamiltonian, ascending.
 
     Each is bisected on the Sturm count to adjacent doubles, as LAPACK's
-    dstebz does (Barth, Martin and Wilkinson, Numer. Math. 9 (1967) 386).
+    dstebz does (Barth, Martin and Wilkinson, Numer. Math. 9 (1967) 386), from
+    near a Newton point: where the count is monotone in x, on the same doubles.
     The box must hold the bound states: if the ground eigenfunction (one
     inverse iteration a double below the lowest eigenvalue) keeps more than
     1e-6 of its peak amplitude at a wall, :class:`InsufficientBoxError` is raised.
@@ -326,7 +396,7 @@ def lattice1d_spectrum(centers, lat: Lattice1D, n_states: int) -> list[float]:
     v, t = _lattice_hamiltonian(centers, lat)
     vals, lo, hi = [], min(v), max(v) + 4.0 * t  # Gershgorin: the spectrum lies inside
     for k in range(n_states):
-        vals.append(_bisect(lambda x: k + 0.5 - _sturm_count(v, t, x, k), lo, hi))  # k + 1 pivots fix the sign
+        vals.append(_sturm_eigenvalue(v, t, k, lo, hi))
         lo = math.nextafter(vals[-1], -math.inf)  # at most k + 1 eigenvalues below
     # Perron-Frobenius: the ground state has no node, so a constant overlaps it
     ground = np.abs(_thomas(v, t, math.nextafter(vals[0], -math.inf), [1.0] * lat.points))

@@ -1,7 +1,8 @@
 """Bracketing root finding for the pole search: one algorithm.
 
-Deliberately self-contained; the numerical oracles root by plain bisection
-instead, so production and oracle never share a root-finding code path.
+Deliberately self-contained: no numerical oracle shares its regula falsi
+(they root by bisection, the lattice's seeded by Newton steps on its own
+Sturm pivots), so production and oracle never share a root-finding code path.
 :func:`refine_brackets` refines sign-change brackets of a family of functions
 tabulated together (the eigenvalue branches of M(E)) by Anderson-Bjorck
 regula falsi with a bisection safeguard: one batched evaluation per step,
