@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -511,6 +512,30 @@ def test_subprocess_verify_fast():
     assert all(row[2] <= row[3] for row in doc["rows"])
 
 
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="X86_V4 names x86 features")
+@pytest.mark.parametrize("argv", [("verify", "--fast"), ("verify",)])
+def test_verify_bytes_are_the_same_on_the_second_kernel_set(argv):
+    # numpy dispatches exp and log to AVX-512 kernels where the CPU has them;
+    # disabling X86_V4 runs the kernels of a CPU without AVX-512
+    here = run_subprocess(*argv)
+    emulated = run_subprocess(*argv, env_extra={"NPY_DISABLE_CPU_FEATURES": "X86_V4"})
+    assert here.returncode == emulated.returncode == 0, here.stderr + emulated.stderr
+    assert here.stdout == emulated.stdout
+
+
+def test_verify_residue_norm_still_fails_a_psi_off_by_1e_5(capsys, monkeypatch):
+    # the cell is rounded to 1e-13, so the kernels' last bits cannot move it,
+    # yet a psi scaled by 1 + 1e-5 (norm 1 + 2e-5) still fails the 1e-6 check
+    psi = cli_mod.residue_wavefunction
+    monkeypatch.setattr(cli_mod, "residue_wavefunction", lambda state, x: (1.0 + 1e-5) * psi(state, x))
+    code, out, _ = run_cli(capsys, "verify", "--fast")
+    assert code == 4
+    doc = _strict_json(out)
+    row = doc["rows"][doc["metadata"]["check_names"].index("residue_normalization_1d")]
+    assert row[1] == 0
+    assert row[2] == pytest.approx(2e-5, rel=1e-5)
+
+
 def test_cli_import_loads_no_scipy():
     # the oracles import scipy where they use it: a command that runs none
     # starts without it (about 0.2 s of a 0.3 s cold call)
@@ -521,10 +546,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cold_verify_loads_no_scipy_optimize_or_integrate():
-    # the oracles bisect (roots and Sturm counts), solve the lattice by the
-    # Thomas algorithm and integrate in decimal and float arithmetic, and
-    # complex K0 takes Steed's continued fraction: no runtime path loads any
-    # scipy or mpmath module (both are test references only)
+    # the oracles bisect (roots, and Sturm counts after Newton steps), solve
+    # the lattice by the Thomas algorithm and integrate in decimal and float
+    # arithmetic, and complex K0 takes Steed's continued fraction: no runtime
+    # path loads any scipy or mpmath module (both are test references only)
     run = (
         "import contextlib, io, sys\n"
         "from deltagreen.cli import main\n"

@@ -191,7 +191,7 @@ VERIFY_CHECKS = [
     ("transmission_lattice", 6.25007815352463e-06, 0.0001),
     ("shrinking_well_depth", 0.002000594773581721, 0.005),
     ("residue_factorization_1d", 2.9519059974170148e-09, 1e-06),
-    ("residue_normalization_1d", 2.220446049250313e-16, 1e-06),
+    ("residue_normalization_1d", 0.0, 1e-06),
 ]
 VERIFY_FAST_CHECKS = [
     ("g0_quadrature_d1_r1", 0.0, 1e-08),
@@ -209,7 +209,7 @@ VERIFY_FAST_CHECKS = [
     ("transmission_lattice", 6.25007815352463e-06, 0.0001),
     ("shrinking_well_depth", 0.002000594773581721, 0.005),
     ("residue_factorization_1d", 2.9519059974170148e-09, 1e-06),
-    ("residue_normalization_1d", 2.220446049250313e-16, 1e-06),
+    ("residue_normalization_1d", 0.0, 1e-06),
 ]
 
 
