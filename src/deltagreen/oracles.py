@@ -197,8 +197,9 @@ def _de_rule(term, dps: int, num):
     )
 
 
-#: Proper-time nodes u -> (t, exp(E t - q/t)) per (energy, r, dps), for the
-#: last NODE_KEYS keys; one key holds one rule's nodes, 2,434 at (2, -1e-30, 1).
+#: Proper-time nodes u -> (t, exp(E t - q/t)) per (energy, r, dps), for the last
+#: NODE_KEYS keys.  A key holds the nodes its walks reach: in the tests, 2,434 at
+#: (2, -1e-30, 1) and 30 digits, and at most 5,082 where the rule refuses.
 _NODES: dict = {}
 NODE_KEYS = 8
 

@@ -1,11 +1,13 @@
-"""The oracles against their earlier mpmath forms, bit for bit.
+"""The oracles against their earlier forms, bit for bit.
 
 The proper-time G0 rule runs in ``decimal`` and the residue norm in floats;
 both were mpmath arithmetic before (70 and 103 bits for G0, 53 bits for the
 norm).  The mpmath forms are kept here as references: every G0 value must
-keep its float bits, and every refusal its error class and details.  The
-Sturm count's early stop must leave every count's sign, and so every
-lattice eigenvalue, unchanged.  All inputs are drawn from fixed seeds.
+keep its float bits, and every refusal its error class and details, and
+nodes shared across dimensions must give the bits of a fresh call.  The
+Sturm count's early stop must leave every count's sign unchanged, and the
+Newton-seeded eigenvalue search must end on the doubles that bisection from
+the Gershgorin bounds ends on.  All inputs are drawn from fixed seeds.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from deltagreen import bare_1d, bound_states, center, from_bound_state, residue_wavefunction
-from deltagreen.errors import TailBoundExceededError
+from deltagreen.errors import DeltaGreenError, TailBoundExceededError
 from deltagreen import oracles
 from deltagreen.oracles import DE_LEVELS, DE_REACH, QUAD_TOL, Lattice1D, g0_by_quadrature, norm_by_quadrature
 
@@ -143,6 +145,32 @@ def test_decimal_g0_keeps_the_mpmath_bits(dim, energy, r):
     assert _outcome(g0_by_quadrature, dim, energy, r) == _outcome(_mp_g0, dim, energy, r)
 
 
+@pytest.mark.parametrize("dim, energy, r", _VERIFY_CASES + _EDGE_CASES + _random_g0_cases())
+def test_nodes_shared_across_dimensions_keep_the_bits_of_a_fresh_call(dim, energy, r):
+    oracles._NODES.clear()
+    fresh = _outcome(g0_by_quadrature, dim, energy, r)
+    oracles._NODES.clear()
+    for other in {1, 2, 3} - {dim}:  # the other dimensions fill the nodes first
+        try:
+            g0_by_quadrature(other, energy, r)
+        except DeltaGreenError:  # coincident points in D >= 2, or a refusal
+            pass
+    assert _outcome(g0_by_quadrature, dim, energy, r) == fresh
+    assert len(oracles._NODES) <= oracles.NODE_KEYS
+    assert max(map(len, oracles._NODES.values())) <= 5082  # the stated bound, reached at (1, -1.21e-66, 1)
+
+
+def test_node_memo_holds_its_stated_bound():
+    # the widest value among the reference inputs walks 2,434 nodes at 30
+    # digits; more keys than NODE_KEYS push the oldest out
+    oracles._NODES.clear()
+    g0_by_quadrature(2, -1e-30, 1.0)
+    assert len(oracles._NODES[(-1e-30, 1.0, 30)]) == 2434
+    for r in (0.5, 1.0, 2.0, 3.0):
+        g0_by_quadrature(1, -1.0, r)
+    assert list(oracles._NODES) == [(-1.0, r, dps) for r in (0.5, 1.0, 2.0, 3.0) for dps in (20, 30)]
+
+
 # ------------------------------------------------------------------ norm
 
 
@@ -236,3 +264,96 @@ def test_lattice_spectrum_is_unchanged_by_the_early_stop(monkeypatch):
     full_count = oracles._sturm_count
     monkeypatch.setattr(oracles, "_sturm_count", lambda v, t, x, stop=math.inf: full_count(v, t, x))
     assert stopped == [[oracles.lattice1d_spectrum(cs, lat, n) for n in (1, 2, 3)] for cs in layouts]
+
+
+@pytest.mark.parametrize("v, t, x", _ZERO_PIVOTS + _random_lattices())
+def test_newton_pass_counts_as_the_full_count(v, t, x):
+    below, slope = oracles._sturm_slope(v, t, x)
+    assert below == oracles._sturm_count(v, t, x)
+    n = len(v)
+    eig = np.linalg.eigvalsh(np.diag(2.0 * t + np.array(v)) - t * (np.eye(n, k=1) + np.eye(n, k=-1)))
+    if (v, t, x) in _ZERO_PIVOTS:  # r = -t or r = 0 on the way: no slope, and no raise
+        assert math.isnan(slope)
+    elif np.min(np.abs(eig - x)) > 1e-6 * (1.0 + abs(x)):
+        # d/dx ln|det(H - x)| = sum over the eigenvalues of 1/(x - e)
+        assert slope == pytest.approx(np.sum(1.0 / (x - eig)), rel=1e-7)
+
+
+def _bisected_spectrum(centers, lat, n_states):
+    """The earlier loop: each eigenvalue bisected on the count from the
+    Gershgorin bounds to adjacent doubles."""
+    v, t = oracles._lattice_hamiltonian(centers, lat)
+    vals, lo, hi = [], min(v), max(v) + 4.0 * t
+    for k in range(n_states):
+        vals.append(oracles._bisect(lambda x: k + 0.5 - oracles._sturm_count(v, t, x, k), lo, hi))
+        lo = math.nextafter(vals[-1], -math.inf)
+    return vals
+
+
+def _random_layouts(count=80, seed=20261024):
+    """1-5 bare centers in [-4, 4], lambda in [-4, -2] (kappa >= 1: the box
+    holds every ground state), 1-4 states."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        centers = tuple(center(float(p), bare_1d(float(lam)))
+                        for p, lam in zip(rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, -2.0, n)))
+        out.append((centers, Lattice1D(20.0, 801), int(rng.integers(1, 5))))
+    return out
+
+
+_VERIFY_LATTICES = [((center(0.0, bare_1d(-2.0)),), Lattice1D(20.0, points), 1) for points in (1001, 2001, 4001)]
+_PAIRS = [((center(-d / 2, bare_1d(-2.0)), center(d / 2, bare_1d(-2.0))), Lattice1D(25.0, 2501), 2)
+          for d in (2.0, 6.0, 10.0, 14.0)]
+
+
+@pytest.mark.parametrize("centers, lat, n_states", _VERIFY_LATTICES + _random_layouts() + _PAIRS)
+def test_newton_seeded_spectrum_ends_on_the_bisected_doubles(centers, lat, n_states):
+    assert oracles.lattice1d_spectrum(centers, lat, n_states) == _bisected_spectrum(centers, lat, n_states)
+
+
+def _closing_widths(monkeypatch, centers, lat, n_states):
+    """Each closing bisection's bracket, in ulps of its result."""
+    bisect, widths = oracles._bisect, []
+
+    def spy(f, a, b):
+        out = bisect(f, a, b)
+        widths.append((b - a) / math.ulp(out))
+        return out
+
+    monkeypatch.setattr(oracles, "_bisect", spy)
+    oracles.lattice1d_spectrum(centers, lat, n_states)
+    return widths
+
+
+def test_newton_seeds_verify_and_falls_back_on_a_near_degenerate_pair(monkeypatch):
+    # on verify's lattices each closing spans at most 2 x 128 ulps; the pair
+    # 14 apart splits by 3e-6, so Newton meets both states and the closing
+    # bisects the whole bracket
+    for case in _VERIFY_LATTICES:
+        assert max(_closing_widths(monkeypatch, *case)) <= 256.0
+    assert max(_closing_widths(monkeypatch, *_PAIRS[-1])) > 2.0**40
+
+
+def test_a_zero_pivot_ends_the_newton_steps(monkeypatch):
+    # a NaN slope, as a Newton point on a zero pivot gives, closes on the count
+    slope = oracles._sturm_slope
+    monkeypatch.setattr(oracles, "_sturm_slope", lambda v, t, x: (slope(v, t, x)[0], math.nan))
+    for case in _VERIFY_LATTICES + _PAIRS:
+        assert oracles.lattice1d_spectrum(*case) == _bisected_spectrum(*case)
+
+
+def test_a_newton_point_off_by_more_than_128_ulps_widens_the_closing(monkeypatch):
+    # a slope 1% too steep still converges, linearly, and stops some 10^4
+    # ulps short: the +-128 ulp window misses and widens until it straddles
+    slope = oracles._sturm_slope
+
+    def steep(v, t, x):
+        below, s = slope(v, t, x)
+        return below, 1.01 * s
+
+    monkeypatch.setattr(oracles, "_sturm_slope", steep)
+    for case in _VERIFY_LATTICES:
+        assert oracles.lattice1d_spectrum(*case) == _bisected_spectrum(*case)
+        assert 256.0 < max(_closing_widths(monkeypatch, *case)) < 2.0**30
