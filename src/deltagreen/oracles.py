@@ -216,7 +216,7 @@ def _g0_quad_at(dim: int, energy: float, r: float, dps: int) -> float:
         k = 1 / (4 * Decimal("3.141592653589793238462643383279502884197169399375105820974944592"))
 
         if (key := (energy, r, dps)) not in _NODES and len(_NODES) >= NODE_KEYS:
-            del _NODES[next(iter(_NODES))]  # the oldest key
+            del _NODES[next(iter(_NODES))]
         nodes = _NODES.setdefault(key, {})
 
         def term(u, x):
