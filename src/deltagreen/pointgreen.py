@@ -169,18 +169,10 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
     return cs, _positions(cs)
 
 
-_last_positions: tuple = (None, None)  # (centers, positions), replaced and read whole
-
-
 def _positions(cs) -> np.ndarray:
-    """The centers' positions as a read-only (N, dim) array, built once per run of calls
-    on one tuple: :func:`_strengths` takes those of its :func:`m_matrix` validation."""
-    global _last_positions
-    last_cs, pos = _last_positions
-    if cs is not last_cs:
-        pos = np.array([c.position.coords for c in cs], dtype=float)
-        pos.setflags(write=False)
-        _last_positions = (cs, pos)
+    """The centers' positions as a read-only (N, dim) array."""
+    pos = np.array([c.position.coords for c in cs], dtype=float)
+    pos.setflags(write=False)
     return pos
 
 
@@ -560,24 +552,24 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     adjacent kappas of the log-kappa grid, and mu_k there, where mu_k turns
     non-positive.
 
-    The grid is searched, not tabulated, and evaluated only at the indices
-    searched (:func:`_geomspace_at`): first every isqrt(grid_points)-th
-    point and the last, then, level by level in one batch, the midpoint of
-    every cell between evaluated points whose ends differ in count n_+ or
-    where M is not clear of rounding at either end (min|mu| <= POLE_TOL
-    max|mu|).  A cell with neither has equal counts and every mu_k clear of
+    The grid, ``np.geomspace`` over the window's kappas, is built once and
+    searched, not tabulated: M is evaluated first at every
+    isqrt(grid_points)-th point and the last, then, level by level in one
+    batch, at the midpoint of every cell between evaluated points whose ends
+    differ in count n_+ or where M is not clear of rounding at either end
+    (min|mu| <= POLE_TOL max|mu|).  A cell with neither has equal counts and every mu_k clear of
     zero at both ends; each mu_k is monotone, so every point inside would
     show that count too.  The evaluated counts are thus those of the whole
     grid, each change between adjacent points, and the guard on them names
     the first rise the whole grid shows.
     """
     e_min, e_max = window
-    kap_lo, kap_hi = math.sqrt(-e_max), math.sqrt(-e_min)
+    grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
     # key: an evaluated index's count n_+, or -1 where M is not clear of rounding
     cells, done, kaps, rows, key = list(zip(batch, batch[1:])), [], [], [], {}
     while batch:
-        kap = _geomspace_at(kap_lo, kap_hi, grid_points, batch)
+        kap = grid[batch]
         mu = _eigenvalues(dim, consts, slots, r, kap)  # falls along each column
         blurred = np.abs(mu).min(axis=1) <= POLE_TOL * np.abs(mu).max(axis=1)
         key.update(zip(batch, np.where(blurred, -1, np.sum(mu > 0.0, axis=1)).tolist()))
@@ -597,18 +589,6 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     # the first grid kappa where branch k is no longer positive ends its bracket
     hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
     return ks, kap[hi - 1], kap[hi], mu[hi - 1, ks], mu[hi, ks]
-
-
-def _geomspace_at(lo: float, hi: float, n: int, idx) -> np.ndarray:
-    """``np.geomspace(lo, hi, n)[idx]`` for ascending indices, computed only there as
-    geomspace does: 10 ** (i step + log10 lo), and the end points exactly lo and hi."""
-    log_lo = np.log10(lo)
-    out = 10.0 ** (np.multiply(idx, (np.log10(hi) - log_lo) / (n - 1)) + log_lo)
-    if idx[0] == 0:
-        out[0] = lo
-    if idx[-1] == n - 1:
-        out[-1] = hi
-    return out
 
 
 def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
