@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,14 +176,18 @@ def from_bound_state(e_b: float) -> CouplingSpec:
     return CouplingSpec(variant=FROM_BOUND_STATE, e_b=e_b)
 
 
-@contextmanager
-def _double_range(message: str, **details):
-    """Raise :class:`DomainError` where a float result leaves double precision:
-    an overflow, or the log of a square that underflowed to 0."""
+def _in_double_range(compute, message: str, **details):
+    """``compute()``, a float or a tuple of floats, or :class:`DomainError`
+    where it leaves double precision: an overflow raised (a power) or returned
+    (a quotient's inf, or a NaN from it), or the log of a square that
+    underflowed to 0."""
     try:
-        yield
+        value = compute()
     except (OverflowError, ValueError) as exc:
         raise DomainError(message, **details) from exc
+    if not np.isfinite(value).all():
+        raise DomainError(message, **details)
+    return value
 
 
 def _cutoff(value) -> float:
@@ -201,6 +204,7 @@ def bubble_regularized(dim: int, K: float, cutoff: float | None) -> float:
 
     ``cutoff`` is Lambda; None removes the cutoff, a limit finite only in
     D=1 (value 1/(2K)), otherwise :class:`DivergentBubbleError` is raised.
+    In D=2 and D=4 a bubble beyond double precision raises :class:`DomainError`.
     """
     lam_cap = None if cutoff is None else _cutoff(cutoff)
     K = as_scale(K, "K", "a momentum", "bubble needs K > 0")
@@ -215,10 +219,11 @@ def bubble_regularized(dim: int, K: float, cutoff: float | None) -> float:
         return math.atan(lam_cap / K) / (math.pi * K)
     if dim == 3:
         return (lam_cap - K * math.atan(lam_cap / K)) / _TWO_PI_SQ
-    with _double_range("bubble overflows double precision", dim=dim, K=K, lambda_cap=lam_cap):
-        if dim == 2:
-            return math.log1p((lam_cap / K) ** 2) / _FOUR_PI
-        return (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2)
+    if dim == 2:
+        bubble = lambda: math.log1p((lam_cap / K) ** 2) / _FOUR_PI
+    else:
+        bubble = lambda: (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2)
+    return _in_double_range(bubble, "bubble overflows double precision", dim=dim, K=K, lambda_cap=lam_cap)
 
 
 def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float:
@@ -226,19 +231,18 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float
 
     Runs to 0- as the cutoff grows; raises :class:`PoleCrossingError` at
     cutoffs where 1/lambda crosses zero (|1/lambda| <= 1e-14) and the bare
-    coupling is undefined.
+    coupling is undefined, and :class:`DomainError` in D=2 where the cutoff
+    log leaves double precision.
     """
     lam_cap = _cutoff(cutoff)
     check_dim(dim, (2, 3), "bare coupling runs only in D=2 and D=3")
     _spec(spec).require_dim(dim)
     if dim == 2:
-        with _double_range(
-            "cutoff log leaves double precision", dim=dim, lambda_cap=lam_cap
-        ):
-            if spec.variant == REN_2D:
-                inv = 1.0 / spec.lambda_r - math.log((lam_cap / spec.mu) ** 2) / _FOUR_PI
-            else:  # FROM_BOUND_STATE; mu drops out entirely
-                inv = -math.log(lam_cap**2 / -spec.e_b) / _FOUR_PI
+        if spec.variant == REN_2D:
+            inverse = lambda: 1.0 / spec.lambda_r - math.log((lam_cap / spec.mu) ** 2) / _FOUR_PI
+        else:  # FROM_BOUND_STATE; mu drops out entirely
+            inverse = lambda: -math.log(lam_cap**2 / -spec.e_b) / _FOUR_PI
+        inv = _in_double_range(inverse, "cutoff log leaves double precision", dim=dim, lambda_cap=lam_cap)
     else:
         inv = float(coupling_constants(3, (spec,))[0]) - lam_cap / _TWO_PI_SQ
     if abs(inv) <= INVERSE_COUPLING_TOL:
@@ -346,15 +350,16 @@ def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:
 
     1/lambda_R' = 1/lambda_R - ln(mu'^2/mu^2)/(4 pi); transmutation_energy is
     invariant under the shift.  Raises :class:`CouplingBlowupError` where
-    1/lambda_R' crosses zero.
+    1/lambda_R' crosses zero, and :class:`DomainError` where the log of the
+    scale ratio leaves double precision.
     """
     lambda_r = as_number(lambda_r, "lambda_r", "a coupling")
     if lambda_r == 0.0:
         raise ZeroCouplingError("cannot shift lambda_R = 0")
     mu = as_scale(mu, "mu", "a scale", "scales must be positive")
     mu_prime = as_scale(mu_prime, "mu_prime", "a scale", "scales must be positive")
-    with _double_range("scale ratio leaves double precision", mu=mu, mu_prime=mu_prime):
-        inv = 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI
+    inv = _in_double_range(lambda: 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI,
+                           "scale ratio leaves double precision", mu=mu, mu_prime=mu_prime)
     if abs(inv) <= INVERSE_COUPLING_TOL:
         raise CouplingBlowupError(
             "1/lambda_R' vanishes at this scale shift", mu=mu, mu_prime=mu_prime
@@ -377,7 +382,8 @@ def friedman_report(K: float, cutoffs) -> list[FriedmanRow]:
     quadratic_part = Lambda^2/(16 pi^2) and
     nonremovable_part = (K^2/16 pi^2) ln((Lambda^2+K^2)/K^2), which grows
     without bound along any increasing cutoff sequence: the no-go for contact
-    interactions above three dimensions.
+    interactions above three dimensions.  A row beyond double precision
+    raises :class:`DomainError`.
     """
     K = as_scale(K, "K", "a momentum", "friedman_report needs K > 0")
     caps = [_cutoff(c) for c in require_type(cutoffs, Iterable, "cutoffs", "cutoffs must be a list of numbers")]
@@ -388,9 +394,9 @@ def friedman_report(K: float, cutoffs) -> list[FriedmanRow]:
     sixteen_pi2 = 16.0 * math.pi**2
     rows = []
     for lam_cap in caps:
-        with _double_range("bubble overflows double precision", K=K, lambda_cap=lam_cap):
-            quad = lam_cap**2 / sixteen_pi2
-            nonrem = (K**2 / sixteen_pi2) * math.log1p((lam_cap / K) ** 2)
+        quad, nonrem = _in_double_range(
+            lambda: (lam_cap**2 / sixteen_pi2, (K**2 / sixteen_pi2) * math.log1p((lam_cap / K) ** 2)),
+            "bubble overflows double precision", K=K, lambda_cap=lam_cap)
         rows.append(
             FriedmanRow(
                 lambda_cap=lam_cap,

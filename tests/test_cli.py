@@ -353,6 +353,7 @@ EXTREME_ARGVS = [
     ("trivial", "--dim", "2", "--lam", "1", "--energy", "-1e-320"),
     ("trivial", "--dim", "3", "--lam", "1e-320", "--energy", "-1"),
     ("rgflow", "--dim", "3", "--lambda-r", "1e-300"),
+    ("rgflow", "--dim", "2", "--lambda-r", "3", "--mu", "1e-200", "--cutoffs", "1e150"),
 ]
 
 

@@ -663,3 +663,13 @@ def test_finite_range_overflows_are_domain_errors():
         bare_from_renormalized(2, renormalized_2d(-1.0, 1e200), 1e-200)
     with pytest.raises(DomainError):  # (cutoff / mu)^2 overflows
         bare_from_renormalized(2, renormalized_2d(-1.0, 1e-100), 1e200)
+    # a quotient that overflows to inf raises nothing: the result is refused
+    # (it read as a zero coupling, inf or NaN)
+    for call in (lambda: bare_from_renormalized(2, renormalized_2d(3.0, 1e-200), 1e150),
+                 lambda: bare_from_renormalized(2, from_bound_state(-1e-300), 1e150),
+                 lambda: rg_shift(3.0, 1e-200, 1e150),
+                 lambda: bubble_regularized(2, 1e-200, 1e150),
+                 lambda: bubble_regularized(4, 1e-200, 1e150),
+                 lambda: friedman_report(1e-200, [1e150])):
+        with pytest.raises(DomainError):
+            call()
