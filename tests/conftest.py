@@ -1,4 +1,44 @@
-"""Shared pytest plumbing: prints the acceptance-criteria summary block."""
+"""Shared pytest plumbing: prints the acceptance-criteria summary block, and
+picks the value a bit-pinning test recorded for the running kernel set."""
+
+import ctypes
+import functools
+import glob
+import os
+
+import numpy as np
+import pytest
+from numpy.lib import introspect
+
+
+@functools.cache
+def kernel_set() -> tuple[str, str]:
+    """(numpy's kernel for float64 ``exp``, OpenBLAS's core name): what sets
+    the last bits of numpy's SIMD exponentials and of LAPACK, such as
+    ("X86_V4", "SkylakeX") on an AVX-512 CPU and ("X86_V3", "Haswell") under
+    NPY_DISABLE_CPU_FEATURES=X86_V4 OPENBLAS_CORETYPE=Haswell."""
+    exp = introspect.opt_func_info(func_name="exp$", signature="float64")["exp"]["dd"]["current"]
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                         "libscipy_openblas64_*.so")))
+    if not libs:
+        return exp, "unknown OpenBLAS"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return exp, corename().decode()
+
+
+@pytest.fixture
+def kernel_pin():
+    """``pin(recorded)``: the value ``recorded`` keeps for the running kernel
+    set; a kernel set with no record fails the test, naming it."""
+
+    def pin(recorded: dict):
+        if (key := kernel_set()) not in recorded:
+            pytest.fail(f"no value recorded for the kernel set {key}")
+        return recorded[key]
+
+    return pin
+
 
 CRITERIA = {
     1: "1D bound state exact and lattice-oracle confirmed with order within 0.1 of 2",

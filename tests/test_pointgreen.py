@@ -1176,35 +1176,45 @@ def _golden_layouts():
     ]
 
 
-def test_scan_keeps_its_bits():
+#: Per kernel set (tests/conftest.py), the sha256 digests of the two tests
+#: below, recorded with numpy 2.4.6 on x86-64: numpy's SIMD exp and log and
+#: OpenBLAS's kernels round differently in the last bit.
+_SCAN_DIGESTS = {
+    ("X86_V4", "SkylakeX"): "141b44106d3b785379f41bece2c43fbf1d34f30bb6741fadf09f39bbbf5ea71b",
+    ("X86_V3", "Haswell"): "c4da54529038a91a1ef30ed95c0c98330b9ac9fad36d3b4be62256952b805095",
+}
+_PSI_DIGESTS = {
+    ("X86_V4", "SkylakeX"): "812cf5658ed24a411140d174ae806aa8f3fbca0328f6573d792f8d0b3b7c011d",
+    ("X86_V3", "Haswell"): "8272a869704fe2a7150086229e3df2d9a4ff3b95b592705f3a7706d94956ffc0",
+}
+
+
+def test_scan_keeps_its_bits(kernel_pin):
     # one sha256 over every energy and residue coefficient of the scan on
-    # fixed layouts; recorded with numpy 2.4.6 on x86-64, whose SIMD exp and
-    # log another numpy build or CPU may round differently in the last bit
+    # fixed layouts
     digest, count = hashlib.sha256(), 0
     for dim, cs, window in _golden_layouts():
         for st_ in bound_states(dim, cs, search=window, method="scan"):
             digest.update(" ".join(map(float.hex, [st_.energy, *st_.residue_vector])).encode())
             count += 1
-    assert (count, digest.hexdigest()) == (
-        83, "141b44106d3b785379f41bece2c43fbf1d34f30bb6741fadf09f39bbbf5ea71b")
+    assert (count, digest.hexdigest()) == (83, kernel_pin(_SCAN_DIGESTS))
 
 
 #: Fixed probes off every center of the golden layouts, cut to each dimension.
 _GOLDEN_PROBES = ((0.37, -0.21, 0.13), (1.71, 0.93, -0.44), (-0.58, 2.27, 0.61), (3.14, 1.59, 2.65))
 
 
-def test_residue_wavefunctions_keep_their_bits():
+def test_residue_wavefunctions_keep_their_bits(kernel_pin):
     # one sha256 over psi_B at four fixed probes for every state of the
-    # golden layouts; recorded with numpy 2.4.6 on x86-64 before psi went
-    # straight to the closed-form kernel
+    # golden layouts; first recorded before psi went straight to the
+    # closed-form kernel
     digest, count = hashlib.sha256(), 0
     for dim, cs, window in _golden_layouts():
         for st_ in bound_states(dim, cs, search=window, method="scan"):
             psi = [residue_wavefunction(st_, p[:dim]) for p in _GOLDEN_PROBES]
             digest.update(" ".join(map(float.hex, psi)).encode())
             count += 1
-    assert (count, digest.hexdigest()) == (
-        83, "812cf5658ed24a411140d174ae806aa8f3fbca0328f6573d792f8d0b3b7c011d")
+    assert (count, digest.hexdigest()) == (83, kernel_pin(_PSI_DIGESTS))
 
 
 def test_bound_state_validation():

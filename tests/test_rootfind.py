@@ -162,9 +162,11 @@ def test_refine_brackets_rejects_bad_input(monkeypatch):
 
 def _cubes(xs):
     # convex and concave rising and falling branches: regula falsi keeps one
-    # end, so Anderson-Bjorck scales the value kept at a on some and at b on others
+    # end, so Anderson-Bjorck scales the value kept at a on some and at b on
+    # others; products and quotients only, which round alike in every SIMD kernel
     x = np.asarray(xs)
-    return np.stack([x**3 - 0.2, 0.2 - x**3, np.expm1(-5.0 * x) + 0.5, np.exp(x) - 2.0], axis=1)
+    cube = x * x * x
+    return np.stack([cube - 0.2, 0.2 - cube, 1.0 / (1.0 + 5.0 * x) - 0.4, x * (2.0 - x) - 0.5], axis=1)
 
 
 def _plateau(xs):
@@ -214,9 +216,9 @@ def _pinned_cases():
 #: float.hex of the points of every call
 PINNED = {
     "anderson-bjorck": (
-        ["0x1.2b6b5edf6b54ap-1", "0x1.2b6b5edf6b54ap-1", "0x1.1be9bff2e94bfp-3",
-         "0x1.62e42fefa39efp-1"], 16,
-        "8fa122d04340b4a967869eb6d9405554948cd990b8c6a06afec81b161da1e1e8"),
+        ["0x1.2b6b5edf6b54ap-1", "0x1.2b6b5edf6b54ap-1", "0x1.3333333333333p-2",
+         "0x1.2bec333018866p-2"], 17,
+        "48cdf79115be33823aff992caca068f8d0bacf47fa317266af06ef1dc6c2a85c"),
     "family": (
         ["0x1.2492492492492p-3", "0x1.2492492492492p-2", "0x1.b6db6db6db6dbp-2",
          "0x1.2492492492492p-1", "0x1.6db6db6db6db7p-1", "0x1.b6db6db6db6dbp-1"], 4,
