@@ -557,9 +557,9 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     isqrt(grid_points)-th point and the last, then, level by level in one
     batch, at the midpoint of every cell between evaluated points whose ends
     differ in count n_+ or where M is not clear of rounding at either end
-    (min|mu| <= POLE_TOL max|mu|).  A cell with neither has equal counts and every mu_k clear of
-    zero at both ends; each mu_k is monotone, so every point inside would
-    show that count too.  The evaluated counts are thus those of the whole
+    (min|mu| <= POLE_TOL max|mu|).  A cell with neither has equal counts and
+    every mu_k clear of zero at both ends; each mu_k is monotone, so every
+    point inside would show that count too.  The evaluated counts are thus those of the whole
     grid, each change between adjacent points, and the guard on them names
     the first rise the whole grid shows.
     """

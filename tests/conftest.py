@@ -2,21 +2,20 @@
 picks the value a bit-pinning test recorded for the running kernel set."""
 
 import ctypes
-import functools
 import glob
 import os
 
 import numpy as np
 import pytest
-from numpy.lib import introspect
 
 
-@functools.cache
-def kernel_set() -> tuple[str, str]:
+def _kernel_set() -> tuple[str, str]:
     """(numpy's kernel for float64 ``exp``, OpenBLAS's core name): what sets
     the last bits of numpy's SIMD exponentials and of LAPACK, such as
     ("X86_V4", "SkylakeX") on an AVX-512 CPU and ("X86_V3", "Haswell") under
     NPY_DISABLE_CPU_FEATURES=X86_V4 OPENBLAS_CORETYPE=Haswell."""
+    from numpy.lib import introspect  # numpy >= 2.0; imported here so no other test needs it
+
     exp = introspect.opt_func_info(func_name="exp$", signature="float64")["exp"]["dd"]["current"]
     libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                          "libscipy_openblas64_*.so")))
@@ -27,13 +26,14 @@ def kernel_set() -> tuple[str, str]:
     return exp, corename().decode()
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def kernel_pin():
     """``pin(recorded)``: the value ``recorded`` keeps for the running kernel
     set; a kernel set with no record fails the test, naming it."""
+    key = _kernel_set()
 
     def pin(recorded: dict):
-        if (key := kernel_set()) not in recorded:
+        if key not in recorded:
             pytest.fail(f"no value recorded for the kernel set {key}")
         return recorded[key]
 
