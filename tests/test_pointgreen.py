@@ -1206,8 +1206,7 @@ _GOLDEN_PROBES = ((0.37, -0.21, 0.13), (1.71, 0.93, -0.44), (-0.58, 2.27, 0.61),
 
 def test_residue_wavefunctions_keep_their_bits(kernel_pin):
     # one sha256 over psi_B at four fixed probes for every state of the
-    # golden layouts; first recorded before psi went straight to the
-    # closed-form kernel
+    # golden layouts
     digest, count = hashlib.sha256(), 0
     for dim, cs, window in _golden_layouts():
         for st_ in bound_states(dim, cs, search=window, method="scan"):

@@ -663,8 +663,8 @@ def test_finite_range_overflows_are_domain_errors():
         bare_from_renormalized(2, renormalized_2d(-1.0, 1e200), 1e-200)
     with pytest.raises(DomainError):  # (cutoff / mu)^2 overflows
         bare_from_renormalized(2, renormalized_2d(-1.0, 1e-100), 1e200)
-    # a quotient that overflows to inf raises nothing: the result is refused
-    # (it read as a zero coupling, inf or NaN)
+    # a quotient that overflows to inf raises nothing: the inf or NaN it
+    # leaves in the result is refused
     for call in (lambda: bare_from_renormalized(2, renormalized_2d(3.0, 1e-200), 1e150),
                  lambda: bare_from_renormalized(2, from_bound_state(-1e-300), 1e150),
                  lambda: rg_shift(3.0, 1e-200, 1e150),
