@@ -1216,6 +1216,40 @@ def test_residue_wavefunctions_keep_their_bits(kernel_pin):
     assert (count, digest.hexdigest()) == (83, kernel_pin(_PSI_DIGESTS))
 
 
+@pytest.mark.parametrize("n", [2, 400, 10**6])
+def test_grid_search_points_are_those_of_geomspace(n, monkeypatch):
+    # the search evaluates M only at points of np.geomspace over the window's
+    # kappas, both end points among them, and each bracket is two adjacent ones
+    seen, eigenvalues = [], pointgreen._eigenvalues
+
+    def recording(dim, consts, slots, r, kap):
+        seen.append(kap.copy())
+        return eigenvalues(dim, consts, slots, r, kap)
+
+    monkeypatch.setattr(pointgreen, "_eigenvalues", recording)
+    rng = np.random.default_rng(n)
+    windows = [(2.0**-511, 1.3e154), (0.05, 4.0)]
+    windows += [tuple(np.sort(10.0 ** rng.uniform(-150.0, 150.0, 2))) for _ in range(4)]
+    for lo, hi in windows:
+        # two centers, each with a state inside the window, far apart on its scale
+        cs = [center((0.0, 0.0, 4.0 * i / min(lo, 1.0)),
+                     from_bound_state(-(lo ** (1 - w) * hi ** w) ** 2))
+              for i, w in enumerate((0.3, 0.6))]
+        consts = renorm.coupling_constants(3, [c.coupling for c in cs])
+        window = (-hi * hi, -lo * lo)
+        seen.clear()
+        with np.errstate(all="ignore"):  # the policy of the public callers
+            slots, r = pointgreen._pair_distances(pointgreen._positions(cs))
+            ks, k_lo, k_hi, _, _ = pointgreen._brackets(3, consts, slots, r, window, n)
+        grid = np.geomspace(math.sqrt(-window[1]), math.sqrt(-window[0]), n)
+        got = np.concatenate(seen)
+        idx = np.searchsorted(grid, got)
+        assert idx.max() < n and grid[idx].tobytes() == got.tobytes()
+        assert {0, n - 1} <= set(idx.tolist())
+        assert ks.size == 2, (lo, hi)
+        assert (np.searchsorted(grid, k_hi) - np.searchsorted(grid, k_lo) == 1).all()
+
+
 def test_bound_state_validation():
     c = [center(0.0, bare_1d(-2.0))]
     with pytest.raises(IllegalSpecError):
