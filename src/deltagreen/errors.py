@@ -13,12 +13,14 @@ Two families matter to callers:
 Each exception carries a short machine-readable ``code`` plus a ``details``
 dict so the CLI can emit structured payloads instead of bare text.
 
-Floating-point policy.  The public numerical functions (``bessel``'s ``k0``
-and ``hankel1_0``, ``greenfn.g0_kernel``, ``pointgreen``'s ``m_matrix``,
-``green``, ``bound_states`` and ``residue_wavefunction``) run under
-:func:`quiet`: no numpy warning leaves a public call, and no result depends on
-the caller's numpy error state.  Values are checked explicitly instead: a
-non-finite M(E) in the scan, ``GreenValue``, the residue Gram matrix's sign.
+Floating-point policy, in two halves.  :func:`quiet`: no numpy warning leaves
+a public numerical call (``bessel``'s ``k0`` and ``hankel1_0``,
+``greenfn.g0_kernel``, ``pointgreen``'s ``m_matrix``, ``green``,
+``bound_states`` and ``residue_wavefunction``), and no result depends on the
+caller's numpy error state; values are checked explicitly instead (a
+non-finite M(E) in the scan, ``GreenValue``, the residue Gram matrix's sign).
+:func:`in_double_range`: no result past the doubles leaves a closed form of
+``renorm`` or ``scatter``, or an oracle's well depth, silently.
 """
 
 from __future__ import annotations
@@ -136,3 +138,17 @@ def quiet(func):
         with np.errstate(all="ignore"):
             return func(*args, **kwargs)
     return wrapper
+
+
+def in_double_range(compute, message: str, **details):
+    """``compute()``, a number or a tuple of numbers, or :class:`DomainError`
+    where it leaves double precision: an overflow raised (a power) or returned
+    (a quotient's inf, or a NaN from it), or the log of a square that
+    underflowed to 0."""
+    try:
+        value = compute()
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(message, **details) from exc
+    if not np.isfinite(value).all():
+        raise DomainError(message, **details)
+    return value

@@ -48,6 +48,7 @@ from .errors import (
     IllegalSpecError,
     InsufficientBoxError,
     TailBoundExceededError,
+    in_double_range,
 )
 from .greenfn import as_kappa_b, as_number, as_scale, check_dim, require_type
 from .pointgreen import DeltaCenter
@@ -531,7 +532,7 @@ def shrinking_well_depth(e_b: float, r0: float) -> float:
     Solves the s-wave matching q cot(q r0) = -kappa_B on the first branch
     (q r0 between pi/2 and pi), with q = sqrt(V0 - kappa_B^2).  As r0 -> 0
     the dimensionless product V0 r0^2 tends to (pi/2)^2: the physical face
-    of the running coupling.
+    of the running coupling.  A depth past the doubles is a :class:`DomainError`.
     """
     kb = as_kappa_b(e_b)
     r0 = as_number(r0, "r0", "a well radius")
@@ -547,10 +548,7 @@ def shrinking_well_depth(e_b: float, r0: float) -> float:
     # changes sign for every r0, and w resolves roots near u = pi/2
     u_star = 0.5 * math.pi + _bisect(match, 0.0, 0.5 * math.pi * (1.0 - 1e-12))
     q = u_star / r0
-    depth = q * q + kb * kb
-    if not depth < math.inf:
-        raise DomainError("well depth overflows the doubles", r0=r0)
-    return depth
+    return in_double_range(lambda: q * q + kb * kb, "well depth overflows the doubles", r0=r0)
 
 
 def square_well_radial(well: SquareWell3D, e_b: float, r: float) -> float:

@@ -70,6 +70,7 @@ from .errors import (
     IllegalSpecError,
     PoleCrossingError,
     ZeroCouplingError,
+    in_double_range,
 )
 from .greenfn import ComplexEnergy, as_kappa_b, as_number, as_scale, check_dim, require_type
 
@@ -176,20 +177,6 @@ def from_bound_state(e_b: float) -> CouplingSpec:
     return CouplingSpec(variant=FROM_BOUND_STATE, e_b=e_b)
 
 
-def _in_double_range(compute, message: str, **details):
-    """``compute()``, a float or a tuple of floats, or :class:`DomainError`
-    where it leaves double precision: an overflow raised (a power) or returned
-    (a quotient's inf, or a NaN from it), or the log of a square that
-    underflowed to 0."""
-    try:
-        value = compute()
-    except (OverflowError, ValueError) as exc:
-        raise DomainError(message, **details) from exc
-    if not np.isfinite(value).all():
-        raise DomainError(message, **details)
-    return value
-
-
 def _cutoff(value) -> float:
     """A sharp momentum cutoff Lambda > 0, units 1/length, as a float."""
     return as_scale(value, "lambda_cap", "a cutoff", "cutoff must be positive and finite")
@@ -204,26 +191,20 @@ def bubble_regularized(dim: int, K: float, cutoff: float | None) -> float:
 
     ``cutoff`` is Lambda; None removes the cutoff, a limit finite only in
     D=1 (value 1/(2K)), otherwise :class:`DivergentBubbleError` is raised.
-    In D=2 and D=4 a bubble beyond double precision raises :class:`DomainError`.
+    In every D a bubble beyond double precision raises :class:`DomainError`.
     """
     lam_cap = None if cutoff is None else _cutoff(cutoff)
     K = as_scale(K, "K", "a momentum", "bubble needs K > 0")
     check_dim(dim, (1, 2, 3, 4), "bubble defined for D in {1,2,3,4}")
-    if lam_cap is None:
-        if dim == 1:
-            return 0.5 / K
-        raise DivergentBubbleError(
-            "bubble diverges as the cutoff is removed for D >= 2", dim=dim
-        )
-    if dim == 1:
-        return math.atan(lam_cap / K) / (math.pi * K)
-    if dim == 3:
-        return (lam_cap - K * math.atan(lam_cap / K)) / _TWO_PI_SQ
-    if dim == 2:
-        bubble = lambda: math.log1p((lam_cap / K) ** 2) / _FOUR_PI
-    else:
-        bubble = lambda: (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2)
-    return _in_double_range(bubble, "bubble overflows double precision", dim=dim, K=K, lambda_cap=lam_cap)
+    if lam_cap is None and dim != 1:
+        raise DivergentBubbleError("bubble diverges as the cutoff is removed for D >= 2", dim=dim)
+    bubble = {
+        1: lambda: 0.5 / K if lam_cap is None else math.atan(lam_cap / K) / (math.pi * K),
+        2: lambda: math.log1p((lam_cap / K) ** 2) / _FOUR_PI,
+        3: lambda: (lam_cap - K * math.atan(lam_cap / K)) / _TWO_PI_SQ,
+        4: lambda: (lam_cap**2 - K**2 * math.log1p((lam_cap / K) ** 2)) / (16.0 * math.pi**2),
+    }[dim]
+    return in_double_range(bubble, "bubble overflows double precision", dim=dim, K=K, lambda_cap=lam_cap)
 
 
 def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float:
@@ -242,7 +223,7 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float
             inverse = lambda: 1.0 / spec.lambda_r - math.log((lam_cap / spec.mu) ** 2) / _FOUR_PI
         else:  # FROM_BOUND_STATE; mu drops out entirely
             inverse = lambda: -math.log(lam_cap**2 / -spec.e_b) / _FOUR_PI
-        inv = _in_double_range(inverse, "cutoff log leaves double precision", dim=dim, lambda_cap=lam_cap)
+        inv = in_double_range(inverse, "cutoff log leaves double precision", dim=dim, lambda_cap=lam_cap)
     else:
         inv = float(coupling_constants(3, (spec,))[0]) - lam_cap / _TWO_PI_SQ
     if abs(inv) <= INVERSE_COUPLING_TOL:
@@ -339,10 +320,11 @@ def transmutation_energy(spec: CouplingSpec) -> float:
     if _TINY <= mu2 and _LN_TINY <= scale < _LN_MAX and _TINY <= -(e_b := -mu2 * math.exp(scale)) < math.inf:
         return e_b
     # a factor or their product is no normal double: E_B = -kappa_B^2 need not
-    # be one; a Python float, unlike a numpy scalar, doubles to inf without a warning
-    if (twice_ln_kb := 2.0 * float(coupling_constants(2, (spec,))[0].real)) >= _LN_MAX:
-        raise DomainError("transmutation energy overflows double precision", lambda_r=spec.lambda_r, mu=spec.mu)
-    return -math.exp(twice_ln_kb)
+    # be one; 2 ln kappa_B may double to inf (a Python float does so without a
+    # warning) and exp may overflow: the rule refuses both
+    twice_ln_kb = 2.0 * float(coupling_constants(2, (spec,))[0].real)
+    return in_double_range(lambda: -math.exp(twice_ln_kb), "transmutation energy overflows double precision",
+                           lambda_r=spec.lambda_r, mu=spec.mu)
 
 
 def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:
@@ -358,8 +340,8 @@ def rg_shift(lambda_r: float, mu: float, mu_prime: float) -> float:
         raise ZeroCouplingError("cannot shift lambda_R = 0")
     mu = as_scale(mu, "mu", "a scale", "scales must be positive")
     mu_prime = as_scale(mu_prime, "mu_prime", "a scale", "scales must be positive")
-    inv = _in_double_range(lambda: 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI,
-                           "scale ratio leaves double precision", mu=mu, mu_prime=mu_prime)
+    inv = in_double_range(lambda: 1.0 / lambda_r - math.log((mu_prime / mu) ** 2) / _FOUR_PI,
+                          "scale ratio leaves double precision", mu=mu, mu_prime=mu_prime)
     if abs(inv) <= INVERSE_COUPLING_TOL:
         raise CouplingBlowupError(
             "1/lambda_R' vanishes at this scale shift", mu=mu, mu_prime=mu_prime
@@ -394,7 +376,7 @@ def friedman_report(K: float, cutoffs) -> list[FriedmanRow]:
     sixteen_pi2 = 16.0 * math.pi**2
     rows = []
     for lam_cap in caps:
-        quad, nonrem = _in_double_range(
+        quad, nonrem = in_double_range(
             lambda: (lam_cap**2 / sixteen_pi2, (K**2 / sixteen_pi2) * math.log1p((lam_cap / K) ** 2)),
             "bubble overflows double precision", K=K, lambda_cap=lam_cap)
         rows.append(

@@ -28,7 +28,7 @@ only lambda^2 enters, so attraction and repulsion transmit identically.
 
 Every observable is a plain number: :func:`amplitude3d` returns the complex
 f(k), :func:`scattered_wave` the complex psi(x), :func:`transmission1d` the
-pair (T, R).
+pair (T, R).  A sigma or psi(x) past the doubles raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 import numbers
 import sys
 
-from .errors import DomainError, IllegalSpecError
+from .errors import DomainError, IllegalSpecError, in_double_range
 from .greenfn import ComplexEnergy, SpatialPoint, as_kappa_b, as_number, as_point, as_scale, g0_retarded
 from .renorm import CouplingSpec, renormalized_denominator
 
@@ -83,14 +83,15 @@ def cross_section_total(k: float, e_b: float) -> float:
     """sigma = 4 pi |f|^2 = 4 pi / (kappa_B^2 + k^2); branch-independent."""
     k = _momentum(k)
     kb = as_kappa_b(e_b)
-    return _FOUR_PI / (kb * kb + k * k)
+    return in_double_range(lambda: _FOUR_PI / (kb * kb + k * k), "cross section overflows double precision",
+                           k=k, e_b=e_b)
 
 
 def optical_theorem_residual(k: float, e_b: float, policy: str | None = None) -> float:
     """Im f(k, theta=0) - k sigma/(4 pi): zero iff the amplitude is unitary.
 
     Closed form: 0 under the unitary policy, -2k/(kappa_B^2 + k^2) under the
-    "paper" sign.
+    "paper" sign.  It raises sigma's :class:`DomainError`, its only overflow.
     """
     f = amplitude3d(k, e_b, policy)
     return f.imag - k * cross_section_total(k, e_b) / _FOUR_PI
@@ -112,9 +113,9 @@ def scattered_wave(
     d = renormalized_denominator(3, ComplexEnergy(k * k, retarded=True), spec)
     if resolve_policy(policy) == "paper":
         d = d.conjugate()
-    origin = SpatialPoint.of(0.0, 0.0, 0.0)
-    z = x.coords[2]
-    return cmath.exp(1j * k * z) + g0_retarded(3, k, x, origin).value / d
+    g = g0_retarded(3, k, x, SpatialPoint.of(0.0, 0.0, 0.0)).value
+    return in_double_range(lambda: cmath.exp(1j * k * x.coords[2]) + g / d,
+                           "scattered wave overflows double precision", k=k, x=list(x.coords))
 
 
 def transmission1d(k: float, lam: float) -> tuple[float, float]:

@@ -10,8 +10,11 @@
   So does every function that takes a center list, a coupling or a bound
   state, for any value there.  The properties are derandomized so the
   suite stays deterministic.
+* One double-range rule: a closed form returns the bits of its expression,
+  or :class:`DomainError` where that expression leaves the doubles.
 """
 
+import cmath
 import math
 import warnings
 
@@ -47,7 +50,7 @@ from deltagreen import (
     transmission1d,
     transmutation_energy,
 )
-from deltagreen import bessel, greenfn
+from deltagreen import ComplexEnergy, SpatialPoint, bessel, greenfn, oracles
 from deltagreen.errors import UnsupportedDimError
 from deltagreen.oracles import (
     Lattice1D,
@@ -308,3 +311,104 @@ def test_plain_number_cutoffs_return_values():
     assert bubble_regularized(2, 1.0, 10.0) == math.log1p(100.0) / (4.0 * math.pi)
     assert bare_from_renormalized(3, renormalized_3d(2.0), 10.0) < 0.0
     assert friedman_report(1.0, [10.0])[0].lambda_cap == 10.0
+
+
+# -- the double-range rule -----------------------------------------------------
+
+_MAGNITUDES = st.floats(-1074.0, 1023.9).map(lambda e: 2.0**e)  # every binade of the doubles
+_SIGNED = st.tuples(_MAGNITUDES, st.sampled_from((1.0, -1.0))).map(lambda mag_sign: mag_sign[0] * mag_sign[1])
+_FOUR_PI, _LN_TINY = 4.0 * math.pi, math.log(np.finfo(float).tiny)
+_TINY, _LN_MAX = np.finfo(float).tiny, math.log(np.finfo(float).max)
+
+
+def _bubble(draw):
+    dim, K = draw(st.sampled_from((1, 2, 3, 4))), draw(_MAGNITUDES)
+    cap = draw(st.none() | _MAGNITUDES) if dim == 1 else draw(_MAGNITUDES)
+    return lambda: bubble_regularized(dim, K, cap), {
+        1: lambda: 0.5 / K if cap is None else math.atan(cap / K) / (math.pi * K),
+        2: lambda: math.log1p((cap / K) ** 2) / _FOUR_PI,
+        3: lambda: (cap - K * math.atan(cap / K)) / (2.0 * math.pi * math.pi),
+        4: lambda: (cap**2 - K**2 * math.log1p((cap / K) ** 2)) / (16.0 * math.pi**2),
+    }[dim]
+
+
+def _transmutation(draw):
+    lambda_r, mu = draw(_SIGNED), draw(_MAGNITUDES)
+
+    def expression():
+        renormalized_2d(lambda_r, mu)  # a coupling the factory refuses is refused alike
+        mu2, scale = mu * mu, _FOUR_PI / lambda_r
+        if _TINY <= mu2 and _LN_TINY <= scale < _LN_MAX and _TINY <= -(e_b := -mu2 * math.exp(scale)) < math.inf:
+            return e_b
+        return -math.exp(2.0 * (math.log(mu) + 2.0 * math.pi / lambda_r))
+    return lambda: transmutation_energy(renormalized_2d(lambda_r, mu)), expression
+
+
+def _cross_section(draw):
+    k, e_b = draw(_MAGNITUDES), -draw(_MAGNITUDES)
+    kb = math.sqrt(-e_b)
+    return lambda: cross_section_total(k, e_b), lambda: _FOUR_PI / (kb * kb + k * k)
+
+
+def _optical_residual(draw):
+    k, e_b, policy = draw(_MAGNITUDES), -draw(_MAGNITUDES), draw(st.sampled_from(("unitary", "paper")))
+    kb = math.sqrt(-e_b)
+    return (lambda: optical_theorem_residual(k, e_b, policy),
+            lambda: amplitude3d(k, e_b, policy).imag - k * (_FOUR_PI / (kb * kb + k * k)) / _FOUR_PI)
+
+
+def _scattered_wave(draw):
+    k, policy = draw(_MAGNITUDES), draw(st.sampled_from(("unitary", "paper")))
+    spec = draw(st.builds(renormalized_3d, _SIGNED.filter(lambda v: abs(v) > 1e-300))
+                | st.builds(from_bound_state, _MAGNITUDES.map(lambda v: -v)))
+    x = draw(st.tuples(*[st.just(0.0) | _SIGNED] * 3))
+
+    def expression():
+        d = renormalized_denominator(3, ComplexEnergy(k * k, retarded=True), spec)
+        if policy == "paper":
+            d = d.conjugate()
+        return cmath.exp(1j * k * x[2]) + g0_retarded(3, k, SpatialPoint(x), SpatialPoint.of(0.0, 0.0, 0.0)).value / d
+    return lambda: scattered_wave(k, spec, x, policy), expression
+
+
+def _well_depth(draw):
+    e_b = -draw(_MAGNITUDES)
+    kb = math.sqrt(-e_b)
+    r0 = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * draw(_MAGNITUDES) / kb
+
+    def expression():
+        if not 0.0 < r0 < 1.0 / kb:
+            raise DomainError("deep-well regime needs 0 < r0 < 1/kappa_B")
+        match = lambda w: -(0.5 * math.pi + w) / r0 * math.tan(w) + kb
+        q = (0.5 * math.pi + oracles._bisect(match, 0.0, 0.5 * math.pi * (1.0 - 1e-12))) / r0
+        return q * q + kb * kb
+    return lambda: shrinking_well_depth(e_b, r0), expression
+
+
+_CLOSED_FORMS = {"bubble": _bubble, "transmutation": _transmutation, "cross_section": _cross_section,
+                 "optical_residual": _optical_residual, "scattered_wave": _scattered_wave,
+                 "well_depth": _well_depth}
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_CLOSED_FORMS)), data=st.data())
+def test_closed_forms_keep_their_bits_or_refuse_past_the_doubles(name, data):
+    # the expressions are the closed forms as they stood before the rule was
+    # shared: every finite value keeps its bits, and only an overflow, an inf
+    # or a NaN of them turns into DomainError
+    call, expression = _CLOSED_FORMS[name](data.draw)
+    try:
+        want = expression()
+    except DeltaGreenError as err:  # refused before the closed form: the call refuses alike
+        with pytest.raises(type(err)):
+            call()
+        return
+    except (OverflowError, ValueError):
+        want = math.nan
+    if not cmath.isfinite(want):
+        with pytest.raises(DomainError):
+            call()
+        return
+    got = call()
+    assert type(got) is type(want)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

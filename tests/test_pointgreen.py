@@ -1026,6 +1026,31 @@ def test_random_1d_layouts_agree_with_shooting(gaps, lams):
     assert [s.energy for s in states] == pytest.approx(shot, rel=1e-9, abs=1e-12)
 
 
+_DECADES = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    gaps=st.lists(st.floats(0.05, 5.0), min_size=0, max_size=7),
+    couplings=st.lists(st.builds(lambda mag, neg: bare_1d(-mag if neg else mag), _DECADES, st.booleans())
+                       | st.builds(lambda mag: from_bound_state(-mag), _DECADES), min_size=8, max_size=8),
+    k=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+)
+def test_retarded_1d_green_conserves_flux(gaps, couplings, k):
+    # outside every center G(., y) at E = k^2 + i0 is plane waves: with y left
+    # of them all, t is read right of them and r from G - G0 left of them, and
+    # |G0| = 1/(2k) normalizes both, so unitarity is 4 k^2 (|G_R|^2 + |G_L - G0_L|^2) = 1
+    positions = np.concatenate([[0.0], np.cumsum(gaps)])
+    cs = [center(float(p), spec) for p, spec in zip(positions, couplings)]
+    e, y, x_l, x_r = ComplexEnergy(k * k, retarded=True), -1.0, -2.5, float(positions[-1]) + 1.5
+    try:
+        t = green(1, e, (x_r,), (y,), cs).value
+        r = green(1, e, (x_l,), (y,), cs).value - g0(1, e, (x_l,), (y,)).value
+    except AtPoleError:
+        return
+    assert abs(4.0 * k * k * (abs(t) ** 2 + abs(r) ** 2) - 1.0) <= 1e-10
+
+
 def test_noisy_eigenvalues_end_the_scan_in_non_convergence(monkeypatch):
     # M' > 0 makes the positive count fall along the grid; eigenvalues lost
     # to rounding make it rise somewhere, and the scan must not root them

@@ -673,3 +673,15 @@ def test_finite_range_overflows_are_domain_errors():
                  lambda: friedman_report(1e-200, [1e150])):
         with pytest.raises(DomainError):
             call()
+    # the D = 1 bubble, with a cutoff and without, overflows in a quotient too
+    for cutoff in (1.0, None):
+        with pytest.raises(DomainError, match="^bubble overflows double precision$"):
+            bubble_regularized(1, 5e-324, cutoff)
+
+
+def test_transmutation_energy_at_the_largest_double():
+    # 2 ln kappa_B = ln(max double) exactly, through the fallback (mu^2
+    # underflows): exp of it is the largest double but one, and finite
+    spec = renormalized_2d(0.008418767012984328, 1e-170)
+    assert 2.0 * float(coupling_constants(2, (spec,))[0].real) == math.log(np.finfo(float).max)
+    assert transmutation_energy(spec) == -1.7976931348622732e308

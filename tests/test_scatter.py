@@ -14,13 +14,14 @@ from deltagreen import (
     cross_section_total,
     from_bound_state,
     optical_theorem_residual,
+    renormalized_3d,
     scattered_wave,
     transmission1d,
 )
-from deltagreen.errors import DomainError, IllegalSpecError
+from deltagreen.errors import DeltaGreenError, DomainError, IllegalSpecError
 from deltagreen.greenfn import SpatialPoint
 from deltagreen.oracles import shrinking_well_depth
-from deltagreen.scatter import resolve_policy
+from deltagreen.scatter import POLICIES, resolve_policy
 
 
 def test_amplitude_reference_point():
@@ -170,6 +171,23 @@ def test_scattering_input_validation():
         scattered_wave(1.0, bare_1d(-2.0), SpatialPoint.of(0, 0, 1.0))
     with pytest.raises(DomainError):
         scattered_wave(0.0, from_bound_state(-1.0), SpatialPoint.of(0, 0, 1.0))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_closed_forms_past_the_doubles_are_domain_errors(policy):
+    # kappa_B^2 + k^2 ~ 5e-324: sigma overflows, and the residual refuses through it
+    for call in (lambda: cross_section_total(1e-200, -5e-324),
+                 lambda: optical_theorem_residual(1e-200, -5e-324, policy)):
+        with pytest.raises(DomainError, match="^cross section overflows double precision$") as err:
+            call()
+        assert err.value.details == {"k": 1e-200, "e_b": -5e-324}
+    # G0_ret / D ~ 5.6e8 / 1e-300 overflows
+    with pytest.raises(DomainError, match="^scattered wave overflows double precision$") as err:
+        scattered_wave(1e-300, renormalized_3d(1e300), (1e-10, 0.0, 1e-10), policy)
+    assert err.value.details == {"k": 1e-300, "x": [1e-10, 0.0, 1e-10]}
+    # the phase k z overflows: a typed error, never cmath's bare ValueError
+    with pytest.raises(DeltaGreenError):
+        scattered_wave(1e150, from_bound_state(-1.0), (0.0, 0.0, 1e300), policy)
 
 
 def test_transmission_reference_points():
