@@ -681,7 +681,7 @@ def test_finite_range_overflows_are_domain_errors():
 
 def test_transmutation_energy_at_the_largest_double():
     # 2 ln kappa_B = ln(max double) exactly, through the fallback (mu^2
-    # underflows): exp of it is the largest double but one, and finite
+    # underflows): exp of it is finite, just below the largest double
     spec = renormalized_2d(0.008418767012984328, 1e-170)
     assert 2.0 * float(coupling_constants(2, (spec,))[0].real) == math.log(np.finfo(float).max)
     assert transmutation_energy(spec) == -1.7976931348622732e308
