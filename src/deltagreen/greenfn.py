@@ -188,10 +188,14 @@ def as_point(p) -> SpatialPoint:
 
 
 def distance(x: SpatialPoint, y: SpatialPoint) -> float:
+    """|x - y|; :class:`DomainError` for a length past the doubles."""
     x, y = as_point(x), as_point(y)
     if x.dim != y.dim:
         raise IllegalSpecError("points of different dimension", xdim=x.dim, ydim=y.dim)
-    return math.dist(x.coords, y.coords)
+    r = math.dist(x.coords, y.coords)  # hypot-exact: inf only past the doubles
+    if r == math.inf:
+        raise DomainError("distance overflows double precision")
+    return r
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ strictly with E and vanishes at most once: the states in a window are the
 branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them.  The
 count n_+ only falls along a log-kappa grid, so a search evaluates the grid
 only where a count changes (or M is not clear of rounding) to bracket each
-branch between adjacent grid points; the brackets are then refined with
+branch between adjacent grid points (first where a secant through a cell's
+ends predicts each crossing); the brackets are then refined with
 one batched ``eigvalsh`` per step serving every branch, each to |dE| <=
 tol |E|, and roots within 2 max(tol, 1e-12) |E| of each other form a
 degenerate multiplet (each is within half that of the energy).  The
@@ -75,6 +76,7 @@ from .greenfn import (
     as_number,
     as_point,
     check_dim,
+    distance,
     g0,
     g0_kernel,
     g0_of_kappa,
@@ -274,8 +276,8 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     check_dim(dim, None, "dim must be one number, not an array")
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, c = _strengths(dim, e, y, cs)
-    rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's) for math.dist
-    k = g0_kernel(dim, e, np.concatenate(([math.dist(x.coords, y.coords)], rx)))
+    rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
+    k = g0_kernel(dim, e, np.concatenate(([distance(x, y)], rx)))
     return GreenValue(value=complex(k[0]) + complex(k[1:] @ c), dim=dim)
 
 
@@ -428,10 +430,11 @@ def bound_states(
     E = 0- for weak coupling).  Each eigenvalue rises with E, so the branches
     positive at the window's top and not at its bottom are exactly its
     states, and the count of positive eigenvalues only falls along the grid:
-    a bisection over grid indices, in batched kernel and ``eigvalsh`` calls,
+    a search over grid indices, in batched kernel and ``eigvalsh`` calls,
     evaluates it only in cells where that count changes or M is not clear of
-    rounding, and finds the same brackets as every grid point would (a count
-    that rises anyway is rounding noise: :class:`NonConvergenceError`).
+    rounding, at the points around each branch's secant-predicted crossing
+    or by bisection, and finds the same brackets as every grid point would
+    (a count that rises anyway is rounding noise: :class:`NonConvergenceError`).
     Every branch's grid cell is refined at once (Anderson-Bjorck regula
     falsi, one ``eigvalsh`` batch per step evaluated for all branches) to
     |dE| <= tol |E|.  Each root is within max(tol, 1e-12) |E| of its energy,
@@ -554,37 +557,52 @@ def _brackets(dim, consts, slots, r, window, grid_points):
 
     The grid, ``np.geomspace`` over the window's kappas, is built once and
     searched, not tabulated: M is evaluated first at every
-    isqrt(grid_points)-th point and the last, then, level by level in one
-    batch, at the midpoint of every cell between evaluated points whose ends
-    differ in count n_+ or where M is not clear of rounding at either end
-    (min|mu| <= POLE_TOL max|mu|).  A cell with neither has equal counts and
-    every mu_k clear of zero at both ends; each mu_k is monotone, so every
-    point inside would show that count too.  The evaluated counts are thus those of the whole
-    grid, each change between adjacent points, and the guard on them names
-    the first rise the whole grid shows.
+    isqrt(grid_points)-th point and the last, then, round by round in one
+    batch, inside every cell between evaluated points whose ends differ in
+    count n_+ or where M is not clear of rounding at either end (min|mu| <=
+    POLE_TOL max|mu|).  Where the count falls between clear ends, each
+    crossing branch's secant, q = lo + (hi - lo) mu_k(lo) / (mu_k(lo) -
+    mu_k(hi)), predicts its crossing in (j - 1, j), j = ceil(q), since mu_k
+    is smooth and monotone in ln kappa: the cell takes the points j - 2 ..
+    j + 1 and, from the second round on, its midpoint, so a missed
+    prediction halves it.  Any other cell is bisected.  The remaining cells
+    have equal counts and every mu_k clear of zero at both ends; each mu_k
+    is monotone, so every point inside would show that count too.  The
+    evaluated counts are thus those of the whole grid, each change between
+    adjacent points, and the guard on them names the first rise the whole
+    grid shows; every mu is the same bits as it would be in any batch.
     """
     e_min, e_max = window
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
-    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding
-    cells, done, kaps, rows, key = list(zip(batch, batch[1:])), [], [], [], {}
+    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; at: its mu
+    cells, key, at, first, n = list(zip(batch, batch[1:])), {}, {}, True, len(consts)
     while batch:
-        kap = grid[batch]
-        mu = _eigenvalues(dim, consts, slots, r, kap)  # falls along each column
+        mu = _eigenvalues(dim, consts, slots, r, grid[batch])  # falls along each column
         blurred = np.abs(mu).min(axis=1) <= POLE_TOL * np.abs(mu).max(axis=1)
         key.update(zip(batch, np.where(blurred, -1, np.sum(mu > 0.0, axis=1)).tolist()))
-        done, kaps, rows = done + batch, kaps + [kap], rows + [mu]
-        cut = [(lo, hi) for lo, hi in cells if hi - lo > 1 and (key[lo] != key[hi] or key[lo] < 0)]
-        batch = [(lo + hi) // 2 for lo, hi in cut]
-        cells = [cell for (lo, hi), m in zip(cut, batch) for cell in ((lo, m), (m, hi))]
-    order = np.argsort(done)
-    kap, mu = np.concatenate(kaps)[order], np.concatenate(rows)[order]
+        at.update(zip(batch, mu))
+        cut, batch, cells = cells, [], []
+        for lo, hi in cut:
+            if hi - lo < 2 or key[lo] == key[hi] >= 0:
+                continue
+            falling = key[hi] >= 0 and key[lo] > key[hi]
+            inner = set() if falling and first else {(lo + hi) // 2}
+            if falling:  # each crossing branch's secant index j, and the points j - 2 .. j + 1
+                a, b = (at[i][n - key[lo] : n - key[hi]] for i in (lo, hi))
+                for j in np.ceil(lo + (hi - lo) * a / (a - b)).astype(int).tolist():
+                    inner.update(range(max(j - 2, lo + 1), min(j + 2, hi)))
+            inner = sorted(inner)
+            batch += inner
+            cells += zip([lo, *inner], [*inner, hi])
+        first = False
+    done = sorted(at)
+    kap, mu = grid[done], np.array([at[i] for i in done])
     count = np.sum(mu > 0.0, axis=1)
     rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
         raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
                                   energy=float(-kap[rises[0] + 1] ** 2))
-    n = mu.shape[1]
     ks = np.arange(n - count[0], n - count[-1])
     # the first grid kappa where branch k is no longer positive ends its bracket
     hi = np.argmax(mu[:, ks] <= 0.0, axis=0)

@@ -240,6 +240,8 @@ EXTREME_ARGVS = [
       "--emin", "-10", "--emax", "-0.1"), 0),
     (("green", "--dim", "3", "--energy", "1e300", "--retarded", "--center", "0,0,0:eb=-1",
       "--x", "1e300,0,0", "--y", "0,1,0"), 3),
+    # |x - y| = 2e308 is past the doubles, though each point is within them
+    (("green", "--dim", "1", "--energy", "-2", "--center", "0:eb=-1", "--x", "1e308", "--y=-1e308"), 3),
     # a NaN kernel entry in M(E) (a phase k r past double precision) is no pole;
     # det M of it printed a RuntimeWarning
     (("green", "--dim", "2", "--energy", "1e17", "--retarded", "--center", "0,0:eb=-1",

@@ -7,7 +7,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from deltagreen import ComplexEnergy, SpatialPoint, distance, g0, g0_retarded, oracles
+from deltagreen import (
+    ComplexEnergy,
+    SpatialPoint,
+    center,
+    distance,
+    from_bound_state,
+    g0,
+    g0_retarded,
+    green,
+    oracles,
+)
 from deltagreen.errors import (
     BranchCutError,
     CoincidentPointsError,
@@ -33,6 +43,18 @@ def test_point_and_distance_basics():
         SpatialPoint(())
     with pytest.raises(DomainError):
         SpatialPoint((math.nan,))
+
+
+def test_a_distance_past_the_doubles_is_a_domain_error():
+    # math.dist is hypot-exact: a length within the doubles is finite, and
+    # 2e308 is refused by distance and by both Green's functions it feeds
+    assert distance((1e308, 1e308), (0.0, 0.0)) == math.hypot(1e308, 1e308)
+    x, y = (1e308,), (-1e308,)
+    for call in (lambda: distance(x, y), lambda: g0(1, -2.0, x, y),
+                 lambda: green(1, -2.0, x, y, [center(0.0, from_bound_state(-1.0))])):
+        with pytest.raises(DomainError, match="^distance overflows double precision$") as err:
+            call()
+        assert err.value.details == {}
 
 
 def test_kappa_branch_choices():

@@ -1275,6 +1275,68 @@ def test_grid_search_points_are_those_of_geomspace(n, monkeypatch):
         assert (np.searchsorted(grid, k_hi) - np.searchsorted(grid, k_lo) == 1).all()
 
 
+def _search_rounds(args, window, grid_points):
+    """The grid search's brackets, and how many batches of M it evaluated."""
+    eigenvalues, calls = pointgreen._eigenvalues, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pointgreen, "_eigenvalues", lambda *a: calls.append(0) or eigenvalues(*a))
+        return pointgreen._brackets(*args, window, grid_points), len(calls)
+
+
+def _golden_searches():
+    """(scan arguments, window) of each golden layout: its given window, or
+    the default one as bound_states finds it."""
+    for dim, cs, window in _golden_layouts():
+        args = _scan_args(dim, cs)
+        if window is None:
+            e_min, e_max = pointgreen._search_window([c.coupling.bound_state_energy(dim) for c in cs], None)
+            window = (pointgreen._window_bottom(*args, e_min), e_max)
+        yield args, window
+
+
+def test_grid_search_gives_the_full_grid_brackets_on_symmetric_layouts():
+    # rings, squares, polygons and the cube hold degenerate multiplets, whose
+    # branches cross zero in one grid cell: each searched bracket is the
+    # full grid's, bit for bit
+    for i, (args, window) in enumerate(_golden_searches()):
+        searched = pointgreen._brackets(*args, window, 400)
+        for got, want in zip(searched, _full_grid_brackets(*args, window, 400), strict=True):
+            assert got.tobytes() == want.tobytes(), i
+
+
+def test_grid_search_brackets_in_three_rounds():
+    # the coarse pass, then one round at the grid points around each
+    # branch's predicted crossing, and at most one more
+    three_centers = [center((0.0, 0.0), from_bound_state(-1.0)), center((1.0, 0.0), from_bound_state(-0.5)),
+                     center((0.0, 1.5), from_bound_state(-2.0))]
+    cases = [(args, window, 400) for args, window in _golden_searches()]
+    cases.append((_scan_args(2, three_centers), (-32.0, -5e-7), 1_000_000))
+    for i, case in enumerate(cases):
+        (ks, *_), rounds = _search_rounds(*case)
+        assert ks.size and rounds <= 3, (i, rounds)
+
+
+def test_grid_search_takes_no_more_rounds_than_bisection(monkeypatch):
+    # on every example of test_grid_search_gives_the_full_grid_outcome,
+    # windows at the rounding floor among them, the coarse pass and a
+    # bisection of its cells, isqrt(G) wide, down to adjacent points bound
+    # the search's rounds
+    search, eigenvalues, calls, over = pointgreen._brackets, pointgreen._eigenvalues, [], []
+
+    def counted(*args):
+        calls.clear()
+        try:
+            return search(*args)
+        finally:
+            if len(calls) > (math.isqrt(args[-1]) - 1).bit_length() + 1:
+                over.append((args[-2:], len(calls)))
+
+    monkeypatch.setattr(pointgreen, "_brackets", counted)
+    monkeypatch.setattr(pointgreen, "_eigenvalues", lambda *a: calls.append(0) or eigenvalues(*a))
+    test_grid_search_gives_the_full_grid_outcome()
+    assert not over
+
+
 def test_bound_state_validation():
     c = [center(0.0, bare_1d(-2.0))]
     with pytest.raises(IllegalSpecError):
