@@ -96,8 +96,8 @@ def as_kappa_b(e_b) -> float:
 
 def check_dim(dim, dims, message: str) -> None:
     """:class:`UnsupportedDimError` ``message`` for a ``dim`` not in ``dims`` (None
-    takes any) and for an array, whose comparisons give arrays, not truth values."""
-    if getattr(dim, "ndim", 0) or dims is not None and dim not in dims:
+    takes any), for a bool and for an array, whose comparisons give arrays, not truth values."""
+    if isinstance(dim, (bool, np.bool_)) or getattr(dim, "ndim", 0) or dims is not None and dim not in dims:
         raise UnsupportedDimError(message, dim=dim)
 
 
@@ -244,8 +244,8 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
             r=float(close[0]),
         )
     kap = e.kappa
-    if dim == 1 and kap == 0.0:
-        raise DomainError("the 1D free Green's function diverges at E = 0", dim=dim)
+    if dim != 3 and kap == 0.0:  # 1D: 1/(2 kappa); 2D: K0(0) = inf
+        raise DomainError(f"the {int(dim)}D free Green's function diverges at E = 0", dim=dim)
     return np.asarray(g0_of_kappa(dim, kap, r))
 
 

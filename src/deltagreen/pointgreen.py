@@ -11,29 +11,31 @@ centers a_1..a_N the correction generalizes to a small linear solve:
     M_ii = D_i(E),      M_ij = -G0(E; a_i, a_j)   (i != j).
 
 M is complex symmetric (real symmetric on the negative real axis).  One
-builder assembles it at an array of kappa = sqrt(-E) for :func:`m_matrix`,
-:func:`green`, the residues and every batch of the scan: its N(N-1)/2 + N
-distinct values, then one gather that lays out M.  The index arrays of that
+prologue checks a center list and binds one builder to its layout: M(kappa)
+assembles M at an array of kappa = sqrt(-E) for :func:`m_matrix`,
+:func:`green`, the residues and every batch of the scan, from its
+N(N-1)/2 + N distinct values by one gather.  The index arrays of that
 layout depend on N alone, so they are built once per N and kept read-only,
 about 12 N^2 bytes each (0.79 MB at N = 256, 12.6 MB at N = 1024; the last
-8 counts up to 1024 are kept).  G has a pole
-exactly where M is singular; :func:`green` reports one when its single
-solve, given a probe column, shows cond(M) >= 1e12, and forms no det M,
-which underflows for many centers.  Each point x is one kernel row.
+8 counts up to 1024 are kept).  G has a pole exactly where M is singular;
+:func:`green` reports one when its single solve, given a probe column,
+shows cond(M) >= 1e12, and forms no det M, which underflows for many
+centers.  Each point x is one kernel row.
 
 Bound states are the real E < 0 where an eigenvalue of M(E) vanishes.  There
 M' = dM/dE is a positive-definite Gram matrix of the functions G0(., a_i)
 (Krein's resolvent formula), so every sorted eigenvalue mu_k(E) rises
 strictly with E and vanishes at most once: the states in a window are the
-branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them.  The
-count n_+ only falls along a log-kappa grid, so a search evaluates the grid
-only where a count changes (or M is not clear of rounding) to bracket each
-branch between adjacent grid points (first where a secant through a cell's
-ends predicts each crossing); the brackets are then refined with
-one batched ``eigvalsh`` per step serving every branch, each to |dE| <=
-tol |E|, and roots within 2 max(tol, 1e-12) |E| of each other form a
-degenerate multiplet (each is within half that of the energy).  The
-residue of G there is sum_a psi_a(x) psi_a(y) with
+branches that cross zero in it, n_+(M(E_max)) - n_+(M(E_min)) of them.
+Every stage of the search evaluates one function, the sorted mu_k at an
+array of kappa.  The count n_+ only falls along a log-kappa grid, so a
+search evaluates the grid only where a count changes (or M is not clear of
+rounding) to bracket each branch between adjacent grid points (first where
+a secant through a cell's ends predicts each crossing); the brackets are
+then refined with one batched ``eigvalsh`` per step serving every branch,
+each to |dE| <= tol |E|, and roots within 2 max(tol, 1e-12) |E| of each
+other form a degenerate multiplet (each is within half that of the
+energy).  The residue of G there is sum_a psi_a(x) psi_a(y) with
 
     psi_a(x) = sum_i C_ia G0(E_B; x, a_i),     C^T M'(E_B) C = 1,
 
@@ -156,8 +158,9 @@ def _center_tuple(centers) -> tuple:
     return tuple(require_type(centers, Iterable, "centers", "centers must be a list of DeltaCenter"))
 
 
-def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.ndarray]:
-    """The centers as a tuple, and their positions as an (N, dim) array."""
+def _lay_out(dim: int, centers) -> tuple:
+    """A checked center list laid out: the centers as a tuple, their read-only
+    (N, dim) positions, their constants, and :func:`_m_of_kappa` bound to them."""
     cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
@@ -168,14 +171,11 @@ def _validate_centers(dim: int, centers) -> tuple[tuple[DeltaCenter, ...], np.nd
             raise IllegalSpecError(
                 "center dimension mismatch", dim=dim, center_dim=c.position.dim
             )
-    return cs, _positions(cs)
-
-
-def _positions(cs) -> np.ndarray:
-    """The centers' positions as a read-only (N, dim) array."""
     pos = np.array([c.position.coords for c in cs], dtype=float)
     pos.setflags(write=False)
-    return pos
+    slots, r = _pair_distances(pos)
+    consts = coupling_constants(dim, [c.coupling for c in cs])
+    return cs, pos, consts, functools.partial(_m_of_kappa, dim, consts, slots, r)
 
 
 def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,10 +246,7 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
 def m_matrix(dim: int, energy, centers) -> MMatrix:
     """Assemble M(E): renormalized denominators on the diagonal, -G0 off it; real at real kappa."""
     kappas = np.array([ComplexEnergy.of(energy).kappa])
-    cs, pos = _validate_centers(dim, centers)
-    slots, r = _pair_distances(pos)
-    consts = coupling_constants(dim, [c.coupling for c in cs])
-    m = _m_of_kappa(dim, consts, slots, r, kappas)[0]
+    m = _lay_out(dim, centers)[3](kappas)[0]
     m.setflags(write=False)
     return MMatrix(entries=m)
 
@@ -302,7 +299,8 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     if key == last_key:
         return last
     m = m_matrix(dim, e, cs).entries
-    pos = _positions(cs)
+    pos = np.array([c.position.coords for c in cs], dtype=float)
+    pos.setflags(write=False)
     gy = g0_kernel(dim, e, _distances_to(y, pos))
     # z_i = cos(i * golden angle): max|z_i| = 1, and no symmetric layout makes
     # z orthogonal to a null vector; times the row sums r_i of |M_ij|,
@@ -358,9 +356,9 @@ def _norms(diffs) -> np.ndarray:
     return r
 
 
-def _residue_vectors(dim: int, consts: np.ndarray, slots, r, pos: np.ndarray,
-                     multiplets) -> list:
-    """One (N, k) block of residue vectors c_a per multiplet (E_B, k branches).
+def _residue_vectors(m_of_kappa, pos: np.ndarray, multiplets) -> list:
+    """One (N, k) block of residue vectors c_a per multiplet (E_B, k branches),
+    from M(kappa) and the centers' positions.
 
     The branches' eigenvectors span the null space V of M(E_B); with
     S = -Im M(kappa (1 + 1e-20 i)) / 1e-20 = 2 kappa^2 M' and V^T S V =
@@ -377,7 +375,7 @@ def _residue_vectors(dim: int, consts: np.ndarray, slots, r, pos: np.ndarray,
     for i in range(0, len(multiplets), step):
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
-        m, m_step = (_m_of_kappa(dim, consts, slots, r, k) for k in (kaps, kaps * (1.0 + 1e-20j)))
+        m, m_step = (m_of_kappa(k) for k in (kaps, kaps * (1.0 + 1e-20j)))
         vecs = np.linalg.eigh(m)[1]
         for (e_b, branches), kap, v, s in zip(batch, kaps, vecs, m_step.imag / -1e-20):
             null = v[:, branches]
@@ -454,8 +452,7 @@ def bound_states(
     center, and one that overflows raises :class:`DomainError` too; a given
     window over several centers is searched through their finite constants.
     """
-    cs, pos = _validate_centers(dim, centers)
-    slots, r = _pair_distances(pos)
+    cs, pos, consts, m_of_kappa = _lay_out(dim, centers)
     if not ((tol := as_number(tol, "tol", "a tolerance")) > 0.0):
         raise DomainError("tol must be positive", tol=tol)
     if not (grid_points := as_number(grid_points, "grid_points", "a grid size")).is_integer():
@@ -465,7 +462,6 @@ def bound_states(
     if method not in ("auto", "scan"):
         raise IllegalSpecError("method must be 'auto' or 'scan'", method=method)
 
-    consts = coupling_constants(dim, [c.coupling for c in cs])
     # E_B is read for the default window's scales and for a lone center's own state
     own = [c.coupling.bound_state_energy(dim) for c in cs] if search is None or len(cs) == 1 else []
     window = _search_window(own, search)
@@ -476,14 +472,16 @@ def bound_states(
         in_window = e_b is not None and e_b < 0.0 and (search is None or window[0] <= e_b <= window[1])
         multiplets = [(e_b, [0])] if in_window else []
     else:
+        eigenvalues = functools.partial(_eigenvalues, m_of_kappa, len(cs))
         if search is None:
-            window = (_window_bottom(dim, consts, slots, r, window[0]), window[1])
-        multiplets = _scan_energies(dim, consts, slots, r, window, tol, int(grid_points))
+            limit = int(np.sum(consts > 0.0)) if dim == 1 else 0
+            window = (_window_bottom(eigenvalues, limit, window[0]), window[1])
+        multiplets = _scan_energies(eigenvalues, window, tol, int(grid_points))
     if not multiplets and search is None and all(e is not None and e > window[1] for e in own):
         raise DomainError("centers that bind alone above the default window bind a "
                           "state at E <= min E_B that it misses", e_b=min(own))
 
-    blocks = _residue_vectors(dim, consts, slots, r, pos, multiplets)
+    blocks = _residue_vectors(m_of_kappa, pos, multiplets)
     return [
         BoundState(energy=e_b, dim=dim, centers=cs, residue_vector=c, positions=pos)
         for (e_b, _), block in zip(multiplets, blocks)
@@ -511,20 +509,19 @@ def _search_window(own, search):
     return -kap_hi * kap_hi, -kap_lo * kap_lo
 
 
-def _eigenvalues(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
-    """Ascending eigenvalues of the real M(-kappa^2), one row per kappa > 0.
+def _eigenvalues(m_of_kappa, n: int, kappas) -> np.ndarray:
+    """Ascending eigenvalues of the real N x N M(-kappa^2), one row per kappa > 0.
 
-    One :func:`_m_of_kappa` call and one ``eigvalsh`` cover a whole batch of
-    energies; batches hold at most SCAN_BATCH matrix entries, so memory
-    stays bounded for many centers.  The kappas lie in a checked window, so
-    no -kappa^2 overflows or underflows.
+    One M(kappa) call and one ``eigvalsh`` cover a whole batch of energies;
+    batches hold at most SCAN_BATCH matrix entries, so memory stays bounded
+    for many centers.  The kappas lie in a checked window, so no -kappa^2
+    overflows or underflows.
     """
-    n = len(consts)
     step = max(1, SCAN_BATCH // (n * n))
     out = []
     for i in range(0, len(kappas), step):
         kap = kappas[i : i + step]
-        m = _m_of_kappa(dim, consts, slots, r, kap)
+        m = m_of_kappa(kap)
         if not np.isfinite(m).all():
             raise DomainError("M(E) has an entry beyond double precision",
                               energy=float(-kap[0] * kap[0]))
@@ -532,28 +529,27 @@ def _eigenvalues(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _window_bottom(dim: int, consts: np.ndarray, slots, r, e_min: float) -> float:
+def _window_bottom(eigenvalues, limit: int, e_min: float) -> float:
     """E_min, lowered by doubling kappa until no state can lie below it.
 
     M' > 0 makes the number of positive eigenvalues of M(E) fall as E falls,
-    to its E -> -inf limit: the 1D centers with a positive constant (D_i ->
-    1/lambda_i > 0 while the off-diagonal decays), none in 2D and 3D.  Once
-    M(E_min) has that many, every branch has crossed zero above E_min.  An
-    E_min that overflows raises :class:`DomainError` as :class:`ComplexEnergy` does.
+    to its E -> -inf ``limit``: the 1D centers with a positive constant (D_i
+    -> 1/lambda_i > 0 while the off-diagonal decays), none in 2D and 3D.  Once
+    ``eigenvalues`` shows that many at E_min, every branch has crossed zero
+    above it.  An E_min that overflows raises :class:`DomainError` as :class:`ComplexEnergy` does.
     """
-    limit = int(np.sum(consts > 0.0)) if dim == 1 else 0
     kap = math.sqrt(-e_min)
     while True:
         e_min = ComplexEnergy(-kap * kap).value.real
-        if np.sum(_eigenvalues(dim, consts, slots, r, np.array([kap])) > 0.0) <= limit:
+        if np.sum(eigenvalues(np.array([kap])) > 0.0) <= limit:
             return e_min
         kap *= 2.0
 
 
-def _brackets(dim, consts, slots, r, window, grid_points):
+def _brackets(eigenvalues, window, grid_points):
     """The branches k with a zero in the window, each with its bracket: the
     adjacent kappas of the log-kappa grid, and mu_k there, where mu_k turns
-    non-positive.
+    non-positive; ``eigenvalues`` gives a row of N ascending mu per kappa.
 
     The grid, ``np.geomspace`` over the window's kappas, is built once and
     searched, not tabulated: M is evaluated first at every
@@ -576,13 +572,13 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
     # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; at: its mu
-    cells, key, at, first, n = list(zip(batch, batch[1:])), {}, {}, True, len(consts)
+    cells, key, at, first = list(zip(batch, batch[1:])), {}, {}, True
     while batch:
-        mu = _eigenvalues(dim, consts, slots, r, grid[batch])  # falls along each column
+        mu = eigenvalues(grid[batch])  # falls along each column
         blurred = np.abs(mu).min(axis=1) <= POLE_TOL * np.abs(mu).max(axis=1)
         key.update(zip(batch, np.where(blurred, -1, np.sum(mu > 0.0, axis=1)).tolist()))
         at.update(zip(batch, mu))
-        cut, batch, cells = cells, [], []
+        cut, batch, cells, n = cells, [], [], mu.shape[1]
         for lo, hi in cut:
             if hi - lo < 2 or key[lo] == key[hi] >= 0:
                 continue
@@ -609,21 +605,21 @@ def _brackets(dim, consts, slots, r, window, grid_points):
     return ks, kap[hi - 1], kap[hi], mu[hi - 1, ks], mu[hi, ks]
 
 
-def _scan_energies(dim, consts, slots, r, window, tol, grid_points):
+def _scan_energies(eigenvalues, window, tol, grid_points):
     """(E_B, branch indices) of every multiplet of states in the window, ascending.
 
-    Each branch with a zero in the window is bracketed on the log-kappa grid
-    (:func:`_brackets`), all brackets are refined together, each to |dE| <=
-    tol |E|, and zeros within 2 max(tol, 1e-12) |E| form one multiplet.
+    Each branch of ``eigenvalues`` with a zero in the window is bracketed on
+    the log-kappa grid (:func:`_brackets`), all brackets are refined
+    together, each to |dE| <= tol |E|, and zeros within 2 max(tol, 1e-12) |E|
+    form one multiplet.
     """
-    ks, lo, hi, mu_lo, mu_hi = _brackets(dim, consts, slots, r, window, grid_points)
+    ks, lo, hi, mu_lo, mu_hi = _brackets(eigenvalues, window, grid_points)
     if not ks.size:
         return []
     # |dE| = 2 kappa dkappa <= tol kappa^2: a width that underflows refines
     # to resolution, one that overflows (a huge tol) closes at once
     xtol = np.maximum(0.5 * tol * lo, np.finfo(float).smallest_subnormal)
-    kap = refine_brackets(lambda x: _eigenvalues(dim, consts, slots, r, x),
-                          ks, lo, hi, mu_lo, mu_hi, xtol=xtol)
+    kap = refine_brackets(eigenvalues, ks, lo, hi, mu_lo, mu_hi, xtol=xtol)
     order = np.argsort(-kap * kap)  # a higher branch crosses at a lower E
     energies, ks = -kap[order] * kap[order], ks[order]
     # a degenerate pair's roots agree only to a few ulps, hence the 1e-12

@@ -186,6 +186,7 @@ EXTREME_ARGVS = [
     (("g0", "--dim", "1", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),  # phase k r
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e300"), 3),
     (("g0", "--dim", "2", "--energy", "1e300", "--retarded", "--r", "1e10"), 0),
+    (("g0", "--dim", "2", "--energy", "0", "--retarded", "--r", "1"), 3),  # K0(0) = inf
     # the default scan window stops at -2^-1022: beside a strong neighbour a
     # center of -E_B = 1e-320 adds no state, and the pair's one is found; one
     # or two such centers alone bind one below the floor, and the scan says so

@@ -240,9 +240,12 @@ def test_kernel_over_an_array_of_separations():
             with pytest.raises(CoincidentPointsError) as err:
                 g0_kernel(dim, -1.0, np.array(r))
             assert err.value.details == {"dim": dim, "r": first}
-    # the one-dimensional kernel diverges at the threshold E = 0 + i0
-    with pytest.raises(DomainError):
-        g0_kernel(1, ComplexEnergy(0.0, retarded=True), np.array([1.0]))
+    # the 1D and 2D kernels diverge at the threshold E = 0 + i0 (1/(2 kappa), K0(0))
+    for dim in (1, 2):
+        with pytest.raises(DomainError) as err:
+            g0_kernel(dim, ComplexEnergy(0.0, retarded=True), np.array([1.0]))
+        assert str(err.value) == f"the {dim}D free Green's function diverges at E = 0"
+        assert err.value.details == {"dim": dim}
 
 
 def test_2d_g0_of_kappa_takes_the_retarded_kappa():

@@ -205,20 +205,22 @@ def test_oracle_number_arguments_return_or_raise_one_typed_error(call, data):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: g0(np.array([1.0, 2.0]), -1.0, 0.5, 0.2),
-    lambda: green(np.array([1.0, 2.0]), -0.5, 0.5, 0.2, _PAIR_1D),
-    lambda: bound_states(np.array([1, 2]), _PAIR_1D),
-    lambda: m_matrix(np.array([1]), -0.5, _PAIR_1D),
-    lambda: bubble_regularized(np.array([1, 2]), 1.0, 10.0),
-    lambda: renormalized_denominator(np.array([3, 3]), -1.0, _SPEC_3D),
-    lambda: g0_by_quadrature(np.array([1, 2]), -1.0, 1.0),
-    lambda: from_bound_state(-1.0).bound_state_energy(np.array([1, 2])),
-    lambda: from_bound_state(-1.0).require_dim(np.array([1])),
+    lambda dim=np.array([1.0, 2.0]): g0(dim, -1.0, 0.5, 0.2),
+    lambda dim=np.array([1.0, 2.0]): green(dim, -0.5, 0.5, 0.2, _PAIR_1D),
+    lambda dim=np.array([1, 2]): bound_states(dim, _PAIR_1D),
+    lambda dim=np.array([1]): m_matrix(dim, -0.5, _PAIR_1D),
+    lambda dim=np.array([1, 2]): bubble_regularized(dim, 1.0, 10.0),
+    lambda dim=np.array([3, 3]): renormalized_denominator(dim, -1.0, _SPEC_3D),
+    lambda dim=np.array([1, 2]): g0_by_quadrature(dim, -1.0, 1.0),
+    lambda dim=np.array([1, 2]): from_bound_state(-1.0).bound_state_energy(dim),
+    lambda dim=np.array([1]): from_bound_state(-1.0).require_dim(dim),
 ], ids=["g0", "green", "bound_states", "m_matrix", "bubble", "denominator", "quadrature",
         "bound_state_energy", "require_dim"])
 def test_a_dim_given_as_an_array_is_unsupported(call):
-    with pytest.raises(UnsupportedDimError):
-        call()
+    # the array, then a bool: True == 1, but it is no dimension either
+    for args in ((), (True,), (np.True_,)):
+        with pytest.raises(UnsupportedDimError):
+            call(*args)
 
 
 def test_distance_reads_its_points():

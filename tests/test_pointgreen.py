@@ -1,5 +1,6 @@
 """Multi-center resolvent, bound-state search, residue factorization."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -204,7 +205,7 @@ def test_m_of_kappa_gathers_the_scattered_matrices(dim, n, batch):
     cs = [center(tuple(p), other if i % 2 else from_bound_state(-0.5 - 0.2 * i))
           for i, p in enumerate(rng.uniform(0.0, 3.0, (n, dim)))]
     consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
-    slots, r = pointgreen._pair_distances(pointgreen._positions(cs))
+    slots, r = pointgreen._pair_distances(pointgreen._lay_out(dim, cs)[1])
     kap = np.geomspace(0.2, 5.0, batch)
     for kappas in (kap, kap * np.exp(0.4j), kap * (1.0 + 1e-20j)):
         got = pointgreen._m_of_kappa(dim, consts, slots, r, kappas)
@@ -222,13 +223,12 @@ def test_scan_eigenvalues_are_those_of_m_matrix(dim):
     other = {1: bare_1d(-1.3), 2: renormalized_2d(-6.0, 1.0), 3: renormalized_3d(9.0)}[dim]
     cs = [center(tuple(p), other if i % 2 else from_bound_state(-0.5 - 0.2 * i))
           for i, p in enumerate(rng.uniform(0.0, 3.0, (6, dim)))]
-    consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
-    slots, r = pointgreen._pair_distances(pointgreen._positions(cs))
+    eigenvalues = _eigenvalues_of(dim, cs)
     kappas = np.geomspace(0.03, 30.0, 9)
-    grid = pointgreen._eigenvalues(dim, consts, slots, r, kappas)
+    grid = eigenvalues(kappas)
     for kap, row in zip(kappas, grid):
         want = np.linalg.eigvalsh(m_matrix(dim, -kap * kap, cs).entries).tobytes()
-        assert pointgreen._eigenvalues(dim, consts, slots, r, np.array([kap]))[0].tobytes() == want
+        assert eigenvalues(np.array([kap]))[0].tobytes() == want
         assert row.tobytes() == want, kap
 
 
@@ -1063,12 +1063,12 @@ def test_noisy_eigenvalues_end_the_scan_in_non_convergence(monkeypatch):
     assert -4.0 <= err.value.details["energy"] <= -0.01
 
 
-def _full_grid_brackets(dim, consts, slots, r, window, grid_points):
+def _full_grid_brackets(eigenvalues, window, grid_points):
     # the reference scan: eigenvalues at every grid point, the guard on the
     # whole count sequence, and each bracket where its branch turns non-positive
     e_min, e_max = window
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
-    mu = pointgreen._eigenvalues(dim, consts, slots, r, grid)
+    mu = eigenvalues(grid)
     count = np.sum(mu > 0.0, axis=1)
     rises = np.flatnonzero(np.diff(count) > 0)
     if rises.size:
@@ -1079,19 +1079,19 @@ def _full_grid_brackets(dim, consts, slots, r, window, grid_points):
     return ks, grid[hi - 1], grid[hi], mu[hi - 1, ks], mu[hi, ks]
 
 
-def _scan_args(dim, cs):
-    consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
-    return (dim, consts) + pointgreen._pair_distances(pointgreen._positions(cs))
+def _eigenvalues_of(dim, cs):
+    """The batched eigenvalue function the search stages of bound_states evaluate."""
+    return functools.partial(pointgreen._eigenvalues, pointgreen._lay_out(dim, cs)[3], len(cs))
 
 
 def _scan_outcomes(dim, cs, window, grid_points=400):
     """The searched and the full-grid scan's multiplets (hex energies), or the
     energy each one's guard names."""
-    args = _scan_args(dim, cs)
+    eigenvalues = _eigenvalues_of(dim, cs)
 
     def outcome():
         try:
-            multiplets = pointgreen._scan_energies(*args, window, 1e-12, grid_points)
+            multiplets = pointgreen._scan_energies(eigenvalues, window, 1e-12, grid_points)
             return [(e_b.hex(), ks.tolist()) for e_b, ks in multiplets]
         except NonConvergenceError as exc:
             return exc.details["energy"].hex()
@@ -1144,17 +1144,57 @@ def test_grid_search_gives_the_full_grid_outcome(case):
     (2, [center((0.0, 0.0), from_bound_state(-1.0)), center((1.0, 0.0), from_bound_state(-0.5)),
          center((0.0, 1.5), from_bound_state(-2.0))], (-32.0, -5e-7), 1_000_000, 1100),
 ])
-def test_grid_search_evaluates_few_grid_points(monkeypatch, dim, cs, window, grid_points, most):
+def test_grid_search_evaluates_few_grid_points(dim, cs, window, grid_points, most):
     # a few of the grid's points, none twice, bracket every branch as all of
     # them do, bit for bit
-    args, eigenvalues, kappas = _scan_args(dim, cs), pointgreen._eigenvalues, []
-    monkeypatch.setattr(pointgreen, "_eigenvalues",
-                        lambda *a: kappas.extend(a[-1].tolist()) or eigenvalues(*a))
-    searched = pointgreen._brackets(*args, window, grid_points)
+    eigenvalues, kappas = _eigenvalues_of(dim, cs), []
+    searched = pointgreen._brackets(lambda kap: kappas.extend(kap.tolist()) or eigenvalues(kap),
+                                    window, grid_points)
     assert searched[0].size and len(kappas) <= most
     assert len(set(kappas)) == len(kappas)
-    for got, want in zip(searched, _full_grid_brackets(*args, window, grid_points)):
+    for got, want in zip(searched, _full_grid_brackets(eigenvalues, window, grid_points)):
         assert got.tobytes() == want.tobytes()
+
+
+#: The kappas of a 400-point grid over the window (-1e4, -1), and the ratio of its adjacent points.
+_LOG_GRID = np.geomspace(1.0, 100.0, 400)
+_LOG_CELL = _LOG_GRID[202] / _LOG_GRID[201]
+
+
+def _log_branches(zeros, wiggle):
+    # mu_k = ln(a_k / kappa) vanishes exactly at kappa = a_k; a wiggle, w
+    # sin(5 ln kappa), stands for rounding noise that makes the count rise
+    a = np.sort(np.asarray(zeros, dtype=float))
+    return lambda kap: np.log(a / kap[:, None]) + wiggle * np.sin(5.0 * np.log(kap))[:, None]
+
+
+@pytest.mark.parametrize("zeros, wiggle", [
+    ([_LOG_GRID[137], _LOG_GRID[140], _LOG_GRID[250]], 0.0),
+    (_LOG_GRID[201] * _LOG_CELL ** np.array([0.2, 0.5, 0.8]), 0.0),
+    ([_LOG_GRID[0], _LOG_GRID[0] * _LOG_CELL**0.5, _LOG_GRID[-1] / _LOG_CELL**0.5, _LOG_GRID[-1]], 0.0),
+    ([3.0, 30.0], 1.0),
+], ids=["on_grid_points", "three_in_one_cell", "at_either_end", "noisy"])
+def test_grid_search_on_known_branches_gives_the_full_grid_outcome(zeros, wiggle):
+    # crossings on grid points (one in the coarse pass), three in one cell,
+    # at and next to either end of the window (a zero at its top is no state
+    # in it), and a count that rises: the full grid's brackets bit for bit,
+    # or the energy its guard names, and each root to tol
+    eigenvalues, window = _log_branches(zeros, wiggle), (-1e4, -1.0)
+
+    def outcome(search):
+        try:
+            return [a.tobytes() for a in search(eigenvalues, window, 400)]
+        except NonConvergenceError as exc:
+            return exc.details["energy"]
+
+    searched = outcome(pointgreen._brackets)
+    assert searched == outcome(_full_grid_brackets)
+    if wiggle:
+        assert isinstance(searched, float)
+        return
+    inside = [-a * a for a in sorted(zeros, reverse=True) if a > _LOG_GRID[0]]
+    energies = [e_b for e_b, _ in pointgreen._scan_energies(eigenvalues, window, 1e-12, 400)]
+    assert energies == pytest.approx(inside, rel=1e-12, abs=0.0)
 
 
 def _jittered(dim, n, spacing, seed):
@@ -1242,16 +1282,10 @@ def test_residue_wavefunctions_keep_their_bits(kernel_pin):
 
 
 @pytest.mark.parametrize("n", [2, 400, 10**6])
-def test_grid_search_points_are_those_of_geomspace(n, monkeypatch):
+def test_grid_search_points_are_those_of_geomspace(n):
     # the search evaluates M only at points of np.geomspace over the window's
     # kappas, both end points among them, and each bracket is two adjacent ones
-    seen, eigenvalues = [], pointgreen._eigenvalues
-
-    def recording(dim, consts, slots, r, kap):
-        seen.append(kap.copy())
-        return eigenvalues(dim, consts, slots, r, kap)
-
-    monkeypatch.setattr(pointgreen, "_eigenvalues", recording)
+    seen = []
     rng = np.random.default_rng(n)
     windows = [(2.0**-511, 1.3e154), (0.05, 4.0)]
     windows += [tuple(np.sort(10.0 ** rng.uniform(-150.0, 150.0, 2))) for _ in range(4)]
@@ -1260,12 +1294,12 @@ def test_grid_search_points_are_those_of_geomspace(n, monkeypatch):
         cs = [center((0.0, 0.0, 4.0 * i / min(lo, 1.0)),
                      from_bound_state(-(lo ** (1 - w) * hi ** w) ** 2))
               for i, w in enumerate((0.3, 0.6))]
-        consts = renorm.coupling_constants(3, [c.coupling for c in cs])
         window = (-hi * hi, -lo * lo)
         seen.clear()
         with np.errstate(all="ignore"):  # the policy of the public callers
-            slots, r = pointgreen._pair_distances(pointgreen._positions(cs))
-            ks, k_lo, k_hi, _, _ = pointgreen._brackets(3, consts, slots, r, window, n)
+            eigenvalues = _eigenvalues_of(3, cs)
+            ks, k_lo, k_hi, _, _ = pointgreen._brackets(
+                lambda kap: seen.append(kap.copy()) or eigenvalues(kap), window, n)
         grid = np.geomspace(math.sqrt(-window[1]), math.sqrt(-window[0]), n)
         got = np.concatenate(seen)
         idx = np.searchsorted(grid, got)
@@ -1275,32 +1309,33 @@ def test_grid_search_points_are_those_of_geomspace(n, monkeypatch):
         assert (np.searchsorted(grid, k_hi) - np.searchsorted(grid, k_lo) == 1).all()
 
 
-def _search_rounds(args, window, grid_points):
+def _search_rounds(eigenvalues, window, grid_points):
     """The grid search's brackets, and how many batches of M it evaluated."""
-    eigenvalues, calls = pointgreen._eigenvalues, []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pointgreen, "_eigenvalues", lambda *a: calls.append(0) or eigenvalues(*a))
-        return pointgreen._brackets(*args, window, grid_points), len(calls)
+    calls = []
+    return pointgreen._brackets(lambda kap: calls.append(0) or eigenvalues(kap),
+                                window, grid_points), len(calls)
 
 
 def _golden_searches():
-    """(scan arguments, window) of each golden layout: its given window, or
-    the default one as bound_states finds it."""
+    """(eigenvalue function, window) of each golden layout: its given window,
+    or the default one as bound_states finds it."""
     for dim, cs, window in _golden_layouts():
-        args = _scan_args(dim, cs)
+        eigenvalues = _eigenvalues_of(dim, cs)
         if window is None:
             e_min, e_max = pointgreen._search_window([c.coupling.bound_state_energy(dim) for c in cs], None)
-            window = (pointgreen._window_bottom(*args, e_min), e_max)
-        yield args, window
+            consts = renorm.coupling_constants(dim, [c.coupling for c in cs])
+            limit = int(np.sum(consts > 0.0)) if dim == 1 else 0
+            window = (pointgreen._window_bottom(eigenvalues, limit, e_min), e_max)
+        yield eigenvalues, window
 
 
 def test_grid_search_gives_the_full_grid_brackets_on_symmetric_layouts():
     # rings, squares, polygons and the cube hold degenerate multiplets, whose
     # branches cross zero in one grid cell: each searched bracket is the
     # full grid's, bit for bit
-    for i, (args, window) in enumerate(_golden_searches()):
-        searched = pointgreen._brackets(*args, window, 400)
-        for got, want in zip(searched, _full_grid_brackets(*args, window, 400), strict=True):
+    for i, (eigenvalues, window) in enumerate(_golden_searches()):
+        searched = pointgreen._brackets(eigenvalues, window, 400)
+        for got, want in zip(searched, _full_grid_brackets(eigenvalues, window, 400), strict=True):
             assert got.tobytes() == want.tobytes(), i
 
 
@@ -1309,8 +1344,8 @@ def test_grid_search_brackets_in_three_rounds():
     # branch's predicted crossing, and at most one more
     three_centers = [center((0.0, 0.0), from_bound_state(-1.0)), center((1.0, 0.0), from_bound_state(-0.5)),
                      center((0.0, 1.5), from_bound_state(-2.0))]
-    cases = [(args, window, 400) for args, window in _golden_searches()]
-    cases.append((_scan_args(2, three_centers), (-32.0, -5e-7), 1_000_000))
+    cases = [(eigenvalues, window, 400) for eigenvalues, window in _golden_searches()]
+    cases.append((_eigenvalues_of(2, three_centers), (-32.0, -5e-7), 1_000_000))
     for i, case in enumerate(cases):
         (ks, *_), rounds = _search_rounds(*case)
         assert ks.size and rounds <= 3, (i, rounds)
@@ -1321,18 +1356,17 @@ def test_grid_search_takes_no_more_rounds_than_bisection(monkeypatch):
     # windows at the rounding floor among them, the coarse pass and a
     # bisection of its cells, isqrt(G) wide, down to adjacent points bound
     # the search's rounds
-    search, eigenvalues, calls, over = pointgreen._brackets, pointgreen._eigenvalues, [], []
+    search, calls, over = pointgreen._brackets, [], []
 
-    def counted(*args):
+    def counted(eigenvalues, *args):
         calls.clear()
         try:
-            return search(*args)
+            return search(lambda kap: calls.append(0) or eigenvalues(kap), *args)
         finally:
             if len(calls) > (math.isqrt(args[-1]) - 1).bit_length() + 1:
                 over.append((args[-2:], len(calls)))
 
     monkeypatch.setattr(pointgreen, "_brackets", counted)
-    monkeypatch.setattr(pointgreen, "_eigenvalues", lambda *a: calls.append(0) or eigenvalues(*a))
     test_grid_search_gives_the_full_grid_outcome()
     assert not over
 
