@@ -95,9 +95,9 @@ def as_kappa_b(e_b) -> float:
 
 
 def check_dim(dim, dims, message: str) -> None:
-    """:class:`UnsupportedDimError` ``message`` for a ``dim`` not in ``dims`` (None
-    takes any), for a bool and for an array, whose comparisons give arrays, not truth values."""
-    if isinstance(dim, (bool, np.bool_)) or getattr(dim, "ndim", 0) or dims is not None and dim not in dims:
+    """:class:`UnsupportedDimError` ``message`` unless ``dim`` is an integer (a Python
+    or numpy int, not a bool, though True == 1) in ``dims``."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in dims:
         raise UnsupportedDimError(message, dim=dim)
 
 

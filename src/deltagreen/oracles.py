@@ -35,7 +35,7 @@ epsilon -> 0+ limit in the greenfn tests.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
@@ -241,6 +241,7 @@ def norm_by_quadrature(psi, points) -> float:
     midpoint and half-width.  x is the nearer end -+ 2 d q / (1 + q),
     q = e^(-2|s|), so nodes crowding an end keep their digits; tanh and the
     weight come from exponentials.  The points must be finite and increasing."""
+    require_type(psi, Callable, "psi", "psi must be a function")
     ends = [as_number(p, "points", "a split point")
             for p in require_type(points, Iterable, "points", "points must be a list of numbers")]
     if len(ends) < 2 or not all(-math.inf < a < b < math.inf for a, b in zip(ends, ends[1:])):
@@ -391,13 +392,15 @@ def lattice1d_spectrum(centers, lat: Lattice1D, n_states: int) -> list[float]:
     inverse iteration a double below the lowest eigenvalue) keeps more than
     1e-6 of its peak amplitude at a wall, :class:`InsufficientBoxError` is raised.
     """
-    if lat.points % 2 == 0:
+    if require_type(lat, Lattice1D, "lat", "lat must be a Lattice1D").points % 2 == 0:
         raise DomainError("use an odd point count so a grid point sits at 0")
-    if n_states < 1 or n_states > lat.points:
+    if not (n_states := as_number(n_states, "n_states", "a state count")).is_integer():
+        raise IllegalSpecError("n_states must be a whole number", n_states=n_states)
+    if not 1 <= n_states <= lat.points:
         raise DomainError("n_states out of range", n_states=n_states)
     v, t = _lattice_hamiltonian(centers, lat)
     vals, lo, hi = [], min(v), max(v) + 4.0 * t  # Gershgorin: the spectrum lies inside
-    for k in range(n_states):
+    for k in range(int(n_states)):
         vals.append(_sturm_eigenvalue(v, t, k, lo, hi))
         lo = math.nextafter(vals[-1], -math.inf)  # at most k + 1 eigenvalues below
     # Perron-Frobenius: the ground state has no node, so a constant overlaps it
@@ -420,7 +423,7 @@ def lattice1d_resolvent(centers, lat: Lattice1D, energy: float, xi: float, xj: f
     xi, xj = as_number(xi, "xi", "a lattice point"), as_number(xj, "xj", "a lattice point")
     if not (energy < 0.0):
         raise DomainError("lattice resolvent implemented for E < 0", energy=energy)
-    v, t = _lattice_hamiltonian(centers, lat)
+    v, t = _lattice_hamiltonian(centers, require_type(lat, Lattice1D, "lat", "lat must be a Lattice1D"))
     i, j = _site(xi, lat), _site(xj, lat)
     if i is None or j is None:
         raise DomainError("evaluation point outside the box", xi=xi, xj=xj)
@@ -514,7 +517,7 @@ def lattice1d_transmission(lam: float, k: float, lat: Lattice1D) -> tuple[float,
     if not math.isfinite(lam):
         raise DomainError("coupling must be finite", lam=lam)
     k = as_scale(k, "k", "a momentum", "momentum must be positive")
-    h = lat.h
+    h = require_type(lat, Lattice1D, "lat", "lat must be a Lattice1D").h
     if k * h > 0.1:
         raise DispersionError("kh > 0.1: lattice dispersion too coarse", kh=k * h)
     if lam == 0.0:
@@ -557,6 +560,7 @@ def square_well_radial(well: SquareWell3D, e_b: float, r: float) -> float:
     sin(qr)/r inside, matched decaying exponential outside; used to check
     that outside the core the shape is exactly the contact-potential one.
     """
+    require_type(well, SquareWell3D, "well", "well must be a SquareWell3D")
     kb = as_kappa_b(e_b)
     r = as_number(r, "r", "a radius")
     if not r > 0.0:

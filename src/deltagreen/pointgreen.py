@@ -164,7 +164,7 @@ def _lay_out(dim: int, centers) -> tuple:
     cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
-    check_dim(dim, None, "dim must be one number, not an array")
+    check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
     for c in cs:
         require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         if c.position.dim != dim:
@@ -188,7 +188,7 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     12 N^2 bytes each.  Each coordinate's squared ``np.subtract.outer``
     differences are summed in place over the whole N x N array (two N x N
     doubles, whatever the dimension), and one gather takes the P pair
-    entries; if a square overflows, :func:`_norms` recomputes the pairs
+    entries; if a square overflows, :func:`_lengths` recomputes the pairs
     hypot-style, and the first coincident pair names its (i, j).
     """
     n = len(pos)
@@ -199,7 +199,7 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.sqrt(np.take(d2, flat))
     if not np.isfinite(r).all():
         i, j = divmod(flat, n)
-        r = _norms(lambda: (c[i] - c[j] for c in pos.T))
+        r = _lengths(pos[i] - pos[j])
     close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
     if close.size:
         i, j = divmod(int(flat[close[0]]), n)
@@ -270,7 +270,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     cs = _center_tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
-    check_dim(dim, None, "dim must be one number, not an array")
+    check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, c = _strengths(dim, e, y, cs)
     rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
@@ -328,29 +328,20 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
 def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
     """|x - a_i| for every center position a_i (rows of ``pos``)."""
     if x.dim != pos.shape[1]:
-        raise IllegalSpecError(
-            "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
-        )
-    # one pass; past the doubles, the hypot way of _norms (DomainError if r is)
-    r = np.sqrt(np.square(pos - x.coords).sum(axis=1))
-    return r if np.isfinite(r).all() else _norms(lambda: (c - xc for c, xc in zip(pos.T, x.coords)))
+        raise IllegalSpecError("point dimension does not match dim", dim=pos.shape[1], xdim=x.dim)
+    return _lengths(pos - x.coords)
 
 
-def _norms(diffs) -> np.ndarray:
-    """Euclidean lengths from ``diffs()``, one array of differences per
-    coordinate (a callable, so the common case streams them).
-
-    The squared differences are summed.  If that overflows anywhere, the
-    overflowing entries are recomputed, as ``hypot`` does, from the
-    differences divided by their largest magnitude, so every other entry
-    keeps the bytes of the plain sum.  A length beyond the double range (or
-    an infinite difference) raises :class:`DomainError`.
-    """
-    r = np.sqrt(sum(d**2 for d in diffs()))
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of an (M, D) array of differences: the
+    plain sum of squares, except that rows where it overflows are recomputed,
+    as ``hypot`` does, from the row divided by its largest magnitude.  A length
+    beyond the double range (or an infinite difference) raises :class:`DomainError`."""
+    r = np.sqrt(np.square(diff).sum(axis=1))
     if (big := np.isinf(r)).any():
-        parts = [np.abs(d[big]) for d in diffs()]
-        scale = np.maximum.reduce(parts)
-        r[big] = scale * np.sqrt(sum((p / scale) ** 2 for p in parts))
+        parts = np.abs(diff[big])
+        scale = parts.max(axis=1)
+        r[big] = scale * np.sqrt(np.square(parts / scale[:, None]).sum(axis=1))
         if not np.isfinite(r).all():
             raise DomainError("distance overflows double precision")
     return r

@@ -136,7 +136,7 @@ class CouplingSpec:
             as_kappa_b(e_b)
 
     def require_dim(self, dim: int) -> None:
-        check_dim(dim, None, "dim must be one number, not an array")
+        check_dim(dim, (1, 2, 3), "couplings are defined for D in {1,2,3}")
         if dim not in _VARIANTS[self.variant][1]:
             raise IllegalSpecError("coupling variant illegal for this dimension", variant=self.variant, dim=dim)
 

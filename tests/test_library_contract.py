@@ -57,6 +57,7 @@ from deltagreen.oracles import (
     SquareWell3D,
     g0_by_quadrature,
     lattice1d_resolvent,
+    lattice1d_spectrum,
     lattice1d_transmission,
     norm_by_quadrature,
     shooting1d,
@@ -187,6 +188,7 @@ _ORACLE_CALLS = [
     (lattice1d_resolvent, dict(centers=_PAIR_1D, lat=Lattice1D(5.0, 101), energy=-3.0, xi=0.3, xj=-0.2),
      ("energy", "xi", "xj")),
     (lattice1d_transmission, dict(lam=-2.0, k=1.0, lat=Lattice1D(10.0, 2001)), ("lam", "k")),
+    (lattice1d_spectrum, dict(centers=_PAIR_1D, lat=Lattice1D(20.0, 401), n_states=1), ("n_states",)),
     (shooting1d, dict(centers=_PAIR_1D, kappa_bracket=(0.5, 1.5), grid_points=50),
      ("kappa_bracket", "kappa_bracket[0]", "kappa_bracket[1]", "grid_points")),
     (shrinking_well_depth, dict(e_b=-1.0, r0=0.1), ("e_b", "r0")),
@@ -217,8 +219,9 @@ def test_oracle_number_arguments_return_or_raise_one_typed_error(call, data):
 ], ids=["g0", "green", "bound_states", "m_matrix", "bubble", "denominator", "quadrature",
         "bound_state_energy", "require_dim"])
 def test_a_dim_given_as_an_array_is_unsupported(call):
-    # the array, then a bool: True == 1, but it is no dimension either
-    for args in ((), (True,), (np.True_,)):
+    # the array, then a bool (True == 1), a float equal to a dimension, a
+    # string, None and a 0-d array: none is an integer dimension
+    for args in ((), (True,), (np.True_,), (1.0,), (np.float64(2.0),), ("1",), (None,), (np.array(1),)):
         with pytest.raises(UnsupportedDimError):
             call(*args)
 

@@ -302,11 +302,22 @@ _LAT = Lattice1D(10.0, 1001)
     (lambda: shrinking_well_depth(-1.0, None), IllegalSpecError, {"field": "r0", "type": "NoneType"}),
     (lambda: Lattice1D(10.0, 10**200 + 1), DomainError, {"points": 10**200 + 1}),
     (lambda: Lattice1D(10.0, 10**6 + 1), DomainError, {"points": 10**6 + 1}),
+    (lambda: lattice1d_spectrum(ONE, _LAT, True), IllegalSpecError, {"field": "n_states", "type": "bool"}),
+    (lambda: lattice1d_spectrum(ONE, _LAT, "1"), IllegalSpecError, {"field": "n_states", "type": "str"}),
+    (lambda: lattice1d_spectrum(ONE, _LAT, 1.5), IllegalSpecError, {"n_states": 1.5}),
+    (lambda: lattice1d_spectrum(ONE, _LAT, 0), DomainError, {"n_states": 0.0}),
+    (lambda: lattice1d_spectrum(ONE, None, 1), IllegalSpecError, {"field": "lat", "type": "NoneType"}),
+    (lambda: lattice1d_resolvent(ONE, None, -1.0, 0.0, 0.0), IllegalSpecError, {"field": "lat", "type": "NoneType"}),
+    (lambda: lattice1d_transmission(-2.0, 1.0, None), IllegalSpecError, {"field": "lat", "type": "NoneType"}),
+    (lambda: square_well_radial(None, -1.0, 1.0), IllegalSpecError, {"field": "well", "type": "NoneType"}),
+    (lambda: norm_by_quadrature(None, (0.0, 1.0)), IllegalSpecError, {"field": "psi", "type": "NoneType"}),
 ], ids=["radial_e_b_inf", "radial_below_floor", "radial_r_nan", "radial_e_b_str", "resolvent_xi_nan",
         "resolvent_xi_inf", "resolvent_xi_huge", "spectrum_center_huge", "bracket_short", "bracket_number",
         "grid_one", "grid_huge", "grid_fraction", "quad_r_nan", "quad_r_inf", "quad_energy_str",
         "quad_dim_array", "transmission_lam_nan", "transmission_lam_inf", "depth_e_b_inf", "depth_r0_none",
-        "lattice_points_huge", "lattice_points_past_ceiling"])
+        "lattice_points_huge", "lattice_points_past_ceiling", "spectrum_n_states_bool", "spectrum_n_states_str",
+        "spectrum_n_states_fraction", "spectrum_n_states_zero", "spectrum_lat_none", "resolvent_lat_none",
+        "transmission_lat_none", "radial_well_none", "norm_psi_none"])
 def test_oracle_arguments_at_the_edges_are_typed_errors(call, error, details):
     with pytest.raises(error) as info:
         call()

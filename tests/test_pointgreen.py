@@ -1892,6 +1892,10 @@ def test_distances_beyond_the_squares_scale_like_hypot():
     with np.errstate(all="ignore"):
         _, r = pointgreen._pair_distances(pos)
     assert r[0] == np.sqrt((0.1 - 0.3) ** 2 + (0.7 + 1.9) ** 2)
+    with np.errstate(all="ignore"):
+        got = pointgreen._distances_to(SpatialPoint((0.2, -0.5)), pos)
+    assert list(got[:2]) == [np.sqrt((0.1 - 0.2) ** 2 + (0.7 + 0.5) ** 2),
+                             np.sqrt((0.3 - 0.2) ** 2 + (-1.9 + 0.5) ** 2)]
 
 
 def test_rejects_distances_beyond_double_range():
