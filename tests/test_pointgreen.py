@@ -39,6 +39,7 @@ from deltagreen.errors import (
     DomainError,
     IllegalSpecError,
     NonConvergenceError,
+    UnsupportedDimError,
     ZeroCouplingError,
 )
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
@@ -1909,6 +1910,8 @@ def test_rejects_distances_beyond_double_range():
 def test_rejects_wrong_dimension_coupling():
     with pytest.raises(IllegalSpecError):
         center((0.0, 0.0, 0.0), bare_1d(-2.0))
+    with pytest.raises(UnsupportedDimError):
+        center((0.0,) * 4, bare_1d(-2.0))
     with pytest.raises(IllegalSpecError):
         m_matrix(2, -1.0, [center((0.0,), bare_1d(-2.0))])
 
