@@ -328,15 +328,18 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
 def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
     """|x - a_i| for every center position a_i (rows of ``pos``)."""
     if x.dim != pos.shape[1]:
-        raise IllegalSpecError("point dimension does not match dim", dim=pos.shape[1], xdim=x.dim)
+        raise IllegalSpecError(
+            "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
+        )
     return _lengths(pos - x.coords)
 
 
 def _lengths(diff: np.ndarray) -> np.ndarray:
     """The Euclidean length of each row of an (M, D) array of differences: the
     plain sum of squares, except that rows where it overflows are recomputed,
-    as ``hypot`` does, from the row divided by its largest magnitude.  A length
-    beyond the double range (or an infinite difference) raises :class:`DomainError`."""
+    as ``hypot`` does, from the row divided by its largest magnitude, so every
+    other row keeps the bytes of the plain sum.  A length beyond the double
+    range (or an infinite difference) raises :class:`DomainError`."""
     r = np.sqrt(np.square(diff).sum(axis=1))
     if (big := np.isinf(r)).any():
         parts = np.abs(diff[big])
