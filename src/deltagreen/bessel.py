@@ -25,10 +25,12 @@ time so memory stays bounded) times one coefficient matrix: a handful of
 numpy operations per call whatever the number of arguments.  The product
 is summed in one order for every argument, so a value does not depend on the
 other arguments of the call.  K0 on real and near-axis arguments is one
-stacked table (its series rows, zero-padded, over its tail row) evaluated in
-one pass: each argument picks its variable, then its result, and the zeros
-change no sum.  J0/Y0 and off-axis complex K0 keep ``_split``, one branch
-per argument and a merge.
+stacked table (its series rows, zero-padded, over its tail row): a call with
+arguments on both sides of |z| = 2 evaluates it in one pass, each argument
+picking its variable, then its result, and the zeros change no sum; a call
+with every argument on one side takes that side's rows and functions alone,
+and skips the other lane.  J0/Y0 and off-axis complex K0 keep ``_split``,
+one branch per argument and a merge.
 
 The Chebyshev tables were generated offline by projecting the scaled
 functions onto Chebyshev polynomials at 50-digit precision and truncating at
@@ -183,6 +185,7 @@ _J0Y0_SERIES = _series_table(21, -1.0)
 _PQ_TAIL_POLY = _monomial_table(_P0_TAIL, _Q0_TAIL)
 _K0_TABLE = np.zeros((3, len(_K0_TAIL)))  # K0's rows I0, sum H_m t^m/(m!)^2, scaled tail
 _K0_TABLE[:2, :16], _K0_TABLE[2] = _series_table(16, 1.0), _monomial_table(_K0_TAIL)[0]
+_K0_SERIES, _K0_TAIL_ROW = _K0_TABLE[:2, :16], _K0_TABLE[2:]  # the sides, unpadded
 
 
 def _polyval(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -232,9 +235,15 @@ def _result(values: np.ndarray, arg: np.ndarray):
 
 
 def _k0_table(z: np.ndarray) -> np.ndarray:
-    # one pass over _K0_TABLE: -(log(z/2) + gamma) I0(z) + sum_{m>=1} H_m (z^2/4)^m / (m!)^2 for
-    # |z| <= 2, the scaled tail beyond (exp(-z) underflows past ~745); the lane not taken is dropped
+    # -(log(z/2) + gamma) I0(z) + sum_{m>=1} H_m (z^2/4)^m / (m!)^2 for |z| <= 2, the scaled
+    # tail beyond (exp(-z) underflows past ~745).  A call on one side takes that side's rows
+    # alone; a mixed call makes one pass over _K0_TABLE and drops the lane not taken
     low = np.abs(z) <= 2.0
+    if low.all():
+        i0, s = _polyval(0.25 * z * z, _K0_SERIES)
+        return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s
+    if not low.any():
+        return _polyval(4.0 / z - 1.0, _K0_TAIL_ROW)[0] * np.exp(-z) / np.sqrt(z)
     i0, s, tail = _polyval(np.where(low, 0.25 * z * z, 4.0 / z - 1.0), _K0_TABLE)
     return np.where(low, -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s, tail * np.exp(-z) / np.sqrt(z))
 

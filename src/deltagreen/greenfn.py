@@ -94,11 +94,15 @@ def as_kappa_b(e_b) -> float:
     return math.sqrt(-e_b)
 
 
-def check_dim(dim, dims, message: str) -> None:
-    """:class:`UnsupportedDimError` ``message`` unless ``dim`` is an integer (a Python
-    or numpy int, not a bool, though True == 1) in ``dims``."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in dims:
+def check_dim(dim, dims, message: str) -> int:
+    """``dim`` as a Python int if it is an integer (a Python or numpy int, not a bool,
+    though True == 1) in ``dims``; else :class:`UnsupportedDimError` ``message``.
+    Callers keep the returned int, so no numpy integer reaches a value or an error."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
         raise UnsupportedDimError(message, dim=dim)
+    if (dim := int(dim)) not in dims:
+        raise UnsupportedDimError(message, dim=dim)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,8 @@ class GreenValue:
             raise DeltaGreenError("non-finite Green's function value", dim=self.dim)
 
 
-def _check_dim(dim: int) -> None:
-    check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
+def _check_dim(dim: int) -> int:
+    return check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
 
 
 @quiet
@@ -234,7 +238,7 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     numpy.ndarray
         One value per separation, in the shape of ``r``; real at real kappa.
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     e = ComplexEnergy.of(energy)
     r = np.asarray(r, dtype=float)
     if dim != 1 and (close := r[r < COINCIDENT_TOL]).size:
@@ -245,7 +249,7 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
         )
     kap = e.kappa
     if dim != 3 and kap == 0.0:  # 1D: 1/(2 kappa); 2D: K0(0) = inf
-        raise DomainError(f"the {int(dim)}D free Green's function diverges at E = 0", dim=dim)
+        raise DomainError(f"the {dim}D free Green's function diverges at E = 0", dim=dim)
     return np.asarray(g0_of_kappa(dim, kap, r))
 
 
@@ -292,7 +296,7 @@ def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:
         infinity; outgoing-wave form for retarded energies.
     """
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
-    _check_dim(dim)
+    dim = _check_dim(dim)
     if x.dim != dim or y.dim != dim:
         raise IllegalSpecError("point dimension does not match dim", dim=dim, xdim=x.dim, ydim=y.dim)
     return GreenValue(value=complex(g0_kernel(dim, e, distance(x, y))), dim=dim)

@@ -123,7 +123,7 @@ def g0_by_quadrature(dim: int, energy: float, r: float) -> float:
     2 ln(2/(kappa r)) long, outgrows DE_REACH; r = 0 in D = 1 at every E.
     Past either end, as at (1, -1e200, 1.0), it raises TailBoundExceededError.
     """
-    check_dim(dim, (1, 2, 3), "quadrature oracle covers D in {1,2,3}")
+    dim = check_dim(dim, (1, 2, 3), "quadrature oracle covers D in {1,2,3}")
     energy = as_number(energy, "energy", "an energy")
     r = as_number(r, "r", "a separation")
     if not (energy < 0.0) or not math.isfinite(energy):

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -160,11 +161,12 @@ def _center_tuple(centers) -> tuple:
 
 def _lay_out(dim: int, centers) -> tuple:
     """A checked center list laid out: the centers as a tuple, their read-only
-    (N, dim) positions, their constants, and :func:`_m_of_kappa` bound to them."""
+    (N, dim) positions, their constants, :func:`_m_of_kappa` bound to them,
+    and the dimension as a Python int."""
     cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
-    check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
+    dim = check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
     for c in cs:
         require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         if c.position.dim != dim:
@@ -175,7 +177,7 @@ def _lay_out(dim: int, centers) -> tuple:
     pos.setflags(write=False)
     slots, r = _pair_distances(pos)
     consts = coupling_constants(dim, [c.coupling for c in cs])
-    return cs, pos, consts, functools.partial(_m_of_kappa, dim, consts, slots, r)
+    return cs, pos, consts, functools.partial(_m_of_kappa, dim, consts, slots, r), dim
 
 
 def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +272,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     cs = _center_tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
-    check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
+    dim = check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, c = _strengths(dim, e, y, cs)
     rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
@@ -362,7 +364,11 @@ def _residue_vectors(m_of_kappa, pos: np.ndarray, multiplets) -> list:
     in lexicographic coordinate order among ties within 1e-9 (relative), is
     made negative, so psi_a is positive next to the center that dominates
     it.  A batch of multiplets (SCAN_BATCH entries of M) shares each
-    assembly and ``eigh``; a block's bits are those of its multiplet alone.
+    assembly and ``eigh``, and its one-state multiplets (U = [1], g = v^T S v)
+    share one pass: their Grams by one stacked matmul, then the scale and the
+    sign, one row per state.  A degenerate multiplet takes its own ``eigh``
+    of V^T S V.  A block's bits are those of its multiplet alone, and the
+    first multiplet, in order, whose g is not positive raises.
     """
     out, step = [], max(1, SCAN_BATCH // len(pos) ** 2)
     order = np.lexsort(pos.T[::-1])  # the centers in lexicographic coordinate order
@@ -370,22 +376,39 @@ def _residue_vectors(m_of_kappa, pos: np.ndarray, multiplets) -> list:
         batch = multiplets[i : i + step]
         kaps = np.sqrt([-e_b for e_b, _ in batch])
         m, m_step = (m_of_kappa(k) for k in (kaps, kaps * (1.0 + 1e-20j)))
-        vecs = np.linalg.eigh(m)[1]
-        for (e_b, branches), kap, v, s in zip(batch, kaps, vecs, m_step.imag / -1e-20):
-            null = v[:, branches]
-            gram = null.T @ s @ null  # LAPACK's eigh of a 1 x 1 matrix: its entry, vector [1]
-            g, u = (gram[0], np.ones((1, 1))) if len(branches) == 1 else np.linalg.eigh(gram)
-            if not g[0] > 0.0:
+        vecs, s = np.linalg.eigh(m)[1], m_step.imag / -1e-20
+        one = [j for j, (_, branches) in enumerate(batch) if len(branches) == 1]
+        v = vecs[one, :, [batch[j][1][0] for j in one]]  # one state's null vector per row
+        g = (v[:, None, :] @ s[one] @ v[:, :, None])[:, 0, 0]
+        # a multiplet's V U, with U = [[1.0]], sums from +0.0: a -0.0 entry turns +0.0
+        scaled = (v + 0.0) * (math.sqrt(2.0) * kaps[one] / np.sqrt(g))[:, None]
+        rows = _lead_negative(scaled.T, order).T  # C-contiguous rows: psi reads each at unit stride
+        rows.setflags(write=False)
+        singles = dict(zip(one, zip(g.tolist(), rows)))
+        for j, (e_b, branches) in enumerate(batch):
+            if j in singles:
+                g_min, row = singles[j]
+                block = row[:, None]
+            else:
+                null = vecs[j][:, branches]
+                gs, u = np.linalg.eigh(null.T @ s[j] @ null)
+                g_min = gs[0]
+                block = _lead_negative((null @ u) * (math.sqrt(2.0) * kaps[j] / np.sqrt(gs)), order)
+                block.setflags(write=False)
+            if not g_min > 0.0:
                 raise NonConvergenceError("residue normalization failed (non-positive "
                                           "dM/dE at the root)", energy=e_b)
-            coeffs = (null @ u) * (math.sqrt(2.0) * kap / np.sqrt(g))
-            size = np.abs(coeffs[order])
-            lead = order[np.argmax(size >= (1.0 - 1e-9) * size.max(axis=0), axis=0)]
-            # G0 < 0: a negative c_ia makes psi_a positive next to a_i
-            coeffs = np.where(coeffs[lead, np.arange(len(branches))] > 0.0, -coeffs, coeffs)
-            coeffs.setflags(write=False)
-            out.append(coeffs)
+            out.append(block)
     return out
+
+
+def _lead_negative(coeffs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``coeffs`` (N, k) with each column's largest-magnitude entry, the first
+    in ``order`` among ties within 1e-9 (relative), made negative."""
+    size = np.abs(coeffs[order])
+    lead = order[np.argmax(size >= (1.0 - 1e-9) * size.max(axis=0), axis=0)]
+    # G0 < 0: a negative c_ia makes psi_a positive next to a_i
+    return np.where(coeffs[lead, np.arange(coeffs.shape[1])] > 0.0, -coeffs, coeffs)
 
 
 @quiet
@@ -446,7 +469,7 @@ def bound_states(
     center, and one that overflows raises :class:`DomainError` too; a given
     window over several centers is searched through their finite constants.
     """
-    cs, pos, consts, m_of_kappa = _lay_out(dim, centers)
+    cs, pos, consts, m_of_kappa, dim = _lay_out(dim, centers)
     if not ((tol := as_number(tol, "tol", "a tolerance")) > 0.0):
         raise DomainError("tol must be positive", tol=tol)
     if not (grid_points := as_number(grid_points, "grid_points", "a grid size")).is_integer():
@@ -512,15 +535,14 @@ def _eigenvalues(m_of_kappa, n: int, kappas) -> np.ndarray:
     overflows or underflows.
     """
     step = max(1, SCAN_BATCH // (n * n))
-    out = []
-    for i in range(0, len(kappas), step):
-        kap = kappas[i : i + step]
-        m = m_of_kappa(kap)
-        if not np.isfinite(m).all():
-            raise DomainError("M(E) has an entry beyond double precision",
-                              energy=float(-kap[0] * kap[0]))
-        out.append(np.linalg.eigvalsh(m))
-    return np.concatenate(out)
+    if len(kappas) > step:
+        return np.concatenate([_eigenvalues(m_of_kappa, n, kappas[i : i + step])
+                               for i in range(0, len(kappas), step)])
+    m = m_of_kappa(kappas)
+    if not np.isfinite(m).all():
+        raise DomainError("M(E) has an entry beyond double precision",
+                          energy=float(-kappas[0] * kappas[0]))
+    return np.linalg.eigvalsh(m)
 
 
 def _window_bottom(eigenvalues, limit: int, e_min: float) -> float:
@@ -566,12 +588,14 @@ def _brackets(eigenvalues, window, grid_points):
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
     # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; at: its mu
-    cells, key, at, first = list(zip(batch, batch[1:])), {}, {}, True
+    cells, key, n_plus, at, first = list(zip(batch, batch[1:])), {}, {}, {}, True
     while batch:
         mu = eigenvalues(grid[batch])  # falls along each column
-        blurred = np.abs(mu).min(axis=1) <= POLE_TOL * np.abs(mu).max(axis=1)
-        key.update(zip(batch, np.where(blurred, -1, np.sum(mu > 0.0, axis=1)).tolist()))
-        at.update(zip(batch, mu))
+        size, count = np.abs(mu), (mu > 0.0).sum(axis=1)
+        blurred = size.min(axis=1) <= POLE_TOL * size.max(axis=1)
+        key.update(zip(batch, np.where(blurred, -1, count).tolist()))
+        n_plus.update(zip(batch, count.tolist()))
+        at.update(zip(batch, mu.tolist()))
         cut, batch, cells, n = cells, [], [], mu.shape[1]
         for lo, hi in cut:
             if hi - lo < 2 or key[lo] == key[hi] >= 0:
@@ -579,24 +603,28 @@ def _brackets(eigenvalues, window, grid_points):
             falling = key[hi] >= 0 and key[lo] > key[hi]
             inner = set() if falling and first else {(lo + hi) // 2}
             if falling:  # each crossing branch's secant index j, and the points j - 2 .. j + 1
-                a, b = (at[i][n - key[lo] : n - key[hi]] for i in (lo, hi))
-                for j in np.ceil(lo + (hi - lo) * a / (a - b)).astype(int).tolist():
+                crossing = slice(n - key[lo], n - key[hi])
+                for a, b in zip(at[lo][crossing], at[hi][crossing]):  # a > 0 >= b
+                    j = math.ceil(lo + (hi - lo) * a / (a - b))
                     inner.update(range(max(j - 2, lo + 1), min(j + 2, hi)))
             inner = sorted(inner)
             batch += inner
             cells += zip([lo, *inner], [*inner, hi])
         first = False
     done = sorted(at)
-    kap, mu = grid[done], np.array([at[i] for i in done])
-    count = np.sum(mu > 0.0, axis=1)
-    rises = np.flatnonzero(np.diff(count) > 0)
-    if rises.size:  # M' > 0 forbids it: the signs that make the count are noise
-        raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
-                                  energy=float(-kap[rises[0] + 1] ** 2))
+    count = [n_plus[i] for i in done]
+    for p in range(len(done) - 1):
+        if count[p + 1] > count[p]:  # M' > 0 forbids it: the signs that make the count are noise
+            raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
+                                      energy=float(-grid[done[p + 1]] ** 2))
     ks = np.arange(n - count[0], n - count[-1])
-    # the first grid kappa where branch k is no longer positive ends its bracket
-    hi = np.argmax(mu[:, ks] <= 0.0, axis=0)
-    return ks, kap[hi - 1], kap[hi], mu[hi - 1, ks], mu[hi, ks]
+    # branch k is positive while n_+ >= n - k (the mu ascend): its bracket ends at the
+    # first evaluated kappa past that, which a bisection finds as n_+ falls
+    drop, branches = [-c for c in count], ks.tolist()
+    ends = [bisect_right(drop, k - n) for k in branches]
+    lo, hi = [done[p - 1] for p in ends], [done[p] for p in ends]
+    return (ks, grid[lo], grid[hi], np.array([at[i][k] for i, k in zip(lo, branches)]),
+            np.array([at[i][k] for i, k in zip(hi, branches)]))
 
 
 def _scan_energies(eigenvalues, window, tol, grid_points):
@@ -620,10 +648,16 @@ def _scan_energies(eigenvalues, window, tol, grid_points):
     # floor: both lie within max(tol, 1e-12) |E| of their energy.  An infinite
     # threshold merges all; a sum past -1.8e308 overflows: then average halves
     apart = np.diff(energies) > 2.0 * max(tol, 1e-12) * np.abs(energies[1:])
-    groups = np.split(np.arange(ks.size), np.flatnonzero(apart) + 1)
-    means = [np.mean(energies[g]) for g in groups]
-    return [(float(m if np.isfinite(m) else 2.0 * np.mean(0.5 * energies[g])), np.sort(ks[g]))
-            for m, g in zip(means, groups)]
+    ends = [0, *(np.flatnonzero(apart) + 1).tolist(), ks.size]
+    out = []
+    for i, j in zip(ends, ends[1:]):
+        group = energies[i:j]
+        if j - i == 1:  # one state: its energy as it is
+            out.append((float(group[0]), ks[i:j]))
+        else:
+            m = np.mean(group)
+            out.append((float(m if np.isfinite(m) else 2.0 * np.mean(0.5 * group)), np.sort(ks[i:j])))
+    return out
 
 
 @quiet

@@ -136,7 +136,7 @@ class CouplingSpec:
             as_kappa_b(e_b)
 
     def require_dim(self, dim: int) -> None:
-        check_dim(dim, (1, 2, 3), "couplings are defined for D in {1,2,3}")
+        dim = check_dim(dim, (1, 2, 3), "couplings are defined for D in {1,2,3}")
         if dim not in _VARIANTS[self.variant][1]:
             raise IllegalSpecError("coupling variant illegal for this dimension", variant=self.variant, dim=dim)
 
@@ -195,7 +195,7 @@ def bubble_regularized(dim: int, K: float, cutoff: float | None) -> float:
     """
     lam_cap = None if cutoff is None else _cutoff(cutoff)
     K = as_scale(K, "K", "a momentum", "bubble needs K > 0")
-    check_dim(dim, (1, 2, 3, 4), "bubble defined for D in {1,2,3,4}")
+    dim = check_dim(dim, (1, 2, 3, 4), "bubble defined for D in {1,2,3,4}")
     if lam_cap is None and dim != 1:
         raise DivergentBubbleError("bubble diverges as the cutoff is removed for D >= 2", dim=dim)
     bubble = {
@@ -216,7 +216,7 @@ def bare_from_renormalized(dim: int, spec: CouplingSpec, cutoff: float) -> float
     log leaves double precision.
     """
     lam_cap = _cutoff(cutoff)
-    check_dim(dim, (2, 3), "bare coupling runs only in D=2 and D=3")
+    dim = check_dim(dim, (2, 3), "bare coupling runs only in D=2 and D=3")
     _spec(spec).require_dim(dim)
     if dim == 2:
         if spec.variant == REN_2D:
@@ -254,7 +254,7 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     Raises, as the denominator does, :class:`UnsupportedDimError` outside D
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
-    check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
+    dim = check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
     value, from_e_b = [], []
     for spec in specs:
         spec.require_dim(dim)
@@ -303,8 +303,9 @@ def renormalized_denominator(dim: int, energy, spec: CouplingSpec) -> complex:
     bound-state energy.  A 2D lambda_R enters through ln kappa_B alone; a 3D
     lambda_R through 1/lambda_R, D = 1/lambda_R - kappa/(4 pi).
     """
-    e = ComplexEnergy.of(energy)
-    return complex(renormalized_denominators(dim, e.kappa, coupling_constants(dim, (_spec(spec),)))[0])
+    e, spec = ComplexEnergy.of(energy), _spec(spec)
+    dim = check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
+    return complex(renormalized_denominators(dim, e.kappa, coupling_constants(dim, (spec,)))[0])
 
 
 def transmutation_energy(spec: CouplingSpec) -> float:

@@ -97,55 +97,59 @@ def refine_brackets(
     a, b, fa, fb = a.tolist(), b.tolist(), fa.tolist(), fb.tolist()
     ga, gb, n = fa[:], fb[:], len(a)
     # the end moved last step (-1 a, 1 b, 0 both), the widths 1 and 2 steps ago
-    moved, past, halve = [0] * n, [(np.inf, np.inf)] * n, [False] * n
+    moved, width1, width2, halve = [0] * n, [np.inf] * n, [np.inf] * n, [False] * n
     todo = [i for i, x in enumerate(root) if x != x]
     points = dict.fromkeys(todo)  # each bracket's point of the last step
     for step in range(MAX_ITER + 1):
-        # the secant point closes a bracket at most xtol wide, or one left
-        # without a point (at floating-point resolution)
-        for i in todo:
-            if root[i] != root[i] and (i not in points or not b[i] - a[i] > xtol[i]):
-                root[i] = _clip(a[i] + (b[i] - a[i]) * (fa[i] / (fa[i] - fb[i])), a[i], b[i])
-        todo = [i for i in todo if root[i] != root[i]]
-        if not todo:
-            return np.array(root)
-        if step == MAX_ITER:
-            break
-        points = {}
+        last, points, todo = points, {}, [i for i in todo if root[i] != root[i]]
         for i in todo:
             ai, bi = a[i], b[i]
+            # the secant point closes a bracket at most xtol wide, or one left
+            # without a point (at floating-point resolution)
+            if i not in last or not bi - ai > xtol[i]:
+                root[i] = _clip(ai + (bi - ai) * (fa[i] / (fa[i] - fb[i])), ai, bi)
+                continue
             x = 0.5 * (ai + bi) if halve[i] else ai + (bi - ai) * (ga[i] / (ga[i] - gb[i]))
             gap = min(0.4 * xtol[i], 0.25 * (bi - ai))
             x = _clip(x, ai + gap, bi - gap)
             if not (x <= ai or x >= bi):
                 points[i] = x
+        if not points and all(root[i] == root[i] for i in todo):  # every bracket closed
+            return np.array(root)
+        if step == MAX_ITER:
+            break
         if not points:
             continue
         xs = sorted(set(points.values()))
-        need = sorted({cols[i] for i in points})
-        rows = dict(zip(need, evaluate(np.array(xs))[:, need].T.tolist()))
+        rows = evaluate(np.array(xs)).T.tolist()
         for i in points:
-            inside = [(xs[p], rows[cols[i]][p] * sign[i])
-                      for p in range(bisect_right(xs, a[i]), bisect_left(xs, b[i]))]
-            if zero := [x for x, g in inside if g == 0.0]:
-                root[i] = zero[0]
-                continue
-            up, down = [q for q in inside if q[1] > 0.0], [q for q in inside if q[1] < 0.0]
-            # Anderson-Bjorck: an end kept twice in a row has its value scaled
-            # by 1 - g_new/g_old of the moving end (by 1/2 if that is not positive)
-            side = bool(down) - bool(up)  # the end that moves alone: -1 a, 1 b
-            if up:
-                if side == moved[i] == -1:
-                    gb[i] *= m if (m := 1.0 - up[-1][1] / ga[i]) > 0.0 else 0.5
-                a[i], fa[i], ga[i] = *up[-1], up[-1][1]
-            if down:
-                if side == moved[i] == 1:
-                    ga[i] *= m if (m := 1.0 - down[0][1] / gb[i]) > 0.0 else 0.5
-                b[i], fb[i], gb[i] = *down[0], down[0][1]
-            moved[i], width = side, b[i] - a[i]
-            halve[i], past[i] = width > 0.5 * past[i][1], (width, past[i][0])
+            row, s, up, down = rows[cols[i]], sign[i], None, None
+            # the last point inside where g > 0 and the first where g < 0;
+            # the first where g == 0 is the root
+            for p in range(bisect_right(xs, a[i]), bisect_left(xs, b[i])):
+                if (g := row[p] * s) > 0.0:
+                    up = xs[p], g
+                elif g < 0.0:
+                    down = down or (xs[p], g)
+                elif g == 0.0:
+                    root[i] = xs[p]
+                    break
+            else:
+                # Anderson-Bjorck: an end kept twice in a row has its value scaled
+                # by 1 - g_new/g_old of the moving end (by 1/2 if that is not positive)
+                side = (down is not None) - (up is not None)  # the end that moves alone: -1 a, 1 b
+                if up:
+                    if side == moved[i] == -1:
+                        gb[i] *= m if (m := 1.0 - up[1] / ga[i]) > 0.0 else 0.5
+                    a[i], fa[i], ga[i] = *up, up[1]
+                if down:
+                    if side == moved[i] == 1:
+                        ga[i] *= m if (m := 1.0 - down[1] / gb[i]) > 0.0 else 0.5
+                    b[i], fb[i], gb[i] = *down, down[1]
+                moved[i], width = side, b[i] - a[i]
+                halve[i], width1[i], width2[i] = width > 0.5 * width2[i], width, width1[i]
     raise NonConvergenceError("roots not localized within the iteration budget",
-                              open=len(todo), iterations=MAX_ITER)
+                              open=sum(root[i] != root[i] for i in todo), iterations=MAX_ITER)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:

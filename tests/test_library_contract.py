@@ -15,6 +15,7 @@
 """
 
 import cmath
+import json
 import math
 import warnings
 
@@ -224,6 +225,22 @@ def test_a_dim_given_as_an_array_is_unsupported(call):
     for args in ((), (True,), (np.True_,), (1.0,), (np.float64(2.0),), ("1",), (None,), (np.array(1),)):
         with pytest.raises(UnsupportedDimError):
             call(*args)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int8])
+def test_a_numpy_integer_dim_is_kept_as_a_python_int(integer):
+    # in GreenValue.dim from g0 and green, in BoundState.dim and in an error's
+    # details, so that each goes through json.dumps
+    dims = [g0(integer(1), -1.0, 0.5, 0.2).dim, green(integer(1), -0.5, 0.5, 0.2, _PAIR_1D).dim,
+            bound_states(integer(1), [center(0.0, from_bound_state(-1.0))])[0].dim]
+    for call in (lambda: greenfn.g0_kernel(integer(2), ComplexEnergy(0.0, retarded=True), [1.0]),
+                 lambda: g0(integer(4), -1.0, 0.5, 0.2),
+                 lambda: _SPEC_3D.require_dim(integer(2))):
+        with pytest.raises(DeltaGreenError) as info:
+            call()
+        dims.append(info.value.details["dim"])
+    assert [type(d) for d in dims] == [int] * 6
+    assert json.loads(json.dumps(dims)) == [1, 1, 1, 2, 4, 2]
 
 
 def test_distance_reads_its_points():

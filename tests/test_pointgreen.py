@@ -1282,6 +1282,47 @@ def test_residue_wavefunctions_keep_their_bits(kernel_pin):
     assert (count, digest.hexdigest()) == (83, kernel_pin(_PSI_DIGESTS))
 
 
+def _residue_block_alone(m_of_kappa, pos, e_b, branches):
+    # one multiplet's residue block in a batch of its own, and its null
+    # vectors, each step as a degenerate multiplet takes it; for one state
+    # U = [[1.0]] (what LAPACK's eigh gives a 1 x 1 Gram), so V U sums from +0.0
+    kap = np.sqrt([-e_b])
+    v = np.linalg.eigh(m_of_kappa(kap))[1][0]
+    s = m_of_kappa(kap * (1.0 + 1e-20j)).imag[0] / -1e-20
+    null = v[:, branches]
+    gram = null.T @ s @ null
+    g, u = (gram[0], np.ones((1, 1))) if len(branches) == 1 else np.linalg.eigh(gram)
+    coeffs = (null @ u) * (math.sqrt(2.0) * kap[0] / np.sqrt(g))
+    order = np.lexsort(pos.T[::-1])
+    size = np.abs(coeffs[order])
+    lead = order[np.argmax(size >= (1.0 - 1e-9) * size.max(axis=0), axis=0)]
+    return np.where(coeffs[lead, np.arange(len(branches))] > 0.0, -coeffs, coeffs), null
+
+
+def test_one_state_residue_blocks_keep_their_bits_across_batches(monkeypatch):
+    # a 7 x 7 square of centers in the z = 0 plane: SCAN_BATCH // 49^2 = 6
+    # multiplets a batch, so batches hold one-state and degenerate multiplets
+    # together, and a one-state null vector has a -0.0 entry
+    cs = [center((1.5 * i, 1.5 * j, 0.0), from_bound_state(-1.0)) for i in range(7) for j in range(7)]
+    seen, residues = [], pointgreen._residue_vectors
+    monkeypatch.setattr(pointgreen, "_residue_vectors", lambda *args: seen.append(args) or residues(*args))
+    states = iter(bound_states(3, cs, method="scan"))
+    (m_of_kappa, pos, multiplets), = seen
+    sizes, step = [len(branches) for _, branches in multiplets], pointgreen.SCAN_BATCH // len(cs) ** 2
+    batches = [sizes[i : i + step] for i in range(0, len(sizes), step)]
+    assert len(batches) > 2 and sum(1 in b and max(b) > 1 for b in batches) > 2
+    negative_zeros = 0
+    for (e_b, branches), block in zip(multiplets, residues(m_of_kappa, pos, multiplets), strict=True):
+        want, null = _residue_block_alone(m_of_kappa, pos, e_b, branches)
+        assert block.tobytes() == want.tobytes()
+        # psi reads each vector with the strides of the block's column
+        for state, column in zip([next(states) for _ in branches], want.T):
+            assert state.residue_vector.tobytes() == column.tobytes()
+            assert state.residue_vector.strides == column.strides
+        negative_zeros += len(branches) == 1 and bool(np.signbit(null[null == 0.0]).any())
+    assert negative_zeros
+
+
 @pytest.mark.parametrize("n", [2, 400, 10**6])
 def test_grid_search_points_are_those_of_geomspace(n):
     # the search evaluates M only at points of np.geomspace over the window's
@@ -1417,6 +1458,25 @@ def test_non_positive_m_prime_at_a_root_is_a_non_convergence(monkeypatch):
     monkeypatch.setattr(pointgreen, "_m_of_kappa", conjugated)
     with pytest.raises(NonConvergenceError, match="non-positive dM/dE"):
         bound_states(1, PAIR)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_the_first_multiplet_with_non_positive_m_prime_names_its_energy(monkeypatch, first):
+    # the octagon's multiplets hold 1, 2, 1 and 1 states; the step reads -M'
+    # from multiplet `first` on, so its energy is the one the error names
+    energies = sorted({st_.energy for st_ in bound_states(2, _polygon(*OCTAGON), method="scan")})
+    cut, m_of_kappa = math.sqrt(-energies[first]), pointgreen._m_of_kappa
+
+    def conjugated(*args):
+        m = m_of_kappa(*args)
+        later = args[-1].real <= cut  # a real M, the scan's, stays as it is
+        m[later] = m[later].conj()
+        return m
+
+    monkeypatch.setattr(pointgreen, "_m_of_kappa", conjugated)
+    with pytest.raises(NonConvergenceError, match="non-positive dM/dE") as err:
+        bound_states(2, _polygon(*OCTAGON), method="scan")
+    assert err.value.details["energy"] == energies[first]
 
 
 def _with_degenerate_multiplet(dim):
