@@ -239,10 +239,10 @@ def _k0_table(z: np.ndarray) -> np.ndarray:
     # tail beyond (exp(-z) underflows past ~745).  A call on one side takes that side's rows
     # alone; a mixed call makes one pass over _K0_TABLE and drops the lane not taken
     low = np.abs(z) <= 2.0
-    if low.all():
+    if (n_low := np.count_nonzero(low)) == z.size:
         i0, s = _polyval(0.25 * z * z, _K0_SERIES)
         return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s
-    if not low.any():
+    if not n_low:
         return _polyval(4.0 / z - 1.0, _K0_TAIL_ROW)[0] * np.exp(-z) / np.sqrt(z)
     i0, s, tail = _polyval(np.where(low, 0.25 * z * z, 4.0 / z - 1.0), _K0_TABLE)
     return np.where(low, -(np.log(0.5 * z) + EULER_GAMMA) * i0 + s, tail * np.exp(-z) / np.sqrt(z))
