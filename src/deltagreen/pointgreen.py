@@ -587,7 +587,8 @@ def _brackets(eigenvalues, window, grid_points):
     e_min, e_max = window
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
-    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; at: its mu
+    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; n_plus: its
+    # count; at: its mu, as floats
     cells, key, n_plus, at, first = list(zip(batch, batch[1:])), {}, {}, {}, True
     while batch:
         mu = eigenvalues(grid[batch])  # falls along each column
