@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -78,7 +77,7 @@ from .greenfn import (
     SpatialPoint,
     as_number,
     as_point,
-    check_dim,
+    _check_dim,
     distance,
     g0,
     g0_kernel,
@@ -166,7 +165,7 @@ def _lay_out(dim: int, centers) -> tuple:
     cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
-    dim = check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
+    dim = _check_dim(dim)
     for c in cs:
         require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         if c.position.dim != dim:
@@ -272,7 +271,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     cs = _center_tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
-    dim = check_dim(dim, (1, 2, 3), "position-space Green's functions exist here for D in {1,2,3}")
+    dim = _check_dim(dim)
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, c = _strengths(dim, e, y, cs)
     rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
@@ -568,64 +567,60 @@ def _brackets(eigenvalues, window, grid_points):
     non-positive; ``eigenvalues`` gives a row of N ascending mu per kappa.
 
     The grid, ``np.geomspace`` over the window's kappas, is built once and
-    searched, not tabulated: M is evaluated first at every
-    isqrt(grid_points)-th point and the last, then, round by round in one
-    batch, inside every cell between evaluated points whose ends differ in
-    count n_+ or where M is not clear of rounding at either end (min|mu| <=
-    POLE_TOL max|mu|).  Where the count falls between clear ends, each
+    searched, not tabulated.  The state is the evaluated grid indices,
+    ascending, and their mu rows; a cell is two adjacent evaluated points.
+    M is evaluated first at every isqrt(grid_points)-th point and the last,
+    then, round by round in one batch, inside every cell whose ends differ
+    in count n_+ or where M is not clear of rounding at either end (min|mu|
+    <= POLE_TOL max|mu|).  Where the count falls between clear ends, each
     crossing branch's secant, q = lo + (hi - lo) mu_k(lo) / (mu_k(lo) -
     mu_k(hi)), predicts its crossing in (j - 1, j), j = ceil(q), since mu_k
     is smooth and monotone in ln kappa: the cell takes the points j - 2 ..
     j + 1 and, from the second round on, its midpoint, so a missed
-    prediction halves it.  Any other cell is bisected.  The remaining cells
-    have equal counts and every mu_k clear of zero at both ends; each mu_k
-    is monotone, so every point inside would show that count too.  The
-    evaluated counts are thus those of the whole grid, each change between
-    adjacent points, and the guard on them names the first rise the whole
-    grid shows; every mu is the same bits as it would be in any batch.
+    prediction halves it.  Any other cell is bisected.  A closed cell keeps
+    its ends, so it stays closed; the search ends when no cell is open.
+    Then every cell has equal counts and every mu_k clear of zero at both
+    ends; each mu_k is monotone, so every point inside would show that count
+    too.  The evaluated counts are thus those of the whole grid, each change
+    between adjacent points, and the guard on them names the first rise the
+    whole grid shows; every mu is the same bits as it would be in any batch.
     """
     e_min, e_max = window
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
-    batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
-    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; n_plus: its
-    # count; at: its mu, as floats
-    cells, key, n_plus, at, first = list(zip(batch, batch[1:])), {}, {}, {}, True
-    while batch:
-        mu = eigenvalues(grid[batch])  # falls along each column
-        size, count = np.abs(mu), (mu > 0.0).sum(axis=1)
-        blurred = size.min(axis=1) <= POLE_TOL * size.max(axis=1)
-        key.update(zip(batch, np.where(blurred, -1, count).tolist()))
-        n_plus.update(zip(batch, count.tolist()))
-        at.update(zip(batch, mu.tolist()))
-        cut, batch, cells, n = cells, [], [], mu.shape[1]
-        for lo, hi in cut:
-            if hi - lo < 2 or key[lo] == key[hi] >= 0:
-                continue
-            falling = key[hi] >= 0 and key[lo] > key[hi]
-            inner = set() if falling and first else {(lo + hi) // 2}
-            if falling:  # each crossing branch's secant index j, and the points j - 2 .. j + 1
-                crossing = slice(n - key[lo], n - key[hi])
-                for a, b in zip(at[lo][crossing], at[hi][crossing]):  # a > 0 >= b
-                    j = math.ceil(lo + (hi - lo) * a / (a - b))
-                    inner.update(range(max(j - 2, lo + 1), min(j + 2, hi)))
-            inner = sorted(inner)
-            batch += inner
-            cells += zip([lo, *inner], [*inner, hi])
-        first = False
-    done = sorted(at)
-    count = [n_plus[i] for i in done]
-    for p in range(len(done) - 1):
-        if count[p + 1] > count[p]:  # M' > 0 forbids it: the signs that make the count are noise
-            raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
-                                      energy=float(-grid[done[p + 1]] ** 2))
+    idx = np.array(sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1}))
+    mu, first = eigenvalues(grid[idx]), True  # mu falls along each column
+    while True:
+        size, count, n = np.abs(mu), (mu > 0.0).sum(axis=1), mu.shape[1]
+        # a point's key: its count n_+, or -1 where M is not clear of rounding
+        key = np.where(size.min(axis=1) <= POLE_TOL * size.max(axis=1), -1, count)
+        lo, hi, above, below = idx[:-1], idx[1:], key[:-1], key[1:]
+        wide = hi - lo > 1
+        falling = wide & (below >= 0) & (above > below)
+        bisected = wide & ((above != below) | (below < 0)) & ~falling
+        inner = set()
+        for p in np.flatnonzero(falling).tolist():  # each crossing branch's secant index q
+            i, j = idx[p : p + 2].tolist()
+            crossing = slice(n - key[p], n - key[p + 1])
+            for a, b in zip(mu[p, crossing].tolist(), mu[p + 1, crossing].tolist()):  # a > 0 >= b
+                q = math.ceil(i + (j - i) * a / (a - b))
+                inner.update(range(max(q - 2, i + 1), min(q + 2, j)))
+            if not first:
+                inner.add((i + j) // 2)
+        batch = np.sort(np.concatenate(((lo + hi)[bisected] // 2, np.fromiter(inner, idx.dtype))))
+        if not batch.size:
+            break
+        idx, rows = np.concatenate((idx, batch)), eigenvalues(grid[batch])
+        order, first = idx.argsort(), False
+        idx, mu = idx[order], np.concatenate((mu, rows))[order]
+    rise = np.flatnonzero(count[1:] > count[:-1])
+    if rise.size:  # M' > 0 forbids it: the signs that make the count are noise
+        raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
+                                  energy=float(-grid[idx[rise[0] + 1]] ** 2))
     ks = np.arange(n - count[0], n - count[-1])
     # branch k is positive while n_+ >= n - k (the mu ascend): its bracket ends at the
-    # first evaluated kappa past that, which a bisection finds as n_+ falls
-    drop, branches = [-c for c in count], ks.tolist()
-    ends = [bisect_right(drop, k - n) for k in branches]
-    lo, hi = [done[p - 1] for p in ends], [done[p] for p in ends]
-    return (ks, grid[lo], grid[hi], np.array([at[i][k] for i, k in zip(lo, branches)]),
-            np.array([at[i][k] for i, k in zip(hi, branches)]))
+    # first evaluated kappa past that, where the falling n_+ first drops below n - k
+    p = np.searchsorted(-count, ks - n, side="right")
+    return ks, grid[idx[p - 1]], grid[idx[p]], mu[p - 1, ks], mu[p, ks]
 
 
 def _scan_energies(eigenvalues, window, tol, grid_points):

@@ -7,11 +7,12 @@ import math
 import sys
 import threading
 import warnings
+from bisect import bisect_right
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import k0 as scipy_k0
@@ -44,6 +45,7 @@ from deltagreen.errors import (
 )
 from deltagreen.greenfn import ComplexEnergy, SpatialPoint
 from deltagreen.oracles import Lattice1D, lattice1d_resolvent, shooting1d
+from deltagreen.pointgreen import POLE_TOL
 
 # two attractive centers at -1 and +1, lambda = -2 each: energies frozen from
 # the transfer-coefficient shooting oracle (see test_oracles.py)
@@ -1412,6 +1414,91 @@ def test_grid_search_takes_no_more_rounds_than_bisection(monkeypatch):
     test_grid_search_gives_the_full_grid_outcome()
     assert not over
 
+
+
+def _reference_brackets(eigenvalues, window, grid_points):
+    """The grid search as it was kept per point, a reference for the batches
+    and the outcome of :func:`deltagreen.pointgreen._brackets`: dicts keyed by
+    grid index, a list of cells, each mu row as floats and a bisection over
+    the negated counts."""
+    e_min, e_max = window
+    grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
+    batch = sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1})
+    # key: an evaluated index's count n_+, or -1 where M is not clear of rounding; n_plus: its
+    # count; at: its mu, as floats
+    cells, key, n_plus, at, first = list(zip(batch, batch[1:])), {}, {}, {}, True
+    while batch:
+        mu = eigenvalues(grid[batch])  # falls along each column
+        size, count = np.abs(mu), (mu > 0.0).sum(axis=1)
+        blurred = size.min(axis=1) <= POLE_TOL * size.max(axis=1)
+        key.update(zip(batch, np.where(blurred, -1, count).tolist()))
+        n_plus.update(zip(batch, count.tolist()))
+        at.update(zip(batch, mu.tolist()))
+        cut, batch, cells, n = cells, [], [], mu.shape[1]
+        for lo, hi in cut:
+            if hi - lo < 2 or key[lo] == key[hi] >= 0:
+                continue
+            falling = key[hi] >= 0 and key[lo] > key[hi]
+            inner = set() if falling and first else {(lo + hi) // 2}
+            if falling:  # each crossing branch's secant index j, and the points j - 2 .. j + 1
+                crossing = slice(n - key[lo], n - key[hi])
+                for a, b in zip(at[lo][crossing], at[hi][crossing]):  # a > 0 >= b
+                    j = math.ceil(lo + (hi - lo) * a / (a - b))
+                    inner.update(range(max(j - 2, lo + 1), min(j + 2, hi)))
+            inner = sorted(inner)
+            batch += inner
+            cells += zip([lo, *inner], [*inner, hi])
+        first = False
+    done = sorted(at)
+    count = [n_plus[i] for i in done]
+    for p in range(len(done) - 1):
+        if count[p + 1] > count[p]:  # M' > 0 forbids it: the signs that make the count are noise
+            raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
+                                      energy=float(-grid[done[p + 1]] ** 2))
+    ks = np.arange(n - count[0], n - count[-1])
+    # branch k is positive while n_+ >= n - k (the mu ascend): its bracket ends at the
+    # first evaluated kappa past that, which a bisection finds as n_+ falls
+    drop, branches = [-c for c in count], ks.tolist()
+    ends = [bisect_right(drop, k - n) for k in branches]
+    lo, hi = [done[p - 1] for p in ends], [done[p] for p in ends]
+    return (ks, grid[lo], grid[hi], np.array([at[i][k] for i, k in zip(lo, branches)]),
+            np.array([at[i][k] for i, k in zip(hi, branches)]))
+
+
+def _batches_and_outcome(search, eigenvalues, window, grid_points):
+    """The bytes of each kappa batch a grid search evaluates, and then the
+    dtype and bytes of each array it returns, or the energy its guard names."""
+    batches = []
+    try:
+        with np.errstate(all="ignore"):  # the policy of the public callers
+            found = search(lambda kap: batches.append(kap.tobytes()) or eigenvalues(kap),
+                           window, grid_points)
+        return batches, [(a.dtype.str, a.tobytes()) for a in found]
+    except NonConvergenceError as exc:
+        return batches, exc.details["energy"]
+
+
+#: Two 3D centers whose E_B lie 300 and 230 decades apart, each in a window
+#: of about 300 decades: most cells of a fine grid are blurred.
+_FAR_APART_3D = [
+    ([center((0.0, 0.0, 0.0), from_bound_state(-1e-200)),
+      center((1e100, 0.0, 0.0), from_bound_state(-1e100))], (-1e101, -1e-201)),
+    ([center((0.0, 0.0, 0.0), from_bound_state(-1e-250)),
+      center((0.0, 1e120, 0.0), from_bound_state(-1e-20))], (-1e-10, -1e-260)),
+]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_scan_cases())
+@example(case=(3, *_FAR_APART_3D[0], 10**5))
+@example(case=(3, *_FAR_APART_3D[1], 10**5))
+def test_grid_search_requests_the_reference_batches(case):
+    # the same kappa batches, point for point and bit for bit, as the search
+    # kept per point, then the same brackets or the same guard energy
+    dim, cs, window, grid_points = case
+    eigenvalues = _eigenvalues_of(dim, cs)
+    searched = _batches_and_outcome(pointgreen._brackets, eigenvalues, window, grid_points)
+    assert searched == _batches_and_outcome(_reference_brackets, eigenvalues, window, grid_points)
 
 def test_bound_state_validation():
     c = [center(0.0, bare_1d(-2.0))]

@@ -156,6 +156,19 @@ def test_refine_brackets_rejects_bad_input(monkeypatch):
     with pytest.raises(NonConvergenceError):
         refine_brackets(lambda xs: np.tanh(50.0 * (np.asarray(xs)[:, None] - 0.3)), [0],
                         [0.0], [1.0], [math.tanh(-15.0)], [math.tanh(35.0)], xtol=1e-12)
+    # the budget is MAX_ITER evaluations, and the error counts the brackets
+    # left open: x - 0.5 closes on its first step, the tanh column never
+    calls = []
+
+    def two_columns(xs):
+        calls.append(xs)
+        return np.column_stack((np.tanh(50.0 * (xs - 0.3)), xs - 0.5))
+
+    with pytest.raises(NonConvergenceError) as err:
+        refine_brackets(two_columns, [0, 1], [0.0, 0.0], [1.0, 1.0], [math.tanh(-15.0), -0.5],
+                        [math.tanh(35.0), 0.5], xtol=1e-12)
+    assert len(calls) == 3
+    assert err.value.details == {"iterations": 3, "open": 1}
 
 
 # -- the bits of every root and of every evaluation, pinned ---------------------
