@@ -1284,6 +1284,48 @@ def test_residue_wavefunctions_keep_their_bits(kernel_pin):
     assert (count, digest.hexdigest()) == (83, kernel_pin(_PSI_DIGESTS))
 
 
+#: Per kernel set, the sha256 digest of the test below, recorded as above.
+_GREEN_DIGESTS = {
+    ("X86_V4", "SkylakeX"): "6ef34b619bdc36ab6e2dea76164675b42067de7996c460e5e75487076d86ce6a",
+    ("X86_V3", "Haswell"): "0fcad15c505e21fca2984a8b65e5fe6b9b519be1f45c0a8046cc562d97516081",
+}
+
+
+def _green_pin_calls():
+    """(dim, energy, x, y, centers) of fixed calls: jittered lattices of N = 1,
+    4, 16 and 64 centers in D = 1..3, cycling through every coupling variant
+    of the dimension, at a real, a retarded and a complex energy; per layout
+    and energy a first call (a fresh solve) and a repeat at another point
+    (the kept solve)."""
+    variants = {1: [bare_1d(-1.5), from_bound_state(-0.8), bare_1d(0.9)],
+                2: [renormalized_2d(-7.0, 1.2), from_bound_state(-0.8)],
+                3: [renormalized_3d(9.0), from_bound_state(-0.8), renormalized_3d(-4.0)]}
+    energies = [ComplexEnergy(-0.7), ComplexEnergy(1.3, retarded=True), ComplexEnergy(complex(-0.4, 0.9))]
+    for dim in (1, 2, 3):
+        for n in (1, 4, 16, 64):
+            couplings = variants[dim]
+            cs = [center(p, couplings[k % len(couplings)])
+                  for k, p in enumerate(_jittered(dim, n, 1.5, 10 * dim + n))]
+            side = 1.5 * math.ceil(round(n ** (1.0 / dim), 9))
+            y, *xs = map(tuple, np.random.default_rng([dim, n]).uniform(-1.0, side, (3, dim)))
+            for e in energies:
+                for x in xs:
+                    yield dim, e, x, y, cs
+
+
+def test_green_values_keep_their_bits(kernel_pin):
+    # one sha256 over every value of the fixed calls, made in order, so each
+    # layout's second call at an energy reuses the first call's solve
+    digest, count = hashlib.sha256(), 0
+    _forget_last_solve()
+    for dim, e, x, y, cs in _green_pin_calls():
+        value = _hex(lambda: green(dim, e, x, y, cs))
+        assert len(value) == 2, (dim, len(cs), e, value)  # a value, no error
+        digest.update(" ".join(value).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == (72, kernel_pin(_GREEN_DIGESTS))
+
+
 def _residue_block_alone(m_of_kappa, pos, e_b, branches):
     # one multiplet's residue block in a batch of its own, and its null
     # vectors, each step as a degenerate multiplet takes it; for one state
