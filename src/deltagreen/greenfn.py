@@ -23,8 +23,9 @@ machinery in :mod:`deltagreen.renorm` exists to absorb.
 
 :func:`g0_of_kappa` evaluates the closed forms, unchecked, over arrays of
 kappa and r, the retarded kappa = -i k included (in 2D, -(i/4) H0^(1)(k r));
-:func:`g0_kernel` checks one energy and calls it, and :func:`g0` checks two
-points and calls :func:`g0_kernel`.
+:func:`g0_kernel` checks one energy and calls it through the private kernel
+row that :mod:`deltagreen.pointgreen` calls at a kappa it has checked, and
+:func:`g0` checks two points and calls :func:`g0_kernel`.
 """
 
 from __future__ import annotations
@@ -240,17 +241,22 @@ def g0_kernel(dim: int, energy, r) -> np.ndarray:
     """
     dim = _check_dim(dim)
     e = ComplexEnergy.of(energy)
-    r = np.asarray(r, dtype=float)
+    return _kernel_row(dim, e.kappa, np.asarray(r, dtype=float))
+
+
+def _kernel_row(dim: int, kappa, r: np.ndarray) -> np.ndarray:
+    """:func:`g0_of_kappa` at one checked dimension and kappa, over a float
+    array ``r``, behind the rules of :func:`g0_kernel`: the first separation
+    under ``COINCIDENT_TOL`` raises in D >= 2, then kappa = 0 in D = 1, 2."""
     if dim != 1 and (close := r[r < COINCIDENT_TOL]).size:
         raise CoincidentPointsError(
             "free Green's function diverges at coincident points for D >= 2",
             dim=dim,
             r=float(close[0]),
         )
-    kap = e.kappa
-    if dim != 3 and kap == 0.0:  # 1D: 1/(2 kappa); 2D: K0(0) = inf
+    if dim != 3 and kappa == 0.0:  # 1D: 1/(2 kappa); 2D: K0(0) = inf
         raise DomainError(f"the {dim}D free Green's function diverges at E = 0", dim=dim)
-    return np.asarray(g0_of_kappa(dim, kap, r))
+    return np.asarray(g0_of_kappa(dim, kappa, r))
 
 
 def g0_of_kappa(dim: int, kappa, r):

@@ -15,12 +15,13 @@ prologue checks a center list and binds one builder to its layout: M(kappa)
 assembles M at an array of kappa = sqrt(-E) for :func:`m_matrix`,
 :func:`green`, the residues and every batch of the scan, from its
 N(N-1)/2 + N distinct values by one gather.  The index arrays of that
-layout depend on N alone, so they are built once per N and kept read-only,
-about 12 N^2 bytes each (0.79 MB at N = 256, 12.6 MB at N = 1024; the last
-8 counts up to 1024 are kept).  G has a pole exactly where M is singular;
+layout depend on N alone, so they are built once per N and kept read-only:
+each pair's two ends as 4-byte indices and the 8-byte N x N slot map,
+about 12 N^2 bytes (0.79 MB at N = 256, 12.6 MB at N = 1024; the last 8
+counts up to 1024 are kept).  G has a pole exactly where M is singular;
 :func:`green` reports one when its single solve, given a probe column,
 shows cond(M) >= 1e12, and forms no det M, which underflows for many
-centers.  Each point x is one kernel row.
+centers.  Each point x is one kernel row at the kappa of the solve.
 
 Bound states are the real E < 0 where an eigenvalue of M(E) vanishes.  There
 M' = dM/dE is a positive-definite Gram matrix of the functions G0(., a_i)
@@ -71,16 +72,15 @@ import numpy as np
 
 from .errors import AtPoleError, DomainError, IllegalSpecError, NonConvergenceError, quiet
 from .greenfn import (
-    COINCIDENT_TOL,
     ComplexEnergy,
     GreenValue,
     SpatialPoint,
     as_number,
     as_point,
     _check_dim,
+    _kernel_row,
     distance,
     g0,
-    g0_kernel,
     g0_of_kappa,
     require_type,
 )
@@ -184,47 +184,51 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the P pairs i < j (row-major): (i, j) and (j, i) read pair p's slot p,
     (i, i) slot P + i.
 
-    The slot map and the pairs' flat indices depend on N alone: they come
-    read-only from :func:`_layout`, cached per N up to 1024 centers, about
-    12 N^2 bytes each.  Each coordinate's squared ``np.subtract.outer``
-    differences are summed in place over the whole N x N array (two N x N
-    doubles, whatever the dimension), and one gather takes the P pair
-    entries; if a square overflows, :func:`_lengths` recomputes the pairs
-    hypot-style, and the first coincident pair names its (i, j).
+    The slot map and the pairs' ends depend on N alone: they come read-only
+    from :func:`_layout`, cached per N up to 1024 centers.  Each coordinate
+    is gathered at both ends of the P pairs and the squared differences are
+    summed into one P-vector, with no N x N temporary; if a square
+    overflows, :func:`_lengths` recomputes the pairs hypot-style, and the
+    first coincident pair names its (i, j).
     """
-    n = len(pos)
-    flat, slots = _layout(n)
-    d2, sq = np.zeros((n, n)), np.empty((n, n))
-    for c in pos.T:
-        d2 += np.square(np.subtract.outer(c, c, out=sq), out=sq)
-    r = np.sqrt(np.take(d2, flat))
+    pairs, slots = _layout(len(pos))
+    i, j = pairs.astype(np.intp)  # one cast per call, not one per gather
+    r = None
+    for c in pos.T:  # the squares summed in coordinate order, in place
+        d = c[i]
+        d -= c[j]
+        d *= d
+        if r is None:
+            r = d
+        else:
+            r += d
+    np.sqrt(r, out=r)
     if not np.isfinite(r).all():
-        i, j = divmod(flat, n)
         r = _lengths(pos[i] - pos[j])
     close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
     if close.size:
-        i, j = divmod(int(flat[close[0]]), n)
-        raise IllegalSpecError("coincident centers (closer than 1e-10) are one center", i=i, j=j)
+        p = close[0]
+        raise IllegalSpecError("coincident centers (closer than 1e-10) are one center", i=int(i[p]), j=int(j[p]))
     return slots, r
 
 
 def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, slots) for N = n centers, read-only: the flat index i n + j into
-    an N x N array of each pair i < j, row-major, and the slot map of
+    """(pairs, slots) for N = n centers, read-only: the (2, P) ends i < j of
+    each pair, row-major, as 4-byte indices, and the slot map of
     :func:`_pair_distances`.  Cached for the last LAYOUT_CACHE_SIZE counts
-    used up to LAYOUT_CACHE_MAX_N: 8 bytes per pair and per map entry."""
+    used up to LAYOUT_CACHE_MAX_N: 8 bytes per pair and per map entry,
+    about 12 N^2 bytes."""
     return (_cached_layout if n <= LAYOUT_CACHE_MAX_N else _build_layout)(n)
 
 
 def _build_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(n, 1)
+    pairs = np.array(np.triu_indices(n, 1), dtype=np.int32)
     slots = np.empty((n, n), dtype=np.intp)
-    slots[i, j] = slots[j, i] = np.arange(i.size)
-    slots[np.diag_indices(n)] = i.size + np.arange(n)
-    flat = i * n + j
-    flat.setflags(write=False)
+    slots[pairs[0], pairs[1]] = slots[pairs[1], pairs[0]] = np.arange(pairs.shape[1])
+    slots[np.diag_indices(n)] = pairs.shape[1] + np.arange(n)
+    pairs.setflags(write=False)
     slots.setflags(write=False)
-    return flat, slots
+    return pairs, slots
 
 
 _cached_layout = functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)(_build_layout)
@@ -266,26 +270,28 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     The strengths c = M^-1 G0(a, y) do not depend on x, so consecutive calls
     with the same (E, y, centers) share one assembly and solve of M(E): a
     tabulation of G(., y) solves once, with values bit-identical to solving
-    at every point.  Each point is then one kernel call, at |x - y| and |x - a_i|.
+    at every point.  Each point is then one kernel row, at |x - y| and
+    |x - a_i| and the kappa kept with the solve.
     """
     cs = _center_tuple(centers)
     if not cs:
         return g0(dim, energy, x, y)
     dim = _check_dim(dim)
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
-    pos, c = _strengths(dim, e, y, cs)
+    pos, kap, c = _strengths(dim, e, y, cs)
     rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
-    k = g0_kernel(dim, e, np.concatenate(([distance(x, y)], rx)))
+    k = _kernel_row(dim, kap, np.concatenate(([distance(x, y)], rx)))
     return GreenValue(value=complex(k[0]) + complex(k[1:] @ c), dim=dim)
 
 
-#: (key, (pos, c)) of the last :func:`_strengths` solve, replaced and read
-#: whole so that no thread pairs one key with another's value.
+#: (key, (pos, kappa, c)) of the last :func:`_strengths` solve, replaced and
+#: read whole so that no thread pairs one key with another's value.
 _last_solve: tuple = (None, None)
 
 
 def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
-    """The centers' positions and c = M(E)^-1 G0(a, y), both read-only.
+    """The centers' positions, kappa = sqrt(-E) and c = M(E)^-1 G0(a, y),
+    the arrays read-only.
 
     The last result is reused when its key compares equal, so equal keys must
     give equal bits: a + 0i equals a - 0i, but kappa is then real, so no
@@ -302,13 +308,16 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     m = m_matrix(dim, e, cs).entries
     pos = np.array([c.position.coords for c in cs], dtype=float)
     pos.setflags(write=False)
-    gy = g0_kernel(dim, e, _distances_to(y, pos))
-    # z_i = cos(i * golden angle): max|z_i| = 1, and no symmetric layout makes
-    # z orthogonal to a null vector; times the row sums r_i of |M_ij|,
-    # M^-1 (r z) = A^-1 z, so scaling a row (a weak center) moves no decision
-    probe = np.cos(2.399963229728653 * np.arange(len(cs))) * np.abs(m).sum(axis=1)
+    kap = e.kappa
+    gy = _kernel_row(dim, kap, _distances_to(y, pos))
+    # the two right-hand sides written in place: G0(a, y), and the probe z
+    # times the row sums r_i of |M_ij|: M^-1 (r z) = A^-1 z, so scaling a
+    # row (a weak center) moves no decision
+    rhs = np.empty((len(cs), 2), dtype=gy.dtype)
+    rhs[:, 0] = gy
+    rhs[:, 1] = _probe(len(cs)) * np.abs(m).sum(axis=1)
     try:
-        sol = np.linalg.solve(m, np.stack([gy, probe], axis=1))
+        sol = np.linalg.solve(m, rhs)
         # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
         amplification = float(np.max(np.abs(sol[:, 1])))
     except np.linalg.LinAlgError:
@@ -322,8 +331,18 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     # another BLAS kernel, whose sum can differ in the last bit
     c = sol[:, 0]
     c.setflags(write=False)
-    _last_solve = (key, (pos, c))
-    return pos, c
+    _last_solve = (key, (pos, kap, c))
+    return pos, kap, c
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _probe(n: int) -> np.ndarray:
+    """z_i = cos(i * golden angle) for N = n centers, read-only, kept per N as
+    the layout is: max|z_i| = 1, and no symmetric layout makes z orthogonal
+    to a null vector."""
+    z = np.cos(2.399963229728653 * np.arange(n))
+    z.setflags(write=False)
+    return z
 
 
 def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
@@ -667,6 +686,4 @@ def residue_wavefunction(state: BoundState, x) -> float:
     """
     require_type(state, BoundState, "state", "a bound state must be a BoundState")
     r = _distances_to(as_point(x), state.positions)
-    if (r < COINCIDENT_TOL).any():
-        g0_kernel(state.dim, state.energy, r)  # raises CoincidentPointsError in D >= 2
-    return float(g0_of_kappa(state.dim, state.kappa, r) @ state.residue_vector)
+    return float(_kernel_row(state.dim, state.kappa, r) @ state.residue_vector)

@@ -255,22 +255,23 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
     dim = check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
-    value, from_e_b = [], []
-    for spec in specs:
-        spec.require_dim(dim)
-        by_e_b = spec.variant == FROM_BOUND_STATE
-        from_e_b.append(by_e_b)
-        if dim == 1:
-            value.append(-0.5 / math.sqrt(-spec.e_b) if by_e_b else 1.0 / spec.lam)
-        elif dim == 2:
-            value.append(math.sqrt(-spec.e_b) if by_e_b else math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r)
-        else:
-            value.append(math.sqrt(-spec.e_b) / _FOUR_PI if by_e_b else 1.0 / spec.lambda_r)
-    value = np.array(value, dtype=complex if dim == 2 else float)
-    if dim == 2 and any(from_e_b):
+    specs = tuple(specs)
+    variants = [spec.variant for spec in specs]
+    for variant in dict.fromkeys(variants):  # in order of first use: the first illegal center's is named
+        specs[variants.index(variant)].require_dim(dim)
+    from_e_b = np.array([v == FROM_BOUND_STATE for v in variants], dtype=bool)
+    kappa_b = np.sqrt([-spec.e_b for spec in specs if spec.variant == FROM_BOUND_STATE])
+    rest = [spec for spec in specs if spec.variant != FROM_BOUND_STATE]
+    value = np.zeros(len(specs), dtype=complex if dim == 2 else float)
+    if dim == 1:
+        value[from_e_b], value[~from_e_b] = -0.5 / kappa_b, 1.0 / np.array([s.lam for s in rest])
+    elif dim == 2:
         # every kappa_B -> ln m + e i in one split, as the denominator splits
         # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
-        value.real[from_e_b], value.imag[from_e_b] = _log_split(value.real[from_e_b])
+        value.real[from_e_b], value.imag[from_e_b] = _log_split(kappa_b)
+        value.real[~from_e_b] = [math.log(s.mu) for s in rest] + 2.0 * math.pi / np.array([s.lambda_r for s in rest])
+    else:
+        value[from_e_b], value[~from_e_b] = kappa_b / _FOUR_PI, 1.0 / np.array([s.lambda_r for s in rest])
     return value
 
 

@@ -533,21 +533,25 @@ def test_green_reuse_keeps_every_error(monkeypatch):
         with pytest.raises(AtPoleError):
             green(1, -1.0, _pt(0.3), _pt(0.4), single)
     assert calls == {"m_matrix": 3, "solve": 3}
-    cs = [center((0.0, 0.0), from_bound_state(-1.0)), center((1.0, 0.5), from_bound_state(-2.0))]
-    y = _pt(0.3, -0.2)
-    green(2, -0.7, _pt(0.5, 0.5), y, cs)
-    with pytest.raises(IllegalSpecError):
-        green(2, -0.7, _pt(0.5), y, cs)
-    with pytest.raises(CoincidentPointsError):
-        green(2, -0.7, y, y, cs)
-    with pytest.raises(CoincidentPointsError):
-        green(2, -0.7, _pt(1.0, 0.5), y, cs)
-    assert calls == {"m_matrix": 4, "solve": 4}
+    for dim in (2, 3):
+        pad = (0.0,) * (dim - 2)
+        cs = [center((0.0, 0.0) + pad, from_bound_state(-1.0)), center((1.0, 0.5) + pad, from_bound_state(-2.0))]
+        y, x = _pt(0.3, -0.2, *pad), _pt(0.5, 0.5, *pad)
+        want = green(dim, -0.7, x, y, cs).value
+        solves = dict(calls)
+        # each error of a repeat call is raised by the point's own checks,
+        # and the kept solve serves the next call
+        for bad, error in [(_pt(0.5), IllegalSpecError), (_pt(0.5, 0.5, 0.5, 0.5), IllegalSpecError),
+                           (y, CoincidentPointsError), (cs[1].position, CoincidentPointsError)]:
+            with pytest.raises(error):
+                green(dim, -0.7, bad, y, cs)
+            assert green(dim, -0.7, x, y, cs).value == want
+        assert calls == solves
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_green_point_is_one_kernel_row_with_the_g0_errors(monkeypatch, dim):
-    calls = {"g0_kernel": 0, "k0": 0}
+    calls = {"row": 0, "k0": 0, "m_matrix": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -556,28 +560,49 @@ def test_green_point_is_one_kernel_row_with_the_g0_errors(monkeypatch, dim):
 
         return counted
 
-    kernel = counting("g0_kernel", greenfn.g0_kernel)
-    monkeypatch.setattr(pointgreen, "g0_kernel", kernel)
-    monkeypatch.setattr(greenfn, "g0_kernel", kernel)  # the one g0 calls
+    row = counting("row", greenfn._kernel_row)
+    monkeypatch.setattr(pointgreen, "_kernel_row", row)
+    monkeypatch.setattr(greenfn, "_kernel_row", row)  # the one g0_kernel calls
     monkeypatch.setattr(bessel, "k0", counting("k0", bessel.k0))
+    monkeypatch.setattr(pointgreen, "m_matrix", counting("m_matrix", pointgreen.m_matrix))
     pad = (0.0,) * (dim - 2)
     cs = [center((0.0, 0.0) + pad, from_bound_state(-1.0)),
           center((1.0, 0.5) + pad, from_bound_state(-2.0))]
     y = _pt(0.3, -0.2, *pad)
     _forget_last_solve()
     green(dim, -0.7, _pt(0.5, 0.5, *pad), y, cs)
-    calls.update(g0_kernel=0, k0=0)
-    # after the solve, G0(x, y) and every G0(x, a_i) are one kernel call
+    # a first call: one assembly of M (one k0 call in 2D), the source's row and the point's
+    assert calls == {"row": 2, "k0": 3 if dim == 2 else 0, "m_matrix": 1}
+    calls.update(row=0, k0=0, m_matrix=0)
+    # after the solve, G0(x, y) and every G0(x, a_i) are one kernel row
     green(dim, -0.7, _pt(0.9, -0.4, *pad), y, cs)
-    assert calls == {"g0_kernel": 1, "k0": 1 if dim == 2 else 0}
+    assert calls == {"row": 1, "k0": 1 if dim == 2 else 0, "m_matrix": 0}
     for x in (_pt(0.5), _pt(0.5, 0.5, 0.5, 0.5)):
         with pytest.raises(IllegalSpecError) as err:
             green(dim, -0.7, x, y, cs)
         assert err.value.details == {"dim": dim, "xdim": x.dim}
-    for x in (y, cs[1].position):  # on the source, on a center
+    for x in (y, cs[1].position):  # on the source, on a center: repeat calls
         with pytest.raises(CoincidentPointsError) as err:
             green(dim, -0.7, x, y, cs)
         assert err.value.details == {"dim": dim, "r": 0.0}
+    assert calls["m_matrix"] == 0
+    # at E = 0 the 2D centers' denominators raise first (3D's are finite, so
+    # the point's row raises); without centers, g0's coincidence rule comes
+    # before its E = 0 rule
+    threshold = ComplexEnergy(0.0, retarded=True)
+    with pytest.raises(DomainError if dim == 2 else CoincidentPointsError) as err:
+        green(dim, threshold, y, y, cs)
+    assert err.value.details == ({"dim": 2} if dim == 2 else {"dim": 3, "r": 0.0})
+    with pytest.raises(CoincidentPointsError) as err:
+        green(dim, threshold, y, y, [])
+    assert err.value.details == {"dim": dim, "r": 0.0}
+    with pytest.raises(CoincidentPointsError) as err:
+        greenfn.g0_kernel(dim, threshold, [1.0, 0.0])
+    assert err.value.details == {"dim": dim, "r": 0.0}
+    if dim == 2:
+        with pytest.raises(DomainError) as err:
+            greenfn.g0_kernel(dim, threshold, [1.0])
+        assert err.value.details == {"dim": 2}
 
 
 def test_green_reuse_across_threads_never_mixes_sources():
@@ -1683,6 +1708,12 @@ def test_residue_wavefunction_1d_closed_form():
         assert residue_wavefunction(state, x) == pytest.approx(
             math.exp(-abs(x)), rel=1e-12
         )
+    # G0 is finite at coincident points in 1D: psi at a center of a pair is its value there
+    pair = bound_states(1, PAIR)
+    for st_ in pair:
+        at_center = residue_wavefunction(st_, -1.0)
+        assert math.isfinite(at_center) and at_center == pytest.approx(
+            (residue_wavefunction(st_, -1.0 - 1e-9) + residue_wavefunction(st_, -1.0 + 1e-9)) / 2.0, rel=1e-8)
 
 
 def test_residue_wavefunction_3d_closed_form():
@@ -1922,8 +1953,10 @@ def test_residue_wavefunction_keeps_every_error(dim):
     far_state = bound_states(dim, [center(far, from_bound_state(-1.0))])[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CoincidentPointsError):
+        # at a center: the kernel's coincidence error, with its details
+        with pytest.raises(CoincidentPointsError) as err:
             residue_wavefunction(state, origin)
+        assert err.value.details == {"dim": dim, "r": 0.0}
         with pytest.raises(DomainError):
             residue_wavefunction(far_state, (1e308,) + (0.0,) * (dim - 1))
         with pytest.raises(IllegalSpecError):
@@ -2052,11 +2085,16 @@ def test_cached_layout_gives_the_per_call_layout_bit_for_bit(dim):
 
 
 def test_cached_layout_is_read_only_and_kept_per_center_count():
-    flat, slots = pointgreen._layout(5)
-    for arr in (flat, slots):
+    pairs, slots = pointgreen._layout(5)
+    # the pairs' ends as 4-byte indices: no more bytes per N than an 8-byte
+    # flat index of each pair
+    assert pairs.dtype == np.int32 and pairs.tolist() == [list(a) for a in np.triu_indices(5, 1)]
+    assert pairs.nbytes + slots.nbytes == 8 * 10 + 8 * 25
+    for arr in (pairs, slots, pointgreen._probe(5)):
         with pytest.raises(ValueError):
             arr[0] = 1
-    assert pointgreen._layout(5)[1] is slots
+    assert pointgreen._layout(5)[0] is pairs and pointgreen._layout(5)[1] is slots
+    assert pointgreen._probe(5) is pointgreen._probe(5)
     assert pointgreen._pair_distances(np.arange(5.0)[:, None])[0] is slots
     # past the largest cached count each call builds its own layout
     n = pointgreen.LAYOUT_CACHE_MAX_N + 1

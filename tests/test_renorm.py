@@ -1,6 +1,7 @@
 """Regularized bubbles, coupling maps, transmutation, the 4D no-go table."""
 
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -628,11 +629,40 @@ def test_whole_list_2d_constants_are_the_one_center_constants_bit_for_bit():
     assert coupling_constants(2, []).tobytes() == b""
 
 
+def test_whole_list_constants_are_the_scalar_formulas_bit_for_bit():
+    # the array expressions round as the per-coupling float formulas do,
+    # over the double range, with the variants of each dimension interleaved
+    rng = np.random.default_rng(5)
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    e_bs = [-tiny, -np.finfo(float).tiny, -1.7, -big] + (-(10.0 ** rng.uniform(-323.0, 308.0, 30))).tolist()
+    lams = [s * v for v in (1e-300, 0.3, 2.0, 1e300) for s in (1.0, -1.0)]
+    lams += (rng.choice([-1.0, 1.0], 30) * 10.0 ** rng.uniform(-300.0, 300.0, 30)).tolist()
+    scalar = {
+        1: (bare_1d, lambda spec: 1.0 / spec.lam, lambda e_b: -0.5 / math.sqrt(-e_b)),
+        3: (renormalized_3d, lambda spec: 1.0 / spec.lambda_r, lambda e_b: math.sqrt(-e_b) / (4.0 * math.pi)),
+        2: (lambda lam: renormalized_2d(lam, 0.5 + abs(math.remainder(lam, 1.0))),
+            lambda spec: math.log(spec.mu) + 2.0 * math.pi / spec.lambda_r, None),
+    }
+    for dim, (factory, own, from_e_b) in scalar.items():
+        specs = [from_bound_state(e_b) for e_b in e_bs] if from_e_b else []
+        specs = [spec for pair in itertools.zip_longest(specs, map(factory, lams)) for spec in pair if spec]
+        want = [own(spec) if spec.e_b is None else from_e_b(spec.e_b) for spec in specs]
+        got = coupling_constants(dim, specs)
+        got = got.real.tolist() if dim == 2 else got.tolist()
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want], dim
+
+
 def test_coupling_constants_raise_the_denominator_errors():
     with pytest.raises(UnsupportedDimError):
         coupling_constants(4, [from_bound_state(-1.0)])
     with pytest.raises(IllegalSpecError):
         coupling_constants(2, [from_bound_state(-1.0), renormalized_3d(1.0)])
+    # legality is checked once per variant; of two illegal ones, the first center's is named
+    legal, ren2, ren3 = bare_1d(-1.0), renormalized_2d(1.0, 1.0), renormalized_3d(1.0)
+    for specs, variant in [([legal, ren3, ren2, ren3], "ren_3d"), ([legal, ren2, legal, ren3, ren2], "ren_2d")]:
+        with pytest.raises(IllegalSpecError) as err:
+            coupling_constants(1, specs)
+        assert err.value.details == {"variant": variant, "dim": 1}
     with pytest.raises(UnsupportedDimError):
         renormalized_denominator(4, -1.0, from_bound_state(-1.0))
     # E_B overflows, ln kappa_B does not: D = 1/lambda_R at kappa = mu
