@@ -1708,12 +1708,6 @@ def test_residue_wavefunction_1d_closed_form():
         assert residue_wavefunction(state, x) == pytest.approx(
             math.exp(-abs(x)), rel=1e-12
         )
-    # G0 is finite at coincident points in 1D: psi at a center of a pair is its value there
-    pair = bound_states(1, PAIR)
-    for st_ in pair:
-        at_center = residue_wavefunction(st_, -1.0)
-        assert math.isfinite(at_center) and at_center == pytest.approx(
-            (residue_wavefunction(st_, -1.0 - 1e-9) + residue_wavefunction(st_, -1.0 + 1e-9)) / 2.0, rel=1e-8)
 
 
 def test_residue_wavefunction_3d_closed_form():
