@@ -2242,3 +2242,47 @@ def test_rejects_empty_center_list():
         m_matrix(1, -1.0, [])
     with pytest.raises(IllegalSpecError):
         bound_states(1, [])
+
+
+_MISMATCH = ("center dimension mismatch", IllegalSpecError)
+_NOT_A_CENTER = ("a center must be a DeltaCenter", IllegalSpecError)
+_NO_LIST = ("centers must be a list of DeltaCenter", IllegalSpecError)
+_BAD_DIM = ("position-space Green's functions exist here for D in {1,2,3}", UnsupportedDimError)
+
+
+def _c(*coords):
+    return center(coords if len(coords) > 1 else coords[0], from_bound_state(-1.0))
+
+
+# each center list holds two defects; the first one the prologue meets wins,
+# in m_matrix, a fresh green solve and bound_states alike (green's empty list
+# is the free kernel, whose dimension rule speaks first)
+@pytest.mark.parametrize("dim, centers, want, green_want", [
+    (1, [_c(0.0), "c", _c(1.0, 0.0)], (*_NOT_A_CENTER, {"field": "centers", "type": "str"}), None),
+    (1, [_c(0.0), _c(1.0, 0.0), "c"], (*_MISMATCH, {"center_dim": 2, "dim": 1}), None),
+    (3, [_c(0.0, 0.0, 0.0), _c(1.0), _c(2.0, 0.0)], (*_MISMATCH, {"center_dim": 1, "dim": 3}), None),
+    (1, [_c(0.0), _c(5e-11), 7], (*_NOT_A_CENTER, {"field": "centers", "type": "int"}), None),
+    (2, [_c(0.0, 0.0), _c(0.0, 5e-11), _c(3.0)], (*_MISMATCH, {"center_dim": 1, "dim": 2}), None),
+    (2, [_c(0.0, 0.0), _c(1.0, 0.0), _c(0.0, 2.0), _c(1.0, 5e-11), _c(0.0, 2.0)],
+     ("coincident centers (closer than 1e-10) are one center", IllegalSpecError, {"i": 1, "j": 3}), None),
+    (4, None, (*_NO_LIST, {"field": "centers", "type": "NoneType"}), None),
+    (1, _c(0.0), (*_NO_LIST, {"field": "centers", "type": "DeltaCenter"}), None),
+    (4, [], ("at least one center required", IllegalSpecError, {}), (*_BAD_DIM, {"dim": 4})),
+    (0, ["c"], (*_BAD_DIM, {"dim": 0}), None),
+    (4, [_c(0.0), _c(1.0, 2.0)], (*_BAD_DIM, {"dim": 4}), None),
+    (True, [_c(0.0), _c(0.0)], (*_BAD_DIM, {"dim": True}), None),
+    (1.0, [_c(0.0), "c"], (*_BAD_DIM, {"dim": 1.0}), None),
+])
+@pytest.mark.parametrize("call", ["m_matrix", "green", "bound_states"])
+def test_the_prologue_names_the_first_defect(dim, centers, want, green_want, call):
+    x, y = ((0.3,) * dim, (0.7,) * dim) if dim in (2, 3) else (0.3, 0.7)
+    calls = {
+        "m_matrix": lambda: m_matrix(dim, -1.0, centers),
+        "green": lambda: green(dim, -1.0, x, y, centers),
+        "bound_states": lambda: bound_states(dim, centers),
+    }
+    message, error, details = green_want if call == "green" and green_want else want
+    pointgreen._last_solve = (None, None)  # a fresh solve
+    with pytest.raises(DeltaGreenError) as info:
+        calls[call]()
+    assert (type(info.value), info.value.message, info.value.details) == (error, message, details)
