@@ -13,7 +13,8 @@ Two families matter to callers:
 Each exception carries a short machine-readable ``code`` plus a ``details``
 dict so the CLI can emit structured payloads instead of bare text.
 
-Floating-point policy, in two halves.  :func:`quiet`: no numpy warning leaves
+Floating-point policy, in two halves.  :data:`quiet`, numpy's
+``errstate(all="ignore")`` applied as a decorator: no numpy warning leaves
 a public numerical call (``bessel``'s ``k0`` and ``hankel1_0``,
 ``greenfn.g0_kernel``, ``pointgreen``'s ``m_matrix``, ``green``,
 ``bound_states`` and ``residue_wavefunction``), and no result depends on the
@@ -24,8 +25,6 @@ non-finite M(E) in the scan, ``GreenValue``, the residue Gram matrix's sign).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -130,14 +129,10 @@ class DispersionError(DeltaGreenError):
     code = "DispersionError"
 
 
-def quiet(func):
-    """``func`` run under ``np.errstate(all="ignore")``: the policy above."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return func(*args, **kwargs)
-    return wrapper
+#: The policy above as a decorator.  numpy's errstate sets and resets its
+#: error-state context variable on every call, so nested and concurrent calls
+#: behave as a ``with`` block does, and the wrapper keeps ``__wrapped__``.
+quiet = np.errstate(all="ignore")
 
 
 def in_double_range(compute, message: str, **details):

@@ -248,11 +248,11 @@ def _kernel_row(dim: int, kappa, r: np.ndarray) -> np.ndarray:
     """:func:`g0_of_kappa` at one checked dimension and kappa, over a float
     array ``r``, behind the rules of :func:`g0_kernel`: the first separation
     under ``COINCIDENT_TOL`` raises in D >= 2, then kappa = 0 in D = 1, 2."""
-    if dim != 1 and (close := r[r < COINCIDENT_TOL]).size:
+    if dim != 1 and (close := r < COINCIDENT_TOL).any():
         raise CoincidentPointsError(
             "free Green's function diverges at coincident points for D >= 2",
             dim=dim,
-            r=float(close[0]),
+            r=float(r[close][0]),
         )
     if dim != 3 and kappa == 0.0:  # 1D: 1/(2 kappa); 2D: K0(0) = inf
         raise DomainError(f"the {dim}D free Green's function diverges at E = 0", dim=dim)

@@ -161,22 +161,35 @@ def _center_tuple(centers) -> tuple:
 def _lay_out(dim: int, centers) -> tuple:
     """A checked center list laid out: the centers as a tuple, their read-only
     (N, dim) positions, their constants, :func:`_m_of_kappa` bound to them,
-    and the dimension as a Python int."""
+    and the dimension as a Python int.
+
+    One walk over the centers checks each in order, its type and then its
+    dimension (so the first offender is named), and collects its
+    coordinates, flat, and its coupling."""
     cs = _center_tuple(centers)
     if not cs:
         raise IllegalSpecError("at least one center required")
     dim = _check_dim(dim)
+    flat, couplings = [], []
     for c in cs:
-        require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
-        if c.position.dim != dim:
-            raise IllegalSpecError(
-                "center dimension mismatch", dim=dim, center_dim=c.position.dim
-            )
-    pos = np.array([c.position.coords for c in cs], dtype=float)
-    pos.setflags(write=False)
+        if not isinstance(c, DeltaCenter):
+            require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
+        coords = c.position.coords
+        if len(coords) != dim:
+            raise IllegalSpecError("center dimension mismatch", dim=dim, center_dim=len(coords))
+        flat += coords
+        couplings.append(c.coupling)
+    pos = _positions(flat, len(cs))
     slots, r = _pair_distances(pos)
-    consts = coupling_constants(dim, [c.coupling for c in cs])
+    consts = coupling_constants(dim, couplings)
     return cs, pos, consts, functools.partial(_m_of_kappa, dim, consts, slots, r), dim
+
+
+def _positions(flat: list, n: int) -> np.ndarray:
+    """The read-only (n, D) positions of n centers from their coordinates, flat in center order."""
+    pos = np.array(flat, dtype=float).reshape(n, -1)
+    pos.setflags(write=False)
+    return pos
 
 
 def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,19 +208,18 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i, j = pairs.astype(np.intp)  # one cast per call, not one per gather
     r = None
     for c in pos.T:  # the squares summed in coordinate order, in place
-        d = c[i]
-        d -= c[j]
+        d = c.take(i)
+        d -= c.take(j)
         d *= d
         if r is None:
             r = d
         else:
             r += d
     np.sqrt(r, out=r)
-    if not np.isfinite(r).all():
+    if r.max(initial=0.0) == math.inf:
         r = _lengths(pos[i] - pos[j])
-    close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
-    if close.size:
-        p = close[0]
+    if r.min(initial=math.inf) < CENTER_DISTINCT_TOL:
+        p = np.flatnonzero(r < CENTER_DISTINCT_TOL)[0]
         raise IllegalSpecError("coincident centers (closer than 1e-10) are one center", i=int(i[p]), j=int(j[p]))
     return slots, r
 
@@ -279,8 +291,10 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     dim = _check_dim(dim)
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, kap, c = _strengths(dim, e, y, cs)
-    rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
-    k = _kernel_row(dim, kap, np.concatenate(([distance(x, y)], rx)))
+    row = np.empty(len(cs) + 1)  # |x - y|, then every |x - a_i|
+    _distances_to(x, pos, out=row[1:])  # checks x's dimension (the solve checked y's)
+    row[0] = distance(x, y)
+    k = _kernel_row(dim, kap, row)
     return GreenValue(value=complex(k[0]) + complex(k[1:] @ c), dim=dim)
 
 
@@ -306,9 +320,10 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     if key == last_key:
         return last
     m = m_matrix(dim, e, cs).entries
-    pos = np.array([c.position.coords for c in cs], dtype=float)
-    pos.setflags(write=False)
-    kap = e.kappa
+    flat = []
+    for center in cs:  # checked by m_matrix
+        flat += center.position.coords
+    pos, kap = _positions(flat, len(cs)), e.kappa
     gy = _kernel_row(dim, kap, _distances_to(y, pos))
     # the two right-hand sides written in place: G0(a, y), and the probe z
     # times the row sums r_i of |M_ij|: M^-1 (r z) = A^-1 z, so scaling a
@@ -319,7 +334,7 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     try:
         sol = np.linalg.solve(m, rhs)
         # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
-        amplification = float(np.max(np.abs(sol[:, 1])))
+        amplification = float(np.abs(sol[:, 1]).max())
     except np.linalg.LinAlgError:
         amplification = math.inf
     if amplification >= 1.0 / POLE_TOL:
@@ -345,23 +360,26 @@ def _probe(n: int) -> np.ndarray:
     return z
 
 
-def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
-    """|x - a_i| for every center position a_i (rows of ``pos``)."""
+def _distances_to(x: SpatialPoint, pos: np.ndarray, out=None) -> np.ndarray:
+    """|x - a_i| for every center position a_i (rows of ``pos``), written
+    into ``out`` if one is given."""
     if x.dim != pos.shape[1]:
         raise IllegalSpecError(
             "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
         )
-    return _lengths(pos - x.coords)
+    return _lengths(pos - x.coords, out)
 
 
-def _lengths(diff: np.ndarray) -> np.ndarray:
-    """The Euclidean length of each row of an (M, D) array of differences: the
-    plain sum of squares, except that rows where it overflows are recomputed,
-    as ``hypot`` does, from the row divided by its largest magnitude, so every
-    other row keeps the bytes of the plain sum.  A length beyond the double
-    range (or an infinite difference) raises :class:`DomainError`."""
-    r = np.sqrt(np.square(diff).sum(axis=1))
-    if (big := np.isinf(r)).any():
+def _lengths(diff: np.ndarray, out=None) -> np.ndarray:
+    """The Euclidean length of each row of an (M, D) array of differences
+    (into ``out`` if given): the plain sum of squares, except that rows where
+    it overflows are recomputed, as ``hypot`` does, from the row divided by
+    its largest magnitude, so every other row keeps the bytes of the plain
+    sum.  A length beyond the double range (or an infinite difference) raises
+    :class:`DomainError`."""
+    r = np.sqrt(np.square(diff).sum(axis=1), out=out)
+    if r.max() == math.inf:
+        big = np.isinf(r)
         parts = np.abs(diff[big])
         scale = parts.max(axis=1)
         r[big] = scale * np.sqrt(np.square(parts / scale[:, None]).sum(axis=1))

@@ -74,7 +74,7 @@ from .errors import (
 )
 from .greenfn import ComplexEnergy, as_kappa_b, as_number, as_scale, check_dim, require_type
 
-_FOUR_PI = 4.0 * math.pi
+_TWO_PI, _FOUR_PI = 2.0 * math.pi, 4.0 * math.pi
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
 _TINY, _LN_TINY, _LN_MAX = np.finfo(float).tiny, math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
@@ -255,23 +255,33 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
     dim = check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
-    specs = tuple(specs)
-    variants = [spec.variant for spec in specs]
-    for variant in dict.fromkeys(variants):  # in order of first use: the first illegal center's is named
-        specs[variants.index(variant)].require_dim(dim)
-    from_e_b = np.array([v == FROM_BOUND_STATE for v in variants], dtype=bool)
-    kappa_b = np.sqrt([-spec.e_b for spec in specs if spec.variant == FROM_BOUND_STATE])
-    rest = [spec for spec in specs if spec.variant != FROM_BOUND_STATE]
-    value = np.zeros(len(specs), dtype=complex if dim == 2 else float)
-    if dim == 1:
-        value[from_e_b], value[~from_e_b] = -0.5 / kappa_b, 1.0 / np.array([s.lam for s in rest])
-    elif dim == 2:
+    # one pass: a variant's legality at its first use (the first illegal
+    # center's is named), then each constant as a float; sqrt and division
+    # round alike in math and numpy, ln kappa_B is numpy's, as the denominator's
+    legal, value, at_e_b, kappa_b = set(), [], [], []
+    for spec in specs:
+        if spec.variant not in legal:
+            spec.require_dim(dim)
+            legal.add(spec.variant)
+        if spec.variant == FROM_BOUND_STATE:
+            kb = math.sqrt(-spec.e_b)
+            at_e_b.append(len(value))
+            kappa_b.append(kb)
+            value.append(-0.5 / kb if dim == 1 else kb / _FOUR_PI)  # D=2: the split below
+        elif dim == 1:
+            value.append(1.0 / spec.lam)
+        elif dim == 2:
+            value.append(math.log(spec.mu) + _TWO_PI / spec.lambda_r)
+        else:
+            value.append(1.0 / spec.lambda_r)
+    if dim != 2:
+        return np.array(value, dtype=float)
+    value = np.array(value, dtype=complex)
+    if at_e_b:
         # every kappa_B -> ln m + e i in one split, as the denominator splits
         # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
-        value.real[from_e_b], value.imag[from_e_b] = _log_split(kappa_b)
-        value.real[~from_e_b] = [math.log(s.mu) for s in rest] + 2.0 * math.pi / np.array([s.lambda_r for s in rest])
-    else:
-        value[from_e_b], value[~from_e_b] = kappa_b / _FOUR_PI, 1.0 / np.array([s.lambda_r for s in rest])
+        at_e_b = np.array(at_e_b)
+        value.real[at_e_b], value.imag[at_e_b] = _log_split(np.array(kappa_b))
     return value
 
 
