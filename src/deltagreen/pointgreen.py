@@ -605,7 +605,8 @@ def _brackets(eigenvalues, window, grid_points):
 
     The grid, ``np.geomspace`` over the window's kappas, is built once and
     searched, not tabulated.  The state is the evaluated grid indices,
-    ascending, and their mu rows; a cell is two adjacent evaluated points.
+    ascending, and their mu rows, counts n_+ and keys, each count and key
+    taken once, when its row is evaluated; a cell is two adjacent evaluated points.
     M is evaluated first at every isqrt(grid_points)-th point and the last,
     then, round by round in one batch, inside every cell whose ends differ
     in count n_+ or where M is not clear of rounding at either end (min|mu|
@@ -626,10 +627,8 @@ def _brackets(eigenvalues, window, grid_points):
     grid = np.geomspace(math.sqrt(-e_max), math.sqrt(-e_min), grid_points)
     idx = np.array(sorted({*range(0, grid_points, math.isqrt(grid_points)), grid_points - 1}))
     mu, first = eigenvalues(grid[idx]), True  # mu falls along each column
+    (count, key), n = _counts_and_keys(mu), mu.shape[1]
     while True:
-        size, count, n = np.abs(mu), (mu > 0.0).sum(axis=1), mu.shape[1]
-        # a point's key: its count n_+, or -1 where M is not clear of rounding
-        key = np.where(size.min(axis=1) <= POLE_TOL * size.max(axis=1), -1, count)
         lo, hi, above, below = idx[:-1], idx[1:], key[:-1], key[1:]
         wide = hi - lo > 1
         falling = wide & (below >= 0) & (above > below)
@@ -646,9 +645,11 @@ def _brackets(eigenvalues, window, grid_points):
         batch = np.sort(np.concatenate(((lo + hi)[bisected] // 2, np.fromiter(inner, idx.dtype))))
         if not batch.size:
             break
-        idx, rows = np.concatenate((idx, batch)), eigenvalues(grid[batch])
-        order, first = idx.argsort(), False
-        idx, mu = idx[order], np.concatenate((mu, rows))[order]
+        rows = eigenvalues(grid[batch])
+        (new_count, new_key), first = _counts_and_keys(rows), False
+        order = np.concatenate((idx, batch)).argsort()
+        idx, mu, count, key = (np.concatenate(parts)[order] for parts in
+                               ((idx, batch), (mu, rows), (count, new_count), (key, new_key)))
     rise = np.flatnonzero(count[1:] > count[:-1])
     if rise.size:  # M' > 0 forbids it: the signs that make the count are noise
         raise NonConvergenceError("positive eigenvalue count of M(E) rises as E falls",
@@ -658,6 +659,13 @@ def _brackets(eigenvalues, window, grid_points):
     # first evaluated kappa past that, where the falling n_+ first drops below n - k
     p = np.searchsorted(-count, ks - n, side="right")
     return ks, grid[idx[p - 1]], grid[idx[p]], mu[p - 1, ks], mu[p, ks]
+
+
+def _counts_and_keys(mu):
+    """Each row's count n_+ of positive mu, and its key: that count, or -1
+    where M is not clear of rounding (min|mu| <= POLE_TOL max|mu|)."""
+    size, count = np.abs(mu), (mu > 0.0).sum(axis=1)
+    return count, np.where(size.min(axis=1) <= POLE_TOL * size.max(axis=1), -1, count)
 
 
 def _scan_energies(eigenvalues, window, tol, grid_points):
