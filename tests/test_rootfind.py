@@ -268,6 +268,92 @@ def test_refine_brackets_keeps_its_bits(name):
     assert ([float(x).hex() for x in roots], len(calls), digest) == PINNED[name]
 
 
+# -- every point of a step-by-step reference, on each rule's edge cases ---------
+
+def _anderson_bjorck(f, a, b, xtol, seen):
+    """One bracket [a, b] of a scalar f refined as refine_brackets' docstring
+    says, one step at a time: the points evaluated, in order, and the root.
+
+    g = sign * f is > 0 at a and < 0 at b.  A step proposes the secant point
+    of (a, ga) and (b, gb), or the midpoint after a step whose width was not
+    half the width two steps before, kept min(0.4 xtol, (b - a) / 4) inside
+    the ends; g there 0 is the root, > 0 moves a, < 0 moves b.  An end moved
+    twice in a row scales the value kept at the other end by m = 1 - g_new/g_old
+    (Anderson-Bjorck), or by 1/2 if m is not positive.  The bracket closes at
+    the secant point of (a, fa) and (b, fb) once it is at most xtol wide or
+    a step has no point strictly inside.  ``seen`` collects the rule edges
+    the steps reach."""
+    fa, fb = f(a), f(b)
+    sign = 1.0 if fa > 0.0 else -1.0
+    fa, fb = sign * fa, sign * fb
+    ga, gb = fa, fb
+    moved, width1, width2, halve, inside, points = 0, math.inf, math.inf, False, True, []
+    for _ in range(rootfind.MAX_ITER):
+        if not inside or not b - a > xtol:
+            return points, min(max(a + (b - a) * (fa / (fa - fb)), a), b)
+        if halve:
+            seen.add("halving")
+            x = 0.5 * (a + b)
+        else:
+            x = a + (b - a) * (ga / (ga - gb))
+        gap = min(0.4 * xtol, 0.25 * (b - a))
+        x = min(max(x, a + gap), b - gap)
+        inside = a < x < b
+        if not inside:
+            continue
+        points.append(x)
+        g = sign * f(x)
+        if g == 0.0:
+            seen.add("zero at a step")
+            return points, x
+        if g > 0.0:
+            if moved == -1:
+                m = 1.0 - g / ga
+                seen.update(["b scaled by 1/2"] * (m <= 0.0) + ["m = 0 at a"] * (m == 0.0))
+                gb *= m if m > 0.0 else 0.5
+            a, fa, ga, moved = x, g, g, -1
+        else:
+            if moved == 1:
+                m = 1.0 - g / gb
+                seen.update(["a scaled by 1/2"] * (m <= 0.0) + ["m = 0 at b"] * (m == 0.0))
+                ga *= m if m > 0.0 else 0.5
+            b, fb, gb, moved = x, g, g, 1
+        width = b - a
+        if width == 0.5 * width2:
+            seen.add("exactly half the width")
+        halve, width1, width2 = width > 0.5 * width2, width, width1
+    raise AssertionError("the reference did not converge")
+
+
+def _broken_line(*knots):
+    xs, ys = zip(*knots)
+    return lambda x: float(np.interp(x, xs, ys))
+
+
+@pytest.mark.parametrize("f, edges", [
+    (lambda x: x - 0.5, {"zero at a step"}),
+    # flat near a: a moves twice with equal values, m = 0
+    (_broken_line((0.0, 1.0), (0.8, 1.0), (1.0, -1.0)),
+     {"m = 0 at a", "b scaled by 1/2", "zero at a step"}),
+    (_broken_line((0.0, 1.0), (0.2, -1.0), (1.0, -1.0)), {"m = 0 at b", "a scaled by 1/2"}),
+    (lambda x: x**8 - 0.5, {"halving"}),
+    (_broken_line((0.0, 2.0), (0.0625, 4.0), (0.125, 3.0), (0.75, 3.0), (1.0, -2.0)),
+     {"exactly half the width"}),
+], ids=["zero at a step", "m = 0 at a", "m = 0 at b", "halving", "half the width"])
+def test_refine_brackets_evaluates_the_points_of_the_reference(f, edges):
+    seen = set()
+    points, root = _anderson_bjorck(f, 0.0, 1.0, 1e-13, seen)
+    assert edges <= seen
+    calls = []
+
+    def recorded(xs):
+        calls.extend(float(x).hex() for x in xs)
+        return np.array([[f(float(x))] for x in xs])
+
+    got = refine_brackets(recorded, [0], 0.0, 1.0, f(0.0), f(1.0), xtol=1e-13)
+    assert (calls, float(got[0]).hex()) == ([x.hex() for x in points], root.hex())
+
+
 # -- refine_root as the one-bracket case of refine_brackets, against brentq ------
 
 # monotone families with their root at c: f(c) = 0 and the sign changes there
