@@ -258,16 +258,18 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     # one pass: a variant's legality at its first use (the first illegal
     # center's is named), then each constant as a float; sqrt and division
     # round alike in math and numpy, ln kappa_B is numpy's, as the denominator's
-    legal, value, at_e_b, kappa_b = set(), [], [], []
+    legal, value, at_e_b = set(), [], []
     for spec in specs:
-        if spec.variant not in legal:
+        if (variant := spec.variant) not in legal:
             spec.require_dim(dim)
-            legal.add(spec.variant)
-        if spec.variant == FROM_BOUND_STATE:
+            legal.add(variant)
+        if variant == FROM_BOUND_STATE:
             kb = math.sqrt(-spec.e_b)
-            at_e_b.append(len(value))
-            kappa_b.append(kb)
-            value.append(-0.5 / kb if dim == 1 else kb / _FOUR_PI)  # D=2: the split below
+            if dim == 2:  # kappa_B, split below
+                at_e_b.append(len(value))
+                value.append(kb)
+            else:
+                value.append(-0.5 / kb if dim == 1 else kb / _FOUR_PI)
         elif dim == 1:
             value.append(1.0 / spec.lam)
         elif dim == 2:
@@ -281,7 +283,7 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
         # every kappa_B -> ln m + e i in one split, as the denominator splits
         # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
         at_e_b = np.array(at_e_b)
-        value.real[at_e_b], value.imag[at_e_b] = _log_split(np.array(kappa_b))
+        value.real[at_e_b], value.imag[at_e_b] = _log_split(value.real[at_e_b])
     return value
 
 
