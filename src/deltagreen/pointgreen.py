@@ -255,8 +255,8 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     layout whose ``eigh`` bits tests pin.
     """
     diag = renormalized_denominators(dim, kappas, consts)
-    off = g0_of_kappa(dim, kappas[:, None], r)
-    return np.take(np.concatenate((-off, diag), axis=-1), slots, axis=-1)
+    off = g0_of_kappa(dim, kappas[:, None], r)  # a fresh array, negated in place
+    return np.take(np.concatenate((np.negative(off, out=off), diag), axis=-1), slots, axis=-1)
 
 
 @quiet
@@ -307,6 +307,9 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     """The centers' positions, kappa = sqrt(-E) and c = M(E)^-1 G0(a, y),
     the arrays read-only.
 
+    :func:`m_matrix` assembles M and keeps no layout, so no pair distances
+    stay alive through the solve; the positions are built again from the
+    checked centers' coordinates, flat, as :func:`_lay_out` builds them.
     The last result is reused when its key compares equal, so equal keys must
     give equal bits: a + 0i equals a - 0i, but kappa is then real, so no
     value depends on the sign of a zero Im E (y and the positions enter
@@ -321,7 +324,7 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
         return last
     m = m_matrix(dim, e, cs).entries
     flat = []
-    for center in cs:  # checked by m_matrix
+    for center in cs:
         flat += center.position.coords
     pos, kap = _positions(flat, len(cs)), e.kappa
     gy = _kernel_row(dim, kap, _distances_to(y, pos))
@@ -330,7 +333,7 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     # row (a weak center) moves no decision
     rhs = np.empty((len(cs), 2), dtype=gy.dtype)
     rhs[:, 0] = gy
-    rhs[:, 1] = _probe(len(cs)) * np.abs(m).sum(axis=1)
+    np.multiply(_probe(len(cs)), np.abs(m).sum(axis=1), out=rhs[:, 1])
     try:
         sol = np.linalg.solve(m, rhs)
         # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
