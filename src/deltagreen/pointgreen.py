@@ -172,8 +172,7 @@ def _lay_out(dim: int, centers) -> tuple:
     dim = _check_dim(dim)
     flat, couplings = [], []
     for c in cs:
-        if not isinstance(c, DeltaCenter):
-            require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
+        require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         coords = c.position.coords
         if len(coords) != dim:
             raise IllegalSpecError("center dimension mismatch", dim=dim, center_dim=len(coords))
