@@ -233,7 +233,13 @@ def test_array_shape_and_mixed_real_complex_arguments():
     assert got.shape == (2, 2)
     for idx in np.ndindex(z.shape):
         assert abs(got[idx] - bessel.k0(complex(z[idx]))) <= 4e-15 * abs(got[idx])
-    assert bessel.k0(np.empty(0)).shape == (0,)
+    # an empty argument (M(E) of one center has no pairs) keeps its shape and kind
+    for empty, kind in [(np.empty(0), np.float64), (np.empty((1, 0)), np.float64),
+                        (np.empty((1, 0), dtype=complex), np.complex128)]:
+        got = bessel.k0(empty)
+        assert (got.shape, got.dtype) == (empty.shape, kind)
+    got = bessel.hankel1_0(np.empty((1, 0)))
+    assert (got.shape, got.dtype) == ((1, 0), np.complex128)
 
 
 def test_array_domain_errors_name_the_first_bad_argument():
