@@ -277,10 +277,13 @@ def g0_of_kappa(dim: int, kappa, r):
         # dividing by the negated constant negates the quotient exactly
         # and saves a temporary the size of r
         return np.asarray(bessel.k0(z)) / -_TWO_PI
-    wave = np.exp(-kappa * r)
-    if dim == 1:
-        return -wave / (2.0 * kappa)
-    return -wave / (_FOUR_PI * r)
+    # one fresh product (0-d for scalars) takes the exponential, the
+    # negation and the quotient in place, with the bits of three temporaries
+    wave = np.multiply(-kappa, r)[...]
+    np.exp(wave, out=wave)
+    np.negative(wave, out=wave)
+    wave /= 2.0 * kappa if dim == 1 else _FOUR_PI * r
+    return wave if wave.ndim else wave[()]
 
 
 def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:

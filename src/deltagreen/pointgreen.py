@@ -172,7 +172,8 @@ def _lay_out(dim: int, centers) -> tuple:
     dim = _check_dim(dim)
     flat, couplings = [], []
     for c in cs:
-        require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
+        if not isinstance(c, DeltaCenter):  # tested inline, as a call per center costs more
+            require_type(c, DeltaCenter, "centers", "a center must be a DeltaCenter")
         coords = c.position.coords
         if len(coords) != dim:
             raise IllegalSpecError("center dimension mismatch", dim=dim, center_dim=len(coords))
@@ -294,7 +295,7 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     _distances_to(x, pos, out=row[1:])  # checks x's dimension (the solve checked y's)
     row[0] = distance(x, y)
     k = _kernel_row(dim, kap, row)
-    return GreenValue(value=complex(k[0]) + complex(k[1:] @ c), dim=dim)
+    return GreenValue(value=complex(k[0]) + complex(k[1:].dot(c)), dim=dim)
 
 
 #: (key, (pos, kappa, c)) of the last :func:`_strengths` solve, replaced and
