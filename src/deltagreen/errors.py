@@ -129,9 +129,11 @@ class DispersionError(DeltaGreenError):
     code = "DispersionError"
 
 
-#: The policy above as a decorator.  numpy's errstate sets and resets its
-#: error-state context variable on every call, so nested and concurrent calls
-#: behave as a ``with`` block does, and the wrapper keeps ``__wrapped__``.
+#: The policy above as a decorator.  Since NumPy 2.0 (the floor in
+#: pyproject.toml) errstate's decorator sets and resets its error-state
+#: context variable on every call, so nested and concurrent calls behave as a
+#: ``with`` block does, and the wrapper keeps ``__wrapped__``.  NumPy 1.x
+#: reused one saved state per instance, which nested calls overwrite.
 quiet = np.errstate(all="ignore")
 
 
