@@ -278,7 +278,8 @@ def g0_of_kappa(dim: int, kappa, r):
         # and saves a temporary the size of r
         return np.asarray(bessel.k0(z)) / -_TWO_PI
     # one fresh product (0-d for scalars) takes the exponential, the
-    # negation and the quotient in place, with the bits of three temporaries
+    # negation and the quotient in place, with the bits of three temporaries:
+    # each temporary the size of M(E) of 256 centers costs more than its arithmetic
     wave = np.multiply(-kappa, r)[...]
     np.exp(wave, out=wave)
     np.negative(wave, out=wave)

@@ -208,18 +208,19 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i, j = pairs.astype(np.intp)  # one cast per call, not one per gather
     r = None
     for c in pos.T:  # the squares summed in coordinate order, in place
-        d = c.take(i)
-        d -= c.take(j)
+        d = c[i]
+        d -= c[j]
         d *= d
         if r is None:
             r = d
         else:
             r += d
     np.sqrt(r, out=r)
-    if r.max(initial=0.0) == math.inf:
+    if not np.isfinite(r).all():
         r = _lengths(pos[i] - pos[j])
-    if r.min(initial=math.inf) < CENTER_DISTINCT_TOL:
-        p = np.flatnonzero(r < CENTER_DISTINCT_TOL)[0]
+    close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
+    if close.size:
+        p = close[0]
         raise IllegalSpecError("coincident centers (closer than 1e-10) are one center", i=int(i[p]), j=int(j[p]))
     return slots, r
 
@@ -255,7 +256,7 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     layout whose ``eigh`` bits tests pin.
     """
     diag = renormalized_denominators(dim, kappas, consts)
-    off = g0_of_kappa(dim, kappas[:, None], r)  # a fresh array, negated in place
+    off = g0_of_kappa(dim, kappas[:, None], r)  # a fresh array, negated in place as g0_of_kappa's
     return np.take(np.concatenate((np.negative(off, out=off), diag), axis=-1), slots, axis=-1)
 
 
@@ -291,11 +292,11 @@ def green(dim: int, energy, x: SpatialPoint, y: SpatialPoint, centers) -> GreenV
     dim = _check_dim(dim)
     e, x, y = ComplexEnergy.of(energy), as_point(x), as_point(y)
     pos, kap, c = _strengths(dim, e, y, cs)
+    rx = _distances_to(x, pos)  # checks x's dimension (the solve checked y's)
     row = np.empty(len(cs) + 1)  # |x - y|, then every |x - a_i|
-    _distances_to(x, pos, out=row[1:])  # checks x's dimension (the solve checked y's)
-    row[0] = distance(x, y)
+    row[0], row[1:] = distance(x, y), rx
     k = _kernel_row(dim, kap, row)
-    return GreenValue(value=complex(k[0]) + complex(k[1:].dot(c)), dim=dim)
+    return GreenValue(value=complex(k[0]) + complex(k[1:] @ c), dim=dim)
 
 
 #: (key, (pos, kappa, c)) of the last :func:`_strengths` solve, replaced and
@@ -323,21 +324,18 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     if key == last_key:
         return last
     m = m_matrix(dim, e, cs).entries
-    flat = []
-    for center in cs:
-        flat += center.position.coords
-    pos, kap = _positions(flat, len(cs)), e.kappa
+    pos, kap = _positions([v for center in cs for v in center.position.coords], len(cs)), e.kappa
     gy = _kernel_row(dim, kap, _distances_to(y, pos))
     # the two right-hand sides written in place: G0(a, y), and the probe z
     # times the row sums r_i of |M_ij|: M^-1 (r z) = A^-1 z, so scaling a
     # row (a weak center) moves no decision
     rhs = np.empty((len(cs), 2), dtype=gy.dtype)
     rhs[:, 0] = gy
-    np.multiply(_probe(len(cs)), np.abs(m).sum(axis=1), out=rhs[:, 1])
+    rhs[:, 1] = _probe(len(cs)) * np.abs(m).sum(axis=1)
     try:
         sol = np.linalg.solve(m, rhs)
         # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
-        amplification = float(np.abs(sol[:, 1]).max())
+        amplification = float(np.max(np.abs(sol[:, 1])))
     except np.linalg.LinAlgError:
         amplification = math.inf
     if amplification >= 1.0 / POLE_TOL:
@@ -363,26 +361,23 @@ def _probe(n: int) -> np.ndarray:
     return z
 
 
-def _distances_to(x: SpatialPoint, pos: np.ndarray, out=None) -> np.ndarray:
-    """|x - a_i| for every center position a_i (rows of ``pos``), written
-    into ``out`` if one is given."""
+def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:
+    """|x - a_i| for every center position a_i (rows of ``pos``)."""
     if x.dim != pos.shape[1]:
         raise IllegalSpecError(
             "point dimension does not match dim", dim=pos.shape[1], xdim=x.dim
         )
-    return _lengths(pos - x.coords, out)
+    return _lengths(pos - x.coords)
 
 
-def _lengths(diff: np.ndarray, out=None) -> np.ndarray:
-    """The Euclidean length of each row of an (M, D) array of differences
-    (into ``out`` if given): the plain sum of squares, except that rows where
-    it overflows are recomputed, as ``hypot`` does, from the row divided by
-    its largest magnitude, so every other row keeps the bytes of the plain
-    sum.  A length beyond the double range (or an infinite difference) raises
-    :class:`DomainError`."""
-    r = np.sqrt(np.square(diff).sum(axis=1), out=out)
-    if r.max() == math.inf:
-        big = np.isinf(r)
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of an (M, D) array of differences: the
+    plain sum of squares, except that rows where it overflows are recomputed,
+    as ``hypot`` does, from the row divided by its largest magnitude, so every
+    other row keeps the bytes of the plain sum.  A length beyond the double
+    range (or an infinite difference) raises :class:`DomainError`."""
+    r = np.sqrt(np.square(diff).sum(axis=1))
+    if (big := np.isinf(r)).any():
         parts = np.abs(diff[big])
         scale = parts.max(axis=1)
         r[big] = scale * np.sqrt(np.square(parts / scale[:, None]).sum(axis=1))

@@ -241,6 +241,17 @@ def _log_split(x):
     return np.log(x / np.ldexp(0.5, e)), e - 1.0
 
 
+#: Each variant legal in D = 1, 2, 3 mapped to its constant for
+#: :func:`coupling_constants`, as a float: sqrt and division round alike in
+#: math and numpy.  In D = 2 the one from E_B is kappa_B, split by numpy's
+#: log as the denominator's kappa is.
+_CONSTANT = {
+    1: {BARE_1D: lambda s: 1.0 / s.lam, FROM_BOUND_STATE: lambda s: -0.5 / math.sqrt(-s.e_b)},
+    2: {REN_2D: lambda s: math.log(s.mu) + _TWO_PI / s.lambda_r, FROM_BOUND_STATE: lambda s: math.sqrt(-s.e_b)},
+    3: {REN_3D: lambda s: 1.0 / s.lambda_r, FROM_BOUND_STATE: lambda s: math.sqrt(-s.e_b) / _FOUR_PI},
+}
+
+
 def coupling_constants(dim: int, specs) -> np.ndarray:
     """Read each coupling of a center list once for :func:`renormalized_denominators`.
 
@@ -255,35 +266,19 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
     dim = check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
-    # one pass: a variant's legality at its first use (the first illegal
-    # center's is named), then each constant as a float; sqrt and division
-    # round alike in math and numpy, ln kappa_B is numpy's, as the denominator's
-    legal, value, at_e_b = set(), [], []
+    specs, constant = tuple(specs), _CONSTANT[dim]
+    value = []
     for spec in specs:
-        if (variant := spec.variant) not in legal:
+        if spec.variant not in constant:  # illegal here: the first such center is named
             spec.require_dim(dim)
-            legal.add(variant)
-        if variant == FROM_BOUND_STATE:
-            kb = math.sqrt(-spec.e_b)
-            if dim == 2:  # kappa_B, split below
-                at_e_b.append(len(value))
-                value.append(kb)
-            else:
-                value.append(-0.5 / kb if dim == 1 else kb / _FOUR_PI)
-        elif dim == 1:
-            value.append(1.0 / spec.lam)
-        elif dim == 2:
-            value.append(math.log(spec.mu) + _TWO_PI / spec.lambda_r)
-        else:
-            value.append(1.0 / spec.lambda_r)
+        value.append(constant[spec.variant](spec))
     if dim != 2:
         return np.array(value, dtype=float)
     value = np.array(value, dtype=complex)
-    if at_e_b:
-        # every kappa_B -> ln m + e i in one split, as the denominator splits
-        # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
-        at_e_b = np.array(at_e_b)
-        value.real[at_e_b], value.imag[at_e_b] = _log_split(value.real[at_e_b])
+    at_e_b = [i for i, spec in enumerate(specs) if spec.variant == FROM_BOUND_STATE]
+    # every kappa_B -> ln m + e i in one split, as the denominator splits
+    # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
+    value.real[at_e_b], value.imag[at_e_b] = _log_split(value.real[at_e_b])
     return value
 
 

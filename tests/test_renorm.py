@@ -657,7 +657,10 @@ def test_coupling_constants_raise_the_denominator_errors():
         coupling_constants(4, [from_bound_state(-1.0)])
     with pytest.raises(IllegalSpecError):
         coupling_constants(2, [from_bound_state(-1.0), renormalized_3d(1.0)])
-    # legality is checked once per variant; of two illegal ones, the first center's is named
+    # of two illegal variants, the first center's is named; the constants'
+    # table holds exactly the variants legal in each dimension
+    for dim in (1, 2, 3):
+        assert set(renorm._CONSTANT[dim]) == {v for v, (_, dims) in renorm._VARIANTS.items() if dim in dims}
     legal, ren2, ren3 = bare_1d(-1.0), renormalized_2d(1.0, 1.0), renormalized_3d(1.0)
     for specs, variant in [([legal, ren3, ren2, ren3], "ren_3d"), ([legal, ren2, legal, ren3, ren2], "ren_2d")]:
         with pytest.raises(IllegalSpecError) as err:
