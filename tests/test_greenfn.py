@@ -264,6 +264,23 @@ def test_2d_g0_of_kappa_takes_the_retarded_kappa():
             assert abs(g - h) <= 1e-13 * abs(h), (k, g, h)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kappa", [1.3, complex(0.0, -0.7), ComplexEnergy(complex(-1.0, 0.5)).kappa])
+def test_g0_of_kappa_at_scalars_is_a_numpy_scalar_with_the_bits_of_an_array_call(dim, kappa):
+    # real, retarded (-i k) and complex kappa; a scalar kappa and a 0-d r,
+    # as g0_kernel passes a scalar separation, give a numpy scalar, as
+    # element 0 of the call on one-element arrays
+    from deltagreen.greenfn import g0_of_kappa
+
+    for r in map(np.array, (1e-3, 0.5, 1.0, 7.25, 900.0) + ((0.0,) if dim == 1 else ())):
+        got = g0_of_kappa(dim, kappa, r)
+        assert isinstance(got, np.generic) and np.ndim(got) == 0, (r, type(got))
+        for k, x in ((kappa, np.array([r])), (np.array([kappa]), r), (np.array([kappa]), np.array([r]))):
+            want = g0_of_kappa(dim, k, x)
+            assert want.shape == (1,) and got.dtype == want.dtype, (r, want.shape, want.dtype)
+            assert got.tobytes() == want[0].tobytes(), (r, got, want[0])
+
+
 def test_2d_kernel_at_a_nearly_real_energy_far_away_is_finite():
     # kappa r = 5 - 1e10 i: K0 comes from its asymptotic series, which takes
     # over past |z| = 1e9; its modulus is sqrt(pi / 2|z|) exp(-Re z)
