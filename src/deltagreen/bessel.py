@@ -308,8 +308,6 @@ def k0(z):
     flat = arg.ravel()
     if not (flat.real > 0.0).all():
         raise DomainError("k0 requires Re z > 0", z=repr(complex(flat[~(flat.real > 0.0)][0])))
-    if not flat.size:  # M(E) of one center has no pairs: no table pass
-        return _result(flat.astype(np.result_type(flat, 0.0)), arg)
     # log(z/2) = log 0 at the smallest subnormal: K0 = inf (inf + nan i)
     return _result(_k0_table(flat) if np.isrealobj(flat) else _k0_complex(flat), arg)
 
@@ -348,8 +346,6 @@ def hankel1_0(x):
     flat = arg.ravel()
     if not (flat > 0.0).all():
         raise DomainError("hankel1_0 requires x > 0", x=float(flat[~(flat > 0.0)][0]))
-    if not flat.size:
-        return _result(flat.astype(complex), arg)
     j, y = _j0y0(flat)
     out = j.astype(complex)
     out.imag = y

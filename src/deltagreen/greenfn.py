@@ -263,10 +263,11 @@ def g0_of_kappa(dim: int, kappa, r):
     """The closed forms at E = -kappa**2, elementwise over kappa and r broadcast.
 
     ``kappa`` is sqrt(-E) with Re kappa > 0 or, for the retarded kernel,
-    -i k with k > 0 at every entry; the values take kappa's dtype.  Nothing
-    is checked: :func:`g0_kernel` is the checked entry point, under the
-    floating-point policy of :mod:`deltagreen.errors`: kappa r past the
-    doubles is G0 = 0, or a lost phase k r, a NaN that GreenValue refuses.
+    -i k with k > 0 at every entry; the values take kappa's dtype, and a
+    scalar kappa and r give a numpy scalar.  Nothing is checked:
+    :func:`g0_kernel` is the checked entry point, under the floating-point
+    policy of :mod:`deltagreen.errors`: kappa r past the doubles is G0 = 0,
+    or a lost phase k r, a NaN that GreenValue refuses.
     """
     if dim == 2:
         z = kappa * r
@@ -277,14 +278,7 @@ def g0_of_kappa(dim: int, kappa, r):
         # dividing by the negated constant negates the quotient exactly
         # and saves a temporary the size of r
         return np.asarray(bessel.k0(z)) / -_TWO_PI
-    # one fresh product (0-d for scalars) takes the exponential, the
-    # negation and the quotient in place, with the bits of three temporaries:
-    # each temporary the size of M(E) of 256 centers costs more than its arithmetic
-    wave = np.multiply(-kappa, r)[...]
-    np.exp(wave, out=wave)
-    np.negative(wave, out=wave)
-    wave /= 2.0 * kappa if dim == 1 else _FOUR_PI * r
-    return wave if wave.ndim else wave[()]
+    return -np.exp(-kappa * r) / (2.0 * kappa if dim == 1 else _FOUR_PI * r)
 
 
 def g0(dim: int, energy, x: SpatialPoint, y: SpatialPoint) -> GreenValue:

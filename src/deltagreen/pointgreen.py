@@ -15,10 +15,8 @@ prologue checks a center list and binds one builder to its layout: M(kappa)
 assembles M at an array of kappa = sqrt(-E) for :func:`m_matrix`,
 :func:`green`, the residues and every batch of the scan, from its
 N(N-1)/2 + N distinct values by one gather.  The index arrays of that
-layout depend on N alone, so they are built once per N and kept read-only:
-each pair's two ends as 4-byte indices and the 8-byte N x N slot map,
-about 12 N^2 bytes (0.79 MB at N = 256, 12.6 MB at N = 1024; the last 8
-counts up to 1024 are kept).  G has a pole exactly where M is singular;
+layout depend on N alone, so they are built once per N and kept read-only
+(the last 8 counts up to 1024).  G has a pole exactly where M is singular;
 :func:`green` reports one when its single solve, given a probe column,
 shows cond(M) >= 1e12, and forms no det M, which underflows for many
 centers.  Each point x is one kernel row at the kappa of the solve.
@@ -198,24 +196,13 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (i, i) slot P + i.
 
     The slot map and the pairs' ends depend on N alone: they come read-only
-    from :func:`_layout`, cached per N up to 1024 centers.  Each coordinate
-    is gathered at both ends of the P pairs and the squared differences are
-    summed into one P-vector, with no N x N temporary; if a square
-    overflows, :func:`_lengths` recomputes the pairs hypot-style, and the
-    first coincident pair names its (i, j).
+    from :func:`_layout`.  The squared differences of the coordinates at
+    both ends of the P pairs are summed in coordinate order, with no N x N
+    temporary; if a square overflows, :func:`_lengths` recomputes the pairs
+    hypot-style, and the first coincident pair names its (i, j).
     """
-    pairs, slots = _layout(len(pos))
-    i, j = pairs.astype(np.intp)  # one cast per call, not one per gather
-    r = None
-    for c in pos.T:  # the squares summed in coordinate order, in place
-        d = c[i]
-        d -= c[j]
-        d *= d
-        if r is None:
-            r = d
-        else:
-            r += d
-    np.sqrt(r, out=r)
+    (i, j), slots = _layout(len(pos))
+    r = np.sqrt(sum(np.square(c[i] - c[j]) for c in pos.T))
     if not np.isfinite(r).all():
         r = _lengths(pos[i] - pos[j])
     close = np.flatnonzero(r < CENTER_DISTINCT_TOL)
@@ -227,15 +214,14 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pairs, slots) for N = n centers, read-only: the (2, P) ends i < j of
-    each pair, row-major, as 4-byte indices, and the slot map of
-    :func:`_pair_distances`.  Cached for the last LAYOUT_CACHE_SIZE counts
-    used up to LAYOUT_CACHE_MAX_N: 8 bytes per pair and per map entry,
-    about 12 N^2 bytes."""
+    each pair, row-major, and the slot map of :func:`_pair_distances`.
+    Cached for the last LAYOUT_CACHE_SIZE counts used up to
+    LAYOUT_CACHE_MAX_N."""
     return (_cached_layout if n <= LAYOUT_CACHE_MAX_N else _build_layout)(n)
 
 
 def _build_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.array(np.triu_indices(n, 1), dtype=np.int32)
+    pairs = np.array(np.triu_indices(n, 1))
     slots = np.empty((n, n), dtype=np.intp)
     slots[pairs[0], pairs[1]] = slots[pairs[1], pairs[0]] = np.arange(pairs.shape[1])
     slots[np.diag_indices(n)] = pairs.shape[1] + np.arange(n)
@@ -256,8 +242,8 @@ def _m_of_kappa(dim: int, consts: np.ndarray, slots, r, kappas) -> np.ndarray:
     layout whose ``eigh`` bits tests pin.
     """
     diag = renormalized_denominators(dim, kappas, consts)
-    off = g0_of_kappa(dim, kappas[:, None], r)  # a fresh array, negated in place as g0_of_kappa's
-    return np.take(np.concatenate((np.negative(off, out=off), diag), axis=-1), slots, axis=-1)
+    off = -g0_of_kappa(dim, kappas[:, None], r)
+    return np.take(np.concatenate((off, diag), axis=-1), slots, axis=-1)
 
 
 @quiet
@@ -306,7 +292,8 @@ _last_solve: tuple = (None, None)
 
 def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     """The centers' positions, kappa = sqrt(-E) and c = M(E)^-1 G0(a, y),
-    the arrays read-only.
+    the arrays read-only; the one solve takes the pole probe of
+    :func:`green` as its second right-hand side, formed for each solve.
 
     :func:`m_matrix` assembles M and keeps no layout, so no pair distances
     stay alive through the solve; the positions are built again from the
@@ -326,12 +313,13 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     m = m_matrix(dim, e, cs).entries
     pos, kap = _positions([v for center in cs for v in center.position.coords], len(cs)), e.kappa
     gy = _kernel_row(dim, kap, _distances_to(y, pos))
-    # the two right-hand sides written in place: G0(a, y), and the probe z
-    # times the row sums r_i of |M_ij|: M^-1 (r z) = A^-1 z, so scaling a
-    # row (a weak center) moves no decision
+    # the two right-hand sides: G0(a, y), and the probe z_i = cos(i * golden
+    # angle) times the row sums r_i of |M_ij|.  max|z_i| = 1, no symmetric
+    # layout makes z orthogonal to a null vector, and M^-1 (r z) = A^-1 z,
+    # so scaling a row (a weak center) moves no decision
     rhs = np.empty((len(cs), 2), dtype=gy.dtype)
     rhs[:, 0] = gy
-    rhs[:, 1] = _probe(len(cs)) * np.abs(m).sum(axis=1)
+    rhs[:, 1] = np.cos(2.399963229728653 * np.arange(len(cs))) * np.abs(m).sum(axis=1)
     try:
         sol = np.linalg.solve(m, rhs)
         # NaN (an infinite or NaN entry of M) is no pole; GreenValue checks the value
@@ -349,16 +337,6 @@ def _strengths(dim: int, e: ComplexEnergy, y: SpatialPoint, cs: tuple) -> tuple:
     c.setflags(write=False)
     _last_solve = (key, (pos, kap, c))
     return pos, kap, c
-
-
-@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _probe(n: int) -> np.ndarray:
-    """z_i = cos(i * golden angle) for N = n centers, read-only, kept per N as
-    the layout is: max|z_i| = 1, and no symmetric layout makes z orthogonal
-    to a null vector."""
-    z = np.cos(2.399963229728653 * np.arange(n))
-    z.setflags(write=False)
-    return z
 
 
 def _distances_to(x: SpatialPoint, pos: np.ndarray) -> np.ndarray:

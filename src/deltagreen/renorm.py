@@ -266,16 +266,17 @@ def coupling_constants(dim: int, specs) -> np.ndarray:
     in {1,2,3} and :class:`IllegalSpecError` for a coupling illegal in ``dim``.
     """
     dim = check_dim(dim, (1, 2, 3), "denominator defined for D in {1,2,3}")
-    specs, constant = tuple(specs), _CONSTANT[dim]
-    value = []
-    for spec in specs:
+    constant = _CONSTANT[dim]
+    value, at_e_b = [], []
+    for i, spec in enumerate(specs):
         if spec.variant not in constant:  # illegal here: the first such center is named
             spec.require_dim(dim)
         value.append(constant[spec.variant](spec))
+        if spec.variant == FROM_BOUND_STATE:
+            at_e_b.append(i)
     if dim != 2:
         return np.array(value, dtype=float)
-    value = np.array(value, dtype=complex)
-    at_e_b = [i for i, spec in enumerate(specs) if spec.variant == FROM_BOUND_STATE]
+    value, at_e_b = np.array(value, dtype=complex), np.array(at_e_b, dtype=np.intp)
     # every kappa_B -> ln m + e i in one split, as the denominator splits
     # kappa (D = 0.0 at kappa_B); each part is written alone, so no zero changes sign
     value.real[at_e_b], value.imag[at_e_b] = _log_split(value.real[at_e_b])

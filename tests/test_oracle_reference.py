@@ -140,15 +140,29 @@ def _random_g0_cases(count=200, seed=20261020):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("dim, energy, r", _VERIFY_CASES + _EDGE_CASES + _random_g0_cases())
-def test_decimal_g0_keeps_the_mpmath_bits(dim, energy, r):
-    assert _outcome(g0_by_quadrature, dim, energy, r) == _outcome(_mp_g0, dim, energy, r)
+@pytest.fixture(scope="session")
+def fresh_g0():
+    """``fresh(dim, energy, r)``: the outcome of g0_by_quadrature with the node
+    memo cleared, computed once per case and shared by the tests below."""
+    outcomes = {}
+
+    def fresh(dim, energy, r):
+        if (dim, energy, r) not in outcomes:
+            oracles._NODES.clear()
+            outcomes[dim, energy, r] = _outcome(g0_by_quadrature, dim, energy, r)
+        return outcomes[dim, energy, r]
+
+    return fresh
 
 
 @pytest.mark.parametrize("dim, energy, r", _VERIFY_CASES + _EDGE_CASES + _random_g0_cases())
-def test_nodes_shared_across_dimensions_keep_the_bits_of_a_fresh_call(dim, energy, r):
-    oracles._NODES.clear()
-    fresh = _outcome(g0_by_quadrature, dim, energy, r)
+def test_decimal_g0_keeps_the_mpmath_bits(fresh_g0, dim, energy, r):
+    assert fresh_g0(dim, energy, r) == _outcome(_mp_g0, dim, energy, r)
+
+
+@pytest.mark.parametrize("dim, energy, r", _VERIFY_CASES + _EDGE_CASES + _random_g0_cases())
+def test_nodes_shared_across_dimensions_keep_the_bits_of_a_fresh_call(fresh_g0, dim, energy, r):
+    fresh = fresh_g0(dim, energy, r)
     oracles._NODES.clear()
     for other in {1, 2, 3} - {dim}:  # the other dimensions fill the nodes first
         try:

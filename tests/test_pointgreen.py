@@ -2080,15 +2080,13 @@ def test_cached_layout_gives_the_per_call_layout_bit_for_bit(dim):
 
 def test_cached_layout_is_read_only_and_kept_per_center_count():
     pairs, slots = pointgreen._layout(5)
-    # the pairs' ends as 4-byte indices: no more bytes per N than an 8-byte
-    # flat index of each pair
-    assert pairs.dtype == np.int32 and pairs.tolist() == [list(a) for a in np.triu_indices(5, 1)]
-    assert pairs.nbytes + slots.nbytes == 8 * 10 + 8 * 25
-    for arr in (pairs, slots, pointgreen._probe(5)):
+    # the pairs' ends in triu_indices' own intp, gathered with no cast
+    assert pairs.dtype == np.intp and pairs.tolist() == [list(a) for a in np.triu_indices(5, 1)]
+    assert pairs.nbytes + slots.nbytes == 16 * 10 + 8 * 25
+    for arr in (pairs, slots):
         with pytest.raises(ValueError):
             arr[0] = 1
     assert pointgreen._layout(5)[0] is pairs and pointgreen._layout(5)[1] is slots
-    assert pointgreen._probe(5) is pointgreen._probe(5)
     assert pointgreen._pair_distances(np.arange(5.0)[:, None])[0] is slots
     # past the largest cached count each call builds its own layout
     n = pointgreen.LAYOUT_CACHE_MAX_N + 1
